@@ -1,7 +1,7 @@
 GO ?= go
 SSILINT := bin/ssilint
 
-.PHONY: all build test lint fmt clean
+.PHONY: all build test bench lint fmt clean
 
 all: build
 
@@ -10,6 +10,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench runs the repository's benchmark (BENCHMARK.json, bench/README.md):
+# one measured and one traced run per workload, results in bench/out/.
+# `make bench BENCHFLAGS="--repeat 10"` for the spread of every metric.
+bench:
+	bench/run.sh $(BENCHFLAGS)
 
 # lint runs stock vet plus ssilint, the repo's own invariant checker
 # (lock acquisition order, constructor resource leaks, enum switch

@@ -142,6 +142,7 @@ func (db *DB) maybeStartCheckpointLocked(seq uint64) {
 		db.finishCheckpoint(wal.CheckpointInfo{}, err, false)
 		return
 	}
+	db.ckptWriter.Add(1)
 	go db.runCheckpoint(seq, tx)
 }
 
@@ -149,6 +150,7 @@ func (db *DB) maybeStartCheckpointLocked(seq uint64) {
 // GCs covered segments (wal.DurableLog.WriteCheckpoint), then releases
 // the pin and resolves every parked waiter.
 func (db *DB) runCheckpoint(seq uint64, tx *Tx) {
+	defer db.ckptWriter.Done()
 	info, err := db.writeCheckpointRecords(seq, tx)
 	// Update the watermarks BEFORE releasing the pin: the Rollback below
 	// re-enters the marker path (the pin was the last active

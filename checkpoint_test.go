@@ -183,6 +183,82 @@ func TestCheckpointEveryAutoTrigger(t *testing.T) {
 	}
 }
 
+// TestCloseWaitsForCheckpointWriter: the checkpoint writer runs in the
+// background, creating the checkpoint and then removing the segments and
+// the checkpoint it supersedes. Close must not return while it is still
+// at it: whoever reopens the directory next lists it first, and a file
+// that vanishes after the listing fails the open.
+func TestCloseWaitsForCheckpointWriter(t *testing.T) {
+	dir := t.TempDir()
+	cfg := pgssi.Config{FsyncMode: pgssi.FsyncBatch, WALSegmentSize: 64 << 10}
+	db, err := pgssi.OpenDir(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	// Enough rows that writing the checkpoint takes a while, with a
+	// first checkpoint for the second one to supersede.
+	load := func(round int) {
+		for chunk := 0; chunk < 20; chunk++ {
+			err := db.RunTx(pgssi.TxOptions{Isolation: pgssi.RepeatableRead}, func(tx *pgssi.Tx) error {
+				for i := 0; i < 1000; i++ {
+					if err := tx.Put("t", fmt.Sprintf("k%02d-%04d", chunk, i), []byte(fmt.Sprintf("round %d", round))); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	load(1)
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	load(2)
+
+	// Close as soon as the second checkpoint's file exists: its writer
+	// has most of its work still ahead.
+	go db.Checkpoint()
+	for deadline := time.Now().Add(10 * time.Second); len(walFilesIn(t, dir, ".ckpt")) < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("second checkpoint never started")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	db.Close()
+
+	listing := func() string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, e := range ents {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatalf("%s vanished while the directory was being listed: %v", e.Name(), err)
+			}
+			fmt.Fprintf(&b, "%s %d\n", e.Name(), info.Size())
+		}
+		return b.String()
+	}
+	atClose := listing()
+	time.Sleep(100 * time.Millisecond)
+	if later := listing(); later != atClose {
+		t.Fatalf("the directory changed after Close returned:\n%s--- then ---\n%s", atClose, later)
+	}
+	db, err = pgssi.OpenDir(dir, cfg)
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	db.Close()
+}
+
 // failFS injects open/create failures into an otherwise real
 // filesystem, to drive pgssi.OpenDir down its error paths.
 type failFS struct {

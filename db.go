@@ -375,6 +375,10 @@ type DB struct {
 	ckptRunning   bool
 	ckptLastSeq   uint64
 	ckptLastBytes int64
+	// ckptWriter counts the background checkpoint writer, so Close can
+	// wait for it: it creates and removes files, and a directory that is
+	// reopened must have nobody left working in it.
+	ckptWriter sync.WaitGroup
 }
 
 // ckptResult resolves a DB.Checkpoint waiter.
@@ -625,11 +629,16 @@ func (db *DB) Close() error {
 	// of fsync policy. Commits still in flight past this point fail
 	// their durability wait with wal.ErrClosed. Parked DB.Checkpoint
 	// waiters are failed too — a closed database will never reach
-	// another quiescent instant to serve them (an in-flight checkpoint
-	// writer resolves against the closing log on its own).
+	// another quiescent instant to serve them. An in-flight checkpoint
+	// writer finishes or fails against the closed log; Close returns
+	// only when it has, so that the directory can be reopened at once.
+	// (No writer can start from here on: the trigger runs under walMu
+	// and checks db.closed, which was set before the walMu section
+	// above.)
 	if db.durable != nil {
 		err := db.durable.Close()
 		db.failCheckpointWaiters(ErrClosed)
+		db.ckptWriter.Wait()
 		return err
 	}
 	return nil
@@ -663,10 +672,8 @@ func (db *DB) Vacuum() int {
 		removed += ti.heap.Vacuum(horizon, db.mvcc)
 	}
 	db.mvcc.DropAbortedBelow(abortedFloor)
-	// Advance the commit-log truncation floor here too: the epoch
-	// reclaimer only runs for serializable workloads, so Vacuum is the
-	// level-independent trigger that keeps the log bounded for
-	// RepeatableRead/ReadCommitted/S2PL-only processes.
+	// Advance the commit-log truncation floor here too, past what the
+	// tombstones just dropped were holding back.
 	db.mvcc.AutoTruncate()
 	return removed
 }

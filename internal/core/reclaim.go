@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // Epoch-based deferred reclamation of committed-transaction state.
@@ -27,9 +28,11 @@ import (
 // goroutine and a quiesced one can be garbage collected. Retirement
 // wakes it every reclaimBatch commits (amortizing the horizon scan)
 // and on any commit that leaves no transaction active; aborts wake it
-// directly because an abort can be what advances the
-// horizon. ReclaimNow runs a synchronous pass for tests and quiesce
-// points. Summarization stays synchronous on overflow pressure
+// directly because an abort can be what advances the horizon;
+// transactions below Serializable wake it every reclaimBatch finishes
+// for the commit log's sake (FinishedOutside). ReclaimNow runs a
+// synchronous pass for tests and quiesce points. Summarization stays
+// synchronous on overflow pressure
 // (lifecycle.go) — the §6.2 memory bound must hold even if the
 // reclaimer is starved.
 
@@ -53,6 +56,21 @@ type reclaimer struct {
 	// while a concurrent background pass still holds popped entries it
 	// has not dropped yet.
 	passMu sync.Mutex //ssi:lock level=10 name=core.reclaimPass
+	// outside counts FinishedOutside calls.
+	outside atomic.Uint64
+}
+
+// FinishedOutside tells the reclaimer that a transaction the lock
+// manager never saw — one below Serializable — has committed or
+// aborted. Such a transaction retires nothing here, but it leaves a
+// commit-log entry that only a reclaim pass truncates
+// (mvcc.AutoTruncate), and a process that runs nothing but those would
+// never start one. Every reclaimBatch-th call wakes the reclaimer; the
+// caller waits for nothing.
+func (m *Manager) FinishedOutside() {
+	if m.rec.outside.Add(1)%reclaimBatch == 0 {
+		m.wakeReclaimer()
+	}
 }
 
 // wakeReclaimer requests a background pass, spawning the goroutine if

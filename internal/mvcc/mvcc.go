@@ -44,7 +44,8 @@
 //
 // The log is truncated in integration with the engine's epoch reclaimer
 // (internal/core/reclaim.go), which calls AutoTruncate on its background
-// passes. A committed entry may be dropped once (a) its xid is below
+// passes; transactions at every isolation level wake it. A committed
+// entry may be dropped once (a) its xid is below
 // every active transaction's xid and (b) its commit CSN is at or below
 // every active transaction's begin-time published CSN — then every
 // present or future snapshot already includes it, and Status/Sees resolve

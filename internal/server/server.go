@@ -12,6 +12,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"log"
 	"net"
@@ -43,6 +44,9 @@ type Config struct {
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each response write. 0 defaults to 30s;
 	// negative disables.
+	//
+	// Both deadlines are kept by wire.CoarseDeadline: the connection is
+	// given at least the timeout and at most a quarter more.
 	WriteTimeout time.Duration
 	// DrainTimeout bounds Shutdown's wait for in-flight transactions.
 	// 0 defaults to 10s.
@@ -89,10 +93,56 @@ type Server struct {
 	shutdownOnce sync.Once
 }
 
-// conn is one served connection.
+// conn is one served connection. Requests are read through br, so a
+// small request costs one read of the socket, and every frame is built
+// in out and sent by send in one write. Only the connection's own
+// goroutine touches anything but Conn.Close and sess.Open.
 type conn struct {
 	net.Conn
-	sess *pgssi.Session
+	sess  *pgssi.Session
+	br    *bufio.Reader
+	idle  wire.CoarseDeadline // read deadline
+	stall wire.CoarseDeadline // write deadline
+	out   []byte              // outgoing response frame, reused
+}
+
+func (s *Server) newConn(nc net.Conn) *conn {
+	return &conn{
+		Conn:  nc,
+		sess:  s.newSession(),
+		br:    bufio.NewReader(nc),
+		idle:  wire.CoarseDeadline{Timeout: s.cfg.IdleTimeout},
+		stall: wire.CoarseDeadline{Timeout: s.cfg.WriteTimeout},
+	}
+}
+
+// send completes the frame built in c.out and writes it in one Write.
+func (c *conn) send() error {
+	if err := wire.FinishFrame(c.out); err != nil {
+		return err
+	}
+	if t, ok := c.stall.Next(time.Now()); ok {
+		c.SetWriteDeadline(t)
+	}
+	_, err := c.Conn.Write(c.out)
+	return err
+}
+
+// respond sends resp as one frame.
+func (c *conn) respond(resp wire.Response) error {
+	c.out = wire.AppendResponse(wire.BeginFrame(c.out), &resp)
+	return c.send()
+}
+
+// writeRecord sends one WAL record as a frame carrying the record body
+// (the WAL's own body encoding — docs/wal.md — inside the wire framing).
+func (c *conn) writeRecord(rec wal.Record) error {
+	body, err := wal.EncodeRecordBody(rec)
+	if err != nil {
+		return err
+	}
+	c.out = append(wire.BeginFrame(c.out), body...)
+	return c.send()
 }
 
 // New returns a server over db.
@@ -174,7 +224,7 @@ func (s *Server) Serve(l net.Listener) error {
 			nc.Close()
 			continue
 		}
-		c := &conn{Conn: nc, sess: s.newSession()}
+		c := s.newConn(nc)
 		s.mu.Lock()
 		if s.draining.Load() {
 			// Raced a concurrent Shutdown's conn sweep: don't serve.
@@ -210,12 +260,12 @@ func (s *Server) serveConn(c *conn) {
 	defer c.sess.Close()
 	defer c.Close()
 
-	var frame, out []byte
+	var frame []byte
 	for {
-		if s.cfg.IdleTimeout > 0 {
-			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		if t, ok := c.idle.Next(time.Now()); ok {
+			c.SetReadDeadline(t)
 		}
-		body, err := wire.ReadFrame(c.Conn, frame)
+		body, err := wire.ReadFrame(c.br, frame)
 		if err != nil {
 			// EOF, deadline, forced close, or a framing error (after
 			// which the stream offset is unknown): drop the connection.
@@ -223,38 +273,28 @@ func (s *Server) serveConn(c *conn) {
 		}
 		frame = body[:0]
 		req, derr := wire.DecodeRequest(body)
-		if derr == nil && req.Op == wire.OpReplicate {
-			// Replicate hijacks the connection: one response frame, then
-			// a one-way stream of record frames until either side closes.
-			s.serveReplication(c, req.AfterSeq, out)
-			return
-		}
-		if derr == nil && req.Op == wire.OpFetchCheckpoint {
-			// FetchCheckpoint hijacks the connection the same way: one
-			// response frame, then the checkpoint's record frames ending
-			// with a safe-snapshot terminator, then the connection closes.
-			s.serveCheckpoint(c, out)
-			return
-		}
-		var resp wire.Response
-		fatal := false
 		if derr != nil {
 			// The frame itself was well-formed, so framing is still
 			// synchronized; report the bad message, then close anyway —
 			// a client that builds undecodable requests is broken.
-			resp = wire.Response{Status: pgssi.StatusInvalidRequest}
-			fatal = true
-		} else {
-			resp = s.dispatch(c.sess, &req)
-		}
-		if s.cfg.WriteTimeout > 0 {
-			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		out = wire.AppendResponse(out[:0], &resp)
-		if err := wire.WriteFrame(c.Conn, out); err != nil {
+			c.respond(wire.Response{Status: pgssi.StatusInvalidRequest})
 			return
 		}
-		if fatal {
+		if req.Op == wire.OpReplicate {
+			// Replicate hijacks the connection: one response frame, then
+			// a one-way stream of record frames until either side closes.
+			s.serveReplication(c, req.AfterSeq)
+			return
+		}
+		if req.Op == wire.OpFetchCheckpoint {
+			// FetchCheckpoint hijacks the connection the same way: one
+			// response frame, then the checkpoint's record frames ending
+			// with a safe-snapshot terminator, then the connection closes.
+			s.serveCheckpoint(c)
+			return
+		}
+		c.out = s.dispatch(c.sess, &req, wire.BeginFrame(c.out))
+		if err := c.send(); err != nil {
 			return
 		}
 		// During a drain, a connection is closed as soon as it has no
@@ -268,25 +308,17 @@ func (s *Server) serveConn(c *conn) {
 
 // serveReplication turns c into a WAL stream: it subscribes to the
 // primary's log from the requested position and forwards each record as
-// one frame carrying the record body (the WAL's own body encoding —
-// docs/wal.md — inside the wire framing). The stream ends when the
+// one frame (conn.writeRecord). The stream ends when the
 // subscription is dropped (the replica fell behind the fan-out buffer),
 // the log closes, the write fails, or a drain force-closes the
 // connection; the replica then reconnects from its applied position.
-func (s *Server) serveReplication(c *conn, afterSeq uint64, out []byte) {
+func (s *Server) serveReplication(c *conn, afterSeq uint64) {
 	var stream wal.Stream
 	if s.db != nil {
 		stream = s.db.WALStream()
 	}
-	respond := func(resp wire.Response) bool {
-		if s.cfg.WriteTimeout > 0 {
-			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		out = wire.AppendResponse(out[:0], &resp)
-		return wire.WriteFrame(c.Conn, out) == nil
-	}
 	if stream == nil {
-		respond(wire.Response{Status: pgssi.StatusNoReplication})
+		c.respond(wire.Response{Status: pgssi.StatusNoReplication})
 		return
 	}
 	// Subscribe before acknowledging: a resume position below the log's
@@ -303,14 +335,14 @@ func (s *Server) serveReplication(c *conn, afterSeq uint64, out []byte) {
 			if errors.Is(serr, wal.ErrSeqTruncated) {
 				st = pgssi.StatusSeqTruncated
 			}
-			respond(wire.Response{Status: st})
+			c.respond(wire.Response{Status: st})
 			return
 		}
 	} else {
 		ch, cancel = stream.SubscribeFrom(mvcc.SeqNo(afterSeq))
 	}
 	defer cancel()
-	if !respond(wire.Response{Status: pgssi.StatusOK}) {
+	if c.respond(wire.Response{Status: pgssi.StatusOK}) != nil {
 		return
 	}
 	// The request loop is done with this connection: no further reads,
@@ -319,14 +351,14 @@ func (s *Server) serveReplication(c *conn, afterSeq uint64, out []byte) {
 	c.SetReadDeadline(time.Time{})
 
 	// The replica never sends another byte, so a completed read — EOF,
-	// a stray write, or the drain sweep force-closing the socket — means
-	// this stream is over. Without this sentinel the loop below would
-	// park on an idle WAL channel forever and Shutdown could never
-	// finish its wg.Wait.
+	// a stray write (one the request loop's reader already buffered
+	// included, hence the read through c.br), or the drain sweep
+	// force-closing the socket — means this stream is over. Without this
+	// sentinel the loop below would park on an idle WAL channel forever
+	// and Shutdown could never finish its wg.Wait.
 	gone := make(chan struct{})
 	go func() {
-		var b [1]byte
-		c.Conn.Read(b[:])
+		c.br.ReadByte()
 		close(gone)
 	}()
 	for {
@@ -340,17 +372,13 @@ func (s *Server) serveReplication(c *conn, afterSeq uint64, out []byte) {
 		case <-gone:
 			return
 		}
-		body, err := wal.EncodeRecordBody(rec)
-		if err != nil {
-			// Unencodable records cannot exist in a log that accepted
-			// them; treat as a poisoned stream.
-			s.cfg.Logf("server: replication encode: %v", err)
-			return
-		}
-		if s.cfg.WriteTimeout > 0 {
-			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		if err := wire.WriteFrame(c.Conn, body); err != nil {
+		if err := c.writeRecord(rec); err != nil {
+			// A dead connection, or (never, in a log that accepted the
+			// record) an unencodable one: either way the stream is over.
+			var ne net.Error
+			if !errors.As(err, &ne) {
+				s.cfg.Logf("server: replication stream: %v", err)
+			}
 			return
 		}
 	}
@@ -364,21 +392,14 @@ func (s *Server) serveReplication(c *conn, afterSeq uint64, out []byte) {
 // checkpoint as torn and retry. StatusNotFound reports that the primary
 // has never checkpointed; StatusNoReplication that it emits no WAL
 // stream at all (replica mode, or no checkpoint-capable log).
-func (s *Server) serveCheckpoint(c *conn, out []byte) {
+func (s *Server) serveCheckpoint(c *conn) {
 	var stream wal.Stream
 	if s.db != nil {
 		stream = s.db.WALStream()
 	}
-	respond := func(resp wire.Response) bool {
-		if s.cfg.WriteTimeout > 0 {
-			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		out = wire.AppendResponse(out[:0], &resp)
-		return wire.WriteFrame(c.Conn, out) == nil
-	}
 	cs, ok := stream.(wal.CheckpointSource)
 	if stream == nil || !ok {
-		respond(wire.Response{Status: pgssi.StatusNoReplication})
+		c.respond(wire.Response{Status: pgssi.StatusNoReplication})
 		return
 	}
 	// Probe before acknowledging, so "no checkpoint yet" is a clean
@@ -388,39 +409,42 @@ func (s *Server) serveCheckpoint(c *conn, out []byte) {
 		CheckpointInfo() (wal.CheckpointInfo, bool)
 	}); ok {
 		if _, have := ci.CheckpointInfo(); !have {
-			respond(wire.Response{Status: pgssi.StatusNotFound})
+			c.respond(wire.Response{Status: pgssi.StatusNotFound})
 			return
 		}
 	}
-	if !respond(wire.Response{Status: pgssi.StatusOK}) {
+	if c.respond(wire.Response{Status: pgssi.StatusOK}) != nil {
 		return
 	}
 	c.SetReadDeadline(time.Time{})
-	writeRec := func(rec wal.Record) error {
-		body, err := wal.EncodeRecordBody(rec)
-		if err != nil {
-			return err
-		}
-		if s.cfg.WriteTimeout > 0 {
-			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
-		return wire.WriteFrame(c.Conn, body)
-	}
-	info, err := cs.ReplayCheckpoint(writeRec)
+	info, err := cs.ReplayCheckpoint(c.writeRecord)
 	if err != nil {
 		// Read failure on the checkpoint file or a dead connection: drop
 		// without the terminator; the client discards the torn seed.
 		s.cfg.Logf("server: checkpoint stream: %v", err)
 		return
 	}
-	if err := writeRec(wal.Record{Seq: info.Seq, SafeSnapshot: true}); err != nil {
+	if err := c.writeRecord(wal.Record{Seq: info.Seq, SafeSnapshot: true}); err != nil {
 		s.cfg.Logf("server: checkpoint terminator: %v", err)
 	}
 }
 
 // dispatch executes one decoded request against the connection's
-// session.
-func (s *Server) dispatch(sess *pgssi.Session, req *wire.Request) wire.Response {
+// session and appends the response body to out.
+func (s *Server) dispatch(sess *pgssi.Session, req *wire.Request, out []byte) []byte {
+	if req.Op == wire.OpScan {
+		// Rows go from the engine's callback straight into the frame.
+		rows := wire.BeginRowsResponse(out)
+		st := sess.ScanEach(req.Handle, req.Table, req.Key, req.Hi, int(req.Limit), rows.AppendRow)
+		return rows.Finish(st)
+	}
+	resp := s.execute(sess, req)
+	return wire.AppendResponse(out, &resp)
+}
+
+// execute runs every request whose response is small enough to be built
+// as a wire.Response first.
+func (s *Server) execute(sess *pgssi.Session, req *wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpBegin:
 		if s.draining.Load() {
@@ -439,12 +463,6 @@ func (s *Server) dispatch(sess *pgssi.Session, req *wire.Request) wire.Response 
 		return wire.Response{Status: sess.Update(req.Handle, req.Table, req.Key, req.Value)}
 	case wire.OpDelete:
 		return wire.Response{Status: sess.Delete(req.Handle, req.Table, req.Key)}
-	case wire.OpScan:
-		rows, st := sess.Scan(req.Handle, req.Table, req.Key, req.Hi, int(req.Limit))
-		if rows == nil {
-			rows = []pgssi.KV{}
-		}
-		return wire.Response{Status: st, Rows: rows}
 	case wire.OpCommit:
 		return wire.Response{Status: sess.Commit(req.Handle)}
 	case wire.OpRollback:

@@ -21,16 +21,22 @@ type testServer struct {
 
 // startServer launches a server on a loopback port and returns it plus
 // a dialer.
-func startServer(t *testing.T, db *pgssi.DB, cfg Config) (*testServer, func() *wire.Client) {
+func startServer(t testing.TB, db *pgssi.DB, cfg Config) (*testServer, func() *wire.Client) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startServerOn(t, db, cfg, l)
+}
+
+// startServerOn is startServer on a listener of the caller's choosing.
+func startServerOn(t testing.TB, db *pgssi.DB, cfg Config, l net.Listener) (*testServer, func() *wire.Client) {
 	t.Helper()
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
 	}
 	srv := New(db, cfg)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()
 	addr := l.Addr().String()

@@ -342,7 +342,8 @@ func readChain(head *Tuple, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manag
 // pruneAborted drops leading versions created by aborted transactions and
 // clears aborted xmax stamps, keeping chains tidy. Caller holds sh.mu.
 func pruneAborted(sh *shard, key string, mgr *mvcc.Manager) *Tuple {
-	head := sh.rows[key]
+	first := sh.rows[key]
+	head := first
 	for head != nil {
 		st, _ := mgr.Status(head.Xmin)
 		if st != mvcc.StatusAborted {
@@ -350,12 +351,17 @@ func pruneAborted(sh *shard, key string, mgr *mvcc.Manager) *Tuple {
 		}
 		head = head.Older
 	}
-	if head == nil {
-		delete(sh.rows, key)
-		return nil
+	// This runs on every read: the map is touched again only when
+	// aborted versions were actually dropped.
+	if head != first {
+		if head == nil {
+			delete(sh.rows, key)
+		} else {
+			sh.rows[key] = head
+		}
 	}
-	if sh.rows[key] != head {
-		sh.rows[key] = head
+	if head == nil {
+		return nil
 	}
 	if head.Xmax != 0 {
 		if st, _ := mgr.Status(head.Xmax); st == mvcc.StatusAborted {

@@ -644,7 +644,7 @@ func (l *DurableLog) flushLoop() {
 	for {
 		if l.cfg.Fsync == FsyncBatch {
 			// Gather window: let concurrent committers join this batch.
-			time.Sleep(l.cfg.GroupWindow)
+			gatherSleep(l.cfg.GroupWindow)
 		}
 		l.mu.Lock()
 		if len(l.pending) == 0 {

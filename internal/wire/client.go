@@ -24,19 +24,24 @@ type Client struct {
 	mu    sync.Mutex //ssi:lock level=20 name=wire.client
 	conn  net.Conn
 	br    *bufio.Reader
-	buf   []byte // encode scratch
-	frame []byte // decode scratch
+	buf   []byte // outgoing frame, reused
+	frame []byte // incoming frame body, reused
 	err   error
 
-	// Timeout bounds each round trip (write + read deadlines); zero
+	// deadline bounds each round trip (write + read); a zero Timeout
 	// means no deadline.
-	timeout time.Duration
+	deadline CoarseDeadline
 }
+
+// clientReadBuffer lets a scan response of a thousand small rows
+// (≈ 20 KB) arrive in one read.
+const clientReadBuffer = 64 << 10
 
 // DialOptions configure Dial.
 type DialOptions struct {
 	// Timeout bounds connection establishment and, afterwards, each
-	// request round trip. Zero means no deadline.
+	// request round trip (to within CoarseDeadline's slack). Zero means
+	// no deadline.
 	Timeout time.Duration
 }
 
@@ -54,9 +59,9 @@ func Dial(addr string, opts DialOptions) (*Client, error) {
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn, opts DialOptions) *Client {
 	return &Client{
-		conn:    conn,
-		br:      bufio.NewReader(conn),
-		timeout: opts.Timeout,
+		conn:     conn,
+		br:       bufio.NewReaderSize(conn, clientReadBuffer),
+		deadline: CoarseDeadline{Timeout: opts.Timeout},
 	}
 }
 
@@ -84,11 +89,14 @@ func (c *Client) roundTrip(req *Request) Response {
 		c.conn.Close()
 		return Response{Status: pgssi.StatusNetwork}
 	}
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
+	if t, ok := c.deadline.Next(time.Now()); ok {
+		c.conn.SetDeadline(t)
 	}
-	c.buf = AppendRequest(c.buf[:0], req)
-	if err := WriteFrame(c.conn, c.buf); err != nil {
+	c.buf = AppendRequest(BeginFrame(c.buf), req)
+	if err := FinishFrame(c.buf); err != nil {
+		return fail(err)
+	}
+	if _, err := c.conn.Write(c.buf); err != nil {
 		return fail(err)
 	}
 	body, err := ReadFrame(c.br, c.frame)

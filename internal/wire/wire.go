@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strings"
+	"sync"
 
 	"pgssi"
 )
@@ -46,29 +48,78 @@ var (
 // length counts everything after itself (version + crc + body), so the
 // minimum legal value is 5. All integers are big-endian. crc is the
 // IEEE CRC-32 of body alone.
-const frameOverhead = 5
+const (
+	frameOverhead = 5
+	frameHeader   = 4 + frameOverhead
+)
 
-// WriteFrame writes body as one frame.
-func WriteFrame(w io.Writer, body []byte) error {
+// The transport rule of this package and of internal/server is one
+// frame, one Write: with TCP_NODELAY every Write is a segment and a
+// wake-up of the peer, so a frame must never leave in pieces. Senders
+// on the hot path build the frame in place — BeginFrame reserves the
+// header in front of the buffer the body encoders append to, FinishFrame
+// fills it in — and hand the result to a single Write; WriteFrame is the
+// same thing for callers that already hold a finished body.
+
+// BeginFrame truncates buf and reserves the frame header in it. The
+// caller appends the body (AppendRequest, AppendResponse, ...) and
+// completes the frame with FinishFrame.
+func BeginFrame(buf []byte) []byte {
+	var hdr [frameHeader]byte
+	return append(buf[:0], hdr[:]...)
+}
+
+// FinishFrame fills in the header BeginFrame reserved in front of
+// frame's body (length, version, CRC). The frame is then ready to be
+// written in one Write.
+func FinishFrame(frame []byte) error {
+	body := frame[frameHeader:]
 	if len(body)+frameOverhead > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4 + frameOverhead]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)+frameOverhead))
-	hdr[4] = Version
-	binary.BigEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(body))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)+frameOverhead))
+	frame[4] = Version
+	binary.BigEndian.PutUint32(frame[5:9], crc32.ChecksumIEEE(body))
+	return nil
+}
+
+// framePool holds WriteFrame's scratch frames.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledFrame keeps a rare huge frame (a checkpoint record) from
+// pinning its buffer in framePool.
+const maxPooledFrame = 1 << 20
+
+// WriteFrame writes body as one frame in a single Write.
+func WriteFrame(w io.Writer, body []byte) error {
+	bp := framePool.Get().(*[]byte)
+	frame := append(BeginFrame(*bp), body...)
+	err := FinishFrame(frame)
+	if err == nil {
+		_, err = w.Write(frame)
 	}
-	_, err := w.Write(body)
+	if cap(frame) <= maxPooledFrame {
+		*bp = frame[:0]
+	}
+	framePool.Put(bp)
 	return err
 }
 
 // ReadFrame reads one frame and returns its body, reusing buf when it
 // is large enough. Errors are framing-fatal: the stream position is
 // unknown afterwards and the connection should be closed.
+//
+// Hand it a buffered reader: it issues three reads per frame (length,
+// rest of the header, body), which only cost one syscall when they are
+// served from a buffer.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4 + frameOverhead]byte
+	// The header is read into buf too (a local array would escape
+	// through r and cost an allocation per frame); the body then
+	// overwrites it.
+	if cap(buf) < frameHeader {
+		buf = make([]byte, frameHeader)
+	}
+	hdr := buf[:frameHeader]
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return nil, err
 	}
@@ -406,6 +457,12 @@ const (
 	respHasSeqs   = 1 << 4
 )
 
+// row encodes one scan row; every encoder of rows goes through it.
+func (e *enc) row(key string, value []byte) {
+	e.str(key)
+	e.bytes(value)
+}
+
 // AppendResponse encodes resp into buf's body format (no framing).
 func AppendResponse(buf []byte, resp *Response) []byte {
 	e := enc{b: buf}
@@ -436,8 +493,7 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 	if flags&respHasRows != 0 {
 		e.u32(uint32(len(resp.Rows)))
 		for i := range resp.Rows {
-			e.str(resp.Rows[i].Key)
-			e.bytes(resp.Rows[i].Value)
+			e.row(resp.Rows[i].Key, resp.Rows[i].Value)
 		}
 	}
 	if flags&respHasSeqs != 0 {
@@ -447,7 +503,51 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 	return e.b
 }
 
-// DecodeResponse parses a response body.
+// RowsResponse encodes a Scan response body row by row, so a server can
+// append rows to the outgoing frame as the engine delivers them instead
+// of collecting a []pgssi.KV first. The bytes are those AppendResponse
+// produces for Response{Status: st, Rows: rows}.
+type RowsResponse struct {
+	e     enc
+	start int // offset of the body in e.b
+	n     uint32
+}
+
+// BeginRowsResponse starts a rows-carrying response body at the end of
+// buf; the status and the row count are filled in by Finish.
+func BeginRowsResponse(buf []byte) RowsResponse {
+	r := RowsResponse{e: enc{b: buf}, start: len(buf)}
+	r.e.u8(0)
+	r.e.u8(respHasRows)
+	r.e.u32(0)
+	return r
+}
+
+// AppendRow adds one row.
+func (r *RowsResponse) AppendRow(key string, value []byte) {
+	r.e.row(key, value)
+	r.n++
+}
+
+// Finish completes the body with its status and returns the buffer. A
+// failed scan carries no rows: whatever was appended before the failure
+// is dropped.
+func (r *RowsResponse) Finish(st pgssi.Status) []byte {
+	const rowsAt = 2 + 4 // status, flags, count
+	b := r.e.b
+	if !st.OK() {
+		b, r.n = b[:r.start+rowsAt], 0
+	}
+	b[r.start] = uint8(st)
+	binary.BigEndian.PutUint32(b[r.start+2:], r.n)
+	return b
+}
+
+// DecodeResponse parses a response body. Nothing in the result aliases
+// body. Rows share two arenas, one holding every key and one every
+// value, so a response costs two allocations for its row data however
+// many rows it has; each Value's capacity ends at its own last byte, so
+// appending to one reallocates instead of running into its neighbour.
 func DecodeResponse(body []byte) (Response, error) {
 	d := dec{b: body}
 	var resp Response
@@ -467,12 +567,7 @@ func DecodeResponse(body []byte) (Response, error) {
 			return Response{}, fmt.Errorf("%w: implausible row count %d", ErrBadMessage, n)
 		}
 		if d.err == nil && n > 0 {
-			resp.Rows = make([]pgssi.KV, 0, n)
-			for i := uint32(0); i < n && d.err == nil; i++ {
-				k := d.str()
-				v := append([]byte(nil), d.bytes()...)
-				resp.Rows = append(resp.Rows, pgssi.KV{Key: k, Value: v})
-			}
+			resp.Rows = d.rows(int(n))
 		}
 	}
 	if flags&respHasSeqs != 0 {
@@ -485,4 +580,36 @@ func DecodeResponse(body []byte) (Response, error) {
 		return Response{}, err
 	}
 	return resp, nil
+}
+
+// rows decodes n rows into fresh key and value arenas. It walks the
+// rows twice: once to validate them and size the arenas, once to copy.
+func (d *dec) rows(n int) []pgssi.KV {
+	sizing := *d
+	var keyBytes, valueBytes int
+	for i := 0; i < n; i++ {
+		keyBytes += len(sizing.bytes())
+		valueBytes += len(sizing.bytes())
+	}
+	if sizing.err != nil {
+		d.err = sizing.err
+		return nil
+	}
+	// keys never grows past what Grow reserved, so every String() below
+	// is a view of the same allocation.
+	var keys strings.Builder
+	keys.Grow(keyBytes)
+	values := make([]byte, 0, valueBytes)
+	rows := make([]pgssi.KV, n)
+	for i := range rows {
+		k, v := d.bytes(), d.bytes()
+		keys.Write(k)
+		rows[i].Key = keys.String()[keys.Len()-len(k):]
+		if len(v) > 0 {
+			at := len(values)
+			values = append(values, v...)
+			rows[i].Value = values[at:len(values):len(values)]
+		}
+	}
+	return rows
 }

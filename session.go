@@ -319,20 +319,32 @@ func (s *Session) Delete(h Handle, table, key string) Status {
 	return StatusOf(tx.Delete(table, key))
 }
 
-// Scan returns up to limit visible rows with lo <= key < hi in key order
-// (hi == "" means unbounded, limit <= 0 means unlimited).
-func (s *Session) Scan(h Handle, table, lo, hi string, limit int) ([]KV, Status) {
+// ScanEach calls fn for up to limit visible rows with lo <= key < hi in
+// key order (hi == "" means unbounded, limit <= 0 means unlimited). On
+// any status but StatusOK the scan has no result and the caller discards
+// whatever fn saw. value is the engine's own copy of the row: fn may
+// keep it but must not modify it.
+func (s *Session) ScanEach(h Handle, table, lo, hi string, limit int, fn func(key string, value []byte)) Status {
 	tx, st := s.lookup(h)
 	if !st.OK() {
-		return nil, st
+		return st
 	}
+	n := 0
+	return StatusOf(tx.Scan(table, lo, hi, func(k string, v []byte) bool {
+		fn(k, v)
+		n++
+		return limit <= 0 || n < limit
+	}))
+}
+
+// Scan is ScanEach collected into a slice.
+func (s *Session) Scan(h Handle, table, lo, hi string, limit int) ([]KV, Status) {
 	var rows []KV
-	err := tx.Scan(table, lo, hi, func(k string, v []byte) bool {
+	st := s.ScanEach(h, table, lo, hi, limit, func(k string, v []byte) {
 		rows = append(rows, KV{Key: k, Value: v})
-		return limit <= 0 || len(rows) < limit
 	})
-	if err != nil {
-		return nil, StatusOf(err)
+	if !st.OK() {
+		return nil, st
 	}
 	return rows, StatusOK
 }

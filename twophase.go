@@ -95,6 +95,7 @@ func (db *DB) CommitPrepared(gid string) error {
 		}
 	} else {
 		db.publishCommit(tx)
+		db.ssi.FinishedOutside()
 	}
 	tx.done = true
 	tx.prepared = false

@@ -228,9 +228,11 @@ func (tx *Tx) Commit() error {
 		}
 	case RepeatableRead, ReadCommitted:
 		tx.db.publishCommit(tx)
+		tx.db.ssi.FinishedOutside()
 	case SerializableS2PL:
 		tx.db.publishCommit(tx)
 		tx.db.s2pl.ReleaseAll(tx.xid)
+		tx.db.ssi.FinishedOutside()
 	}
 	tx.done = true
 	return tx.db.walFinish(pend)
@@ -254,6 +256,8 @@ func (tx *Tx) rollbackLocked() {
 	tx.db.mvcc.Abort(tx.xid)
 	if tx.x != nil {
 		tx.db.ssi.Abort(tx.x)
+	} else {
+		tx.db.ssi.FinishedOutside()
 	}
 	if tx.level == SerializableS2PL {
 		tx.db.s2pl.ReleaseAll(tx.xid)
