@@ -265,12 +265,11 @@ func BenchmarkLockManager(b *testing.B) {
 // analysis predicts the single partition serializes every read of every
 // worker on one mutex.
 //
-// The scan shapes drive the same contended table through the range-scan
-// read path — a 128-row scan per transaction, page-grained batch versus
-// the per-row ablation (Config.DisableScanBatch) — so the lock path's
-// O(pages) vs O(rows) behaviour shows up in this benchmark's mutex
-// profile next to the point-read shape (profile one shape at a time:
-// `-bench 'BenchmarkLockManagerParallel/partitions=16/scan128-batch'`).
+// The scan shape drives the same contended table through the range-scan
+// read path — a 128-row scan per transaction — so the lock path's
+// O(pages) behaviour shows up in this benchmark's mutex profile next to
+// the point-read shape's O(rows) (profile one shape at a time:
+// `-bench 'BenchmarkLockManagerParallel/partitions=16/scan128'`).
 func BenchmarkLockManagerParallel(b *testing.B) {
 	const readsPerTxn = 8
 	for _, parts := range []int{1, 4, 16} {
@@ -300,48 +299,43 @@ func BenchmarkLockManagerParallel(b *testing.B) {
 				}
 			})
 		})
-		for _, mode := range []struct {
-			name   string
-			perRow bool
-		}{{"batch", false}, {"perrow", true}} {
-			b.Run(fmt.Sprintf("partitions=%d/scan128-%s", parts, mode.name), func(b *testing.B) {
-				db := pgssi.Open(pgssi.Config{Partitions: parts, DisableScanBatch: mode.perRow})
-				si := workload.SIBench{Rows: 1000}
-				if err := si.Setup(db); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					i := 0
-					for pb.Next() {
-						tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						i++
-						lo := fmt.Sprintf("k%06d", (i*128)%872)
-						hi := fmt.Sprintf("k%06d", (i*128)%872+128)
-						n := 0
-						if err := tx.Scan("sibench", lo, hi, func(string, []byte) bool {
-							n++
-							return true
-						}); err != nil {
-							b.Error(err)
-							return
-						}
-						if n != 128 {
-							b.Errorf("scan saw %d rows, want 128", n)
-							return
-						}
-						if err := tx.Commit(); err != nil {
-							b.Error(err)
-							return
-						}
+		b.Run(fmt.Sprintf("partitions=%d/scan128", parts), func(b *testing.B) {
+			db := pgssi.Open(pgssi.Config{Partitions: parts})
+			si := workload.SIBench{Rows: 1000}
+			if err := si.Setup(db); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				i := 0
+				for pb.Next() {
+					tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+					if err != nil {
+						b.Error(err)
+						return
 					}
-				})
+					i++
+					lo := fmt.Sprintf("k%06d", (i*128)%872)
+					hi := fmt.Sprintf("k%06d", (i*128)%872+128)
+					n := 0
+					if err := tx.Scan("sibench", lo, hi, func(string, []byte) bool {
+						n++
+						return true
+					}); err != nil {
+						b.Error(err)
+						return
+					}
+					if n != 128 {
+						b.Errorf("scan saw %d rows, want 128", n)
+						return
+					}
+					if err := tx.Commit(); err != nil {
+						b.Error(err)
+						return
+					}
+				}
 			})
-		}
+		})
 	}
 }
 
@@ -369,57 +363,139 @@ func BenchmarkPartitionSweep(b *testing.B) {
 
 // BenchmarkScanParallel measures the serializable scan read path:
 // parallel workers each run one whole-table Serializable scan per
-// transaction, page-grained batch (the default: one shared page latch +
-// one batched lock-manager call per heap page) versus the legacy
-// per-row ablation (Config.DisableScanBatch: one latch + one CheckRead
-// per row). The rows axis controls how many heap pages a scan crosses
-// (64 rows ≈ 1 page, 1000 ≈ 16). The nightly workflow archives this
-// benchmark with a mutex profile next to the lock-contention,
-// lifecycle, and snapshot artifacts.
+// transaction — streamed leaf by leaf, one shared page latch and one
+// batched lock-manager call per heap page. The rows axis controls how
+// many heap pages a scan crosses (64 rows ≈ 1 page, 1000 ≈ 16). The
+// nightly workflow archives this benchmark with a mutex profile next to
+// the lock-contention, lifecycle, and snapshot artifacts.
 func BenchmarkScanParallel(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		cfg  pgssi.Config
-	}{
-		{"batch", pgssi.Config{}},
-		{"perrow", pgssi.Config{DisableScanBatch: true}},
-	} {
-		for _, rows := range []int{64, 1000} {
-			b.Run(fmt.Sprintf("%s/rows=%d", mode.name, rows), func(b *testing.B) {
-				db := pgssi.Open(mode.cfg)
-				si := workload.SIBench{Rows: rows}
-				if err := si.Setup(db); err != nil {
+	for _, rows := range []int{64, 1000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			db := pgssi.Open(pgssi.Config{})
+			si := workload.SIBench{Rows: rows}
+			if err := si.Setup(db); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					n := 0
+					if err := tx.Scan("sibench", "", "", func(string, []byte) bool {
+						n++
+						return true
+					}); err != nil {
+						b.Error(err)
+						return
+					}
+					if n != rows {
+						b.Errorf("scan saw %d rows, want %d", n, rows)
+						return
+					}
+					if err := tx.Commit(); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkScanPath times the storage read path alone, in process and
+// single-threaded, in the three shapes the repository's benchmark drives
+// over TCP (bench/: scan_readmostly's report and adjust, kv_uniform's
+// Get): a 1000-row read-only scan on a safe snapshot, a 100-row tracked
+// scan followed by two Puts, and a point Get on a million rows. Run with
+// -benchmem: the scans' allocations must not grow with their range. The
+// nightly workflow archives it with the other scan benchmarks.
+func BenchmarkScanPath(b *testing.B) {
+	load := func(b *testing.B, rows int) (*pgssi.DB, []string) {
+		db := pgssi.Open(pgssi.Config{})
+		b.Cleanup(func() { db.Close() })
+		if err := db.CreateTable("kv"); err != nil {
+			b.Fatal(err)
+		}
+		keys := make([]string, rows)
+		for lo := 0; lo < rows; lo += 10000 {
+			tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.ReadCommitted})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := lo; i < min(lo+10000, rows); i++ {
+				keys[i] = workload.LoadKey(i)
+				if err := tx.Insert("kv", keys[i], []byte("0123456789abcdef")); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						n := 0
-						if err := tx.Scan("sibench", "", "", func(string, []byte) bool {
-							n++
-							return true
-						}); err != nil {
-							b.Error(err)
-							return
-						}
-						if n != rows {
-							b.Errorf("scan saw %d rows, want %d", n, rows)
-							return
-						}
-						if err := tx.Commit(); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				})
-			})
+			}
+			if err := tx.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return db, keys
+	}
+	scan := func(b *testing.B, tx *pgssi.Tx, keys []string, lo, n int) {
+		got := 0
+		if err := tx.Scan("kv", keys[lo], keys[lo+n], func(string, []byte) bool { got++; return true }); err != nil || got != n {
+			b.Fatalf("scan of %d rows returned %d: %v", n, got, err)
 		}
 	}
+	b.Run("report-1000-safe", func(b *testing.B) {
+		db, keys := load(b, 100_000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable, ReadOnly: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			scan(b, tx, keys, (i*7919)%(len(keys)-1001), 1000)
+			if err := tx.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1000, "ns/row")
+	})
+	b.Run("adjust-100-tracked-2put", func(b *testing.B) {
+		db, keys := load(b, 100_000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+			if err != nil {
+				b.Fatal(err)
+			}
+			lo := (i * 7919) % (len(keys) - 101)
+			scan(b, tx, keys, lo, 100)
+			for _, k := range []string{keys[lo+i%100], keys[lo+(i+37)%100]} {
+				if err := tx.Put("kv", k, []byte("fedcba9876543210")); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("get-1M", func(b *testing.B) {
+		db, keys := load(b, 1_000_000)
+		tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead, ReadOnly: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer tx.Rollback()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := tx.Get("kv", keys[(i*7919+i/3)%len(keys)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkSnapshotParallel measures snapshot-path contention: parallel

@@ -21,7 +21,6 @@ func main() {
 	dur := flag.Duration("duration", 2*time.Second, "measurement duration per point")
 	partitions := flag.Int("partitions", 0, "SIREAD lock-table partitions (0 = engine default, 1 = single mutex)")
 	scanRows := flag.Int("scanrows", 0, "cap each query transaction's scan at this many rows (0 = full-table scans)")
-	perRow := flag.Bool("perrow", false, "use the legacy per-row scan read path instead of the page-grained batch")
 	flag.Parse()
 
 	var rows []int
@@ -33,7 +32,7 @@ func main() {
 		rows = append(rows, n)
 	}
 
-	series, err := workload.Figure4Scan(rows, *scanRows, pgssi.Config{Partitions: *partitions, DisableScanBatch: *perRow}, workload.RunOptions{
+	series, err := workload.Figure4Scan(rows, *scanRows, pgssi.Config{Partitions: *partitions}, workload.RunOptions{
 		Workers: *workers, Duration: *dur, Seed: 1,
 	})
 	if err != nil {

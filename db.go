@@ -188,15 +188,6 @@ type Config struct {
 	// commit log. Rounded up to a power of two; defaults to 64.
 	CommitLogPartitions int
 
-	// DisableScanBatch routes Tx.Scan and Tx.ScanIndex through the
-	// legacy per-row read path — one page-latch acquisition and one
-	// lock-manager call per row — instead of the page-grained batch
-	// path (storage.ReadPageBatch + core.AcquireTupleLockBatch), which
-	// latches each heap page once and registers the page's SIREAD locks
-	// in one batch. Semantics are identical; this is the A/B ablation
-	// knob for the scan benchmarks and the fuzzer's batching axis.
-	DisableScanBatch bool
-
 	// LatchPartitions is the number of shards in each table's per-page
 	// read latch table (the engine's analogue of PostgreSQL's buffer
 	// content lock for SSI; see internal/storage/latch.go). Rounded up
@@ -299,17 +290,16 @@ type IndexKeyFunc func(key string, value []byte) (indexKey string, ok bool)
 
 type secondaryIndex struct {
 	name string
-	tree *btree.Tree
+	tree *btree.Tree[string]
 	fn   IndexKeyFunc
 }
 
 type tableInfo struct {
 	name string
+	// heap holds the rows, in the leaves of the primary B+-tree it owns:
+	// the tree indexes every key ever inserted (dead rows are filtered
+	// by visibility), with stable leaf pages for SIREAD gap locking.
 	heap *storage.Table
-	// pk indexes every key ever inserted (dead entries are filtered by
-	// heap visibility and removed by vacuum), with stable leaf pages
-	// for SIREAD gap locking.
-	pk *btree.Tree
 	// pkName is the lock-target relation name of the primary index.
 	pkName string
 	mu     sync.RWMutex //ssi:lock level=25 name=pgssi.table
@@ -415,7 +405,6 @@ func (db *DB) CreateTable(name string) error {
 	db.tables[name] = &tableInfo{
 		name:   name,
 		heap:   storage.NewTable(name, db.cfg.storageConfig()),
-		pk:     btree.New(),
 		pkName: "i." + name + ".pk",
 		second: make(map[string]*secondaryIndex),
 	}
@@ -645,8 +634,9 @@ func (db *DB) Close() error {
 }
 
 // Vacuum removes dead tuple versions no longer visible to any possible
-// snapshot, prunes fully-dead keys from primary indexes, and drops
-// aborted commit-log tombstones the sweep has orphaned.
+// snapshot and drops aborted commit-log tombstones the sweep has
+// orphaned. It is the explicit full sweep; in normal running, chains are
+// kept short where they are written (see internal/storage).
 //
 // The horizon snapshot is pinned by a throwaway transaction for the
 // duration of the sweep: a standalone snapshot would otherwise race the

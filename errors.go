@@ -20,6 +20,16 @@ var (
 	// safe-retry rules of §5.4 guarantee the retry cannot fail with
 	// the same conflict except in the two-phase-commit corner case.
 	ErrSerialization = errors.New("pgssi: could not serialize access due to read/write dependencies among transactions")
+	// ErrWriteConflict and ErrDeadlock name the two causes of
+	// ErrSerialization that plain snapshot isolation already has:
+	// first-updater-wins rejected a write because a concurrent
+	// transaction changed the same row and committed, or the transaction
+	// was the victim of a lock-wait deadlock. An error matching either
+	// also matches ErrSerialization; a serialization failure matching
+	// neither is a dangerous-structure abort, the failures SSI adds and
+	// §8.2 of the paper counts.
+	ErrWriteConflict = errors.New("pgssi: concurrent update")
+	ErrDeadlock      = errors.New("pgssi: deadlock detected")
 	// ErrNotFound reports that the key has no visible version.
 	ErrNotFound = errors.New("pgssi: key not found")
 	// ErrDuplicateKey reports an insert of an existing key.
@@ -64,6 +74,9 @@ func IsSerializationFailure(err error) bool {
 // serializationError wraps a concrete cause in ErrSerialization.
 type serializationError struct {
 	cause string
+	// kind is the more specific sentinel the error also matches
+	// (ErrWriteConflict, ErrDeadlock), or nil.
+	kind error
 }
 
 func (e *serializationError) Error() string {
@@ -71,7 +84,7 @@ func (e *serializationError) Error() string {
 }
 
 func (e *serializationError) Is(target error) bool {
-	return target == ErrSerialization
+	return target == ErrSerialization || (e.kind != nil && target == e.kind)
 }
 
 func serializationFailure(cause string) error {
@@ -104,9 +117,9 @@ func mapStorageErr(err error) error {
 	case errors.Is(err, storage.ErrDuplicateKey):
 		return ErrDuplicateKey
 	case errors.Is(err, storage.ErrWriteConflict):
-		return serializationFailure("concurrent update")
+		return &serializationError{cause: "concurrent update", kind: ErrWriteConflict}
 	case errors.Is(err, waitgraph.ErrDeadlock):
-		return serializationFailure("deadlock detected")
+		return &serializationError{cause: "deadlock detected", kind: ErrDeadlock}
 	case errors.Is(err, core.ErrSerializationFailure):
 		return serializationFailure("rw-antidependency dangerous structure")
 	default:

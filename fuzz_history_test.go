@@ -95,15 +95,8 @@ func TestFuzzSerializableHistories(t *testing.T) {
 		return verdicts
 	}
 	for seed := 1; seed <= histories; seed++ {
-		// The scan read path alternates by seed between the page-grained
-		// batch (default) and the legacy per-row ablation, so every run
-		// of the fuzzer validates oracle parity under both snapshot
-		// representations with batching on AND off. Both representations
-		// of one seed use the same setting — the cross-representation
-		// verdict comparison must vary exactly one axis.
-		perRow := seed%2 == 0
-		csnCfg := pgssi.Config{DisableScanBatch: perRow}
-		legacy := pgssi.Config{DisableCSNSnapshots: true, DisableScanBatch: perRow}
+		csnCfg := pgssi.Config{}
+		legacy := pgssi.Config{DisableCSNSnapshots: true}
 		csnVerdicts := run(seed, csnCfg, "csn")
 		legacyVerdicts := run(seed, legacy, "legacy")
 		if verdictsEqual(csnVerdicts, legacyVerdicts) {

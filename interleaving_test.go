@@ -206,20 +206,17 @@ func onCount(t *testing.T, db *pgssi.DB) int {
 }
 
 func TestDetectionWindowWriteSkew(t *testing.T) {
-	// The Scan case runs through BOTH scan read paths: the page-grained
-	// batch path (the default — visibility and SIREAD registration for
-	// the whole page happen under one shared latch, registration before
-	// the latch drops) and the legacy per-row path
-	// (Config.DisableScanBatch). The batch path must preserve the PR 2
-	// atomicity exactly: with the latch ablated the same missed
-	// antidependency reappears through the batched code, and with it
-	// enabled the writer provably blocks until the batch's registration
-	// is in the table.
+	// The Scan case runs through the streaming scan read path:
+	// visibility and SIREAD registration for a whole heap page happen
+	// under one shared latch, registration before the latch drops. It
+	// must preserve the PR 2 atomicity exactly: with the latch ablated
+	// the same missed antidependency reappears through the batched code,
+	// and with it enabled the writer provably blocks until the batch's
+	// registration is in the table.
 	for _, via := range []struct {
 		name    string
 		viaScan bool
-		perRow  bool
-	}{{"Get", false, false}, {"Scan-batch", true, false}, {"Scan-perrow", true, true}} {
+	}{{"Get", false}, {"Scan", true}} {
 		t.Run(via.name, func(t *testing.T) {
 			t.Run("latch-disabled-misses-antidependency", func(t *testing.T) {
 				// The regression PR 2 fixed, reproduced: with the
@@ -228,13 +225,13 @@ func TestDetectionWindowWriteSkew(t *testing.T) {
 				// version, and the rw-antidependency T1 → T2 is lost.
 				// Both transactions commit and the write-skew anomaly
 				// survives SERIALIZABLE.
-				err1, err2 := runWindowWriteSkewCheck(t, true, via.viaScan, via.perRow)
+				err1, err2 := runWindowWriteSkewCheck(t, true, via.viaScan)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("expected the unlatched engine to miss the conflict and commit both: err1=%v err2=%v", err1, err2)
 				}
 			})
 			t.Run("latch-enabled-detects", func(t *testing.T) {
-				err1, err2 := runWindowWriteSkewCheck(t, false, via.viaScan, via.perRow)
+				err1, err2 := runWindowWriteSkewCheck(t, false, via.viaScan)
 				if (err1 == nil) == (err2 == nil) {
 					t.Fatalf("exactly one transaction should fail: err1=%v err2=%v", err1, err2)
 				}
@@ -253,10 +250,10 @@ func TestDetectionWindowWriteSkew(t *testing.T) {
 // runWindowWriteSkewCheck runs the interleaving and verifies the final
 // state matches the commit outcome: the invariant "at least one of k1,
 // k2 is on" is broken exactly when both transactions committed.
-func runWindowWriteSkewCheck(t *testing.T, disableLatch, viaScan, perRow bool) (err1, err2 error) {
+func runWindowWriteSkewCheck(t *testing.T, disableLatch, viaScan bool) (err1, err2 error) {
 	t.Helper()
 	p := newReadPauser()
-	db := windowDB(t, pgssi.Config{DisableReadLatch: disableLatch, DisableScanBatch: perRow, OnRead: p.hook})
+	db := windowDB(t, pgssi.Config{DisableReadLatch: disableLatch, OnRead: p.hook})
 	err1, err2 = driveWindowWriteSkew(t, db, p, disableLatch, viaScan)
 	aborted := 0
 	for _, e := range []error{err1, err2} {

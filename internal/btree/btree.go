@@ -1,23 +1,40 @@
 // Package btree implements a B+-tree over string keys with stable leaf
-// page identifiers. The SSI lock manager (internal/core) takes SIREAD
-// locks on the leaf pages a scan visits — PostgreSQL 9.1's page-granular
-// index-range locking (§5.2.1) — so the tree reports which leaf pages
-// each operation touched, and page splits are surfaced to the caller so
-// predicate locks can be propagated to the new right sibling, mirroring
-// PredicateLockPageSplit.
+// page identifiers and a typed leaf payload. The SSI lock manager
+// (internal/core) takes SIREAD locks on the leaf pages a scan visits —
+// PostgreSQL 9.1's page-granular index-range locking (§5.2.1) — so the
+// tree reports which leaf pages each operation touched, and page splits
+// are surfaced to the caller so predicate locks can be propagated to the
+// new right sibling, mirroring PredicateLockPageSplit.
+//
+// The payload is what makes the tree the engine's only index over a
+// table's rows: a table's primary tree is a Tree[*storage.Row], whose
+// leaf entry IS the row (the stable slot holding the version chain), so
+// a point read is one descent and a range scan never leaves the leaves.
+// Secondary indexes are Tree[string] (New), mapping an index entry to the
+// primary key it names.
 //
 // Keys are unique. Non-unique secondary indexes are built by suffixing
 // the primary key onto the index key, the standard composite-key trick.
+// Entries are never removed and leaves never merged: a dead row keeps
+// its slot (visibility filters it), which is what lets a *Row outlive the
+// tree lock and a leaf walk resume from a next pointer.
 //
 // For the absent-key/gap case the tree lock itself plays the role the
 // per-page read latch (internal/storage/latch.go) plays for heap
-// tuples: Lookup and Range invoke their onPage callback — where the
-// engine takes the leaf-page SIREAD gap lock — while the tree lock is
-// held, and before the heap read, so an insert (which runs its
-// CheckIndexInsert probe after taking the tree's write lock) either
-// sees the gap lock or has already placed its heap version where the
-// reader's visibility check reports it as a conflict. There is no
-// check-then-register window on the gap path.
+// tuples: Lookup, Range and Leaves invoke their onPage callback — where
+// the engine takes the leaf-page SIREAD gap lock — while the tree lock
+// is held, and before the rows are read, so an insert (which runs its
+// CheckIndexInsert probe after its tree write and after linking its
+// version) either sees the gap lock or has already placed its version
+// where the reader's visibility check reports it as a conflict. There is
+// no check-then-register window on the gap path.
+//
+// Leaves is the streaming form of Range: it holds the tree lock only
+// while it locks and copies out a leaf (or two small ones), and hands the
+// copy to the caller with the lock released, so a scan's per-row work (visibility,
+// SIREAD registration, delivery) never runs under the tree lock and a
+// scan that stops early has touched — and locked — only the leaves it
+// reached.
 package btree
 
 import (
@@ -30,6 +47,10 @@ import (
 // pages, giving page-granularity locking something to do.
 const degree = 64
 
+// MaxLeaf is the largest number of entries one leaf holds, and so the
+// largest batch Leaves hands to its callback.
+const MaxLeaf = degree
+
 // PageID identifies a leaf page. IDs are never reused.
 type PageID int64
 
@@ -39,49 +60,68 @@ type Split struct {
 	Left, Right PageID
 }
 
-type node struct {
+type node[V any] struct {
 	// keys are the separator keys (internal) or entry keys (leaf).
 	keys []string
 	// children is nil for leaves.
-	children []*node
+	children []*node[V]
 	// vals parallels keys in leaves.
-	vals []string
+	vals []V
 	// page is the leaf page ID; zero for internal nodes.
 	page PageID
-	// next links leaves left-to-right.
-	next *node
+	// next links leaves left-to-right. Leaves are never merged or
+	// freed, and a split only moves entries to a new right sibling, so
+	// a next pointer read under the lock stays a valid resume point
+	// after the lock is dropped (see Leaves).
+	next *node[V]
 }
 
-func (n *node) leaf() bool { return n.children == nil }
+func (n *node[V]) leaf() bool { return n.children == nil }
 
-// Tree is a concurrency-safe B+-tree. A single RWMutex guards the whole
-// tree; PostgreSQL's per-page latching is unnecessary here because the
-// interesting concurrency control happens a level up.
-type Tree struct {
+// Tree is a concurrency-safe B+-tree whose leaf entries carry a V. A
+// single RWMutex guards the whole tree; PostgreSQL's per-page latching
+// is unnecessary here because the interesting concurrency control
+// happens a level up. The tree lock is a leaf with respect to the
+// storage layer's locks: no row lock or page latch is ever taken while
+// it is held (onPage callbacks take internal/core locks only).
+type Tree[V any] struct {
 	mu       sync.RWMutex //ssi:lock level=10 name=btree.tree
-	root     *node
+	root     *node[V]
 	nextPage PageID
 	size     int
 }
 
-// New returns an empty tree.
-func New() *Tree {
-	t := &Tree{nextPage: 1}
-	t.root = &node{page: t.allocPage()}
+// New returns an empty tree with string payloads (secondary indexes).
+func New() *Tree[string] { return NewOf[string]() }
+
+// NewOf returns an empty tree with payload type V.
+func NewOf[V any]() *Tree[V] {
+	t := &Tree[V]{nextPage: 1}
+	t.root = &node[V]{page: t.allocPage()}
 	return t
 }
 
-func (t *Tree) allocPage() PageID {
+func (t *Tree[V]) allocPage() PageID {
 	p := t.nextPage
 	t.nextPage++
 	return p
 }
 
 // Len returns the number of entries.
-func (t *Tree) Len() int {
+func (t *Tree[V]) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.size
+}
+
+// descend returns the leaf that holds (or would hold) key. Caller holds
+// the tree lock.
+func (t *Tree[V]) descend(key string) *node[V] {
+	n := t.root
+	for !n.leaf() {
+		n = n.children[childIndex(n.keys, key)]
+	}
+	return n
 }
 
 // Lookup returns the value stored under key and the leaf page that holds
@@ -94,67 +134,95 @@ func (t *Tree) Len() int {
 // conflict check) between the lookup and the lock acquisition — the
 // moral equivalent of PostgreSQL acquiring the predicate lock while
 // holding the index page latch.
-func (t *Tree) Lookup(key string, onPage func(PageID)) (val string, ok bool, page PageID) {
+func (t *Tree[V]) Lookup(key string, onPage func(PageID)) (val V, ok bool, page PageID) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf() {
-		n = n.children[childIndex(n.keys, key)]
-	}
+	n := t.descend(key)
 	if onPage != nil {
 		onPage(n.page)
 	}
-	i := sort.SearchStrings(n.keys, key)
-	if i < len(n.keys) && n.keys[i] == key {
+	if i := sort.SearchStrings(n.keys, key); i < len(n.keys) && n.keys[i] == key {
 		return n.vals[i], true, n.page
 	}
-	return "", false, n.page
+	return val, false, n.page
 }
 
-// Insert stores key → val, replacing any existing value. It returns the
-// leaf page that received the entry, whether the key was newly added, and
-// any splits performed (leaf splits first, so callers can propagate
-// predicate locks).
-func (t *Tree) Insert(key, val string) (page PageID, added bool, splits []Split) {
+// Insert stores key → val, replacing any existing value — the secondary
+// indexes' way in (a table's rows go through GetOrInsert, which never
+// replaces). It returns the leaf page that received the entry, whether
+// the key was newly added, and any splits performed (leaf splits first,
+// so callers can propagate predicate locks).
+func (t *Tree[V]) Insert(key string, val V) (page PageID, added bool, splits []Split) {
+	_, page, added, splits = t.put(key, val, nil)
+	return page, added, splits
+}
+
+// GetOrInsert returns the value stored under key, storing mk() first if
+// the key is absent — the find-or-create a table uses for a key's row
+// slot, whose identity must never change once handed out. mk is called
+// (under the tree lock) only when the key is absent. The other results
+// are Insert's.
+func (t *Tree[V]) GetOrInsert(key string, mk func() V) (got V, page PageID, added bool, splits []Split) {
+	var zero V
+	return t.put(key, zero, mk)
+}
+
+// put stores val under key, replacing what is there (mk nil), or finds
+// key's value, storing mk() if there is none (mk non-nil).
+func (t *Tree[V]) put(key string, val V, mk func() V) (got V, page PageID, added bool, splits []Split) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	page, added, splits = t.insert(t.root, key, val)
+	got, page, added, splits = t.insert(t.root, key, val, mk)
 	if len(t.root.keys) > degree {
 		// Split the root: the old root becomes the left child.
 		old := t.root
 		mid, right, sp := t.splitNode(old)
-		t.root = &node{
+		t.root = &node[V]{
 			keys:     []string{mid},
-			children: []*node{old, right},
+			children: []*node[V]{old, right},
 		}
 		if sp != nil {
 			splits = append(splits, *sp)
+			if right.holds(key) {
+				page = right.page
+			}
 		}
 	}
 	if added {
 		t.size++
 	}
-	return page, added, splits
+	return got, page, added, splits
 }
 
-func (t *Tree) insert(n *node, key, val string) (PageID, bool, []Split) {
+// holds reports whether leaf n contains key.
+func (n *node[V]) holds(key string) bool {
+	i := sort.SearchStrings(n.keys, key)
+	return i < len(n.keys) && n.keys[i] == key
+}
+
+func (t *Tree[V]) insert(n *node[V], key string, val V, mk func() V) (V, PageID, bool, []Split) {
 	if n.leaf() {
 		i := sort.SearchStrings(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
-			n.vals[i] = val
-			return n.page, false, nil
+			if mk == nil {
+				n.vals[i] = val
+			}
+			return n.vals[i], n.page, false, nil
+		}
+		if mk != nil {
+			val = mk()
 		}
 		n.keys = append(n.keys, "")
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = key
-		n.vals = append(n.vals, "")
+		n.vals = append(n.vals, val)
 		copy(n.vals[i+1:], n.vals[i:])
 		n.vals[i] = val
-		return n.page, true, nil
+		return val, n.page, true, nil
 	}
 	ci := childIndex(n.keys, key)
 	child := n.children[ci]
-	page, added, splits := t.insert(child, key, val)
+	got, page, added, splits := t.insert(child, key, val, mk)
 	if len(child.keys) > degree {
 		mid, right, sp := t.splitNode(child)
 		n.keys = append(n.keys, "")
@@ -166,21 +234,19 @@ func (t *Tree) insert(n *node, key, val string) (PageID, bool, []Split) {
 		if sp != nil {
 			splits = append(splits, *sp)
 			// The entry may have landed on the new right page.
-			if page == sp.Left && right.leaf() {
-				if i := sort.SearchStrings(right.keys, key); i < len(right.keys) && right.keys[i] == key {
-					page = right.page
-				}
+			if page == sp.Left && right.holds(key) {
+				page = right.page
 			}
 		}
 	}
-	return page, added, splits
+	return got, page, added, splits
 }
 
 // splitNode splits an over-full node in half, returning the separator
 // key, the new right sibling, and (for leaves) the split record.
-func (t *Tree) splitNode(n *node) (string, *node, *Split) {
+func (t *Tree[V]) splitNode(n *node[V]) (string, *node[V], *Split) {
 	mid := len(n.keys) / 2
-	right := &node{}
+	right := &node[V]{}
 	if n.leaf() {
 		right.page = t.allocPage()
 		right.keys = append(right.keys, n.keys[mid:]...)
@@ -199,84 +265,89 @@ func (t *Tree) splitNode(n *node) (string, *node, *Split) {
 	return sep, right, nil
 }
 
-// Delete removes key if present, returning the leaf page it occupied (or
-// would occupy) and whether a removal happened. Leaves are not merged;
-// PostgreSQL handles page deletion by moving predicate locks, but an
-// append-mostly simulation does not need reclamation for correctness.
-func (t *Tree) Delete(key string) (page PageID, removed bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.root
-	for !n.leaf() {
-		n = n.children[childIndex(n.keys, key)]
-	}
-	i := sort.SearchStrings(n.keys, key)
-	if i < len(n.keys) && n.keys[i] == key {
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
-		t.size--
-		return n.page, true
-	}
-	return n.page, false
-}
-
 // Range invokes fn for each entry with lo <= key < hi in ascending order
-// (hi == "" means unbounded) and returns the leaf pages visited,
-// including the page containing the first key past the range — locking
-// that page covers the gap beyond the last returned entry, which is what
-// makes phantom inserts at the range boundary detectable. fn returning
-// false stops the scan early.
+// (hi == "" means unbounded), visiting leaf pages up to and including the
+// one containing the first key past the range — locking that page covers
+// the gap beyond the last returned entry, which is what makes phantom
+// inserts at the range boundary detectable. fn returning false stops the
+// scan early. The tree lock is held throughout, so fn must be cheap and
+// must not call back into the tree; scans that do real work per entry
+// use Leaves.
 //
 // onPage, if non-nil, is invoked for each visited leaf page under the
 // tree lock, before any of that page's entries are delivered; see Lookup
 // for why gap locks must be taken there.
-func (t *Tree) Range(lo, hi string, onPage func(PageID), fn func(key, val string) bool) []PageID {
+func (t *Tree[V]) Range(lo, hi string, onPage func(PageID), fn func(key string, val V) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf() {
-		n = n.children[childIndex(n.keys, lo)]
-	}
-	var pages []PageID
-	stopped := false
-	for n != nil {
-		pages = append(pages, n.page)
+	for n := t.descend(lo); n != nil; n = n.next {
 		if onPage != nil {
 			onPage(n.page)
 		}
-		i := sort.SearchStrings(n.keys, lo)
-		for ; i < len(n.keys); i++ {
+		for i := sort.SearchStrings(n.keys, lo); i < len(n.keys); i++ {
 			if hi != "" && n.keys[i] >= hi {
-				return pages
+				return
 			}
 			if !fn(n.keys[i], n.vals[i]) {
-				stopped = true
+				return
+			}
+		}
+	}
+}
+
+// Leaves is Range a leaf at a time, with the tree lock released around
+// the caller's work: for each batch of leaves the range touches (same
+// pages as Range, left to right) it takes the lock, invokes onPage for
+// each leaf of the batch, copies their entries with lo <= key < hi, drops
+// the lock and hands the copy (at most MaxLeaf entries, possibly none)
+// to fn. A batch is one leaf, plus the leaves after it for as long as
+// the whole of the next one still fits in MaxLeaf entries — sequential
+// loading leaves leaves half full, and two of those make a batch the
+// size of a heap page. fn returning false ends the walk at that batch:
+// later leaves are neither read nor passed to onPage. The slices are
+// reused for the next batch; fn must not keep them.
+//
+// Entries inserted while the lock is down may be missed. That is sound
+// for the snapshot readers this serves: such an entry's writer is
+// concurrent with the reader, so the row is invisible to its snapshot
+// anyway, and the rw-antidependency is caught by the writer's
+// CheckIndexInsert against the page lock onPage took (a split copies
+// that lock to the new sibling). No entry is delivered twice: splits
+// only move entries to the right, and the walk only moves right.
+func (t *Tree[V]) Leaves(lo, hi string, onPage func(PageID), fn func(keys []string, vals []V) bool) {
+	keys := make([]string, 0, MaxLeaf)
+	vals := make([]V, 0, MaxLeaf)
+	t.mu.RLock()
+	n := t.descend(lo)
+	for {
+		keys, vals = keys[:0], vals[:0]
+		last := false
+		for {
+			if onPage != nil {
+				onPage(n.page)
+			}
+			i := sort.SearchStrings(n.keys, lo)
+			j := len(n.keys)
+			if hi != "" {
+				j = i + sort.SearchStrings(n.keys[i:], hi)
+				last = j < len(n.keys)
+			}
+			keys = append(keys, n.keys[i:j]...)
+			vals = append(vals, n.vals[i:j]...)
+			n = n.next
+			if n == nil {
+				last = true
+			}
+			if last || len(keys)+len(n.keys) > MaxLeaf {
 				break
 			}
 		}
-		if stopped {
-			return pages
+		t.mu.RUnlock()
+		if !fn(keys, vals) || last {
+			return
 		}
-		n = n.next
+		t.mu.RLock()
 	}
-	return pages
-}
-
-// AllPages returns the IDs of every leaf page, left to right. A
-// full-index scan locks all of them (callers typically promote to a
-// relation lock instead).
-func (t *Tree) AllPages() []PageID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf() {
-		n = n.children[0]
-	}
-	var pages []PageID
-	for ; n != nil; n = n.next {
-		pages = append(pages, n.page)
-	}
-	return pages
 }
 
 // childIndex returns the child slot to descend into for key.
@@ -289,13 +360,13 @@ func childIndex(keys []string, key string) int {
 // CheckInvariants verifies ordering, fanout, and leaf-chain consistency,
 // returning a description of the first violation found, or "". It exists
 // for the property-based tests.
-func (t *Tree) CheckInvariants() string {
+func (t *Tree[V]) CheckInvariants() string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return checkNode(t.root, "", "", t.root)
+	return checkNode(t.root, "", "")
 }
 
-func checkNode(n *node, lo, hi string, root *node) string {
+func checkNode[V any](n *node[V], lo, hi string) string {
 	if len(n.keys) > degree {
 		return "node exceeds degree"
 	}
@@ -304,14 +375,13 @@ func checkNode(n *node, lo, hi string, root *node) string {
 			return "keys out of order"
 		}
 	}
-	for i, k := range n.keys {
+	for _, k := range n.keys {
 		if lo != "" && k < lo {
 			return "key below subtree lower bound"
 		}
 		if hi != "" && k >= hi && n.leaf() {
 			return "leaf key at or above subtree upper bound"
 		}
-		_ = i
 	}
 	if n.leaf() {
 		if len(n.keys) != len(n.vals) {
@@ -333,7 +403,7 @@ func checkNode(n *node, lo, hi string, root *node) string {
 		if i < len(n.keys) {
 			chi = n.keys[i]
 		}
-		if msg := checkNode(c, clo, chi, root); msg != "" {
+		if msg := checkNode(c, clo, chi); msg != "" {
 			return msg
 		}
 	}

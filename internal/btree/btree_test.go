@@ -20,13 +20,14 @@ func TestEmptyTree(t *testing.T) {
 	if page == 0 {
 		t.Fatal("even a miss must name the gap page")
 	}
-	pages := tr.Range("", "", nil, func(string, string) bool { t.Fatal("no entries expected"); return false })
-	if len(pages) != 1 {
-		t.Fatalf("empty range should visit exactly the root leaf, got %d pages", len(pages))
+	pages := 0
+	tr.Range("", "", func(PageID) { pages++ }, func(string, string) bool { t.Fatal("no entries expected"); return false })
+	if pages != 1 {
+		t.Fatalf("empty range should visit exactly the root leaf, got %d pages", pages)
 	}
 }
 
-func TestInsertLookupDelete(t *testing.T) {
+func TestInsertLookup(t *testing.T) {
 	tr := New()
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("k%04d", i)
@@ -54,18 +55,8 @@ func TestInsertLookupDelete(t *testing.T) {
 	if v, _, _ := tr.Lookup("k0000", nil); v != "new" {
 		t.Fatalf("overwrite lost: %q", v)
 	}
-	// Delete half.
-	for i := 0; i < 500; i += 2 {
-		k := fmt.Sprintf("k%04d", i)
-		if _, removed := tr.Delete(k); !removed {
-			t.Fatalf("delete %s failed", k)
-		}
-	}
-	if tr.Len() != 250 {
-		t.Fatalf("Len = %d, want 250", tr.Len())
-	}
-	if msg := tr.CheckInvariants(); msg != "" {
-		t.Fatalf("invariant violated after deletes: %s", msg)
+	if tr.Len() != 500 {
+		t.Fatalf("Len = %d after an overwrite, want 500", tr.Len())
 	}
 }
 
@@ -120,18 +111,28 @@ func TestOnPageCallbackCoversVisitedLeaves(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tr.Insert(fmt.Sprintf("%05d", i), "")
 	}
-	var cbPages []PageID
-	retPages := tr.Range("", "", func(p PageID) { cbPages = append(cbPages, p) }, func(string, string) bool { return true })
-	if len(cbPages) != len(retPages) {
-		t.Fatalf("callback saw %d pages, return value has %d", len(cbPages), len(retPages))
+	// Every delivered key lives on the page most recently announced, and
+	// pages are announced once each.
+	var pages []PageID
+	under := map[string]PageID{}
+	tr.Range("", "", func(p PageID) { pages = append(pages, p) }, func(k, _ string) bool {
+		under[k] = pages[len(pages)-1]
+		return true
+	})
+	if len(pages) < 2 {
+		t.Fatalf("1000 keys should span multiple leaves, got %d", len(pages))
 	}
-	for i := range cbPages {
-		if cbPages[i] != retPages[i] {
-			t.Fatalf("page %d mismatch: %d vs %d", i, cbPages[i], retPages[i])
+	seen := map[PageID]bool{}
+	for _, p := range pages {
+		if seen[p] {
+			t.Fatalf("page %d announced twice", p)
 		}
+		seen[p] = true
 	}
-	if len(retPages) < 2 {
-		t.Fatalf("1000 keys should span multiple leaves, got %d", len(retPages))
+	for k, announced := range under {
+		if _, _, p := tr.Lookup(k, nil); p != announced {
+			t.Fatalf("key %s delivered under page %d, lives on %d", k, announced, p)
+		}
 	}
 }
 
@@ -169,20 +170,9 @@ func TestSplitsReported(t *testing.T) {
 	}
 }
 
-func TestAllPages(t *testing.T) {
-	tr := New()
-	for i := 0; i < 500; i++ {
-		tr.Insert(fmt.Sprintf("%04d", i), "")
-	}
-	pages := tr.AllPages()
-	scanned := tr.Range("", "", nil, func(string, string) bool { return true })
-	if len(pages) != len(scanned) {
-		t.Fatalf("AllPages %d != full scan pages %d", len(pages), len(scanned))
-	}
-}
-
-// Property: after arbitrary inserts and deletes, the tree agrees with a
-// reference map and keeps its structural invariants.
+// Property: after arbitrary inserts and overwrites (entries are never
+// removed), the tree agrees with a reference map and keeps its structural
+// invariants.
 func TestQuickTreeMatchesReferenceMap(t *testing.T) {
 	f := func(seed uint64, opCount uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, 42))
@@ -191,15 +181,12 @@ func TestQuickTreeMatchesReferenceMap(t *testing.T) {
 		n := int(opCount)*4 + 50
 		for i := 0; i < n; i++ {
 			k := fmt.Sprintf("%03d", rng.IntN(200))
-			switch rng.IntN(3) {
-			case 0, 1:
-				v := fmt.Sprintf("v%d", i)
-				tr.Insert(k, v)
-				ref[k] = v
-			case 2:
-				tr.Delete(k)
-				delete(ref, k)
+			v := fmt.Sprintf("v%d", i)
+			_, added, _ := tr.Insert(k, v)
+			if _, had := ref[k]; added == had {
+				return false
 			}
+			ref[k] = v
 		}
 		if tr.Len() != len(ref) {
 			return false
@@ -257,5 +244,162 @@ func TestQuickRangeMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: a typed payload keeps its identity. The table's primary tree
+// hands out pointers as row slots, so whatever GetOrInsert returned for a
+// key must be what Lookup, Range and Leaves return for it ever after,
+// across any number of leaf and root splits, and a second GetOrInsert
+// must not replace it.
+func TestQuickPayloadIdentityAcrossSplits(t *testing.T) {
+	type slot struct{ key string }
+	f := func(seed uint64, count uint16) bool {
+		rng := rand.New(rand.NewPCG(seed, 9))
+		tr := NewOf[*slot]()
+		ref := map[string]*slot{}
+		n := int(count)%3000 + 200
+		splits := 0
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("%05d", rng.IntN(4000))
+			made := 0
+			got, page, added, sp := tr.GetOrInsert(k, func() *slot { made++; return &slot{key: k} })
+			if (made == 1) != added {
+				// The constructor runs exactly when the key is new.
+				return false
+			}
+			splits += len(sp)
+			if old, ok := ref[k]; ok {
+				if added || got != old {
+					return false
+				}
+			} else {
+				if !added || got.key != k {
+					return false
+				}
+				ref[k] = got
+			}
+			if _, _, p := tr.Lookup(k, nil); p != page {
+				return false
+			}
+		}
+		if splits == 0 || tr.CheckInvariants() != "" || tr.Len() != len(ref) {
+			return false
+		}
+		for k, want := range ref {
+			if got, ok, _ := tr.Lookup(k, nil); !ok || got != want {
+				return false
+			}
+		}
+		seen := 0
+		tr.Range("", "", nil, func(k string, v *slot) bool {
+			seen++
+			return v == ref[k]
+		})
+		return seen == len(ref)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: Leaves delivers exactly what Range delivers, in order, in
+// batches of at most MaxLeaf, and announces the same pages.
+func TestQuickLeavesMatchesRange(t *testing.T) {
+	type slot struct{ key string }
+	tr := NewOf[*slot]()
+	rng := rand.New(rand.NewPCG(11, 11))
+	for i := 0; i < 5000; i++ {
+		k := fmt.Sprintf("%05d", rng.IntN(20000))
+		tr.GetOrInsert(k, func() *slot { return &slot{key: k} })
+	}
+	f := func(a, b uint16, unbounded bool) bool {
+		lo := fmt.Sprintf("%05d", int(a)%20000)
+		hi := fmt.Sprintf("%05d", int(b)%20000)
+		if hi < lo {
+			lo, hi = hi, lo
+		}
+		if unbounded {
+			hi = ""
+		}
+		var wantKeys []string
+		var wantPages []PageID
+		tr.Range(lo, hi, func(p PageID) { wantPages = append(wantPages, p) }, func(k string, v *slot) bool {
+			wantKeys = append(wantKeys, k)
+			return true
+		})
+		var gotKeys []string
+		var gotPages []PageID
+		ok := true
+		tr.Leaves(lo, hi, func(p PageID) { gotPages = append(gotPages, p) }, func(keys []string, vals []*slot) bool {
+			if len(keys) != len(vals) || len(keys) > MaxLeaf {
+				ok = false
+			}
+			for i, k := range keys {
+				if vals[i].key != k {
+					ok = false
+				}
+			}
+			gotKeys = append(gotKeys, keys...)
+			return true
+		})
+		return ok && fmt.Sprint(gotKeys) == fmt.Sprint(wantKeys) && fmt.Sprint(gotPages) == fmt.Sprint(wantPages)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLeavesStopsEarly: a walk cut short by its callback has announced
+// only the leaves of the batches it was handed.
+func TestLeavesStopsEarly(t *testing.T) {
+	tr := New()
+	for i := 0; i < 5000; i++ {
+		tr.Insert(fmt.Sprintf("%05d", i), "")
+	}
+	pages, batches := 0, 0
+	tr.Leaves("", "", func(PageID) { pages++ }, func(keys []string, _ []string) bool {
+		batches++
+		return false
+	})
+	if batches != 1 || pages > 2 {
+		t.Fatalf("stopped walk saw %d batches over %d pages, want 1 batch of at most 2 pages", batches, pages)
+	}
+}
+
+// TestLeavesSurvivesSplitsBetweenBatches inserts into the tree from
+// inside the callback — the tree lock is down there — so leaves split
+// under the walk: every key present from the start is still delivered
+// exactly once, in order.
+func TestLeavesSurvivesSplitsBetweenBatches(t *testing.T) {
+	tr := New()
+	for i := 0; i < 2000; i++ {
+		tr.Insert(fmt.Sprintf("%05d0", i), "orig")
+	}
+	var got []string
+	n := 0
+	tr.Leaves("", "", nil, func(keys []string, vals []string) bool {
+		for i, k := range keys {
+			if vals[i] == "orig" {
+				got = append(got, k)
+			}
+		}
+		// Crowd the leaves just ahead of and behind the walk.
+		for j := 0; j < 40; j++ {
+			n++
+			tr.Insert(fmt.Sprintf("%05d%d", (n*37)%2000, 1+n%9), "new")
+		}
+		return true
+	})
+	if len(got) != 2000 || !sort.StringsAreSorted(got) {
+		t.Fatalf("walk under splits delivered %d of the 2000 original keys (sorted=%v)", len(got), sort.StringsAreSorted(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] == got[i-1] {
+			t.Fatalf("key %s delivered twice", got[i])
+		}
+	}
+	if msg := tr.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
 	}
 }

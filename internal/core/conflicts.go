@@ -548,7 +548,7 @@ type ReadItem struct {
 //
 // The engine's heap scan path does not use this entry point: a batch
 // spanning many heap pages cannot run under a single per-page read
-// latch. Scans instead group rows BY page (storage.ReadPageBatch) and
+// latch. Scans instead group rows BY page (storage.Reader) and
 // register each page's SIREAD locks through AcquireTupleLockBatch from
 // inside that page's latch, batching the MVCC conflict flagging
 // separately (CheckScanConflicts). CheckReadBatch remains for callers

@@ -121,7 +121,7 @@ func (m *Manager) coveredXLocked(x *Xact, t Target) bool {
 // each partition mutex is taken at most once, and promotion bookkeeping
 // runs once at batch end. A batch must never span heap pages: the
 // engine calls this from inside the page's shared read latch
-// (storage.ReadPageBatch), which is what keeps the PR 2
+// (storage.Reader), which is what keeps the PR 2
 // {visibility, registration} atomicity per page (see partition.go).
 //
 // It returns relCovered=true when x holds (or, via promotion, just

@@ -15,9 +15,10 @@ import (
 //
 // Lock ordering (deadlock freedom and correctness rule):
 //
-//  0. Storage-layer locks (internal/storage): a heap shard mutex, then
-//     a per-page read latch (storage/latch.go). The engine's read and
-//     write paths enter this package while holding a page latch — the
+//  0. Storage-layer locks (internal/storage): a per-page read latch
+//     and a row lock (storage/latch.go has their order). The engine's
+//     read and write paths enter this package while holding a page
+//     latch (never a row lock) — the
 //     latch is what makes a read's {visibility check, SIREAD insert}
 //     and a write's {xmax stamp, CheckWrite probe} atomic units — so
 //     every lock below nests strictly inside the storage locks. No
@@ -108,8 +109,8 @@ import (
 // two refinements:
 //
 //   - A lock batch NEVER spans heap pages. The engine's scan groups the
-//     btree range result by the heap page of each row's visible version
-//     (storage.ReadPageBatch) and registers one page's tuples per call,
+//     rows it walks by the heap page of the row's visible version
+//     (storage.Reader) and registers one page's tuples per call,
 //     from inside that page's shared read latch — so the PR 2 atomicity
 //     unit {visibility check, SIREAD registration} stays per page, and
 //     the level-0 rule (storage latch outside all core locks) is

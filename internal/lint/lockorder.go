@@ -24,7 +24,7 @@ import (
 // TryLock/TryRLock acquisitions are exempt from the order check: a try
 // cannot block, so it cannot deadlock — the storage read path relies on
 // exactly that, try-acquiring a page latch (which blocking acquirers
-// take BEFORE the heap shard mutex) while holding the shard mutex. A
+// take BEFORE a row lock) while holding a row lock. A
 // successful try still enters the held set on the guarded branch, so
 // everything acquired under it is checked against it.
 //

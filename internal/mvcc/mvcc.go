@@ -296,6 +296,9 @@ type Manager struct {
 	logFloor atomic.Uint64
 	// activeCount counts in-progress transactions.
 	activeCount atomic.Int64
+	// horizon is the highest truncation horizon an AutoTruncate pass has
+	// computed (see Horizon). Written under truncMu.
+	horizon atomic.Uint64
 
 	// truncMu serializes TruncateLog/AutoTruncate passes. The three
 	// mutexes below are level-ordered (trunc < begin < global <
@@ -717,6 +720,17 @@ func (m *Manager) minActiveBeginSeq() SeqNo {
 	return min
 }
 
+// Horizon returns the highest truncation horizon an AutoTruncate pass has
+// computed (InvalidSeqNo before the first pass): a commit whose CSN is at
+// or below it is visible to every snapshot an active transaction holds or
+// will ever take. A stale reading is merely conservative. The heap's write path trims version chains with
+// it (storage.Table), which is why it is published at all; like the
+// truncation floor it is only sound for snapshots pinned by an active
+// transaction.
+func (m *Manager) Horizon() SeqNo {
+	return SeqNo(m.horizon.Load())
+}
+
 // TruncateLog discards committed commit-log entries for transactions with
 // xid < floor, which must all have committed or aborted and whose
 // commits must be visible to every present and future snapshot (in CSN
@@ -773,6 +787,13 @@ func (m *Manager) AutoTruncate() TxID {
 	defer m.truncMu.Unlock()
 	limit := m.OldestActiveXID()
 	horizon := m.minActiveBeginSeq()
+	if uint64(horizon) > m.horizon.Load() {
+		// A Begin the scan caught between reading its begin-time CSN and
+		// taking its snapshot can make a later pass compute less than an
+		// earlier one; the earlier value still holds (that snapshot will
+		// be taken after it), so the published horizon never retreats.
+		m.horizon.Store(uint64(horizon))
+	}
 	start := TxID(m.logFloor.Load())
 	floor := start
 	var victims []TxID

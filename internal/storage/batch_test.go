@@ -7,15 +7,17 @@ import (
 	"testing"
 	"time"
 
+	"pgssi/internal/btree"
 	"pgssi/internal/mvcc"
 	"pgssi/internal/waitgraph"
 )
 
-// Tests for ReadPageBatch, the page-grained scan read entry point: the
-// grouping contract (every latched item lives on the delivered page),
-// result parity with the per-row Read path, latch exclusion against
-// writers of a batched page, and the prediction-miss fallback under
-// concurrent updates.
+// Tests for the streaming scan read path (Table.Scan, Reader): the
+// per-heap-page grouping contract of tracked scans (every item handed to
+// onPage lives on the delivered page, each page once per leaf), result
+// parity with the point-read path, latch exclusion against writers of a
+// page being registered, early stop, and behaviour under concurrent
+// updates that keep moving rows onto fresh heap pages.
 
 // batchKeys seeds n committed rows and returns their keys in order.
 func batchKeys(t *testing.T, h *harness, n int) []string {
@@ -32,91 +34,234 @@ func batchKeys(t *testing.T, h *harness, n int) []string {
 	return keys
 }
 
-func TestReadPageBatchParityWithRead(t *testing.T) {
-	for _, latched := range []bool{true, false} {
-		t.Run(fmt.Sprintf("latched=%v", latched), func(t *testing.T) {
-			h := newHarness(t)
-			keys := batchKeys(t, h, 150) // spans 3 heap pages
-			// Mix in absent keys: they must arrive with Res.Tuple == nil.
-			all := append(append([]string(nil), keys...), "zz-absent-1", "zz-absent-2")
-			r := h.begin()
-			got := make(map[string]string)
-			var absent []string
-			err := h.tbl.ReadPageBatch(all, r.snap, r.xid, h.mgr, latched, func(page int64, items []BatchItem) error {
-				for _, it := range items {
-					if all[it.Idx] != it.Key {
-						t.Errorf("item %q carries input index %d, which names %q", it.Key, it.Idx, all[it.Idx])
-					}
-					if it.Res.Tuple == nil {
-						absent = append(absent, it.Key)
-						continue
-					}
-					if it.Res.Tuple.Page != page {
-						t.Errorf("item %q delivered under page %d but lives on page %d", it.Key, page, it.Res.Tuple.Page)
-					}
-					if _, dup := got[it.Key]; dup {
-						t.Errorf("key %q delivered twice", it.Key)
-					}
-					got[it.Key] = string(it.Res.Tuple.Value)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+// scanAll runs a whole-table scan for r, tracked (with onPage) or not,
+// and returns the visible rows in delivery order.
+func scanAll(t *testing.T, h *harness, r *txn, onPage func(page int64, items []BatchItem) error) (keys, vals []string) {
+	t.Helper()
+	err := h.tbl.Scan("", "", r.snap, r.xid, h.mgr, nil, onPage, func(lf *Leaf) (bool, error) {
+		if len(lf.Keys) != len(lf.Vis) {
+			t.Errorf("leaf has %d keys but %d results", len(lf.Keys), len(lf.Vis))
+		}
+		for i, v := range lf.Vis {
+			if v != nil {
+				keys = append(keys, lf.Keys[i])
+				vals = append(vals, string(v.Value))
 			}
-			for _, k := range keys {
-				want, ok := h.get(r, k)
-				if !ok {
-					t.Fatalf("per-row read lost %q", k)
-				}
-				if got[k] != want {
-					t.Fatalf("batch read of %q = %q, per-row = %q", k, got[k], want)
-				}
-			}
-			if len(absent) != 2 {
-				t.Fatalf("absent keys delivered = %v, want the 2 seeded ones", absent)
-			}
-		})
-	}
-}
-
-func TestReadPageBatchGroupsOncePerPage(t *testing.T) {
-	h := newHarness(t)
-	keys := batchKeys(t, h, 3*TuplesPerPage)
-	r := h.begin()
-	seen := make(map[int64]int)
-	calls := 0
-	err := h.tbl.ReadPageBatch(keys, r.snap, r.xid, h.mgr, true, func(page int64, items []BatchItem) error {
-		calls++
-		seen[page] += len(items)
-		return nil
+		}
+		return true, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sequentially inserted rows fill pages in order: one fn call per
-	// page, every row accounted for.
-	if calls != len(seen) {
-		t.Fatalf("%d calls for %d distinct pages: a page was delivered in several batches", calls, len(seen))
-	}
-	total := 0
-	for _, n := range seen {
-		total += n
-	}
-	if total != len(keys) {
-		t.Fatalf("delivered %d items, want %d", total, len(keys))
-	}
-	if calls >= len(keys)/2 {
-		t.Fatalf("grouping degenerated: %d calls for %d keys", calls, len(keys))
+	return keys, vals
+}
+
+func TestScanParityWithGet(t *testing.T) {
+	for _, tracked := range []bool{true, false} {
+		t.Run(fmt.Sprintf("tracked=%v", tracked), func(t *testing.T) {
+			h := newHarness(t)
+			keys := batchKeys(t, h, 150) // spans 3 heap pages and several leaves
+			// A deleted row and an uncommitted insert must not show up.
+			d := h.begin()
+			if _, err := h.tbl.Delete(keys[7], d.xid, 0, d.snap, h.mgr, h.wg, nil); err != nil {
+				t.Fatal(err)
+			}
+			h.mgr.Commit(d.xid)
+			u := h.begin()
+			if err := h.insert(u, "k9999", "uncommitted"); err != nil {
+				t.Fatal(err)
+			}
+			r := h.begin()
+			var onPage func(int64, []BatchItem) error
+			onPaged := map[string]bool{}
+			if tracked {
+				onPage = func(page int64, items []BatchItem) error {
+					for _, it := range items {
+						if it.Tuple.Page != page {
+							t.Errorf("item %q delivered under page %d but lives on page %d", it.Key, page, it.Tuple.Page)
+						}
+						if onPaged[it.Key] {
+							t.Errorf("key %q registered twice", it.Key)
+						}
+						onPaged[it.Key] = true
+					}
+					return nil
+				}
+			}
+			gotKeys, gotVals := scanAll(t, h, r, onPage)
+			var want []string
+			for _, k := range keys {
+				if v, ok := h.get(r, k); ok {
+					want = append(want, k+"="+v)
+				}
+			}
+			if len(gotKeys) != len(want) || len(want) != len(keys)-1 {
+				t.Fatalf("scan returned %d rows, point reads %d, want %d", len(gotKeys), len(want), len(keys)-1)
+			}
+			for i := range gotKeys {
+				if got := gotKeys[i] + "=" + gotVals[i]; got != want[i] {
+					t.Fatalf("row %d: scan %q, point read %q", i, got, want[i])
+				}
+				if tracked && !onPaged[gotKeys[i]] {
+					t.Fatalf("visible row %q never passed through onPage", gotKeys[i])
+				}
+			}
+			h.mgr.Abort(u.xid)
+		})
 	}
 }
 
-// TestReadPageBatchLatchExcludesWriter parks the batch callback while it
-// holds a page's shared latch and asserts a writer superseding a version
-// on that page blocks until the callback returns — the batched form of
-// the PR 2 invariant (registration can complete before any writer of
-// the page stamps a version).
-func TestReadPageBatchLatchExcludesWriter(t *testing.T) {
+// TestScanRegistersEachPageOnce pins the lock grain of a tracked scan:
+// index leaves and heap pages divide the key space at different places,
+// and a run of rows that share a heap page is still handed to onPage in
+// one call — the page's rows a batch ends on wait for the next batch —
+// so what the caller registers per page is what a whole-range grouping
+// would have registered.
+func TestScanRegistersEachPageOnce(t *testing.T) {
+	h := newHarness(t)
+	keys := batchKeys(t, h, 5*TuplesPerPage+17)
+	want := map[int64]int{} // heap page → rows on it
+	r := h.begin()
+	for _, k := range keys {
+		want[h.tbl.Get(k, r.snap, r.xid, h.mgr).Tuple.Page]++
+	}
+	for _, rng := range [][2]string{{"", ""}, {keys[40], keys[300]}, {keys[63], keys[64]}, {keys[10], keys[20]}} {
+		got := map[int64]int{}
+		inRange := map[int64]int{}
+		for _, k := range keys {
+			if k >= rng[0] && (rng[1] == "" || k < rng[1]) {
+				inRange[h.tbl.Get(k, r.snap, r.xid, h.mgr).Tuple.Page]++
+			}
+		}
+		delivered := 0
+		err := h.tbl.Scan(rng[0], rng[1], r.snap, r.xid, h.mgr, nil,
+			func(page int64, its []BatchItem) error {
+				if got[page] != 0 {
+					t.Errorf("range %q: heap page %d registered twice", rng, page)
+				}
+				got[page] += len(its)
+				return nil
+			},
+			func(lf *Leaf) (bool, error) {
+				for i, v := range lf.Vis {
+					if v == nil || v.Key != lf.Keys[i] {
+						t.Errorf("range %q: delivered %q unresolved", rng, lf.Keys[i])
+					} else if got[v.Page] == 0 {
+						t.Errorf("range %q: %q delivered before its page was registered", rng, lf.Keys[i])
+					}
+				}
+				delivered += len(lf.Keys)
+				return true, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(inRange) {
+			t.Fatalf("range %q: %d pages registered, rows live on %d", rng, len(got), len(inRange))
+		}
+		rows := 0
+		for page, n := range inRange {
+			if got[page] != n {
+				t.Fatalf("range %q: page %d registered with %d rows, holds %d of the range", rng, page, got[page], n)
+			}
+			rows += n
+		}
+		if delivered != rows {
+			t.Fatalf("range %q: delivered %d rows, want %d", rng, delivered, rows)
+		}
+	}
+	if len(want) < 5 {
+		t.Fatalf("test data spans %d heap pages, want several", len(want))
+	}
+}
+
+// TestScanHeldRowsAreBounded: rows scattered over fresh heap pages (each
+// update moves a row) and long runs with nothing visible must not make a
+// tracked scan hold back more than a batch: every row is delivered, in
+// order, with its page registered first.
+func TestScanHeldRowsAreBounded(t *testing.T) {
+	h := newHarness(t)
+	keys := batchKeys(t, h, 400)
+	w := h.begin()
+	for i, k := range keys {
+		switch {
+		case i%7 == 0:
+			if _, err := h.tbl.Update(k, []byte("moved"), w.xid, 0, w.snap, h.mgr, h.wg, nil); err != nil {
+				t.Fatal(err)
+			}
+		case i >= 100 && i < 290:
+			if _, err := h.tbl.Delete(k, w.xid, 0, w.snap, h.mgr, h.wg, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	h.mgr.Commit(w.xid)
+	r := h.begin()
+	registered := map[string]bool{}
+	var got []string
+	err := h.tbl.Scan("", "", r.snap, r.xid, h.mgr, nil,
+		func(page int64, its []BatchItem) error {
+			for _, it := range its {
+				registered[it.Key] = true
+			}
+			return nil
+		},
+		func(lf *Leaf) (bool, error) {
+			if len(lf.Keys) > 2*btree.MaxLeaf {
+				t.Errorf("delivery of %d rows", len(lf.Keys))
+			}
+			for i, v := range lf.Vis {
+				if v != nil {
+					if !registered[lf.Keys[i]] {
+						t.Errorf("%q delivered unregistered", lf.Keys[i])
+					}
+					got = append(got, lf.Keys[i])
+				}
+			}
+			return true, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, k := range keys {
+		if _, ok := h.get(r, k); ok {
+			want = append(want, k)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("scan delivered %d rows, point reads see %d", len(got), len(want))
+	}
+}
+
+// TestScanStopsAtLeaf pins the streaming contract: a scan whose deliver
+// says stop has announced (and so locked) only the leaves of the batches
+// up to that one — a batch being at most btree.MaxLeaf rows, i.e. two of
+// the half-full leaves sequential loading leaves — however long the
+// range.
+func TestScanStopsAtLeaf(t *testing.T) {
+	h := newHarness(t)
+	batchKeys(t, h, 1000)
+	r := h.begin()
+	leaves, delivered := 0, 0
+	err := h.tbl.Scan("", "", r.snap, r.xid, h.mgr, func(btree.PageID) { leaves++ }, nil, func(lf *Leaf) (bool, error) {
+		delivered += len(lf.Keys)
+		return false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaves > 2 || delivered == 0 || delivered > btree.MaxLeaf {
+		t.Fatalf("stopped scan visited %d leaves and read %d rows, want at most 2 leaves and %d rows", leaves, delivered, btree.MaxLeaf)
+	}
+}
+
+// TestScanLatchExcludesWriter parks the onPage callback while it holds a
+// page's shared latch and asserts a writer superseding a version on that
+// page blocks until the callback returns — the batched form of the PR 2
+// invariant (registration can complete before any writer of the page
+// stamps a version).
+func TestScanLatchExcludesWriter(t *testing.T) {
 	h := newHarness(t)
 	keys := batchKeys(t, h, 2)
 	r := h.begin()
@@ -125,14 +270,11 @@ func TestReadPageBatchLatchExcludesWriter(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		err := h.tbl.ReadPageBatch(keys, r.snap, r.xid, h.mgr, true, func(page int64, items []BatchItem) error {
+		scanAll(t, h, r, func(page int64, items []BatchItem) error {
 			inBatch <- page
 			<-release
 			return nil
 		})
-		if err != nil {
-			t.Error(err)
-		}
 	}()
 	<-inBatch
 
@@ -143,7 +285,7 @@ func TestReadPageBatchLatchExcludesWriter(t *testing.T) {
 	}()
 	select {
 	case err := <-wrote:
-		t.Fatalf("writer finished (err=%v) while the batch held the page latch", err)
+		t.Fatalf("writer finished (err=%v) while the scan held the page latch", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	close(release)
@@ -153,12 +295,13 @@ func TestReadPageBatchLatchExcludesWriter(t *testing.T) {
 	<-done
 }
 
-// TestReadPageBatchConcurrentUpdates races whole-range batch reads
-// against updaters that continually move rows onto fresh heap pages, so
-// prediction misses and the per-row fallback fire constantly. The fn
-// invariant — a latched item's visible version lives on the delivered
-// page — is asserted on every delivery.
-func TestReadPageBatchConcurrentUpdates(t *testing.T) {
+// TestScanConcurrentUpdates races whole-range tracked scans against
+// updaters that continually move rows onto fresh heap pages, so a leaf's
+// rows are spread over many pages and the deferred per-page passes fire
+// constantly. The onPage invariant — an item's visible version lives on
+// the delivered page — is asserted on every delivery, and every scan
+// must see every row exactly once.
+func TestScanConcurrentUpdates(t *testing.T) {
 	h := newHarness(t)
 	keys := batchKeys(t, h, 96)
 	var wg sync.WaitGroup
@@ -181,28 +324,27 @@ func TestReadPageBatchConcurrentUpdates(t *testing.T) {
 					continue
 				}
 				h.mgr.Commit(w.xid)
+				h.mgr.AutoTruncate() // keep the trim horizon moving
 			}
 		}(uint64(wk + 1))
 	}
 	for i := 0; i < 40; i++ {
 		r := h.begin()
-		n := 0
-		err := h.tbl.ReadPageBatch(keys, r.snap, r.xid, h.mgr, true, func(page int64, items []BatchItem) error {
+		got, _ := scanAll(t, h, r, func(page int64, items []BatchItem) error {
 			for _, it := range items {
-				if it.Res.Tuple != nil {
-					n++
-					if page >= 0 && it.Res.Tuple.Page != page {
-						t.Errorf("latched item %q on page %d delivered under page %d", it.Key, it.Res.Tuple.Page, page)
-					}
+				if it.Tuple.Page != page {
+					t.Errorf("latched item %q on page %d delivered under page %d", it.Key, it.Tuple.Page, page)
 				}
 			}
 			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
+		if len(got) != len(keys) {
+			t.Fatalf("scan %d: %d visible rows, want %d (every key stays live)", i, len(got), len(keys))
 		}
-		if n != len(keys) {
-			t.Fatalf("scan %d: %d visible rows, want %d (every key stays live)", i, n, len(keys))
+		for j := range got {
+			if got[j] != keys[j] {
+				t.Fatalf("scan %d: row %d is %q, want %q", i, j, got[j], keys[j])
+			}
 		}
 		h.mgr.Abort(r.xid)
 	}
@@ -210,11 +352,11 @@ func TestReadPageBatchConcurrentUpdates(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReadPageBatchHookRunsUnderLatch pins the OnRead hook's placement
-// on the batch path: it must fire with the page latch held (a writer of
-// the page cannot complete while a hooked reader is parked), mirroring
-// the per-row path's contract the interleaving harness relies on.
-func TestReadPageBatchHookRunsUnderLatch(t *testing.T) {
+// TestScanHookRunsUnderLatch pins the OnRead hook's placement on the
+// scan path: it must fire with the page latch held (a writer of the page
+// cannot complete while a hooked reader is parked), mirroring the
+// point-read path's contract the interleaving harness relies on.
+func TestScanHookRunsUnderLatch(t *testing.T) {
 	hooked := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
@@ -241,7 +383,9 @@ func TestReadPageBatchHookRunsUnderLatch(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		err := tbl.ReadPageBatch([]string{"k0000"}, rsnap, r, mgr, true, func(int64, []BatchItem) error { return nil })
+		err := tbl.Scan("", "", rsnap, r, mgr, nil,
+			func(int64, []BatchItem) error { return nil },
+			func(*Leaf) (bool, error) { return true, nil })
 		if err != nil {
 			t.Error(err)
 		}
@@ -257,7 +401,7 @@ func TestReadPageBatchHookRunsUnderLatch(t *testing.T) {
 	}()
 	select {
 	case err := <-wrote:
-		t.Fatalf("writer finished (err=%v) while the hooked batch reader held the latch", err)
+		t.Fatalf("writer finished (err=%v) while the hooked scan held the latch", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 	close(release)
@@ -265,4 +409,27 @@ func TestReadPageBatchHookRunsUnderLatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
+}
+
+// TestReadKeysResolvesByLookup covers the secondary-index way in: keys
+// named rather than walked, absent ones included.
+func TestReadKeysResolvesByLookup(t *testing.T) {
+	h := newHarness(t)
+	keys := batchKeys(t, h, 10)
+	r := h.begin()
+	registered := 0
+	rd := h.tbl.NewReader(r.snap, r.xid, h.mgr, func(_ int64, items []BatchItem) error {
+		registered += len(items)
+		return nil
+	})
+	lf, err := rd.ReadKeys([]string{keys[3], "never-inserted", keys[8]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lf.Vis[0] == nil || string(lf.Vis[0].Value) != "v"+keys[3] || lf.Vis[1] != nil || lf.Vis[2] == nil || lf.Vis[2].Key != keys[8] {
+		t.Fatalf("ReadKeys results wrong: %+v", lf.Vis)
+	}
+	if registered != 2 {
+		t.Fatalf("registered %d rows, want the 2 visible ones", registered)
+	}
 }

@@ -19,20 +19,25 @@ import "sync"
 //
 // Protocol (see also the ordering rules in internal/core/partition.go):
 //
-//   - A serializable reader (Table.Read with latched=true) computes the
-//     visibility result under the row's shard mutex, acquires the latch
-//     of the page holding the visible version in shared mode while
-//     still holding the shard mutex, releases the shard mutex, and runs
-//     the caller's callback — which inserts the SIREAD lock and flags
-//     MVCC conflicts — before releasing the latch. Readers that
-//     register no SIREAD lock (read committed, repeatable read, S2PL,
-//     safe snapshots) pass latched=false and skip the latch: they have
-//     no registration to make atomic, so they cannot lose an
+//   - A serializable point reader (Table.Read with latched=true)
+//     computes the visibility result under the row lock, acquires the
+//     latch of the page holding the visible version in shared mode while
+//     still holding the row lock, releases the row lock, and runs the
+//     caller's callback — which inserts the SIREAD lock and flags MVCC
+//     conflicts — before releasing the latch. A serializable scan
+//     (Reader with an onPage callback) goes the other way round, one
+//     heap page at a time: it takes the page's latch in shared mode
+//     first, resolves every row of its batch that lives on that page
+//     under it (row lock taken and dropped per row), and registers the
+//     page's SIREAD locks in its callback before releasing the latch.
+//     Readers that register no SIREAD lock (read committed, repeatable
+//     read, S2PL, safe snapshots) skip the latch: they have no
+//     registration to make atomic, so they cannot lose an
 //     rw-antidependency to the window.
 //   - A writer (Table.Update / Table.Delete) acquires the latch of the
 //     page holding the version it is about to supersede in exclusive
-//     mode while holding the shard mutex, stamps xmax (and links the
-//     new version), releases the shard mutex, and runs the caller's
+//     mode while holding the row lock, stamps xmax (and links the new
+//     version), releases the row lock, and runs the caller's
 //     write-check callback — which probes the SIREAD table
 //     (core.CheckWrite) — before releasing the latch.
 //
@@ -53,17 +58,22 @@ import "sync"
 // Either way every rw-antidependency is seen by at least one side,
 // which is the property the paper's correctness argument requires.
 //
-// Lock ordering: shard mutex → page latch → (caller's callback, which
-// may take the SSI locks of internal/core). A goroutine holds at most
-// one shard mutex and at most one page latch, and no code path acquires
-// a storage-layer lock while holding any internal/core lock, so the
-// combined order is acyclic. One refinement keeps a contended page from
-// stalling its whole shard: while holding a shard mutex a latch may
-// only be acquired with TryLock; on failure the shard mutex is released,
-// the latch is awaited unlatched, and the operation revalidates (Read
+// Lock ordering: index tree lock, then page latch, then row lock, then
+// (from a callback, with no row lock held) the SSI locks of
+// internal/core. The tree lock (internal/btree) is never held while a
+// latch or a row lock is taken: descents and leaf walks copy the row
+// slots out and drop it first. A goroutine holds at most one row lock
+// and at most one page latch, and no code path acquires a storage-layer
+// lock while holding any internal/core lock, so the combined order is
+// acyclic. The blocking order between the two storage locks is latch
+// before row — the order a scan needs, which holds one page's latch
+// while it visits that page's rows. The point-read and write paths come
+// at it from the row, so while holding a row lock they may only
+// try-acquire a latch; on failure the row lock is released, the latch
+// is awaited with nothing held, and the operation revalidates (Read
 // recomputes the visibility result, modify redoes its write decision).
-// Blocking latch acquisition therefore never happens with a shard mutex
-// held, which is also what makes the latch-before-shard reacquisition in
+// That is also what keeps one contended page from stalling a row's
+// other readers, and what makes the latch-before-row reacquisition in
 // Read's retry path deadlock-free.
 
 // defaultLatchPartitions is the default page-latch shard count per table.
@@ -92,8 +102,8 @@ type Hooks struct {
 // benefit; only reader-vs-writer interleavings can lose an
 // rw-antidependency.
 //
-// Blocking acquisition order is latch before shard mutex; the reverse
-// direction is try-only (TryRLock under shard.mu cannot deadlock).
+// Blocking acquisition order is latch before row lock; the reverse
+// direction is try-only (TryRLock under Row.mu cannot deadlock).
 // ssilint enforces this — both the slice and the latch() getter carry
 // the annotation; see docs/invariants.md.
 type latchTable struct {

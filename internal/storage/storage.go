@@ -6,6 +6,40 @@
 // version's xmax and prepend a new version, exactly the model §5.1 of the
 // paper describes.
 //
+// # One index
+//
+// A table owns its primary B+-tree (internal/btree), and the tree's leaf
+// entry for a key is the row itself: a Row, the stable slot that holds
+// the head of the key's version chain and the mutex guarding it. There is
+// no second, hashed index. A point read is one descent (Lookup, which
+// also hands the engine the leaf page to gap-lock); a range scan walks
+// the leaves and finds the rows in them. Slots are created by the first
+// insert of a key and never move or go away, so a *Row copied out of a
+// leaf stays valid after the tree lock is dropped.
+//
+// # Settled visibility
+//
+// A version caches the resolved fate of its xmin and its xmax — committed
+// with its CSN, or aborted — the way PostgreSQL sets hint bits: the first
+// reader that finds the transaction finished writes the answer on the
+// version (under the row lock), and every later read of a settled row
+// makes no commit-log lookup at all. A cached fate is at least as good as
+// the log's answer for as long as the version exists: commit-log
+// truncation only forgets CSNs the cache still has, and dropping an
+// aborted tombstone cannot turn a cached "aborted" into "committed".
+// Whatever overwrites or clears an xmax resets its cached fate with it.
+//
+// Readers never repair a chain. An aborted head is skipped, an aborted
+// xmax is read as "not deleted", and that is all. Chains are tidied where
+// they are written: a rollback unlinks the versions its write set names
+// (UndoSubxact), every write first drops aborted versions off the head
+// (which also covers a failed write that stamped a version but never
+// reached a write set), and modify cuts the chain below the newest
+// version every snapshot can see, using the horizon mvcc.AutoTruncate
+// publishes. Vacuum remains as the explicit full sweep.
+//
+// # Write locks, pages, latches
+//
 // Tuple-level write locks are represented by an in-progress xmax, reusing
 // the tuple header the way PostgreSQL does; a writer that finds an
 // in-progress xmax blocks until that transaction finishes, then applies
@@ -17,26 +51,28 @@
 //
 // Each table additionally carries a sharded per-page read latch table
 // (latch.go), the stand-in for PostgreSQL's buffer content lock in the
-// SSI protocol: Table.Read runs its caller's callback — which inserts
-// the SIREAD lock — under the latch of the page holding the visible
-// version, and Table.Update / Table.Delete stamp xmax and run their
-// caller's write check under the latch of the superseded version's
-// page. That makes the MVCC visibility check atomic with SIREAD
-// registration relative to writers of the same page, closing the
-// detection window in which a writer's lock-table probe could run
-// between a reader's visibility check and its lock insertion and miss
-// the rw-antidependency entirely (§5.2 of the paper; the latch protocol
-// and lock ordering are documented in latch.go).
+// SSI protocol: Table.Read and a tracked Table.Scan run their caller's
+// callback — which inserts the SIREAD locks — under the shared latch of
+// the page holding the visible versions, and Table.Update / Table.Delete
+// stamp xmax and run their caller's write check under the exclusive
+// latch of the superseded version's page. That makes the MVCC visibility
+// check atomic with SIREAD registration relative to writers of the same
+// page, closing the detection window in which a writer's lock-table
+// probe could run between a reader's visibility check and its lock
+// insertion and miss the rw-antidependency entirely (§5.2 of the paper;
+// the latch protocol and lock ordering are documented in latch.go).
 package storage
 
 import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"pgssi/internal/btree"
 	"pgssi/internal/mvcc"
 	"pgssi/internal/waitgraph"
 )
@@ -61,8 +97,46 @@ var (
 // heap page. It only affects lock granularity, not correctness.
 const TuplesPerPage = 64
 
+// fate is the cached outcome of a version's xmin or xmax transaction.
+// The zero value means "not resolved yet" (the transaction was still in
+// progress the last time anybody looked, or nobody has looked).
+type fate uint64
+
+const (
+	fateUnknown fate = iota
+	fateAborted
+	// fateCommitted + CSN: committed with that commit sequence number;
+	// fateCommitted alone (CSN InvalidSeqNo) is a commit the log had
+	// already truncated when it was resolved, i.e. one every snapshot
+	// sees.
+	fateCommitted
+)
+
+// resolve returns xid's status and commit CSN from the cache, consulting
+// the commit log (and filling the cache) only while it is unresolved.
+// Caller holds the lock of the row the version belongs to.
+func (f *fate) resolve(xid mvcc.TxID, mgr *mvcc.Manager) (mvcc.Status, mvcc.SeqNo) {
+	switch c := *f; {
+	case c >= fateCommitted:
+		return mvcc.StatusCommitted, mvcc.SeqNo(c - fateCommitted)
+	case c == fateAborted:
+		return mvcc.StatusAborted, mvcc.InvalidSeqNo
+	}
+	st, seq := mgr.Status(xid)
+	switch st {
+	case mvcc.StatusCommitted:
+		*f = fateCommitted + fate(seq)
+	case mvcc.StatusAborted:
+		*f = fateAborted
+	case mvcc.StatusInProgress:
+	}
+	return st, seq
+}
+
 // Tuple is one version of a row. Fields mirror the PostgreSQL tuple
-// header bits that matter for visibility and SSI.
+// header bits that matter for visibility and SSI. Key, Value and Page
+// never change after the version is linked and may be read without the
+// row lock; everything else belongs to the row lock.
 type Tuple struct {
 	Key   string
 	Value []byte
@@ -79,6 +153,140 @@ type Tuple struct {
 	Page int64
 	// Older points to the previous version of the row, or nil.
 	Older *Tuple
+	// minFate and maxFate cache the fates of Xmin and Xmax (see fate).
+	minFate, maxFate fate
+}
+
+func (v *Tuple) minStatus(mgr *mvcc.Manager) (mvcc.Status, mvcc.SeqNo) {
+	return v.minFate.resolve(v.Xmin, mgr)
+}
+
+func (v *Tuple) maxStatus(mgr *mvcc.Manager) (mvcc.Status, mvcc.SeqNo) {
+	return v.maxFate.resolve(v.Xmax, mgr)
+}
+
+// setXmax stamps (or, with xid zero, clears) the version's xmax. The
+// cached fate described the previous stamp, so it goes with it.
+func (v *Tuple) setXmax(xid mvcc.TxID, subID int32) {
+	v.Xmax, v.SubMax, v.maxFate = xid, subID, fateUnknown
+}
+
+// Row is a key's slot in the table's primary index: the B+-tree leaf
+// entry for the key, holding the head of its version chain (newest
+// first; nil while the key has no version) and the lock that guards the
+// chain and the mutable fields of its versions.
+type Row struct {
+	mu   sync.Mutex //ssi:lock level=20 name=storage.row
+	head *Tuple
+}
+
+func newRow() *Row { return new(Row) }
+
+// visible walks the chain newest-first and applies PostgreSQL's
+// visibility rules, returning the version snap sees (nil if none) and
+// appending to *conflicts, if non-nil, the concurrent transactions whose
+// writes to this row were invisible (see ReadResult.ConflictOut). Caller
+// holds r.mu.
+func (r *Row) visible(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, conflicts *[]mvcc.TxID) *Tuple {
+	for v := r.head; v != nil; v = v.Older {
+		if v.Xmin == self {
+			// Own write: visible unless we deleted it ourselves.
+			if v.Xmax == self {
+				return nil
+			}
+			return v
+		}
+		st, seq := v.minStatus(mgr)
+		switch st {
+		case mvcc.StatusAborted:
+			continue
+		case mvcc.StatusInProgress:
+			// Created by a concurrent, still-running transaction:
+			// invisible, and an rw conflict out for serializable
+			// readers (the reader must precede the writer).
+			note(conflicts, v.Xmin)
+			continue
+		case mvcc.StatusCommitted:
+			if !snap.SeesCommitted(v.Xmin, seq) {
+				// Committed after our snapshot: concurrent.
+				note(conflicts, v.Xmin)
+				continue
+			}
+		}
+		// v was created by a transaction visible to the snapshot.
+		// Check its deletion status.
+		if v.Xmax == 0 {
+			return v
+		}
+		if v.Xmax == self {
+			// Deleted by ourselves.
+			return nil
+		}
+		xst, xseq := v.maxStatus(mgr)
+		switch xst {
+		case mvcc.StatusAborted:
+			return v
+		case mvcc.StatusInProgress:
+			note(conflicts, v.Xmax)
+			return v
+		case mvcc.StatusCommitted:
+			if snap.SeesCommitted(v.Xmax, xseq) {
+				// Deleted before our snapshot: row is gone.
+				return nil
+			}
+			// Deleted by a concurrent transaction that committed
+			// after our snapshot: still visible to us, and an rw
+			// conflict out.
+			note(conflicts, v.Xmax)
+			return v
+		}
+	}
+	return nil
+}
+
+// note appends xid to a conflict-out list, if the reader keeps one.
+func note(conflicts *[]mvcc.TxID, xid mvcc.TxID) {
+	if conflicts != nil {
+		*conflicts = append(*conflicts, xid)
+	}
+}
+
+// pruneAborted drops leading versions created by aborted transactions,
+// clears an aborted xmax stamp on the surviving head, and returns that
+// head. Only the write paths (Insert, modify, Vacuum) call it — no
+// aborted version is ever buried under a newer one, because every write
+// prunes before it pushes; readers just skip what they find. Caller
+// holds r.mu.
+func (r *Row) pruneAborted(mgr *mvcc.Manager) *Tuple {
+	head := r.head
+	for head != nil {
+		if st, _ := head.minStatus(mgr); st != mvcc.StatusAborted {
+			break
+		}
+		head = head.Older
+	}
+	r.head = head
+	if head != nil && head.Xmax != 0 {
+		if st, _ := head.maxStatus(mgr); st == mvcc.StatusAborted {
+			head.setXmax(0, 0)
+		}
+	}
+	return head
+}
+
+// trimBelow cuts the chain under the newest version, at or below v,
+// whose creator committed at or before horizon: every present and
+// future snapshot sees that version (or something newer), so nothing
+// older can be read again. The walk passes only versions newer than the
+// horizon, so it is as long as the row's recent history, not its whole
+// one. Caller holds the row lock.
+func trimBelow(v *Tuple, horizon mvcc.SeqNo, mgr *mvcc.Manager) {
+	for ; v != nil && v.Older != nil; v = v.Older {
+		if st, seq := v.minStatus(mgr); st == mvcc.StatusCommitted && seq <= horizon {
+			v.Older = nil
+			return
+		}
+	}
 }
 
 // ReadResult is the outcome of a visibility-checked read.
@@ -117,13 +325,14 @@ type Config struct {
 	Hooks Hooks
 }
 
-// Table is a heap of versioned rows keyed by string, sharded for
-// concurrency. Ordering and range scans are provided by the B+-tree
-// index layered above in internal/btree; the heap itself is unordered.
+// Table is a heap of versioned rows keyed by string, reached through
+// the primary B+-tree it owns: the tree orders the keys, its leaf pages
+// are what index-range SIREAD locks name, and its leaf entries are the
+// rows.
 type Table struct {
-	name   string
-	cfg    Config
-	shards [shardCount]shard
+	name  string
+	cfg   Config
+	index *btree.Tree[*Row]
 	// latches is the per-page read latch table (latch.go).
 	latches *latchTable
 	// pageSeq allocates heap page slots; page = seq / TuplesPerPage.
@@ -133,37 +342,17 @@ type Table struct {
 	ioMisses   atomic.Int64
 }
 
-const shardCount = 64
-
-type shard struct {
-	mu   sync.Mutex        //ssi:lock level=20 name=storage.shard
-	rows map[string]*Tuple // head of version chain (newest first)
-}
-
 // NewTable creates an empty heap named name.
 func NewTable(name string, cfg Config) *Table {
-	t := &Table{name: name, cfg: cfg, latches: newLatchTable(cfg.LatchPartitions)}
-	for i := range t.shards {
-		t.shards[i].rows = make(map[string]*Tuple)
-	}
-	return t
+	return &Table{name: name, cfg: cfg, index: btree.NewOf[*Row](), latches: newLatchTable(cfg.LatchPartitions)}
 }
 
 // Name returns the table's name.
 func (t *Table) Name() string { return t.name }
 
-func (t *Table) shardFor(key string) *shard {
-	return &t.shards[fnv32(key)%shardCount]
-}
-
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
+// Index returns the table's primary B+-tree, for callers that lock its
+// leaf pages without reading through them (the S2PL paths).
+func (t *Table) Index() *btree.Tree[*Row] { return t.index }
 
 // allocPage assigns a heap page for a new tuple version.
 func (t *Table) allocPage() int64 {
@@ -187,6 +376,13 @@ func (t *Table) IOStats() (accesses, misses int64) {
 	return t.ioAccesses.Load(), t.ioMisses.Load()
 }
 
+// onRead fires the test-only read hook.
+func (t *Table) onRead(key string) {
+	if h := t.cfg.Hooks.OnRead; h != nil {
+		h(t.name, key)
+	}
+}
+
 // Get returns the version of key visible to snap, along with the MVCC
 // conflict-out set described on ReadResult. self is the reading
 // transaction's xid (InvalidTxID for transactions that have not written).
@@ -197,7 +393,7 @@ func (t *Table) IOStats() (accesses, misses int64) {
 // under the page latch.
 func (t *Table) Get(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager) ReadResult {
 	var out ReadResult
-	t.Read(key, snap, self, mgr, false, func(res ReadResult) error {
+	t.Read(key, snap, self, mgr, nil, false, func(res ReadResult) error {
 		out = res
 		return nil
 	})
@@ -206,14 +402,18 @@ func (t *Table) Get(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.M
 
 // Read performs a visibility-checked read of key and invokes fn with the
 // result — if latched is true, while holding the read latch (shared
-// mode) of the page containing the visible version. No latch is held
-// when no version is visible: the phantom protection for absent keys is
-// the index gap lock, which the engine acquires under the index tree
-// lock *before* the heap read. fn is where a serializable caller
-// inserts its SIREAD lock: doing so under the latch makes the
-// visibility check and the lock insertion one atomic step relative to
-// Update/Delete, which stamp xmax and probe the SIREAD table under the
-// same latch, exclusively. Read returns fn's error.
+// mode) of the page containing the visible version. It makes exactly one
+// index descent: onLeaf, if non-nil, is invoked under the tree lock with
+// the leaf page that holds (or would hold) key, which is where a
+// serializable caller takes its SIREAD gap lock (btree.Lookup explains
+// why there), and the row the descent arrives at is the one read. No
+// latch is held when no version is visible: the phantom protection for
+// absent keys is that gap lock, taken before the row is looked at. fn is
+// where a serializable caller inserts its tuple SIREAD lock: doing so
+// under the latch makes the visibility check and the lock insertion one
+// atomic step relative to Update/Delete, which stamp xmax and probe the
+// SIREAD table under the same latch, exclusively. Read returns fn's
+// error.
 //
 // Callers that register nothing in fn (non-serializable reads) pass
 // latched=false and skip the latch entirely — they cannot lose an
@@ -222,51 +422,50 @@ func (t *Table) Get(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.M
 // fn must not call back into this table (the latch is not reentrant) and
 // must not block on other transactions; lock-manager work (mutex-only)
 // is fine per the ordering rules in latch.go.
-func (t *Table) Read(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, latched bool, fn func(ReadResult) error) error {
+func (t *Table) Read(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, onLeaf func(btree.PageID), latched bool, fn func(ReadResult) error) error {
 	t.simulateIO()
-	sh := t.shardFor(key)
-	sh.mu.Lock()
+	row, _, _ := t.index.Lookup(key, onLeaf)
 	var latch *sync.RWMutex
 	var res ReadResult
-	for {
-		head := pruneAborted(sh, key, mgr)
-		res = readChain(head, snap, self, mgr)
-		if res.Tuple == nil || !latched || t.cfg.DisableReadLatch {
+	if row != nil {
+		row.mu.Lock()
+		for {
+			res.ConflictOut = res.ConflictOut[:0]
+			res.Tuple = row.visible(snap, self, mgr, &res.ConflictOut)
+			if res.Tuple == nil || !latched || t.cfg.DisableReadLatch {
+				if latch != nil {
+					latch.RUnlock()
+					latch = nil
+				}
+				break
+			}
+			// The latch (shared mode: readers only exclude writers) must
+			// be held before the row lock is released, or a writer could
+			// stamp the version between the visibility check and fn. It
+			// is only try-acquired under the row lock (the blocking order
+			// is latch before row, see latch.go): on contention the latch
+			// is awaited without the row lock and the read is recomputed,
+			// since the chain may have changed meanwhile.
+			want := t.latches.latch(res.Tuple.Page)
+			if want == latch {
+				break
+			}
 			if latch != nil {
 				latch.RUnlock()
 				latch = nil
 			}
-			break
-		}
-		// The latch (shared mode: readers only exclude writers) must
-		// be held before the shard mutex is released, or a writer
-		// could stamp the version between the visibility check and
-		// fn. Acquiring it while holding the shard mutex must not
-		// block (that would stall every key in the shard behind one
-		// contended page), so on contention the latch is awaited
-		// without the shard mutex and the read is recomputed: the
-		// chain may have changed while the shard was unlocked.
-		want := t.latches.latch(res.Tuple.Page)
-		if want == latch {
-			break
-		}
-		if latch != nil {
-			latch.RUnlock()
-			latch = nil
-		}
-		if want.TryRLock() {
+			if want.TryRLock() {
+				latch = want
+				break
+			}
+			row.mu.Unlock()
+			want.RLock()
 			latch = want
-			break
+			row.mu.Lock()
 		}
-		sh.mu.Unlock()
-		want.RLock()
-		latch = want
-		sh.mu.Lock()
+		row.mu.Unlock()
 	}
-	sh.mu.Unlock()
-	if t.cfg.Hooks.OnRead != nil {
-		t.cfg.Hooks.OnRead(t.name, key)
-	}
+	t.onRead(key)
 	err := fn(res)
 	if latch != nil {
 		latch.RUnlock()
@@ -274,208 +473,247 @@ func (t *Table) Read(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.
 	return err
 }
 
-// readChain walks a version chain newest-first and applies PostgreSQL's
-// visibility rules, collecting rw conflict-out transactions on the way.
-func readChain(head *Tuple, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager) ReadResult {
-	var res ReadResult
-	for v := head; v != nil; v = v.Older {
-		if v.Xmin == self {
-			// Own write: visible unless we deleted it ourselves.
-			if v.Xmax == self {
-				return res
-			}
-			res.Tuple = v
-			return res
-		}
-		st, seq := mgr.Status(v.Xmin)
-		switch st {
-		case mvcc.StatusAborted:
-			continue
-		case mvcc.StatusInProgress:
-			// Created by a concurrent, still-running transaction:
-			// invisible, and an rw conflict out for serializable
-			// readers (the reader must precede the writer).
-			res.ConflictOut = append(res.ConflictOut, v.Xmin)
-			continue
-		case mvcc.StatusCommitted:
-			if !snap.SeesCommitted(v.Xmin, seq) {
-				// Committed after our snapshot: concurrent.
-				res.ConflictOut = append(res.ConflictOut, v.Xmin)
-				continue
-			}
-		}
-		// v was created by a transaction visible to the snapshot.
-		// Check its deletion status.
-		if v.Xmax == 0 {
-			res.Tuple = v
-			return res
-		}
-		if v.Xmax == self {
-			// Deleted by ourselves.
-			return res
-		}
-		xst, xseq := mgr.Status(v.Xmax)
-		switch xst {
-		case mvcc.StatusAborted:
-			res.Tuple = v
-			return res
-		case mvcc.StatusInProgress:
-			res.ConflictOut = append(res.ConflictOut, v.Xmax)
-			res.Tuple = v
-			return res
-		case mvcc.StatusCommitted:
-			if snap.SeesCommitted(v.Xmax, xseq) {
-				// Deleted before our snapshot: row is gone.
-				return res
-			}
-			// Deleted by a concurrent transaction that committed
-			// after our snapshot: still visible to us, and an rw
-			// conflict out.
-			res.ConflictOut = append(res.ConflictOut, v.Xmax)
-			res.Tuple = v
-			return res
-		}
-	}
-	return res
-}
-
-// pruneAborted drops leading versions created by aborted transactions and
-// clears aborted xmax stamps, keeping chains tidy. Caller holds sh.mu.
-func pruneAborted(sh *shard, key string, mgr *mvcc.Manager) *Tuple {
-	first := sh.rows[key]
-	head := first
-	for head != nil {
-		st, _ := mgr.Status(head.Xmin)
-		if st != mvcc.StatusAborted {
-			break
-		}
-		head = head.Older
-	}
-	// This runs on every read: the map is touched again only when
-	// aborted versions were actually dropped.
-	if head != first {
-		if head == nil {
-			delete(sh.rows, key)
-		} else {
-			sh.rows[key] = head
-		}
-	}
-	if head == nil {
-		return nil
-	}
-	if head.Xmax != 0 {
-		if st, _ := mgr.Status(head.Xmax); st == mvcc.StatusAborted {
-			head.Xmax = 0
-			head.SubMax = 0
-		}
-	}
-	return head
-}
-
-// BatchItem is one key's visibility-checked result within a page group
-// delivered by ReadPageBatch. Idx is the key's position in the input
-// slice, so callers can map grouped results back to their own per-key
-// state in O(1).
+// BatchItem is one visible row within a heap-page group a tracked scan
+// hands to its onPage callback.
 type BatchItem struct {
-	Key string
-	Idx int
-	Res ReadResult
+	Key   string
+	Tuple *Tuple
 }
 
-// ReadPageBatch performs visibility-checked reads of keys (which must be
-// free of duplicates), delivering results to fn grouped by the heap page
-// of the visible version: fn is invoked once per page with every key
-// whose visible version lives on that page, under that page's read
-// latch in shared mode when latched is true. Keys with no visible
-// version are grouped under page == -1 and delivered without a latch —
-// the phantom protection for absent keys is the index gap lock, exactly
-// as in Read. fn's first error aborts the batch and is returned.
-//
-// The grouping is what makes a serializable scan's lock path O(pages)
-// instead of O(rows): fn can hand the whole page's surviving tuples to
-// the SSI layer as one batched registration (core.AcquireTupleLockBatch)
-// while the PR 2 invariant still holds — the registration lands before
-// the latch of the page holding the visible versions is released, and a
-// batch NEVER spans heap pages, so each fn call is exactly one page's
-// {visibility, registration} critical section.
-//
-// Latched batches run in two passes: an unlatched prediction pass groups
-// keys by the page of their currently-visible version, then each group's
-// latch is acquired (shared, blocking, with no other lock held — the
-// same order as Read's contended-latch retry path) and every key's
-// visibility is recomputed under it; the latched result is the
-// authoritative one. A key whose visible version moved to a different
-// page between the passes falls back to the per-row Read path and is
-// delivered as a single-item batch, so every item handed to fn with a
-// page >= 0 is guaranteed to live on that page, under that page's latch.
-// Unlatched batches (non-tracking readers, who register nothing) take a
-// single streaming pass, grouping consecutive same-page results.
-func (t *Table) ReadPageBatch(keys []string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, latched bool, fn func(page int64, items []BatchItem) error) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	if !latched {
-		return t.readBatchUnlatched(keys, snap, self, mgr, fn)
-	}
+// Leaf is one batch of a scan's results: keys in order, with the version
+// of each that the snapshot sees. The scan reuses it for the next batch;
+// the Tuples themselves may be kept.
+type Leaf struct {
+	Keys []string
+	// Vis parallels Keys: the visible version, or nil.
+	Vis []*Tuple
+	// ConflictOut is the union of the conflict-out sets (see
+	// ReadResult.ConflictOut) of the rows resolved for this batch.
+	ConflictOut []mvcc.TxID
+}
 
-	// Prediction pass: an unlatched peek at each key's visible version,
-	// only to choose the page grouping. Results are discarded — the
-	// latched pass below recomputes them authoritatively.
-	type pageGroup struct {
-		page int64
-		idx  []int
-	}
-	var groups []pageGroup
-	gidx := make(map[int64]int, 8)
-	for i, k := range keys {
-		sh := t.shardFor(k)
-		sh.mu.Lock()
-		res := readChain(pruneAborted(sh, k, mgr), snap, self, mgr)
-		sh.mu.Unlock()
-		pg := int64(-1)
-		if res.Tuple != nil {
-			pg = res.Tuple.Page
-		}
-		g, ok := gidx[pg]
-		if !ok {
-			g = len(groups)
-			gidx[pg] = g
-			groups = append(groups, pageGroup{page: pg})
-		}
-		groups[g].idx = append(groups[g].idx, i)
-	}
+// Reader resolves visibility for one scan, a batch of at most
+// btree.MaxLeaf rows at a time (the keys btree.Leaves copied out of an
+// index leaf or two, or ReadKeys' keys). Its buffers grow to the largest
+// batch and are reused, so a batch costs no allocation after the first
+// few, and no commit-log lookup once its rows' fates are settled.
+//
+// With an onPage callback (a tracked, i.e. SIREAD-registering, scan) the
+// visible rows are grouped by the heap page of the visible version, and
+// onPage is invoked with a page's rows while the page's read latch is
+// held in shared mode — exactly one {visibility check, SIREAD
+// registration} critical section per heap page, never spanning pages,
+// which is what lets the caller register a page's locks in one
+// core.AcquireTupleLockBatch call with the PR 2 invariant intact. Each
+// row is resolved under the latch of the page its visible version lives
+// on, and only that resolution counts; rows with no visible version need
+// no latch (their protection is the index gap lock) and are not passed to
+// onPage. Batch boundaries are the index's, not the heap's, so a scan
+// (Table.Scan) holds the rows of the heap page a batch ends on over to
+// the next batch: a run of rows that share a page is registered in one
+// onPage call wherever the leaves divide it. Without onPage nothing is
+// latched and nothing held over: such readers register nothing, so they
+// have nothing to lose to the window the latch closes.
+type Reader struct {
+	t      *Table
+	snap   *mvcc.Snapshot
+	self   mvcc.TxID
+	mgr    *mvcc.Manager
+	onPage func(page int64, items []BatchItem) error
+	leaf   Leaf
+	rows   []*Row // ReadKeys' lookups
+	items  []BatchItem
+	// Tracked scans: the rows in hand — those held over first, then the
+	// batch — as keys, vis (both handed out through leaf) and trk in
+	// parallel; the first cut of them were delivered by the last call.
+	keys []string
+	vis  []*Tuple
+	trk  []trackedRow
+	cut  int
+}
 
-	var retry []int
-	items := make([]BatchItem, 0, TuplesPerPage)
-	for _, g := range groups {
+// trackedRow is a tracked scan's bookkeeping for one row in hand.
+type trackedRow struct {
+	row *Row
+	// page is the heap page of the row's visible version once an
+	// unlatched look has learned it (state rowKnown): a hint naming the
+	// latch to resolve the row under, checked again there.
+	page  int64
+	state uint8
+}
+
+const (
+	rowPending = iota // not resolved, page not learned
+	rowKnown          // not resolved, page learned
+	rowDone           // resolved (and registered): vis is final
+)
+
+// NewReader returns a Reader for one scan at snap by transaction self.
+func (t *Table) NewReader(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, onPage func(page int64, items []BatchItem) error) *Reader {
+	rd := &Reader{t: t, snap: snap, self: self, mgr: mgr, onPage: onPage}
+	if onPage == nil {
+		rd.leaf.Vis = make([]*Tuple, 0, btree.MaxLeaf)
+	}
+	// A tracked scan's buffers are sized by its first batch: the many
+	// short scans of a transactional mix pay for the rows they read.
+	return rd
+}
+
+// ReadKeys reads the rows named by keys (at most btree.MaxLeaf, free of
+// duplicates), one index descent each — the secondary-index scan's way
+// in, whose index entries name primary keys rather than rows. The result
+// parallels keys: nothing is held over, since index-key order is not
+// heap order and has no page runs to keep together.
+func (rd *Reader) ReadKeys(keys []string) (*Leaf, error) {
+	rd.rows = rd.rows[:0]
+	for _, k := range keys {
+		row, _, _ := rd.t.index.Lookup(k, nil)
+		rd.rows = append(rd.rows, row)
+	}
+	return rd.read(keys, rd.rows, true)
+}
+
+// read resolves one batch. rows parallels keys; a nil row is a key the
+// index has never held. final says no batch follows, so a tracked scan
+// holds nothing over.
+func (rd *Reader) read(keys []string, rows []*Row, final bool) (*Leaf, error) {
+	lf := &rd.leaf
+	lf.ConflictOut = lf.ConflictOut[:0]
+	if rd.onPage != nil {
+		return lf, rd.readTracked(keys, rows, final)
+	}
+	lf.Keys = keys
+	lf.Vis = lf.Vis[:len(keys)]
+	clear(lf.Vis)
+	t := rd.t
+	page := int64(-1)
+	for i, row := range rows {
+		if row != nil {
+			lf.Vis[i] = rd.visible(row)
+		}
+		t.onRead(keys[i])
+		// Consecutive keys usually share heap pages: IO is charged per
+		// page run, not per row.
+		if v := lf.Vis[i]; v != nil && v.Page != page {
+			page = v.Page
+			t.simulateIO()
+		}
+	}
+	return lf, nil
+}
+
+// visible resolves one row, adding its conflict-out set to the batch's.
+func (rd *Reader) visible(row *Row) *Tuple {
+	row.mu.Lock()
+	v := row.visible(rd.snap, rd.self, rd.mgr, &rd.leaf.ConflictOut)
+	row.mu.Unlock()
+	return v
+}
+
+// peek learns, unlatched, the heap page row i's visible version lives
+// on, and reports whether it has one. The latched pass resolves the row
+// again, authoritatively — unless nothing is visible, which needs no
+// latch and settles the row here.
+func (rd *Reader) peek(i int) bool {
+	mark := len(rd.leaf.ConflictOut)
+	v := rd.visible(rd.trk[i].row)
+	if v == nil {
+		rd.settle(i, nil)
+		return false
+	}
+	rd.leaf.ConflictOut = rd.leaf.ConflictOut[:mark]
+	rd.trk[i].page, rd.trk[i].state = v.Page, rowKnown
+	return true
+}
+
+// settle records row i's final result.
+func (rd *Reader) settle(i int, v *Tuple) {
+	rd.vis[i], rd.trk[i].state = v, rowDone
+	rd.t.onRead(rd.keys[i])
+}
+
+// readTracked is read for a tracked scan. The rows in hand are those the
+// last batch held over followed by this batch's. Pages are taken in order
+// of first appearance: a pass under a page's latch settles every
+// unresolved row in hand that lives on it and learns the page of each
+// other row it looks at, which then waits for its own page's pass. A
+// snapshot's visible version of a row does not change while the scan
+// runs, so the page learned for a row is the page it is then found on;
+// should it differ after all (the scanning transaction's own writes are
+// the only way), the row is simply deferred again.
+//
+// Unless the batch is final, the page its last row lives on gets no pass
+// yet: the next batch may continue it, and a page is to be registered
+// once. Its rows, and whatever follows the first of them, stay in hand
+// (never more than btree.MaxLeaf rows: a longer tail gets its pass now);
+// everything before is handed out through rd.leaf.
+//
+// Lock order is latch before row, blocking on both (latch.go): no row
+// lock is held while a latch is awaited.
+func (rd *Reader) readTracked(keys []string, rows []*Row, final bool) error {
+	t := rd.t
+	// What the last call handed out goes; what it held over moves up.
+	n := copy(rd.keys, rd.keys[rd.cut:])
+	copy(rd.vis, rd.vis[rd.cut:])
+	copy(rd.trk, rd.trk[rd.cut:])
+	rd.keys = append(rd.keys[:n], keys...)
+	rd.vis = append(rd.vis[:n], make([]*Tuple, len(keys))...)
+	rd.trk = append(rd.trk[:n], make([]trackedRow, len(keys))...)
+	for i, row := range rows {
+		rd.trk[n+i].row = row
+		if row == nil {
+			rd.settle(n+i, nil)
+		}
+	}
+	n += len(keys)
+	tail := int64(-1)
+	for i := n - 1; i >= 0 && tail < 0 && !final; i-- {
+		if rd.trk[i].state == rowDone {
+			if rd.vis[i] != nil {
+				tail = rd.vis[i].Page
+			}
+		} else if rd.trk[i].state == rowKnown || rd.peek(i) {
+			tail = rd.trk[i].page
+		}
+	}
+	rd.cut = n
+	for first := 0; first < n; {
+		if st := rd.trk[first].state; st == rowDone || (st == rowPending && !rd.peek(first)) {
+			first++
+			continue
+		}
+		page := rd.trk[first].page
+		if page == tail && (rd.cut < n || n-first <= btree.MaxLeaf) {
+			rd.cut = min(rd.cut, first)
+			first++
+			continue
+		}
 		t.simulateIO()
 		var latch *sync.RWMutex
-		if g.page >= 0 && !t.cfg.DisableReadLatch {
-			latch = t.latches.latch(g.page)
+		if !t.cfg.DisableReadLatch {
+			latch = t.latches.latch(page)
 			latch.RLock()
 		}
-		items = items[:0]
-		for _, ki := range g.idx {
-			k := keys[ki]
-			sh := t.shardFor(k)
-			sh.mu.Lock()
-			res := readChain(pruneAborted(sh, k, mgr), snap, self, mgr)
-			sh.mu.Unlock()
-			if res.Tuple != nil && res.Tuple.Page != g.page {
-				// The visible version moved between the passes (or
-				// appeared where none was predicted): this key's
-				// latch invariant cannot be met in this group.
-				retry = append(retry, ki)
+		items := slices.Grow(rd.items[:0], min(n-first, TuplesPerPage))
+		for i := first; i < n; i++ {
+			if st := rd.trk[i]; st.state == rowDone || (st.state == rowKnown && st.page != page) {
 				continue
 			}
-			if h := t.cfg.Hooks.OnRead; h != nil {
-				h(t.name, k)
+			mark := len(rd.leaf.ConflictOut)
+			v := rd.visible(rd.trk[i].row)
+			if v != nil && v.Page != page {
+				rd.leaf.ConflictOut = rd.leaf.ConflictOut[:mark]
+				rd.trk[i].page, rd.trk[i].state = v.Page, rowKnown
+				continue
 			}
-			items = append(items, BatchItem{Key: k, Idx: ki, Res: res})
+			rd.settle(i, v)
+			if v != nil {
+				items = append(items, BatchItem{Key: rd.keys[i], Tuple: v})
+			}
 		}
 		var err error
 		if len(items) > 0 {
-			err = fn(g.page, items)
+			err = rd.onPage(page, items)
 		}
 		if latch != nil {
 			latch.RUnlock()
@@ -483,67 +721,52 @@ func (t *Table) ReadPageBatch(keys []string, snap *mvcc.Snapshot, self mvcc.TxID
 		if err != nil {
 			return err
 		}
+		rd.items = items
 	}
-	// Fallback for keys the prediction mispredicted: the per-row latched
-	// read, delivered as single-item batches.
-	for _, ki := range retry {
-		key, idx := keys[ki], ki
-		err := t.Read(key, snap, self, mgr, true, func(res ReadResult) error {
-			pg := int64(-1)
-			if res.Tuple != nil {
-				pg = res.Tuple.Page
-			}
-			return fn(pg, []BatchItem{{Key: key, Idx: idx, Res: res}})
-		})
-		if err != nil {
-			return err
-		}
-	}
+	rd.leaf.Keys, rd.leaf.Vis = rd.keys[:rd.cut], rd.vis[:rd.cut]
 	return nil
 }
 
-// readBatchUnlatched is ReadPageBatch for readers that register no
-// SIREAD locks: one streaming pass, flushing a group whenever the
-// visible version's page changes (consecutive keys usually share pages,
-// so IO is still charged per page run, not per row).
-func (t *Table) readBatchUnlatched(keys []string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, fn func(page int64, items []BatchItem) error) error {
-	items := make([]BatchItem, 0, TuplesPerPage)
-	page := int64(-1)
-	flush := func() error {
-		if len(items) == 0 {
-			return nil
+// Scan reads the rows with lo <= key < hi (hi == "" means unbounded) in
+// key order, streaming: it walks the primary index a leaf-sized batch at
+// a time (btree.Leaves) and, with no lock held, hands each batch's
+// result to deliver, which returns whether to go on. Nothing of the
+// range's size is ever built, and a scan that stops early has read —
+// and, through onLeaf, locked — only the leaves up to the batch it
+// stopped in.
+//
+// onLeaf, if non-nil, is invoked under the tree lock for each leaf page
+// visited, before its rows are read: the SIREAD gap-lock point (see
+// btree.Lookup). onPage, if non-nil, makes this a tracked scan: see
+// Reader for the per-heap-page latched callback it gets, and for the rows
+// it holds over — what deliver receives is then the batch shifted to end
+// where a heap page ends, and one more, final delivery hands out the
+// rest. Scan returns the first error of onPage or deliver.
+func (t *Table) Scan(lo, hi string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, onLeaf func(btree.PageID), onPage func(page int64, items []BatchItem) error, deliver func(*Leaf) (more bool, err error)) error {
+	rd := t.NewReader(snap, self, mgr, onPage)
+	more := true
+	var err error
+	step := func(keys []string, rows []*Row, final bool) bool {
+		var lf *Leaf
+		if lf, err = rd.read(keys, rows, final); err == nil {
+			more, err = deliver(lf)
 		}
-		t.simulateIO()
-		err := fn(page, items)
-		items = items[:0]
-		return err
+		more = more && err == nil
+		return more
 	}
-	for i, k := range keys {
-		sh := t.shardFor(k)
-		sh.mu.Lock()
-		res := readChain(pruneAborted(sh, k, mgr), snap, self, mgr)
-		sh.mu.Unlock()
-		if h := t.cfg.Hooks.OnRead; h != nil {
-			h(t.name, k)
-		}
-		pg := int64(-1)
-		if res.Tuple != nil {
-			pg = res.Tuple.Page
-		}
-		if pg != page {
-			if err := flush(); err != nil {
-				return err
-			}
-			page = pg
-		}
-		items = append(items, BatchItem{Key: k, Idx: i, Res: res})
+	t.index.Leaves(lo, hi, onLeaf, func(keys []string, rows []*Row) bool {
+		return step(keys, rows, false)
+	})
+	if more && onPage != nil {
+		step(nil, nil, true)
 	}
-	return flush()
+	return err
 }
 
 // WriteResult describes a successful write for the benefit of the SSI
 // layer: which heap pages are involved so SIREAD locks can be checked and
-// the write-lock-drops-SIREAD optimization applied.
+// the write-lock-drops-SIREAD optimization applied, and, for an insert,
+// what it did to the primary index.
 type WriteResult struct {
 	// OldPage is the heap page of the superseded version (update and
 	// delete); readers' tuple-granularity SIREAD locks name this page.
@@ -551,61 +774,71 @@ type WriteResult struct {
 	// NewPage is the heap page of the newly created version (insert
 	// and update).
 	NewPage int64
+	// IndexPage is the index leaf page holding the inserted key, the
+	// page an insert's phantom check (core.CheckIndexInsert) probes,
+	// and Splits the leaf splits the insert caused, oldest first, for
+	// predicate-lock propagation. Insert only.
+	IndexPage btree.PageID
+	Splits    []btree.Split
 }
 
-// Insert creates the first live version of key. It fails with
-// ErrDuplicateKey if a visible live version exists or a concurrent
+// Insert creates the first live version of key, adding the key's slot to
+// the primary index if this is the first the table hears of it. It fails
+// with ErrDuplicateKey if a visible live version exists or a concurrent
 // transaction committed one; if a concurrent in-progress transaction
 // holds the key, Insert blocks until that transaction finishes, matching
 // PostgreSQL's behaviour on unique-index conflicts.
+//
+// The index entry and the version are both in place before Insert
+// returns, hence before the caller's CheckIndexInsert probe: a reader
+// that gap-locked the leaf too late for the probe to see reads the row
+// after the version was linked and reports the inserter as a conflict
+// out.
 func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, snap *mvcc.Snapshot, mgr *mvcc.Manager, wg *waitgraph.Graph) (WriteResult, error) {
 	t.simulateIO()
-	sh := t.shardFor(key)
+	row, leaf, _, splits := t.index.GetOrInsert(key, newRow)
+	// The loop leaves with the row locked and older set to the dead
+	// chain the new version goes on top of (nil for a fresh key).
+	var older *Tuple
 	for {
-		sh.mu.Lock()
-		head := pruneAborted(sh, key, mgr)
-		if head == nil {
-			nv := &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage()}
-			sh.rows[key] = nv
-			sh.mu.Unlock()
-			return WriteResult{OldPage: -1, NewPage: nv.Page}, nil
+		row.mu.Lock()
+		older = row.pruneAborted(mgr)
+		if older == nil {
+			break
 		}
 		// Some version chain exists. Determine whether the newest
 		// version is live for us or for a concurrent transaction.
+		head := older
 		if head.Xmin == xid && head.Xmax == xid {
 			// We deleted our own version earlier; re-inserting is
 			// allowed and creates a fresh version.
-			nv := &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage(), Older: head}
-			sh.rows[key] = nv
-			sh.mu.Unlock()
-			return WriteResult{OldPage: head.Page, NewPage: nv.Page}, nil
+			break
 		}
-		st, seq := mgr.Status(head.Xmin)
+		st, seq := head.minStatus(mgr)
 		if st == mvcc.StatusInProgress && head.Xmin != xid {
 			holder := head.Xmin
-			sh.mu.Unlock()
+			row.mu.Unlock()
 			if err := t.waitFor(xid, holder, mgr, wg); err != nil {
 				return WriteResult{}, err
 			}
 			continue
 		}
 		// Creator committed (or is us). Is the row currently deleted?
-		res := readChain(head, snap, xid, mgr)
-		if res.Tuple != nil {
-			sh.mu.Unlock()
+		if row.visible(snap, xid, mgr, nil) != nil {
+			row.mu.Unlock()
 			return WriteResult{}, ErrDuplicateKey
 		}
 		if head.Xmax == 0 && st == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmin, seq) {
 			// A concurrent transaction inserted the key and
 			// committed: unique violation even though we cannot
 			// see the row.
-			sh.mu.Unlock()
+			row.mu.Unlock()
 			return WriteResult{}, ErrDuplicateKey
 		}
 		if head.Xmax != 0 && head.Xmax != xid {
-			if xst, _ := mgr.Status(head.Xmax); xst == mvcc.StatusInProgress {
+			if xst, _ := head.maxStatus(mgr); xst == mvcc.StatusInProgress {
 				holder := head.Xmax
-				sh.mu.Unlock()
+				row.mu.Unlock()
 				if err := t.waitFor(xid, holder, mgr, wg); err != nil {
 					return WriteResult{}, err
 				}
@@ -613,11 +846,16 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 			}
 		}
 		// Row is dead for everyone relevant: safe to create anew.
-		nv := &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage(), Older: head}
-		sh.rows[key] = nv
-		sh.mu.Unlock()
-		return WriteResult{OldPage: head.Page, NewPage: nv.Page}, nil
+		break
 	}
+	nv := &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage(), Older: older}
+	row.head = nv
+	row.mu.Unlock()
+	wr := WriteResult{OldPage: -1, NewPage: nv.Page, IndexPage: leaf, Splits: splits}
+	if older != nil {
+		wr.OldPage = older.Page
+	}
+	return wr, nil
 }
 
 // Update replaces the visible version of key with a new version holding
@@ -631,8 +869,8 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 // the probe are one atomic step relative to readers of the page (see
 // latch.go). A check error is returned as Update's error; the stamp is
 // not undone — the caller is expected to abort the transaction, after
-// which pruneAborted reclaims the stamp, exactly as when the engine-level
-// conflict check failed after a successful write in the unlatched design.
+// which readers see the stamp and the new version as aborted and the
+// next write of the row drops them.
 func (t *Table) Update(key string, value []byte, xid mvcc.TxID, subID int32, snap *mvcc.Snapshot, mgr *mvcc.Manager, wg *waitgraph.Graph, check func(WriteResult) error) (WriteResult, error) {
 	return t.modify(key, value, false, xid, subID, snap, mgr, wg, check)
 }
@@ -646,7 +884,10 @@ func (t *Table) Delete(key string, xid mvcc.TxID, subID int32, snap *mvcc.Snapsh
 
 func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID int32, snap *mvcc.Snapshot, mgr *mvcc.Manager, wg *waitgraph.Graph, check func(WriteResult) error) (WriteResult, error) {
 	t.simulateIO()
-	sh := t.shardFor(key)
+	row, _, _ := t.index.Lookup(key, nil)
+	if row == nil {
+		return WriteResult{}, ErrNotFound
+	}
 	// held is the exclusive page latch carried across revalidation
 	// rounds. Keeping the latch once its blocking acquisition succeeds
 	// (instead of releasing and re-trying) is what guarantees writer
@@ -660,98 +901,87 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 			held = nil
 		}
 	}
+	// fail and wait leave the row (and the latch) and report.
+	fail := func(err error) (WriteResult, error) {
+		row.mu.Unlock()
+		release()
+		return WriteResult{}, err
+	}
+	wait := func(holder mvcc.TxID) error {
+		row.mu.Unlock()
+		release()
+		return t.waitFor(xid, holder, mgr, wg)
+	}
 	for {
-		sh.mu.Lock()
-		head := pruneAborted(sh, key, mgr)
+		row.mu.Lock()
+		head := row.pruneAborted(mgr)
 		if head == nil {
-			sh.mu.Unlock()
-			release()
-			return WriteResult{}, ErrNotFound
+			return fail(ErrNotFound)
 		}
 		// If the newest version belongs to an in-progress concurrent
 		// transaction, that transaction holds the tuple write lock.
-		if head.Xmin != xid {
-			if st, _ := mgr.Status(head.Xmin); st == mvcc.StatusInProgress {
-				holder := head.Xmin
-				sh.mu.Unlock()
-				release()
-				if err := t.waitFor(xid, holder, mgr, wg); err != nil {
-					return WriteResult{}, err
-				}
-				continue
+		st, seq := head.minStatus(mgr)
+		if head.Xmin != xid && st == mvcc.StatusInProgress {
+			if err := wait(head.Xmin); err != nil {
+				return WriteResult{}, err
 			}
+			continue
 		}
-		res := readChain(head, snap, xid, mgr)
-		if res.Tuple == nil {
+		v := row.visible(snap, xid, mgr, nil)
+		if v == nil {
 			// Nothing visible. If a concurrent committed
 			// transaction owns the newest version, this is a
 			// first-updater-wins conflict; otherwise the row is
 			// simply absent.
-			if st, seq := mgr.Status(head.Xmin); head.Xmin != xid && st == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmin, seq) {
-				sh.mu.Unlock()
-				release()
-				return WriteResult{}, ErrWriteConflict
+			if head.Xmin != xid && st == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmin, seq) {
+				return fail(ErrWriteConflict)
 			}
 			if head.Xmax != 0 && head.Xmax != xid {
-				if xst, xseq := mgr.Status(head.Xmax); xst == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmax, xseq) {
-					sh.mu.Unlock()
-					release()
-					return WriteResult{}, ErrWriteConflict
+				if xst, xseq := head.maxStatus(mgr); xst == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmax, xseq) {
+					return fail(ErrWriteConflict)
 				}
 			}
-			sh.mu.Unlock()
-			release()
-			return WriteResult{}, ErrNotFound
+			return fail(ErrNotFound)
 		}
-		v := res.Tuple
 		if v != head {
 			// A newer version exists that we cannot see: it was
 			// created by a concurrent transaction. Its creator is
 			// committed (in-progress creators were handled above),
 			// so first-updater-wins rejects us.
-			sh.mu.Unlock()
-			release()
-			return WriteResult{}, ErrWriteConflict
+			return fail(ErrWriteConflict)
 		}
 		if v.Xmax != 0 && v.Xmax != xid {
-			xst, _ := mgr.Status(v.Xmax)
-			switch xst {
+			switch xst, _ := v.maxStatus(mgr); xst {
 			case mvcc.StatusInProgress:
-				holder := v.Xmax
-				sh.mu.Unlock()
-				release()
-				if err := t.waitFor(xid, holder, mgr, wg); err != nil {
+				if err := wait(v.Xmax); err != nil {
 					return WriteResult{}, err
 				}
 				continue
 			case mvcc.StatusCommitted:
 				// Concurrent delete/update committed while we
 				// were deciding: conflict.
-				sh.mu.Unlock()
-				release()
-				return WriteResult{}, ErrWriteConflict
+				return fail(ErrWriteConflict)
 			case mvcc.StatusAborted:
-				v.Xmax = 0
-				v.SubMax = 0
+				v.setXmax(0, 0)
 			}
 		}
 		// We hold the tuple: latch the superseded version's page
 		// exclusively (readers share it), then stamp xmax and (for
 		// updates) prepend the new version. The latch is taken while
-		// still holding the shard mutex (the fixed shard → latch order
-		// of latch.go), so the decision made above cannot be
-		// invalidated before the stamp, and it is held across the
+		// still holding the row lock, so the decision made above cannot
+		// be invalidated before the stamp, and it is held across the
 		// caller's check so no reader of this page can interleave its
 		// visibility check between the stamp and the SIREAD probe.
-		// Blocking on a contended latch while holding the shard mutex
-		// would stall the whole shard: the latch is awaited unlocked
-		// and kept (held) while the write decision is redone.
+		// Under the row lock it may only be try-acquired (blocking order
+		// is latch before row, latch.go): a contended latch is awaited
+		// with the row unlocked and kept (held) while the write decision
+		// is redone.
 		if !t.cfg.DisableReadLatch {
 			latch := t.latches.latch(v.Page)
 			if latch != held {
 				release()
 				if !latch.TryLock() {
-					sh.mu.Unlock()
+					row.mu.Unlock()
 					latch.Lock()
 					held = latch
 					continue
@@ -759,15 +989,20 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 				held = latch
 			}
 		}
-		v.Xmax = xid
-		v.SubMax = subID
+		v.setXmax(xid, subID)
 		wr := WriteResult{OldPage: v.Page, NewPage: -1}
 		if !del {
 			nv := &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage(), Older: v}
-			sh.rows[key] = nv
+			row.head = nv
 			wr.NewPage = nv.Page
 		}
-		sh.mu.Unlock()
+		// Pruning on write: the superseded version is the newest one any
+		// snapshot can still need, so whatever lies below the newest
+		// all-visible version at or under it goes now.
+		if h := mgr.Horizon(); h != mvcc.InvalidSeqNo {
+			trimBelow(v, h, mgr)
+		}
+		row.mu.Unlock()
 		var err error
 		if check != nil {
 			err = check(wr)
@@ -793,110 +1028,94 @@ func (t *Table) waitFor(xid, holder mvcc.TxID, mgr *mvcc.Manager, wg *waitgraph.
 // UndoSubxact removes the effects xid made to key at or after subID:
 // versions created are unlinked and xmax stamps are cleared. The engine
 // calls this for every key written in a rolled-back savepoint scope
-// (§7.3). It is a no-op for keys the subtransaction did not touch.
+// (§7.3), and with subID 0 for every key in the write set of a
+// transaction that rolls back, so an abort leaves no version behind for
+// readers to step over. It is a no-op for keys the (sub)transaction did
+// not touch.
 func (t *Table) UndoSubxact(key string, xid mvcc.TxID, subID int32) {
-	sh := t.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	head := sh.rows[key]
+	row, _, _ := t.index.Lookup(key, nil)
+	if row == nil {
+		return
+	}
+	row.mu.Lock()
+	defer row.mu.Unlock()
+	head := row.head
 	// Unlink versions created by (xid, >=subID) from the head of the
 	// chain. Only our own uncommitted versions can sit above committed
 	// ones, so scanning from the head suffices.
 	for head != nil && head.Xmin == xid && head.SubMin >= subID {
 		head = head.Older
 	}
-	if head == nil {
-		delete(sh.rows, key)
-		return
-	}
-	sh.rows[key] = head
-	if head.Xmax == xid && head.SubMax >= subID {
-		head.Xmax = 0
-		head.SubMax = 0
+	row.head = head
+	if head != nil && head.Xmax == xid && head.SubMax >= subID {
+		head.setXmax(0, 0)
 	}
 }
 
-// ForEach invokes fn for every row visible to snap, shard by shard, in
-// unspecified order. It returns the union of conflict-out transactions
-// observed. Full-table (sequential) scans go through this path; ordered
-// scans go through the B+-tree index instead.
+// ForEach invokes fn for every row visible to snap, in key order. It
+// returns the union of conflict-out transactions observed. Full-table
+// (sequential) scans go through this path; it is Scan without the
+// callbacks a tracked index scan needs.
 func (t *Table) ForEach(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, fn func(tu *Tuple) bool) []mvcc.TxID {
 	var conflicts []mvcc.TxID
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		type visible struct{ tu *Tuple }
-		var out []visible
-		for key, head := range sh.rows {
-			_ = key
-			res := readChain(head, snap, self, mgr)
-			conflicts = append(conflicts, res.ConflictOut...)
-			if res.Tuple != nil {
-				out = append(out, visible{res.Tuple})
+	t.Scan("", "", snap, self, mgr, nil, nil, func(lf *Leaf) (bool, error) {
+		conflicts = append(conflicts, lf.ConflictOut...)
+		for _, v := range lf.Vis {
+			if v != nil && !fn(v) {
+				return false, nil
 			}
 		}
-		sh.mu.Unlock()
-		for _, v := range out {
-			t.simulateIO()
-			if !fn(v.tu) {
-				return conflicts
-			}
-		}
-	}
+		return true, nil
+	})
 	return conflicts
 }
 
-// Len returns the number of row chains (live or dead) in the heap.
-func (t *Table) Len() int {
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		n += len(sh.rows)
-		sh.mu.Unlock()
-	}
-	return n
-}
+// Len returns the number of row slots in the heap: every key the table
+// has ever held, live or dead.
+func (t *Table) Len() int { return t.index.Len() }
 
 // Vacuum removes versions that can no longer be seen by any snapshot
-// whose visibility horizon is horizonXID: versions superseded by a
+// whose visibility horizon is horizon: versions superseded by a
 // committed transaction below the horizon, and aborted detritus. It
-// returns the number of versions removed.
+// returns the number of versions removed. A row whose last version goes
+// keeps its (empty) slot in the index.
 func (t *Table) Vacuum(horizon *mvcc.Snapshot, mgr *mvcc.Manager) int {
 	removed := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for key, head := range sh.rows {
-			head = pruneAborted(sh, key, mgr)
-			if head == nil {
-				continue
-			}
-			// Find the newest version visible to the horizon; all
-			// versions older than it are unreachable.
-			cut := head
-			for cut != nil {
-				if mgr.Visible(cut.Xmin, horizon) {
-					break
-				}
-				cut = cut.Older
-			}
-			if cut != nil && cut.Older != nil {
-				for v := cut.Older; v != nil; v = v.Older {
-					removed++
-				}
-				cut.Older = nil
-			}
-			// If the sole remaining version is a committed delete
-			// visible to everyone, drop the row entirely.
-			if head.Older == nil && head.Xmax != 0 {
-				if st, seq := mgr.Status(head.Xmax); st == mvcc.StatusCommitted && horizon.SeesCommitted(head.Xmax, seq) {
-					delete(sh.rows, key)
-					removed++
-				}
-			}
+	t.index.Leaves("", "", nil, func(_ []string, rows []*Row) bool {
+		for _, row := range rows {
+			row.mu.Lock()
+			removed += row.vacuum(horizon, mgr)
+			row.mu.Unlock()
 		}
-		sh.mu.Unlock()
+		return true
+	})
+	return removed
+}
+
+// vacuum is Vacuum for one row. Caller holds r.mu.
+func (r *Row) vacuum(horizon *mvcc.Snapshot, mgr *mvcc.Manager) (removed int) {
+	head := r.pruneAborted(mgr)
+	if head == nil {
+		return 0
+	}
+	// Find the newest version visible to the horizon; all versions
+	// older than it are unreachable.
+	for cut := head; cut != nil; cut = cut.Older {
+		if st, seq := cut.minStatus(mgr); st == mvcc.StatusCommitted && horizon.SeesCommitted(cut.Xmin, seq) {
+			for v := cut.Older; v != nil; v = v.Older {
+				removed++
+			}
+			cut.Older = nil
+			break
+		}
+	}
+	// If the sole remaining version is a committed delete visible to
+	// everyone, the row is gone.
+	if head.Older == nil && head.Xmax != 0 {
+		if st, seq := head.maxStatus(mgr); st == mvcc.StatusCommitted && horizon.SeesCommitted(head.Xmax, seq) {
+			r.head = nil
+			removed++
+		}
 	}
 	return removed
 }

@@ -371,7 +371,7 @@ func TestReadLatchExcludesWriter(t *testing.T) {
 
 	go func() {
 		defer close(readerDone)
-		h.tbl.Read("a", r.snap, r.xid, h.mgr, true, func(res ReadResult) error {
+		h.tbl.Read("a", r.snap, r.xid, h.mgr, nil, true, func(res ReadResult) error {
 			if res.Tuple == nil {
 				t.Error("reader saw no tuple")
 				return nil
@@ -417,7 +417,7 @@ func TestReadLatchDisabledAdmitsWriter(t *testing.T) {
 	h.mgr.Commit(w.xid)
 
 	r := h.begin()
-	err := h.tbl.Read("a", r.snap, r.xid, h.mgr, true, func(res ReadResult) error {
+	err := h.tbl.Read("a", r.snap, r.xid, h.mgr, nil, true, func(res ReadResult) error {
 		// Single-threaded: the writer completes inside the window.
 		u := h.begin()
 		return h.update(u, "a", "2")
@@ -459,7 +459,7 @@ func TestWriteCheckRunsUnderLatch(t *testing.T) {
 	r := h.begin()
 	go func() {
 		defer close(readerDone)
-		h.tbl.Read("a", r.snap, r.xid, h.mgr, true, func(ReadResult) error { return nil })
+		h.tbl.Read("a", r.snap, r.xid, h.mgr, nil, true, func(ReadResult) error { return nil })
 	}()
 	select {
 	case <-readerDone:
@@ -520,7 +520,7 @@ func TestOnReadHookFires(t *testing.T) {
 	}
 	h.mgr.Commit(w.xid)
 	r := h.begin()
-	h.tbl.Read("a", r.snap, r.xid, h.mgr, true, func(ReadResult) error {
+	h.tbl.Read("a", r.snap, r.xid, h.mgr, nil, true, func(ReadResult) error {
 		events = append(events, "callback")
 		return nil
 	})

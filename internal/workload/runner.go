@@ -7,6 +7,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sort"
@@ -79,22 +80,32 @@ func (m *Mix) ReadOnlyFraction() float64 {
 
 // Result is the outcome of a closed-loop run.
 type Result struct {
-	Level      pgssi.IsolationLevel
-	Duration   time.Duration
-	Committed  int64
-	Aborted    int64 // serialization failures (each retry attempt counts)
-	Errors     int64 // non-retryable errors (should be zero)
-	Throughput float64
-	// FailureRate is Aborted / (Committed + Aborted).
-	FailureRate float64
+	Level     pgssi.IsolationLevel
+	Duration  time.Duration
+	Committed int64
+	Aborted   int64 // serialization failures (each retry attempt counts)
+	// WriteConflicts, Deadlocks and DangerousAborts split Aborted by
+	// cause: first-updater-wins failures and lock-wait deadlock victims,
+	// which plain snapshot isolation has too (pgssi.ErrWriteConflict,
+	// pgssi.ErrDeadlock), and the dangerous-structure aborts SSI adds —
+	// the failures §8.2 reports.
+	WriteConflicts  int64
+	Deadlocks       int64
+	DangerousAborts int64
+	Errors          int64 // non-retryable errors (should be zero)
+	Throughput      float64
+	// FailureRate is Aborted / (Committed + Aborted); DangerousRate is
+	// DangerousAborts over the same attempts.
+	FailureRate   float64
+	DangerousRate float64
 	// PerJob maps job name → committed count.
 	PerJob map[string]int64
 }
 
 // String renders the result compactly.
 func (r Result) String() string {
-	return fmt.Sprintf("%-20s %8.0f txn/s  committed=%d aborted=%d (%.3f%% failures)",
-		r.Level, r.Throughput, r.Committed, r.Aborted, 100*r.FailureRate)
+	return fmt.Sprintf("%-20s %8.0f txn/s  committed=%d aborted=%d (%.3f%% failures: %d write conflicts, %d deadlocks, %d dangerous structures)",
+		r.Level, r.Throughput, r.Committed, r.Aborted, 100*r.FailureRate, r.WriteConflicts, r.Deadlocks, r.DangerousAborts)
 }
 
 // RunOptions configure a closed-loop run.
@@ -121,7 +132,7 @@ func RunClosedLoop(db *pgssi.DB, mix *Mix, opts RunOptions) Result {
 	if opts.Duration <= 0 {
 		opts.Duration = time.Second
 	}
-	var committed, aborted, hardErrors atomic.Int64
+	var committed, aborted, writeConflicts, deadlocks, hardErrors atomic.Int64
 	perJob := make(map[string]*atomic.Int64, 8)
 	var perJobMu sync.Mutex
 	jobCounter := func(name string) *atomic.Int64 {
@@ -168,6 +179,12 @@ func RunClosedLoop(db *pgssi.DB, mix *Mix, opts RunOptions) Result {
 						break
 					}
 					aborted.Add(1)
+					switch {
+					case errors.Is(err, pgssi.ErrWriteConflict):
+						writeConflicts.Add(1)
+					case errors.Is(err, pgssi.ErrDeadlock):
+						deadlocks.Add(1)
+					}
 					retries++
 					if opts.MaxRetries > 0 && retries >= opts.MaxRetries {
 						break
@@ -182,16 +199,20 @@ func RunClosedLoop(db *pgssi.DB, mix *Mix, opts RunOptions) Result {
 	wg.Wait()
 
 	res := Result{
-		Level:     opts.Level,
-		Duration:  opts.Duration,
-		Committed: committed.Load(),
-		Aborted:   aborted.Load(),
-		Errors:    hardErrors.Load(),
-		PerJob:    make(map[string]int64, len(perJob)),
+		Level:          opts.Level,
+		Duration:       opts.Duration,
+		Committed:      committed.Load(),
+		Aborted:        aborted.Load(),
+		WriteConflicts: writeConflicts.Load(),
+		Deadlocks:      deadlocks.Load(),
+		Errors:         hardErrors.Load(),
+		PerJob:         make(map[string]int64, len(perJob)),
 	}
+	res.DangerousAborts = res.Aborted - res.WriteConflicts - res.Deadlocks
 	res.Throughput = float64(res.Committed) / opts.Duration.Seconds()
 	if total := res.Committed + res.Aborted; total > 0 {
 		res.FailureRate = float64(res.Aborted) / float64(total)
+		res.DangerousRate = float64(res.DangerousAborts) / float64(total)
 	}
 	perJobMu.Lock()
 	for name, c := range perJob {

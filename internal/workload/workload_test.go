@@ -119,26 +119,54 @@ func TestDBT2AllTransactionTypesExecute(t *testing.T) {
 
 func TestDBT2SerializationFailureRateIsLow(t *testing.T) {
 	// §8.2: "in all cases, the serialization failure rate was under
-	// 0.25%" on the paper's disk-bound runs; the in-memory standard
-	// mix stays well under 1%. Allow slack for a tiny dataset (much
-	// hotter than 25 warehouses): typical runs sit around 1–2%, but
-	// under the race detector's ~10x slowdown transactions overlap far
-	// more and 4–5.5% is routine (measured across PRs 4–5), so the
-	// bound guards against an order-of-magnitude regression, not
-	// scheduler noise.
-	db := pgssi.Open(pgssi.Config{})
-	b := DefaultDBT2(2)
-	if err := b.Setup(db); err != nil {
-		t.Fatal(err)
+	// 0.25%" — of a workload whose snapshot-isolation baseline has
+	// first-updater-wins failures of its own, on 25 warehouses. The
+	// runner separates the failures SI already has (write conflicts,
+	// deadlocks) from the dangerous-structure aborts SSI adds.
+	run := func(warehouses int, level pgssi.IsolationLevel) Result {
+		t.Helper()
+		db := pgssi.Open(pgssi.Config{})
+		defer db.Close()
+		b := DefaultDBT2(warehouses)
+		if err := b.Setup(db); err != nil {
+			t.Fatal(err)
+		}
+		res := RunClosedLoop(db, b.Mix(0.08), RunOptions{Level: level, Workers: 4, Duration: time.Second, Seed: 7})
+		if res.Errors != 0 {
+			t.Fatalf("%d warehouses, %v: %d hard errors", warehouses, level, res.Errors)
+		}
+		t.Logf("%d warehouses: %v", warehouses, res)
+		return res
 	}
-	res := RunClosedLoop(db, b.Mix(0.08), RunOptions{
-		Level: pgssi.Serializable, Workers: 4, Duration: time.Second, Seed: 7,
-	})
-	if res.Errors != 0 {
-		t.Fatalf("%d hard errors", res.Errors)
+
+	// The hot configuration — 2 warehouses under 4 workers, 12x hotter
+	// than the paper's — keeps the bound it has always had, on every
+	// serialization failure of the run, SI's own included. Typical runs
+	// sit around 1–2% on one core; with the workers on two cores (or
+	// under the race detector's ~10x slowdown) transactions overlap far
+	// more and the same mix measures 8–11%, of which 6–6.5% are the write
+	// conflicts it has under plain SI: the bound guards against an
+	// order-of-magnitude regression and is within scheduler noise of the
+	// typical value there. It runs first, on the fresh heap the test has
+	// always given it.
+	hot := run(2, pgssi.Serializable)
+	if hot.FailureRate > 0.10 {
+		t.Errorf("2 warehouses: serialization failure rate %.2f%% unexpectedly high", 100*hot.FailureRate)
 	}
-	if res.FailureRate > 0.10 {
-		t.Fatalf("serialization failure rate %.2f%% unexpectedly high", 100*res.FailureRate)
+	// Same configuration, same seed, SSI switched off: what SSI adds
+	// there. Reported, not asserted: on 20 districts the mix has real
+	// dangerous structures (Payment reads the district row NewOrder
+	// updates and updates the customer row NewOrder reads), and SSI's
+	// total measures 2–4.5 points above SI's; bounding it at one point
+	// waits for the abort taxonomy of ROADMAP direction 1(c)–(e).
+	si := run(2, pgssi.RepeatableRead)
+	t.Logf("2 warehouses: SSI fails %.2f%% of attempts, SI %.2f%%", 100*hot.FailureRate, 100*si.FailureRate)
+
+	// Paper-shaped scale: dangerous-structure aborts per attempt.
+	// Measured 0.11–0.24% at 10 warehouses; 1% guards against a
+	// regression of the detector, not scheduler noise.
+	if ssi := run(10, pgssi.Serializable); ssi.DangerousRate > 0.01 {
+		t.Errorf("10 warehouses: SSI adds %.2f%% dangerous-structure aborts per attempt, want <= 1%%", 100*ssi.DangerousRate)
 	}
 }
 

@@ -2,10 +2,10 @@ package pgssi
 
 import (
 	"errors"
+	"slices"
 
 	"pgssi/internal/btree"
 	"pgssi/internal/core"
-	"pgssi/internal/mvcc"
 	"pgssi/internal/s2pl"
 	"pgssi/internal/storage"
 )
@@ -18,29 +18,42 @@ type storageTuple = storage.Tuple
 // RepeatableRead / Serializable, where Serializable adds the SSI hooks of
 // §5.2) and the strict two-phase locking path (§8's baseline).
 //
+// There is one index per table: the heap (storage.Table) owns the
+// primary B+-tree and the tree's leaf entry is the row, so every read —
+// point or range — reaches its rows through the same descent that finds
+// the leaf page to SIREAD-lock, and a settled row's visibility is
+// answered from the fates cached on its versions, without a commit-log
+// lookup (internal/storage has the details).
+//
 // Serializable reads and writes run their SSI lock-manager steps inside
 // the storage layer's per-page read latch (storage/latch.go): reads
-// insert their SIREAD lock in the storage.Table.Read callback, writes
-// probe the SIREAD table in the Update/Delete check callback. Holding
-// the latch across {visibility check, SIREAD insertion} on the read
-// side and {xmax stamp, lock-table probe} on the write side guarantees
-// every rw-antidependency on a heap tuple is seen by at least one side,
-// the way PostgreSQL's buffer page lock does. MVCC conflict-out
-// *flagging* may safely happen after the latch is released (scans batch
-// it): once the writer is visible in the version chain the conflict can
-// always be recovered from MVCC data (§5.2), and the writer stays
+// insert their SIREAD locks in the storage read callbacks, writes probe
+// the SIREAD table in the Update/Delete check callback. Holding the
+// latch across {visibility check, SIREAD insertion} on the read side and
+// {xmax stamp, lock-table probe} on the write side guarantees every
+// rw-antidependency on a heap tuple is seen by at least one side, the
+// way PostgreSQL's buffer page lock does. MVCC conflict-out *flagging*
+// may safely happen after the latch is released (scans batch it per
+// leaf): once the writer is visible in the version chain the conflict
+// can always be recovered from MVCC data (§5.2), and the writer stays
 // tracked while any concurrent reader is active.
 //
-// Point reads (Get) take the latch and register per row. Scans run at
-// page grain instead: storage.ReadPageBatch groups the range result by
-// the heap page of each row's visible version, holds that page's shared
-// latch across the whole page's visibility checks, and the engine
-// registers the page's SIREAD locks in one core.AcquireTupleLockBatch
-// call before the latch drops — the same atomicity unit, amortized from
-// O(rows) to O(pages) lock-path acquisitions (§5.2.1's granularity
-// hierarchy is what makes the page the natural batch unit; a batch
-// never spans pages). Config.DisableScanBatch restores the per-row
-// path for A/B comparison.
+// Point reads (Get) take the latch and register per row. Scans stream,
+// a leaf-sized batch at a time (storage.Table.Scan; a batch is one index
+// leaf, or two half-full ones): the leaf's page lock is taken under the
+// tree lock, its rows are copied out, and with the tree lock released
+// the rows are resolved per heap page — the page's shared latch held
+// across that page's visibility checks and ONE
+// core.AcquireTupleLockBatch call for its SIREAD locks — the same
+// atomicity unit as a point read, at O(pages) lock-path acquisitions
+// (§5.2.1's granularity hierarchy is what makes the page the natural
+// batch unit; a lock batch never spans pages). Leaves and heap pages
+// divide the keys at different places, so a tracked scan keeps the rows
+// of the heap page a batch ends on for the next batch: a run of rows on
+// one page is registered once, as a whole, however the leaves cut it.
+// Then the resolved rows are delivered, and a scan whose callback says
+// stop ends there: it has read and locked the leaves it reached and
+// nothing beyond.
 
 // Get returns the value of key in table visible to the transaction, or
 // ErrNotFound. Under Serializable it acquires a SIREAD lock on the tuple
@@ -58,18 +71,11 @@ func (tx *Tx) Get(table, key string) ([]byte, error) {
 		return tx.s2plGet(ti, key)
 	}
 	snap := tx.snapshot()
-	// Traverse the index, taking the leaf-page SIREAD lock during the
-	// traversal (see btree.Lookup): PostgreSQL likewise predicate-locks
-	// every leaf page an index scan reads, which is what covers the
-	// gap when the key is absent.
+	// One descent serves both needs: it takes the leaf-page SIREAD lock
+	// during the traversal (see btree.Lookup; PostgreSQL likewise
+	// predicate-locks every leaf page an index scan reads, which is what
+	// covers the gap when the key is absent) and arrives at the row.
 	tracking := tx.x != nil && !tx.x.Safe()
-	var onPage func(btree.PageID)
-	if tracking {
-		onPage = func(p btree.PageID) {
-			tx.db.ssi.AcquirePageLock(tx.x, ti.pkName, int64(p))
-		}
-	}
-	ti.pk.Lookup(key, onPage)
 	var value []byte
 	found := false
 	// The SSI read check runs in the Read callback, i.e. under the read
@@ -77,7 +83,7 @@ func (tx *Tx) Get(table, key string) ([]byte, error) {
 	// registered before any writer of that page can stamp the tuple and
 	// probe the lock table. Non-tracking reads skip the latch — they
 	// register nothing, so they have nothing to lose to the window.
-	err = ti.heap.Read(key, snap, tx.xid, tx.db.mvcc, tracking, func(res storage.ReadResult) error {
+	err = ti.heap.Read(key, snap, tx.xid, tx.db.mvcc, tx.leafLocker(ti.pkName, tracking), tracking, func(res storage.ReadResult) error {
 		if tx.x != nil {
 			if res.Tuple != nil {
 				if err := tx.db.ssi.CheckRead(tx.x, table, res.Tuple.Page, key, res.ConflictOut, tx.owns(table, key)); err != nil {
@@ -116,12 +122,11 @@ func (tx *Tx) Insert(table, key string, value []byte) error {
 		return tx.s2plInsert(ti, key, value)
 	}
 	snap := tx.snapshot()
-	_, err = ti.heap.Insert(key, value, tx.xid, tx.currentSubID(), snap, tx.db.mvcc, tx.db.wg)
+	wr, err := ti.heap.Insert(key, value, tx.xid, tx.currentSubID(), snap, tx.db.mvcc, tx.db.wg)
 	if err != nil {
 		return mapStorageErr(err)
 	}
-	page, _, splits := ti.pk.Insert(key, "")
-	for _, sp := range splits {
+	for _, sp := range wr.Splits {
 		tx.db.ssi.PageSplit(ti.pkName, int64(sp.Left), int64(sp.Right))
 	}
 	if tx.x != nil {
@@ -131,7 +136,7 @@ func (tx *Tx) Insert(table, key string, value []byte) error {
 		if err := tx.db.ssi.CheckWrite(tx.x, table, -1, ""); err != nil {
 			return mapStorageErr(err)
 		}
-		if err := tx.db.ssi.CheckIndexInsert(tx.x, ti.pkName, int64(page)); err != nil {
+		if err := tx.db.ssi.CheckIndexInsert(tx.x, ti.pkName, int64(wr.IndexPage)); err != nil {
 			return mapStorageErr(err)
 		}
 	}
@@ -289,10 +294,62 @@ func (tx *Tx) Delete(table, key string) error {
 	return nil
 }
 
+// leafLocker returns the callback a tracked read hands to the index
+// traversal to SIREAD-lock each leaf page of rel it visits, under the
+// tree lock (see btree.Lookup); nil when the read is not tracked.
+func (tx *Tx) leafLocker(rel string, tracking bool) func(btree.PageID) {
+	if !tracking {
+		return nil
+	}
+	return func(p btree.PageID) {
+		tx.db.ssi.AcquirePageLock(tx.x, rel, int64(p))
+	}
+}
+
+// pageLocker returns the callback a tracked scan hands to the storage
+// reader (storage.Reader): invoked once per heap page with that page's
+// visible rows while the page's shared latch is held, it registers the
+// page's SIREAD locks in one AcquireTupleLockBatch call (skipping keys
+// the transaction wrote itself) — the PR 2 {visibility, registration}
+// atomicity, per page. Once the lock manager reports that a
+// relation-granularity lock covers the table, the remaining pages'
+// registrations are skipped: the lock set only ever coarsens, so the
+// answer stays true for the rest of the scan. nil when the scan is not
+// tracked.
+func (tx *Tx) pageLocker(table string, tracking bool) func(page int64, items []storage.BatchItem) error {
+	if !tracking {
+		return nil
+	}
+	var lockKeys []string
+	relCovered := false
+	return func(page int64, items []storage.BatchItem) error {
+		if relCovered {
+			return nil
+		}
+		lockKeys = slices.Grow(lockKeys[:0], len(items))
+		for i := range items {
+			if k := items[i].Key; !tx.owns(table, k) {
+				lockKeys = append(lockKeys, k)
+			}
+		}
+		if len(lockKeys) == 0 {
+			return nil
+		}
+		covered, err := tx.db.ssi.AcquireTupleLockBatch(tx.x, table, page, lockKeys)
+		relCovered = covered
+		return err
+	}
+}
+
 // Scan invokes fn for every visible row with lo <= key < hi (hi == ""
 // means unbounded) in key order. Returning false stops the scan. Under
 // Serializable the scan SIREAD-locks every index leaf page it traverses
-// (phantom protection) and every tuple it reads.
+// (phantom protection) and every tuple it reads — up to where it
+// stopped: a scan cut short by fn has read and locked nothing past the
+// batch of leaves it stopped in. A row reaches fn after its own batch's
+// checks, not the whole range's, so a scan that fails with a
+// serialization error may already have delivered rows; the transaction
+// is doomed either way.
 func (tx *Tx) Scan(table, lo, hi string, fn func(key string, value []byte) bool) error {
 	if err := tx.checkUsable(false); err != nil {
 		return err
@@ -302,167 +359,43 @@ func (tx *Tx) Scan(table, lo, hi string, fn func(key string, value []byte) bool)
 		return err
 	}
 	if tx.level == SerializableS2PL {
-		return tx.s2plScan(ti, ti.pk, ti.pkName, lo, hi, func(entryKey, pk string) (string, bool) {
-			return entryKey, true
+		return s2plScan(tx, ti, ti.heap.Index(), ti.pkName, lo, hi, func(entryKey string, _ *storage.Row) string {
+			return entryKey
 		}, fn)
 	}
-	snap := tx.snapshot()
 	tracking := tx.x != nil && !tx.x.Safe()
-	var onPage func(btree.PageID)
-	if tracking {
-		onPage = func(p btree.PageID) {
-			tx.db.ssi.AcquirePageLock(tx.x, ti.pkName, int64(p))
-		}
-	}
-	var keys []string
-	ti.pk.Range(lo, hi, onPage, func(k, _ string) bool {
-		keys = append(keys, k)
-		return true
-	})
-	if tx.db.cfg.DisableScanBatch {
-		return tx.scanRowsPerRow(ti, table, keys, snap, tracking, fn)
-	}
-	return tx.scanRowsBatched(ti, table, keys, snap, tracking, fn)
-}
-
-// scanRowsBatched is the page-grained scan read path: the btree range
-// result is grouped by the heap page of each row's visible version
-// (storage.ReadPageBatch), each page is latched once in shared mode,
-// and the page's surviving SIREAD inserts go to the lock manager as ONE
-// batch (core.AcquireTupleLockBatch) before the latch drops — the PR 2
-// {visibility, registration} atomicity preserved per page, at O(pages)
-// lock-path acquisitions instead of O(rows). MVCC conflict-out sets are
-// still flagged once per scan afterwards (safe out of the latch, see
-// the file comment), and rows are delivered after all checks so fn
-// never runs under a latch.
-func (tx *Tx) scanRowsBatched(ti *tableInfo, table string, keys []string, snap *mvcc.Snapshot, tracking bool, fn func(key string, value []byte) bool) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	vals := make([][]byte, len(keys))
-	found := make([]bool, len(keys))
-	var conflicts []mvcc.TxID
-	err := ti.heap.ReadPageBatch(keys, snap, tx.xid, tx.db.mvcc, tracking, tx.batchReader(table, &conflicts, func(idx int, value []byte) {
-		vals[idx] = value
-		found[idx] = true
-	}))
-	if err != nil {
-		return mapStorageErr(err)
-	}
-	if tx.x != nil {
-		if err := tx.db.ssi.CheckScanConflicts(tx.x, conflicts); err != nil {
-			return mapStorageErr(err)
-		}
-	}
-	for i, k := range keys {
-		if found[i] && !fn(k, vals[i]) {
-			break
-		}
-	}
-	return nil
-}
-
-// batchReader builds the storage.ReadPageBatch callback shared by Scan
-// and ScanIndex's batch paths: it collects each page's MVCC
-// conflict-out sets, registers the page's surviving SIREAD locks in one
-// AcquireTupleLockBatch call while the page latch is held (skipping
-// keys the transaction wrote itself), and hands each visible row to
-// setVal with its input-slice index. Once the lock manager reports a
-// relation-granularity lock covers the table, the remaining pages'
-// registrations are skipped — the lock set only ever coarsens, so the
-// answer stays true for the rest of the scan.
-func (tx *Tx) batchReader(table string, conflicts *[]mvcc.TxID, setVal func(idx int, value []byte)) func(page int64, items []storage.BatchItem) error {
-	var lockKeys []string
-	relCovered := false
-	return func(page int64, items []storage.BatchItem) error {
-		switch {
-		case tx.x == nil:
-		case relCovered || page < 0:
-			// Covered (or an unlatched invisible-key group): nothing to
-			// register, only the MVCC conflicts matter.
-			for i := range items {
-				*conflicts = append(*conflicts, items[i].Res.ConflictOut...)
+	err = ti.heap.Scan(lo, hi, tx.snapshot(), tx.xid, tx.db.mvcc, tx.leafLocker(ti.pkName, tracking), tx.pageLocker(table, tracking),
+		func(lf *storage.Leaf) (bool, error) {
+			// The leaf's latches are released: flag its MVCC conflicts
+			// (safe out of the latch, see the file comment), then
+			// deliver, so fn never runs under a latch.
+			if err := tx.flagScanConflicts(lf); err != nil {
+				return false, err
 			}
-		default:
-			lockKeys = lockKeys[:0]
-			for i := range items {
-				it := &items[i]
-				*conflicts = append(*conflicts, it.Res.ConflictOut...)
-				if it.Res.Tuple != nil && !tx.owns(table, it.Key) {
-					lockKeys = append(lockKeys, it.Key)
+			for i, v := range lf.Vis {
+				if v != nil && !fn(lf.Keys[i], v.Value) {
+					return false, nil
 				}
 			}
-			if len(lockKeys) > 0 {
-				covered, err := tx.db.ssi.AcquireTupleLockBatch(tx.x, table, page, lockKeys)
-				if err != nil {
-					return err
-				}
-				relCovered = covered
-			}
-		}
-		for i := range items {
-			it := &items[i]
-			if it.Res.Tuple != nil {
-				setVal(it.Idx, it.Res.Tuple.Value)
-			}
-		}
-		return nil
-	}
-}
-
-// scanRowsPerRow is the legacy per-row scan read path (one latched Read
-// and one CheckRead per row), kept behind Config.DisableScanBatch as
-// the A/B ablation for the batched path above.
-func (tx *Tx) scanRowsPerRow(ti *tableInfo, table string, keys []string, snap *mvcc.Snapshot, tracking bool, fn func(key string, value []byte) bool) error {
-	// Each row's SIREAD lock is inserted in the Read callback, under
-	// that row's page latch; the MVCC conflict-out sets are flagged in
-	// one batch afterwards (one SSI-mutex critical section per scan,
-	// and only when a conflict exists — deferring the flagging out of
-	// the latch is safe, see the file comment). Rows are delivered
-	// after all checks so fn never runs under a latch.
-	type row struct {
-		key   string
-		value []byte
-	}
-	var rows []row
-	var conflicts []mvcc.TxID
-	for _, k := range keys {
-		err := ti.heap.Read(k, snap, tx.xid, tx.db.mvcc, tracking, func(res storage.ReadResult) error {
-			if tx.x != nil {
-				conflicts = append(conflicts, res.ConflictOut...)
-			}
-			if res.Tuple == nil {
-				return nil
-			}
-			if tx.x != nil {
-				if err := tx.db.ssi.CheckRead(tx.x, table, res.Tuple.Page, k, nil, tx.owns(table, k)); err != nil {
-					return err
-				}
-			}
-			rows = append(rows, row{k, res.Tuple.Value})
-			return nil
+			return true, nil
 		})
-		if err != nil {
-			return mapStorageErr(err)
-		}
+	return mapStorageErr(err)
+}
+
+// flagScanConflicts records the rw-antidependencies out of one scanned
+// leaf (serializable transactions only).
+func (tx *Tx) flagScanConflicts(lf *storage.Leaf) error {
+	if tx.x == nil || len(lf.ConflictOut) == 0 {
+		return nil
 	}
-	if tx.x != nil {
-		if err := tx.db.ssi.CheckScanConflicts(tx.x, conflicts); err != nil {
-			return mapStorageErr(err)
-		}
-	}
-	for _, r := range rows {
-		if !fn(r.key, r.value) {
-			break
-		}
-	}
-	return nil
+	return tx.db.ssi.CheckScanConflicts(tx.x, lf.ConflictOut)
 }
 
 // ScanIndex scans the secondary index idx of table for lo <= indexKey <
 // hi, invoking fn with the primary key and row value. Because index
 // entries are retained for every row version, each hit is rechecked
-// against the visible row before delivery.
+// against the visible row before delivery. Like Scan it streams, a
+// leaf-sized batch of index entries at a time.
 func (tx *Tx) ScanIndex(table, idx, lo, hi string, fn func(key string, value []byte) bool) error {
 	if err := tx.checkUsable(false); err != nil {
 		return err
@@ -475,138 +408,59 @@ func (tx *Tx) ScanIndex(table, idx, lo, hi string, fn func(key string, value []b
 	if err != nil {
 		return err
 	}
-	// Entries are ik+"\x00"+pk; translate the range bounds.
-	elo := lo
-	ehi := hi
-	if ehi != "" {
-		// Entries for index key K sort as K+"\x00"+pk < K+"\x01", so
-		// the exclusive bound carries over directly.
-	}
+	// Entries are ik+"\x00"+pk, and those for index key K sort as
+	// K+"\x00"+pk < K+"\x01", so the range bounds carry over directly.
 	if tx.level == SerializableS2PL {
-		return tx.s2plScan(ti, si.tree, si.name, elo, ehi, func(entryKey, pk string) (string, bool) {
-			return pk, true
+		return s2plScan(tx, ti, si.tree, si.name, lo, hi, func(_, pk string) string {
+			return pk
 		}, tx.recheckWrap(ti, si, lo, hi, fn))
 	}
-	snap := tx.snapshot()
 	tracking := tx.x != nil && !tx.x.Safe()
-	var onPage func(btree.PageID)
-	if tracking {
-		onPage = func(p btree.PageID) {
-			tx.db.ssi.AcquirePageLock(tx.x, si.name, int64(p))
+	rd := ti.heap.NewReader(tx.snapshot(), tx.xid, tx.db.mvcc, tx.pageLocker(table, tracking))
+	// Index entries are retained for every row version, so the same
+	// primary key can appear under several (stale) index keys; within a
+	// leaf one visibility-checked read per unique pk covers them all —
+	// the SIREAD lock is taken under the page latch even for hits the
+	// recheck filters out (the read happened, so the version must stay
+	// protected), and each hit is rechecked against the visible row it
+	// resolved to, which is what delivers a row once however many
+	// entries name it.
+	var pks []string
+	var at [btree.MaxLeaf]int // hit → position of its pk in pks
+	si.tree.Leaves(lo, hi, tx.leafLocker(si.name, tracking), func(entries, hitPKs []string) bool {
+		pks = pks[:0]
+		for h, pk := range hitPKs {
+			at[h] = slices.Index(pks, pk)
+			if at[h] < 0 {
+				at[h] = len(pks)
+				pks = append(pks, pk)
+			}
 		}
-	}
-	var hits []indexHit
-	si.tree.Range(elo, ehi, onPage, func(entryKey, pk string) bool {
-		ik := entryKey
-		if n := len(pk); len(entryKey) > n && entryKey[len(entryKey)-n-1] == 0 {
-			ik = entryKey[:len(entryKey)-n-1]
+		var lf *storage.Leaf
+		if lf, err = rd.ReadKeys(pks); err != nil {
+			return false
 		}
-		hits = append(hits, indexHit{ik, pk})
+		if err = tx.flagScanConflicts(lf); err != nil {
+			return false
+		}
+		for h, pk := range hitPKs {
+			v := lf.Vis[at[h]]
+			if v == nil {
+				continue
+			}
+			// Recheck: the visible version must still match the index
+			// key this entry was filed under.
+			ik, ok := si.fn(pk, v.Value)
+			if e := entries[h]; !ok || len(e) != len(ik)+1+len(pk) || e[:len(ik)] != ik {
+				continue
+			}
+			if !fn(pk, v.Value) {
+				return false
+			}
+		}
 		return true
 	})
-	if tx.db.cfg.DisableScanBatch {
-		return tx.scanIndexPerRow(ti, table, si, hits, snap, tracking, fn)
-	}
-	// Page-grained batch path, as in Scan. Index entries are retained
-	// for every row version, so the same primary key can appear under
-	// several (stale) index keys; one visibility-checked read per unique
-	// pk covers them all — the SIREAD lock is taken under the page latch
-	// even for hits the recheck filters out (the read happened, so the
-	// version must stay protected), and each hit is rechecked against
-	// the visible row it resolved to.
-	pks := make([]string, 0, len(hits))
-	pos := make(map[string]int, len(hits))
-	for _, h := range hits {
-		if _, ok := pos[h.pk]; !ok {
-			pos[h.pk] = len(pks)
-			pks = append(pks, h.pk)
-		}
-	}
-	vals := make([][]byte, len(pks))
-	found := make([]bool, len(pks))
-	var conflicts []mvcc.TxID
-	err = ti.heap.ReadPageBatch(pks, snap, tx.xid, tx.db.mvcc, tracking, tx.batchReader(table, &conflicts, func(idx int, value []byte) {
-		vals[idx] = value
-		found[idx] = true
-	}))
-	if err != nil {
-		return mapStorageErr(err)
-	}
-	if tx.x != nil {
-		if err := tx.db.ssi.CheckScanConflicts(tx.x, conflicts); err != nil {
-			return mapStorageErr(err)
-		}
-	}
-	for _, h := range hits {
-		p := pos[h.pk]
-		if !found[p] {
-			continue
-		}
-		ik, ok := si.fn(h.pk, vals[p])
-		if !ok || ik != h.ik {
-			continue
-		}
-		if !fn(h.pk, vals[p]) {
-			break
-		}
-	}
-	return nil
-}
-
-// indexHit is one secondary-index range entry: the index key it was
-// filed under and the primary key it names.
-type indexHit struct{ ik, pk string }
-
-// scanIndexPerRow is the legacy per-row index-scan read path — the
-// ScanIndex analogue of scanRowsPerRow, kept behind
-// Config.DisableScanBatch as the A/B ablation for the batched path.
-func (tx *Tx) scanIndexPerRow(ti *tableInfo, table string, si *secondaryIndex, hits []indexHit, snap *mvcc.Snapshot, tracking bool, fn func(key string, value []byte) bool) error {
-	type row struct {
-		pk    string
-		value []byte
-	}
-	var rows []row
-	var conflicts []mvcc.TxID
-	for _, h := range hits {
-		err := ti.heap.Read(h.pk, snap, tx.xid, tx.db.mvcc, tracking, func(res storage.ReadResult) error {
-			if tx.x != nil {
-				conflicts = append(conflicts, res.ConflictOut...)
-			}
-			if res.Tuple == nil {
-				return nil
-			}
-			// The SIREAD lock is taken under the page latch even for
-			// rows the recheck below filters out: the read happened,
-			// so the version must stay protected (as in Scan).
-			if tx.x != nil {
-				if err := tx.db.ssi.CheckRead(tx.x, table, res.Tuple.Page, h.pk, nil, tx.owns(table, h.pk)); err != nil {
-					return err
-				}
-			}
-			// Recheck: the visible version must still match the
-			// index key.
-			ik, ok := si.fn(h.pk, res.Tuple.Value)
-			if !ok || ik != h.ik {
-				return nil
-			}
-			rows = append(rows, row{h.pk, res.Tuple.Value})
-			return nil
-		})
-		if err != nil {
-			return mapStorageErr(err)
-		}
-	}
-	if tx.x != nil {
-		if err := tx.db.ssi.CheckScanConflicts(tx.x, conflicts); err != nil {
-			return mapStorageErr(err)
-		}
-	}
-	for _, r := range rows {
-		if !fn(r.pk, r.value) {
-			break
-		}
-	}
-	return nil
+	return mapStorageErr(err)
 }
 
 // recheckWrap adapts a user scan callback for the S2PL index-scan path,

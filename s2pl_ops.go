@@ -40,7 +40,7 @@ func (tx *Tx) s2plGet(ti *tableInfo, key string) ([]byte, error) {
 	// Lock the leaf page first (covers the gap if the key is absent),
 	// then the tuple. Re-check the leaf after locking in case of a
 	// concurrent split.
-	if err := tx.s2plLockLeaf(ti.pk, ti.pkName, key, s2pl.ModeS); err != nil {
+	if err := s2plLockLeaf(tx, ti.heap.Index(), ti.pkName, key, s2pl.ModeS); err != nil {
 		return nil, err
 	}
 	if err := tx.s2plAcquire(s2plTuple(ti.name, key), s2pl.ModeS); err != nil {
@@ -57,7 +57,7 @@ func (tx *Tx) s2plGet(ti *tableInfo, key string) ([]byte, error) {
 // s2plLockLeaf locks the index leaf page that holds (or would hold) key,
 // looping until the lock covers the current leaf (a split may move the
 // key between lookup and lock acquisition).
-func (tx *Tx) s2plLockLeaf(tree *btree.Tree, rel, key string, mode s2pl.Mode) error {
+func s2plLockLeaf[V any](tx *Tx, tree *btree.Tree[V], rel, key string, mode s2pl.Mode) error {
 	for {
 		_, _, leaf := tree.Lookup(key, nil)
 		if err := tx.s2plAcquire(core.PageTarget(rel, int64(leaf)), mode); err != nil {
@@ -74,18 +74,18 @@ func (tx *Tx) s2plInsert(ti *tableInfo, key string, value []byte) error {
 	if err := tx.s2plAcquire(core.RelationTarget(ti.name), s2pl.ModeIX); err != nil {
 		return err
 	}
-	if err := tx.s2plLockLeaf(ti.pk, ti.pkName, key, s2pl.ModeX); err != nil {
+	if err := s2plLockLeaf(tx, ti.heap.Index(), ti.pkName, key, s2pl.ModeX); err != nil {
 		return err
 	}
 	if err := tx.s2plAcquire(s2plTuple(ti.name, key), s2pl.ModeX); err != nil {
 		return err
 	}
 	snap := tx.db.mvcc.TakeSnapshot()
-	if _, err := ti.heap.Insert(key, value, tx.xid, tx.currentSubID(), snap, tx.db.mvcc, tx.db.wg); err != nil {
+	wr, err := ti.heap.Insert(key, value, tx.xid, tx.currentSubID(), snap, tx.db.mvcc, tx.db.wg)
+	if err != nil {
 		return mapStorageErr(err)
 	}
-	_, _, splits := ti.pk.Insert(key, "")
-	for _, sp := range splits {
+	for _, sp := range wr.Splits {
 		tx.db.s2pl.PageSplit(ti.pkName, core.PageTarget(ti.pkName, int64(sp.Left)), core.PageTarget(ti.pkName, int64(sp.Right)))
 	}
 	if err := tx.insertSecondaries(ti, key, value); err != nil {
@@ -124,15 +124,17 @@ func (tx *Tx) s2plUpdate(ti *tableInfo, key string, value []byte, del bool) erro
 // s2plScan implements index-range scans under 2PL: it locks every leaf
 // page in the range in shared mode (looping to a fixpoint, since pages
 // observed can change until they are locked), then locks each matching
-// tuple, then reads. mapEntry converts an index entry (key, stored
-// value) into the primary key to fetch.
-func (tx *Tx) s2plScan(ti *tableInfo, tree *btree.Tree, rel, lo, hi string, mapEntry func(entryKey, val string) (string, bool), fn func(key string, value []byte) bool) error {
+// tuple, then reads. pkOf converts an index entry (key, stored value)
+// into the primary key to fetch: the tree is the table's own (its
+// entries are the rows) or a secondary index (its entries name them).
+func s2plScan[V any](tx *Tx, ti *tableInfo, tree *btree.Tree[V], rel, lo, hi string, pkOf func(entryKey string, val V) string, fn func(key string, value []byte) bool) error {
 	if err := tx.s2plAcquire(core.RelationTarget(ti.name), s2pl.ModeIS); err != nil {
 		return err
 	}
 	locked := make(map[btree.PageID]bool)
 	for {
-		pages := tree.Range(lo, hi, nil, func(string, string) bool { return true })
+		var pages []btree.PageID
+		tree.Range(lo, hi, func(p btree.PageID) { pages = append(pages, p) }, func(string, V) bool { return true })
 		progress := false
 		for _, p := range pages {
 			if !locked[p] {
@@ -148,26 +150,23 @@ func (tx *Tx) s2plScan(ti *tableInfo, tree *btree.Tree, rel, lo, hi string, mapE
 		}
 	}
 	// Pages are stable now: collect entries and lock tuples.
-	type entry struct{ pk string }
-	var entries []entry
-	tree.Range(lo, hi, nil, func(k, v string) bool {
-		if pk, ok := mapEntry(k, v); ok {
-			entries = append(entries, entry{pk})
-		}
+	var pks []string
+	tree.Range(lo, hi, nil, func(k string, v V) bool {
+		pks = append(pks, pkOf(k, v))
 		return true
 	})
-	for _, e := range entries {
-		if err := tx.s2plAcquire(s2plTuple(ti.name, e.pk), s2pl.ModeS); err != nil {
+	for _, pk := range pks {
+		if err := tx.s2plAcquire(s2plTuple(ti.name, pk), s2pl.ModeS); err != nil {
 			return err
 		}
 	}
 	snap := tx.db.mvcc.TakeSnapshot()
-	for _, e := range entries {
-		res := ti.heap.Get(e.pk, snap, tx.xid, tx.db.mvcc)
+	for _, pk := range pks {
+		res := ti.heap.Get(pk, snap, tx.xid, tx.db.mvcc)
 		if res.Tuple == nil {
 			continue
 		}
-		if !fn(e.pk, res.Tuple.Value) {
+		if !fn(pk, res.Tuple.Value) {
 			break
 		}
 	}

@@ -253,6 +253,17 @@ func (tx *Tx) Rollback() error {
 }
 
 func (tx *Tx) rollbackLocked() {
+	// Unlink our versions and clear our stamps before the abort is
+	// published: the rows are clean by the time a blocked writer wakes,
+	// and no reader has to step over what this transaction left. (A
+	// failed write that stamped a row without reaching the write set is
+	// not covered here; readers see it as aborted and the row's next
+	// writer drops it.)
+	for wk := range tx.writes {
+		if ti, err := tx.db.table(wk.table); err == nil {
+			ti.heap.UndoSubxact(wk.key, tx.xid, 0)
+		}
+	}
 	tx.db.mvcc.Abort(tx.xid)
 	if tx.x != nil {
 		tx.db.ssi.Abort(tx.x)
