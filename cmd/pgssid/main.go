@@ -45,7 +45,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain bound for in-flight transactions")
 		partitions   = flag.Int("partitions", 0, "SIREAD lock table partitions (0 = default)")
 		dataDir      = flag.String("data", "", "data directory for the durable WAL (empty = in-memory, nothing survives restart)")
-		fsyncMode    = flag.String("fsync", "batch", "fsync mode with -data: always, batch, or off")
+		fsyncMode    = flag.String("fsync", "batch", "fsync mode with -data: batch (sync before acknowledging; a flush waits for other open transactions to commit into it, up to a 200µs cap, and not at all when there are none), always (never waits for them), or off (never syncs)")
 		ckptEvery    = flag.Int64("checkpoint-every", 0, "with -data: checkpoint and GC the WAL every this many bytes of log growth (0 = never)")
 		replFrom     = flag.String("replicate-from", "", "primary's address: run as a read-only replica of it (schema and data arrive via the stream)")
 	)

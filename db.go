@@ -211,15 +211,18 @@ type Config struct {
 	// (AttachWAL) is unaffected either way.
 	DisableDurableWAL bool
 	// FsyncMode selects how commit acknowledgement relates to fsync
-	// when the durable WAL is open: FsyncBatch (default) group-commits
-	// behind a short gather window, FsyncAlways syncs every flush
-	// batch, FsyncOff never waits for the disk (contention benchmarks).
+	// when the durable WAL is open: FsyncBatch (default) syncs before
+	// acknowledging and holds a flush back while another open
+	// transaction could still commit into it, FsyncAlways never holds
+	// one back, FsyncOff never waits for the disk (contention
+	// benchmarks).
 	FsyncMode FsyncMode
 	// WALSegmentSize is the durable WAL's segment rotation threshold
 	// (default wal.DefaultSegmentSize).
 	WALSegmentSize int64
-	// WALGroupWindow is the FsyncBatch gather delay (default
-	// wal.DefaultGroupWindow).
+	// WALGroupWindow is the cap on how long a FsyncBatch flush is held
+	// back for open transactions (default wal.DefaultGroupWindow). A
+	// commit with nobody to wait for never waits.
 	WALGroupWindow time.Duration
 	// WALFS overrides the durable WAL's filesystem; nil means the OS
 	// filesystem. Test-only: the fault-injection suites inject a
@@ -348,6 +351,12 @@ type DB struct {
 	// xid. See recovery.go.
 	durable    *wal.DurableLog
 	walPending sync.Map
+	// walJoiners counts the transactions that could still commit into a
+	// log flush being gathered: begun on the durable log, not declared
+	// read-only, not yet published, rolled back or prepared. The log
+	// reads it (wal.Config.Joiners) to decide whether a flush is worth
+	// holding back; see joinWAL/leaveWAL in recovery.go.
+	walJoiners atomic.Int64
 
 	// recoveredRecords is the OpenDir recovery count: checkpoint records
 	// plus the replayed log suffix. Written once before the DB accepts

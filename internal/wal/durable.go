@@ -1,8 +1,9 @@
-// DurableLog: the on-disk WAL. Records are appended to numbered segment
-// files with CRC-framed records (encoding.go), committers group-commit
-// onto a shared fsync, and OpenDir recovers by scanning segments and
-// truncating at the first damaged record. docs/wal.md is the normative
-// format and recovery description.
+// DurableLog: the on-disk WAL. Records are appended to numbered,
+// zero-filled segment files with CRC-framed records (encoding.go),
+// committers group-commit onto a shared data-only sync (flush.go), and
+// OpenDir recovers by scanning segments and truncating at the first
+// damaged record. docs/wal.md is the normative format and recovery
+// description.
 package wal
 
 import (
@@ -25,12 +26,12 @@ import (
 type FsyncMode int
 
 const (
-	// FsyncBatch (the default) waits a short gather window so concurrent
-	// committers piggyback on one fsync, then syncs before acknowledging.
+	// FsyncBatch (the default) syncs before acknowledging, and holds a
+	// flush back — for at most the group window — only while a
+	// transaction is open that could still add its commit to the batch.
 	FsyncBatch FsyncMode = iota
-	// FsyncAlways syncs every flush batch with no gather window. Still
-	// group-commits: committers that arrive during an fsync share the
-	// next one.
+	// FsyncAlways never holds a flush back. Still group-commits:
+	// committers that arrive during a sync share the next one.
 	FsyncAlways
 	// FsyncOff writes records asynchronously and never syncs (except on
 	// Close). Commit acknowledgement does not wait for the disk at all —
@@ -70,8 +71,8 @@ const (
 
 	// DefaultSegmentSize is the rotation threshold for segment files.
 	DefaultSegmentSize = 16 << 20
-	// DefaultGroupWindow is how long a FsyncBatch flush waits to gather
-	// co-committers before syncing.
+	// DefaultGroupWindow is the longest a FsyncBatch flush waits for
+	// open transactions to commit into its batch.
 	DefaultGroupWindow = 200 * time.Microsecond
 )
 
@@ -84,17 +85,23 @@ type Config struct {
 	SegmentSize int64
 	// Fsync is the acknowledgement/fsync policy.
 	Fsync FsyncMode
-	// GroupWindow is the FsyncBatch gather delay; DefaultGroupWindow if
-	// zero.
+	// GroupWindow caps how long a FsyncBatch flush waits for joiners;
+	// DefaultGroupWindow if zero.
 	GroupWindow time.Duration
+	// Joiners reports how many transactions are open that could still
+	// add a record somebody waits on. While it is positive a FsyncBatch
+	// flush is held back (see gather); the owner calls JoinersDrained
+	// when it falls to zero. Nil means nobody can join: a standalone
+	// log never waits. Called without any log lock held.
+	Joiners func() int
 	// FS overrides the filesystem; nil means the OS filesystem. Tests
 	// inject a FaultFS here.
 	FS FS
 }
 
 // Ticket is a committer's handle on the flush that will cover its
-// record. Wait blocks until that flush (and its fsync, per mode) has
-// completed. A nil Ticket (FsyncOff) waits for nothing.
+// record. Wait blocks until that flush and its sync have completed. A
+// nil Ticket (FsyncOff, AppendNoWait) waits for nothing.
 type Ticket struct {
 	done chan struct{}
 	err  error
@@ -138,7 +145,8 @@ func (p *Pending) Wait() error { return p.ticket.Wait() }
 
 // queued is one record in the flush queue: its encoded frame (what the
 // flusher writes), its decoded form (what subscribers receive), and the
-// ticket to resolve when its batch is on disk. A barrier entry carries
+// ticket to resolve when its batch is on disk — nil if nobody waits for
+// this record (FsyncOff, AppendNoWait). A barrier entry carries
 // no record: it writes nothing, but its ticket resolves only after the
 // batch covering everything enqueued before it is on disk
 // (SyncBarrier).
@@ -171,12 +179,11 @@ type DurableLog struct {
 	fs  FS
 
 	mu        sync.Mutex //ssi:lock level=10 name=wal.durable
-	cond      *sync.Cond // signals flushing -> false
 	segs      []segMeta  // all segments, published sizes
 	pending   []queued   // enqueued, not yet grabbed by the flusher
+	waiters   int        // entries of pending with a ticket: a batch syncs iff it has one
 	inflight  []queued   // grabbed by the flusher, not yet published
 	subs      []chan Record
-	flushing  bool
 	closed    bool
 	flushErr  error // sticky: first write/sync failure poisons the log
 	stats     Stats
@@ -201,25 +208,59 @@ type DurableLog struct {
 	// engine can refuse Begin on a poisoned log cheaply.
 	poisonedFlag atomic.Bool
 
-	// Flusher-private state, guarded by flushing (or by mu once Close
-	// has observed flushing == false).
+	// wake is the flusher's doorbell, rung (ring: a send that never
+	// blocks) by whatever may have given it something to do: Enqueue,
+	// SyncBarrier, JoinersDrained, the gather watchdog, Close. It holds
+	// one token, so a ring while the flusher is busy is not lost; the
+	// flusher re-reads the state it cares about after every token, so a
+	// stale one costs a look. watch arms the gather watchdog, which
+	// reads gatherEnd (nanoseconds since epoch) and gathering; the two
+	// done channels are closed when flusher and watchdog have exited.
+	// See flush.go.
+	wake         chan struct{}
+	watch        chan struct{}
+	epoch        time.Time
+	gatherEnd    atomic.Int64
+	gathering    atomic.Bool
+	flusherDone  chan struct{}
+	watchdogDone chan struct{}
+
+	// Flusher-private state (Close's once the flusher has exited). cur
+	// is SegmentSize bytes long on disk, zeros from curSize on.
 	cur        File
 	curIndex   uint64
 	curSize    int64
 	curLastSeq uint64
 	filled     []segMeta // segments rotated away during the current batch
-	batchBytes int64
-	batchSyncs int64
+	batch      Stats     // the current batch's share of the counters
 }
 
 // Stats is a snapshot of the log's counters. Appends/Fsyncs is the
 // group-commit amortization ratio.
 type Stats struct {
-	Appends      int64
-	Flushes      int64
-	Fsyncs       int64
-	Segments     int
-	BytesWritten int64
+	Appends int64
+	// Flushes counts turns of the flusher, Batches those that reached
+	// the disk (a poisoned log still turns), UnsyncedBatches those of
+	// them written without a sync because nobody waited.
+	Flushes         int64
+	Batches         int64
+	UnsyncedBatches int64
+	// Fsyncs counts every sync issued, of files and of the directory;
+	// SyncNanos is the time the per-batch data syncs took.
+	Fsyncs    int64
+	SyncNanos int64
+	Segments  int
+	// BytesWritten is log content (frames and segment headers);
+	// BytesPreallocated the zeros segments were filled with.
+	BytesWritten      int64
+	BytesPreallocated int64
+	// GatherWaits counts flushes held back for open transactions:
+	// GatherCutShort of them went ahead when the last one finished,
+	// GatherExpired at the window's cap. GatherNanos is the time held.
+	GatherWaits    int64
+	GatherCutShort int64
+	GatherExpired  int64
+	GatherNanos    int64
 	// Poisoned reports a sticky flush failure: no further append can
 	// succeed until the directory is reopened.
 	Poisoned bool
@@ -249,7 +290,6 @@ func OpenDir(dir string, cfg Config) (*DurableLog, error) {
 		cfg.GroupWindow = DefaultGroupWindow
 	}
 	l := &DurableLog{dir: dir, cfg: cfg, fs: cfg.FS}
-	l.cond = sync.NewCond(&l.mu)
 
 	if err := l.fs.MkdirAll(dir); err != nil {
 		return nil, err
@@ -355,8 +395,18 @@ func OpenDir(dir string, cfg Config) (*DurableLog, error) {
 		l.cur, l.curIndex, l.curSize, l.curLastSeq = f, idx, segmentHeaderSize, l.recoveredMaxSeq
 		l.segs = append(l.segs, segMeta{index: idx, path: l.segPath(idx), size: segmentHeaderSize, lastSeq: l.recoveredMaxSeq})
 	} else {
+		// The last segment ends at its good prefix (a damaged one was cut
+		// there above, a cleanly closed one is exact-length). Fill it
+		// back up with zeros before appending: whatever lay beyond the
+		// prefix — a whole frame behind a torn one, say — is gone from
+		// the disk before a new record can line up with it.
 		last := l.segs[len(l.segs)-1]
-		f, err := l.fs.OpenAppend(last.path)
+		f, err := l.fs.OpenWrite(last.path)
+		if err == nil {
+			if err = l.zeroFill(f, last.size); err != nil {
+				f.Close()
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -370,7 +420,9 @@ func OpenDir(dir string, cfg Config) (*DurableLog, error) {
 		l.cur.Close()
 		return nil, err
 	}
-	l.stats.Fsyncs++
+	l.batch.Fsyncs++
+	l.settleStatsLocked() // nobody else has the log yet
+	l.startFlusher()
 	return l, nil
 }
 
@@ -569,7 +621,9 @@ func (l *DurableLog) PrepareRecord(rec Record) *Pending {
 // log mutex, and appends to a slice; all encoding happened in
 // PrepareRecord and all I/O happens on the flusher goroutine. Call
 // p.Wait afterwards (outside the critical section) for durability.
-func (l *DurableLog) Enqueue(p *Pending, seq mvcc.SeqNo) {
+func (l *DurableLog) Enqueue(p *Pending, seq mvcc.SeqNo) { l.enqueue(p, seq, true) }
+
+func (l *DurableLog) enqueue(p *Pending, seq mvcc.SeqNo, wait bool) {
 	if p.err != nil {
 		// Rejected at PrepareRecord (oversize): the record must never
 		// reach the log — recovery could not read it back. The caller
@@ -590,22 +644,31 @@ func (l *DurableLog) Enqueue(p *Pending, seq mvcc.SeqNo) {
 		p.ticket = failedTicket(l.flushErr)
 		return
 	}
-	if l.cfg.Fsync != FsyncOff {
+	if wait && l.cfg.Fsync != FsyncOff {
 		p.ticket = &Ticket{done: make(chan struct{})}
+		l.waiters++
 	}
 	l.pending = append(l.pending, queued{frame: p.frame, rec: p.rec, ticket: p.ticket})
 	l.stats.Appends++
 	l.fanoutLocked(p.rec)
-	l.kickFlushLocked()
+	l.ring()
 }
 
 // Append encodes and enqueues a record whose sequence number is already
-// known (markers, schema records). The returned ticket resolves when the
-// record is durable; nil in FsyncOff mode.
+// known (schema records). The returned ticket resolves when the record
+// is durable; nil in FsyncOff mode.
 func (l *DurableLog) Append(rec Record) *Ticket {
 	p := l.PrepareRecord(rec)
 	l.Enqueue(p, rec.Seq)
 	return p.ticket
+}
+
+// AppendNoWait is Append for a record nobody will wait for (safe-snapshot
+// markers): it is written in order like any other, but earns no sync of
+// its own — it becomes durable with the next record somebody does wait
+// for, a SyncBarrier, or Close.
+func (l *DurableLog) AppendNoWait(rec Record) {
+	l.enqueue(l.PrepareRecord(rec), rec.Seq, false)
 }
 
 // fanoutLocked mirrors Log.fanoutLocked: non-blocking sends with
@@ -625,196 +688,6 @@ func (l *DurableLog) fanoutLocked(r Record) {
 		l.subs[i] = nil
 	}
 	l.subs = live
-}
-
-func (l *DurableLog) kickFlushLocked() {
-	if l.flushing || len(l.pending) == 0 {
-		return
-	}
-	l.flushing = true
-	go l.flushLoop()
-}
-
-// flushLoop is the single group-commit flusher: it repeatedly grabs the
-// whole pending queue as one batch, writes and fsyncs it, and resolves
-// the batch's tickets. Committers that enqueue while a batch is being
-// synced pile up for the next batch — that pile-up is the group commit.
-// The loop exits when the queue is empty; the next Enqueue restarts it.
-func (l *DurableLog) flushLoop() {
-	for {
-		if l.cfg.Fsync == FsyncBatch {
-			// Gather window: let concurrent committers join this batch.
-			gatherSleep(l.cfg.GroupWindow)
-		}
-		l.mu.Lock()
-		if len(l.pending) == 0 {
-			l.flushing = false
-			l.cond.Broadcast()
-			l.mu.Unlock()
-			return
-		}
-		batch := l.pending
-		l.pending = nil
-		l.inflight = batch
-		err := l.flushErr
-		l.mu.Unlock()
-
-		wrote := false
-		if err == nil {
-			wrote = true
-			err = l.writeBatch(batch)
-		}
-
-		// Publish the batch's on-disk region and retire it from
-		// inflight in ONE critical section: a Subscribe snapshot must
-		// never see a record both in a published segment region and in
-		// inflight (it would deliver the record twice).
-		l.mu.Lock()
-		if wrote {
-			if err == nil {
-				l.publishSizesLocked()
-			}
-			l.stats.BytesWritten += l.batchBytes
-			l.stats.Fsyncs += l.batchSyncs
-		}
-		l.inflight = nil
-		if err != nil && l.flushErr == nil {
-			l.flushErr = err
-			l.poisonedFlag.Store(true)
-		}
-		l.stats.Flushes++
-		l.mu.Unlock()
-
-		for _, q := range batch {
-			if q.ticket != nil {
-				q.ticket.err = err
-				close(q.ticket.done)
-			}
-		}
-	}
-}
-
-// writeBatch writes one batch of frames to the current segment, rotating
-// as needed, and fsyncs per the mode. Runs on the flusher goroutine with
-// exclusive access to cur/curIndex/curSize. It does NOT publish the new
-// segment sizes: flushLoop publishes them (publishSizesLocked) in the
-// same l.mu critical section that clears l.inflight, so Subscribe's
-// disk-plus-inflight-plus-pending snapshot never double-counts a record.
-func (l *DurableLog) writeBatch(batch []queued) error {
-	l.filled = l.filled[:0]
-	l.batchBytes, l.batchSyncs = 0, 0
-	for _, q := range batch {
-		if q.barrier {
-			// Barriers write nothing; their ticket resolves with the
-			// batch's fsync like any other entry.
-			continue
-		}
-		if l.curSize+int64(len(q.frame)) > l.cfg.SegmentSize && l.curSize > segmentHeaderSize {
-			if err := l.rotate(); err != nil {
-				return err
-			}
-		}
-		n, err := l.cur.Write(q.frame)
-		l.curSize += int64(n)
-		l.batchBytes += int64(n)
-		if err != nil {
-			return err
-		}
-		if s := uint64(q.rec.Seq); s > l.curLastSeq {
-			l.curLastSeq = s
-		}
-	}
-	if l.cfg.Fsync != FsyncOff {
-		if err := l.cur.Sync(); err != nil {
-			return err
-		}
-		l.batchSyncs++
-	}
-	return nil
-}
-
-// publishSizesLocked exposes the regions writeBatch just wrote (filled
-// segments' final sizes plus the current segment's new size) to readers.
-// Caller holds l.mu and must clear l.inflight in the same critical
-// section. Segments GC'd while the batch was in flight are simply no
-// longer in l.segs — a GC'd segment's records were all at or below a
-// checkpoint, so they predate this batch and there is nothing to
-// publish for them.
-func (l *DurableLog) publishSizesLocked() {
-	for _, fm := range l.filled {
-		for j := len(l.segs) - 1; j >= 0; j-- {
-			if l.segs[j].index == fm.index {
-				l.segs[j].size = fm.size
-				l.segs[j].lastSeq = fm.lastSeq
-				break
-			}
-		}
-	}
-	for j := len(l.segs) - 1; j >= 0; j-- {
-		if l.segs[j].index == l.curIndex {
-			l.segs[j].size = l.curSize
-			l.segs[j].lastSeq = l.curLastSeq
-			break
-		}
-	}
-}
-
-// rotate seals the current segment (fsyncing it unless FsyncOff) and
-// starts the next one. Frames never span segments.
-func (l *DurableLog) rotate() error {
-	if l.cfg.Fsync != FsyncOff {
-		if err := l.cur.Sync(); err != nil {
-			return err
-		}
-		l.batchSyncs++
-	}
-	if err := l.cur.Close(); err != nil {
-		return err
-	}
-	sealedIndex, sealedLastSeq := l.curIndex, l.curLastSeq
-	l.filled = append(l.filled, segMeta{index: sealedIndex, size: l.curSize, lastSeq: sealedLastSeq})
-	idx := l.curIndex + 1
-	f, err := l.createSegment(idx)
-	if err != nil {
-		return err
-	}
-	l.cur, l.curIndex, l.curSize = f, idx, segmentHeaderSize
-	l.batchBytes += segmentHeaderSize
-	if l.cfg.Fsync != FsyncOff {
-		// Persist the new segment's directory entry before any record
-		// in it is acknowledged: fsyncing the file alone does not make
-		// it reachable after a power loss — a lost entry would silently
-		// drop the whole segment on recovery.
-		if err := l.fs.SyncDir(l.dir); err != nil {
-			return err
-		}
-		l.batchSyncs++
-	}
-	l.mu.Lock()
-	// Publish the sealed segment's exact lastSeq now (its size waits
-	// for the batch's publish, but checkpoint GC needs sealed lastSeq
-	// to be trustworthy the moment the segment stops growing).
-	for j := len(l.segs) - 1; j >= 0; j-- {
-		if l.segs[j].index == sealedIndex {
-			l.segs[j].lastSeq = sealedLastSeq
-			break
-		}
-	}
-	l.segs = append(l.segs, segMeta{index: idx, path: l.segPath(idx), size: segmentHeaderSize, lastSeq: sealedLastSeq})
-	l.mu.Unlock()
-	return nil
-}
-
-func (l *DurableLog) createSegment(index uint64) (File, error) {
-	f, err := l.fs.Create(l.segPath(index))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Write(encodeSegHeader(index)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f, nil
 }
 
 // Subscribe returns a channel that replays every record in the log (from
@@ -932,7 +805,8 @@ func (l *DurableLog) SyncBarrier() error {
 	}
 	t := &Ticket{done: make(chan struct{})}
 	l.pending = append(l.pending, queued{barrier: true, ticket: t})
-	l.kickFlushLocked()
+	l.waiters++
+	l.ring()
 	l.mu.Unlock()
 	return t.Wait()
 }
@@ -949,9 +823,10 @@ func (l *DurableLog) PoisonErr() error {
 	return l.flushErr
 }
 
-// Close drains the flush queue, syncs the current segment (even in
-// FsyncOff mode: a clean shutdown is durable), and closes it. Appends
-// after Close fail with ErrClosed; subscriber streams end.
+// Close drains the flush queue and stops the flusher, then seals the
+// current segment — trims it to its logical length and syncs it (even
+// in FsyncOff mode: a clean shutdown is durable) — and closes it.
+// Appends after Close fail with ErrClosed; subscriber streams end.
 func (l *DurableLog) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -959,35 +834,29 @@ func (l *DurableLog) Close() error {
 		return nil
 	}
 	l.closed = true
-	for l.flushing {
-		l.cond.Wait()
-	}
-	var err error
-	if l.cur != nil {
-		if l.flushErr == nil {
-			if serr := l.cur.Sync(); serr != nil {
-				err = serr
-			} else {
-				l.stats.Fsyncs++
-			}
-			// FsyncOff rotations skip the directory fsync; a clean
-			// shutdown settles the debt so every segment's entry is
-			// durable.
-			if err == nil {
-				if serr := l.fs.SyncDir(l.dir); serr != nil {
-					err = serr
-				} else {
-					l.stats.Fsyncs++
-				}
-			}
-		}
-		if cerr := l.cur.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		l.cur = nil
-	}
+	l.ring()
+	l.mu.Unlock()
+	// The flusher drains the queue and exits; only then may the
+	// watchdog's channel close (a gather arms it).
+	<-l.flusherDone
+	close(l.watch)
+	<-l.watchdogDone
+
+	l.mu.Lock()
+	err := l.flushErr
 	if err == nil {
-		err = l.flushErr
+		err = l.seal(true)
+		// FsyncOff rotations skip the directory fsync; a clean shutdown
+		// settles the debt so every segment's entry is durable.
+		if err == nil {
+			if err = l.fs.SyncDir(l.dir); err == nil {
+				l.batch.Fsyncs++
+			}
+		}
+		l.settleStatsLocked()
+	}
+	if cerr := l.cur.Close(); err == nil {
+		err = cerr
 	}
 	subs := l.subs
 	l.subs = nil

@@ -13,11 +13,21 @@ import (
 )
 
 // File is the subset of *os.File the segment writer and readers need.
+// Segments are written in place (WriteAt into a zero-filled file);
+// checkpoint and manifest files are written front to back (Write).
 type File interface {
 	io.Reader
 	io.Writer
+	io.WriterAt
 	io.Closer
+	// Sync makes the file's data and metadata durable (fsync).
 	Sync() error
+	// Datasync makes the file's data durable, and of its metadata only
+	// what reading that data back needs (fdatasync where the platform
+	// has it, Sync elsewhere). Overwriting already-allocated blocks
+	// changes no such metadata, which is what makes a commit's sync
+	// data-only.
+	Datasync() error
 }
 
 // FS is the filesystem surface the durable WAL runs on. All paths are
@@ -30,8 +40,8 @@ type FS interface {
 	Create(name string) (File, error)
 	// Open opens name read-only.
 	Open(name string) (File, error)
-	// OpenAppend opens name for appending.
-	OpenAppend(name string) (File, error)
+	// OpenWrite opens an existing file for positioned writes (WriteAt).
+	OpenWrite(name string) (File, error)
 	Truncate(name string, size int64) error
 	Remove(name string) error
 	// SyncDir fsyncs the directory itself, making its entries (files
@@ -43,6 +53,11 @@ type FS interface {
 
 // osFS is the production FS.
 type osFS struct{}
+
+// osFile is *os.File plus the data-only sync.
+type osFile struct{ *os.File }
+
+func (f osFile) Datasync() error { return datasync(f.File) }
 
 func (osFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 
@@ -61,15 +76,21 @@ func (osFS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
+func osOpen(name string, flag int) (File, error) {
+	f, err := os.OpenFile(name, flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return osFile{f}, nil
+}
+
 func (osFS) Create(name string) (File, error) {
-	return os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	return osOpen(name, os.O_RDWR|os.O_CREATE|os.O_TRUNC)
 }
 
-func (osFS) Open(name string) (File, error) { return os.Open(name) }
+func (osFS) Open(name string) (File, error) { return osOpen(name, os.O_RDONLY) }
 
-func (osFS) OpenAppend(name string) (File, error) {
-	return os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0o644)
-}
+func (osFS) OpenWrite(name string) (File, error) { return osOpen(name, os.O_RDWR) }
 
 func (osFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
 func (osFS) Remove(name string) error               { return os.Remove(name) }
@@ -88,63 +109,120 @@ func (osFS) SyncDir(dir string) error {
 
 // FaultFS is a test-only FS over the real filesystem that models the
 // failure a write-ahead log exists to survive: data that was written but
-// not fsynced is lost at a crash. It tracks, per file it opened for
-// writing, how many bytes the last successful fsync covered; Crash()
-// truncates every such file to its synced length — exactly what the
-// kernel page cache loses when the machine dies — so a test can run a
-// workload, "crash", reopen the directory, and assert the recovery
-// contract. Directory entries are modelled too: a file created but
-// whose directory was not successfully SyncDir'd since is REMOVED at
-// Crash() — a power loss can lose the entry of a freshly created file
-// even when its data was fsynced, leaving the data unreachable. Fsyncs
-// themselves (file and directory alike) can be made to silently
-// disappear (DropFutureSyncs / DropSyncsAfter, modelling a dropped
-// final fsync) or to fail (FailSyncs).
+// not synced is lost at a crash. Per file it opened for writing it
+// tracks the length the last successful sync covered and, for every
+// 512-byte sector overwritten since, what that sector held at the sync
+// (the WAL writes its segments in place, into zero-filled files, so an
+// unsynced write has something underneath it). Crash() puts the
+// pre-images back and cuts the file to its synced length — exactly what
+// the page cache loses when the machine dies; CrashKeeping does the
+// same but lets a chosen subset of the unsynced sectors reach the
+// platter, so a whole frame can survive beyond a torn one. Directory
+// entries are modelled too: a file created but whose directory was not
+// successfully SyncDir'd since is REMOVED at Crash() — a power loss can
+// lose the entry of a freshly created file even when its data was
+// synced, leaving the data unreachable. Syncs themselves (file and
+// directory alike) can be made to silently disappear (DropFutureSyncs /
+// DropSyncsAfter, modelling a dropped final fsync) or to fail
+// (FailSyncs).
 //
-// FaultFS must only be used from tests. It assumes append-only writes
-// (which is all the WAL does).
+// FaultFS is the model of durability, so it never syncs the real file:
+// the process does not die at Crash(), and what the real disk holds is
+// of no interest. Two simplifications: Truncate is durable at once, and
+// a write that extends a file is lost whole unless synced (no sector of
+// it is kept: the length it needs never reached the disk).
+//
+// FaultFS must only be used from tests.
 type FaultFS struct {
 	mu sync.Mutex //ssi:lock level=30 name=wal.faultfs
-	// written and synced are byte lengths per absolute path.
-	written map[string]int64
-	synced  map[string]int64
+	// files is the durability state of every file opened for writing,
+	// by absolute path.
+	files map[string]*faultState
 	// newEntries tracks, per directory, files created since the last
 	// successful SyncDir: their directory entries are volatile and lost
 	// at Crash.
 	newEntries map[string]map[string]bool
 	// removed tracks, per directory, files removed since the last
 	// successful SyncDir, with their durable content (what the platter
-	// held: the fsynced prefix). An unlink is a directory mutation like
-	// a create: until the directory is fsynced, a power loss can leave
-	// the old entry — and the file's durable data — in place, so Crash
-	// restores these. Checkpoint GC's safety depends on this model:
-	// either the removal's covering SyncDir succeeded (and so did the
+	// held). An unlink is a directory mutation like a create: until the
+	// directory is fsynced, a power loss can leave the old entry — and
+	// the file's durable data — in place, so Crash restores these.
+	// Checkpoint GC's safety depends on this model: either the
+	// removal's covering SyncDir succeeded (and so did the
 	// checkpoint's, ordered before it), or the segments come back.
 	removed map[string]map[string][]byte
-	// allowSyncs is how many more fsyncs succeed before they are
+	// allowSyncs is how many more syncs succeed before they are
 	// silently dropped; -1 means unlimited.
 	allowSyncs int64
 	syncErr    error
 	syncs      int64
 }
 
-// NewFaultFS returns a FaultFS with fsyncs working normally.
+// FaultSectorSize is the unit in which FaultFS loses or keeps unsynced
+// writes at a crash.
+const FaultSectorSize = 512
+
+// faultState is what FaultFS knows of one file: size is its current
+// length, durable the length the last successful sync covered, and pre
+// the content at that sync of every sector below durable that has been
+// overwritten since (clipped to durable).
+type faultState struct {
+	size    int64
+	durable int64
+	pre     map[int64][]byte
+}
+
+// savePreImages records, before [off, off+n) is overwritten, what the
+// sectors it touches hold — once per sector and sync.
+func (st *faultState) savePreImages(f *os.File, off, n int64) error {
+	end := min(off+n, st.durable)
+	for sec := off / FaultSectorSize; sec*FaultSectorSize < end; sec++ {
+		if _, ok := st.pre[sec]; ok {
+			continue
+		}
+		at := sec * FaultSectorSize
+		buf := make([]byte, min(FaultSectorSize, st.durable-at))
+		if _, err := f.ReadAt(buf, at); err != nil {
+			return err
+		}
+		if st.pre == nil {
+			st.pre = make(map[int64][]byte)
+		}
+		st.pre[sec] = buf
+	}
+	return nil
+}
+
+// durableImage turns the file's current content b into what the disk is
+// sure to hold.
+func (st *faultState) durableImage(b []byte) []byte {
+	if int64(len(b)) > st.durable {
+		b = b[:st.durable]
+	}
+	for sec, img := range st.pre {
+		if at := sec * FaultSectorSize; at < int64(len(b)) {
+			copy(b[at:], img)
+		}
+	}
+	return b
+}
+
+// NewFaultFS returns a FaultFS with syncs working normally.
 func NewFaultFS() *FaultFS {
 	return &FaultFS{
-		written:    make(map[string]int64),
-		synced:     make(map[string]int64),
+		files:      make(map[string]*faultState),
 		newEntries: make(map[string]map[string]bool),
 		removed:    make(map[string]map[string][]byte),
 		allowSyncs: -1,
 	}
 }
 
-// DropFutureSyncs makes every subsequent fsync a silent no-op: writes
+// DropFutureSyncs makes every subsequent sync a silent no-op: writes
 // keep landing in the "page cache" (the real file) but are lost at
 // Crash().
 func (f *FaultFS) DropFutureSyncs() { f.DropSyncsAfter(0) }
 
-// DropSyncsAfter lets the next n fsyncs succeed and silently drops every
+// DropSyncsAfter lets the next n syncs succeed and silently drops every
 // one after that.
 func (f *FaultFS) DropSyncsAfter(n int) {
 	f.mu.Lock()
@@ -152,7 +230,7 @@ func (f *FaultFS) DropSyncsAfter(n int) {
 	f.allowSyncs = int64(n)
 }
 
-// FailSyncs makes every subsequent fsync return err (nil restores normal
+// FailSyncs makes every subsequent sync return err (nil restores normal
 // operation).
 func (f *FaultFS) FailSyncs(err error) {
 	f.mu.Lock()
@@ -160,21 +238,46 @@ func (f *FaultFS) FailSyncs(err error) {
 	f.syncErr = err
 }
 
-// Syncs returns how many fsyncs were attempted (including dropped ones).
+// Syncs returns how many syncs were attempted (including dropped ones).
 func (f *FaultFS) Syncs() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.syncs
 }
 
-// Crash simulates a machine crash: files whose directory entry was
-// never made durable (created with no successful SyncDir since) are
+// trySyncLocked counts one sync attempt and reports whether it takes
+// effect: a failing sync returns the injected error, a dropped one
+// (false, nil).
+func (f *FaultFS) trySyncLocked() (bool, error) {
+	f.syncs++
+	if f.syncErr != nil {
+		return false, f.syncErr
+	}
+	if f.allowSyncs == 0 {
+		return false, nil
+	}
+	if f.allowSyncs > 0 {
+		f.allowSyncs--
+	}
+	return true, nil
+}
+
+// Crash simulates a machine crash that loses every unsynced write. See
+// CrashKeeping.
+func (f *FaultFS) Crash() error { return f.CrashKeeping(nil) }
+
+// CrashKeeping simulates a machine crash: files whose directory entry
+// was never made durable (created with no successful SyncDir since) are
 // removed outright — their data is unreachable, however much of it was
-// fsynced — and every other file this FS opened for writing is
-// truncated to the length its last successful fsync covered, discarding
-// the unsynced tail the page cache would lose. The caller must have
-// stopped all writers first (the "process" is dead).
-func (f *FaultFS) Crash() error {
+// synced; files unlinked with no successful SyncDir since come back
+// with their durable content; and every other file this FS opened for
+// writing gets the sectors overwritten since its last successful sync
+// put back as they were and is cut to the length that sync covered —
+// except the sectors keep(path, sector) selects, which hold what was
+// last written to them: the disk wrote those and not the others. A nil
+// keep keeps none. The caller must have stopped all writers first (the
+// "process" is dead).
+func (f *FaultFS) CrashKeeping(keep func(name string, sector int64) bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for dir, ents := range f.newEntries {
@@ -182,14 +285,10 @@ func (f *FaultFS) Crash() error {
 			if err := os.Remove(name); err != nil && !os.IsNotExist(err) {
 				return fmt.Errorf("wal: crash unlink %s: %w", filepath.Base(name), err)
 			}
-			delete(f.written, name)
-			delete(f.synced, name)
+			delete(f.files, name)
 		}
 		delete(f.newEntries, dir)
 	}
-	// Volatile unlinks come back: the directory holding them was never
-	// fsynced after the removal, so the old entry — and the file's
-	// durable content — survives the power loss.
 	for dir, ents := range f.removed {
 		for name, content := range ents {
 			if err := os.WriteFile(name, content, 0o644); err != nil {
@@ -198,13 +297,30 @@ func (f *FaultFS) Crash() error {
 		}
 		delete(f.removed, dir)
 	}
-	for name, written := range f.written {
-		synced := f.synced[name]
-		if synced < written {
-			if err := os.Truncate(name, synced); err != nil {
-				return fmt.Errorf("wal: crash truncate %s: %w", filepath.Base(name), err)
+	for name, st := range f.files {
+		if len(st.pre) == 0 && st.size <= st.durable {
+			continue
+		}
+		file, err := os.OpenFile(name, os.O_WRONLY, 0)
+		if err != nil {
+			return fmt.Errorf("wal: crash %s: %w", filepath.Base(name), err)
+		}
+		for sec, img := range st.pre {
+			if keep != nil && keep(name, sec) {
+				continue
+			}
+			if _, err = file.WriteAt(img, sec*FaultSectorSize); err != nil {
+				break
 			}
 		}
+		if err == nil {
+			err = file.Truncate(st.durable)
+		}
+		file.Close()
+		if err != nil {
+			return fmt.Errorf("wal: crash %s: %w", filepath.Base(name), err)
+		}
+		st.size, st.pre = st.durable, nil
 	}
 	return nil
 }
@@ -219,93 +335,77 @@ func (f *FaultFS) Truncate(name string, size int64) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if w, ok := f.written[name]; ok && w > size {
-		f.written[name] = size
+	st := f.files[name]
+	if st == nil {
+		return nil
 	}
-	if s, ok := f.synced[name]; ok && s > size {
-		f.synced[name] = size
+	st.size = size
+	if st.durable > size {
+		st.durable = size
+		for sec, img := range st.pre {
+			switch at := sec * FaultSectorSize; {
+			case at >= size:
+				delete(st.pre, sec)
+			case at+int64(len(img)) > size:
+				st.pre[sec] = img[:size-at]
+			}
+		}
 	}
 	return nil
 }
 
 func (f *FaultFS) Remove(name string) error {
 	dir := filepath.Dir(name)
-	// Capture the file's durable content before unlinking: if the
-	// file's own directory entry was durable, the unlink is volatile
-	// until the next successful SyncDir, and Crash restores it. A file
-	// whose entry was never made durable (still in newEntries) would
-	// not have survived a crash anyway, so nothing is captured for it.
-	f.mu.Lock()
-	entryDurable := f.newEntries[dir] == nil || !f.newEntries[dir][name]
-	durableLen, tracked := f.synced[name]
-	f.mu.Unlock()
-	var content []byte
-	if entryDurable {
-		b, err := os.ReadFile(name)
-		if err != nil {
-			return err
-		}
-		if tracked && durableLen < int64(len(b)) {
-			b = b[:durableLen]
-		}
-		content = b
+	b, err := os.ReadFile(name)
+	if err != nil {
+		return err
 	}
 	if err := (osFS{}).Remove(name); err != nil {
 		return err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.written, name)
-	delete(f.synced, name)
-	if ents := f.newEntries[dir]; ents != nil {
+	// If the file's own directory entry was durable, the unlink is
+	// volatile until the next successful SyncDir, and Crash restores
+	// the file's durable content. A file whose entry was never made
+	// durable (still in newEntries) would not have survived a crash
+	// anyway, so nothing is kept for it.
+	if ents := f.newEntries[dir]; ents[name] {
 		delete(ents, name)
-	}
-	if entryDurable {
+	} else {
+		if st := f.files[name]; st != nil {
+			b = st.durableImage(b)
+		}
 		if f.removed[dir] == nil {
 			f.removed[dir] = make(map[string][]byte)
 		}
-		f.removed[dir][name] = content
+		f.removed[dir][name] = b
 	}
+	delete(f.files, name)
 	return nil
 }
 
 // SyncDir makes the directory's entries durable, subject to the same
-// drop/fail knobs as file fsyncs: a dropped SyncDir leaves every entry
+// drop/fail knobs as file syncs: a dropped SyncDir leaves every entry
 // created since the last successful one volatile (lost at Crash).
 func (f *FaultFS) SyncDir(dir string) error {
 	f.mu.Lock()
-	f.syncs++
-	if f.syncErr != nil {
-		err := f.syncErr
-		f.mu.Unlock()
-		return err
+	defer f.mu.Unlock()
+	ok, err := f.trySyncLocked()
+	if ok {
+		delete(f.newEntries, dir)
+		delete(f.removed, dir)
 	}
-	if f.allowSyncs == 0 {
-		f.mu.Unlock()
-		return nil
-	}
-	if f.allowSyncs > 0 {
-		f.allowSyncs--
-	}
-	f.mu.Unlock()
-	if err := (osFS{}).SyncDir(dir); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	delete(f.newEntries, dir)
-	delete(f.removed, dir)
-	f.mu.Unlock()
-	return nil
+	return err
 }
 
 func (f *FaultFS) Create(name string) (File, error) {
-	file, err := osFS{}.Create(name)
+	file, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	f.mu.Lock()
-	f.written[name] = 0
-	f.synced[name] = 0
+	f.files[name] = &faultState{}
 	dir := filepath.Dir(name)
 	if f.newEntries[dir] == nil {
 		f.newEntries[dir] = make(map[string]bool)
@@ -315,12 +415,12 @@ func (f *FaultFS) Create(name string) (File, error) {
 	return &faultFile{fs: f, name: name, f: file}, nil
 }
 
-func (f *FaultFS) OpenAppend(name string) (File, error) {
-	file, err := osFS{}.OpenAppend(name)
+func (f *FaultFS) OpenWrite(name string) (File, error) {
+	file, err := os.OpenFile(name, os.O_RDWR, 0)
 	if err != nil {
 		return nil, err
 	}
-	info, err := os.Stat(name)
+	info, err := file.Stat()
 	if err != nil {
 		file.Close()
 		return nil, err
@@ -328,57 +428,56 @@ func (f *FaultFS) OpenAppend(name string) (File, error) {
 	f.mu.Lock()
 	// Pre-existing contents (a recovered segment) are considered
 	// durable: recovery already truncated to what survived.
-	f.written[name] = info.Size()
-	f.synced[name] = info.Size()
+	f.files[name] = &faultState{size: info.Size(), durable: info.Size()}
 	f.mu.Unlock()
 	return &faultFile{fs: f, name: name, f: file}, nil
 }
 
-// faultFile tracks written/synced lengths through its FaultFS.
+// faultFile is a file opened for writing through a FaultFS. pos is the
+// offset of the next Write.
 type faultFile struct {
 	fs   *FaultFS
 	name string
-	f    File
+	f    *os.File
+	pos  int64
 }
 
 func (ff *faultFile) Read(p []byte) (int, error) { return ff.f.Read(p) }
 func (ff *faultFile) Close() error               { return ff.f.Close() }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
-	n, err := ff.f.Write(p)
-	if n > 0 {
-		ff.fs.mu.Lock()
-		ff.fs.written[ff.name] += int64(n)
-		ff.fs.mu.Unlock()
+	n, err := ff.WriteAt(p, ff.pos)
+	ff.pos += int64(n)
+	return n, err
+}
+
+func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
+	ff.fs.mu.Lock()
+	defer ff.fs.mu.Unlock()
+	// A file removed while open is no longer tracked.
+	st := ff.fs.files[ff.name]
+	if st != nil {
+		if err := st.savePreImages(ff.f, off, int64(len(p))); err != nil {
+			return 0, err
+		}
+	}
+	n, err := ff.f.WriteAt(p, off)
+	if st != nil && n > 0 {
+		st.size = max(st.size, off+int64(n))
 	}
 	return n, err
 }
 
 func (ff *faultFile) Sync() error {
 	ff.fs.mu.Lock()
-	ff.fs.syncs++
-	if ff.fs.syncErr != nil {
-		err := ff.fs.syncErr
-		ff.fs.mu.Unlock()
-		return err
+	defer ff.fs.mu.Unlock()
+	ok, err := ff.fs.trySyncLocked()
+	if st := ff.fs.files[ff.name]; ok && st != nil {
+		st.durable, st.pre = st.size, nil
 	}
-	if ff.fs.allowSyncs == 0 {
-		// Dropped: the data stays in the "page cache" only.
-		ff.fs.mu.Unlock()
-		return nil
-	}
-	if ff.fs.allowSyncs > 0 {
-		ff.fs.allowSyncs--
-	}
-	written := ff.fs.written[ff.name]
-	ff.fs.mu.Unlock()
-	if err := ff.f.Sync(); err != nil {
-		return err
-	}
-	ff.fs.mu.Lock()
-	if written > ff.fs.synced[ff.name] {
-		ff.fs.synced[ff.name] = written
-	}
-	ff.fs.mu.Unlock()
-	return nil
+	return err
 }
+
+// Datasync is Sync: the model keeps no metadata a data-only sync could
+// leave behind.
+func (ff *faultFile) Datasync() error { return ff.Sync() }

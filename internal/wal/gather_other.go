@@ -2,8 +2,13 @@
 
 package wal
 
-import "time"
+import (
+	"os"
+	"time"
+)
 
-// gatherSleep waits out the group-commit gather window. See
-// gather_linux.go for why Linux does not leave this to time.Sleep.
+// gatherSleep and datasync: see gather_linux.go for why Linux leaves
+// neither to the standard library.
 func gatherSleep(d time.Duration) { time.Sleep(d) }
+
+func datasync(f *os.File) error { return f.Sync() }

@@ -52,6 +52,7 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 		Fsync:       cfg.FsyncMode,
 		GroupWindow: cfg.WALGroupWindow,
 		FS:          cfg.WALFS,
+		Joiners:     func() int { return int(db.walJoiners.Load()) },
 	})
 	if err != nil {
 		db.Close()
@@ -169,7 +170,8 @@ func (db *DB) walPrepare(tx *Tx) (*wal.Pending, error) {
 	if err := p.Err(); err != nil {
 		return nil, fmt.Errorf("pgssi: commit record: %w", err)
 	}
-	db.walPending.Store(tx.xid, p)
+	tx.walPend = p
+	db.walPending.Store(tx.xid, tx)
 	return p, nil
 }
 
@@ -213,7 +215,41 @@ func (db *DB) walCommitHook(xid mvcc.TxID, seq mvcc.SeqNo) {
 	if !ok {
 		return
 	}
-	db.durable.Enqueue(v.(*wal.Pending), seq)
+	tx := v.(*Tx)
+	// Leave first, and silently: the enqueue rings the flusher, which
+	// must find this transaction's record in the queue and the
+	// transaction itself no longer among those worth waiting for.
+	if tx.joiner {
+		tx.joiner = false
+		db.walJoiners.Add(-1)
+	}
+	db.durable.Enqueue(tx.walPend, seq)
+}
+
+// joinWAL counts tx among the transactions a log flush may be held back
+// for (wal.Config.Joiners): one that may yet write and commit. A declared
+// read-only transaction never logs, and a database without a durable log
+// has no flush to hold.
+func (db *DB) joinWAL(tx *Tx) {
+	if db.durable != nil && !tx.readOnly {
+		tx.joiner = true
+		db.walJoiners.Add(1)
+	}
+}
+
+// leaveWAL ends what joinWAL began for a transaction that ends without
+// a record — nothing written, rolled back, or prepared (its commit is
+// the transaction manager's to time) — and tells the log when the last
+// one has left: a flush held back for them has nobody left to wait for.
+// A transaction with a record leaves in walCommitHook.
+func (db *DB) leaveWAL(tx *Tx) {
+	if !tx.joiner {
+		return
+	}
+	tx.joiner = false
+	if db.walJoiners.Add(-1) == 0 {
+		db.durable.JoinersDrained()
+	}
 }
 
 // walAbandon discards a parked record whose transaction did not commit.

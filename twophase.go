@@ -51,6 +51,9 @@ func (tx *Tx) Prepare(gid string) error {
 	}
 	tx.prepared = true
 	tx.gid = gid
+	// Its commit is now the transaction manager's to time, not ours: no
+	// log flush should be held back for it.
+	tx.db.leaveWAL(tx)
 	tx.db.prepMu.Lock()
 	tx.db.prepared[gid] = tx
 	tx.db.prepMu.Unlock()

@@ -2,6 +2,7 @@ package pgssi_test
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -130,6 +131,50 @@ func BenchmarkGroupCommit(b *testing.B) {
 			}
 			b.ReportMetric(float64(st.Fsyncs), "fsyncs")
 			b.ReportMetric(float64(st.BytesWritten)/float64(b.N), "walB/commit")
+		})
+	}
+	// Batch mode with a fixed number of closed-loop committers. One has
+	// nobody to wait for and must pay one sync and no more (ns/op close to
+	// sync-µs); sixteen keep the flusher gathering. commits/sync counts
+	// the per-batch data syncs alone (Fsyncs counts rotations' and the
+	// directory's too), sync-µs is what one of them takes.
+	for _, committers := range []int{1, 2, 16} {
+		b.Run(fmt.Sprintf("batch/%d", committers), func(b *testing.B) {
+			db, err := pgssi.OpenDir(b.TempDir(), pgssi.Config{FsyncMode: pgssi.FsyncBatch})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			if err := db.CreateTable("t"); err != nil {
+				b.Fatal(err)
+			}
+			var ctr atomic.Int64
+			val := []byte("group-commit-payload")
+			st0 := db.WALStats()
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for w := 0; w < committers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for id := ctr.Add(1); id <= int64(b.N); id = ctr.Add(1) {
+						err := db.RunTx(pgssi.TxOptions{Isolation: pgssi.Serializable}, func(tx *pgssi.Tx) error {
+							return tx.Insert("t", fmt.Sprintf("k%016d", id), val)
+						})
+						if err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			st := db.WALStats()
+			if syncs := (st.Batches - st.UnsyncedBatches) - (st0.Batches - st0.UnsyncedBatches); syncs > 0 {
+				b.ReportMetric(float64(b.N)/float64(syncs), "commits/sync")
+				b.ReportMetric(float64(st.SyncNanos-st0.SyncNanos)/1e3/float64(syncs), "sync-µs")
+			}
 		})
 	}
 }
