@@ -410,7 +410,12 @@ func BenchmarkScanParallel(b *testing.B) {
 // single-threaded, in the three shapes the repository's benchmark drives
 // over TCP (bench/: scan_readmostly's report and adjust, kv_uniform's
 // Get): a 1000-row read-only scan on a safe snapshot, a 100-row tracked
-// scan followed by two Puts, and a point Get on a million rows. Run with
+// scan followed by two Puts, and a point Get on a million rows — and a
+// tracked 1000-row scan of a table whose every row was updated once, in
+// scattered order, before the clock started: a row keeps its heap page,
+// so this costs what the scan of a freshly loaded table costs (locks/scan
+// ≈ 17 page locks + the index leaves'); if updates ever move rows again,
+// locks/scan and ns/row grow with the table's update history. Run with
 // -benchmem: the scans' allocations must not grow with their range. The
 // nightly workflow archives it with the other scan benchmarks.
 func BenchmarkScanPath(b *testing.B) {
@@ -480,6 +485,40 @@ func BenchmarkScanPath(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("after-updates", func(b *testing.B) {
+		db, keys := load(b, 100_000)
+		for lo := 0; lo < len(keys); lo += 10000 {
+			tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.ReadCommitted})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := lo; i < lo+10000; i++ {
+				if err := tx.Update("kv", keys[i*7919%len(keys)], []byte("fedcba9876543210")); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		locks := db.SSIStats().LocksAcquired
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Not read-only: a read-only transaction begun on an idle
+			// database is safe at once and registers nothing.
+			tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+			if err != nil {
+				b.Fatal(err)
+			}
+			scan(b, tx, keys, (i*7919)%(len(keys)-1001), 1000)
+			if err := tx.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(db.SSIStats().LocksAcquired-locks)/float64(b.N), "locks/scan")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1000, "ns/row")
 	})
 	b.Run("get-1M", func(b *testing.B) {
 		db, keys := load(b, 1_000_000)

@@ -1,0 +1,31 @@
+package pgssi
+
+import (
+	"fmt"
+	"strings"
+)
+
+// DescribeReadState renders what a transaction reading keys of table is
+// up against right now, for harnesses in package pgssi_test that catch a
+// reader seeing a state it should not: the commit sequence and the trim
+// horizon, every active transaction with its snapshot CSN, and every
+// version of each row (storage.Table.DescribeRow).
+func DescribeReadState(db *DB, table string, keys []string) string {
+	ti, err := db.table(table)
+	if err != nil {
+		return err.Error()
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "commit seq %d, trim horizon %d\n", db.mvcc.CurrentSeq(), db.mvcc.Horizon())
+	for _, xid := range db.mvcc.ActiveXIDs() {
+		if seq, ok := db.ssi.SnapshotSeq(xid); ok {
+			fmt.Fprintf(&b, "active xid %d: snapshot CSN %d\n", xid, seq)
+		} else {
+			fmt.Fprintf(&b, "active xid %d: not tracked by the SSI manager\n", xid)
+		}
+	}
+	for _, k := range keys {
+		fmt.Fprintf(&b, "  %s\n", ti.heap.DescribeRow(k, db.mvcc))
+	}
+	return b.String()
+}

@@ -384,3 +384,82 @@ func TestBatchAcquireStress(t *testing.T) {
 		})
 	}
 }
+
+// TestBatchMatchesPerKeyPath is the batch rule as a property: for random
+// thresholds, prior holdings (tuple locks taken singly, some dropped
+// again, a page or relation lock now and then) and duplicate-free
+// batches of random size on a few pages, registering each batch through
+// AcquireTupleLockBatch and registering its keys one by one through
+// AcquireTupleLock leave every key covered, by the same locks, with the
+// lock gauge equal — in particular for the batches that decide on
+// len(keys) alone, before looking at what the transaction holds. (The
+// global capacity bound is left at its default: a batch tests it once,
+// the per-key path before every key, which is the documented tolerance
+// and has its own test.)
+func TestBatchMatchesPerKeyPath(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 1))
+	for trial := 0; trial < 300; trial++ {
+		cfg := Config{
+			PromoteTupleToPage: 1 + rng.IntN(20),
+			PromotePageToRel:   1 + rng.IntN(4),
+		}
+		batch, single := newHarness(t, cfg), newHarness(t, cfg)
+		bx, sx := batch.begin(false), single.begin(false)
+		both := func(f func(m *Manager, x *Xact)) {
+			f(batch.mgr, bx)
+			f(single.mgr, sx)
+		}
+		key := func(i int) string { return "k" + strconv.Itoa(i) }
+		covered := func(m *Manager, x *Xact, page int64, k string) bool {
+			return m.HoldsLock(x, TupleTarget("t", page, k)) || m.HoldsLock(x, PageTarget("t", page)) || m.HoldsLock(x, RelationTarget("t"))
+		}
+		for step := 0; step < 8; step++ {
+			page := int64(rng.IntN(5))
+			switch rng.IntN(10) {
+			case 0:
+				both(func(m *Manager, x *Xact) { m.AcquirePageLock(x, "t", page) })
+				continue
+			case 1:
+				if rng.IntN(4) == 0 {
+					both(func(m *Manager, x *Xact) { m.AcquireRelationLock(x, "t") })
+				}
+				continue
+			case 2, 3:
+				k := key(rng.IntN(40))
+				both(func(m *Manager, x *Xact) { m.AcquireTupleLock(x, "t", page, k) })
+				if rng.IntN(2) == 0 {
+					both(func(m *Manager, x *Xact) { m.DropOwnTupleLock(x, "t", page, k) })
+				}
+				continue
+			}
+			keys := make([]string, 0, 40)
+			for _, i := range rng.Perm(40)[:1+rng.IntN(40)] {
+				keys = append(keys, key(i))
+			}
+			bCovered := batchAcquire(t, batch, bx, "t", page, keys...)
+			for _, k := range keys {
+				single.mgr.AcquireTupleLock(sx, "t", page, k)
+			}
+			if sCovered := single.mgr.HoldsLock(sx, RelationTarget("t")); bCovered != sCovered {
+				t.Fatalf("trial %d step %d (%+v): batch reports relation cover %v, per-key path holds relation lock: %v", trial, step, cfg, bCovered, sCovered)
+			}
+			for _, k := range keys {
+				if !covered(batch.mgr, bx, page, k) || !covered(single.mgr, sx, page, k) {
+					t.Fatalf("trial %d step %d (%+v): key %s of a %d-key batch on page %d left uncovered", trial, step, cfg, k, len(keys), page)
+				}
+				if b, s := batch.mgr.HoldsLock(bx, TupleTarget("t", page, k)), single.mgr.HoldsLock(sx, TupleTarget("t", page, k)); b != s {
+					t.Fatalf("trial %d step %d (%+v): tuple lock on %s: batch path %v, per-key path %v", trial, step, cfg, k, b, s)
+				}
+			}
+			bs, ss := batch.mgr.Stats(), single.mgr.Stats()
+			if bs.LocksCurrent != ss.LocksCurrent || batch.mgr.LockCount() != single.mgr.LockCount() || int(bs.LocksCurrent) != batch.mgr.LockCount() {
+				t.Fatalf("trial %d step %d (%+v): after a %d-key batch on page %d the batch path holds %d locks (gauge %d), the per-key path %d (gauge %d)",
+					trial, step, cfg, len(keys), page, batch.mgr.LockCount(), bs.LocksCurrent, single.mgr.LockCount(), ss.LocksCurrent)
+			}
+		}
+		batch.abort(bx)
+		single.abort(sx)
+		assertQuiesced(t, batch)
+		assertQuiesced(t, single)
+	}
+}

@@ -314,7 +314,8 @@ type Xact struct {
 	lockMu sync.Mutex //ssi:lock level=40 name=core.txnLocks
 	// locks is this transaction's SIREAD lock set.
 	locks map[Target]struct{}
-	// tuplesOnPage counts tuple locks per (rel, page) for promotion.
+	// tuplesOnPage counts the tuple locks taken per (rel, page), for
+	// promotion; zero means x holds no tuple lock on the page.
 	tuplesOnPage map[Target]int
 	// pagesOnRel counts page locks per relation for promotion.
 	pagesOnRel map[string]int
@@ -323,6 +324,10 @@ type Xact struct {
 	// snapshot. Structural propagation (PageSplit) bypasses it, since
 	// committed transactions' existing locks must still follow splits.
 	lockingDone bool
+	// batchTargets and batchParts are AcquireTupleLockBatch's working
+	// storage, kept between calls.
+	batchTargets []Target
+	batchParts   []uint64
 
 	// possibleUnsafe, on a read-only transaction, is the set of
 	// concurrent read/write transactions whose fate determines whether

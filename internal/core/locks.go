@@ -113,16 +113,32 @@ func (m *Manager) coveredXLocked(x *Xact, t Target) bool {
 }
 
 // AcquireTupleLockBatch records SIREAD locks for x on a batch of tuples
-// whose read versions share one heap page — semantically identical to
-// calling AcquireTupleLock per key, but O(1) in lock-path acquisitions
-// where the per-row path is O(rows): x.lockMu is taken once for the
-// whole batch, the covered/dup checks run against x's own lock set in
-// that single critical section, the surviving inserts are grouped so
-// each partition mutex is taken at most once, and promotion bookkeeping
-// runs once at batch end. A batch must never span heap pages: the
-// engine calls this from inside the page's shared read latch
-// (storage.Reader), which is what keeps the PR 2
-// {visibility, registration} atomicity per page (see partition.go).
+// that share one heap page — the coverage of calling AcquireTupleLock per
+// key, but O(1) in lock-path acquisitions where the per-row path is
+// O(rows): x.lockMu is taken once for the whole batch and promotion is
+// decided once, first.
+//
+// The batch rule: a batch of more than PromoteTupleToPage keys is a page
+// lock, whatever x already holds on the page. That is what the per-key
+// path arrives at — every key either is already tuple-locked by x on
+// this page, and then counted in tuplesOnPage, or is inserted and
+// counted, so after the last of more than PromoteTupleToPage distinct
+// keys the count is over the threshold and the tuple locks are
+// consolidated — so len(keys) alone decides, and no Target is built and
+// no lock-set probe made per key for a batch that promotes. (The engine
+// passes duplicate-free key sets. A batch inflated by duplicates past
+// the threshold takes the page lock where the per-key path would not
+// yet: coarser, never less covered, and the gauge stays exact.) A scan
+// of a table loaded in key order meets whole pages (storage: a row keeps
+// its page), so its batches are this case and cost one map insert each.
+// A smaller batch runs the covered/dup checks against x's own lock set,
+// crosses the threshold or not with what x holds already, and otherwise
+// inserts the survivors with each partition mutex taken at most once;
+// its working storage is x's and is reused.
+//
+// A batch must never span heap pages: the engine calls this from inside
+// the page's shared read latch (storage.Reader), which is what keeps the
+// PR 2 {visibility, registration} atomicity per page (see partition.go).
 //
 // It returns relCovered=true when x holds (or, via promotion, just
 // acquired) a relation-granularity lock on rel. Lock sets only ever
@@ -159,16 +175,21 @@ func (m *Manager) acquireTupleBatchXLocked(x *Xact, rel string, page int64, keys
 	if _, ok := x.locks[pk]; ok {
 		return false
 	}
-	// Survivors: keys not already tuple-locked by x.
-	targets := make([]Target, 0, len(keys))
-	for _, k := range keys {
-		t := TupleTarget(rel, page, k)
-		if _, dup := x.locks[t]; !dup {
-			targets = append(targets, t)
+	promotes := len(keys) > m.cfg.PromoteTupleToPage
+	targets := x.batchTargets[:0]
+	if !promotes {
+		// Survivors: keys not already tuple-locked by x.
+		for _, k := range keys {
+			t := TupleTarget(rel, page, k)
+			if _, dup := x.locks[t]; !dup {
+				targets = append(targets, t)
+			}
 		}
-	}
-	if len(targets) == 0 {
-		return false
+		x.batchTargets = targets
+		if len(targets) == 0 {
+			return false
+		}
+		promotes = x.tuplesOnPage[pk]+len(targets) > m.cfg.PromoteTupleToPage
 	}
 	// Global capacity bound, batch-wise: same trigger as the per-row
 	// path (gauge already at the bound), with the same tolerance for
@@ -178,37 +199,25 @@ func (m *Manager) acquireTupleBatchXLocked(x *Xact, rel string, page int64, keys
 		m.promoteToRelationXLocked(x, rel)
 		return true
 	}
-	// Tuple→page threshold, applied once for the batch: if the batch
-	// would cross it, take the page lock directly instead of inserting
-	// tuple locks that promotion would immediately remove. Coverage is
-	// identical (the page lock covers every tuple in the batch).
-	if x.tuplesOnPage == nil {
-		x.tuplesOnPage = make(map[Target]int)
-	}
-	if x.tuplesOnPage[pk]+len(targets) > m.cfg.PromoteTupleToPage {
+	// Tuple→page threshold, applied once for the batch: take the page
+	// lock directly instead of inserting tuple locks that promotion would
+	// immediately remove. Coverage is identical (the page lock covers
+	// every tuple in the batch).
+	if promotes {
 		m.tuplePromotions.Add(1)
 		m.promoteToPageXLocked(x, rel, page)
 		_, relCovered = x.locks[RelationTarget(rel)]
 		return relCovered
 	}
-	// Group the surviving inserts by partition; take each partition
-	// mutex exactly once, still one at a time (ordering rule unchanged).
-	type partBatch struct {
-		p  *lockPartition
-		ts []Target
-	}
-	groups := make([]partBatch, 0, 8)
-outer:
+	// Insert the survivors partition by partition: each partition mutex
+	// is taken at most once, still one at a time (ordering rule
+	// unchanged). parts[i] is targets[i]'s partition until it is inserted.
+	const inserted = ^uint64(0)
+	parts := x.batchParts[:0]
 	for _, t := range targets {
-		p := m.partition(t)
-		for i := range groups {
-			if groups[i].p == p {
-				groups[i].ts = append(groups[i].ts, t)
-				continue outer
-			}
-		}
-		groups = append(groups, partBatch{p: p, ts: []Target{t}})
+		parts = append(parts, m.partitionIndex(t))
 	}
+	x.batchParts = parts
 	if x.locks == nil {
 		x.locks = make(map[Target]struct{}, len(targets))
 	}
@@ -217,27 +226,38 @@ outer:
 	// move the gauge once (the engine passes dup-free key sets, but the
 	// accounting must not depend on that).
 	n := 0
-	for gi := range groups {
-		g := &groups[gi]
-		g.p.mu.Lock()
-		for _, t := range g.ts {
-			holders := g.p.locks[t]
+	for i, pi := range parts {
+		if pi == inserted {
+			continue
+		}
+		p := &m.parts[pi]
+		p.mu.Lock()
+		for j := i; j < len(parts); j++ {
+			if parts[j] != pi {
+				continue
+			}
+			parts[j] = inserted
+			t := targets[j]
+			holders := p.locks[t]
 			if holders == nil {
 				holders = make(map[*Xact]struct{})
-				g.p.locks[t] = holders
+				p.locks[t] = holders
 			}
 			if _, dup := holders[x]; !dup {
 				holders[x] = struct{}{}
 				n++
 			}
 		}
-		g.p.mu.Unlock()
-		for _, t := range g.ts {
-			x.locks[t] = struct{}{}
-		}
+		p.mu.Unlock()
+	}
+	for _, t := range targets {
+		x.locks[t] = struct{}{}
 	}
 	m.locksAcquired.Add(int64(n))
 	m.bumpLocksCurrent(int64(n))
+	if x.tuplesOnPage == nil {
+		x.tuplesOnPage = make(map[Target]int)
+	}
 	x.tuplesOnPage[pk] += n
 	return false
 }
@@ -292,15 +312,23 @@ func (m *Manager) removeLockXLocked(x *Xact, t Target) {
 // single page lock. The page lock is inserted BEFORE the tuple locks are
 // removed so that a concurrent writer, which checks granularities finest
 // to coarsest, can never observe a window with no covering lock (see
-// partition.go). Caller holds x.lockMu.
+// partition.go). tuplesOnPage counts every tuple lock x acquired on the
+// page (it is not decremented when one is dropped; only a recovered
+// prepared transaction holds uncounted ones, and it acquires nothing),
+// so zero means there is none to remove and the walk over x's whole lock
+// set is skipped — the common case of a scan meeting a page for the first
+// time. Caller holds x.lockMu.
 func (m *Manager) promoteToPageXLocked(x *Xact, rel string, page int64) {
-	m.insertLockXLocked(x, PageTarget(rel, page))
-	for t := range x.locks {
-		if t.Level == LevelTuple && t.Rel == rel && t.Page == page {
-			m.removeLockXLocked(x, t)
+	pk := PageTarget(rel, page)
+	m.insertLockXLocked(x, pk)
+	if x.tuplesOnPage[pk] > 0 {
+		for t := range x.locks {
+			if t.Level == LevelTuple && t.Rel == rel && t.Page == page {
+				m.removeLockXLocked(x, t)
+			}
 		}
+		delete(x.tuplesOnPage, pk)
 	}
-	delete(x.tuplesOnPage, PageTarget(rel, page))
 	if x.pagesOnRel == nil {
 		x.pagesOnRel = make(map[string]int)
 	}
@@ -355,6 +383,7 @@ func (m *Manager) collectLocksLocked(x *Xact, byPart map[uint64][]removal) map[u
 	x.locks = nil
 	x.tuplesOnPage = nil
 	x.pagesOnRel = nil
+	x.batchTargets, x.batchParts = nil, nil
 	x.lockMu.Unlock()
 	return byPart
 }

@@ -108,17 +108,18 @@ import (
 // (flushRemovalsLocked); both follow the same outer-to-inner order with
 // two refinements:
 //
-//   - A lock batch NEVER spans heap pages. The engine's scan groups the
-//     rows it walks by the heap page of the row's visible version
-//     (storage.Reader) and registers one page's tuples per call,
-//     from inside that page's shared read latch — so the PR 2 atomicity
-//     unit {visibility check, SIREAD registration} stays per page, and
-//     the level-0 rule (storage latch outside all core locks) is
-//     unchanged. Within a batch, x.lockMu is taken ONCE and the
-//     surviving inserts are grouped so each partition mutex is taken at
-//     most once — still one partition mutex at a time, so the ordering
-//     argument is unaffected; promotion bookkeeping runs once at batch
-//     end.
+//   - A lock batch NEVER spans heap pages. The engine's scan takes the
+//     rows it walks in runs that share a heap page (storage.Reader; a
+//     row's page never changes) and registers one run's tuples per
+//     call, from inside that page's shared read latch — so the PR 2
+//     atomicity unit {visibility check, SIREAD registration} stays per
+//     page, and the level-0 rule (storage latch outside all core locks)
+//     is unchanged. Within a batch, x.lockMu is taken ONCE, promotion
+//     is decided once and first (a batch over the tuple→page threshold
+//     is one page-lock insert: locks.go has the rule), and otherwise
+//     the surviving inserts take each partition mutex at most once —
+//     still one partition mutex at a time, so the ordering argument is
+//     unaffected.
 //   - Batched release defers the partition-side holder removal: a
 //     reclaim pass freezes each victim's lock set under its lockMu
 //     (setting lockingDone and clearing x.locks), then sweeps each

@@ -97,6 +97,17 @@ func (m *Manager) lookupXact(xid mvcc.TxID) (*Xact, bool) {
 	return x, ok
 }
 
+// SnapshotSeq returns the snapshot CSN of the tracked transaction xid (a
+// lower bound on it while the transaction is still inside Begin).
+// Exposed for tests.
+func (m *Manager) SnapshotSeq(xid mvcc.TxID) (mvcc.SeqNo, bool) {
+	x, ok := m.lookupXact(xid)
+	if !ok {
+		return 0, false
+	}
+	return mvcc.SeqNo(x.snapshotBound.Load()), true
+}
+
 // activeXacts snapshots the active set, one shard at a time. The result
 // can be stale the moment it returns; callers (the read-only safety scan
 // and the reclaimer) tolerate that by construction — see the bound

@@ -14,10 +14,11 @@ import (
 
 // Tests for the streaming scan read path (Table.Scan, Reader): the
 // per-heap-page grouping contract of tracked scans (every item handed to
-// onPage lives on the delivered page, each page once per leaf), result
-// parity with the point-read path, latch exclusion against writers of a
-// page being registered, early stop, and behaviour under concurrent
-// updates that keep moving rows onto fresh heap pages.
+// onPage lives on the delivered page, each run of a page's rows once
+// however the leaves cut it and however often the rows were updated),
+// result parity with the point-read path, latch exclusion against
+// writers of a page being registered, early stop, and behaviour under
+// concurrent updates.
 
 // batchKeys seeds n committed rows and returns their keys in order.
 func batchKeys(t *testing.T, h *harness, n int) []string {
@@ -77,8 +78,8 @@ func TestScanParityWithGet(t *testing.T) {
 			if tracked {
 				onPage = func(page int64, items []BatchItem) error {
 					for _, it := range items {
-						if it.Tuple.Page != page {
-							t.Errorf("item %q delivered under page %d but lives on page %d", it.Key, page, it.Tuple.Page)
+						if h.pageOf(it.Key) != page {
+							t.Errorf("item %q delivered under page %d but lives on page %d", it.Key, page, h.pageOf(it.Key))
 						}
 						if onPaged[it.Key] {
 							t.Errorf("key %q registered twice", it.Key)
@@ -123,14 +124,14 @@ func TestScanRegistersEachPageOnce(t *testing.T) {
 	want := map[int64]int{} // heap page → rows on it
 	r := h.begin()
 	for _, k := range keys {
-		want[h.tbl.Get(k, r.snap, r.xid, h.mgr).Tuple.Page]++
+		want[h.pageOf(k)]++
 	}
 	for _, rng := range [][2]string{{"", ""}, {keys[40], keys[300]}, {keys[63], keys[64]}, {keys[10], keys[20]}} {
 		got := map[int64]int{}
 		inRange := map[int64]int{}
 		for _, k := range keys {
 			if k >= rng[0] && (rng[1] == "" || k < rng[1]) {
-				inRange[h.tbl.Get(k, r.snap, r.xid, h.mgr).Tuple.Page]++
+				inRange[h.pageOf(k)]++
 			}
 		}
 		delivered := 0
@@ -146,7 +147,7 @@ func TestScanRegistersEachPageOnce(t *testing.T) {
 				for i, v := range lf.Vis {
 					if v == nil || v.Key != lf.Keys[i] {
 						t.Errorf("range %q: delivered %q unresolved", rng, lf.Keys[i])
-					} else if got[v.Page] == 0 {
+					} else if got[h.pageOf(v.Key)] == 0 {
 						t.Errorf("range %q: %q delivered before its page was registered", rng, lf.Keys[i])
 					}
 				}
@@ -175,10 +176,10 @@ func TestScanRegistersEachPageOnce(t *testing.T) {
 	}
 }
 
-// TestScanHeldRowsAreBounded: rows scattered over fresh heap pages (each
-// update moves a row) and long runs with nothing visible must not make a
-// tracked scan hold back more than a batch: every row is delivered, in
-// order, with its page registered first.
+// TestScanHeldRowsAreBounded: updated rows among untouched ones and long
+// runs with nothing visible must not make a tracked scan hold back more
+// than a batch: every row is delivered, in order, with its page
+// registered first.
 func TestScanHeldRowsAreBounded(t *testing.T) {
 	h := newHarness(t)
 	keys := batchKeys(t, h, 400)
@@ -296,11 +297,11 @@ func TestScanLatchExcludesWriter(t *testing.T) {
 }
 
 // TestScanConcurrentUpdates races whole-range tracked scans against
-// updaters that continually move rows onto fresh heap pages, so a leaf's
-// rows are spread over many pages and the deferred per-page passes fire
-// constantly. The onPage invariant — an item's visible version lives on
-// the delivered page — is asserted on every delivery, and every scan
-// must see every row exactly once.
+// updaters that keep putting new versions on the rows being read, each
+// taking the page's latch exclusively between the scan's shared holds.
+// The onPage invariant — an item lives on the delivered page — is
+// asserted on every delivery, and every scan must see every row exactly
+// once.
 func TestScanConcurrentUpdates(t *testing.T) {
 	h := newHarness(t)
 	keys := batchKeys(t, h, 96)
@@ -332,8 +333,8 @@ func TestScanConcurrentUpdates(t *testing.T) {
 		r := h.begin()
 		got, _ := scanAll(t, h, r, func(page int64, items []BatchItem) error {
 			for _, it := range items {
-				if it.Tuple.Page != page {
-					t.Errorf("latched item %q on page %d delivered under page %d", it.Key, it.Tuple.Page, page)
+				if h.pageOf(it.Key) != page {
+					t.Errorf("latched item %q on page %d delivered under page %d", it.Key, h.pageOf(it.Key), page)
 				}
 			}
 			return nil
@@ -431,5 +432,48 @@ func TestReadKeysResolvesByLookup(t *testing.T) {
 	}
 	if registered != 2 {
 		t.Fatalf("registered %d rows, want the 2 visible ones", registered)
+	}
+}
+
+// TestScanRunsSurviveUpdates is the point of keeping a row on its page:
+// a tracked scan of rows loaded in key order makes one onPage call per
+// heap page it touches (a range of n rows touches ⌈n/64⌉ pages, one more
+// when it starts inside one) — and still does after every row was
+// updated, once or five times. When updates moved rows to the table's
+// tail this count grew with the table's update history.
+func TestScanRunsSurviveUpdates(t *testing.T) {
+	const rows = 1000
+	for _, updates := range []int{0, 1, 5} {
+		h := newHarness(t)
+		keys := batchKeys(t, h, rows+100)
+		for u := 0; u < updates; u++ {
+			// In scattered order, the way a transactional mix updates:
+			// in key order even a heap that moved every row to its tail
+			// would have rebuilt whole pages.
+			w := h.begin()
+			for i := range keys {
+				if err := h.update(w, keys[i*617%len(keys)], fmt.Sprintf("u%d", u)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h.mgr.Commit(w.xid)
+			h.mgr.AutoTruncate()
+		}
+		r := h.begin()
+		calls, items := 0, 0
+		err := h.tbl.Scan(keys[50], keys[50+rows], r.snap, r.xid, h.mgr, nil,
+			func(_ int64, its []BatchItem) error {
+				calls++
+				items += len(its)
+				return nil
+			},
+			func(*Leaf) (bool, error) { return true, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (rows + TuplesPerPage - 1) / TuplesPerPage; items != rows || calls < want || calls > want+1 {
+			t.Fatalf("after %d updates of every row: %d onPage calls for %d rows, want %d or %d for %d",
+				updates, calls, items, want, want+1, rows)
+		}
 	}
 }

@@ -17,46 +17,47 @@ import "sync"
 // add mutual exclusion, never remove it, so the shard count is purely a
 // concurrency knob.
 //
-// Protocol (see also the ordering rules in internal/core/partition.go):
+// Protocol (see also the ordering rules in internal/core/partition.go).
+// A row's heap page is a property of its slot and never changes
+// (storage.go), so latch(row.page) is the one latch for every version of
+// the row, and every path takes it the same way — latch first, blocking,
+// then the row lock:
 //
-//   - A serializable point reader (Table.Read with latched=true)
-//     computes the visibility result under the row lock, acquires the
-//     latch of the page holding the visible version in shared mode while
-//     still holding the row lock, releases the row lock, and runs the
+//   - A serializable point reader (Table.Read with latched=true) takes
+//     the latch of the row's page in shared mode, computes the visibility
+//     result under the row lock, releases the row lock, and runs the
 //     caller's callback — which inserts the SIREAD lock and flags MVCC
-//     conflicts — before releasing the latch. A serializable scan
-//     (Reader with an onPage callback) goes the other way round, one
-//     heap page at a time: it takes the page's latch in shared mode
-//     first, resolves every row of its batch that lives on that page
-//     under it (row lock taken and dropped per row), and registers the
-//     page's SIREAD locks in its callback before releasing the latch.
+//     conflicts — before releasing the latch. A serializable scan (Reader
+//     with an onPage callback) does the same a run of same-page rows at a
+//     time: the page's latch in shared mode, every row of the run
+//     resolved under it (row lock taken and dropped per row), the run's
+//     SIREAD locks registered in its callback, then the latch released.
 //     Readers that register no SIREAD lock (read committed, repeatable
 //     read, S2PL, safe snapshots) skip the latch: they have no
 //     registration to make atomic, so they cannot lose an
 //     rw-antidependency to the window.
-//   - A writer (Table.Update / Table.Delete) acquires the latch of the
-//     page holding the version it is about to supersede in exclusive
-//     mode while holding the row lock, stamps xmax (and links the new
-//     version), releases the row lock, and runs the caller's
-//     write-check callback — which probes the SIREAD table
-//     (core.CheckWrite) — before releasing the latch.
+//   - A writer (Table.Update / Table.Delete) takes the latch of the row's
+//     page in exclusive mode, then the row lock, makes its write decision,
+//     stamps xmax (and links the new version, on the same page), releases
+//     the row lock, and runs the caller's write-check callback — which
+//     probes the SIREAD table (core.CheckWrite) — before releasing the
+//     latch. A writer that must wait for another transaction drops both
+//     first and starts over.
 //
-// The invariant this buys: a reader of the current HEAD version and a
-// writer superseding that same version latch the same page, so their
-// critical sections serialize — if the read ran first, the writer's
-// probe finds the SIREAD lock; if the write ran first, the reader's
-// visibility check sees the stamped xmax and reports the writer in
-// ReadResult.ConflictOut. That head-version case is the only one the
-// latch needs to close. A reader whose older snapshot sees a non-head
-// version V1 latches V1's page, not the head's, and a concurrent writer
-// W superseding head V2 is indeed not serialized against it — but that
-// reader's rw-antidependency is to V2's creator (the writer of the
-// *next* version of what it read), which its chain walk already reports
-// in ConflictOut from the MVCC data alone; any cycle through the
-// unflagged reader→W path also runs through the flagged reader→creator
-// edge and the ww order creator→W, so nothing detectable is lost.
-// Either way every rw-antidependency is seen by at least one side,
-// which is the property the paper's correctness argument requires.
+// The invariant this buys: a reader of any version of a row and a writer
+// of that row latch the same page, so their critical sections serialize
+// — if the read ran first, the writer's probe finds the SIREAD lock
+// (whichever version it was taken on: the tuple target names the row's
+// page, not a version's); if the write ran first, the reader's
+// visibility check sees the stamped xmax or the newer version and
+// reports the writer in ReadResult.ConflictOut. Either way every
+// rw-antidependency is seen by at least one side, which is the property
+// the paper's correctness argument requires. The stable target is also
+// conservative where PostgreSQL's TID-keyed lock is not: a reader whose
+// lock was taken on version v1 is flagged by the writer of v2 and again
+// by the later writer of v3. The second edge is implied (the serial order
+// reader < writer of v2 < writer of v3 holds either way), so this only
+// ever adds an edge a finer lock would have left to transitivity.
 //
 // Lock ordering: index tree lock, then page latch, then row lock, then
 // (from a callback, with no row lock held) the SSI locks of
@@ -65,16 +66,8 @@ import "sync"
 // slots out and drop it first. A goroutine holds at most one row lock
 // and at most one page latch, and no code path acquires a storage-layer
 // lock while holding any internal/core lock, so the combined order is
-// acyclic. The blocking order between the two storage locks is latch
-// before row — the order a scan needs, which holds one page's latch
-// while it visits that page's rows. The point-read and write paths come
-// at it from the row, so while holding a row lock they may only
-// try-acquire a latch; on failure the row lock is released, the latch
-// is awaited with nothing held, and the operation revalidates (Read
-// recomputes the visibility result, modify redoes its write decision).
-// That is also what keeps one contended page from stalling a row's
-// other readers, and what makes the latch-before-row reacquisition in
-// Read's retry path deadlock-free.
+// acyclic. A pending exclusive acquisition holds back new shared ones
+// (sync.RWMutex), so a writer makes progress on a read-hot page.
 
 // defaultLatchPartitions is the default page-latch shard count per table.
 const defaultLatchPartitions = 64
@@ -83,9 +76,9 @@ const defaultLatchPartitions = 64
 // let a deterministic test park a goroutine inside a critical window
 // that normal scheduling would hit only probabilistically.
 type Hooks struct {
-	// OnRead is invoked by Table.Read after the MVCC visibility check
-	// and before the result is delivered to the caller's callback
-	// (where the SIREAD lock is inserted). With the page latch enabled
+	// OnRead is invoked by Table.Read (and per row by a Reader) after the
+	// MVCC visibility check and before the result is delivered to the
+	// caller's callback (where the SIREAD lock is inserted). With the page latch enabled
 	// the hook runs while the latch is held, so a paused reader
 	// excludes writers to the page; with DisableReadLatch it runs in
 	// the open detection window the latch exists to close.
@@ -102,10 +95,9 @@ type Hooks struct {
 // benefit; only reader-vs-writer interleavings can lose an
 // rw-antidependency.
 //
-// Blocking acquisition order is latch before row lock; the reverse
-// direction is try-only (TryRLock under Row.mu cannot deadlock).
-// ssilint enforces this — both the slice and the latch() getter carry
-// the annotation; see docs/invariants.md.
+// Acquisition order is latch before row lock, on every path. ssilint
+// enforces this — both the slice and the latch() getter carry the
+// annotation; see docs/invariants.md.
 type latchTable struct {
 	mask    uint64
 	latches []sync.RWMutex //ssi:lock level=10 name=storage.pageLatch

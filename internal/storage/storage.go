@@ -45,22 +45,32 @@
 // in-progress xmax blocks until that transaction finishes, then applies
 // snapshot isolation's first-updater-wins rule.
 //
-// The heap assigns every tuple version a heap page number so the SSI lock
-// manager in internal/core can take SIREAD locks at tuple, page, and
-// relation granularity and promote between them.
+// A row lives on one heap page for life: the page is a property of the
+// row's slot, assigned when the slot is created (the key's first insert)
+// and never changed, and every version of the row is placed where the
+// version it supersedes lives — what PostgreSQL's heap-only-tuple updates
+// and page pruning achieve for rows whose indexed columns do not change.
+// The model's deviation from PostgreSQL is stated: a simulated page has no
+// byte budget, so an update never has to move a row for want of room, and
+// trimBelow's prune-on-write is the page pruning that would make the room.
+// The SSI lock manager in internal/core takes SIREAD locks at tuple, page
+// and relation granularity and promotes between them; because the page
+// never changes, the tuple target (relation, page, key) names the row
+// across all its versions.
 //
 // Each table additionally carries a sharded per-page read latch table
 // (latch.go), the stand-in for PostgreSQL's buffer content lock in the
-// SSI protocol: Table.Read and a tracked Table.Scan run their caller's
+// SSI protocol, and latch(row.page) is the one latch for every version of
+// the row: Table.Read and a tracked Table.Scan run their caller's
 // callback — which inserts the SIREAD locks — under the shared latch of
-// the page holding the visible versions, and Table.Update / Table.Delete
-// stamp xmax and run their caller's write check under the exclusive
-// latch of the superseded version's page. That makes the MVCC visibility
-// check atomic with SIREAD registration relative to writers of the same
-// page, closing the detection window in which a writer's lock-table
-// probe could run between a reader's visibility check and its lock
-// insertion and miss the rw-antidependency entirely (§5.2 of the paper;
-// the latch protocol and lock ordering are documented in latch.go).
+// the row's page, and Table.Update / Table.Delete decide, stamp xmax and
+// run their caller's write check under the same latch, exclusively. That
+// makes the MVCC visibility check atomic with SIREAD registration
+// relative to writers of the row, closing the detection window in which
+// a writer's lock-table probe could run between a reader's visibility
+// check and its lock insertion and miss the rw-antidependency entirely
+// (§5.2 of the paper; the latch protocol and lock ordering are documented
+// in latch.go).
 package storage
 
 import (
@@ -112,6 +122,17 @@ const (
 	fateCommitted
 )
 
+// String renders a cached fate for DescribeRow.
+func (f fate) String() string {
+	switch {
+	case f == fateUnknown:
+		return "unresolved"
+	case f == fateAborted:
+		return "aborted"
+	}
+	return fmt.Sprintf("committed@%d", uint64(f-fateCommitted))
+}
+
 // resolve returns xid's status and commit CSN from the cache, consulting
 // the commit log (and filling the cache) only while it is unresolved.
 // Caller holds the lock of the row the version belongs to.
@@ -134,9 +155,9 @@ func (f *fate) resolve(xid mvcc.TxID, mgr *mvcc.Manager) (mvcc.Status, mvcc.SeqN
 }
 
 // Tuple is one version of a row. Fields mirror the PostgreSQL tuple
-// header bits that matter for visibility and SSI. Key, Value and Page
-// never change after the version is linked and may be read without the
-// row lock; everything else belongs to the row lock.
+// header bits that matter for visibility and SSI. Key and Value never
+// change after the version is linked and may be read without the row
+// lock; everything else belongs to the row lock.
 type Tuple struct {
 	Key   string
 	Value []byte
@@ -149,8 +170,6 @@ type Tuple struct {
 	// SubMin and SubMax are the subtransaction IDs within Xmin / Xmax
 	// that performed the write, for savepoint rollback (§7.3).
 	SubMin, SubMax int32
-	// Page is the simulated heap page this version lives on.
-	Page int64
 	// Older points to the previous version of the row, or nil.
 	Older *Tuple
 	// minFate and maxFate cache the fates of Xmin and Xmax (see fate).
@@ -174,13 +193,14 @@ func (v *Tuple) setXmax(xid mvcc.TxID, subID int32) {
 // Row is a key's slot in the table's primary index: the B+-tree leaf
 // entry for the key, holding the head of its version chain (newest
 // first; nil while the key has no version) and the lock that guards the
-// chain and the mutable fields of its versions.
+// chain and the mutable fields of its versions. page is the heap page the
+// row — every version of it — lives on; it is set when the slot is made
+// and never written again, so it is read without the lock.
 type Row struct {
 	mu   sync.Mutex //ssi:lock level=20 name=storage.row
 	head *Tuple
+	page int64
 }
-
-func newRow() *Row { return new(Row) }
 
 // visible walks the chain newest-first and applies PostgreSQL's
 // visibility rules, returning the version snap sees (nil if none) and
@@ -293,6 +313,9 @@ func trimBelow(v *Tuple, horizon mvcc.SeqNo, mgr *mvcc.Manager) {
 type ReadResult struct {
 	// Tuple is the version visible to the snapshot, or nil if none.
 	Tuple *Tuple
+	// Page is the heap page the row lives on (every version of it);
+	// meaningful when Tuple is non-nil.
+	Page int64
 	// ConflictOut lists concurrent serializable-relevant transactions
 	// whose writes to this row were invisible to the reader: creators
 	// of newer versions and in-flight or later-committed deleters.
@@ -335,8 +358,12 @@ type Table struct {
 	index *btree.Tree[*Row]
 	// latches is the per-page read latch table (latch.go).
 	latches *latchTable
-	// pageSeq allocates heap page slots; page = seq / TuplesPerPage.
+	// pageSeq allocates heap page slots, one per row slot created;
+	// page = seq / TuplesPerPage.
 	pageSeq atomic.Int64
+	// newRow makes the slot for a key the index has not held before, on
+	// the next free heap page slot.
+	newRow func() *Row
 	// stats
 	ioAccesses atomic.Int64
 	ioMisses   atomic.Int64
@@ -344,7 +371,9 @@ type Table struct {
 
 // NewTable creates an empty heap named name.
 func NewTable(name string, cfg Config) *Table {
-	return &Table{name: name, cfg: cfg, index: btree.NewOf[*Row](), latches: newLatchTable(cfg.LatchPartitions)}
+	t := &Table{name: name, cfg: cfg, index: btree.NewOf[*Row](), latches: newLatchTable(cfg.LatchPartitions)}
+	t.newRow = func() *Row { return &Row{page: t.pageSeq.Add(1) / TuplesPerPage} }
+	return t
 }
 
 // Name returns the table's name.
@@ -353,11 +382,6 @@ func (t *Table) Name() string { return t.name }
 // Index returns the table's primary B+-tree, for callers that lock its
 // leaf pages without reading through them (the S2PL paths).
 func (t *Table) Index() *btree.Tree[*Row] { return t.index }
-
-// allocPage assigns a heap page for a new tuple version.
-func (t *Table) allocPage() int64 {
-	return t.pageSeq.Add(1) / TuplesPerPage
-}
 
 // simulateIO charges one page access against the simulated device.
 func (t *Table) simulateIO() {
@@ -402,18 +426,17 @@ func (t *Table) Get(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.M
 
 // Read performs a visibility-checked read of key and invokes fn with the
 // result — if latched is true, while holding the read latch (shared
-// mode) of the page containing the visible version. It makes exactly one
-// index descent: onLeaf, if non-nil, is invoked under the tree lock with
-// the leaf page that holds (or would hold) key, which is where a
-// serializable caller takes its SIREAD gap lock (btree.Lookup explains
-// why there), and the row the descent arrives at is the one read. No
-// latch is held when no version is visible: the phantom protection for
-// absent keys is that gap lock, taken before the row is looked at. fn is
-// where a serializable caller inserts its tuple SIREAD lock: doing so
-// under the latch makes the visibility check and the lock insertion one
-// atomic step relative to Update/Delete, which stamp xmax and probe the
-// SIREAD table under the same latch, exclusively. Read returns fn's
-// error.
+// mode) of the row's heap page. It makes exactly one index descent:
+// onLeaf, if non-nil, is invoked under the tree lock with the leaf page
+// that holds (or would hold) key, which is where a serializable caller
+// takes its SIREAD gap lock (btree.Lookup explains why there), and the row
+// the descent arrives at is the one read. A key the index has never held
+// has no page and so no latch: the phantom protection for absent keys is
+// that gap lock, taken before the row is looked at. fn is where a
+// serializable caller inserts its tuple SIREAD lock: doing so under the
+// latch makes the visibility check and the lock insertion one atomic step
+// relative to Update/Delete, which stamp xmax and probe the SIREAD table
+// under the same latch, exclusively. Read returns fn's error.
 //
 // Callers that register nothing in fn (non-serializable reads) pass
 // latched=false and skip the latch entirely — they cannot lose an
@@ -425,52 +448,20 @@ func (t *Table) Get(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.M
 func (t *Table) Read(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, onLeaf func(btree.PageID), latched bool, fn func(ReadResult) error) error {
 	t.simulateIO()
 	row, _, _ := t.index.Lookup(key, onLeaf)
-	var latch *sync.RWMutex
 	var res ReadResult
 	if row != nil {
-		row.mu.Lock()
-		for {
-			res.ConflictOut = res.ConflictOut[:0]
-			res.Tuple = row.visible(snap, self, mgr, &res.ConflictOut)
-			if res.Tuple == nil || !latched || t.cfg.DisableReadLatch {
-				if latch != nil {
-					latch.RUnlock()
-					latch = nil
-				}
-				break
-			}
-			// The latch (shared mode: readers only exclude writers) must
-			// be held before the row lock is released, or a writer could
-			// stamp the version between the visibility check and fn. It
-			// is only try-acquired under the row lock (the blocking order
-			// is latch before row, see latch.go): on contention the latch
-			// is awaited without the row lock and the read is recomputed,
-			// since the chain may have changed meanwhile.
-			want := t.latches.latch(res.Tuple.Page)
-			if want == latch {
-				break
-			}
-			if latch != nil {
-				latch.RUnlock()
-				latch = nil
-			}
-			if want.TryRLock() {
-				latch = want
-				break
-			}
-			row.mu.Unlock()
-			want.RLock()
-			latch = want
-			row.mu.Lock()
+		if latched && !t.cfg.DisableReadLatch {
+			latch := t.latches.latch(row.page)
+			latch.RLock()
+			defer latch.RUnlock()
 		}
+		res.Page = row.page
+		row.mu.Lock()
+		res.Tuple = row.visible(snap, self, mgr, &res.ConflictOut)
 		row.mu.Unlock()
 	}
 	t.onRead(key)
-	err := fn(res)
-	if latch != nil {
-		latch.RUnlock()
-	}
-	return err
+	return fn(res)
 }
 
 // BatchItem is one visible row within a heap-page group a tracked scan
@@ -499,21 +490,21 @@ type Leaf struct {
 // few, and no commit-log lookup once its rows' fates are settled.
 //
 // With an onPage callback (a tracked, i.e. SIREAD-registering, scan) the
-// visible rows are grouped by the heap page of the visible version, and
-// onPage is invoked with a page's rows while the page's read latch is
-// held in shared mode — exactly one {visibility check, SIREAD
-// registration} critical section per heap page, never spanning pages,
-// which is what lets the caller register a page's locks in one
-// core.AcquireTupleLockBatch call with the PR 2 invariant intact. Each
-// row is resolved under the latch of the page its visible version lives
-// on, and only that resolution counts; rows with no visible version need
-// no latch (their protection is the index gap lock) and are not passed to
-// onPage. Batch boundaries are the index's, not the heap's, so a scan
-// (Table.Scan) holds the rows of the heap page a batch ends on over to
-// the next batch: a run of rows that share a page is registered in one
-// onPage call wherever the leaves divide it. Without onPage nothing is
-// latched and nothing held over: such readers register nothing, so they
-// have nothing to lose to the window the latch closes.
+// rows are taken in runs of consecutive rows that share a heap page — a
+// row's page never changes, so the runs are known before any row is
+// looked at. Per run the page's read latch is taken in shared mode, each
+// row is resolved once under it, and onPage is invoked with the run's
+// visible rows before the latch is released: exactly one {visibility
+// check, SIREAD registration} critical section per run, never spanning
+// pages, which is what lets the caller register a run's locks in one
+// core.AcquireTupleLockBatch call with the PR 2 invariant intact. Rows
+// with no visible version are not passed to onPage (their protection is
+// the index gap lock). Batch boundaries are the index's, not the heap's,
+// so a scan (Table.Scan) holds the run a batch ends on over to the next
+// batch, unresolved: a run is registered in one onPage call wherever the
+// leaves divide it. Without onPage nothing is latched and nothing held
+// over: such readers register nothing, so they have nothing to lose to
+// the window the latch closes.
 type Reader struct {
 	t      *Table
 	snap   *mvcc.Snapshot
@@ -521,32 +512,17 @@ type Reader struct {
 	mgr    *mvcc.Manager
 	onPage func(page int64, items []BatchItem) error
 	leaf   Leaf
-	rows   []*Row // ReadKeys' lookups
+	look   []*Row // ReadKeys' lookups
 	items  []BatchItem
-	// Tracked scans: the rows in hand — those held over first, then the
-	// batch — as keys, vis (both handed out through leaf) and trk in
-	// parallel; the first cut of them were delivered by the last call.
+	// Tracked scans: the rows in hand — the run held over first, then
+	// the batch — as keys, rows and vis in parallel (keys and vis are
+	// handed out through leaf); the first cut of them were delivered by
+	// the last call.
 	keys []string
+	rows []*Row
 	vis  []*Tuple
-	trk  []trackedRow
 	cut  int
 }
-
-// trackedRow is a tracked scan's bookkeeping for one row in hand.
-type trackedRow struct {
-	row *Row
-	// page is the heap page of the row's visible version once an
-	// unlatched look has learned it (state rowKnown): a hint naming the
-	// latch to resolve the row under, checked again there.
-	page  int64
-	state uint8
-}
-
-const (
-	rowPending = iota // not resolved, page not learned
-	rowKnown          // not resolved, page learned
-	rowDone           // resolved (and registered): vis is final
-)
 
 // NewReader returns a Reader for one scan at snap by transaction self.
 func (t *Table) NewReader(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, onPage func(page int64, items []BatchItem) error) *Reader {
@@ -563,14 +539,14 @@ func (t *Table) NewReader(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager
 // duplicates), one index descent each — the secondary-index scan's way
 // in, whose index entries name primary keys rather than rows. The result
 // parallels keys: nothing is held over, since index-key order is not
-// heap order and has no page runs to keep together.
+// heap order and a run that ends one batch need not continue in the next.
 func (rd *Reader) ReadKeys(keys []string) (*Leaf, error) {
-	rd.rows = rd.rows[:0]
+	rd.look = rd.look[:0]
 	for _, k := range keys {
 		row, _, _ := rd.t.index.Lookup(k, nil)
-		rd.rows = append(rd.rows, row)
+		rd.look = append(rd.look, row)
 	}
-	return rd.read(keys, rd.rows, true)
+	return rd.read(keys, rd.look, true)
 }
 
 // read resolves one batch. rows parallels keys; a nil row is a key the
@@ -590,14 +566,14 @@ func (rd *Reader) read(keys []string, rows []*Row, final bool) (*Leaf, error) {
 	for i, row := range rows {
 		if row != nil {
 			lf.Vis[i] = rd.visible(row)
+			// Consecutive keys usually share heap pages: IO is charged per
+			// page run, not per row.
+			if lf.Vis[i] != nil && row.page != page {
+				page = row.page
+				t.simulateIO()
+			}
 		}
 		t.onRead(keys[i])
-		// Consecutive keys usually share heap pages: IO is charged per
-		// page run, not per row.
-		if v := lf.Vis[i]; v != nil && v.Page != page {
-			page = v.Page
-			t.simulateIO()
-		}
 	}
 	return lf, nil
 }
@@ -610,43 +586,13 @@ func (rd *Reader) visible(row *Row) *Tuple {
 	return v
 }
 
-// peek learns, unlatched, the heap page row i's visible version lives
-// on, and reports whether it has one. The latched pass resolves the row
-// again, authoritatively — unless nothing is visible, which needs no
-// latch and settles the row here.
-func (rd *Reader) peek(i int) bool {
-	mark := len(rd.leaf.ConflictOut)
-	v := rd.visible(rd.trk[i].row)
-	if v == nil {
-		rd.settle(i, nil)
-		return false
-	}
-	rd.leaf.ConflictOut = rd.leaf.ConflictOut[:mark]
-	rd.trk[i].page, rd.trk[i].state = v.Page, rowKnown
-	return true
-}
-
-// settle records row i's final result.
-func (rd *Reader) settle(i int, v *Tuple) {
-	rd.vis[i], rd.trk[i].state = v, rowDone
-	rd.t.onRead(rd.keys[i])
-}
-
-// readTracked is read for a tracked scan. The rows in hand are those the
-// last batch held over followed by this batch's. Pages are taken in order
-// of first appearance: a pass under a page's latch settles every
-// unresolved row in hand that lives on it and learns the page of each
-// other row it looks at, which then waits for its own page's pass. A
-// snapshot's visible version of a row does not change while the scan
-// runs, so the page learned for a row is the page it is then found on;
-// should it differ after all (the scanning transaction's own writes are
-// the only way), the row is simply deferred again.
-//
-// Unless the batch is final, the page its last row lives on gets no pass
-// yet: the next batch may continue it, and a page is to be registered
-// once. Its rows, and whatever follows the first of them, stay in hand
-// (never more than btree.MaxLeaf rows: a longer tail gets its pass now);
-// everything before is handed out through rd.leaf.
+// readTracked is read for a tracked scan. The rows in hand are the run
+// the last batch held over followed by this batch's; they are taken run
+// by run (see Reader), and everything resolved is handed out through
+// rd.leaf. Unless the batch is final, the run its last row belongs to
+// gets no pass yet: the next batch may continue it, and a run is to be
+// registered once. It stays in hand, unresolved — at most a page's
+// TuplesPerPage slots.
 //
 // Lock order is latch before row, blocking on both (latch.go): no row
 // lock is held while a latch is awaited.
@@ -654,63 +600,42 @@ func (rd *Reader) readTracked(keys []string, rows []*Row, final bool) error {
 	t := rd.t
 	// What the last call handed out goes; what it held over moves up.
 	n := copy(rd.keys, rd.keys[rd.cut:])
-	copy(rd.vis, rd.vis[rd.cut:])
-	copy(rd.trk, rd.trk[rd.cut:])
+	copy(rd.rows, rd.rows[rd.cut:])
 	rd.keys = append(rd.keys[:n], keys...)
-	rd.vis = append(rd.vis[:n], make([]*Tuple, len(keys))...)
-	rd.trk = append(rd.trk[:n], make([]trackedRow, len(keys))...)
-	for i, row := range rows {
-		rd.trk[n+i].row = row
-		if row == nil {
-			rd.settle(n+i, nil)
+	rd.rows = append(rd.rows[:n], rows...)
+	n = len(rd.rows)
+	cut := n
+	if !final {
+		// Only ReadKeys, which is always final, has nil rows.
+		for cut > 0 && rd.rows[cut-1].page == rd.rows[n-1].page {
+			cut--
 		}
 	}
-	n += len(keys)
-	tail := int64(-1)
-	for i := n - 1; i >= 0 && tail < 0 && !final; i-- {
-		if rd.trk[i].state == rowDone {
-			if rd.vis[i] != nil {
-				tail = rd.vis[i].Page
-			}
-		} else if rd.trk[i].state == rowKnown || rd.peek(i) {
-			tail = rd.trk[i].page
-		}
-	}
-	rd.cut = n
-	for first := 0; first < n; {
-		if st := rd.trk[first].state; st == rowDone || (st == rowPending && !rd.peek(first)) {
-			first++
+	rd.vis = slices.Grow(rd.vis[:0], cut)[:cut]
+	for i := 0; i < cut; {
+		if rd.rows[i] == nil {
+			rd.vis[i] = nil
+			t.onRead(rd.keys[i])
+			i++
 			continue
 		}
-		page := rd.trk[first].page
-		if page == tail && (rd.cut < n || n-first <= btree.MaxLeaf) {
-			rd.cut = min(rd.cut, first)
-			first++
-			continue
-		}
+		page := rd.rows[i].page
 		t.simulateIO()
 		var latch *sync.RWMutex
 		if !t.cfg.DisableReadLatch {
 			latch = t.latches.latch(page)
 			latch.RLock()
 		}
-		items := slices.Grow(rd.items[:0], min(n-first, TuplesPerPage))
-		for i := first; i < n; i++ {
-			if st := rd.trk[i]; st.state == rowDone || (st.state == rowKnown && st.page != page) {
-				continue
-			}
-			mark := len(rd.leaf.ConflictOut)
-			v := rd.visible(rd.trk[i].row)
-			if v != nil && v.Page != page {
-				rd.leaf.ConflictOut = rd.leaf.ConflictOut[:mark]
-				rd.trk[i].page, rd.trk[i].state = v.Page, rowKnown
-				continue
-			}
-			rd.settle(i, v)
+		items := rd.items[:0]
+		for ; i < cut && rd.rows[i] != nil && rd.rows[i].page == page; i++ {
+			v := rd.visible(rd.rows[i])
+			rd.vis[i] = v
+			t.onRead(rd.keys[i])
 			if v != nil {
 				items = append(items, BatchItem{Key: rd.keys[i], Tuple: v})
 			}
 		}
+		rd.items = items
 		var err error
 		if len(items) > 0 {
 			err = rd.onPage(page, items)
@@ -721,9 +646,9 @@ func (rd *Reader) readTracked(keys []string, rows []*Row, final bool) error {
 		if err != nil {
 			return err
 		}
-		rd.items = items
 	}
-	rd.leaf.Keys, rd.leaf.Vis = rd.keys[:rd.cut], rd.vis[:rd.cut]
+	rd.cut = cut
+	rd.leaf.Keys, rd.leaf.Vis = rd.keys[:cut], rd.vis[:cut]
 	return nil
 }
 
@@ -738,10 +663,10 @@ func (rd *Reader) readTracked(keys []string, rows []*Row, final bool) error {
 // onLeaf, if non-nil, is invoked under the tree lock for each leaf page
 // visited, before its rows are read: the SIREAD gap-lock point (see
 // btree.Lookup). onPage, if non-nil, makes this a tracked scan: see
-// Reader for the per-heap-page latched callback it gets, and for the rows
+// Reader for the per-page-run latched callback it gets, and for the run
 // it holds over — what deliver receives is then the batch shifted to end
-// where a heap page ends, and one more, final delivery hands out the
-// rest. Scan returns the first error of onPage or deliver.
+// where a run ends, and one more, final delivery hands out the rest.
+// Scan returns the first error of onPage or deliver.
 func (t *Table) Scan(lo, hi string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, onLeaf func(btree.PageID), onPage func(page int64, items []BatchItem) error, deliver func(*Leaf) (more bool, err error)) error {
 	rd := t.NewReader(snap, self, mgr, onPage)
 	more := true
@@ -764,16 +689,14 @@ func (t *Table) Scan(lo, hi string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mv
 }
 
 // WriteResult describes a successful write for the benefit of the SSI
-// layer: which heap pages are involved so SIREAD locks can be checked and
+// layer: which heap page is involved so SIREAD locks can be checked and
 // the write-lock-drops-SIREAD optimization applied, and, for an insert,
 // what it did to the primary index.
 type WriteResult struct {
-	// OldPage is the heap page of the superseded version (update and
-	// delete); readers' tuple-granularity SIREAD locks name this page.
-	OldPage int64
-	// NewPage is the heap page of the newly created version (insert
-	// and update).
-	NewPage int64
+	// Page is the heap page of the written row — of the superseded
+	// version and of the new one alike; readers' tuple-granularity
+	// SIREAD locks name this page.
+	Page int64
 	// IndexPage is the index leaf page holding the inserted key, the
 	// page an insert's phantom check (core.CheckIndexInsert) probes,
 	// and Splits the leaf splits the insert caused, oldest first, for
@@ -796,7 +719,7 @@ type WriteResult struct {
 // out.
 func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, snap *mvcc.Snapshot, mgr *mvcc.Manager, wg *waitgraph.Graph) (WriteResult, error) {
 	t.simulateIO()
-	row, leaf, _, splits := t.index.GetOrInsert(key, newRow)
+	row, leaf, _, splits := t.index.GetOrInsert(key, t.newRow)
 	// The loop leaves with the row locked and older set to the dead
 	// chain the new version goes on top of (nil for a fresh key).
 	var older *Tuple
@@ -848,14 +771,9 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 		// Row is dead for everyone relevant: safe to create anew.
 		break
 	}
-	nv := &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage(), Older: older}
-	row.head = nv
+	row.head = &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Older: older}
 	row.mu.Unlock()
-	wr := WriteResult{OldPage: -1, NewPage: nv.Page, IndexPage: leaf, Splits: splits}
-	if older != nil {
-		wr.OldPage = older.Page
-	}
-	return wr, nil
+	return WriteResult{Page: row.page, IndexPage: leaf, Splits: splits}, nil
 }
 
 // Update replaces the visible version of key with a new version holding
@@ -864,7 +782,7 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 // transaction committed a change to the row.
 //
 // check, if non-nil, runs after the write is applied but before the
-// superseded version's page latch is released; serializable callers put
+// row's page latch is released; serializable callers put
 // their SIREAD-table probe (core.CheckWrite) there so the xmax stamp and
 // the probe are one atomic step relative to readers of the page (see
 // latch.go). A check error is returned as Update's error; the stamp is
@@ -888,31 +806,34 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 	if row == nil {
 		return WriteResult{}, ErrNotFound
 	}
-	// held is the exclusive page latch carried across revalidation
-	// rounds. Keeping the latch once its blocking acquisition succeeds
-	// (instead of releasing and re-trying) is what guarantees writer
-	// progress on a read-hot page: a steady stream of shared holders
-	// could otherwise win every TryLock race forever. It must be
-	// released on every exit and before every wait.
-	var held *sync.RWMutex
-	release := func() {
-		if held != nil {
-			held.Unlock()
-			held = nil
+	// The row's page latch is taken exclusively (readers share it) before
+	// the row lock — the blocking order, latch.go — and held from the
+	// write decision through the stamp to the end of the caller's check,
+	// so no reader of this page can put its visibility check between the
+	// stamp and the SIREAD probe. It is dropped with the row lock on every
+	// exit and before every wait.
+	var latch *sync.RWMutex
+	if !t.cfg.DisableReadLatch {
+		latch = t.latches.latch(row.page)
+	}
+	unlock := func() {
+		row.mu.Unlock()
+		if latch != nil {
+			latch.Unlock()
 		}
 	}
-	// fail and wait leave the row (and the latch) and report.
 	fail := func(err error) (WriteResult, error) {
-		row.mu.Unlock()
-		release()
+		unlock()
 		return WriteResult{}, err
 	}
 	wait := func(holder mvcc.TxID) error {
-		row.mu.Unlock()
-		release()
+		unlock()
 		return t.waitFor(xid, holder, mgr, wg)
 	}
 	for {
+		if latch != nil {
+			latch.Lock()
+		}
 		row.mu.Lock()
 		head := row.pruneAborted(mgr)
 		if head == nil {
@@ -965,36 +886,11 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 				v.setXmax(0, 0)
 			}
 		}
-		// We hold the tuple: latch the superseded version's page
-		// exclusively (readers share it), then stamp xmax and (for
-		// updates) prepend the new version. The latch is taken while
-		// still holding the row lock, so the decision made above cannot
-		// be invalidated before the stamp, and it is held across the
-		// caller's check so no reader of this page can interleave its
-		// visibility check between the stamp and the SIREAD probe.
-		// Under the row lock it may only be try-acquired (blocking order
-		// is latch before row, latch.go): a contended latch is awaited
-		// with the row unlocked and kept (held) while the write decision
-		// is redone.
-		if !t.cfg.DisableReadLatch {
-			latch := t.latches.latch(v.Page)
-			if latch != held {
-				release()
-				if !latch.TryLock() {
-					row.mu.Unlock()
-					latch.Lock()
-					held = latch
-					continue
-				}
-				held = latch
-			}
-		}
+		// We hold the tuple: stamp xmax and (for updates) put the new
+		// version on top, on the same page.
 		v.setXmax(xid, subID)
-		wr := WriteResult{OldPage: v.Page, NewPage: -1}
 		if !del {
-			nv := &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Page: t.allocPage(), Older: v}
-			row.head = nv
-			wr.NewPage = nv.Page
+			row.head = &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Older: v}
 		}
 		// Pruning on write: the superseded version is the newest one any
 		// snapshot can still need, so whatever lies below the newest
@@ -1003,11 +899,14 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 			trimBelow(v, h, mgr)
 		}
 		row.mu.Unlock()
+		wr := WriteResult{Page: row.page}
 		var err error
 		if check != nil {
 			err = check(wr)
 		}
-		release()
+		if latch != nil {
+			latch.Unlock()
+		}
 		return wr, err
 	}
 }
@@ -1118,6 +1017,31 @@ func (r *Row) vacuum(horizon *mvcc.Snapshot, mgr *mvcc.Manager) (removed int) {
 		}
 	}
 	return removed
+}
+
+// DescribeRow renders every version of key's row, newest first: value,
+// xmin and xmax, each with the fate cached on the version and the commit
+// log's answer now, side by side — a harness that caught a reader seeing
+// what it should not prints this. It fills no cache.
+func (t *Table) DescribeRow(key string, mgr *mvcc.Manager) string {
+	row, _, _ := t.index.Lookup(key, nil)
+	if row == nil {
+		return fmt.Sprintf("%s: no slot", key)
+	}
+	stamp := func(xid mvcc.TxID, cached fate) string {
+		if xid == 0 {
+			return "-"
+		}
+		st, seq := mgr.Status(xid)
+		return fmt.Sprintf("%d(log %v@%d, cached %v)", xid, st, seq, cached)
+	}
+	row.mu.Lock()
+	defer row.mu.Unlock()
+	out := fmt.Sprintf("%s (page %d):", key, row.page)
+	for v := row.head; v != nil; v = v.Older {
+		out += fmt.Sprintf("\n    %x xmin %s xmax %s", v.Value, stamp(v.Xmin, v.minFate), stamp(v.Xmax, v.maxFate))
+	}
+	return out
 }
 
 // String implements fmt.Stringer for debugging.

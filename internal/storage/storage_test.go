@@ -42,6 +42,13 @@ func (h *harness) update(tx *txn, key, val string) error {
 	return err
 }
 
+// pageOf returns the heap page key's row lives on (the key must have a
+// slot).
+func (h *harness) pageOf(key string) int64 {
+	row, _, _ := h.tbl.index.Lookup(key, nil)
+	return row.page
+}
+
 func (h *harness) get(tx *txn, key string) (string, bool) {
 	res := h.tbl.Get(key, tx.snap, tx.xid, h.mgr)
 	if res.Tuple == nil {
@@ -342,10 +349,80 @@ func TestPageAssignmentAdvances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages[wr.NewPage] = true
+		pages[wr.Page] = true
 	}
 	if len(pages) < 3 {
 		t.Fatalf("expected at least 3 heap pages, got %d", len(pages))
+	}
+}
+
+// TestRowKeepsItsPage: the heap page is the slot's, given at the key's
+// first insert; an update, a delete followed by a re-insert, and a
+// rolled-back write all leave the row where it was, and every write
+// reports that page.
+func TestRowKeepsItsPage(t *testing.T) {
+	h := newHarness(t)
+	seed := h.begin()
+	for i := 0; i < 3*TuplesPerPage; i++ {
+		if err := h.insert(seed, fmt.Sprintf("k%04d", i), "v0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.mgr.Commit(seed.xid)
+	const updated, reinserted, rolledBack = "k0010", "k0070", "k0130"
+	home := map[string]int64{}
+	for _, k := range []string{updated, reinserted, rolledBack} {
+		home[k] = h.pageOf(k)
+	}
+	if home[updated] == home[reinserted] || home[reinserted] == home[rolledBack] {
+		t.Fatalf("test rows share pages: %v", home)
+	}
+	wrote := func(what, key string, wr WriteResult, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s %s: %v", what, key, err)
+		}
+		if wr.Page != home[key] || h.pageOf(key) != home[key] {
+			t.Fatalf("%s %s: write reports page %d, row is on %d, was on %d", what, key, wr.Page, h.pageOf(key), home[key])
+		}
+	}
+	for i := 0; i < 5; i++ {
+		w := h.begin()
+		wr, err := h.tbl.Update(updated, []byte("v"), w.xid, 0, w.snap, h.mgr, h.wg, nil)
+		wrote("update", updated, wr, err)
+		h.mgr.Commit(w.xid)
+	}
+	w := h.begin()
+	wr, err := h.tbl.Delete(reinserted, w.xid, 0, w.snap, h.mgr, h.wg, nil)
+	wrote("delete", reinserted, wr, err)
+	h.mgr.Commit(w.xid)
+	w = h.begin()
+	wr, err = h.tbl.Insert(reinserted, []byte("again"), w.xid, 0, w.snap, h.mgr, h.wg)
+	wrote("re-insert", reinserted, wr, err)
+	h.mgr.Commit(w.xid)
+
+	w = h.begin()
+	wr, err = h.tbl.Update(rolledBack, []byte("never"), w.xid, 0, w.snap, h.mgr, h.wg, nil)
+	wrote("update (to be rolled back)", rolledBack, wr, err)
+	h.tbl.UndoSubxact(rolledBack, w.xid, 0)
+	h.mgr.Abort(w.xid)
+	w = h.begin()
+	wr, err = h.tbl.Update(rolledBack, []byte("after"), w.xid, 0, w.snap, h.mgr, h.wg, nil)
+	wrote("update after rollback", rolledBack, wr, err)
+	h.mgr.Commit(w.xid)
+
+	// Readers are told the same page, whichever version they see.
+	r := h.begin()
+	for k, page := range home {
+		if res := h.tbl.Get(k, r.snap, r.xid, h.mgr); res.Tuple == nil || res.Page != page {
+			t.Fatalf("Get(%s) reports page %d (tuple %v), want %d", k, res.Page, res.Tuple, page)
+		}
+	}
+	// A key first inserted now goes on the tail page, past the loaded ones.
+	w = h.begin()
+	wr, err = h.tbl.Insert("k0010x", nil, w.xid, 0, w.snap, h.mgr, h.wg)
+	if err != nil || wr.Page <= home[rolledBack] {
+		t.Fatalf("fresh key placed on page %d (%v), want one past %d", wr.Page, err, home[rolledBack])
 	}
 }
 

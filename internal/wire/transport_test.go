@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"testing"
@@ -134,10 +135,39 @@ func TestRowsResponseMatchesAppendResponse(t *testing.T) {
 	}
 }
 
-// TestDecodeResponseRowArenas: decoded rows share arenas, and that must
-// not show: nothing aliases the frame buffer the client is about to
-// reuse, and writing or appending to one row's Value leaves the other
-// rows alone.
+// TestRowsFrameGolden pins the bytes of a rows-carrying frame built the
+// server's way (BeginFrame, RowsResponse, FinishFrame): taken from the
+// encoder as it was before AppendRow stopped going through enc, and the
+// decoder must still read them.
+func TestRowsFrameGolden(t *testing.T) {
+	const golden = "0000002001a815ce06000400000003026b310276310000096b65792d74687265650200ff"
+	rr := BeginRowsResponse(BeginFrame(nil))
+	rr.AppendRow("k1", []byte("v1"))
+	rr.AppendRow("", nil)
+	rr.AppendRow("key-three", []byte{0, 0xff})
+	frame := rr.Finish(pgssi.StatusOK)
+	if err := FinishFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(frame); got != golden {
+		t.Fatalf("frame bytes changed:\n got %s\nwant %s", got, golden)
+	}
+	body, err := ReadFrame(bytes.NewReader(frame), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := DecodeResponse(body)
+	if err != nil || len(resp.Rows) != 3 || resp.Rows[0].Key != "k1" || resp.Rows[1].Key != "" || resp.Rows[1].Value != nil ||
+		resp.Rows[2].Key != "key-three" || !bytes.Equal(resp.Rows[2].Value, []byte{0, 0xff}) {
+		t.Fatalf("golden frame decodes to %+v, %v", resp, err)
+	}
+}
+
+// TestDecodeResponseRowArenas: decoded rows are views into one copy of
+// the row bytes, keys and values side by side, and that must not show:
+// nothing aliases the frame buffer the client is about to reuse, and
+// writing or appending to one row's Value leaves its own key and the
+// other rows alone.
 func TestDecodeResponseRowArenas(t *testing.T) {
 	in := manyRows(50)
 	in.Rows[7].Value = nil // an empty value between full ones
@@ -169,6 +199,9 @@ func TestDecodeResponseRowArenas(t *testing.T) {
 		resp.Rows[3].Value[i] = '!'
 	}
 	check("after writing and appending to row 3", 3)
+	if resp.Rows[3].Key != in.Rows[3].Key {
+		t.Fatalf("writing row 3's value changed its key to %q", resp.Rows[3].Key)
+	}
 	if !bytes.HasSuffix(grown, []byte("-and-more")) {
 		t.Fatalf("append result %q", grown)
 	}

@@ -17,8 +17,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"strings"
 	"sync"
+	"unsafe"
 
 	"pgssi"
 )
@@ -457,10 +457,15 @@ const (
 	respHasSeqs   = 1 << 4
 )
 
-// row encodes one scan row; every encoder of rows goes through it.
-func (e *enc) row(key string, value []byte) {
-	e.str(key)
-	e.bytes(value)
+// appendRow encodes one scan row; every encoder of rows goes through it.
+// It works on the slice by value, so a caller whose buffer lives on the
+// heap pays one pointer store (and write barrier) a row, not one per
+// append.
+func appendRow(b []byte, key string, value []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = append(b, key...)
+	b = binary.AppendUvarint(b, uint64(len(value)))
+	return append(b, value...)
 }
 
 // AppendResponse encodes resp into buf's body format (no framing).
@@ -493,7 +498,7 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 	if flags&respHasRows != 0 {
 		e.u32(uint32(len(resp.Rows)))
 		for i := range resp.Rows {
-			e.row(resp.Rows[i].Key, resp.Rows[i].Value)
+			e.b = appendRow(e.b, resp.Rows[i].Key, resp.Rows[i].Value)
 		}
 	}
 	if flags&respHasSeqs != 0 {
@@ -508,24 +513,21 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 // of collecting a []pgssi.KV first. The bytes are those AppendResponse
 // produces for Response{Status: st, Rows: rows}.
 type RowsResponse struct {
-	e     enc
-	start int // offset of the body in e.b
+	b     []byte
+	start int // offset of the body in b
 	n     uint32
 }
 
 // BeginRowsResponse starts a rows-carrying response body at the end of
 // buf; the status and the row count are filled in by Finish.
 func BeginRowsResponse(buf []byte) RowsResponse {
-	r := RowsResponse{e: enc{b: buf}, start: len(buf)}
-	r.e.u8(0)
-	r.e.u8(respHasRows)
-	r.e.u32(0)
-	return r
+	// Status, flags, row count.
+	return RowsResponse{b: append(buf, 0, respHasRows, 0, 0, 0, 0), start: len(buf)}
 }
 
 // AppendRow adds one row.
 func (r *RowsResponse) AppendRow(key string, value []byte) {
-	r.e.row(key, value)
+	r.b = appendRow(r.b, key, value)
 	r.n++
 }
 
@@ -534,7 +536,7 @@ func (r *RowsResponse) AppendRow(key string, value []byte) {
 // is dropped.
 func (r *RowsResponse) Finish(st pgssi.Status) []byte {
 	const rowsAt = 2 + 4 // status, flags, count
-	b := r.e.b
+	b := r.b
 	if !st.OK() {
 		b, r.n = b[:r.start+rowsAt], 0
 	}
@@ -544,10 +546,12 @@ func (r *RowsResponse) Finish(st pgssi.Status) []byte {
 }
 
 // DecodeResponse parses a response body. Nothing in the result aliases
-// body. Rows share two arenas, one holding every key and one every
-// value, so a response costs two allocations for its row data however
-// many rows it has; each Value's capacity ends at its own last byte, so
-// appending to one reallocates instead of running into its neighbour.
+// body, which callers reuse for the next frame. Rows are parsed once,
+// from one private copy of their encoded bytes: every Key and Value is a
+// view into that copy, so a response costs two allocations for its rows
+// (the copy and the row slice) however many it has. Each Value's capacity
+// ends at its own last byte, so appending to one reallocates instead of
+// running into its neighbour.
 func DecodeResponse(body []byte) (Response, error) {
 	d := dec{b: body}
 	var resp Response
@@ -582,34 +586,24 @@ func DecodeResponse(body []byte) (Response, error) {
 	return resp, nil
 }
 
-// rows decodes n rows into fresh key and value arenas. It walks the
-// rows twice: once to validate them and size the arenas, once to copy.
+// rows decodes n rows as views into one private copy of what is left of
+// the body (the rows, and whatever few bytes follow them).
 func (d *dec) rows(n int) []pgssi.KV {
-	sizing := *d
-	var keyBytes, valueBytes int
-	for i := 0; i < n; i++ {
-		keyBytes += len(sizing.bytes())
-		valueBytes += len(sizing.bytes())
-	}
-	if sizing.err != nil {
-		d.err = sizing.err
-		return nil
-	}
-	// keys never grows past what Grow reserved, so every String() below
-	// is a view of the same allocation.
-	var keys strings.Builder
-	keys.Grow(keyBytes)
-	values := make([]byte, 0, valueBytes)
+	own := dec{b: append([]byte(nil), d.b...)}
 	rows := make([]pgssi.KV, n)
 	for i := range rows {
-		k, v := d.bytes(), d.bytes()
-		keys.Write(k)
-		rows[i].Key = keys.String()[keys.Len()-len(k):]
+		k, v := own.bytes(), own.bytes()
+		// The copy is never written through a key: it is reachable only
+		// through these views, and a Value's bytes are its own.
+		rows[i].Key = unsafe.String(unsafe.SliceData(k), len(k))
 		if len(v) > 0 {
-			at := len(values)
-			values = append(values, v...)
-			rows[i].Value = values[at:len(values):len(values)]
+			rows[i].Value = v[:len(v):len(v)]
 		}
 	}
+	if own.err != nil {
+		d.err = own.err
+		return nil
+	}
+	d.b = d.b[len(d.b)-len(own.b):]
 	return rows
 }

@@ -183,6 +183,13 @@ func TestDecodeMalformedNoPanic(t *testing.T) {
 		DecodeResponse(b) // must not panic
 	}
 	// Truncated prefixes of valid messages must error.
+	rows := manyRows(3)
+	rowsBody := AppendResponse(nil, &rows)
+	for i := 0; i < len(rowsBody); i++ {
+		if _, err := DecodeResponse(rowsBody[:i]); err == nil {
+			t.Fatalf("truncated rows response prefix of length %d decoded without error", i)
+		}
+	}
 	full := AppendRequest(nil, &Request{Op: OpScan, Handle: 1, Table: "t", Key: "a", Hi: "b", Limit: 10})
 	for i := 1; i < len(full); i++ {
 		if _, err := DecodeRequest(full[:i]); err == nil {
@@ -212,13 +219,30 @@ func FuzzDecodeResponse(f *testing.F) {
 	for _, resp := range sampleResponses() {
 		f.Add(AppendResponse(nil, &resp))
 	}
+	// Rows cut short at every kind of place: inside a length, a key, a
+	// value, between rows, and with the count promising more than follows.
+	rows := manyRows(3)
+	rows.HasSeqs, rows.AppliedSeq, rows.SafeSeq = true, 7, 5
+	full := AppendResponse(nil, &rows)
+	for cut := 2; cut < len(full); cut++ {
+		f.Add(full[:cut])
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		resp, err := DecodeResponse(body)
 		if err != nil {
 			return
 		}
-		if _, err := DecodeResponse(AppendResponse(nil, &resp)); err != nil {
+		again := AppendResponse(nil, &resp)
+		if _, err := DecodeResponse(again); err != nil {
 			t.Fatalf("re-encode of decoded response failed: %v", err)
+		}
+		// The result is the caller's: the frame buffer it was decoded
+		// from is reused for the next frame.
+		for i := range body {
+			body[i] ^= 0xff
+		}
+		if !bytes.Equal(AppendResponse(nil, &resp), again) {
+			t.Fatal("decoded response changed when the body it came from was overwritten")
 		}
 	})
 }

@@ -42,18 +42,23 @@ type storageTuple = storage.Tuple
 // a leaf-sized batch at a time (storage.Table.Scan; a batch is one index
 // leaf, or two half-full ones): the leaf's page lock is taken under the
 // tree lock, its rows are copied out, and with the tree lock released
-// the rows are resolved per heap page — the page's shared latch held
-// across that page's visibility checks and ONE
-// core.AcquireTupleLockBatch call for its SIREAD locks — the same
+// the rows are resolved in runs of consecutive rows that share a heap
+// page — the page's shared latch held across the run's visibility checks
+// and ONE core.AcquireTupleLockBatch call for its SIREAD locks — the same
 // atomicity unit as a point read, at O(pages) lock-path acquisitions
 // (§5.2.1's granularity hierarchy is what makes the page the natural
-// batch unit; a lock batch never spans pages). Leaves and heap pages
-// divide the keys at different places, so a tracked scan keeps the rows
-// of the heap page a batch ends on for the next batch: a run of rows on
-// one page is registered once, as a whole, however the leaves cut it.
-// Then the resolved rows are delivered, and a scan whose callback says
-// stop ends there: it has read and locked the leaves it reached and
-// nothing beyond.
+// batch unit; a lock batch never spans pages). A row keeps its heap page
+// for life, so the runs a scan meets are the ones the rows were loaded
+// in, however often they were updated since: a table loaded in key order
+// is scanned a whole page at a time, and a whole page is one page lock
+// (core.AcquireTupleLockBatch). Leaves and heap pages divide the keys at
+// different places, so a tracked scan keeps the run a batch ends on for
+// the next batch: a run is registered once, as a whole, however the
+// leaves cut it. Then the resolved rows are delivered, and a scan whose
+// callback says stop ends there: it has read and locked the leaves it
+// reached and nothing beyond. A read-only transaction that is given its
+// safe snapshot while a scan is under way (§4.2) registers nothing from
+// that page run on.
 
 // Get returns the value of key in table visible to the transaction, or
 // ErrNotFound. Under Serializable it acquires a SIREAD lock on the tuple
@@ -79,14 +84,13 @@ func (tx *Tx) Get(table, key string) ([]byte, error) {
 	var value []byte
 	found := false
 	// The SSI read check runs in the Read callback, i.e. under the read
-	// latch of the page holding the visible version: the SIREAD lock is
-	// registered before any writer of that page can stamp the tuple and
-	// probe the lock table. Non-tracking reads skip the latch — they
+	// latch of the row's page: the SIREAD lock is registered before any
+	// writer of that page can stamp the tuple and probe the lock table. Non-tracking reads skip the latch — they
 	// register nothing, so they have nothing to lose to the window.
 	err = ti.heap.Read(key, snap, tx.xid, tx.db.mvcc, tx.leafLocker(ti.pkName, tracking), tracking, func(res storage.ReadResult) error {
 		if tx.x != nil {
 			if res.Tuple != nil {
-				if err := tx.db.ssi.CheckRead(tx.x, table, res.Tuple.Page, key, res.ConflictOut, tx.owns(table, key)); err != nil {
+				if err := tx.db.ssi.CheckRead(tx.x, table, res.Page, key, res.ConflictOut, tx.owns(table, key)); err != nil {
 					return err
 				}
 			} else if err := tx.db.ssi.CheckScanConflicts(tx.x, res.ConflictOut); err != nil {
@@ -227,7 +231,7 @@ func (tx *Tx) Update(table, key string, value []byte) error {
 }
 
 // writeCheck returns the SSI write check a serializable transaction runs
-// inside the heap write path, under the superseded version's page latch
+// inside the heap write path, under the row's page latch
 // (storage/latch.go): the finest-to-coarsest SIREAD probe, followed by
 // the §7.3 drop of the transaction's own tuple SIREAD lock, which is
 // safe because the tuple write lock (the just-stamped xmax) now protects
@@ -237,7 +241,7 @@ func (tx *Tx) writeCheck(table, key string) func(storage.WriteResult) error {
 		return nil
 	}
 	return func(wr storage.WriteResult) error {
-		if err := tx.db.ssi.CheckWrite(tx.x, table, wr.OldPage, key); err != nil {
+		if err := tx.db.ssi.CheckWrite(tx.x, table, wr.Page, key); err != nil {
 			return err
 		}
 		if !tx.inSubxact() {
@@ -245,7 +249,7 @@ func (tx *Tx) writeCheck(table, key string) func(storage.WriteResult) error {
 			// tuple write lock — except inside a subtransaction,
 			// where a savepoint rollback could release the write
 			// lock and leave the read unprotected.
-			tx.db.ssi.DropOwnTupleLock(tx.x, table, wr.OldPage, key)
+			tx.db.ssi.DropOwnTupleLock(tx.x, table, wr.Page, key)
 		}
 		return nil
 	}
@@ -307,23 +311,24 @@ func (tx *Tx) leafLocker(rel string, tracking bool) func(btree.PageID) {
 }
 
 // pageLocker returns the callback a tracked scan hands to the storage
-// reader (storage.Reader): invoked once per heap page with that page's
-// visible rows while the page's shared latch is held, it registers the
-// page's SIREAD locks in one AcquireTupleLockBatch call (skipping keys
-// the transaction wrote itself) — the PR 2 {visibility, registration}
-// atomicity, per page. Once the lock manager reports that a
-// relation-granularity lock covers the table, the remaining pages'
-// registrations are skipped: the lock set only ever coarsens, so the
-// answer stays true for the rest of the scan. nil when the scan is not
-// tracked.
+// reader (storage.Reader): invoked once per run of same-page rows with
+// the run's visible rows while the page's shared latch is held, it
+// registers their SIREAD locks in one AcquireTupleLockBatch call
+// (skipping keys the transaction wrote itself) — the PR 2 {visibility,
+// registration} atomicity, per run. Once the lock manager reports that a
+// relation-granularity lock covers the table, or the transaction has
+// moved onto a safe snapshot (a read-only transaction can be given one
+// at any moment, §4.2), the remaining runs register nothing: the lock set
+// only ever coarsens and a safe snapshot stays safe, so either answer
+// holds for the rest of the scan. nil when the scan is not tracked.
 func (tx *Tx) pageLocker(table string, tracking bool) func(page int64, items []storage.BatchItem) error {
 	if !tracking {
 		return nil
 	}
 	var lockKeys []string
-	relCovered := false
+	done := false // relation-covered, or safe
 	return func(page int64, items []storage.BatchItem) error {
-		if relCovered {
+		if done = done || tx.x.Safe(); done {
 			return nil
 		}
 		lockKeys = slices.Grow(lockKeys[:0], len(items))
@@ -335,8 +340,8 @@ func (tx *Tx) pageLocker(table string, tracking bool) func(page int64, items []s
 		if len(lockKeys) == 0 {
 			return nil
 		}
-		covered, err := tx.db.ssi.AcquireTupleLockBatch(tx.x, table, page, lockKeys)
-		relCovered = covered
+		var err error
+		done, err = tx.db.ssi.AcquireTupleLockBatch(tx.x, table, page, lockKeys)
 		return err
 	}
 }

@@ -433,3 +433,56 @@ func TestReadPathsAgree(t *testing.T) {
 	db.Vacuum()
 	levels("after-vacuum")
 }
+
+// TestReaderIsFlaggedByEveryLaterWriterOfTheRow pins the conservative
+// side of naming a row's SIREAD target by its lifelong heap page rather
+// than by the version read: a reader whose tuple lock was taken on
+// version v1 is flagged by the writer of v2 and again by the later writer
+// of v3. PostgreSQL's lock is keyed by the TID of v1, so it would flag
+// only the first. The second edge is implied — the order reader < writer
+// of v2 < writer of v3 holds either way — so this is coverage ⊇ the
+// version-keyed lock's, never a missed edge, and nobody aborts over it.
+func TestReaderIsFlaggedByEveryLaterWriterOfTheRow(t *testing.T) {
+	db := newSessionDB(t, "t")
+	seed, _ := db.Begin(TxOptions{})
+	if err := seed.Insert("t", "x", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	reader, _ := db.Begin(TxOptions{Isolation: Serializable})
+	if v, err := reader.Get("t", "x"); err != nil || string(v) != "v1" {
+		t.Fatalf("reader: %q %v", v, err)
+	}
+	for _, version := range []string{"v2", "v3"} {
+		// A page's worth of other rows between the versions: a heap that
+		// put new versions at its tail would have them on different pages.
+		fill, _ := db.Begin(TxOptions{Isolation: ReadCommitted})
+		for i := 0; i < 64; i++ {
+			if err := fill.Insert("t", fmt.Sprintf("fill-%s-%02d", version, i), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fill.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		before := db.SSIStats().ConflictsFlagged
+		w, _ := db.Begin(TxOptions{Isolation: Serializable})
+		if err := w.Update("t", "x", []byte(version)); err != nil {
+			t.Fatalf("writer of %s: %v", version, err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatalf("writer of %s: %v", version, err)
+		}
+		if flagged := db.SSIStats().ConflictsFlagged - before; flagged != 1 {
+			t.Fatalf("writer of %s flagged %d rw-conflicts against the reader of v1, want 1", version, flagged)
+		}
+	}
+	if v, err := reader.Get("t", "x"); err != nil || string(v) != "v1" {
+		t.Fatalf("reader after both writers: %q %v", v, err)
+	}
+	if err := reader.Commit(); err != nil {
+		t.Fatalf("reader has only out-edges and must commit: %v", err)
+	}
+}
