@@ -31,7 +31,7 @@ func TestGetDispatchAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = srv.dispatch(sess, &req, wire.BeginFrame(out))
+		out = srv.dispatch(sess, &req, wire.BeginFrame(out[:0]))
 		if err := wire.FinishFrame(out); err != nil {
 			t.Fatal(err)
 		}

@@ -117,9 +117,21 @@ func TestReplicaServerServesReadOnly(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Writes and DDL are refused.
-	if _, st := c.Begin(pgssi.Serializable, false, false); st != pgssi.StatusReadOnlyTx {
+	// Writes and DDL are refused. A read-write Begin is queued, so its
+	// refusal is the answer to its first operation, and the handle is dead
+	// after it.
+	rw, st := c.Begin(pgssi.Serializable, false, false)
+	if !st.OK() {
+		t.Fatalf("read-write begin: %v, want it queued", st)
+	}
+	if _, st := c.Get(rw, "kv", "k"); st != pgssi.StatusReadOnlyTx {
 		t.Fatalf("read-write begin on replica: %v, want read-only refusal", st)
+	}
+	if _, st := c.Get(rw, "kv", "k"); st != pgssi.StatusTxDone {
+		t.Fatalf("refused read-write handle still usable: %v", st)
+	}
+	if st := c.Rollback(rw); !st.OK() {
+		t.Fatalf("rollback of the refused handle: %v", st)
 	}
 	if st := c.CreateTable("other"); st != pgssi.StatusReadOnlyTx {
 		t.Fatalf("ddl on replica: %v, want read-only refusal", st)

@@ -93,18 +93,24 @@ type Server struct {
 	shutdownOnce sync.Once
 }
 
-// conn is one served connection. Requests are read through br, so a
-// small request costs one read of the socket, and every frame is built
-// in out and sent by send in one write. Only the connection's own
-// goroutine touches anything but Conn.Close and sess.Open.
+// conn is one served connection. Requests are read through br, so
+// requests that arrive together cost one read of the socket; answers are
+// built in out, and flush sends all of them in one write once no whole
+// request is left in br. Only the connection's own goroutine touches
+// anything but Conn.Close and sess.Open.
 type conn struct {
 	net.Conn
 	sess  *pgssi.Session
 	br    *bufio.Reader
 	idle  wire.CoarseDeadline // read deadline
 	stall wire.CoarseDeadline // write deadline
-	out   []byte              // outgoing response frame, reused
+	out   []byte              // outgoing frames not yet written, reused
 }
+
+// maxHeldAnswers bounds the answers a connection holds back while more
+// requests are buffered: a peer that streams requests without reading
+// gets its answers in pieces of about this size rather than all at once.
+const maxHeldAnswers = 64 << 10
 
 func (s *Server) newConn(nc net.Conn) *conn {
 	return &conn{
@@ -116,22 +122,30 @@ func (s *Server) newConn(nc net.Conn) *conn {
 	}
 }
 
-// send completes the frame built in c.out and writes it in one Write.
-func (c *conn) send() error {
-	if err := wire.FinishFrame(c.out); err != nil {
-		return err
-	}
+// flush writes every frame in c.out in one Write.
+func (c *conn) flush() error {
 	if t, ok := c.stall.Next(time.Now()); ok {
 		c.SetWriteDeadline(t)
 	}
 	_, err := c.Conn.Write(c.out)
+	c.out = c.out[:0]
 	return err
+}
+
+// send completes the frame that starts at c.out[start:] and flushes it
+// together with the answers held before it.
+func (c *conn) send(start int) error {
+	if err := wire.FinishFrame(c.out[start:]); err != nil {
+		return err
+	}
+	return c.flush()
 }
 
 // respond sends resp as one frame.
 func (c *conn) respond(resp wire.Response) error {
+	start := len(c.out)
 	c.out = wire.AppendResponse(wire.BeginFrame(c.out), &resp)
-	return c.send()
+	return c.send(start)
 }
 
 // writeRecord sends one WAL record as a frame carrying the record body
@@ -141,8 +155,9 @@ func (c *conn) writeRecord(rec wal.Record) error {
 	if err != nil {
 		return err
 	}
+	start := len(c.out)
 	c.out = append(wire.BeginFrame(c.out), body...)
-	return c.send()
+	return c.send(start)
 }
 
 // New returns a server over db.
@@ -293,14 +308,24 @@ func (s *Server) serveConn(c *conn) {
 			s.serveCheckpoint(c)
 			return
 		}
+		start := len(c.out)
 		c.out = s.dispatch(c.sess, &req, wire.BeginFrame(c.out))
-		if err := c.send(); err != nil {
+		if err := wire.FinishFrame(c.out[start:]); err != nil {
+			return
+		}
+		// Requests that arrived together are answered together, and the
+		// loop never waits for a request while it owes answers.
+		if wire.FrameBuffered(c.br) && len(c.out) < maxHeldAnswers {
+			continue
+		}
+		if err := c.flush(); err != nil {
 			return
 		}
 		// During a drain, a connection is closed as soon as it has no
-		// transaction in flight; one that does keeps being served so it
-		// can finish (commit or roll back), up to the drain timeout.
-		if s.draining.Load() && c.sess.Open() == 0 {
+		// transaction in flight and every request it sent is answered;
+		// one with a transaction keeps being served so it can finish
+		// (commit or roll back), up to the drain timeout.
+		if s.draining.Load() && c.sess.Open() == 0 && !wire.FrameBuffered(c.br) {
 			return
 		}
 	}
@@ -448,6 +473,9 @@ func (s *Server) execute(sess *pgssi.Session, req *wire.Request) wire.Response {
 	switch req.Op {
 	case wire.OpBegin:
 		if s.draining.Load() {
+			// A refused Begin still uses up its handle number: the client
+			// may already be naming the next Begin's transaction.
+			sess.SkipHandle()
 			return wire.Response{Status: pgssi.StatusShuttingDown}
 		}
 		h, st := sess.Begin(req.Isolation, req.Flags&wire.FlagReadOnly != 0, req.Flags&wire.FlagDeferrable != 0)
@@ -456,7 +484,14 @@ func (s *Server) execute(sess *pgssi.Session, req *wire.Request) wire.Response {
 		v, st := sess.Get(req.Handle, req.Table, req.Key)
 		return wire.Response{Status: st, Value: v, Found: st.OK()}
 	case wire.OpPut:
-		return wire.Response{Status: sess.Put(req.Handle, req.Table, req.Key, req.Value)}
+		st := sess.Put(req.Handle, req.Table, req.Key, req.Value)
+		if !st.OK() && req.AbortOnError {
+			// Its sender has moved on without the answer, and what it sent
+			// next may be a Commit: roll back so that cannot commit the
+			// transaction without this write.
+			sess.Rollback(req.Handle)
+		}
+		return wire.Response{Status: st}
 	case wire.OpInsert:
 		return wire.Response{Status: sess.Insert(req.Handle, req.Table, req.Key, req.Value)}
 	case wire.OpUpdate:

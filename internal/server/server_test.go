@@ -293,9 +293,18 @@ func TestDrainOnSIGTERM(t *testing.T) {
 		t.Fatal("drain did not start after signal")
 	}
 
-	// Late Begin on the in-flight connection is refused…
-	if _, st := inflight.Begin(pgssi.Serializable, false, false); st != pgssi.StatusShuttingDown {
+	// Late Begin on the in-flight connection is refused — a read-write
+	// Begin is queued, so the refusal answers its first operation, and the
+	// handle is dead after it…
+	late, st := inflight.Begin(pgssi.Serializable, false, false)
+	if !st.OK() {
+		t.Fatalf("late read-write begin: %v, want it queued", st)
+	}
+	if _, st := inflight.Get(late, "kv", "survivor"); st != pgssi.StatusShuttingDown {
 		t.Fatalf("late begin: want StatusShuttingDown, got %v", st)
+	}
+	if _, st := inflight.Get(late, "kv", "survivor"); st != pgssi.StatusTxDone {
+		t.Fatalf("refused late handle still usable: %v", st)
 	}
 	// …but the in-flight transaction may still finish.
 	if st := inflight.Put(h, "kv", "survivor", []byte("v2")); !st.OK() {
@@ -330,6 +339,44 @@ func TestDrainOnSIGTERM(t *testing.T) {
 		t.Fatalf("survivor after drain: %q, %v", v, st)
 	}
 	sess.Commit(h2)
+}
+
+// TestDrainAnswersBufferedRequests: during a drain, a connection with no
+// transaction open is closed only once every request it has already sent
+// is answered. A queued read-write Begin and the Get that carries it
+// therefore read "shutting down", not a closed connection.
+func TestDrainAnswersBufferedRequests(t *testing.T) {
+	db := pgssi.Open(pgssi.Config{})
+	defer db.Close()
+	if err := db.CreateTable("kv"); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(db, Config{Logf: t.Logf})
+	srv.draining.Store(true)
+	// Served directly rather than accepted, so the drain's sweep of idle
+	// connections cannot close it first.
+	client, server := net.Pipe()
+	srv.wg.Add(1)
+	served := make(chan struct{})
+	go func() {
+		srv.serveConn(srv.newConn(server))
+		close(served)
+	}()
+
+	c := wire.NewClient(client, wire.DialOptions{Timeout: 10 * time.Second})
+	defer c.Close()
+	h, st := c.Begin(pgssi.Serializable, false, false)
+	if !st.OK() {
+		t.Fatalf("read-write begin: %v, want it queued", st)
+	}
+	if _, st := c.Get(h, "kv", "k"); st != pgssi.StatusShuttingDown {
+		t.Fatalf("[Begin, Get] during a drain: %v (%v), want StatusShuttingDown", st, c.Err())
+	}
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a drained connection with nothing open and nothing buffered was kept")
+	}
 }
 
 // TestDrainForceClosesStragglers: a transaction that never finishes is

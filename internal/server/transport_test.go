@@ -17,12 +17,13 @@ import (
 )
 
 // countingConn counts the Read and Write calls made on a connection —
-// each is one syscall on a socket — and checks that every Write carries
-// exactly one whole frame.
+// each is one syscall on a socket — and the frames written, and checks
+// that every Write carries whole frames only.
 type countingConn struct {
 	net.Conn
-	reads, writes atomic.Int64
-	torn          atomic.Int64 // Writes that were not one whole frame
+	reads, writes, frames atomic.Int64
+	torn                  atomic.Int64 // Writes that ended inside a frame
+	largest               atomic.Int64 // bytes in the largest Write
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
@@ -32,8 +33,18 @@ func (c *countingConn) Read(p []byte) (int, error) {
 
 func (c *countingConn) Write(p []byte) (int, error) {
 	c.writes.Add(1)
-	if len(p) < 9 || int(binary.BigEndian.Uint32(p))+4 != len(p) {
-		c.torn.Add(1)
+	if n := int64(len(p)); n > c.largest.Load() {
+		c.largest.Store(n)
+	}
+	for rest := p; ; {
+		if len(rest) < 9 || int(binary.BigEndian.Uint32(rest))+4 > len(rest) {
+			c.torn.Add(1)
+			break
+		}
+		c.frames.Add(1)
+		if rest = rest[binary.BigEndian.Uint32(rest)+4:]; len(rest) == 0 {
+			break
+		}
 	}
 	return c.Conn.Write(p)
 }
@@ -149,9 +160,11 @@ func checkpointedDB(t *testing.T, rows int) *pgssi.DB {
 }
 
 // TestOneSyscallPerFrame is the transport rule for requests and
-// responses: the client sends each request, and the server each
-// response, in exactly one Write, and the server needs at most one Read
-// per small request.
+// responses: every Write carries whole frames only; a request the client
+// waits for — a Ping, a Scan — costs one client Write and one server
+// Write; a read-write transaction of Begin, Get, Get, Put, Commit, whose
+// Begin and Put leave with the next request, costs three of each; and
+// the server needs at most one Read per burst of small requests.
 func TestOneSyscallPerFrame(t *testing.T) {
 	db := scanTable(t, 1000)
 	l := listenCounting(t)
@@ -167,38 +180,60 @@ func TestOneSyscallPerFrame(t *testing.T) {
 	defer c.Close()
 	sc := <-l.accepted
 
-	trips := int64(0)
 	ok := func(st pgssi.Status) {
 		t.Helper()
-		trips++
 		if !st.OK() {
 			t.Fatal(st)
 		}
 	}
-	for i := 0; i < 20; i++ {
-		ok(c.Ping())
+	// phase runs f and checks the Writes it cost each side, and the frames
+	// they carried.
+	phase := func(name string, writes, frames int64, f func()) {
+		t.Helper()
+		cw, cf, sw, sf, sr := cc.writes.Load(), cc.frames.Load(), sc.writes.Load(), sc.frames.Load(), sc.reads.Load()
+		f()
+		if w, n := cc.writes.Load()-cw, cc.frames.Load()-cf; w != writes || n != frames {
+			t.Errorf("%s: client made %d writes of %d frames, want %d of %d", name, w, n, writes, frames)
+		}
+		if w, n := sc.writes.Load()-sw, sc.frames.Load()-sf; w != writes || n != frames {
+			t.Errorf("%s: server made %d writes of %d frames, want %d of %d", name, w, n, writes, frames)
+		}
+		// One more than the bursts: the read the server parks in after the
+		// previous phase may start inside this one.
+		if r := sc.reads.Load() - sr; r > writes+1 {
+			t.Errorf("%s: server made %d reads for %d bursts of small requests", name, r, writes)
+		}
 	}
-	h, st := c.Begin(pgssi.Serializable, false, false)
-	ok(st)
-	_, st = c.Get(h, "kv", "k000007")
-	ok(st)
-	ok(c.Put(h, "kv", "k000008", []byte("new")))
-	rows, st := c.Scan(h, "kv", "", "", 0)
-	ok(st)
-	if len(rows) != 1000 {
-		t.Fatalf("scan returned %d rows", len(rows))
-	}
-	ok(c.Commit(h))
 
-	if w := cc.writes.Load(); w != trips || cc.torn.Load() != 0 {
-		t.Errorf("client: %d writes (%d not a whole frame) for %d requests", w, cc.torn.Load(), trips)
-	}
-	if w := sc.writes.Load(); w != trips || sc.torn.Load() != 0 {
-		t.Errorf("server: %d writes (%d not a whole frame) for %d responses", w, sc.torn.Load(), trips)
-	}
-	// One more than the requests: the read the server is parked in now.
-	if r := sc.reads.Load(); r > trips+1 {
-		t.Errorf("server: %d reads for %d small requests", r, trips)
+	phase("20 Pings", 20, 20, func() {
+		for i := 0; i < 20; i++ {
+			ok(c.Ping())
+		}
+	})
+	phase("read-only Begin, 3 Scans, Commit", 5, 5, func() {
+		h, st := c.Begin(pgssi.Serializable, true, false)
+		ok(st)
+		for i := 0; i < 3; i++ {
+			rows, st := c.Scan(h, "kv", "", "", 0)
+			ok(st)
+			if len(rows) != 1000 {
+				t.Fatalf("scan returned %d rows", len(rows))
+			}
+		}
+		ok(c.Commit(h))
+	})
+	phase("read-write Begin, Get, Get, Put, Commit", 3, 5, func() {
+		h, st := c.Begin(pgssi.Serializable, false, false)
+		ok(st)
+		_, st = c.Get(h, "kv", "k000007")
+		ok(st)
+		_, st = c.Get(h, "kv", "k000009")
+		ok(st)
+		ok(c.Put(h, "kv", "k000008", []byte("new")))
+		ok(c.Commit(h))
+	})
+	if cc.torn.Load() != 0 || sc.torn.Load() != 0 {
+		t.Errorf("writes ending inside a frame: client %d, server %d", cc.torn.Load(), sc.torn.Load())
 	}
 }
 

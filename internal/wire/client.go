@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -14,27 +15,60 @@ import (
 // method set as pgssi.Session, so callers (the open-loop load driver in
 // particular) can run against either interchangeably.
 //
-// A Client multiplexes nothing: requests on one connection are strictly
-// synchronous (one in flight), serialized by an internal mutex. Open
-// several clients for parallelism, as cmd/pgload's connection pool
-// does. Transport failures poison the client: the failing call and
-// every later one return StatusNetwork, and Err reports the underlying
-// error.
+// Two calls do not wait for their answer. Begin of a read-write
+// transaction returns the handle the server will give it — the k-th
+// Begin request on a connection is handle k, refused or not — and Put on
+// a handle so begun returns StatusOK at once. Both are queued and leave
+// in the same Write as the next request that does wait, whose call then
+// reads every queued answer before its own. A refused Begin, or a failed
+// Put (which the server follows with a rollback of the transaction), is
+// reported by the next call on that handle instead: that call returns
+// the failure and the handle is dead — a Rollback of it returns
+// StatusOK, a Commit the failure, and any other call StatusTxDone.
+// Everything else is one request, one answer, as in pgssi.Session:
+// read-only Begins (whose refusals a router branches on), Put on a
+// read-only handle, and every other operation.
+//
+// A Client multiplexes nothing: one burst of requests is in flight at a
+// time, serialized by an internal mutex, and goroutines sharing a Client
+// may interleave their handles. Open several clients for parallelism, as
+// cmd/pgload's connection pool does. Transport failures poison the
+// client: the failing call and every later one return StatusNetwork, and
+// Err reports the underlying error.
 type Client struct {
 	mu    sync.Mutex //ssi:lock level=20 name=wire.client
 	conn  net.Conn
 	br    *bufio.Reader
-	buf   []byte // outgoing frame, reused
+	out   []byte // queued request frames, then the frame of the request that waits
 	frame []byte // incoming frame body, reused
 	err   error
+
+	// queued lists the requests in out whose answers have not been read.
+	queued []pending
+	// begins counts the Begin requests sent or queued: the number of the
+	// next handle.
+	begins pgssi.Handle
+	// rw holds the read-write handles begun by this client and not yet
+	// committed or rolled back: StatusOK while the transaction is alive
+	// on the server as far as the client knows, otherwise the failure
+	// its next call reports.
+	rw map[pgssi.Handle]pgssi.Status
 
 	// deadline bounds each round trip (write + read); a zero Timeout
 	// means no deadline.
 	deadline CoarseDeadline
 }
 
+// pending is a queued request: a read-write Begin, or a Put on h.
+type pending struct {
+	h     pgssi.Handle
+	begin bool
+}
+
 // clientReadBuffer lets a scan response of a thousand small rows
-// (≈ 20 KB) arrive in one read.
+// (≈ 20 KB) arrive in one read. It also bounds the queued requests: the
+// server answers them while the client is still writing, and a queue of
+// this size keeps those answers far below what the socket buffers hold.
 const clientReadBuffer = 64 << 10
 
 // DialOptions configure Dial.
@@ -61,6 +95,7 @@ func NewClient(conn net.Conn, opts DialOptions) *Client {
 	return &Client{
 		conn:     conn,
 		br:       bufio.NewReaderSize(conn, clientReadBuffer),
+		rw:       make(map[pgssi.Handle]pgssi.Status),
 		deadline: CoarseDeadline{Timeout: opts.Timeout},
 	}
 }
@@ -72,56 +107,189 @@ func (c *Client) Err() error {
 	return c.err
 }
 
-// Close closes the connection. Open server-side transactions are rolled
-// back by the server's connection cleanup.
+// Close closes the connection, dropping whatever is still queued. Open
+// server-side transactions are rolled back by the server's connection
+// cleanup.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip sends req and decodes the response. Transport and protocol
-// failures are folded into StatusNetwork with the error latched.
-func (c *Client) roundTrip(req *Request) Response {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return Response{Status: pgssi.StatusNetwork}
+// fail latches err, closes the connection and returns StatusNetwork.
+func (c *Client) fail(err error) pgssi.Status {
+	c.err = err
+	c.conn.Close()
+	return pgssi.StatusNetwork
+}
+
+// appendFrame adds req's frame to out.
+func (c *Client) appendFrame(req *Request) error {
+	start := len(c.out)
+	c.out = AppendRequest(BeginFrame(c.out), req)
+	return FinishFrame(c.out[start:])
+}
+
+// enqueue adds req to the queue. If its frame would take the queue past
+// clientReadBuffer, the queue is sent and answered first; the size is
+// reckoned before encoding, counting each length prefix at its largest.
+func (c *Client) enqueue(req *Request, p pending) error {
+	const maxOverhead = frameHeader + 1 + 8 + 3*4 // op, handle, three uvarint lengths below MaxFrame
+	if len(c.queued) > 0 && len(c.out)+maxOverhead+len(req.Table)+len(req.Key)+len(req.Value) > clientReadBuffer {
+		if _, err := c.exchange(nil); err != nil {
+			return err
+		}
 	}
-	fail := func(err error) Response {
-		c.err = err
-		c.conn.Close()
-		return Response{Status: pgssi.StatusNetwork}
+	if err := c.appendFrame(req); err != nil {
+		return err
+	}
+	c.queued = append(c.queued, p)
+	return nil
+}
+
+// exchange sends the queued requests, and req unless it is nil, in one
+// Write; reads and settles the queued requests' answers; and returns
+// req's.
+func (c *Client) exchange(req *Request) (Response, error) {
+	if req != nil {
+		if err := c.appendFrame(req); err != nil {
+			return Response{}, err
+		}
 	}
 	if t, ok := c.deadline.Next(time.Now()); ok {
 		c.conn.SetDeadline(t)
 	}
-	c.buf = AppendRequest(BeginFrame(c.buf), req)
-	if err := FinishFrame(c.buf); err != nil {
-		return fail(err)
+	_, err := c.conn.Write(c.out)
+	c.out = c.out[:0]
+	if err != nil {
+		return Response{}, err
 	}
-	if _, err := c.conn.Write(c.buf); err != nil {
-		return fail(err)
+	queued := c.queued
+	c.queued = c.queued[:0]
+	for _, p := range queued {
+		resp, err := c.read()
+		if err == nil {
+			err = c.settle(p, resp)
+		}
+		if err != nil {
+			return Response{}, err
+		}
 	}
+	if req == nil {
+		return Response{}, nil
+	}
+	return c.read()
+}
+
+// read reads and decodes one answer.
+func (c *Client) read() (Response, error) {
 	body, err := ReadFrame(c.br, c.frame)
 	if err != nil {
-		return fail(err)
+		return Response{}, err
 	}
 	c.frame = body[:0]
-	resp, err := DecodeResponse(body)
+	return DecodeResponse(body)
+}
+
+// settle records the answer to a queued request: the first failure on a
+// handle is the one its next call reports.
+func (c *Client) settle(p pending, resp Response) error {
+	if p.begin {
+		if err := numbered(p.h, resp); err != nil {
+			return err
+		}
+	}
+	if st, ok := c.rw[p.h]; ok && st.OK() {
+		c.rw[p.h] = resp.Status
+	}
+	return nil
+}
+
+// numbered checks the answer to a Begin against the handle the
+// numbering rule gives it.
+func numbered(h pgssi.Handle, resp Response) error {
+	if resp.Status.OK() && resp.Handle != h {
+		return fmt.Errorf("wire: Begin answered with handle %d, expected %d", resp.Handle, h)
+	}
+	return nil
+}
+
+// failed reports, as the answer to req, the failure a queued request on
+// req's handle met, and retires the handle as pgssi.Session would after
+// that failure.
+func (c *Client) failed(req *Request) (pgssi.Status, bool) {
+	st, ok := c.rw[req.Handle]
+	if !ok || st.OK() {
+		return 0, false
+	}
+	switch req.Op {
+	case OpRollback:
+		delete(c.rw, req.Handle)
+		return pgssi.StatusOK, true
+	case OpCommit:
+		delete(c.rw, req.Handle)
+	default:
+		c.rw[req.Handle] = pgssi.StatusTxDone
+	}
+	return st, true
+}
+
+// roundTrip sends req behind whatever is queued and returns its answer.
+// Transport and protocol failures are folded into StatusNetwork with
+// the error latched.
+func (c *Client) roundTrip(req *Request) Response {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.roundTripLocked(req)
+}
+
+func (c *Client) roundTripLocked(req *Request) Response {
+	if c.err != nil {
+		return Response{Status: pgssi.StatusNetwork}
+	}
+	if st, ok := c.failed(req); ok {
+		return Response{Status: st}
+	}
+	resp, err := c.exchange(req)
 	if err != nil {
-		return fail(err)
+		return Response{Status: c.fail(err)}
+	}
+	// A queued request on this handle failed in the same burst: the
+	// server rolled the transaction back before it saw req.
+	if st, ok := c.failed(req); ok {
+		return Response{Status: st}
+	}
+	if req.Op == OpCommit || req.Op == OpRollback {
+		delete(c.rw, req.Handle)
 	}
 	return resp
 }
 
-// Begin starts a transaction on the server and returns its handle.
+// Begin starts a transaction on the server and returns its handle. A
+// read-write Begin is queued (see Client).
 func (c *Client) Begin(level pgssi.IsolationLevel, readOnly, deferrable bool) (pgssi.Handle, pgssi.Status) {
-	var flags uint8
+	req := Request{Op: OpBegin, Isolation: level}
 	if readOnly {
-		flags |= FlagReadOnly
+		req.Flags |= FlagReadOnly
 	}
 	if deferrable {
-		flags |= FlagDeferrable
+		req.Flags |= FlagDeferrable
 	}
-	resp := c.roundTrip(&Request{Op: OpBegin, Isolation: level, Flags: flags})
-	return resp.Handle, resp.Status
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return 0, pgssi.StatusNetwork
+	}
+	c.begins++
+	h := c.begins
+	if readOnly {
+		resp := c.roundTripLocked(&req)
+		if err := numbered(h, resp); err != nil {
+			return 0, c.fail(err)
+		}
+		return resp.Handle, resp.Status
+	}
+	if err := c.enqueue(&req, pending{h: h, begin: true}); err != nil {
+		return 0, c.fail(err)
+	}
+	c.rw[h] = pgssi.StatusOK
+	return h, pgssi.StatusOK
 }
 
 // Get returns the value of key in table.
@@ -130,9 +298,20 @@ func (c *Client) Get(h pgssi.Handle, table, key string) ([]byte, pgssi.Status) {
 	return resp.Value, resp.Status
 }
 
-// Put upserts key in table.
+// Put upserts key in table. On a read-write handle it is queued and
+// returns StatusOK (see Client).
 func (c *Client) Put(h pgssi.Handle, table, key string, value []byte) pgssi.Status {
-	return c.roundTrip(&Request{Op: OpPut, Handle: h, Table: table, Key: key, Value: value}).Status
+	req := Request{Op: OpPut, Handle: h, Table: table, Key: key, Value: value}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st, ok := c.rw[h]; !ok || !st.OK() || c.err != nil {
+		return c.roundTripLocked(&req).Status
+	}
+	req.AbortOnError = true
+	if err := c.enqueue(&req, pending{h: h}); err != nil {
+		return c.fail(err)
+	}
+	return pgssi.StatusOK
 }
 
 // Insert adds a new row.

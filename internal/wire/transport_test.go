@@ -163,6 +163,68 @@ func TestRowsFrameGolden(t *testing.T) {
 	}
 }
 
+// TestAbortOnErrorPutFrameGolden pins the bytes of a queued Put's frame,
+// built the client's way (BeginFrame, AppendRequest, FinishFrame) after
+// another frame in the same buffer: the unflagged Put layout behind an
+// opcode byte of 0x83 (Put | 0x80), written out by hand.
+func TestAbortOnErrorPutFrameGolden(t *testing.T) {
+	const golden = "00000017" + "01" + "248c4c60" + // length 23, version, CRC
+		"83" + "0000000000000003" + "02" + "6b76" + "02" + "6b31" + "02" + "7631" // op, handle 3, "kv", "k1", "v1"
+	req := Request{Op: OpPut, AbortOnError: true, Handle: 3, Table: "kv", Key: "k1", Value: []byte("v1")}
+	buf := AppendRequest(BeginFrame(nil), &Request{Op: OpPing})
+	if err := FinishFrame(buf); err != nil {
+		t.Fatal(err)
+	}
+	start := len(buf)
+	buf = AppendRequest(BeginFrame(buf), &req)
+	if err := FinishFrame(buf[start:]); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf[start:]); got != golden {
+		t.Fatalf("frame bytes changed:\n got %s\nwant %s", got, golden)
+	}
+	r := bytes.NewReader(buf)
+	if _, err := ReadFrame(r, nil); err != nil {
+		t.Fatal(err)
+	}
+	body, err := ReadFrame(r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRequest(body)
+	if err != nil || !got.AbortOnError || got.Op != OpPut || got.Handle != 3 || got.Table != "kv" || got.Key != "k1" || string(got.Value) != "v1" {
+		t.Fatalf("golden frame decodes to %+v, %v", got, err)
+	}
+	unflagged := AppendRequest(nil, &Request{Op: OpPut, Handle: 3, Table: "kv", Key: "k1", Value: []byte("v1")})
+	if !bytes.Equal(unflagged[1:], body[1:]) || unflagged[0] != byte(OpPut) {
+		t.Fatalf("the flag changed more than the opcode byte: % x vs % x", unflagged, body)
+	}
+}
+
+// TestFrameBuffered: a whole frame is reported buffered only once its
+// last byte is in the reader's buffer.
+func TestFrameBuffered(t *testing.T) {
+	frame := AppendRequest(BeginFrame(nil), &Request{Op: OpGet, Handle: 1, Table: "kv", Key: "k"})
+	if err := FinishFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	stream := append(append([]byte(nil), frame...), frame[:len(frame)-1]...)
+	br := bufio.NewReader(bytes.NewReader(stream))
+	if FrameBuffered(br) {
+		t.Fatal("empty reader reports a frame")
+	}
+	br.Peek(len(stream)) // fill the buffer
+	if !FrameBuffered(br) {
+		t.Fatal("whole frame not reported")
+	}
+	if _, err := ReadFrame(br, nil); err != nil {
+		t.Fatal(err)
+	}
+	if FrameBuffered(br) {
+		t.Fatal("a frame short of its last byte reported whole")
+	}
+}
+
 // TestDecodeResponseRowArenas: decoded rows are views into one copy of
 // the row bytes, keys and values side by side, and that must not show:
 // nothing aliases the frame buffer the client is about to reuse, and

@@ -12,6 +12,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -53,25 +54,26 @@ const (
 	frameHeader   = 4 + frameOverhead
 )
 
-// The transport rule of this package and of internal/server is one
-// frame, one Write: with TCP_NODELAY every Write is a segment and a
-// wake-up of the peer, so a frame must never leave in pieces. Senders
-// on the hot path build the frame in place — BeginFrame reserves the
-// header in front of the buffer the body encoders append to, FinishFrame
-// fills it in — and hand the result to a single Write; WriteFrame is the
-// same thing for callers that already hold a finished body.
+// The transport rule of this package and of internal/server is whole
+// frames, one Write: with TCP_NODELAY every Write is a segment and a
+// wake-up of the peer, so a frame must never leave in pieces, and frames
+// that can leave together (a client's queued requests, a server's
+// answers to a burst of them) leave in one Write. Senders on the hot
+// path build frames in place — BeginFrame reserves a header at the end
+// of the buffer the body encoders append to, FinishFrame fills it in —
+// and hand the result to a single Write; WriteFrame is the same thing
+// for callers that already hold a finished body.
 
-// BeginFrame truncates buf and reserves the frame header in it. The
-// caller appends the body (AppendRequest, AppendResponse, ...) and
-// completes the frame with FinishFrame.
+// BeginFrame reserves a frame header at the end of buf. The caller
+// appends the body (AppendRequest, AppendResponse, ...) and completes the
+// frame with FinishFrame on the slice that starts at the header.
 func BeginFrame(buf []byte) []byte {
 	var hdr [frameHeader]byte
-	return append(buf[:0], hdr[:]...)
+	return append(buf, hdr[:]...)
 }
 
-// FinishFrame fills in the header BeginFrame reserved in front of
-// frame's body (length, version, CRC). The frame is then ready to be
-// written in one Write.
+// FinishFrame fills in the header BeginFrame reserved at the start of
+// frame, in front of its body (length, version, CRC).
 func FinishFrame(frame []byte) error {
 	body := frame[frameHeader:]
 	if len(body)+frameOverhead > MaxFrame {
@@ -151,6 +153,17 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return body, nil
 }
 
+// FrameBuffered reports whether br already holds a whole frame, so that
+// ReadFrame on it will not wait for the network.
+func FrameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return uint64(n) >= 4+uint64(binary.BigEndian.Uint32(hdr))
+}
+
 // Op is a request opcode.
 //
 //ssi:enum
@@ -226,11 +239,21 @@ const (
 	FlagDeferrable = 1 << 1
 )
 
+// abortOnError is the opcode byte's top bit, legal on Put only: a Put
+// whose sender did not wait for its answer, which the server follows
+// with a rollback of the transaction if it fails.
+const abortOnError = 0x80
+
 // Request is one session-layer request. Which fields are meaningful
 // depends on Op (see docs/protocol.md); decode leaves the rest zero.
 type Request struct {
 	Op     Op
 	Handle pgssi.Handle
+
+	// AbortOnError marks a Put sent without waiting for its answer: if
+	// it fails, the server rolls the transaction back before answering,
+	// so nothing sent behind it can commit part of the transaction.
+	AbortOnError bool
 
 	// Begin.
 	Isolation pgssi.IsolationLevel
@@ -357,7 +380,11 @@ func (d *dec) done() error {
 // AppendRequest encodes req into buf's body format (no framing).
 func AppendRequest(buf []byte, req *Request) []byte {
 	e := enc{b: buf}
-	e.u8(uint8(req.Op))
+	if req.AbortOnError {
+		e.u8(uint8(req.Op) | abortOnError)
+	} else {
+		e.u8(uint8(req.Op))
+	}
 	switch req.Op {
 	case OpBegin:
 		e.u8(uint8(req.Isolation))
@@ -402,9 +429,13 @@ func AppendRequest(buf []byte, req *Request) []byte {
 func DecodeRequest(body []byte) (Request, error) {
 	d := dec{b: body}
 	var req Request
-	req.Op = Op(d.u8())
+	op := d.u8()
+	req.Op, req.AbortOnError = Op(op&^abortOnError), op&abortOnError != 0
 	if d.err == nil && (req.Op == 0 || req.Op >= opMax) {
 		return Request{}, fmt.Errorf("%w: unknown op %d", ErrBadMessage, uint8(req.Op))
+	}
+	if req.AbortOnError && req.Op != OpPut {
+		return Request{}, fmt.Errorf("%w: abort-on-error bit on %v", ErrBadMessage, req.Op)
 	}
 	switch req.Op {
 	case OpBegin:

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand/v2"
 	"strings"
@@ -29,6 +30,32 @@ func sampleRequests() []Request {
 		{Op: OpRollbackToSavepoint, Handle: 9, Key: "sp1"},
 		{Op: OpCreateTable, Table: "newtable"},
 		{Op: OpPing},
+		{Op: OpPut, AbortOnError: true, Handle: 11, Table: "kv", Key: "q", Value: []byte("queued")},
+	}
+}
+
+// TestAbortOnErrorOnlyOnPut: the opcode's top bit decodes on Put and is
+// a malformed message on every other opcode.
+func TestAbortOnErrorOnlyOnPut(t *testing.T) {
+	for op := OpBegin; op < opMax; op++ {
+		body := []byte{uint8(op) | abortOnError}
+		for _, req := range sampleRequests() {
+			if req.Op == op {
+				body = AppendRequest(nil, &req)
+				body[0] |= abortOnError
+				break
+			}
+		}
+		req, err := DecodeRequest(body)
+		if op == OpPut {
+			if err != nil || !req.AbortOnError {
+				t.Fatalf("flagged Put: %+v, %v", req, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("flagged %v: %v, want ErrBadMessage", op, err)
+		}
 	}
 }
 
@@ -202,6 +229,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	for _, req := range sampleRequests() {
 		f.Add(AppendRequest(nil, &req))
 	}
+	// The abort-on-error bit where it is illegal.
+	f.Add(append([]byte{uint8(OpGet) | abortOnError}, AppendRequest(nil, &Request{Op: OpGet, Handle: 1, Table: "kv", Key: "k"})[1:]...))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := DecodeRequest(body)
 		if err != nil {

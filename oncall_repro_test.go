@@ -202,6 +202,11 @@ func onCallAttempt(db *pgssi.DB, cn *wire.Client, level pgssi.IsolationLevel, wh
 	}
 	put := cn.Put(h, onCallTable, keys[d], onCallValue(to))
 	if len(on) == 0 {
+		// The client only queued the Put: reading the row back sends it
+		// and reports how it went.
+		if _, st := cn.Get(h, onCallTable, keys[d]); put.OK() && !st.OK() {
+			put = st
+		}
 		// Still open: its snapshot is pinned and, if the Put went
 		// through, its xid is the in-progress xmin on keys[d].
 		report(fmt.Sprintf("%s read group %d with nobody on call; it then wrote %s (%v).\n%s",

@@ -247,9 +247,15 @@ func (s *Session) drop(h Handle) {
 // flag requires level == Serializable and readOnly (as in BEGIN
 // TRANSACTION READ ONLY, DEFERRABLE) and may block until a safe
 // snapshot is available.
+//
+// Handles are numbered by request: the k-th Begin a session is asked for
+// is handle k, and a refused Begin uses up its number too. A client that
+// issues its Begins one after another can therefore name a transaction
+// before the answer to its Begin arrives (wire.Client does).
 func (s *Session) Begin(level IsolationLevel, readOnly, deferrable bool) (Handle, Status) {
 	tx, err := s.begin(TxOptions{Isolation: level, ReadOnly: readOnly, Deferrable: deferrable})
 	if err != nil {
+		s.SkipHandle()
 		switch {
 		case errors.Is(err, ErrClosed):
 			return 0, StatusShuttingDown
@@ -271,6 +277,15 @@ func (s *Session) Begin(level IsolationLevel, readOnly, deferrable bool) (Handle
 	s.txs[h] = tx
 	s.mu.Unlock()
 	return h, StatusOK
+}
+
+// SkipHandle uses up the next handle number without beginning anything:
+// a front-end that refuses a Begin before it reaches the session (a
+// draining server) calls it to keep the numbering Begin describes.
+func (s *Session) SkipHandle() {
+	s.mu.Lock()
+	s.next++
+	s.mu.Unlock()
 }
 
 // Get returns the value of key in table, or StatusNotFound.
