@@ -549,14 +549,14 @@ func BenchmarkScanPath(b *testing.B) {
 // lifecycle ones.
 func BenchmarkSnapshotParallel(b *testing.B) {
 	for _, mode := range []struct {
-		name string
-		cfg  pgssi.Config
+		name  string
+		hooks pgssi.Hooks
 	}{
-		{"csn", pgssi.Config{}},
-		{"legacy", pgssi.Config{DisableCSNSnapshots: true}},
+		{"csn", pgssi.Hooks{}},
+		{"legacy", pgssi.Hooks{DisableCSNSnapshots: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			db := pgssi.Open(mode.cfg)
+			db := pgssi.OpenWithHooks(pgssi.Config{}, mode.hooks)
 			si := workload.SIBench{Rows: 1000}
 			if err := si.Setup(db); err != nil {
 				b.Fatal(err)

@@ -324,7 +324,7 @@ func TestOpenDirFailureLeaksNothing(t *testing.T) {
 	{
 		ffs := newFailFS()
 		ffs.failCreate.Store(true)
-		_, err := pgssi.OpenDir(filepath.Join(base, "fresh"), pgssi.Config{WALFS: ffs})
+		_, err := pgssi.OpenDirWithHooks(filepath.Join(base, "fresh"), pgssi.Config{}, pgssi.Hooks{WALFS: ffs})
 		if err == nil {
 			t.Fatal("OpenDir succeeded with create refused")
 		}
@@ -339,7 +339,7 @@ func TestOpenDirFailureLeaksNothing(t *testing.T) {
 	for k := int32(0); k <= 8; k++ {
 		ffs := newFailFS()
 		ffs.failOpenAfter.Store(k)
-		re, err := pgssi.OpenDir(seed, pgssi.Config{WALFS: ffs})
+		re, err := pgssi.OpenDirWithHooks(seed, pgssi.Config{}, pgssi.Hooks{WALFS: ffs})
 		if err != nil {
 			recoveryFailures++
 			continue
@@ -371,7 +371,7 @@ func TestOpenDirFailureLeaksNothing(t *testing.T) {
 func TestPoisonedWALSurfacesAtBegin(t *testing.T) {
 	dir := t.TempDir()
 	ffs := wal.NewFaultFS()
-	db, err := pgssi.OpenDir(dir, pgssi.Config{WALFS: ffs, FsyncMode: pgssi.FsyncAlways})
+	db, err := pgssi.OpenDirWithHooks(dir, pgssi.Config{FsyncMode: pgssi.FsyncAlways}, pgssi.Hooks{WALFS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pgssi"
+	"pgssi/internal/trace"
 )
 
 // Tests in this file drive the CSN commit-publication window with a
@@ -16,15 +17,16 @@ import (
 // assign its CSN and publish (xid → CSN) into the commit log as one
 // atomic step for snapshotters; the fence is that both happen inside the
 // commit-log shard's critical section, which every visibility lookup
-// serializes behind. The Config.OnCSNPublish hook parks a chosen
-// committer at the window (fenced: immediately before the atomic step;
-// ablated: between assignment and publication), so the tests can:
+// serializes behind. The pauser (interleaving_test.go), armed on the
+// trace seam's CSNPublish point, parks a chosen committer at the window
+// (fenced: immediately before the atomic step; ablated: between
+// assignment and publication), so the tests can:
 //
 //   - prove the fence: a transaction snapshotting inside the window
 //     sees the in-flight commit fully or not at all — here, not at all,
 //     for both keys the committer wrote, before AND after publication;
 //   - reproduce the torn snapshot with the fence ablated
-//     (Config.DisableCSNFencing): the same reader observes k1 from
+//     (Hooks.DisableCSNFencing): the same reader observes k1 from
 //     before the commit and k2 from after it — a fractured read no
 //     serial order explains.
 //
@@ -34,31 +36,13 @@ import (
 // not mask the anomaly either — a torn read is a wr-dependency, which
 // SIREAD tracking does not see.)
 
-// csnPauser arms a one-shot pause in the OnCSNPublish hook.
-type csnPauser struct {
-	armed    atomic.Bool
-	inWindow chan struct{}
-	release  chan struct{}
-}
-
-func newCSNPauser() *csnPauser {
-	return &csnPauser{inWindow: make(chan struct{}), release: make(chan struct{})}
-}
-
-func (p *csnPauser) hook(_, _ uint64) {
-	if p.armed.CompareAndSwap(true, false) {
-		close(p.inWindow)
-		<-p.release
-	}
-}
-
 // csnWindowDB builds a two-row database and returns it with the pauser
-// wired into cfg.
-func csnWindowDB(t *testing.T, cfg pgssi.Config) (*pgssi.DB, *csnPauser) {
+// wired into h.
+func csnWindowDB(t *testing.T, h pgssi.Hooks) (*pgssi.DB, *pauser) {
 	t.Helper()
-	p := newCSNPauser()
-	cfg.OnCSNPublish = p.hook
-	db := pgssi.Open(cfg)
+	p := newPauser()
+	h.Trace = p.trace
+	db := pgssi.OpenWithHooks(pgssi.Config{}, h)
 	if err := db.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +59,7 @@ func csnWindowDB(t *testing.T, cfg pgssi.Config) (*pgssi.DB, *csnPauser) {
 // parkCommitInWindow starts a transaction that updates both keys and
 // parks its commit at the assignment→publication window. It returns a
 // channel closed when the commit completes.
-func parkCommitInWindow(t *testing.T, db *pgssi.DB, p *csnPauser) chan struct{} {
+func parkCommitInWindow(t *testing.T, db *pgssi.DB, p *pauser) chan struct{} {
 	t.Helper()
 	w, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
 	if err != nil {
@@ -83,7 +67,7 @@ func parkCommitInWindow(t *testing.T, db *pgssi.DB, p *csnPauser) chan struct{} 
 	}
 	mustExec(t, w.Update("t", "k1", []byte("new1")))
 	mustExec(t, w.Update("t", "k2", []byte("new2")))
-	p.armed.Store(true)
+	p.arm(trace.CSNPublish, nil)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -110,7 +94,7 @@ func mustGetString(t *testing.T, tx *pgssi.Tx, key string) string {
 // publishes changes nothing, because the snapshot's CSN predates the
 // commit's. A fresh snapshot then sees both new values.
 func TestCSNWindowFencedAllOrNothing(t *testing.T) {
-	db, p := csnWindowDB(t, pgssi.Config{})
+	db, p := csnWindowDB(t, pgssi.Hooks{})
 	done := parkCommitInWindow(t, db, p)
 
 	r, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
@@ -150,7 +134,7 @@ func TestCSNWindowFencedAllOrNothing(t *testing.T) {
 // the fractured read the fence forbids. The same schedule with the
 // fence (the test above) reads old1/old2.
 func TestCSNWindowTornReadWithFencingDisabled(t *testing.T) {
-	db, p := csnWindowDB(t, pgssi.Config{DisableCSNFencing: true})
+	db, p := csnWindowDB(t, pgssi.Hooks{DisableCSNFencing: true})
 	done := parkCommitInWindow(t, db, p)
 
 	r, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})

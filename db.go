@@ -47,6 +47,7 @@ import (
 	"pgssi/internal/mvcc"
 	"pgssi/internal/s2pl"
 	"pgssi/internal/storage"
+	"pgssi/internal/trace"
 	"pgssi/internal/waitgraph"
 	"pgssi/internal/wal"
 )
@@ -139,77 +140,6 @@ type Config struct {
 	// (the "SSI no r/o opt" series in Figures 4 and 5).
 	DisableReadOnlyOpt bool
 
-	// DisableLifecycleFencing reopens the transaction-lifecycle windows
-	// that the fine-grained Begin/Commit locking keeps closed: Begin's
-	// snapshot-ordering step, the read-only safety registration, and
-	// the pre-commit check's atomicity with the commit-sequence
-	// assignment. Test-only ablation: with it set, a commit racing a
-	// lifecycle window can be missed by the safe-snapshot bookkeeping
-	// or the dangerous-structure check, and the epoch reclaimer can
-	// prematurely drop committed SIREAD locks. Never set it in
-	// production.
-	DisableLifecycleFencing bool
-	// OnBegin, if non-nil, is invoked during every Serializable
-	// transaction Begin's snapshot-ordering step with the new
-	// transaction's id (other isolation levels never enter the SSI
-	// lifecycle). Test-only interleaving hook used by the deterministic
-	// lifecycle harness.
-	OnBegin func(xid uint64)
-	// OnPreCommit, if non-nil, is invoked between a Serializable
-	// transaction's passing pre-commit check and its commit-sequence
-	// assignment, inside the commit critical section (outside it under
-	// DisableLifecycleFencing). Test-only interleaving hook.
-	OnPreCommit func(xid uint64)
-
-	// DisableCSNSnapshots selects the legacy xmin/xmax/in-progress-set
-	// MVCC snapshot representation instead of the default CSN scheme:
-	// every TakeSnapshot copies the active-transaction set under a
-	// global mutex that Begin/Commit/Abort serialize on, where a CSN
-	// snapshot is a single atomic counter read (see internal/mvcc).
-	// Ablation knob for A/B benchmarking; semantics are identical.
-	DisableCSNSnapshots bool
-	// DisableCSNFencing reopens the window between a commit's CSN
-	// assignment and its commit-log publication, which the CSN scheme
-	// normally fences into one atomic step (see internal/mvcc).
-	// Test-only ablation: with it set, a snapshot taken inside the
-	// window can see that commit partially (torn snapshot). Never set
-	// it in production.
-	DisableCSNFencing bool
-	// OnCSNPublish, if non-nil, is invoked during every commit at the
-	// CSN assignment→publication window (CSN snapshot mode only; never
-	// called with DisableCSNSnapshots). Fenced, the window is
-	// degenerate: the hook runs immediately before the atomic
-	// assignment+publication step and seq is 0 — no CSN exists yet.
-	// With DisableCSNFencing it runs inside the reopened window and seq
-	// is the assigned CSN. Test-only interleaving hook used by the
-	// CSN-window harness.
-	OnCSNPublish func(xid, seq uint64)
-	// CommitLogPartitions is the number of hash shards in the MVCC
-	// commit log. Rounded up to a power of two; defaults to 64.
-	CommitLogPartitions int
-
-	// LatchPartitions is the number of shards in each table's per-page
-	// read latch table (the engine's analogue of PostgreSQL's buffer
-	// content lock for SSI; see internal/storage/latch.go). Rounded up
-	// to a power of two; defaults to 64.
-	LatchPartitions int
-	// DisableReadLatch disables the per-page read latch, reopening the
-	// detection window between a read's MVCC visibility check and its
-	// SIREAD-lock insertion. Test-only ablation: with it set, a writer
-	// racing a reader can miss an rw-antidependency and admit a
-	// non-serializable execution. Never set it in production.
-	DisableReadLatch bool
-	// OnRead, if non-nil, is invoked on every heap read between the
-	// MVCC visibility check and SIREAD registration. Test-only
-	// interleaving hook used by the deterministic race harness; with
-	// the latch enabled it runs while the page latch is held.
-	OnRead func(table, key string)
-
-	// DisableDurableWAL makes OpenDir behave like Open: no segment
-	// files, no recovery, no fsync on commit. Ablation knob for A/B
-	// against the durable commit path; the in-memory log-shipping WAL
-	// (AttachWAL) is unaffected either way.
-	DisableDurableWAL bool
 	// FsyncMode selects how commit acknowledgement relates to fsync
 	// when the durable WAL is open: FsyncBatch (default) syncs before
 	// acknowledging and holds a flush back while another open
@@ -224,10 +154,6 @@ type Config struct {
 	// back for open transactions (default wal.DefaultGroupWindow). A
 	// commit with nobody to wait for never waits.
 	WALGroupWindow time.Duration
-	// WALFS overrides the durable WAL's filesystem; nil means the OS
-	// filesystem. Test-only: the fault-injection suites inject a
-	// wal.FaultFS here.
-	WALFS wal.FS
 	// CheckpointEvery, if positive, checkpoints the durable WAL (and
 	// GCs fully-covered segments) roughly every CheckpointEvery bytes of
 	// log growth, at the next safe-snapshot point after the threshold is
@@ -245,46 +171,34 @@ const (
 	FsyncOff    = wal.FsyncOff
 )
 
-func (c Config) storageConfig() storage.Config {
-	return storage.Config{
-		IODelay:          c.IODelay,
-		CacheMissRatio:   c.CacheMissRatio,
-		LatchPartitions:  c.LatchPartitions,
-		DisableReadLatch: c.DisableReadLatch,
-		Hooks:            storage.Hooks{OnRead: c.OnRead},
-	}
-}
-
-func (c Config) mvccConfig() mvcc.Config {
-	cfg := mvcc.Config{
-		DisableCSNSnapshots: c.DisableCSNSnapshots,
-		DisableCSNFencing:   c.DisableCSNFencing,
-		LogPartitions:       c.CommitLogPartitions,
-	}
-	if h := c.OnCSNPublish; h != nil {
-		cfg.OnCSNPublish = func(xid mvcc.TxID, seq mvcc.SeqNo) { h(uint64(xid), uint64(seq)) }
-	}
-	return cfg
-}
-
-func (c Config) ssiConfig() core.Config {
-	cfg := core.Config{
-		MaxPredicateLocks:        c.MaxPredicateLocks,
-		MaxCommittedXacts:        c.MaxCommittedXacts,
-		PromoteTupleToPage:       c.PromoteTupleToPage,
-		PromotePageToRel:         c.PromotePageToRel,
-		Partitions:               c.Partitions,
-		DisableCommitOrderingOpt: c.DisableCommitOrderingOpt,
-		DisableReadOnlyOpt:       c.DisableReadOnlyOpt,
-		DisableLifecycleFencing:  c.DisableLifecycleFencing,
-	}
-	if h := c.OnBegin; h != nil {
-		cfg.OnBegin = func(xid mvcc.TxID) { h(uint64(xid)) }
-	}
-	if h := c.OnPreCommit; h != nil {
-		cfg.OnPreCommit = func(xid mvcc.TxID) { h(uint64(xid)) }
-	}
-	return cfg
+// testHooks are the engine's test-only seams: the ablations that reopen
+// the windows its fences close, the trace function the interleaving
+// harnesses park transactions with, and a fault-injecting filesystem.
+// Open and OpenDir leave them zero; only tests set them (export_test.go).
+type testHooks struct {
+	// DisableLifecycleFencing reopens the transaction-lifecycle windows
+	// that the fine-grained Begin/Commit locking keeps closed: Begin's
+	// snapshot-ordering step, the read-only safety registration, and the
+	// pre-commit check's atomicity with the commit-sequence assignment
+	// (see internal/core).
+	DisableLifecycleFencing bool
+	// DisableCSNSnapshots selects the legacy xmin/xmax/in-progress-set
+	// snapshot representation, the differential oracle the history fuzzer
+	// runs against the CSN scheme (see internal/mvcc).
+	DisableCSNSnapshots bool
+	// DisableCSNFencing reopens the window between a commit's CSN
+	// assignment and its commit-log publication (see internal/mvcc).
+	DisableCSNFencing bool
+	// DisableReadLatch disables the per-page read latch, reopening the
+	// detection window between a read's MVCC visibility check and its
+	// SIREAD-lock insertion (see internal/storage).
+	DisableReadLatch bool
+	// Trace receives the interleaving events of core, mvcc and storage
+	// (internal/trace).
+	Trace trace.Func
+	// WALFS overrides the durable WAL's filesystem; nil means the OS
+	// filesystem.
+	WALFS wal.FS
 }
 
 // IndexKeyFunc derives a secondary-index key from a row; ok=false skips
@@ -312,6 +226,7 @@ type tableInfo struct {
 // DB is the database engine.
 type DB struct {
 	cfg    Config
+	hooks  testHooks
 	closed atomic.Bool
 	mvcc   *mvcc.Manager
 	ssi    *core.Manager
@@ -343,14 +258,9 @@ type DB struct {
 	// sequences in the log monotone.
 	markerSeq atomic.Uint64
 
-	// durable is the on-disk WAL, non-nil only for OpenDir without
-	// DisableDurableWAL; walPending carries each committing
-	// transaction's pre-encoded record from walPrepare (on the
-	// committer's goroutine, outside all locks) to walCommitHook
-	// (inside the MVCC commit publication critical section), keyed by
-	// xid. See recovery.go.
-	durable    *wal.DurableLog
-	walPending sync.Map
+	// durable is the on-disk WAL, non-nil only for OpenDir. See
+	// recovery.go.
+	durable *wal.DurableLog
 	// walJoiners counts the transactions that could still commit into a
 	// log flush being gathered: begun on the durable log, not declared
 	// read-only, not yet published, rolled back or prepared. The log
@@ -387,12 +297,29 @@ type ckptResult struct {
 }
 
 // Open creates an empty database.
-func Open(cfg Config) *DB {
-	m := mvcc.New(cfg.mvccConfig())
+func Open(cfg Config) *DB { return open(cfg, testHooks{}) }
+
+func open(cfg Config, h testHooks) *DB {
+	m := mvcc.New(mvcc.Config{
+		DisableCSNSnapshots: h.DisableCSNSnapshots,
+		DisableCSNFencing:   h.DisableCSNFencing,
+		Trace:               h.Trace,
+	})
 	return &DB{
-		cfg:      cfg,
-		mvcc:     m,
-		ssi:      core.NewManager(m, cfg.ssiConfig()),
+		cfg:   cfg,
+		hooks: h,
+		mvcc:  m,
+		ssi: core.NewManager(m, core.Config{
+			MaxPredicateLocks:        cfg.MaxPredicateLocks,
+			MaxCommittedXacts:        cfg.MaxCommittedXacts,
+			PromoteTupleToPage:       cfg.PromoteTupleToPage,
+			PromotePageToRel:         cfg.PromotePageToRel,
+			Partitions:               cfg.Partitions,
+			DisableCommitOrderingOpt: cfg.DisableCommitOrderingOpt,
+			DisableReadOnlyOpt:       cfg.DisableReadOnlyOpt,
+			DisableLifecycleFencing:  h.DisableLifecycleFencing,
+			Trace:                    h.Trace,
+		}),
 		s2pl:     s2pl.NewManager(),
 		wg:       waitgraph.New(),
 		tables:   make(map[string]*tableInfo),
@@ -412,8 +339,13 @@ func (db *DB) CreateTable(name string) error {
 		return fmt.Errorf("pgssi: table %q already exists", name)
 	}
 	db.tables[name] = &tableInfo{
-		name:   name,
-		heap:   storage.NewTable(name, db.cfg.storageConfig()),
+		name: name,
+		heap: storage.NewTable(name, storage.Config{
+			IODelay:          db.cfg.IODelay,
+			CacheMissRatio:   db.cfg.CacheMissRatio,
+			DisableReadLatch: db.hooks.DisableReadLatch,
+			Trace:            db.hooks.Trace,
+		}),
 		pkName: "i." + name + ".pk",
 		second: make(map[string]*secondaryIndex),
 	}

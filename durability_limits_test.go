@@ -105,7 +105,7 @@ func TestPrepareOversizeRecordRejected(t *testing.T) {
 func TestCreateTableUndoneOnWALFailure(t *testing.T) {
 	dir := t.TempDir()
 	ffs := wal.NewFaultFS()
-	db, err := pgssi.OpenDir(dir, pgssi.Config{WALFS: ffs, FsyncMode: pgssi.FsyncAlways})
+	db, err := pgssi.OpenDirWithHooks(dir, pgssi.Config{FsyncMode: pgssi.FsyncAlways}, pgssi.Hooks{WALFS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}

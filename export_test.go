@@ -5,6 +5,16 @@ import (
 	"strings"
 )
 
+// Hooks are the engine's test-only seams (testHooks in db.go): the fence
+// ablations, the trace function and the WAL filesystem override.
+type Hooks = testHooks
+
+// OpenWithHooks is Open with test-only seams set.
+func OpenWithHooks(cfg Config, h Hooks) *DB { return open(cfg, h) }
+
+// OpenDirWithHooks is OpenDir with test-only seams set.
+func OpenDirWithHooks(dir string, cfg Config, h Hooks) (*DB, error) { return openDir(dir, cfg, h) }
+
 // DescribeReadState renders what a transaction reading keys of table is
 // up against right now, for harnesses in package pgssi_test that catch a
 // reader seeing a state it should not: the commit sequence and the trim

@@ -45,10 +45,7 @@ func runCrashHistory(t *testing.T, seed uint64) {
 	t.Helper()
 	dir := t.TempDir()
 	ffs := wal.NewFaultFS()
-	db, err := pgssi.OpenDir(dir, pgssi.Config{
-		WALFS:     ffs,
-		FsyncMode: pgssi.FsyncAlways,
-	})
+	db, err := pgssi.OpenDirWithHooks(dir, pgssi.Config{FsyncMode: pgssi.FsyncAlways}, pgssi.Hooks{WALFS: ffs})
 	if err != nil {
 		t.Fatalf("seed %d: open: %v", seed, err)
 	}
@@ -133,11 +130,10 @@ func runCheckpointCrashHistory(t *testing.T, seed uint64) {
 	t.Helper()
 	dir := t.TempDir()
 	ffs := wal.NewFaultFS()
-	db, err := pgssi.OpenDir(dir, pgssi.Config{
-		WALFS:          ffs,
+	db, err := pgssi.OpenDirWithHooks(dir, pgssi.Config{
 		FsyncMode:      pgssi.FsyncAlways,
 		WALSegmentSize: 512, // several rotations per history: the GC set is non-empty
-	})
+	}, pgssi.Hooks{WALFS: ffs})
 	if err != nil {
 		t.Fatalf("seed %d: open: %v", seed, err)
 	}

@@ -62,7 +62,7 @@ var fuzzKeys = [4]string{"a", "b", "c", "d"}
 
 // TestFuzzSerializableHistories validates every seeded history under
 // BOTH snapshot representations — the default CSN scheme and the legacy
-// xmin/xmax/in-progress sets (Config.DisableCSNSnapshots) — asserting a
+// xmin/xmax/in-progress sets (Hooks.DisableCSNSnapshots) — asserting a
 // cycle-free committed execution for each and identical per-transaction
 // commit/abort verdicts between the two: any *systematic* verdict
 // divergence is a semantic difference between the snapshot
@@ -87,17 +87,17 @@ func TestFuzzSerializableHistories(t *testing.T) {
 	if *slowFuzz {
 		histories = 20000
 	}
-	run := func(seed int, cfg pgssi.Config, label string) []bool {
-		verdicts, cyc := runFuzzHistory(t, uint64(seed), pgssi.Serializable, cfg)
+	run := func(seed int, h pgssi.Hooks, label string) []bool {
+		verdicts, cyc := runFuzzHistory(t, uint64(seed), pgssi.Serializable, h)
 		if cyc != nil {
 			t.Fatalf("seed %d (%s): committed SSI execution has dependency cycle %v", seed, label, cyc)
 		}
 		return verdicts
 	}
 	for seed := 1; seed <= histories; seed++ {
-		csnCfg := pgssi.Config{}
-		legacy := pgssi.Config{DisableCSNSnapshots: true}
-		csnVerdicts := run(seed, csnCfg, "csn")
+		csn := pgssi.Hooks{}
+		legacy := pgssi.Hooks{DisableCSNSnapshots: true}
+		csnVerdicts := run(seed, csn, "csn")
 		legacyVerdicts := run(seed, legacy, "legacy")
 		if verdictsEqual(csnVerdicts, legacyVerdicts) {
 			continue
@@ -115,7 +115,7 @@ func TestFuzzSerializableHistories(t *testing.T) {
 		const retries = 12
 		crossed := false
 		for r := 0; r < retries && !crossed; r++ {
-			crossed = verdictsEqual(run(seed, csnCfg, "csn retry"), legacyVerdicts) ||
+			crossed = verdictsEqual(run(seed, csn, "csn retry"), legacyVerdicts) ||
 				verdictsEqual(run(seed, legacy, "legacy retry"), csnVerdicts)
 		}
 		if !crossed {
@@ -146,7 +146,7 @@ func TestFuzzOracleDetectsSnapshotIsolationAnomalies(t *testing.T) {
 	cycles := 0
 	const histories = 300
 	for seed := 1; seed <= histories; seed++ {
-		if _, cyc := runFuzzHistory(t, uint64(seed), pgssi.RepeatableRead, pgssi.Config{}); cyc != nil {
+		if _, cyc := runFuzzHistory(t, uint64(seed), pgssi.RepeatableRead, pgssi.Hooks{}); cyc != nil {
 			cycles++
 		}
 	}
@@ -191,9 +191,9 @@ type ackedCommit struct {
 // verdict of each scheduled transaction (indexed by transaction id - 1)
 // and any dependency cycle among the committed transactions (nil for a
 // serializable outcome).
-func runFuzzHistory(t *testing.T, seed uint64, level pgssi.IsolationLevel, cfg pgssi.Config) ([]bool, []uint64) {
+func runFuzzHistory(t *testing.T, seed uint64, level pgssi.IsolationLevel, h pgssi.Hooks) ([]bool, []uint64) {
 	t.Helper()
-	db := pgssi.Open(cfg)
+	db := pgssi.OpenWithHooks(pgssi.Config{}, h)
 	if err := db.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}

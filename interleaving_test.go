@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pgssi"
+	"pgssi/internal/trace"
 )
 
 // Tests in this file drive the read-vs-write detection window with a
@@ -15,11 +16,11 @@ import (
 // computes a read's MVCC conflict-out set and inserts its SIREAD lock in
 // separate steps; the per-page read latch (internal/storage/latch.go)
 // makes the pair atomic with respect to writers of the same page. The
-// Config.OnRead hook pauses a chosen reader exactly between the two
-// steps, so the tests can:
+// trace seam's Read point fires exactly between the two steps, and a
+// pauser armed on it parks a chosen reader there, so the tests can:
 //
 //   - reproduce the missed rw-antidependency on the unlatched code path
-//     (Config.DisableReadLatch): a writer slips its CheckWrite probe
+//     (Hooks.DisableReadLatch): a writer slips its CheckWrite probe
 //     into the window, both transactions commit, and write skew is
 //     admitted under SERIALIZABLE — the §2.1.1 silent corruption;
 //   - prove the latch closes it: the same interleaving cannot be
@@ -32,41 +33,61 @@ import (
 // tests document that by asserting detection with the latch both on and
 // off.
 
-// readPauser arms a one-shot pause in the OnRead hook for a single key.
-type readPauser struct {
-	key      string
-	armed    atomic.Bool
+// pauser is the one harness every interleaving test in this package
+// parks a transaction with. It is a trace function (Hooks.Trace) that,
+// once armed on a trace point and a predicate, parks the first event
+// matching both: inWindow closes while the event's goroutine sits in the
+// window, and release lets it go. Every other event passes through.
+type pauser struct {
+	armed    atomic.Pointer[pauseAt]
 	inWindow chan struct{}
 	release  chan struct{}
 }
 
-func newReadPauser() *readPauser {
-	return &readPauser{
-		inWindow: make(chan struct{}),
-		release:  make(chan struct{}),
+// pauseAt is what a pauser is armed with; a nil match takes any event at
+// the point.
+type pauseAt struct {
+	point trace.Point
+	match func(trace.Event) bool
+}
+
+func newPauser() *pauser {
+	return &pauser{inWindow: make(chan struct{}), release: make(chan struct{})}
+}
+
+// arm makes the next event at point that satisfies match park. Arm once,
+// before starting the goroutine that is to hit the window.
+func (p *pauser) arm(point trace.Point, match func(trace.Event) bool) {
+	p.armed.Store(&pauseAt{point: point, match: match})
+}
+
+func (p *pauser) trace(ev trace.Event) {
+	at := p.armed.Load()
+	if at == nil || ev.Point != at.point || (at.match != nil && !at.match(ev)) {
+		return
 	}
-}
-
-// arm makes the next heap read of key pause. Call before the reader
-// goroutine starts.
-func (p *readPauser) arm(key string) {
-	p.key = key
-	p.armed.Store(true)
-}
-
-func (p *readPauser) hook(_, key string) {
-	if key == p.key && p.armed.CompareAndSwap(true, false) {
+	if p.armed.CompareAndSwap(at, nil) {
 		close(p.inWindow)
 		<-p.release
 	}
 }
 
+// ofKey matches the events of reads of key.
+func ofKey(key string) func(trace.Event) bool {
+	return func(ev trace.Event) bool { return ev.Key == key }
+}
+
+// ofXID matches the events of transaction xid.
+func ofXID(xid uint64) func(trace.Event) bool {
+	return func(ev trace.Event) bool { return ev.XID == xid }
+}
+
 // windowDB builds a two-row database whose rows land on distinct heap
 // pages (64 filler rows push k2 onto the next page), so the latch held
 // by a paused reader of k1 does not incidentally block reads of k2.
-func windowDB(t *testing.T, cfg pgssi.Config) *pgssi.DB {
+func windowDB(t *testing.T, h pgssi.Hooks) *pgssi.DB {
 	t.Helper()
-	db := pgssi.Open(cfg)
+	db := pgssi.OpenWithHooks(pgssi.Config{}, h)
 	if err := db.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +135,14 @@ func readKey(tx *pgssi.Tx, key string, viaScan bool) ([]byte, error) {
 // With the latch disabled T2 commits entirely inside T1's window; with
 // it enabled T2 blocks on the page latch until T1's SIREAD lock is in
 // the table. Returns the first error of each transaction.
-func driveWindowWriteSkew(t *testing.T, db *pgssi.DB, p *readPauser, disableLatch, viaScan bool) (err1, err2 error) {
+func driveWindowWriteSkew(t *testing.T, db *pgssi.DB, p *pauser, disableLatch, viaScan bool) (err1, err2 error) {
 	t.Helper()
 	t1, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
 	mustExec(t, err)
 	t2, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
 	mustExec(t, err)
 
-	p.arm("k1")
+	p.arm(trace.Read, ofKey("k1"))
 	t2start := make(chan struct{})
 	t2finished := make(chan struct{})
 	t1finished := make(chan struct{})
@@ -252,8 +273,8 @@ func TestDetectionWindowWriteSkew(t *testing.T) {
 // k2 is on" is broken exactly when both transactions committed.
 func runWindowWriteSkewCheck(t *testing.T, disableLatch, viaScan bool) (err1, err2 error) {
 	t.Helper()
-	p := newReadPauser()
-	db := windowDB(t, pgssi.Config{DisableReadLatch: disableLatch, OnRead: p.hook})
+	p := newPauser()
+	db := windowDB(t, pgssi.Hooks{DisableReadLatch: disableLatch, Trace: p.trace})
 	err1, err2 = driveWindowWriteSkew(t, db, p, disableLatch, viaScan)
 	aborted := 0
 	for _, e := range []error{err1, err2} {
@@ -282,7 +303,7 @@ func TestDetectionWindowWriterFirst(t *testing.T) {
 	}{{"Get", false}, {"Scan", true}} {
 		for _, disable := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/latch-disabled=%v", via.name, disable), func(t *testing.T) {
-				db := windowDB(t, pgssi.Config{DisableReadLatch: disable})
+				db := windowDB(t, pgssi.Hooks{DisableReadLatch: disable})
 				t1, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
 				mustExec(t, err)
 				t2, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
@@ -338,14 +359,14 @@ func TestDetectionWindowWriterFirst(t *testing.T) {
 func TestDetectionWindowGapInsert(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("latch-disabled=%v", disable), func(t *testing.T) {
-			p := newReadPauser()
-			db := windowDB(t, pgssi.Config{DisableReadLatch: disable, OnRead: p.hook})
+			p := newPauser()
+			db := windowDB(t, pgssi.Hooks{DisableReadLatch: disable, Trace: p.trace})
 			t1, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
 			mustExec(t, err)
 			t2, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
 			mustExec(t, err)
 
-			p.arm("g1")
+			p.arm(trace.Read, ofKey("g1"))
 			t1finished := make(chan struct{})
 			t2finished := make(chan struct{})
 			var err1, err2 error
@@ -406,43 +427,12 @@ func TestDetectionWindowGapInsert(t *testing.T) {
 // through a sharded registry with a snapshot-ordering step, conflict-free
 // commits run under only their own edge lock, and cleanup moved to an
 // epoch reclaimer. Each narrowed critical section is falsifiable the same
-// way the PR 2 read latch is: Config.OnBegin and Config.OnPreCommit park
-// a transaction inside the window, and Config.DisableLifecycleFencing
-// reopens it. With fencing enabled the tests prove the racing transaction
-// provably blocks and the anomaly cannot be scheduled; with it disabled
-// the same schedule admits a concrete serializability violation.
-
-// lifecyclePauser arms a one-shot pause in a lifecycle hook, either for
-// a specific xid or (xid == 0) for the next invocation.
-type lifecyclePauser struct {
-	xid      atomic.Uint64
-	armed    atomic.Bool
-	inWindow chan struct{}
-	release  chan struct{}
-}
-
-func newLifecyclePauser() *lifecyclePauser {
-	return &lifecyclePauser{
-		inWindow: make(chan struct{}),
-		release:  make(chan struct{}),
-	}
-}
-
-// arm makes the next hook invocation for xid pause (xid 0 = any).
-func (p *lifecyclePauser) arm(xid uint64) {
-	p.xid.Store(xid)
-	p.armed.Store(true)
-}
-
-func (p *lifecyclePauser) hook(xid uint64) {
-	if want := p.xid.Load(); want != 0 && want != xid {
-		return
-	}
-	if p.armed.CompareAndSwap(true, false) {
-		close(p.inWindow)
-		<-p.release
-	}
-}
+// way the PR 2 read latch is: the pauser parks a transaction inside the
+// window at the trace seam's Begin or PreCommit point, and
+// Hooks.DisableLifecycleFencing reopens it. With fencing enabled the
+// tests prove the racing transaction provably blocks and the anomaly
+// cannot be scheduled; with it disabled the same schedule admits a
+// concrete serializability violation.
 
 // TestLifecyclePreCommitWindowWriteSkew drives write skew against the
 // pre-commit window: T1 passes its pre-commit serialization check and is
@@ -489,11 +479,8 @@ func TestLifecyclePreCommitWindowWriteSkew(t *testing.T) {
 
 func runLifecyclePreCommitWindow(t *testing.T, disableFencing bool) (err1, err2 error, on int) {
 	t.Helper()
-	p := newLifecyclePauser()
-	db := windowDB(t, pgssi.Config{
-		DisableLifecycleFencing: disableFencing,
-		OnPreCommit:             p.hook,
-	})
+	p := newPauser()
+	db := windowDB(t, pgssi.Hooks{DisableLifecycleFencing: disableFencing, Trace: p.trace})
 	t1, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
 	mustExec(t, err)
 	t2, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
@@ -505,7 +492,7 @@ func runLifecyclePreCommitWindow(t *testing.T, disableFencing bool) (err1, err2 
 	if err := t1.Update("t", "k2", []byte("off")); err != nil {
 		t.Fatal(err)
 	}
-	p.arm(t1.ID())
+	p.arm(trace.PreCommit, ofXID(t1.ID()))
 	t1done := make(chan struct{})
 	go func() {
 		defer close(t1done)
@@ -573,11 +560,8 @@ func runLifecyclePreCommitWindow(t *testing.T, disableFencing bool) (err1, err2 
 func TestLifecycleReadOnlyBeginWindow(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("fencing-disabled=%v", disable), func(t *testing.T) {
-			p := newLifecyclePauser()
-			db := windowDB(t, pgssi.Config{
-				DisableLifecycleFencing: disable,
-				OnBegin:                 p.hook,
-			})
+			p := newPauser()
+			db := windowDB(t, pgssi.Hooks{DisableLifecycleFencing: disable, Trace: p.trace})
 			x, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
 			mustExec(t, err)
 			t3, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
@@ -597,7 +581,7 @@ func TestLifecycleReadOnlyBeginWindow(t *testing.T) {
 			}
 
 			// RO begins and parks in the lifecycle window.
-			p.arm(0)
+			p.arm(trace.Begin, nil)
 			var ro *pgssi.Tx
 			roBegun := make(chan struct{})
 			go func() {

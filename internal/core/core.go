@@ -51,6 +51,7 @@ import (
 	"sync/atomic"
 
 	"pgssi/internal/mvcc"
+	"pgssi/internal/trace"
 )
 
 // ErrSerializationFailure is returned when a transaction must abort to
@@ -176,22 +177,10 @@ type Config struct {
 	//     completed in between (including a doom of the committer) is
 	//     missed.
 	DisableLifecycleFencing bool
-	// OnBegin, if non-nil, is invoked during Begin's snapshot-ordering
-	// step with the transaction's xid: after registration and before
-	// the snapshot is taken (for fenced read-only begins, between the
-	// snapshot and the safety-watcher registration, inside the critical
-	// section; with DisableLifecycleFencing, inside the reopened
-	// window). Test-only interleaving hook; it must not call back into
-	// the Manager.
-	OnBegin func(xid mvcc.TxID)
-	// OnPreCommit, if non-nil, is invoked between a passing pre-commit
-	// serialization check and the commit-sequence assignment, while the
-	// commit's critical section (Manager.mu, or the transaction's edge
-	// lock on the conflict-free fast path) is held — except under
-	// DisableLifecycleFencing, where it runs in the reopened window
-	// with no lock held. Test-only interleaving hook; it must not call
-	// back into the Manager.
-	OnPreCommit func(xid mvcc.TxID)
+	// Trace, if non-nil, receives the Begin and PreCommit events
+	// (internal/trace). Test-only; it must not call back into the
+	// Manager.
+	Trace trace.Func
 }
 
 func (c Config) withDefaults() Config {
@@ -488,17 +477,10 @@ func (m *Manager) SummaryTableSize() int {
 	return len(m.summary)
 }
 
-// beginHook invokes the OnBegin interleaving hook, if configured.
-func (m *Manager) beginHook(xid mvcc.TxID) {
-	if h := m.cfg.OnBegin; h != nil {
-		h(xid)
-	}
-}
-
-// preCommitHook invokes the OnPreCommit interleaving hook, if configured.
-func (m *Manager) preCommitHook(xid mvcc.TxID) {
-	if h := m.cfg.OnPreCommit; h != nil {
-		h(xid)
+// trace fires the trace seam at a lifecycle point, if one is set.
+func (m *Manager) trace(p trace.Point, xid mvcc.TxID) {
+	if f := m.cfg.Trace; f != nil {
+		f(trace.Event{Point: p, XID: uint64(xid)})
 	}
 }
 
@@ -538,14 +520,14 @@ func (m *Manager) Begin(xid mvcc.TxID, snapFn func() *mvcc.Snapshot, readOnly, d
 		// edges the new snapshot is still concurrent with (premature
 		// reclamation; see the lifecycle interleaving tests).
 		snap = snapFn()
-		m.beginHook(xid)
+		m.trace(trace.Begin, xid)
 		x.SnapshotSeq = snap.SeqNo
 		x.snapshotBound.Store(uint64(snap.SeqNo))
 		m.registerXact(x)
 	} else {
 		x.snapshotBound.Store(uint64(m.mvcc.CurrentSeq()))
 		m.registerXact(x)
-		m.beginHook(xid)
+		m.trace(trace.Begin, xid)
 		snap = snapFn()
 		x.SnapshotSeq = snap.SeqNo
 		x.snapshotBound.Store(uint64(snap.SeqNo))
@@ -566,7 +548,7 @@ func (m *Manager) beginReadOnly(x *Xact, snapFn func() *mvcc.Snapshot) *mvcc.Sna
 	x.safeCh = make(chan struct{})
 	if m.cfg.DisableLifecycleFencing {
 		// Ablation: snapshot and watcher registration in separate
-		// critical sections, with the interleaving hook in the reopened
+		// critical sections, with the Begin trace point in the reopened
 		// window. A read/write transaction committing in the window has
 		// left the active set by the time the scan below runs, and the
 		// ablated scan does not consult the retire queue — its fate
@@ -577,7 +559,7 @@ func (m *Manager) beginReadOnly(x *Xact, snapFn func() *mvcc.Snapshot) *mvcc.Sna
 		x.snapshotBound.Store(uint64(snap.SeqNo))
 		m.registerXact(x)
 		m.mu.Unlock()
-		m.beginHook(x.XID)
+		m.trace(trace.Begin, x.XID)
 		m.mu.Lock()
 		m.registerROWatchesLocked(x, false)
 		m.mu.Unlock()
@@ -589,7 +571,7 @@ func (m *Manager) beginReadOnly(x *Xact, snapFn func() *mvcc.Snapshot) *mvcc.Sna
 	snap := snapFn()
 	x.SnapshotSeq = snap.SeqNo
 	x.snapshotBound.Store(uint64(snap.SeqNo))
-	m.beginHook(x.XID)
+	m.trace(trace.Begin, x.XID)
 	m.registerROWatchesLocked(x, true)
 	m.mu.Unlock()
 	return snap

@@ -2,6 +2,7 @@ package core
 
 import (
 	"pgssi/internal/mvcc"
+	"pgssi/internal/trace"
 )
 
 // This file implements the transaction lifecycle: the pre-commit
@@ -41,7 +42,7 @@ func (m *Manager) Commit(x *Xact, commitFn func() mvcc.SeqNo) error {
 
 	x.edgeMu.Lock()
 	if m.fastCommitEligibleLocked(x) {
-		m.preCommitHook(x.XID)
+		m.trace(trace.PreCommit, x.XID)
 		seq := commitFn()
 		x.markCommittedLocked(seq)
 		x.edgeMu.Unlock()
@@ -55,7 +56,7 @@ func (m *Manager) Commit(x *Xact, commitFn func() mvcc.SeqNo) error {
 		m.mu.Unlock()
 		return err
 	}
-	m.preCommitHook(x.XID)
+	m.trace(trace.PreCommit, x.XID)
 	seq := commitFn()
 	n := m.finishCommitLocked(x, seq)
 	m.mu.Unlock()
@@ -65,7 +66,7 @@ func (m *Manager) Commit(x *Xact, commitFn func() mvcc.SeqNo) error {
 
 // commitUnfenced is the DisableLifecycleFencing ablation of Commit: the
 // pre-commit check and the commit-sequence assignment run in separate
-// critical sections, with the OnPreCommit hook in the reopened window
+// critical sections, with the PreCommit trace point in the reopened window
 // and no re-check afterwards. A dangerous structure completed in the
 // window — including one that dooms this transaction — is missed, and
 // the transaction commits anyway. The second half still takes the
@@ -83,7 +84,7 @@ func (m *Manager) commitUnfenced(x *Xact, commitFn func() mvcc.SeqNo) error {
 			return err
 		}
 	}
-	m.preCommitHook(x.XID)
+	m.trace(trace.PreCommit, x.XID)
 	m.mu.Lock()
 	seq := commitFn()
 	n := m.finishCommitLocked(x, seq)

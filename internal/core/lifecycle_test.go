@@ -7,12 +7,13 @@ import (
 	"time"
 
 	"pgssi/internal/mvcc"
+	"pgssi/internal/trace"
 )
 
 // Deterministic interleaving tests for Begin's snapshot-ordering step —
 // the epoch pin that keeps the background reclaimer from dropping
 // committed state a starting transaction is still concurrent with. The
-// OnBegin hook parks a transaction inside Begin; with fencing the
+// trace seam's Begin point parks a transaction inside Begin; with fencing the
 // transaction is already registered with a conservative snapshot bound
 // when it parks, so a reclaim pass in the window must keep every
 // committed transaction it could be concurrent with. With
@@ -21,7 +22,7 @@ import (
 // write-skew partner prematurely: both rw-antidependency edges are
 // lost, both transactions commit, and the cycle is admitted.
 
-// beginPauser parks Begin of a chosen xid in the OnBegin hook.
+// beginPauser parks Begin of a chosen xid at the Begin trace point.
 type beginPauser struct {
 	xid      atomic.Uint64
 	inWindow chan struct{}
@@ -32,8 +33,8 @@ func newBeginPauser() *beginPauser {
 	return &beginPauser{inWindow: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (p *beginPauser) hook(xid mvcc.TxID) {
-	if p.xid.CompareAndSwap(uint64(xid), 0) {
+func (p *beginPauser) trace(ev trace.Event) {
+	if ev.Point == trace.Begin && p.xid.CompareAndSwap(ev.XID, 0) {
 		close(p.inWindow)
 		<-p.release
 	}
@@ -87,7 +88,7 @@ func driveBeginWindowReclaim(t *testing.T, h *harness, p *beginPauser) (x, c *Xa
 
 func TestLifecycleBeginEpochPinsReclaim(t *testing.T) {
 	p := newBeginPauser()
-	h := newHarness(t, Config{OnBegin: p.hook})
+	h := newHarness(t, Config{Trace: p.trace})
 	seedKeys(t, h)
 
 	x, c, cSurvived := driveBeginWindowReclaim(t, h, p)
@@ -111,7 +112,7 @@ func TestLifecycleBeginEpochPinsReclaim(t *testing.T) {
 
 func TestLifecycleBeginWindowPrematureReclaim(t *testing.T) {
 	p := newBeginPauser()
-	h := newHarness(t, Config{OnBegin: p.hook, DisableLifecycleFencing: true})
+	h := newHarness(t, Config{Trace: p.trace, DisableLifecycleFencing: true})
 	seedKeys(t, h)
 
 	x, c, cSurvived := driveBeginWindowReclaim(t, h, p)

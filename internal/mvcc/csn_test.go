@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pgssi/internal/trace"
 )
 
 // Tests in this file cover the CSN snapshot scheme's edges: the
@@ -274,8 +276,8 @@ func TestCSNPublicationWindowFenced(t *testing.T) {
 	inWindow := make(chan struct{})
 	release := make(chan struct{})
 	var armed atomic.Bool
-	m := New(Config{OnCSNPublish: func(xid TxID, seq SeqNo) {
-		if armed.CompareAndSwap(true, false) {
+	m := New(Config{Trace: func(ev trace.Event) {
+		if ev.Point == trace.CSNPublish && armed.CompareAndSwap(true, false) {
 			close(inWindow)
 			<-release
 		}
@@ -318,8 +320,8 @@ func TestCSNPublicationWindowTornWithoutFencing(t *testing.T) {
 	inWindow := make(chan struct{})
 	release := make(chan struct{})
 	var armed atomic.Bool
-	m := New(Config{DisableCSNFencing: true, OnCSNPublish: func(TxID, SeqNo) {
-		if armed.CompareAndSwap(true, false) {
+	m := New(Config{DisableCSNFencing: true, Trace: func(ev trace.Event) {
+		if ev.Point == trace.CSNPublish && armed.CompareAndSwap(true, false) {
 			close(inWindow)
 			<-release
 		}
@@ -352,18 +354,17 @@ func TestCSNPublicationWindowTornWithoutFencing(t *testing.T) {
 // section and requires a second snapshot to complete meanwhile — under
 // the old exclusive lock this deadlocks.
 func TestLegacySnapshotTakesSharedLock(t *testing.T) {
-	m := New(Config{DisableCSNSnapshots: true})
-	m.Begin()
 	parked := make(chan struct{})
 	release := make(chan struct{})
 	var armed atomic.Bool
 	armed.Store(true)
-	m.testSnapshotHook = func() {
-		if armed.CompareAndSwap(true, false) {
+	m := New(Config{DisableCSNSnapshots: true, Trace: func(ev trace.Event) {
+		if ev.Point == trace.LegacySnapshot && armed.CompareAndSwap(true, false) {
 			close(parked)
 			<-release
 		}
-	}
+	}})
+	m.Begin()
 	go m.TakeSnapshot()
 	<-parked
 

@@ -32,7 +32,8 @@
 // shard of a mid-publication commit; it can never observe the
 // assigned-but-unpublished state. Config.DisableCSNFencing (test-only)
 // moves the CSN increment out of the critical section, reopening the
-// assignment→publication window; Config.OnCSNPublish parks a committer
+// assignment→publication window; the trace seam's CSNPublish point
+// (internal/trace, Config.Trace) lets a test park a committer
 // deterministically at the window's location (degenerate when fenced).
 //
 // The legacy xmin/xmax/in-progress-set representation is kept behind
@@ -61,6 +62,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"pgssi/internal/trace"
 )
 
 // TxID identifies a transaction. The zero value is invalid (never
@@ -118,43 +121,15 @@ type Config struct {
 	// can resolve it first as in-progress and later as committed — a
 	// torn snapshot. Never set it in production.
 	DisableCSNFencing bool
-	// OnCSNPublish, if non-nil, is invoked during Commit at the
-	// assignment→publication window, with no Manager lock held: under
-	// DisableCSNFencing between the CSN assignment and the commit-log
-	// publication (seq is the assigned CSN); fenced, immediately before
-	// the atomic assignment+publication step (the window is degenerate
-	// and seq is InvalidSeqNo — no CSN exists yet). Test-only
-	// interleaving hook (CSN mode); it must not call back into lifecycle
-	// methods of the same Manager.
-	OnCSNPublish func(xid TxID, seq SeqNo)
-	// OnCommitPublish, if non-nil, is invoked inside the commit
-	// publication critical section, after xid's committed fate and CSN
-	// are written but before the shard mutex is released. It is the
-	// engine's WAL position-reservation point: because it runs before
-	// any snapshot can observe the commit, a transaction that observed
-	// this commit's writes always reserves a later log position, making
-	// every log prefix dependency-closed. The hook must be cheap and
-	// non-blocking (no I/O, no lifecycle calls on this Manager); it runs
-	// under a commit-log shard mutex on every commit path, including the
-	// ablation modes. Set it before the Manager sees any traffic (see
-	// SetOnCommitPublish).
-	OnCommitPublish func(xid TxID, seq SeqNo)
-	// LogPartitions is the number of hash shards in the commit log.
-	// Rounded up to a power of two; defaults to 64.
-	LogPartitions int
+	// Trace, if non-nil, receives the CSNPublish and LegacySnapshot
+	// events (internal/trace). Test-only; it must not call back into
+	// lifecycle methods of the same Manager.
+	Trace trace.Func
 }
 
-func (c Config) withDefaults() Config {
-	if c.LogPartitions <= 0 {
-		c.LogPartitions = 64
-	}
-	n := 1
-	for n < c.LogPartitions {
-		n <<= 1
-	}
-	c.LogPartitions = n
-	return c
-}
+// logPartitions is the number of hash shards in the commit log (a power
+// of two, so shard selection is a mask).
+const logPartitions = 64
 
 // Snapshot is a consistent view of the database. In the default CSN
 // representation it is just the published commit-sequence counter value
@@ -321,20 +296,15 @@ type Manager struct {
 	// TakeSnapshot holds it shared (it only reads — see the RLock note
 	// on TakeSnapshot). Unused in CSN mode.
 	mu sync.RWMutex //ssi:lock level=30 name=mvcc.global
-	// testSnapshotHook, if non-nil, runs inside the legacy TakeSnapshot
-	// critical section (white-box test hook pinning the shared-lock
-	// behaviour).
-	testSnapshotHook func()
 }
 
 // New returns a Manager with the given configuration. The first assigned
 // transaction ID is 1.
 func New(cfg Config) *Manager {
-	cfg = cfg.withDefaults()
 	m := &Manager{
 		cfg:       cfg,
-		shards:    make([]logShard, cfg.LogPartitions),
-		shardMask: uint64(cfg.LogPartitions - 1),
+		shards:    make([]logShard, logPartitions),
+		shardMask: logPartitions - 1,
 	}
 	for i := range m.shards {
 		m.shards[i].recs = make(map[TxID]*txRecord)
@@ -352,6 +322,13 @@ func NewManager() *Manager {
 
 func (m *Manager) shard(xid TxID) *logShard {
 	return &m.shards[uint64(xid)&m.shardMask]
+}
+
+// trace fires the trace seam, if one is set.
+func (m *Manager) trace(p trace.Point, xid TxID, seq SeqNo) {
+	if f := m.cfg.Trace; f != nil {
+		f(trace.Event{Point: p, XID: uint64(xid), Seq: uint64(seq)})
+	}
 }
 
 // lookup returns xid's commit-log record, or nil.
@@ -418,9 +395,7 @@ func (m *Manager) TakeSnapshot() *Snapshot {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.testSnapshotHook != nil {
-		m.testSnapshotHook()
-	}
+	m.trace(trace.LegacySnapshot, InvalidTxID, InvalidSeqNo)
 	next := TxID(m.lastXID.Load()) + 1
 	snap := &Snapshot{
 		Xmin:       next,
@@ -477,7 +452,7 @@ func (m *Manager) beginFinish(sh *logShard, xid TxID, op string) *txRecord {
 // behind the shard's read lock — cannot run before the record write in
 // the same critical section (see the package comment). Under
 // DisableCSNFencing the increment happens before the critical section,
-// with OnCSNPublish parked in the reopened window.
+// with the CSNPublish trace point in the reopened window.
 func (m *Manager) Commit(xid TxID) SeqNo {
 	sh := m.shard(xid)
 	switch {
@@ -497,17 +472,13 @@ func (m *Manager) Commit(xid TxID) SeqNo {
 		// cannot resolve it yet — the torn-snapshot window.
 		rec := m.beginFinish(sh, xid, "Commit")
 		seq := SeqNo(m.assignedSeq.Add(1))
-		if h := m.cfg.OnCSNPublish; h != nil {
-			h(xid, seq)
-		}
+		m.trace(trace.CSNPublish, xid, seq)
 		sh.mu.Lock()
 		m.publishCommitLocked(sh, rec, xid, seq)
 		m.finishCommit(rec)
 		return seq
 	default:
-		if h := m.cfg.OnCSNPublish; h != nil {
-			h(xid, InvalidSeqNo)
-		}
+		m.trace(trace.CSNPublish, xid, InvalidSeqNo)
 		sh.mu.Lock()
 		rec := finishableLocked(sh, xid, "Commit")
 		seq := m.publishCommitLocked(sh, rec, xid, InvalidSeqNo)
@@ -526,19 +497,8 @@ func (m *Manager) publishCommitLocked(sh *logShard, rec *txRecord, xid TxID, seq
 	rec.status = StatusCommitted
 	rec.commitSeq = seq
 	delete(sh.active, xid)
-	if h := m.cfg.OnCommitPublish; h != nil {
-		h(xid, seq)
-	}
 	sh.mu.Unlock()
 	return seq
-}
-
-// SetOnCommitPublish installs the Config.OnCommitPublish hook. It must
-// be called before the Manager sees any concurrent traffic (the field is
-// read without synchronization on the commit path); the engine sets it
-// once while opening the database.
-func (m *Manager) SetOnCommitPublish(fn func(xid TxID, seq SeqNo)) {
-	m.cfg.OnCommitPublish = fn
 }
 
 // finishCommit is the shared post-publication tail of every Commit path.

@@ -9,6 +9,7 @@ import (
 
 	"pgssi/internal/btree"
 	"pgssi/internal/mvcc"
+	"pgssi/internal/trace"
 	"pgssi/internal/waitgraph"
 )
 
@@ -353,7 +354,7 @@ func TestScanConcurrentUpdates(t *testing.T) {
 	wg.Wait()
 }
 
-// TestScanHookRunsUnderLatch pins the OnRead hook's placement on the
+// TestScanHookRunsUnderLatch pins the Read trace point's placement on the
 // scan path: it must fire with the page latch held (a writer of the page
 // cannot complete while a hooked reader is parked), mirroring the
 // point-read path's contract the interleaving harness relies on.
@@ -361,14 +362,14 @@ func TestScanHookRunsUnderLatch(t *testing.T) {
 	hooked := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	cfg := Config{Hooks: Hooks{OnRead: func(_, key string) {
-		if key == "k0000" {
+	cfg := Config{Trace: func(ev trace.Event) {
+		if ev.Key == "k0000" {
 			once.Do(func() {
 				close(hooked)
 				<-release
 			})
 		}
-	}}}
+	}}
 	mgr := mvcc.NewManager()
 	tbl := NewTable("t", cfg)
 	wg := waitgraph.New()

@@ -11,11 +11,11 @@ import "sync"
 // no buffer manager, so the latch table supplies the equivalent mutual
 // exclusion directly.
 //
-// The table is sharded by page number into Config.LatchPartitions
-// mutexes (hash-partitioned like the SIREAD lock table in
+// The table is sharded by page number into latchPartitions mutexes
+// (hash-partitioned like the SIREAD lock table in
 // internal/core/partition.go). Collisions between distinct pages only
 // add mutual exclusion, never remove it, so the shard count is purely a
-// concurrency knob.
+// concurrency matter.
 //
 // Protocol (see also the ordering rules in internal/core/partition.go).
 // A row's heap page is a property of its slot and never changes
@@ -69,21 +69,9 @@ import "sync"
 // acyclic. A pending exclusive acquisition holds back new shared ones
 // (sync.RWMutex), so a writer makes progress on a read-hot page.
 
-// defaultLatchPartitions is the default page-latch shard count per table.
-const defaultLatchPartitions = 64
-
-// Hooks are test-only interleaving hooks injected through Config. They
-// let a deterministic test park a goroutine inside a critical window
-// that normal scheduling would hit only probabilistically.
-type Hooks struct {
-	// OnRead is invoked by Table.Read (and per row by a Reader) after the
-	// MVCC visibility check and before the result is delivered to the
-	// caller's callback (where the SIREAD lock is inserted). With the page latch enabled
-	// the hook runs while the latch is held, so a paused reader
-	// excludes writers to the page; with DisableReadLatch it runs in
-	// the open detection window the latch exists to close.
-	OnRead func(table, key string)
-}
+// latchPartitions is the page-latch shard count per table (a power of
+// two, so shard selection is a mask).
+const latchPartitions = 64
 
 // latchTable is one table's page-latch shard array. Latches are
 // reader/writer locks, mirroring PostgreSQL's BUFFER_LOCK_SHARE /
@@ -103,16 +91,8 @@ type latchTable struct {
 	latches []sync.RWMutex //ssi:lock level=10 name=storage.pageLatch
 }
 
-func newLatchTable(n int) *latchTable {
-	if n <= 0 {
-		n = defaultLatchPartitions
-	}
-	// Round up to a power of two so shard selection is a mask.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return &latchTable{mask: uint64(p - 1), latches: make([]sync.RWMutex, p)}
+func newLatchTable() *latchTable {
+	return &latchTable{mask: latchPartitions - 1, latches: make([]sync.RWMutex, latchPartitions)}
 }
 
 // latch returns the lock guarding page. Pages are allocated

@@ -70,7 +70,9 @@
 // a writer's lock-table probe could run between a reader's visibility
 // check and its lock insertion and miss the rw-antidependency entirely
 // (§5.2 of the paper; the latch protocol and lock ordering are documented
-// in latch.go).
+// in latch.go). The trace seam's Read point (internal/trace, Config.Trace)
+// fires inside that window, which is where the interleaving harnesses park
+// a reader.
 package storage
 
 import (
@@ -84,6 +86,7 @@ import (
 
 	"pgssi/internal/btree"
 	"pgssi/internal/mvcc"
+	"pgssi/internal/trace"
 	"pgssi/internal/waitgraph"
 )
 
@@ -334,18 +337,14 @@ type Config struct {
 	// CacheMissRatio is the probability in [0,1] that a page access
 	// pays IODelay. Zero means every access is a hit.
 	CacheMissRatio float64
-	// LatchPartitions is the number of shards in the per-page read
-	// latch table (latch.go). Rounded up to a power of two; defaults
-	// to 64. Collisions only add mutual exclusion, so this is purely a
-	// concurrency knob.
-	LatchPartitions int
 	// DisableReadLatch disables the per-page read latch, reopening the
 	// window between the MVCC visibility check and SIREAD-lock
 	// insertion. Test-only ablation: the interleaving harness uses it
 	// to demonstrate the missed-antidependency race the latch closes.
 	DisableReadLatch bool
-	// Hooks injects test-only interleaving hooks (see latch.go).
-	Hooks Hooks
+	// Trace, if non-nil, receives the Read event (internal/trace).
+	// Test-only.
+	Trace trace.Func
 }
 
 // Table is a heap of versioned rows keyed by string, reached through
@@ -371,7 +370,7 @@ type Table struct {
 
 // NewTable creates an empty heap named name.
 func NewTable(name string, cfg Config) *Table {
-	t := &Table{name: name, cfg: cfg, index: btree.NewOf[*Row](), latches: newLatchTable(cfg.LatchPartitions)}
+	t := &Table{name: name, cfg: cfg, index: btree.NewOf[*Row](), latches: newLatchTable()}
 	t.newRow = func() *Row { return &Row{page: t.pageSeq.Add(1) / TuplesPerPage} }
 	return t
 }
@@ -400,10 +399,10 @@ func (t *Table) IOStats() (accesses, misses int64) {
 	return t.ioAccesses.Load(), t.ioMisses.Load()
 }
 
-// onRead fires the test-only read hook.
-func (t *Table) onRead(key string) {
-	if h := t.cfg.Hooks.OnRead; h != nil {
-		h(t.name, key)
+// traceRead fires the trace seam's Read point, if one is set.
+func (t *Table) traceRead(self mvcc.TxID, key string) {
+	if f := t.cfg.Trace; f != nil {
+		f(trace.Event{Point: trace.Read, XID: uint64(self), Table: t.name, Key: key})
 	}
 }
 
@@ -460,7 +459,7 @@ func (t *Table) Read(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.
 		res.Tuple = row.visible(snap, self, mgr, &res.ConflictOut)
 		row.mu.Unlock()
 	}
-	t.onRead(key)
+	t.traceRead(self, key)
 	return fn(res)
 }
 
@@ -573,7 +572,7 @@ func (rd *Reader) read(keys []string, rows []*Row, final bool) (*Leaf, error) {
 				t.simulateIO()
 			}
 		}
-		t.onRead(keys[i])
+		t.traceRead(rd.self, keys[i])
 	}
 	return lf, nil
 }
@@ -615,7 +614,7 @@ func (rd *Reader) readTracked(keys []string, rows []*Row, final bool) error {
 	for i := 0; i < cut; {
 		if rd.rows[i] == nil {
 			rd.vis[i] = nil
-			t.onRead(rd.keys[i])
+			t.traceRead(rd.self, rd.keys[i])
 			i++
 			continue
 		}
@@ -630,7 +629,7 @@ func (rd *Reader) readTracked(keys []string, rows []*Row, final bool) error {
 		for ; i < cut && rd.rows[i] != nil && rd.rows[i].page == page; i++ {
 			v := rd.visible(rd.rows[i])
 			rd.vis[i] = v
-			t.onRead(rd.keys[i])
+			t.traceRead(rd.self, rd.keys[i])
 			if v != nil {
 				items = append(items, BatchItem{Key: rd.keys[i], Tuple: v})
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pgssi/internal/mvcc"
+	"pgssi/internal/trace"
 	"pgssi/internal/waitgraph"
 )
 
@@ -587,9 +588,9 @@ func TestWriteCheckErrorPropagates(t *testing.T) {
 // check and the callback.
 func TestOnReadHookFires(t *testing.T) {
 	var events []string
-	cfg := Config{Hooks: Hooks{OnRead: func(table, key string) {
-		events = append(events, "hook:"+table+"/"+key)
-	}}}
+	cfg := Config{Trace: func(ev trace.Event) {
+		events = append(events, "hook:"+ev.Table+"/"+ev.Key)
+	}}
 	h := &harness{t: t, mgr: mvcc.NewManager(), tbl: NewTable("t", cfg), wg: waitgraph.New()}
 	w := h.begin()
 	if err := h.insert(w, "a", "1"); err != nil {
@@ -603,20 +604,5 @@ func TestOnReadHookFires(t *testing.T) {
 	})
 	if len(events) != 2 || events[0] != "hook:t/a" || events[1] != "callback" {
 		t.Fatalf("unexpected event order: %v", events)
-	}
-}
-
-// TestLatchTableRounding checks the power-of-two sizing and that
-// distinct pages map within bounds.
-func TestLatchTableRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{0, defaultLatchPartitions}, {1, 1}, {3, 4}, {64, 64}, {65, 128}} {
-		lt := newLatchTable(tc.in)
-		if len(lt.latches) != tc.want {
-			t.Fatalf("newLatchTable(%d) = %d shards, want %d", tc.in, len(lt.latches), tc.want)
-		}
-		for p := int64(0); p < 1000; p++ {
-			lt.latch(p).Lock()
-			lt.latch(p).Unlock()
-		}
 	}
 }

@@ -125,7 +125,7 @@ func failedTicket(err error) *Ticket {
 // Pending is a record encoded ahead of its commit-sequence assignment.
 // The engine prepares it outside all locks, then Enqueue patches the
 // final sequence number in and reserves the log position — the only work
-// done inside the MVCC commit publication critical section.
+// done inside the engine's commit ordering critical section.
 type Pending struct {
 	frame  []byte
 	rec    Record
@@ -616,8 +616,8 @@ func (l *DurableLog) PrepareRecord(rec Record) *Pending {
 
 // Enqueue stamps seq into the prepared record and reserves its position
 // in the log: the record joins the flush queue and is fanned out to
-// subscribers. It is designed to be called inside the MVCC commit
-// publication critical section — it only patches eight bytes, takes the
+// subscribers. It is designed to be called inside the engine's commit
+// ordering critical section — it only patches eight bytes, takes the
 // log mutex, and appends to a slice; all encoding happened in
 // PrepareRecord and all I/O happens on the flusher goroutine. Call
 // p.Wait afterwards (outside the critical section) for durability.

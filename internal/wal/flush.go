@@ -24,7 +24,7 @@ func (l *DurableLog) startFlusher() {
 }
 
 // ring wakes the flusher without ever blocking: Enqueue rings inside
-// the engine's commit publication critical section.
+// the engine's commit ordering critical section.
 func (l *DurableLog) ring() {
 	select {
 	case l.wake <- struct{}{}:

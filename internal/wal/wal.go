@@ -7,21 +7,18 @@
 //
 // Two implementations share the Record format and the Stream interface:
 //
-//   - Log is the original in-memory logical log: nothing survives the
-//     process, it exists for replication plumbing and for A/B ablation
-//     against the durable path (pgssi Config.DisableDurableWAL).
+//   - Log is the in-memory logical log: nothing survives the process, it
+//     exists for replication plumbing (DB.AttachWAL).
 //   - DurableLog (durable.go) persists records to CRC-framed segment
 //     files with group-commit fsync batching and crash recovery; see
 //     docs/wal.md for the normative on-disk format.
 //
 // Records are appended in commit-sequence order: the engine serializes
 // each commit's publication with its log append under one mutex (pgssi's
-// publishCommit; the durable path additionally reserves its position
-// inside the MVCC publication critical section via
-// internal/mvcc Config.OnCommitPublish), so a transaction that observed
-// another's writes always appears later in the log, and a safe-snapshot
-// marker always follows every commit record it covers. Recovery
-// replaying a prefix of the log therefore always reconstructs a
+// publishCommit, for both implementations), so a transaction that
+// observed another's writes always appears later in the log, and a
+// safe-snapshot marker always follows every commit record it covers.
+// Recovery replaying a prefix of the log therefore always reconstructs a
 // dependency-closed prefix of the committed history, and a subscriber
 // resuming from its newest applied commit sequence (SubscribeFrom)
 // never misses an earlier commit appended late.

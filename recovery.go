@@ -11,28 +11,26 @@ import (
 // Durable WAL wiring: OpenDir recovery on the way in, and the commit
 // path's append-before-acknowledge on the way out.
 //
-// The commit path is split in three so the WAL append order is
-// consistent with commit dependencies:
+// The commit path is split in two:
 //
 //   - walPrepare (committer goroutine, outside all locks) encodes the
-//     transaction's record with a placeholder sequence number and parks
-//     it in db.walPending under the transaction's xid.
-//   - walCommitHook (mvcc.Config.OnCommitPublish) runs inside the MVCC
-//     commit publication critical section, where the CSN is assigned and
-//     the commit becomes visible: it stamps the CSN into the parked
-//     record and reserves its log position. Because no snapshot can
-//     observe the commit before this point, a transaction that read this
-//     one's writes always reserves a later position — every log prefix
-//     is dependency-closed, so recovery of any prefix yields a
-//     transaction-consistent state. The publication itself runs under
-//     db.walMu (see publishCommit in tx.go), so positions are reserved
-//     in commit-sequence order across commit-log shards.
-//   - walFinish (committer goroutine again) waits for the record's group
-//     commit fsync before Commit returns — the durability contract: an
-//     acknowledged commit survives a crash.
+//     transaction's record with a placeholder sequence number and keeps
+//     it on the Tx. A record the log could never accept fails the commit
+//     here, before anything is published.
+//   - publishCommit (tx.go) publishes the commit and, still holding
+//     db.walMu, stamps the assigned CSN into the record and enqueues it
+//     (Enqueue reserves the record's log position); walFinish then waits
+//     for the group-commit fsync that covers it before Commit returns —
+//     the durability contract: an acknowledged commit survives a crash.
 //
-// Aborts (including SSI pre-commit failures) call walAbandon; the hook
-// never fires for them, so nothing reaches the log.
+// walMu orders the enqueues in commit-sequence order, which implies
+// dependency order: a transaction that read this one's writes can only
+// log after taking walMu, which this one holds from before its commit
+// became visible until after its record is queued. So every log prefix
+// is dependency-closed, and recovery of any prefix yields a
+// transaction-consistent state. A transaction that aborts (including on
+// an SSI pre-commit failure) never reaches publishCommit, so its record
+// goes nowhere.
 
 // OpenDir opens a database backed by a durable WAL in dir, running crash
 // recovery first: the newest complete checkpoint (if any) is loaded, then
@@ -40,18 +38,16 @@ import (
 // log order, stopping at the first torn or corrupt record — see
 // docs/wal.md) before the DB accepts traffic. Tables recorded in the log
 // are recreated automatically; secondary indexes are not logged and must
-// be recreated by the caller after OpenDir, before loading. With
-// cfg.DisableDurableWAL, OpenDir is exactly Open.
-func OpenDir(dir string, cfg Config) (*DB, error) {
-	db := Open(cfg)
-	if cfg.DisableDurableWAL {
-		return db, nil
-	}
+// be recreated by the caller after OpenDir, before loading.
+func OpenDir(dir string, cfg Config) (*DB, error) { return openDir(dir, cfg, testHooks{}) }
+
+func openDir(dir string, cfg Config, h testHooks) (*DB, error) {
+	db := open(cfg, h)
 	wl, err := wal.OpenDir(dir, wal.Config{
 		SegmentSize: cfg.WALSegmentSize,
 		Fsync:       cfg.FsyncMode,
 		GroupWindow: cfg.WALGroupWindow,
-		FS:          cfg.WALFS,
+		FS:          h.WALFS,
 		Joiners:     func() int { return int(db.walJoiners.Load()) },
 	})
 	if err != nil {
@@ -89,7 +85,6 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 	}
 	db.ckptLastBytes = wl.Stats().BytesWritten
 	db.durable = wl
-	db.mvcc.SetOnCommitPublish(db.walCommitHook)
 	return db, nil
 }
 
@@ -156,7 +151,7 @@ func (db *DB) applyRecoveredRecord(rec wal.Record) error {
 }
 
 // walPrepare encodes tx's commit record ahead of the commit-sequence
-// assignment and parks it for walCommitHook. Returns (nil, nil) —
+// assignment and keeps it on tx for publishCommit. Returns (nil, nil) —
 // nothing will be logged — when the WAL is not durable or the
 // transaction wrote nothing. A record the log cannot accept (its frame
 // would exceed wal.MaxRecordSize, which recovery could never read back)
@@ -171,7 +166,6 @@ func (db *DB) walPrepare(tx *Tx) (*wal.Pending, error) {
 		return nil, fmt.Errorf("pgssi: commit record: %w", err)
 	}
 	tx.walPend = p
-	db.walPending.Store(tx.xid, tx)
 	return p, nil
 }
 
@@ -191,7 +185,7 @@ func (db *DB) buildWALRecord(tx *Tx) wal.Record {
 }
 
 // walValidate checks that tx's writes can be logged at all (the frame
-// size cap), without encoding or parking anything. Prepare calls it so
+// size cap), without encoding anything. Prepare calls it so
 // a transaction that could never be made durable is rejected before the
 // transaction manager records a yes-vote — CommitPrepared must not be
 // the first place the oversize surfaces.
@@ -203,27 +197,6 @@ func (db *DB) walValidate(tx *Tx) error {
 		return fmt.Errorf("pgssi: commit record: %w", err)
 	}
 	return nil
-}
-
-// walCommitHook is the mvcc.Config.OnCommitPublish hook: it reserves the
-// committing transaction's log position inside the publication critical
-// section. Cheap by construction — patch eight bytes, append to the
-// flush queue — all encoding happened in walPrepare and all I/O happens
-// on the WAL flusher goroutine.
-func (db *DB) walCommitHook(xid mvcc.TxID, seq mvcc.SeqNo) {
-	v, ok := db.walPending.LoadAndDelete(xid)
-	if !ok {
-		return
-	}
-	tx := v.(*Tx)
-	// Leave first, and silently: the enqueue rings the flusher, which
-	// must find this transaction's record in the queue and the
-	// transaction itself no longer among those worth waiting for.
-	if tx.joiner {
-		tx.joiner = false
-		db.walJoiners.Add(-1)
-	}
-	db.durable.Enqueue(tx.walPend, seq)
 }
 
 // joinWAL counts tx among the transactions a log flush may be held back
@@ -241,7 +214,7 @@ func (db *DB) joinWAL(tx *Tx) {
 // a record — nothing written, rolled back, or prepared (its commit is
 // the transaction manager's to time) — and tells the log when the last
 // one has left: a flush held back for them has nobody left to wait for.
-// A transaction with a record leaves in walCommitHook.
+// A transaction with a record leaves in publishCommit.
 func (db *DB) leaveWAL(tx *Tx) {
 	if !tx.joiner {
 		return
@@ -249,13 +222,6 @@ func (db *DB) leaveWAL(tx *Tx) {
 	tx.joiner = false
 	if db.walJoiners.Add(-1) == 0 {
 		db.durable.JoinersDrained()
-	}
-}
-
-// walAbandon discards a parked record whose transaction did not commit.
-func (db *DB) walAbandon(tx *Tx) {
-	if db.durable != nil {
-		db.walPending.Delete(tx.xid)
 	}
 }
 

@@ -93,7 +93,6 @@ func (db *DB) CommitPrepared(gid string) error {
 		if err := db.ssi.CommitPrepared(tx.x, func() mvcc.SeqNo {
 			return db.publishCommit(tx)
 		}); err != nil {
-			db.walAbandon(tx)
 			return err
 		}
 	} else {

@@ -45,7 +45,7 @@ type Tx struct {
 	gid         string
 	prepSt      core.PreparedState
 	// walPend is the commit record on its way from walPrepare to
-	// walCommitHook. (The flags above share subSeq's word, which keeps
+	// publishCommit. (The flags above share subSeq's word, which keeps
 	// Tx in the allocation size class it had without this field.)
 	walPend *wal.Pending
 }
@@ -204,9 +204,9 @@ func (tx *Tx) checkUsable(write bool) error {
 // With the durable WAL open (OpenDir), Commit returns only after the
 // transaction's record is on disk per the configured fsync mode: the
 // record is encoded before the commit-sequence assignment, its log
-// position is reserved inside the MVCC publication critical section
-// (see recovery.go), and the committer then waits for the group-commit
-// fsync that covers it.
+// position is reserved under db.walMu right after the publication (see
+// recovery.go), and the committer then waits for the group-commit fsync
+// that covers it.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return ErrTxDone
@@ -228,7 +228,6 @@ func (tx *Tx) Commit() error {
 			return tx.db.publishCommit(tx)
 		})
 		if err != nil {
-			tx.db.walAbandon(tx)
 			tx.rollbackLocked()
 			return serializationFailure("pre-commit dangerous structure check")
 		}
@@ -297,9 +296,10 @@ func (tx *Tx) rollbackLocked() {
 // markers emitted by maybeEmitMarkerLocked sound, and it keeps the
 // in-memory log consistent with Stream.SubscribeFrom's resume contract
 // (a replica resuming after sequence S must never find a commit ≤ S
-// appended later). The durable path's walCommitHook reserves its log
-// position inside the MVCC publication critical section, which walMu now
-// also covers, so the durable log is append-ordered across shards too.
+// appended later). The durable log's record is enqueued in the same
+// section, right after mvcc.Commit, so it is append-ordered the same way
+// — and, because a transaction that read this one's writes must take
+// walMu to log anything, in dependency order (recovery.go).
 //
 // No-write commits skip walMu around mvcc.Commit entirely — they have
 // nothing to append — and only take it afterwards if they may have made
@@ -319,6 +319,16 @@ func (db *DB) publishCommit(tx *Tx) mvcc.SeqNo {
 	db.walMu.Lock()
 	defer db.walMu.Unlock()
 	seq := db.mvcc.Commit(tx.xid)
+	if tx.walPend != nil {
+		// Leave first, and silently: the enqueue rings the flusher, which
+		// must find this transaction's record in the queue and the
+		// transaction itself no longer among those worth waiting for.
+		if tx.joiner {
+			tx.joiner = false
+			db.walJoiners.Add(-1)
+		}
+		db.durable.Enqueue(tx.walPend, seq)
+	}
 	if log := db.walLog.Load(); log != nil {
 		rec := db.buildWALRecord(tx)
 		rec.Seq = seq

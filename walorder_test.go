@@ -11,23 +11,59 @@ import (
 )
 
 // TestWALCommitRecordOrdering hammers concurrent committers and aborters
-// and then audits the in-memory log against the ordering invariants the
-// replica's resume contract depends on (Stream.SubscribeFrom filters by
-// sequence, so any out-of-order append becomes a silently dropped commit
-// after a reconnect):
+// and then audits the log against the ordering invariants the replica's
+// resume contract depends on (Stream.SubscribeFrom filters by sequence,
+// so any out-of-order append becomes a silently dropped commit after a
+// reconnect) and that recovery's prefix rule depends on (docs/wal.md
+// "Ordering"):
 //
 //   - commit records appear in strictly increasing sequence order;
 //   - a safe-snapshot marker is never appended below a commit record
 //     already in the log, and marker sequences never regress;
 //   - a commit record appended after a marker carries a higher sequence
 //     (the marker really did cover everything before it).
+//
+// It audits both logs: the attached in-memory log, and the durable log
+// as recovery reads it back from disk.
 func TestWALCommitRecordOrdering(t *testing.T) {
-	walLog := wal.NewLog()
-	db := pgssi.Open(pgssi.Config{})
-	defer db.Close()
-	mustExec(t, db.CreateTable("kv"))
-	db.AttachWAL(walLog)
+	t.Run("memory", func(t *testing.T) {
+		walLog := wal.NewLog()
+		db := pgssi.Open(pgssi.Config{})
+		defer db.Close()
+		mustExec(t, db.CreateTable("kv"))
+		db.AttachWAL(walLog)
+		hammerCommitsAndAborts(db)
+		checkWALOrder(t, walLog.Records())
+	})
+	t.Run("durable", func(t *testing.T) {
+		dir := t.TempDir()
+		db, err := pgssi.OpenDir(dir, pgssi.Config{})
+		mustExec(t, err)
+		mustExec(t, db.CreateTable("kv"))
+		hammerCommitsAndAborts(db)
+		mustExec(t, db.Close())
 
+		wl, err := wal.OpenDir(dir, wal.Config{})
+		mustExec(t, err)
+		defer wl.Close()
+		var recs []wal.Record
+		mustExec(t, wl.Replay(func(rec wal.Record) error {
+			// The schema record precedes the workload and orders nothing.
+			if rec.CreateTable == "" {
+				recs = append(recs, rec)
+			}
+			return nil
+		}))
+		if len(recs) == 0 {
+			t.Fatal("durable log read back empty")
+		}
+		checkWALOrder(t, recs)
+	})
+}
+
+// hammerCommitsAndAborts runs concurrent writers of table kv alongside
+// aborters that race them into the abort-path marker emission.
+func hammerCommitsAndAborts(db *pgssi.DB) {
 	const writers, aborters, iters = 8, 4, 50
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -41,7 +77,6 @@ func TestWALCommitRecordOrdering(t *testing.T) {
 			}
 		}(w)
 	}
-	// Aborters race the committers into the abort-path marker emission.
 	for a := 0; a < aborters; a++ {
 		wg.Add(1)
 		go func(a int) {
@@ -57,9 +92,14 @@ func TestWALCommitRecordOrdering(t *testing.T) {
 		}(a)
 	}
 	wg.Wait()
+}
 
+// checkWALOrder asserts the three ordering invariants over recs, in log
+// order.
+func checkWALOrder(t *testing.T, recs []wal.Record) {
+	t.Helper()
 	var lastCommit, lastMarker uint64
-	for i, rec := range walLog.Records() {
+	for i, rec := range recs {
 		seq := uint64(rec.Seq)
 		if rec.SafeSnapshot {
 			if seq < lastCommit {
