@@ -2,15 +2,15 @@ package pgssi
 
 import (
 	"fmt"
-	"sort"
 
 	"pgssi/internal/mvcc"
 	"pgssi/internal/wal"
 )
 
-// Checkpointing: bound the durable log by folding the database state at
-// a safe-snapshot marker into a checkpoint file, then GCing every
-// segment fully covered by it (wal.DurableLog.WriteCheckpoint).
+// Checkpointing: bound the log — on disk or in memory — by folding the
+// database state at a safe-snapshot marker into a checkpoint file, then
+// GCing every segment fully covered by it
+// (wal.DurableLog.WriteCheckpoint).
 //
 // The trigger runs inside the safe-snapshot marker path
 // (maybeEmitMarkerLocked, under db.walMu at a quiescent instant), which
@@ -31,16 +31,16 @@ const (
 	ckptBatchBytes = 1 << 20
 )
 
-// Checkpoint writes a checkpoint of the durable WAL at the next
-// safe-snapshot point and garbage-collects every log segment fully
-// covered by it, blocking until the checkpoint is durable (or has
-// failed). If a checkpoint is already in flight its result is shared;
-// if nothing has committed since the last checkpoint, that checkpoint's
-// info is returned without writing a new one. Returns an error if the
-// DB has no durable WAL or nothing has ever committed.
+// Checkpoint writes a checkpoint of the WAL at the next safe-snapshot
+// point and garbage-collects every log segment fully covered by it,
+// blocking until the checkpoint is durable (or has failed). If a
+// checkpoint is already in flight its result is shared; if nothing has
+// committed since the last checkpoint, that checkpoint's info is
+// returned without writing a new one. Returns an error if the DB has no
+// WAL (neither OpenDir nor AttachWAL) or nothing has ever committed.
 func (db *DB) Checkpoint() (wal.CheckpointInfo, error) {
-	if db.durable == nil {
-		return wal.CheckpointInfo{}, fmt.Errorf("pgssi: checkpoint requires a durable WAL (OpenDir)")
+	if db.log == nil {
+		return wal.CheckpointInfo{}, fmt.Errorf("pgssi: checkpoint requires a WAL (OpenDir or AttachWAL)")
 	}
 	if db.closed.Load() {
 		return wal.CheckpointInfo{}, ErrClosed
@@ -63,23 +63,23 @@ func (db *DB) Checkpoint() (wal.CheckpointInfo, error) {
 }
 
 // checkpointWanted reports whether a quiescent instant should start (or
-// resolve) a checkpoint: a manual waiter is parked, or the size trigger
-// has tripped. Used by the abort path's cheap pre-check, which would
-// otherwise skip the walMu section when no marker is owed.
+// resolve) a checkpoint. Used by the abort path's cheap pre-check, which
+// would otherwise skip the walMu section when no marker is owed.
 func (db *DB) checkpointWanted() bool {
-	if db.durable == nil || db.closed.Load() {
+	if db.closed.Load() {
 		return false
 	}
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
-	if db.ckptRunning {
-		return false
-	}
-	if len(db.ckptWaiters) > 0 {
-		return true
-	}
-	return db.cfg.CheckpointEvery > 0 &&
-		db.durable.Stats().BytesWritten-db.ckptLastBytes >= db.cfg.CheckpointEvery
+	return db.checkpointWantedLocked()
+}
+
+// checkpointWantedLocked reports whether no checkpoint is running and one
+// is wanted: a manual waiter is parked, or the size trigger has tripped.
+// Caller holds db.ckptMu, on a DB with a log.
+func (db *DB) checkpointWantedLocked() bool {
+	return !db.ckptRunning && (len(db.ckptWaiters) > 0 || db.cfg.CheckpointEvery > 0 &&
+		db.log.Stats().BytesWritten-db.ckptLastBytes >= db.cfg.CheckpointEvery)
 }
 
 // maybeStartCheckpointLocked is the checkpoint trigger. Caller holds
@@ -89,9 +89,6 @@ func (db *DB) checkpointWanted() bool {
 // so no later commit can publish before the pin exists — and hands the
 // writing to a background goroutine.
 func (db *DB) maybeStartCheckpointLocked(seq uint64) {
-	if db.durable == nil {
-		return
-	}
 	if db.closed.Load() {
 		// Catches a waiter that registered after Close's own drain: no
 		// further quiescent instant will come, so fail it here.
@@ -99,15 +96,7 @@ func (db *DB) maybeStartCheckpointLocked(seq uint64) {
 		return
 	}
 	db.ckptMu.Lock()
-	if db.ckptRunning {
-		db.ckptMu.Unlock()
-		return
-	}
-	want := len(db.ckptWaiters) > 0
-	if !want && db.cfg.CheckpointEvery > 0 {
-		want = db.durable.Stats().BytesWritten-db.ckptLastBytes >= db.cfg.CheckpointEvery
-	}
-	if !want {
+	if !db.checkpointWantedLocked() {
 		db.ckptMu.Unlock()
 		return
 	}
@@ -119,7 +108,7 @@ func (db *DB) maybeStartCheckpointLocked(seq uint64) {
 		waiters := db.ckptWaiters
 		db.ckptWaiters = nil
 		db.ckptMu.Unlock()
-		info, ok := db.durable.CheckpointInfo()
+		info, ok := db.log.CheckpointInfo()
 		res := ckptResult{info: info}
 		if !ok {
 			res.err = wal.ErrNoCheckpoint
@@ -164,15 +153,8 @@ func (db *DB) runCheckpoint(seq uint64, tx *Tx) {
 // records first, then every table's visible rows at the pinned
 // snapshot, packed into batched multi-op records.
 func (db *DB) writeCheckpointRecords(seq uint64, tx *Tx) (wal.CheckpointInfo, error) {
-	db.mu.RLock()
-	names := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		names = append(names, name)
-	}
-	db.mu.RUnlock()
-	sort.Strings(names)
-
-	return db.durable.WriteCheckpoint(mvcc.SeqNo(seq), func(emit func(wal.Record) error) error {
+	names := db.tableNames()
+	return db.log.WriteCheckpoint(mvcc.SeqNo(seq), func(emit func(wal.Record) error) error {
 		for _, name := range names {
 			if err := emit(wal.Record{CreateTable: name}); err != nil {
 				return err
@@ -223,7 +205,7 @@ func (db *DB) finishCheckpoint(info wal.CheckpointInfo, err error, ok bool) {
 	if ok {
 		db.ckptLastSeq = uint64(info.Seq)
 	}
-	db.ckptLastBytes = db.durable.Stats().BytesWritten
+	db.ckptLastBytes = db.log.Stats().BytesWritten
 	waiters := db.ckptWaiters
 	db.ckptWaiters = nil
 	db.ckptRunning = false
@@ -246,10 +228,10 @@ func (db *DB) failCheckpointWaiters(err error) {
 	}
 }
 
-// CheckpointInfo reports the durable WAL's newest checkpoint, if any.
+// CheckpointInfo reports the WAL's newest checkpoint, if any.
 func (db *DB) CheckpointInfo() (wal.CheckpointInfo, bool) {
-	if db.durable == nil {
+	if db.log == nil {
 		return wal.CheckpointInfo{}, false
 	}
-	return db.durable.CheckpointInfo()
+	return db.log.CheckpointInfo()
 }

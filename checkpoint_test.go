@@ -441,10 +441,7 @@ func TestReplicaReseedFromDurableLog(t *testing.T) {
 		t.Fatalf("SubscribeFromChecked(0) after GC = %v, want ErrSeqTruncated", err)
 	}
 
-	rep, err := pgssi.NewReplica(db.DurableWAL(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := pgssi.NewReplica(db.DurableWAL())
 	defer rep.Close()
 
 	want := db.CurrentSeq()
@@ -502,5 +499,78 @@ func TestReplicaReseedFromDurableLog(t *testing.T) {
 	}
 	if rows == 0 {
 		t.Fatal("primary scan saw no rows: the convergence check is vacuous")
+	}
+}
+
+// TestMemoryLogBoundedByCheckpoints: an in-memory database's log is
+// bounded by checkpoints as a disk log is — its segments and the bytes
+// its MemFS holds stay under a bound that does not grow with the number
+// of commits — and a replica that starts at the end, below the GC floor,
+// re-seeds from the checkpoint and converges.
+func TestMemoryLogBoundedByCheckpoints(t *testing.T) {
+	const commits, keys = 20000, 100
+	log := wal.NewLog()
+	mem := log.FS().(*wal.MemFS)
+	db := pgssi.Open(pgssi.Config{CheckpointEvery: 64 << 10})
+	defer db.Close()
+	mustExec(t, db.AttachWAL(log))
+	mustExec(t, db.CreateTable("t"))
+
+	// 1 MiB segments: ~300 bytes of log per commit would fill seven of
+	// them without checkpoints.
+	const maxSegments, maxBytes = 3, 3<<20 + 256<<10
+	value := strings.Repeat("v", 256)
+	for i := 0; i < commits; i++ {
+		ckptPut(t, db, fmt.Sprintf("k%03d", i%keys), value)
+		if i%1000 != 999 {
+			continue
+		}
+		if st := db.WALStats(); st.Segments > maxSegments {
+			t.Fatalf("after %d commits: %d segments, want <= %d (%+v)", i+1, st.Segments, maxSegments, st)
+		}
+		if n := mem.Bytes(); n > maxBytes {
+			t.Fatalf("after %d commits: the log holds %d bytes, want <= %d", i+1, n, maxBytes)
+		}
+	}
+	st := db.WALStats()
+	if st.Checkpoints == 0 || st.SegmentsGCed == 0 {
+		t.Fatalf("no checkpoint GC'd a segment: %+v", st)
+	}
+	if _, _, err := log.SubscribeFromChecked(0); !errors.Is(err, wal.ErrSeqTruncated) {
+		t.Fatalf("SubscribeFromChecked(0) = %v, want ErrSeqTruncated", err)
+	}
+
+	rep := pgssi.NewReplica(log)
+	defer rep.Close()
+	want := db.CurrentSeq()
+	deadline := time.Now().Add(10 * time.Second)
+	for rep.AppliedSeq() < want {
+		if rep.Err() != nil {
+			t.Fatalf("replica halted instead of re-seeding: %v", rep.Err())
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica stuck at seq %d, want %d", rep.AppliedSeq(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n, _ := rep.AppliedRecords(); n >= commits {
+		t.Fatalf("replica applied %d records: it replayed the history instead of the checkpoint", n)
+	}
+	rtx, err := rep.BeginReadOnly(pgssi.ReplicaTxOptions{Serializable: true, WaitSafe: true})
+	mustExec(t, err)
+	defer rtx.Rollback()
+	ptx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead, ReadOnly: true})
+	mustExec(t, err)
+	defer ptx.Rollback()
+	rows := 0
+	mustExec(t, ptx.Scan("t", "", "", func(k string, v []byte) bool {
+		if got, err := rtx.Get("t", k); err != nil || string(got) != string(v) {
+			t.Fatalf("replica diverged at %q: %q (%v)", k, got, err)
+		}
+		rows++
+		return true
+	}))
+	if rows != keys {
+		t.Fatalf("primary holds %d rows, want %d", rows, keys)
 	}
 }

@@ -46,7 +46,7 @@ func main() {
 		partitions   = flag.Int("partitions", 0, "SIREAD lock table partitions (0 = default)")
 		dataDir      = flag.String("data", "", "data directory for the durable WAL (empty = in-memory, nothing survives restart)")
 		fsyncMode    = flag.String("fsync", "batch", "fsync mode with -data: batch (sync before acknowledging; a flush waits for other open transactions to commit into it, up to a 200µs cap, and not at all when there are none), always (never waits for them), or off (never syncs)")
-		ckptEvery    = flag.Int64("checkpoint-every", 0, "with -data: checkpoint and GC the WAL every this many bytes of log growth (0 = never)")
+		ckptEvery    = flag.Int64("checkpoint-every", 0, "checkpoint and GC the WAL every this many bytes of log growth, bounding the log on disk or, without -data, in memory (0 = never)")
 		replFrom     = flag.String("replicate-from", "", "primary's address: run as a read-only replica of it (schema and data arrive via the stream)")
 	)
 	flag.Parse()
@@ -64,22 +64,10 @@ func main() {
 		if *dataDir != "" || *preload > 0 {
 			log.Fatal("-replicate-from is incompatible with -data and -preload: a replica's state comes from the stream")
 		}
-		// Tables normally arrive as schema records in the stream; -tables
-		// pre-creates them for primaries whose in-memory WAL carries no
-		// schema records.
-		var names []string
-		for _, t := range strings.Split(*tables, ",") {
-			if t = strings.TrimSpace(t); t != "" {
-				names = append(names, t)
-			}
-		}
-		rep, err := pgssi.NewReplica(&wire.ReplicaSource{Addr: *replFrom, DialTimeout: 10 * time.Second, Logf: log.Printf}, names)
-		if err != nil {
-			log.Fatal(err)
-		}
+		rep := pgssi.NewReplica(&wire.ReplicaSource{Addr: *replFrom, DialTimeout: 10 * time.Second, Logf: log.Printf})
 		srv := server.NewReplicaServer(rep, srvCfg)
 		srv.DrainOnSignal()
-		log.Printf("replica of %s listening on %s (tables=%s)", *replFrom, *addr, *tables)
+		log.Printf("replica of %s listening on %s", *replFrom, *addr)
 		if err := srv.ListenAndServe(*addr); err != nil && err != server.ErrServerClosed {
 			log.Fatal(err)
 		}
@@ -93,10 +81,7 @@ func main() {
 		os.Exit(0)
 	}
 
-	if *ckptEvery > 0 && *dataDir == "" {
-		log.Fatal("-checkpoint-every requires -data: only the durable WAL checkpoints")
-	}
-	cfg := pgssi.Config{Partitions: *partitions}
+	cfg := pgssi.Config{Partitions: *partitions, CheckpointEvery: *ckptEvery}
 	var db *pgssi.DB
 	if *dataDir != "" {
 		mode, err := wal.ParseFsyncMode(*fsyncMode)
@@ -104,7 +89,6 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg.FsyncMode = mode
-		cfg.CheckpointEvery = *ckptEvery
 		start := time.Now()
 		db, err = pgssi.OpenDir(*dataDir, cfg)
 		if err != nil {
@@ -116,12 +100,12 @@ func main() {
 			log.Printf("initialized %s (fsync=%s)", *dataDir, mode)
 		}
 	} else {
+		// Replication streams the WAL, so an in-memory primary has one
+		// too, in memory; -checkpoint-every bounds it.
 		db = pgssi.Open(cfg)
-		// Replication streams the WAL, so an in-memory primary needs one
-		// too — the log retains the full history (and its fan-out buffers)
-		// in memory, which is the same durability trade the rest of the
-		// in-memory mode already makes.
-		db.AttachWAL(wal.NewLog())
+		if err := db.AttachWAL(wal.NewLog()); err != nil {
+			log.Fatal(err)
+		}
 	}
 	names := strings.Split(*tables, ",")
 	for _, t := range names {

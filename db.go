@@ -38,6 +38,7 @@ package pgssi
 import (
 	"fmt"
 	"math/rand/v2"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -239,30 +240,26 @@ type DB struct {
 	prepMu   sync.Mutex //ssi:lock level=30 name=pgssi.prepared
 	prepared map[string]*Tx
 
-	// walMu orders WAL sink appends with commit publication: a
-	// committer with writes holds it across mvcc.Commit AND the append
-	// (see publishCommit), so records land in the log in commit-sequence
+	// walMu orders log appends with commit publication: a committer
+	// with writes holds it across mvcc.Commit AND the append (see
+	// publishCommit), so records land in the log in commit-sequence
 	// order and safe-snapshot markers are only emitted after every
 	// commit record they cover. Lock order: ssi locks → walMu → mvcc
 	// shard locks → wal log locks; nothing takes walMu while holding a
 	// lock later in that chain.
 	walMu sync.Mutex //ssi:lock level=40 name=pgssi.wal
-	// walLog is the attached in-memory log-shipping sink (AttachWAL),
-	// nil when detached. Atomic so the no-sink fast paths (aborts,
-	// no-write commits) can check it without taking walMu; it is only
-	// written under walMu.
-	walLog atomic.Pointer[wal.Log]
 	// markerSeq is the highest commit sequence a safe-snapshot marker
 	// has been emitted at. Only written by maybeEmitMarkerLocked under
 	// walMu (the unlocked loads are pre-checks), which keeps marker
 	// sequences in the log monotone.
 	markerSeq atomic.Uint64
 
-	// durable is the on-disk WAL, non-nil only for OpenDir. See
-	// recovery.go.
-	durable *wal.DurableLog
+	// log is the write-ahead log, nil for a database without one: on
+	// disk for OpenDir (see recovery.go), or whatever AttachWAL
+	// installed before the first transaction. Never changes afterwards.
+	log *wal.DurableLog
 	// walJoiners counts the transactions that could still commit into a
-	// log flush being gathered: begun on the durable log, not declared
+	// log flush being gathered: begun on a FsyncBatch log, not declared
 	// read-only, not yet published, rolled back or prepared. The log
 	// reads it (wal.Config.Joiners) to decide whether a flush is worth
 	// holding back; see joinWAL/leaveWAL in recovery.go.
@@ -276,7 +273,7 @@ type DB struct {
 	// Checkpoint trigger state (see checkpoint.go). ckptMu guards the
 	// waiter list, the single-flight flag, and the last-checkpoint
 	// watermarks. Lock order: walMu → ckptMu → wal log locks (the
-	// trigger runs inside the marker path and reads durable.Stats under
+	// trigger runs inside the marker path and reads log.Stats under
 	// it); it is never held across checkpoint I/O — the checkpoint
 	// itself is written by a background goroutine (runCheckpoint).
 	ckptMu        sync.Mutex //ssi:lock level=45 name=pgssi.ckpt
@@ -328,10 +325,10 @@ func open(cfg Config, h testHooks) *DB {
 }
 
 // CreateTable creates a table with a primary B+-tree index over its keys.
-// Creating an existing table is an error. With the durable WAL open, the
-// creation is logged and made durable before CreateTable returns, so a
-// restart rebuilds the schema before replaying row changes (secondary
-// indexes are not logged; recreate them after OpenDir).
+// Creating an existing table is an error. With a WAL installed, the
+// creation is logged (and made durable) before CreateTable returns, so
+// a restart or a replica rebuilds the schema before applying row changes
+// (secondary indexes are not logged; recreate them after OpenDir).
 func (db *DB) CreateTable(name string) error {
 	db.mu.Lock()
 	if _, ok := db.tables[name]; ok {
@@ -350,8 +347,8 @@ func (db *DB) CreateTable(name string) error {
 		second: make(map[string]*secondaryIndex),
 	}
 	db.mu.Unlock()
-	if db.durable != nil {
-		if err := db.durable.Append(wal.Record{Seq: db.mvcc.CurrentSeq(), CreateTable: name}).Wait(); err != nil {
+	if db.log != nil {
+		if err := db.log.Append(wal.Record{Seq: db.mvcc.CurrentSeq(), CreateTable: name}).Wait(); err != nil {
 			// The creation never became durable (closed or poisoned
 			// log): undo the in-memory entry so the failure is not
 			// followed by a lying "already exists" on retry. A
@@ -429,26 +426,48 @@ func (db *DB) ActiveTransactions() int { return db.mvcc.ActiveCount() }
 // background truncation and, for non-serializable workloads, by Vacuum).
 func (db *DB) CommitLogSize() int { return db.mvcc.LogSize() }
 
-// AttachWAL directs commit records (and safe-snapshot markers) to log,
-// enabling log-shipping replication (§7.2).
-func (db *DB) AttachWAL(log *wal.Log) {
-	db.walMu.Lock()
-	defer db.walMu.Unlock()
-	db.walLog.Store(log)
+// AttachWAL installs log as the database's write-ahead log, enabling
+// log-shipping replication (§7.2) and checkpoints: commit records and
+// safe-snapshot markers go to it, and a schema record is logged first
+// for every table that already exists. It must be called before the
+// first transaction, on a database opened without a log (Open, not
+// OpenDir); wal.NewLog makes an in-memory one. The database owns the log
+// from then on: Close closes it.
+func (db *DB) AttachWAL(log *wal.DurableLog) error {
+	if db.log != nil {
+		return fmt.Errorf("pgssi: AttachWAL: the database already has a log")
+	}
+	if db.mvcc.CurrentSeq() != 0 || db.mvcc.ActiveCount() != 0 {
+		return fmt.Errorf("pgssi: AttachWAL after the first transaction")
+	}
+	for _, name := range db.tableNames() {
+		if err := log.Append(wal.Record{CreateTable: name}).Wait(); err != nil {
+			return fmt.Errorf("pgssi: AttachWAL: %w", err)
+		}
+	}
+	db.log = log
+	return nil
 }
 
-// WALStream returns the stream replicas subscribe to: the durable log
-// when one is open, else an attached in-memory log, else nil (this
-// database emits no WAL and cannot feed a replica). The server's
-// replication endpoint serves exactly this stream.
+// tableNames returns the names of the tables, sorted.
+func (db *DB) tableNames() []string {
+	db.mu.RLock()
+	names := make([]string, 0, len(db.tables))
+	for name := range db.tables {
+		names = append(names, name)
+	}
+	db.mu.RUnlock()
+	sort.Strings(names)
+	return names
+}
+
+// WALStream returns the stream replicas subscribe to: the database's
+// log, or nil if it has none (it then cannot feed a replica).
 func (db *DB) WALStream() wal.Stream {
-	if db.durable != nil {
-		return db.durable
+	if db.log == nil {
+		return nil
 	}
-	if log := db.walLog.Load(); log != nil {
-		return log
-	}
-	return nil
+	return db.log
 }
 
 // CurrentSeq returns the newest assigned commit sequence number: the
@@ -534,10 +553,11 @@ func (db *DB) RunTxAttempts(opts TxOptions, fn func(tx *Tx) error) (attempts int
 // Close shuts the database down: new transactions are rejected with
 // ErrClosed, the SSI epoch reclaimer is stopped (after a final
 // synchronous reclamation pass, so a quiesced DB retains no background
-// goroutine), and the WAL attachment is flushed and detached. In-flight
-// transactions may still commit or roll back, but their deferred
-// cleanup is not reclaimed; drain them first (as cmd/pgssid's graceful
-// shutdown does). Close is idempotent.
+// goroutine), and the WAL is flushed and closed. In-flight transactions
+// may still commit or roll back, but their deferred cleanup is not
+// reclaimed, and a commit with writes fails on the closed log; drain
+// them first (as cmd/pgssid's graceful shutdown does). Close is
+// idempotent.
 func (db *DB) Close() error {
 	if !db.closed.CompareAndSwap(false, true) {
 		return nil
@@ -546,32 +566,29 @@ func (db *DB) Close() error {
 	// and prevents new spawns, then runs one final synchronous pass so
 	// everything already reclaimable is dropped.
 	db.ssi.Close()
-	// Flush the WAL sinks: emit a final safe-snapshot marker if the
-	// system is quiescent and one is owed (a replica consuming the log
-	// can then serve serializable reads up to the shutdown point, §7.2)
-	// and detach the in-memory attachment.
+	if db.log == nil {
+		return nil
+	}
+	// Emit a final safe-snapshot marker if the system is quiescent and
+	// one is owed (a replica consuming the log can then serve
+	// serializable reads up to the shutdown point, §7.2).
 	db.walMu.Lock()
 	db.maybeEmitMarkerLocked()
-	db.walLog.Store(nil)
 	db.walMu.Unlock()
-	// Flush and close the durable WAL: the final flush syncs even in
-	// FsyncOff mode, so a cleanly closed database is durable regardless
-	// of fsync policy. Commits still in flight past this point fail
-	// their durability wait with wal.ErrClosed. Parked DB.Checkpoint
-	// waiters are failed too — a closed database will never reach
-	// another quiescent instant to serve them. An in-flight checkpoint
-	// writer finishes or fails against the closed log; Close returns
-	// only when it has, so that the directory can be reopened at once.
-	// (No writer can start from here on: the trigger runs under walMu
-	// and checks db.closed, which was set before the walMu section
-	// above.)
-	if db.durable != nil {
-		err := db.durable.Close()
-		db.failCheckpointWaiters(ErrClosed)
-		db.ckptWriter.Wait()
-		return err
-	}
-	return nil
+	// Flush and close the log: the final flush syncs even in FsyncOff
+	// mode, so a cleanly closed database is durable regardless of fsync
+	// policy. Commits still in flight past this point fail their
+	// durability wait with wal.ErrClosed. Parked DB.Checkpoint waiters
+	// are failed too — a closed database will never reach another
+	// quiescent instant to serve them. An in-flight checkpoint writer
+	// finishes or fails against the closed log; Close returns only when
+	// it has, so that the directory can be reopened at once. (No writer
+	// can start from here on: the trigger runs under walMu and checks
+	// db.closed, which was set before the walMu section above.)
+	err := db.log.Close()
+	db.failCheckpointWaiters(ErrClosed)
+	db.ckptWriter.Wait()
+	return err
 }
 
 // Vacuum removes dead tuple versions no longer visible to any possible

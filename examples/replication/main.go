@@ -13,18 +13,18 @@ import (
 )
 
 func main() {
-	walLog := wal.NewLog()
-
+	// The master's write-ahead log, here in memory: the stream the
+	// standby subscribes to, schema records included.
+	masterLog := wal.NewLog()
 	master := pgssi.Open(pgssi.Config{})
+	if err := master.AttachWAL(masterLog); err != nil {
+		log.Fatal(err)
+	}
 	if err := master.CreateTable("kv"); err != nil {
 		log.Fatal(err)
 	}
-	master.AttachWAL(walLog)
 
-	replica, err := pgssi.NewReplica(walLog, []string{"kv"})
-	if err != nil {
-		log.Fatal(err)
-	}
+	replica := pgssi.NewReplica(masterLog)
 	defer replica.Close()
 
 	// Commit a few transactions on the master. With no concurrency,
@@ -39,8 +39,9 @@ func main() {
 		}
 	}
 
-	// Wait for the standby to apply everything (5 commits + markers).
-	if err := replica.WaitApplied(walLog.Len()); err != nil {
+	// Wait for the standby to apply everything the master logged (the
+	// schema record, 5 commits, and their markers).
+	if err := replica.WaitApplied(int(masterLog.Stats().Appends)); err != nil {
 		log.Fatal(err)
 	}
 	applied, err := replica.AppliedRecords()

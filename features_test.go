@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pgssi"
-	"pgssi/internal/wal"
 )
 
 // Tests for the engine features of §4 (safe snapshots, deferrable
@@ -357,13 +356,8 @@ func TestMemoryBoundUnderLongRunningReader(t *testing.T) {
 }
 
 func TestReplicaSerializableReadsOnlyOnSafeSnapshots(t *testing.T) {
-	walLog := wal.NewLog()
-	db := pgssi.Open(pgssi.Config{})
-	mustExec(t, db.CreateTable("kv"))
-	db.AttachWAL(walLog)
-
-	rep, err := pgssi.NewReplica(walLog, []string{"kv"})
-	mustExec(t, err)
+	db, walLog := attachedDB(t)
+	rep := pgssi.NewReplica(walLog)
 	defer rep.Close()
 
 	for i := 0; i < 3; i++ {
@@ -372,7 +366,7 @@ func TestReplicaSerializableReadsOnlyOnSafeSnapshots(t *testing.T) {
 		})
 		mustExec(t, err)
 	}
-	rep.WaitApplied(walLog.Len())
+	rep.WaitApplied(logLen(walLog))
 
 	tx, err := rep.BeginReadOnly(pgssi.ReplicaTxOptions{Serializable: true, WaitSafe: true})
 	mustExec(t, err)
@@ -385,18 +379,16 @@ func TestReplicaSerializableReadsOnlyOnSafeSnapshots(t *testing.T) {
 }
 
 func TestWALEmitsSafeSnapshotMarkers(t *testing.T) {
-	walLog := wal.NewLog()
-	db := pgssi.Open(pgssi.Config{})
-	mustExec(t, db.CreateTable("kv"))
-	db.AttachWAL(walLog)
+	db, walLog := attachedDB(t)
 	err := db.RunTx(pgssi.TxOptions{Isolation: pgssi.Serializable}, func(tx *pgssi.Tx) error {
 		return tx.Insert("kv", "a", []byte("1"))
 	})
 	mustExec(t, err)
-	recs := walLog.Records()
-	if len(recs) != 2 {
-		t.Fatalf("expected commit + marker, got %d records", len(recs))
+	recs := logRecords(t, walLog)
+	if len(recs) != 3 || recs[0].CreateTable != "kv" {
+		t.Fatalf("expected schema record, commit, marker; got %+v", recs)
 	}
+	recs = recs[1:]
 	if recs[0].SafeSnapshot || !recs[1].SafeSnapshot {
 		t.Fatalf("expected marker after the commit record: %+v", recs)
 	}

@@ -291,20 +291,19 @@ func (b *replicaBackend) Rollback(h pgssi.Handle) pgssi.Status {
 func TestRouterServesOnlySafeSnapshots(t *testing.T) {
 	db := pgssi.Open(pgssi.Config{})
 	defer db.Close()
+	log := wal.NewLog()
+	if err := db.AttachWAL(log); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.CreateTable("kv"); err != nil {
 		t.Fatal(err)
 	}
-	log := wal.NewLog()
-	db.AttachWAL(log)
 
 	var reps []*pgssi.Replica
 	var backs []*replicaBackend
 	var members []Member
 	for i := 0; i < 2; i++ {
-		rep, err := pgssi.NewReplica(log, []string{"kv"})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := pgssi.NewReplica(log)
 		defer rep.Close()
 		b := newReplicaBackend(rep)
 		reps = append(reps, rep)

@@ -23,16 +23,27 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 	}
 }
 
+// attachedDB opens an in-memory database with an attached in-memory log
+// and the given tables; the test's cleanup closes it.
+func attachedDB(t *testing.T, tables ...string) *pgssi.DB {
+	t.Helper()
+	db := pgssi.Open(pgssi.Config{})
+	t.Cleanup(func() { db.Close() })
+	if err := db.AttachWAL(wal.NewLog()); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range tables {
+		if err := db.CreateTable(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
 // TestReplicationOverTCP streams a primary's WAL to a replica through a
 // real server connection and serves serializable reads from it.
 func TestReplicationOverTCP(t *testing.T) {
-	db := pgssi.Open(pgssi.Config{})
-	defer db.Close()
-	if err := db.CreateTable("kv"); err != nil {
-		t.Fatal(err)
-	}
-	db.AttachWAL(wal.NewLog())
-
+	db := attachedDB(t, "kv")
 	srv, _ := startServer(t, db, Config{})
 	defer srv.Shutdown()
 
@@ -46,14 +57,12 @@ func TestReplicationOverTCP(t *testing.T) {
 	}
 
 	src := &wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second}
-	rep, err := pgssi.NewReplica(src, []string{"kv"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := pgssi.NewReplica(src)
 	defer rep.Close()
 
-	// 3 commits + 3 safe markers (no concurrency on the master).
-	if err := rep.WaitApplied(6); err != nil {
+	// The schema record, 3 commits and 3 safe markers (no concurrency on
+	// the master).
+	if err := rep.WaitApplied(7); err != nil {
 		t.Fatal(err)
 	}
 	tx, err := rep.BeginReadOnly(pgssi.ReplicaTxOptions{Serializable: true, WaitSafe: true})
@@ -79,12 +88,7 @@ func TestReplicationOverTCP(t *testing.T) {
 // TestReplicaServerServesReadOnly fronts a replica with its own server
 // and checks the read-only session contract over the wire.
 func TestReplicaServerServesReadOnly(t *testing.T) {
-	db := pgssi.Open(pgssi.Config{})
-	defer db.Close()
-	if err := db.CreateTable("kv"); err != nil {
-		t.Fatal(err)
-	}
-	db.AttachWAL(wal.NewLog())
+	db := attachedDB(t, "kv")
 	srv, _ := startServer(t, db, Config{})
 	defer srv.Shutdown()
 
@@ -94,12 +98,10 @@ func TestReplicaServerServesReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := pgssi.NewReplica(&wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second}, []string{"kv"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := pgssi.NewReplica(&wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second})
 	defer rep.Close()
-	if err := rep.WaitApplied(2); err != nil {
+	// The schema record, the commit and its marker.
+	if err := rep.WaitApplied(3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -213,10 +215,7 @@ func TestReplicaHaltsOnNoReplication(t *testing.T) {
 	defer srv.Shutdown()
 
 	src := &wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second}
-	rep, err := pgssi.NewReplica(src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := pgssi.NewReplica(src)
 	defer rep.Close()
 	waitFor(t, 5*time.Second, func() bool { return rep.Err() != nil }, "halt on refused replication")
 	if !errors.Is(rep.Err(), pgssi.ErrReplicaHalted) {
@@ -256,10 +255,7 @@ func TestReplicaCatchesUpAcrossMasterRestart(t *testing.T) {
 	put(db, "a", "1")
 	put(db, "b", "2")
 
-	rep, err := pgssi.NewReplica(&wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := pgssi.NewReplica(&wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second})
 	defer rep.Close()
 	// Durable stream: schema record + 2 commits + 2 markers.
 	if err := rep.WaitApplied(5); err != nil {
@@ -327,10 +323,7 @@ func TestReplicaCatchesUpAcrossMasterRestart(t *testing.T) {
 // it must never quietly serve stale snapshots.
 func TestReplicaHaltReportedOverWire(t *testing.T) {
 	log := wal.NewLog()
-	rep, err := pgssi.NewReplica(log, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := pgssi.NewReplica(log)
 	defer rep.Close()
 	// A commit against a table the replica does not have: apply fails.
 	log.Append(wal.Record{Seq: 1, Xid: 1, Ops: []wal.Op{{Table: "nope", Key: "k", Value: []byte("v")}}})

@@ -331,6 +331,15 @@ func (s *Server) serveConn(c *conn) {
 	}
 }
 
+// servedLog is the log the replication endpoints serve: the primary's, or
+// nil in replica mode or for a database without one.
+func (s *Server) servedLog() *wal.DurableLog {
+	if s.db == nil {
+		return nil
+	}
+	return s.db.DurableWAL()
+}
+
 // serveReplication turns c into a WAL stream: it subscribes to the
 // primary's log from the requested position and forwards each record as
 // one frame (conn.writeRecord). The stream ends when the
@@ -338,11 +347,8 @@ func (s *Server) serveConn(c *conn) {
 // the log closes, the write fails, or a drain force-closes the
 // connection; the replica then reconnects from its applied position.
 func (s *Server) serveReplication(c *conn, afterSeq uint64) {
-	var stream wal.Stream
-	if s.db != nil {
-		stream = s.db.WALStream()
-	}
-	if stream == nil {
+	wl := s.servedLog()
+	if wl == nil {
 		c.respond(wire.Response{Status: pgssi.StatusNoReplication})
 		return
 	}
@@ -350,21 +356,14 @@ func (s *Server) serveReplication(c *conn, afterSeq uint64) {
 	// checkpoint GC floor is refused with StatusSeqTruncated — the
 	// records are gone, and the replica must fetch a checkpoint instead
 	// of waiting for a gap that can never fill.
-	var ch <-chan wal.Record
-	var cancel func()
-	if cs, ok := stream.(wal.CheckedStream); ok {
-		var serr error
-		ch, cancel, serr = cs.SubscribeFromChecked(mvcc.SeqNo(afterSeq))
-		if serr != nil {
-			st := pgssi.StatusInternal
-			if errors.Is(serr, wal.ErrSeqTruncated) {
-				st = pgssi.StatusSeqTruncated
-			}
-			c.respond(wire.Response{Status: st})
-			return
+	ch, cancel, err := wl.SubscribeFromChecked(mvcc.SeqNo(afterSeq))
+	if err != nil {
+		st := pgssi.StatusInternal
+		if errors.Is(err, wal.ErrSeqTruncated) {
+			st = pgssi.StatusSeqTruncated
 		}
-	} else {
-		ch, cancel = stream.SubscribeFrom(mvcc.SeqNo(afterSeq))
+		c.respond(wire.Response{Status: st})
+		return
 	}
 	defer cancel()
 	if c.respond(wire.Response{Status: pgssi.StatusOK}) != nil {
@@ -416,33 +415,25 @@ func (s *Server) serveReplication(c *conn, afterSeq uint64) {
 // client that sees the stream end without the terminator must treat the
 // checkpoint as torn and retry. StatusNotFound reports that the primary
 // has never checkpointed; StatusNoReplication that it emits no WAL
-// stream at all (replica mode, or no checkpoint-capable log).
+// stream at all (replica mode, or a database without a log).
 func (s *Server) serveCheckpoint(c *conn) {
-	var stream wal.Stream
-	if s.db != nil {
-		stream = s.db.WALStream()
-	}
-	cs, ok := stream.(wal.CheckpointSource)
-	if stream == nil || !ok {
+	wl := s.servedLog()
+	if wl == nil {
 		c.respond(wire.Response{Status: pgssi.StatusNoReplication})
 		return
 	}
 	// Probe before acknowledging, so "no checkpoint yet" is a clean
 	// status instead of a torn stream. Checkpoints only ever advance, so
 	// a positive probe cannot race to nothing below.
-	if ci, ok := cs.(interface {
-		CheckpointInfo() (wal.CheckpointInfo, bool)
-	}); ok {
-		if _, have := ci.CheckpointInfo(); !have {
-			c.respond(wire.Response{Status: pgssi.StatusNotFound})
-			return
-		}
+	if _, have := wl.CheckpointInfo(); !have {
+		c.respond(wire.Response{Status: pgssi.StatusNotFound})
+		return
 	}
 	if c.respond(wire.Response{Status: pgssi.StatusOK}) != nil {
 		return
 	}
 	c.SetReadDeadline(time.Time{})
-	info, err := cs.ReplayCheckpoint(c.writeRecord)
+	info, err := wl.ReplayCheckpoint(c.writeRecord)
 	if err != nil {
 		// Read failure on the checkpoint file or a dead connection: drop
 		// without the terminator; the client discards the torn seed.

@@ -97,14 +97,7 @@ func (p *severableProxy) Close() {
 // of them aborts, so sum >= 0 is the no-write-skew oracle.
 func TestReplicationSoak(t *testing.T) {
 	const pairs = 8
-	db := pgssi.Open(pgssi.Config{})
-	defer db.Close()
-	if err := db.CreateTable("acct"); err != nil {
-		t.Fatal(err)
-	}
-	walLog := wal.NewLog()
-	db.AttachWAL(walLog)
-
+	db := attachedDB(t, "acct")
 	err := db.RunTx(pgssi.TxOptions{Isolation: pgssi.Serializable}, func(tx *pgssi.Tx) error {
 		for i := 0; i < pairs; i++ {
 			if err := tx.Insert("acct", fmt.Sprintf("a%d", i), []byte("100")); err != nil {
@@ -125,17 +118,11 @@ func TestReplicationSoak(t *testing.T) {
 
 	// Replica 1 streams straight from the server; replica 2 streams
 	// through the severable proxy.
-	rep1, err := pgssi.NewReplica(&wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second}, []string{"acct"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep1 := pgssi.NewReplica(&wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second})
 	defer rep1.Close()
 	proxy := newSeverableProxy(t, srv.addr)
 	defer proxy.Close()
-	rep2, err := pgssi.NewReplica(&wire.ReplicaSource{Addr: proxy.l.Addr().String(), DialTimeout: 5 * time.Second}, []string{"acct"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := pgssi.NewReplica(&wire.ReplicaSource{Addr: proxy.l.Addr().String(), DialTimeout: 5 * time.Second})
 	defer rep2.Close()
 
 	stop := make(chan struct{})
@@ -282,7 +269,7 @@ func TestReplicationSoak(t *testing.T) {
 		}
 	}
 	t.Logf("soak: %d records at seq %d, reads %d/%d, primary rows %d",
-		walLog.Len(), want, reads[0].Load(), reads[1].Load(), len(wantRows))
+		db.WALStats().Appends, want, reads[0].Load(), reads[1].Load(), len(wantRows))
 }
 
 // TestReplicationReseedAfterGC is the truncation edge of the soak: a
@@ -322,10 +309,7 @@ func TestReplicationReseedAfterGC(t *testing.T) {
 	proxy := newSeverableProxy(t, srv.addr)
 	defer proxy.Close()
 
-	rep, err := pgssi.NewReplica(&wire.ReplicaSource{Addr: proxy.l.Addr().String(), DialTimeout: 5 * time.Second}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := pgssi.NewReplica(&wire.ReplicaSource{Addr: proxy.l.Addr().String(), DialTimeout: 5 * time.Second})
 	defer rep.Close()
 	waitFor(t, 10*time.Second, func() bool {
 		return rep.AppliedSeq() == uint64(db.CurrentSeq())

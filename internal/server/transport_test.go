@@ -242,8 +242,7 @@ func TestOneSyscallPerFrame(t *testing.T) {
 // record leave the server in one Write each.
 func TestOneWritePerStreamedRecord(t *testing.T) {
 	t.Run("replication", func(t *testing.T) {
-		db := scanTable(t, 0)
-		db.AttachWAL(wal.NewLog())
+		db := attachedDB(t, "kv")
 		l := listenCounting(t)
 		srv, _ := startServerOn(t, db, Config{}, l)
 		defer srv.Shutdown()
@@ -357,8 +356,7 @@ func TestRequestsHoweverTheyArrive(t *testing.T) {
 // whole checkpoint.
 func TestHijackWithBufferedBytes(t *testing.T) {
 	t.Run("replicate", func(t *testing.T) {
-		db := scanTable(t, 0)
-		db.AttachWAL(wal.NewLog())
+		db := attachedDB(t, "kv")
 		srv, _ := startServer(t, db, Config{})
 		defer srv.Shutdown()
 		nc := rawDial(t, srv.addr)

@@ -140,8 +140,14 @@ type Pending struct {
 func (p *Pending) Err() error { return p.err }
 
 // Wait blocks until the enqueued record is durable (see Ticket.Wait).
-// It must only be called after Enqueue.
-func (p *Pending) Wait() error { return p.ticket.Wait() }
+// It must only be called after Enqueue; a nil Pending (nothing was
+// logged) waits for nothing.
+func (p *Pending) Wait() error {
+	if p == nil {
+		return nil
+	}
+	return p.ticket.Wait()
+}
 
 // queued is one record in the flush queue: its encoded frame (what the
 // flusher writes), its decoded form (what subscribers receive), and the
@@ -233,6 +239,7 @@ type DurableLog struct {
 	curLastSeq uint64
 	filled     []segMeta // segments rotated away during the current batch
 	batch      Stats     // the current batch's share of the counters
+	spare      []queued  // the last batch's array, emptied: the next queue fills it
 }
 
 // Stats is a snapshot of the log's counters. Appends/Fsyncs is the
@@ -431,6 +438,12 @@ func (l *DurableLog) RecoveredRecords() int { return l.recovered }
 
 // Dir returns the directory the log lives in.
 func (l *DurableLog) Dir() string { return l.dir }
+
+// FS returns the filesystem the log lives on (a *MemFS for NewLog).
+func (l *DurableLog) FS() FS { return l.fs }
+
+// FsyncMode returns the log's acknowledgement/fsync policy.
+func (l *DurableLog) FsyncMode() FsyncMode { return l.cfg.Fsync }
 
 func (l *DurableLog) segPath(index uint64) string {
 	return filepath.Join(l.dir, segName(index))
@@ -651,7 +664,9 @@ func (l *DurableLog) enqueue(p *Pending, seq mvcc.SeqNo, wait bool) {
 	l.pending = append(l.pending, queued{frame: p.frame, rec: p.rec, ticket: p.ticket})
 	l.stats.Appends++
 	l.fanoutLocked(p.rec)
-	l.ring()
+	if l.dueLocked() {
+		l.ring()
+	}
 }
 
 // Append encodes and enqueues a record whose sequence number is already
@@ -671,9 +686,12 @@ func (l *DurableLog) AppendNoWait(rec Record) {
 	l.enqueue(l.PrepareRecord(rec), rec.Seq, false)
 }
 
-// fanoutLocked mirrors Log.fanoutLocked: non-blocking sends with
-// overflow-disconnect, so the committer holding the publication critical
-// section is never stalled by a subscriber.
+// fanoutLocked delivers r to every live subscriber with a send that
+// never blocks: a subscriber whose buffer is full (it stopped draining,
+// or died without cancelling) is disconnected — its channel closed — so
+// the committer holding the publication critical section is never
+// stalled by one (the replica treats a closed stream as "re-subscribe
+// and catch up"). l.mu orders the closes against Subscribe and cancel.
 func (l *DurableLog) fanoutLocked(r Record) {
 	live := l.subs[:0]
 	for _, ch := range l.subs {
@@ -693,7 +711,7 @@ func (l *DurableLog) fanoutLocked(r Record) {
 // Subscribe returns a channel that replays every record in the log (from
 // disk, plus any not yet flushed) and then streams new ones. Cancel
 // detaches and closes the channel; a subscriber that falls more than the
-// fan-out buffer behind is disconnected (see Log.Append — same policy).
+// fan-out buffer behind is disconnected (see fanoutLocked).
 func (l *DurableLog) Subscribe() (<-chan Record, func()) {
 	return l.SubscribeFrom(0)
 }
@@ -785,10 +803,9 @@ func (l *DurableLog) SubscribeFromChecked(after mvcc.SeqNo) (<-chan Record, func
 }
 
 // SyncBarrier blocks until everything enqueued before it is flushed and
-// fsynced (per the log's mode; FsyncOff waits for nothing), returning
-// the sticky flush error if the log is poisoned. Checkpointing uses it
-// to prove the log durable through the checkpoint sequence before any
-// segment is GC'd.
+// fsynced (FsyncOff: flushed, not synced), returning the sticky flush
+// error if the log is poisoned. Checkpointing uses it to prove the log
+// durable through the checkpoint sequence before any segment is GC'd.
 func (l *DurableLog) SyncBarrier() error {
 	l.mu.Lock()
 	if l.closed {
@@ -798,10 +815,6 @@ func (l *DurableLog) SyncBarrier() error {
 	if err := l.flushErr; err != nil {
 		l.mu.Unlock()
 		return err
-	}
-	if l.cfg.Fsync == FsyncOff {
-		l.mu.Unlock()
-		return nil
 	}
 	t := &Ticket{done: make(chan struct{})}
 	l.pending = append(l.pending, queued{barrier: true, ticket: t})

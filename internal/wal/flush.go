@@ -36,17 +36,32 @@ func (l *DurableLog) ring() {
 // a flush held back for them can go.
 func (l *DurableLog) JoinersDrained() { l.ring() }
 
+// lazyFlushFrames is how many frames an FsyncOff log queues before the
+// flusher takes them. Nobody waits for those records, and subscribers
+// are fed from the queue, so a flush per commit would only cost the
+// committer a wake-up.
+const lazyFlushFrames = 64
+
+// dueLocked reports whether the queue is ready to flush: it holds
+// anything, in a mode where somebody waits for its records; or, in
+// FsyncOff, lazyFlushFrames of them, a SyncBarrier, or a Close to drain.
+// Caller holds l.mu.
+func (l *DurableLog) dueLocked() bool {
+	return len(l.pending) > 0 && (l.cfg.Fsync != FsyncOff ||
+		len(l.pending) >= lazyFlushFrames || l.waiters > 0 || l.closed)
+}
+
 // flusher is the single group-commit flusher, alive from OpenDir to
-// Close: it parks on wake while the queue is empty, and otherwise takes
-// the whole queue as one batch, writes it, syncs it if somebody waits,
-// and resolves the batch's tickets. Committers that enqueue while a
-// batch is being synced pile up for the next one — that pile-up is the
-// group commit.
+// Close: it parks on wake until the queue is due (dueLocked), and then
+// takes the whole queue as one batch, writes it, syncs it if somebody
+// waits, and resolves the batch's tickets. Committers that enqueue while
+// a batch is being synced pile up for the next one — that pile-up is
+// the group commit.
 func (l *DurableLog) flusher() {
 	defer close(l.flusherDone)
 	for {
 		l.mu.Lock()
-		for len(l.pending) == 0 {
+		for !l.dueLocked() {
 			closed := l.closed
 			l.mu.Unlock()
 			if closed {
@@ -123,8 +138,10 @@ func (l *DurableLog) watchdog() {
 func (l *DurableLog) flush() {
 	l.mu.Lock()
 	batch := l.pending
-	sync := l.waiters > 0
-	l.pending, l.waiters = nil, 0
+	// An FsyncOff log never syncs before Close: a SyncBarrier there
+	// waits for the write alone.
+	sync := l.waiters > 0 && l.cfg.Fsync != FsyncOff
+	l.pending, l.waiters, l.spare = l.spare, 0, nil
 	l.inflight = batch
 	err := l.flushErr
 	l.mu.Unlock()
@@ -157,6 +174,8 @@ func (l *DurableLog) flush() {
 			close(q.ticket.done)
 		}
 	}
+	clear(batch)
+	l.spare = batch[:0]
 }
 
 // settleStatsLocked moves what the flusher counted since the last call

@@ -5,28 +5,25 @@
 // identify safe snapshots, so replicas can run serializable read-only
 // transactions without tracking read dependencies).
 //
-// Two implementations share the Record format and the Stream interface:
-//
-//   - Log is the in-memory logical log: nothing survives the process, it
-//     exists for replication plumbing (DB.AttachWAL).
-//   - DurableLog (durable.go) persists records to CRC-framed segment
-//     files with group-commit fsync batching and crash recovery; see
-//     docs/wal.md for the normative on-disk format.
+// There is one implementation, DurableLog (durable.go): CRC-framed
+// segment files with group-commit fsync batching, checkpoints that bound
+// the log, and crash recovery; docs/wal.md is the normative format. It
+// runs on an FS: the OS filesystem (OpenDir), or a MemFS for a log that
+// lives in memory and survives nothing (NewLog, DB.AttachWAL).
 //
 // Records are appended in commit-sequence order: the engine serializes
 // each commit's publication with its log append under one mutex (pgssi's
-// publishCommit, for both implementations), so a transaction that
-// observed another's writes always appears later in the log, and a
-// safe-snapshot marker always follows every commit record it covers.
-// Recovery replaying a prefix of the log therefore always reconstructs a
-// dependency-closed prefix of the committed history, and a subscriber
-// resuming from its newest applied commit sequence (SubscribeFrom)
-// never misses an earlier commit appended late.
+// publishCommit), so a transaction that observed another's writes always
+// appears later in the log, and a safe-snapshot marker always follows
+// every commit record it covers. Recovery replaying a prefix of the log
+// therefore always reconstructs a dependency-closed prefix of the
+// committed history, and a subscriber resuming from its newest applied
+// commit sequence (SubscribeFrom) never misses an earlier commit
+// appended late.
 package wal
 
 import (
 	"errors"
-	"sync"
 
 	"pgssi/internal/mvcc"
 )
@@ -61,10 +58,10 @@ type Record struct {
 	CreateTable string
 }
 
-// Stream is the subscription surface shared by the in-memory Log, the
-// DurableLog, and network sources (internal/wire's replication client):
-// Subscribe returns a channel that first replays every existing record
-// and then streams new ones, plus a cancel function that detaches the
+// Stream is the subscription surface shared by the DurableLog and
+// network sources (internal/wire's replication client): Subscribe
+// returns a channel that first replays every existing record and then
+// streams new ones, plus a cancel function that detaches the
 // subscription and closes the channel. SubscribeFrom resumes a
 // subscription from a commit-sequence position instead of the start:
 // it delivers commit records with Seq > after and marker/schema records
@@ -132,6 +129,13 @@ type CheckpointSource interface {
 	ReplayCheckpoint(fn func(Record) error) (CheckpointInfo, error)
 }
 
+// ReplicationSource is what a replica follows and re-seeds from: the
+// DurableLog in process, or internal/wire's ReplicaSource over TCP.
+type ReplicationSource interface {
+	CheckedStream
+	CheckpointSource
+}
+
 // deliverFrom reports whether rec belongs in a subscription resuming
 // after commit-sequence position `after` (see Stream.SubscribeFrom).
 func deliverFrom(rec Record, after mvcc.SeqNo) bool {
@@ -144,95 +148,20 @@ func deliverFrom(rec Record, after mvcc.SeqNo) bool {
 // subscriberBuffer is the per-subscriber fan-out buffer. A subscriber
 // that falls this many records behind the appender is disconnected (its
 // channel is closed) rather than allowed to block appends: an appender
-// must never be stalled by a slow or dead subscriber, because in the
-// durable path the append happens inside the commit critical section.
+// must never be stalled by a slow or dead subscriber, because the append
+// happens inside the commit critical section.
 const subscriberBuffer = 1024
 
-// Log is an in-memory WAL with replay-from-start subscriptions.
-type Log struct {
-	mu      sync.Mutex //ssi:lock level=20 name=wal.log
-	records []Record
-	subs    []chan Record
-}
-
-// NewLog returns an empty log.
-func NewLog() *Log {
-	return &Log{}
-}
-
-// Append adds a record and fans it out to subscribers. The send is
-// non-blocking: a subscriber whose buffer is full (it stopped draining,
-// or died without cancelling) is disconnected — its channel is closed
-// and it receives no further records — so an appender is never blocked
-// by a subscriber (overflow-disconnect policy; the replica tier treats a
-// closed stream as "re-subscribe and catch up").
-func (l *Log) Append(r Record) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.records = append(l.records, r)
-	l.fanoutLocked(r)
-}
-
-// fanoutLocked delivers r to every live subscriber, disconnecting any
-// whose buffer is full. Caller holds l.mu, which also orders the closes
-// against Subscribe/cancel.
-func (l *Log) fanoutLocked(r Record) {
-	live := l.subs[:0]
-	for _, ch := range l.subs {
-		select {
-		case ch <- r:
-			live = append(live, ch)
-		default:
-			close(ch)
-		}
+// NewLog returns an empty in-memory log: a DurableLog on a MemFS of its
+// own, in FsyncOff mode with 1 MiB segments. Nothing survives the
+// process; checkpoints bound its memory as they bound a disk log's
+// segments.
+func NewLog() *DurableLog {
+	l, err := OpenDir("/wal", Config{FS: NewMemFS(), Fsync: FsyncOff, SegmentSize: 1 << 20})
+	if err != nil {
+		panic(err) // an empty MemFS has nothing to fail on
 	}
-	// Zero the tail so dropped channels aren't retained by the backing
-	// array.
-	for i := len(live); i < len(l.subs); i++ {
-		l.subs[i] = nil
-	}
-	l.subs = live
-}
-
-// Subscribe returns a channel that first replays every existing record
-// and then streams new ones. The returned cancel function detaches the
-// subscription and closes the channel. The channel is also closed if the
-// subscriber falls more than the fan-out buffer behind (see Append).
-func (l *Log) Subscribe() (<-chan Record, func()) {
-	return l.SubscribeFrom(0)
-}
-
-// SubscribeFrom is Subscribe resuming from a commit-sequence position:
-// only records passing the Stream.SubscribeFrom filter are delivered,
-// both from the backlog and from the live stream.
-func (l *Log) SubscribeFrom(after mvcc.SeqNo) (<-chan Record, func()) {
-	ch := make(chan Record, subscriberBuffer)
-	l.mu.Lock()
-	var backlog []Record
-	for _, r := range l.records {
-		if deliverFrom(r, after) {
-			backlog = append(backlog, r)
-		}
-	}
-	l.subs = append(l.subs, ch)
-	l.mu.Unlock()
-
-	out := make(chan Record, 64)
-	done := make(chan struct{})
-	go forwardRecords(backlog, ch, out, done, after)
-
-	cancel := func() {
-		l.mu.Lock()
-		for i, s := range l.subs {
-			if s == ch {
-				l.subs = append(l.subs[:i], l.subs[i+1:]...)
-				break
-			}
-		}
-		l.mu.Unlock()
-		close(done)
-	}
-	return out, cancel
+	return l
 }
 
 // forwardRecords pumps a backlog and then a live channel into out,
@@ -267,20 +196,4 @@ func forwardRecords(backlog []Record, live <-chan Record, out chan<- Record, don
 			return
 		}
 	}
-}
-
-// Len returns the number of records appended so far.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.records)
-}
-
-// Records returns a copy of all records (for tests).
-func (l *Log) Records() []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Record, len(l.records))
-	copy(out, l.records)
-	return out
 }

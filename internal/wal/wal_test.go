@@ -7,13 +7,16 @@ import (
 
 func TestAppendAndRecords(t *testing.T) {
 	l := NewLog()
+	defer l.Close()
 	l.Append(Record{Seq: 1, Ops: []Op{{Table: "t", Key: "a", Value: []byte("1")}}})
 	l.Append(Record{Seq: 1, SafeSnapshot: true})
-	if l.Len() != 2 {
-		t.Fatalf("len = %d", l.Len())
+	if n := l.Stats().Appends; n != 2 {
+		t.Fatalf("appends = %d", n)
 	}
-	recs := l.Records()
-	if len(recs) != 2 || recs[1].SafeSnapshot != true || recs[0].Ops[0].Key != "a" {
+	ch, cancel := l.Subscribe()
+	defer cancel()
+	recs := collect(t, ch, 2)
+	if recs[1].SafeSnapshot != true || recs[0].Ops[0].Key != "a" {
 		t.Fatalf("records = %+v", recs)
 	}
 }

@@ -129,8 +129,7 @@ func (s *ReplicaSource) SubscribeFromChecked(after mvcc.SeqNo) (<-chan wal.Recor
 	return out, cancel, nil
 }
 
-var _ wal.CheckedStream = (*ReplicaSource)(nil)
-var _ wal.CheckpointSource = (*ReplicaSource)(nil)
+var _ wal.ReplicationSource = (*ReplicaSource)(nil)
 
 // handshake dials the primary and issues one stream-hijacking request
 // (OpReplicate or OpFetchCheckpoint), returning the connection with its

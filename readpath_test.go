@@ -309,7 +309,9 @@ func TestPinnedSnapshotSurvivesWriteTrimming(t *testing.T) {
 func TestReadPathsAgree(t *testing.T) {
 	db := newSessionDB(t, "t")
 	log := wal.NewLog()
-	db.AttachWAL(log)
+	if err := db.AttachWAL(log); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.CreateIndex("t", "byval", func(_ string, v []byte) (string, bool) { return string(v), true }); err != nil {
 		t.Fatal(err)
 	}
@@ -415,12 +417,9 @@ func TestReadPathsAgree(t *testing.T) {
 		}
 	}
 	levels("primary")
-	rep, err := NewReplica(log, []string{"t"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := NewReplica(log)
 	defer rep.Close()
-	if err := rep.WaitApplied(log.Len()); err != nil {
+	if err := rep.WaitApplied(int(log.Stats().Appends)); err != nil {
 		t.Fatal(err)
 	}
 	verify("replica", func() *Tx {

@@ -8,8 +8,8 @@ import (
 	"pgssi/internal/wal"
 )
 
-// Durable WAL wiring: OpenDir recovery on the way in, and the commit
-// path's append-before-acknowledge on the way out.
+// WAL wiring: OpenDir recovery on the way in, and the commit path's
+// append-before-acknowledge on the way out.
 //
 // The commit path is split in two:
 //
@@ -19,9 +19,12 @@ import (
 //     here, before anything is published.
 //   - publishCommit (tx.go) publishes the commit and, still holding
 //     db.walMu, stamps the assigned CSN into the record and enqueues it
-//     (Enqueue reserves the record's log position); walFinish then waits
-//     for the group-commit fsync that covers it before Commit returns —
-//     the durability contract: an acknowledged commit survives a crash.
+//     (Enqueue reserves the record's log position); Commit then waits
+//     for the group-commit fsync that covers it (Pending.Wait) before it
+//     returns — the durability contract: an acknowledged commit survives
+//     a crash. A durability failure is returned to the committer: the
+//     commit is visible in memory, but the log is poisoned and every
+//     later commit fails the same way.
 //
 // walMu orders the enqueues in commit-sequence order, which implies
 // dependency order: a transaction that read this one's writes can only
@@ -56,18 +59,20 @@ func openDir(dir string, cfg Config, h testHooks) (*DB, error) {
 	}
 	// Load the checkpoint, then replay the suffix, both before installing
 	// the log on the DB: replayed transactions run down the ordinary
-	// commit path, and with db.durable still nil they do not re-log
+	// commit path, and with db.log still nil they do not re-log
 	// themselves.
-	ckptRecords, err := db.loadCheckpoint(wl)
+	replay := func(rec wal.Record) error { return applyRecord(db, rec, true) }
+	ckpt, err := wl.ReplayCheckpoint(replay)
+	if errors.Is(err, wal.ErrNoCheckpoint) {
+		err = nil
+	}
+	if err == nil {
+		err = wl.Replay(replay)
+	}
 	if err != nil {
 		wl.Close()
 		db.Close()
-		return nil, fmt.Errorf("pgssi: checkpoint load: %w", err)
-	}
-	if err := db.replayWAL(wl); err != nil {
-		wl.Close()
-		db.Close()
-		return nil, fmt.Errorf("pgssi: WAL replay: %w", err)
+		return nil, fmt.Errorf("pgssi: WAL recovery: %w", err)
 	}
 	// Seed the engine's sequence state from the recovered log position.
 	// Replay runs replayed commits through the ordinary commit path, so
@@ -76,7 +81,7 @@ func openDir(dir string, cfg Config, h testHooks) (*DB, error) {
 	// high-water mark; a new commit would then reuse a logged CSN.
 	db.mvcc.AdvanceSeq(mvcc.SeqNo(wl.RecoveredMaxSeq()))
 	db.markerSeq.Store(wl.RecoveredMarkerSeq())
-	db.recoveredRecords = ckptRecords + wl.RecoveredRecords()
+	db.recoveredRecords = ckpt.Records + wl.RecoveredRecords()
 	// Seed the checkpoint trigger's watermarks so a reopened database
 	// does not immediately re-checkpoint state the recovered checkpoint
 	// already covers.
@@ -84,35 +89,23 @@ func openDir(dir string, cfg Config, h testHooks) (*DB, error) {
 		db.ckptLastSeq = uint64(info.Seq)
 	}
 	db.ckptLastBytes = wl.Stats().BytesWritten
-	db.durable = wl
+	db.log = wl
 	return db, nil
 }
 
-// loadCheckpoint folds the newest complete checkpoint's records into the
-// (empty) database, returning how many records it applied (0 if no
-// checkpoint exists).
-func (db *DB) loadCheckpoint(wl *wal.DurableLog) (int, error) {
-	info, err := wl.ReplayCheckpoint(db.applyRecoveredRecord)
-	if errors.Is(err, wal.ErrNoCheckpoint) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	return info.Records, nil
-}
-
-// replayWAL applies every recovered post-checkpoint record to the
-// database. Each commit record is applied as one snapshot-isolation
+// applyRecord folds one log record — recovered from a checkpoint or the
+// log, or streamed to a replica — into db through the ordinary commit
+// path: a schema record creates its table (unless a redelivery finds it
+// there), and a commit record is applied as one snapshot-isolation
 // transaction, so a replayed prefix is exactly the state those
-// transactions produced.
-func (db *DB) replayWAL(wl *wal.DurableLog) error {
-	return wl.Replay(db.applyRecoveredRecord)
-}
-
-// applyRecoveredRecord folds one recovered record (from a checkpoint or
-// the log suffix) into storage through the ordinary commit path.
-func (db *DB) applyRecoveredRecord(rec wal.Record) error {
+// transactions produced. A commit record carries each key's final
+// version: a key both inserted and deleted in one transaction logs a
+// delete for a row never seen, so ErrNotFound is the one tolerable
+// outcome of a delete. createTables recreates a table a commit record
+// names but no schema record made (a log written before schema logging,
+// or a commit that raced CreateTable's record), so recovery loses no
+// row; a replica instead fails, and halts, on such a record.
+func applyRecord(db *DB, rec wal.Record, createTables bool) error {
 	switch {
 	case rec.SafeSnapshot:
 		return nil
@@ -121,47 +114,42 @@ func (db *DB) applyRecoveredRecord(rec wal.Record) error {
 			return nil
 		}
 		return db.CreateTable(rec.CreateTable)
-	default:
-		tx, err := db.Begin(TxOptions{Isolation: RepeatableRead})
+	}
+	tx, err := db.Begin(TxOptions{Isolation: RepeatableRead})
+	if err != nil {
+		return err
+	}
+	for _, op := range rec.Ops {
+		if _, err = db.table(op.Table); err != nil && createTables {
+			err = db.CreateTable(op.Table)
+		}
+		if err == nil && op.Delete {
+			if err = tx.Delete(op.Table, op.Key); errors.Is(err, ErrNotFound) {
+				err = nil
+			}
+		} else if err == nil {
+			err = tx.Put(op.Table, op.Key, op.Value)
+		}
 		if err != nil {
+			tx.Rollback()
 			return err
 		}
-		for _, op := range rec.Ops {
-			if _, terr := db.table(op.Table); terr != nil {
-				// A pre-schema-logging log, or a table whose
-				// create-table record was cut off with its tail:
-				// recreate it so the row data is not lost.
-				if cerr := db.CreateTable(op.Table); cerr != nil {
-					tx.Rollback()
-					return cerr
-				}
-			}
-			if op.Delete {
-				if derr := tx.Delete(op.Table, op.Key); derr != nil && !errors.Is(derr, ErrNotFound) {
-					tx.Rollback()
-					return derr
-				}
-			} else if perr := tx.Put(op.Table, op.Key, op.Value); perr != nil {
-				tx.Rollback()
-				return perr
-			}
-		}
-		return tx.Commit()
 	}
+	return tx.Commit()
 }
 
 // walPrepare encodes tx's commit record ahead of the commit-sequence
 // assignment and keeps it on tx for publishCommit. Returns (nil, nil) —
-// nothing will be logged — when the WAL is not durable or the
-// transaction wrote nothing. A record the log cannot accept (its frame
-// would exceed wal.MaxRecordSize, which recovery could never read back)
-// fails here, BEFORE the commit is published: the transaction must
-// abort rather than commit in memory only.
+// nothing will be logged — when the DB has no WAL or the transaction
+// wrote nothing. A record the log cannot accept (its frame would exceed
+// wal.MaxRecordSize, which recovery could never read back) fails here,
+// BEFORE the commit is published: the transaction must abort rather
+// than commit unlogged.
 func (db *DB) walPrepare(tx *Tx) (*wal.Pending, error) {
-	if db.durable == nil || len(tx.writes) == 0 {
+	if db.log == nil || len(tx.writes) == 0 {
 		return nil, nil
 	}
-	p := db.durable.PrepareRecord(db.buildWALRecord(tx))
+	p := db.log.PrepareRecord(db.buildWALRecord(tx))
 	if err := p.Err(); err != nil {
 		return nil, fmt.Errorf("pgssi: commit record: %w", err)
 	}
@@ -171,7 +159,7 @@ func (db *DB) walPrepare(tx *Tx) (*wal.Pending, error) {
 
 // buildWALRecord assembles tx's commit record from its write set.
 func (db *DB) buildWALRecord(tx *Tx) wal.Record {
-	rec := wal.Record{Xid: tx.xid}
+	rec := wal.Record{Xid: tx.xid, Ops: make([]wal.Op, 0, len(tx.writes))}
 	for wk, vs := range tx.writes {
 		last := vs[len(vs)-1]
 		rec.Ops = append(rec.Ops, wal.Op{
@@ -190,7 +178,7 @@ func (db *DB) buildWALRecord(tx *Tx) wal.Record {
 // transaction manager records a yes-vote — CommitPrepared must not be
 // the first place the oversize surfaces.
 func (db *DB) walValidate(tx *Tx) error {
-	if db.durable == nil || len(tx.writes) == 0 {
+	if db.log == nil || len(tx.writes) == 0 {
 		return nil
 	}
 	if err := wal.ValidateRecord(db.buildWALRecord(tx)); err != nil {
@@ -201,10 +189,10 @@ func (db *DB) walValidate(tx *Tx) error {
 
 // joinWAL counts tx among the transactions a log flush may be held back
 // for (wal.Config.Joiners): one that may yet write and commit. A declared
-// read-only transaction never logs, and a database without a durable log
-// has no flush to hold.
+// read-only transaction never logs, and only a FsyncBatch log ever holds
+// a flush back.
 func (db *DB) joinWAL(tx *Tx) {
-	if db.durable != nil && !tx.readOnly {
+	if db.log != nil && !tx.readOnly && db.log.FsyncMode() == wal.FsyncBatch {
 		tx.joiner = true
 		db.walJoiners.Add(1)
 	}
@@ -221,22 +209,8 @@ func (db *DB) leaveWAL(tx *Tx) {
 	}
 	tx.joiner = false
 	if db.walJoiners.Add(-1) == 0 {
-		db.durable.JoinersDrained()
+		db.log.JoinersDrained()
 	}
-}
-
-// walFinish completes the durable commit path after the MVCC commit
-// published: wait out the group-commit fsync covering tx's record (the
-// safe-snapshot marker, if the commit left the system quiescent, was
-// already emitted by publishCommit; markers are never waited on). A
-// durability failure is returned to the committer — the commit is
-// visible in memory, but the log is poisoned and every later commit
-// will fail the same way.
-func (db *DB) walFinish(pend *wal.Pending) error {
-	if pend == nil {
-		return nil
-	}
-	return pend.Wait()
 }
 
 // WALRecoveredRecords reports how many records OpenDir recovered:
@@ -246,17 +220,17 @@ func (db *DB) WALRecoveredRecords() int {
 	return db.recoveredRecords
 }
 
-// WALStats returns the durable WAL's counters (zero value for a
-// non-durable DB). Stats.Appends/Stats.Fsyncs is the group-commit
-// amortization ratio.
+// WALStats returns the WAL's counters (zero value for a DB without
+// one). Stats.Appends/Stats.Fsyncs is the group-commit amortization
+// ratio.
 func (db *DB) WALStats() wal.Stats {
-	if db.durable == nil {
+	if db.log == nil {
 		return wal.Stats{}
 	}
-	return db.durable.Stats()
+	return db.log.Stats()
 }
 
-// DurableWAL returns the on-disk WAL, or nil if the DB was not opened
-// with one. Replicas subscribe to it directly (it implements
-// wal.Stream).
-func (db *DB) DurableWAL() *wal.DurableLog { return db.durable }
+// DurableWAL returns the WAL — OpenDir's, or the one AttachWAL
+// installed — or nil if the DB has none. Replicas subscribe to it
+// directly (it implements wal.Stream).
+func (db *DB) DurableWAL() *wal.DurableLog { return db.log }

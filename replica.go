@@ -18,9 +18,10 @@ import (
 // Weaker-isolation (snapshot) reads are allowed at any applied position,
 // matching "they can simply run at a weaker isolation level".
 //
-// The record source may be in process (the in-memory wal.Log, a
-// DB.DurableWAL) or remote (internal/wire's ReplicaSource, streaming
-// from a pgssid master over TCP). When the source's channel closes —
+// The record source may be in process (a wal.DurableLog: DB.DurableWAL,
+// on disk or in memory) or remote (internal/wire's ReplicaSource,
+// streaming from a pgssid master over TCP). The schema arrives in the
+// stream as schema records. When the source's channel closes —
 // the subscriber fell behind the fan-out buffer, the master restarted,
 // or the network dropped — the replica re-subscribes from its applied
 // commit-sequence position and catches up; records it already applied
@@ -35,8 +36,7 @@ import (
 // "safe" snapshots from it would be silent corruption.
 type Replica struct {
 	db     *DB
-	src    wal.Stream
-	tables []string // pre-created tables, replayed into a re-seeded engine too
+	src    wal.ReplicationSource
 	stopCh chan struct{}
 	done   chan struct{}
 
@@ -71,35 +71,23 @@ type ReplicaTxOptions struct {
 	WaitSafe bool
 }
 
-// NewReplica creates a standby that replays log and mirrors the schema of
-// the given tables. The log may be the in-memory wal.Log, a durable
-// wal.DurableLog (DB.DurableWAL), or a network source (wire's
-// ReplicaSource); tables recorded in the stream are created
-// automatically. A fresh replica on an uncheckpointed stream catches up
-// from the beginning of the log; when the source's history has been
-// truncated by checkpoint GC (wal.ErrSeqTruncated) the replica seeds
-// itself from the source's newest checkpoint instead
-// (wal.CheckpointSource) and resumes from the checkpoint sequence.
-func NewReplica(log wal.Stream, tables []string) (*Replica, error) {
-	db := Open(Config{})
-	for _, t := range tables {
-		if err := db.CreateTable(t); err != nil {
-			// Close the engine on the error path or its epoch-reclaimer
-			// goroutine (and everything else Open started) leaks.
-			db.Close()
-			return nil, err
-		}
-	}
+// NewReplica creates a standby that replays log: a wal.DurableLog
+// (DB.DurableWAL) or a network source (wire's ReplicaSource). Tables are
+// created as their schema records arrive. A fresh replica on an
+// uncheckpointed stream catches up from the beginning of the log; when
+// the source's history has been truncated by checkpoint GC
+// (wal.ErrSeqTruncated) the replica seeds itself from the source's
+// newest checkpoint instead and resumes from the checkpoint sequence.
+func NewReplica(log wal.ReplicationSource) *Replica {
 	r := &Replica{
-		db:     db,
+		db:     Open(Config{}),
 		src:    log,
-		tables: append([]string(nil), tables...),
 		stopCh: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	go r.run()
-	return r, nil
+	return r
 }
 
 // run drives the subscribe / apply / re-subscribe cycle until the
@@ -120,7 +108,7 @@ func (r *Replica) run() {
 		before := r.applied
 		r.mu.Unlock()
 
-		ch, cancel, serr := r.subscribe(after)
+		ch, cancel, serr := r.src.SubscribeFromChecked(after)
 		if errors.Is(serr, wal.ErrSeqTruncated) {
 			// The source GC'd the records between our position and its
 			// checkpoint: the gap is real and waiting cannot fill it.
@@ -184,19 +172,6 @@ func (r *Replica) run() {
 	}
 }
 
-// subscribe resumes the stream from after, preferring the
-// truncation-aware variant: a source that implements wal.CheckedStream
-// reports wal.ErrSeqTruncated when `after` fell below its GC floor,
-// which run turns into a checkpoint re-seed. Plain sources (the
-// in-memory wal.Log) cannot truncate and never fail.
-func (r *Replica) subscribe(after mvcc.SeqNo) (<-chan wal.Record, func(), error) {
-	if cs, ok := r.src.(wal.CheckedStream); ok {
-		return cs.SubscribeFromChecked(after)
-	}
-	ch, cancel := r.src.SubscribeFrom(after)
-	return ch, cancel, nil
-}
-
 // reseed rebuilds the replica's engine from the source's newest
 // checkpoint: a fresh engine is loaded off to the side (readers keep
 // serving the old state), then swapped in under r.mu with the applied
@@ -204,24 +179,14 @@ func (r *Replica) subscribe(after mvcc.SeqNo) (<-chan wal.Record, func(), error)
 // a safe-snapshot marker by construction, so the seeded position is
 // immediately safe for serializable reads.
 func (r *Replica) reseed() error {
-	cs, ok := r.src.(wal.CheckpointSource)
-	if !ok {
-		return fmt.Errorf("source cannot serve a checkpoint: %w", wal.ErrNoCheckpoint)
-	}
 	db := Open(Config{})
-	for _, t := range r.tables {
-		if err := db.CreateTable(t); err != nil {
-			db.Close()
-			return err
-		}
-	}
 	applied := 0
-	info, err := cs.ReplayCheckpoint(func(rec wal.Record) error {
+	info, err := r.src.ReplayCheckpoint(func(rec wal.Record) error {
 		if rec.SafeSnapshot {
 			return nil
 		}
 		applied++
-		return applyStreamRecord(db, rec)
+		return applyRecord(db, rec, false)
 	})
 	if err != nil {
 		db.Close()
@@ -276,8 +241,11 @@ func (r *Replica) applyLoop(ch <-chan wal.Record, resume bool) bool {
 			r.mu.Unlock()
 			continue
 		}
+		// A failed apply means the replica has diverged: it halts rather
+		// than keep serving. r.mu serializes the apply against
+		// snapshot-taking readers.
 		if !rec.SafeSnapshot {
-			if err := r.applyRecord(rec); err != nil {
+			if err := applyRecord(r.db, rec, false); err != nil {
 				r.err = fmt.Errorf("%w: record seq %d: %v", ErrReplicaHalted, rec.Seq, err)
 				r.cond.Broadcast()
 				r.mu.Unlock()
@@ -337,49 +305,6 @@ func (r *Replica) duplicateLocked(rec wal.Record) bool {
 		return err == nil
 	}
 	return false
-}
-
-// applyRecord applies one transaction's ops (or one schema record),
-// reporting any failure — a failed apply means the replica has diverged
-// and must halt rather than keep serving. Caller holds r.mu, which also
-// serializes appliers against snapshot-taking readers.
-func (r *Replica) applyRecord(rec wal.Record) error {
-	return applyStreamRecord(r.db, rec)
-}
-
-// applyStreamRecord applies one stream record to db (the replica's live
-// engine, or the fresh engine a re-seed is loading).
-func applyStreamRecord(db *DB, rec wal.Record) error {
-	if rec.CreateTable != "" {
-		if _, err := db.table(rec.CreateTable); err == nil {
-			return nil // pre-created via NewReplica's tables argument
-		}
-		return db.CreateTable(rec.CreateTable)
-	}
-	tx, err := db.Begin(TxOptions{Isolation: RepeatableRead})
-	if err != nil {
-		return err
-	}
-	for _, op := range rec.Ops {
-		switch {
-		case op.Delete:
-			// A commit record carries each key's final version: a key
-			// both inserted and deleted in one transaction logs a delete
-			// for a row the replica never saw, so ErrNotFound is the one
-			// tolerable outcome (recovery replay tolerates it the same
-			// way).
-			if err := tx.Delete(op.Table, op.Key); err != nil && !errors.Is(err, ErrNotFound) {
-				tx.Rollback()
-				return err
-			}
-		default:
-			if err := tx.Put(op.Table, op.Key, op.Value); err != nil {
-				tx.Rollback()
-				return err
-			}
-		}
-	}
-	return tx.Commit()
 }
 
 // BeginReadOnly starts a read-only transaction on the replica. With

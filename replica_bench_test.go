@@ -34,11 +34,13 @@ func benchFleetRead(b *testing.B, replicas int) {
 	const keys = 4096
 	db := pgssi.Open(pgssi.Config{})
 	defer db.Close()
+	walLog := wal.NewLog()
+	if err := db.AttachWAL(walLog); err != nil {
+		b.Fatal(err)
+	}
 	if err := db.CreateTable("kv"); err != nil {
 		b.Fatal(err)
 	}
-	walLog := wal.NewLog()
-	db.AttachWAL(walLog)
 	for i := 0; i < keys; i += 128 {
 		err := db.RunTx(pgssi.TxOptions{Isolation: pgssi.Serializable}, func(tx *pgssi.Tx) error {
 			for j := i; j < i+128; j++ {
@@ -55,12 +57,9 @@ func benchFleetRead(b *testing.B, replicas int) {
 
 	var members []router.Member
 	for r := 0; r < replicas; r++ {
-		rep, err := pgssi.NewReplica(walLog, []string{"kv"})
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := pgssi.NewReplica(walLog)
 		defer rep.Close()
-		if err := rep.WaitApplied(walLog.Len()); err != nil {
+		if err := rep.WaitApplied(logLen(walLog)); err != nil {
 			b.Fatal(err)
 		}
 		members = append(members, router.Member{

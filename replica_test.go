@@ -3,7 +3,6 @@ package pgssi_test
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -17,8 +16,7 @@ import (
 // observable — never a silently stale read.
 func TestReplicaHaltsOnApplyError(t *testing.T) {
 	log := wal.NewLog()
-	rep, err := pgssi.NewReplica(log, nil)
-	mustExec(t, err)
+	rep := pgssi.NewReplica(log)
 	defer rep.Close()
 
 	// A commit against a table the replica does not have fails to apply.
@@ -56,46 +54,23 @@ func TestReplicaHaltsOnApplyError(t *testing.T) {
 	}
 }
 
-// TestNewReplicaErrorPathClosesEngine pins the construction error path:
-// a failed NewReplica must not leak its engine's background goroutines
-// (the epoch reclaimer, most notably).
-func TestNewReplicaErrorPathClosesEngine(t *testing.T) {
-	log := wal.NewLog()
-	runtime.GC()
-	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		// Duplicate table names make the second CreateTable fail.
-		if _, err := pgssi.NewReplica(log, []string{"kv", "kv"}); err == nil {
-			t.Fatal("NewReplica with duplicate tables succeeded")
-		}
-	}
-	// Engine shutdown is synchronous in Close, but give the runtime a
-	// moment to reap anything in flight before counting.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.GC()
-		if g := runtime.NumGoroutine(); g <= before+5 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d across 50 failed NewReplica calls: engine leaked",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+// attachedDB opens an in-memory database with table kv and an attached
+// in-memory log, and returns both.
+func attachedDB(t *testing.T) (*pgssi.DB, *wal.DurableLog) {
+	t.Helper()
+	walLog := wal.NewLog()
+	db := pgssi.Open(pgssi.Config{})
+	t.Cleanup(func() { db.Close() })
+	mustExec(t, db.AttachWAL(walLog))
+	mustExec(t, db.CreateTable("kv"))
+	return db, walLog
 }
 
 // TestReplicaSeqPositions pins AppliedSeq/SafeSeq: they track the
 // master's commit sequence and converge at quiescence.
 func TestReplicaSeqPositions(t *testing.T) {
-	walLog := wal.NewLog()
-	db := pgssi.Open(pgssi.Config{})
-	defer db.Close()
-	mustExec(t, db.CreateTable("kv"))
-	db.AttachWAL(walLog)
-
-	rep, err := pgssi.NewReplica(walLog, []string{"kv"})
-	mustExec(t, err)
+	db, walLog := attachedDB(t)
+	rep := pgssi.NewReplica(walLog)
 	defer rep.Close()
 	if rep.AppliedSeq() != 0 || rep.SafeSeq() != 0 {
 		t.Fatalf("fresh replica at %d/%d, want 0/0", rep.AppliedSeq(), rep.SafeSeq())
@@ -106,7 +81,7 @@ func TestReplicaSeqPositions(t *testing.T) {
 			return tx.Insert("kv", fmt.Sprintf("k%d", i), []byte("v"))
 		}))
 	}
-	mustExec(t, rep.WaitApplied(walLog.Len()))
+	mustExec(t, rep.WaitApplied(logLen(walLog)))
 	if rep.AppliedSeq() != 3 || rep.SafeSeq() != 3 {
 		t.Fatalf("replica at %d/%d after 3 commits, want 3/3", rep.AppliedSeq(), rep.SafeSeq())
 	}
@@ -119,14 +94,8 @@ func TestReplicaSeqPositions(t *testing.T) {
 // concurrent transactions complete, however they end). Without the
 // abort-path marker the deferrable begin below blocks forever.
 func TestAbortCompletesSafeSnapshot(t *testing.T) {
-	walLog := wal.NewLog()
-	db := pgssi.Open(pgssi.Config{})
-	defer db.Close()
-	mustExec(t, db.CreateTable("kv"))
-	db.AttachWAL(walLog)
-
-	rep, err := pgssi.NewReplica(walLog, []string{"kv"})
-	mustExec(t, err)
+	db, walLog := attachedDB(t)
+	rep := pgssi.NewReplica(walLog)
 	defer rep.Close()
 
 	// loser is concurrent with the commit of winner, so winner's commit
@@ -138,8 +107,9 @@ func TestAbortCompletesSafeSnapshot(t *testing.T) {
 		return tx.Put("kv", "winner", []byte("1"))
 	}))
 
-	// The replica applies the commit but has no safe point past it yet.
-	mustExec(t, rep.WaitApplied(1))
+	// The replica applies the commit (after the schema record) but has
+	// no safe point past it yet.
+	mustExec(t, rep.WaitApplied(2))
 	if rep.SafeSeq() >= rep.AppliedSeq() {
 		t.Fatalf("expected replica past its safe point (applied %d, safe %d)", rep.AppliedSeq(), rep.SafeSeq())
 	}
@@ -178,14 +148,8 @@ func TestAbortCompletesSafeSnapshot(t *testing.T) {
 // a safe snapshot. Run under -race this also exercises the apply-loop /
 // reader synchronization.
 func TestReplicaWaitSafeUnderWorkload(t *testing.T) {
-	walLog := wal.NewLog()
-	db := pgssi.Open(pgssi.Config{})
-	defer db.Close()
-	mustExec(t, db.CreateTable("kv"))
-	db.AttachWAL(walLog)
-
-	rep, err := pgssi.NewReplica(walLog, []string{"kv"})
-	mustExec(t, err)
+	db, walLog := attachedDB(t)
+	rep := pgssi.NewReplica(walLog)
 	defer rep.Close()
 
 	stop := make(chan struct{})
@@ -225,19 +189,14 @@ func TestReplicaWaitSafeUnderWorkload(t *testing.T) {
 // TestReplicaSessionRefusesWrites pins the replica session contract
 // over the shared session surface.
 func TestReplicaSessionRefusesWrites(t *testing.T) {
-	walLog := wal.NewLog()
-	db := pgssi.Open(pgssi.Config{})
-	defer db.Close()
-	mustExec(t, db.CreateTable("kv"))
-	db.AttachWAL(walLog)
+	db, walLog := attachedDB(t)
 	mustExec(t, db.RunTx(pgssi.TxOptions{Isolation: pgssi.Serializable}, func(tx *pgssi.Tx) error {
 		return tx.Insert("kv", "k", []byte("v"))
 	}))
 
-	rep, err := pgssi.NewReplica(walLog, []string{"kv"})
-	mustExec(t, err)
+	rep := pgssi.NewReplica(walLog)
 	defer rep.Close()
-	mustExec(t, rep.WaitApplied(2))
+	mustExec(t, rep.WaitApplied(logLen(walLog)))
 
 	sess := rep.NewSession()
 	defer sess.Close()

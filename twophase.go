@@ -101,7 +101,7 @@ func (db *DB) CommitPrepared(gid string) error {
 	}
 	tx.done = true
 	tx.prepared = false
-	return db.walFinish(pend)
+	return pend.Wait()
 }
 
 // RollbackPrepared rolls back the prepared transaction gid (a user or

@@ -70,11 +70,11 @@ func (db *DB) Begin(opts TxOptions) (*Tx, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	// A poisoned durable log can never acknowledge another commit:
-	// refuse new transactions up front (ErrWALPoisoned) instead of
-	// letting each one run to a walFinish that is guaranteed to fail.
-	if db.durable != nil {
-		if perr := db.durable.PoisonErr(); perr != nil {
+	// A poisoned log can never acknowledge another commit: refuse new
+	// transactions up front (ErrWALPoisoned) instead of letting each one
+	// run to a durability wait that is guaranteed to fail.
+	if db.log != nil {
+		if perr := db.log.PoisonErr(); perr != nil {
 			return nil, fmt.Errorf("%w: %v", ErrWALPoisoned, perr)
 		}
 	}
@@ -201,12 +201,11 @@ func (tx *Tx) checkUsable(write bool) error {
 // serialization check may fail, in which case the transaction is rolled
 // back and a serialization failure is returned: retry the transaction.
 //
-// With the durable WAL open (OpenDir), Commit returns only after the
-// transaction's record is on disk per the configured fsync mode: the
-// record is encoded before the commit-sequence assignment, its log
-// position is reserved under db.walMu right after the publication (see
-// recovery.go), and the committer then waits for the group-commit fsync
-// that covers it.
+// With a WAL installed, Commit returns only after the transaction's
+// record is durable per the log's fsync mode: the record is encoded
+// before the commit-sequence assignment, its log position is reserved
+// under db.walMu right after the publication (see recovery.go), and the
+// committer then waits for the group-commit fsync that covers it.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return ErrTxDone
@@ -240,7 +239,7 @@ func (tx *Tx) Commit() error {
 		tx.db.ssi.FinishedOutside()
 	}
 	tx.done = true
-	return tx.db.walFinish(pend)
+	return pend.Wait()
 }
 
 // Rollback aborts the transaction. Rolling back a finished transaction
@@ -284,32 +283,30 @@ func (tx *Tx) rollbackLocked() {
 }
 
 // publishCommit makes tx's commit visible (mvcc.Commit) and appends its
-// record to any attached WAL sink in commit-sequence order.
+// record to the WAL, if there is one, in commit-sequence order.
 //
-// For a transaction with writes, the sequence assignment and the append
-// happen inside one db.walMu critical section: walMu is taken BEFORE
-// mvcc.Commit, so two committers cannot publish in one order and append
-// in the other, and an observer holding walMu that sees ActiveCount()==0
-// knows every assigned sequence's commit record is already in the log
-// (every logging committer appends before releasing walMu; no-write
-// commits append nothing). That invariant is what makes the safe-snapshot
-// markers emitted by maybeEmitMarkerLocked sound, and it keeps the
-// in-memory log consistent with Stream.SubscribeFrom's resume contract
+// For a transaction with a record, the sequence assignment and the
+// enqueue happen inside one db.walMu critical section: walMu is taken
+// BEFORE mvcc.Commit, so two committers cannot publish in one order and
+// append in the other, and an observer holding walMu that sees
+// ActiveCount()==0 knows every assigned sequence's commit record is
+// already in the log (every logging committer enqueues before releasing
+// walMu; no-write commits append nothing). That invariant is what makes
+// the safe-snapshot markers emitted by maybeEmitMarkerLocked sound, it
+// keeps the log consistent with Stream.SubscribeFrom's resume contract
 // (a replica resuming after sequence S must never find a commit ≤ S
-// appended later). The durable log's record is enqueued in the same
-// section, right after mvcc.Commit, so it is append-ordered the same way
-// — and, because a transaction that read this one's writes must take
-// walMu to log anything, in dependency order (recovery.go).
+// appended later), and — because a transaction that read this one's
+// writes must take walMu to log anything — it puts the log in
+// dependency order (recovery.go).
 //
-// No-write commits skip walMu around mvcc.Commit entirely — they have
-// nothing to append — and only take it afterwards if they may have made
-// the system quiescent and owe the stream a marker.
+// Commits without a record skip walMu around mvcc.Commit entirely and
+// only take it afterwards if they may have made the system quiescent and
+// owe the stream a marker.
 func (db *DB) publishCommit(tx *Tx) mvcc.SeqNo {
-	sink := db.durable != nil || db.walLog.Load() != nil
-	if !sink || len(tx.writes) == 0 {
+	if tx.walPend == nil {
 		seq := db.mvcc.Commit(tx.xid)
 		db.leaveWAL(tx)
-		if sink && db.mvcc.ActiveCount() == 0 {
+		if db.log != nil && db.mvcc.ActiveCount() == 0 {
 			db.walMu.Lock()
 			db.maybeEmitMarkerLocked()
 			db.walMu.Unlock()
@@ -319,29 +316,22 @@ func (db *DB) publishCommit(tx *Tx) mvcc.SeqNo {
 	db.walMu.Lock()
 	defer db.walMu.Unlock()
 	seq := db.mvcc.Commit(tx.xid)
-	if tx.walPend != nil {
-		// Leave first, and silently: the enqueue rings the flusher, which
-		// must find this transaction's record in the queue and the
-		// transaction itself no longer among those worth waiting for.
-		if tx.joiner {
-			tx.joiner = false
-			db.walJoiners.Add(-1)
-		}
-		db.durable.Enqueue(tx.walPend, seq)
+	// Leave first, and silently: the enqueue rings the flusher, which
+	// must find this transaction's record in the queue and the
+	// transaction itself no longer among those worth waiting for.
+	if tx.joiner {
+		tx.joiner = false
+		db.walJoiners.Add(-1)
 	}
-	if log := db.walLog.Load(); log != nil {
-		rec := db.buildWALRecord(tx)
-		rec.Seq = seq
-		log.Append(rec)
-	}
+	db.log.Enqueue(tx.walPend, seq)
 	db.maybeEmitMarkerLocked()
 	return seq
 }
 
 // maybeEmitMarkerLocked appends a safe-snapshot marker at the current
-// commit sequence to every attached WAL sink if the system is quiescent
-// and no marker at or past that sequence was already emitted. Caller
-// holds db.walMu, which makes the markerSeq check-and-advance atomic
+// commit sequence to the WAL if the system is quiescent and no marker at
+// or past that sequence was already emitted. Caller holds db.walMu, on a
+// DB with a log; walMu makes the markerSeq check-and-advance atomic
 // with the append: marker sequences in the log never decrease, and a
 // marker is always appended after every commit record it covers (see
 // publishCommit's ordering invariant). markerSeq is only written here,
@@ -361,14 +351,9 @@ func (db *DB) maybeEmitMarkerLocked() {
 	}
 	if uint64(seq) > db.markerSeq.Load() {
 		db.markerSeq.Store(uint64(seq))
-		if log := db.walLog.Load(); log != nil {
-			log.Append(wal.Record{Seq: seq, SafeSnapshot: true})
-		}
-		if db.durable != nil {
-			// Nobody waits for a marker: it is written in order and
-			// becomes durable with the next commit's sync.
-			db.durable.AppendNoWait(wal.Record{Seq: seq, SafeSnapshot: true})
-		}
+		// Nobody waits for a marker: it is written in order and becomes
+		// durable with the next commit's sync.
+		db.log.AppendNoWait(wal.Record{Seq: seq, SafeSnapshot: true})
 	}
 	// Every quiescent instant is a legal checkpoint point — including
 	// one whose marker was deduplicated above (the marker at seq is
@@ -386,7 +371,7 @@ func (db *DB) maybeEmitMarkerLocked() {
 // authoritative check-and-append runs under walMu so a stale marker can
 // never be appended after a newer commit or marker.
 func (db *DB) emitAbortSafePoint() {
-	if db.durable == nil && db.walLog.Load() == nil {
+	if db.log == nil {
 		return
 	}
 	if db.mvcc.ActiveCount() != 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"pgssi"
 	"pgssi/internal/wal"
@@ -23,17 +24,17 @@ import (
 //   - a commit record appended after a marker carries a higher sequence
 //     (the marker really did cover everything before it).
 //
-// It audits both logs: the attached in-memory log, and the durable log
-// as recovery reads it back from disk.
+// It audits both logs: an attached in-memory log as a subscriber reads
+// it, and the durable log as recovery reads it back from disk.
 func TestWALCommitRecordOrdering(t *testing.T) {
 	t.Run("memory", func(t *testing.T) {
 		walLog := wal.NewLog()
 		db := pgssi.Open(pgssi.Config{})
 		defer db.Close()
+		mustExec(t, db.AttachWAL(walLog))
 		mustExec(t, db.CreateTable("kv"))
-		db.AttachWAL(walLog)
 		hammerCommitsAndAborts(db)
-		checkWALOrder(t, walLog.Records())
+		checkWALOrder(t, logRecords(t, walLog))
 	})
 	t.Run("durable", func(t *testing.T) {
 		dir := t.TempDir()
@@ -48,10 +49,7 @@ func TestWALCommitRecordOrdering(t *testing.T) {
 		defer wl.Close()
 		var recs []wal.Record
 		mustExec(t, wl.Replay(func(rec wal.Record) error {
-			// The schema record precedes the workload and orders nothing.
-			if rec.CreateTable == "" {
-				recs = append(recs, rec)
-			}
+			recs = append(recs, rec)
 			return nil
 		}))
 		if len(recs) == 0 {
@@ -94,13 +92,42 @@ func hammerCommitsAndAborts(db *pgssi.DB) {
 	wg.Wait()
 }
 
+// logRecords reads l back through a subscription: every record it was
+// given (Stats().Appends of them), in log order.
+func logRecords(t *testing.T, l *wal.DurableLog) []wal.Record {
+	t.Helper()
+	n := logLen(l)
+	ch, cancel := l.Subscribe()
+	defer cancel()
+	recs := make([]wal.Record, 0, n)
+	timeout := time.After(10 * time.Second)
+	for len(recs) < n {
+		select {
+		case rec, ok := <-ch:
+			if !ok {
+				t.Fatalf("log stream closed after %d of %d records", len(recs), n)
+			}
+			recs = append(recs, rec)
+		case <-timeout:
+			t.Fatalf("log stream delivered %d of %d records", len(recs), n)
+		}
+	}
+	return recs
+}
+
+// logLen is the number of records appended to l.
+func logLen(l *wal.DurableLog) int { return int(l.Stats().Appends) }
+
 // checkWALOrder asserts the three ordering invariants over recs, in log
-// order.
+// order. Schema records precede the workload and order nothing.
 func checkWALOrder(t *testing.T, recs []wal.Record) {
 	t.Helper()
 	var lastCommit, lastMarker uint64
 	for i, rec := range recs {
 		seq := uint64(rec.Seq)
+		if rec.CreateTable != "" {
+			continue
+		}
 		if rec.SafeSnapshot {
 			if seq < lastCommit {
 				t.Fatalf("record %d: marker at seq %d below commit record seq %d already in the log", i, seq, lastCommit)
@@ -128,14 +155,14 @@ func checkWALOrder(t *testing.T, recs []wal.Record) {
 // certifies a safe snapshot.
 func TestReplicaRejectsStaleMarker(t *testing.T) {
 	log := wal.NewLog()
-	rep, err := pgssi.NewReplica(log, []string{"kv"})
-	mustExec(t, err)
+	rep := pgssi.NewReplica(log)
 	defer rep.Close()
 
+	log.Append(wal.Record{CreateTable: "kv"})
 	log.Append(wal.Record{Seq: 1, Xid: 1, Ops: []wal.Op{{Table: "kv", Key: "a", Value: []byte("1")}}})
 	log.Append(wal.Record{Seq: 2, Xid: 2, Ops: []wal.Op{{Table: "kv", Key: "b", Value: []byte("2")}}})
 	log.Append(wal.Record{Seq: 1, SafeSnapshot: true}) // stale: below commit 2
-	mustExec(t, rep.WaitApplied(3))
+	mustExec(t, rep.WaitApplied(4))
 	if rep.SafeSeq() != 0 {
 		t.Fatalf("stale marker set SafeSeq=%d, want 0", rep.SafeSeq())
 	}
@@ -145,7 +172,7 @@ func TestReplicaRejectsStaleMarker(t *testing.T) {
 
 	// A marker at the applied position is honored.
 	log.Append(wal.Record{Seq: 2, SafeSnapshot: true})
-	mustExec(t, rep.WaitApplied(4))
+	mustExec(t, rep.WaitApplied(5))
 	if rep.SafeSeq() != 2 {
 		t.Fatalf("SafeSeq=%d after current marker, want 2", rep.SafeSeq())
 	}
@@ -158,7 +185,7 @@ func TestReplicaRejectsStaleMarker(t *testing.T) {
 
 	// A later stale marker must not regress the safe position.
 	log.Append(wal.Record{Seq: 1, SafeSnapshot: true})
-	mustExec(t, rep.WaitApplied(5))
+	mustExec(t, rep.WaitApplied(6))
 	if rep.SafeSeq() != 2 {
 		t.Fatalf("stale marker regressed SafeSeq to %d, want 2", rep.SafeSeq())
 	}
@@ -173,13 +200,13 @@ func TestReplicaRejectsStaleMarker(t *testing.T) {
 // should they exist. The marker is still a valid safe point.
 func TestReplicaMarkerDoesNotAdvanceResume(t *testing.T) {
 	log := wal.NewLog()
-	rep, err := pgssi.NewReplica(log, []string{"kv"})
-	mustExec(t, err)
+	rep := pgssi.NewReplica(log)
 	defer rep.Close()
 
+	log.Append(wal.Record{CreateTable: "kv"})
 	log.Append(wal.Record{Seq: 1, Xid: 1, Ops: []wal.Op{{Table: "kv", Key: "a", Value: []byte("1")}}})
 	log.Append(wal.Record{Seq: 3, SafeSnapshot: true})
-	mustExec(t, rep.WaitApplied(2))
+	mustExec(t, rep.WaitApplied(3))
 	if rep.AppliedSeq() != 1 {
 		t.Fatalf("AppliedSeq=%d, want 1: only commit records may advance the resume position", rep.AppliedSeq())
 	}
