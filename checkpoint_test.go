@@ -437,8 +437,8 @@ func TestReplicaReseedFromDurableLog(t *testing.T) {
 		t.Fatalf("checkpoint GC'd nothing, the reseed path won't trigger: %+v", st)
 	}
 	// Resuming from zero is now below the floor.
-	if _, _, err := db.DurableWAL().SubscribeFromChecked(0); !errors.Is(err, wal.ErrSeqTruncated) {
-		t.Fatalf("SubscribeFromChecked(0) after GC = %v, want ErrSeqTruncated", err)
+	if _, _, err := db.DurableWAL().SubscribeFrom(0); !errors.Is(err, wal.ErrSeqTruncated) {
+		t.Fatalf("SubscribeFrom(0) after GC = %v, want ErrSeqTruncated", err)
 	}
 
 	rep := pgssi.NewReplica(db.DurableWAL())
@@ -536,8 +536,8 @@ func TestMemoryLogBoundedByCheckpoints(t *testing.T) {
 	if st.Checkpoints == 0 || st.SegmentsGCed == 0 {
 		t.Fatalf("no checkpoint GC'd a segment: %+v", st)
 	}
-	if _, _, err := log.SubscribeFromChecked(0); !errors.Is(err, wal.ErrSeqTruncated) {
-		t.Fatalf("SubscribeFromChecked(0) = %v, want ErrSeqTruncated", err)
+	if _, _, err := log.SubscribeFrom(0); !errors.Is(err, wal.ErrSeqTruncated) {
+		t.Fatalf("SubscribeFrom(0) = %v, want ErrSeqTruncated", err)
 	}
 
 	rep := pgssi.NewReplica(log)

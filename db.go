@@ -461,15 +461,6 @@ func (db *DB) tableNames() []string {
 	return names
 }
 
-// WALStream returns the stream replicas subscribe to: the database's
-// log, or nil if it has none (it then cannot feed a replica).
-func (db *DB) WALStream() wal.Stream {
-	if db.log == nil {
-		return nil
-	}
-	return db.log
-}
-
 // CurrentSeq returns the newest assigned commit sequence number: the
 // primary's position in its own history, against which a router
 // measures replica lag.

@@ -307,8 +307,10 @@ func TestPageSplitQuiesceAccounting(t *testing.T) {
 // that can touch the same targets concurrently: CheckWrite probes over
 // the batched keys, tuple→page and page→relation promotion (low
 // thresholds), PageSplit copying locks across partitions, and the
-// epoch reclaimer. Run under -race this is the batch analogue of
-// TestCheckReadBatchStress; the quiesce assertion pins the accounting.
+// epoch reclaimer. Run under -race it isolates the lock half of
+// TestScanBatchStress (no conflict-out sets, wider key batches that
+// straddle the promotion threshold); the quiesce assertion pins the
+// accounting.
 func TestBatchAcquireStress(t *testing.T) {
 	for _, parts := range []int{1, 8} {
 		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {

@@ -518,91 +518,3 @@ func (m *Manager) checkTargetWriteLocked(x *Xact, t Target) error {
 	}
 	return nil
 }
-
-// MarkWrote records that x performed a write without going through
-// CheckWrite (used by engine paths that batch the check).
-func (m *Manager) MarkWrote(x *Xact) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	x.wrote = true
-}
-
-// ReadItem describes one row observed by a scan, for CheckReadBatch.
-type ReadItem struct {
-	// Page and Key identify the tuple version read; Key == "" means a
-	// row with MVCC conflicts but no visible version (no tuple lock).
-	Page int64
-	Key  string
-	// ConflictOut is the MVCC conflict-out set for this row.
-	ConflictOut []mvcc.TxID
-	// OwnWrite suppresses the SIREAD lock (the transaction holds the
-	// tuple write lock).
-	OwnWrite bool
-}
-
-// CheckReadBatch processes all rows of a scan in one critical section —
-// semantically identical to calling CheckRead per row. A scan with no
-// MVCC conflicts (the common case) never takes the SSI mutex: it holds
-// the transaction's own lockMu across the batch and touches only the
-// lock-table partitions.
-//
-// The engine's heap scan path does not use this entry point: a batch
-// spanning many heap pages cannot run under a single per-page read
-// latch. Scans instead group rows BY page (storage.Reader) and
-// register each page's SIREAD locks through AcquireTupleLockBatch from
-// inside that page's latch, batching the MVCC conflict flagging
-// separately (CheckScanConflicts). CheckReadBatch remains for callers
-// that batch reads whose atomicity is established by other means (and
-// is exercised directly by the concurrency stress tests).
-func (m *Manager) CheckReadBatch(x *Xact, rel string, items []ReadItem) error {
-	if len(items) == 0 {
-		return nil
-	}
-	if x.safe.Load() {
-		return nil
-	}
-	if x.doomed.Load() {
-		return ErrSerializationFailure
-	}
-	hasConflicts := false
-	for i := range items {
-		if len(items[i].ConflictOut) > 0 {
-			hasConflicts = true
-			break
-		}
-	}
-	if !hasConflicts {
-		x.lockMu.Lock()
-		for i := range items {
-			it := &items[i]
-			if !it.OwnWrite && it.Key != "" {
-				m.acquireXLocked(x, TupleTarget(rel, it.Page, it.Key))
-			}
-		}
-		x.lockMu.Unlock()
-		if x.doomed.Load() {
-			return ErrSerializationFailure
-		}
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if x.doomed.Load() {
-		return ErrSerializationFailure
-	}
-	for i := range items {
-		it := &items[i]
-		for _, w := range it.ConflictOut {
-			if err := m.flagConflictOutLocked(x, w); err != nil {
-				return err
-			}
-		}
-		if !it.OwnWrite && it.Key != "" {
-			m.acquire(x, TupleTarget(rel, it.Page, it.Key))
-		}
-	}
-	if x.doomed.Load() {
-		return ErrSerializationFailure
-	}
-	return nil
-}

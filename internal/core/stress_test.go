@@ -133,14 +133,16 @@ func assertQuiesced(t *testing.T, h *harness) {
 	}
 }
 
-// TestCheckReadBatchStress covers the scan path's batch entry point
-// under -race: workers issue CheckReadBatch calls whose items mix
-// conflict-free rows (the lockMu-only fast path), rows with MVCC
-// conflict-out sets naming other workers' transactions (the SSI-mutex
-// path), own-write suppressions, and key-less conflict-only items —
-// racing writers running CheckWrite over the same targets, granularity
-// promotion (low thresholds), and PageSplit churn.
-func TestCheckReadBatchStress(t *testing.T) {
+// TestScanBatchStress covers the scan path's pair of entry points under
+// -race, called as the engine's scans call them: per heap page, one
+// AcquireTupleLockBatch for the page's visible rows, then one
+// CheckScanConflicts for the MVCC conflict-out sets those rows carried.
+// The rows mix conflict-free ones (the lockMu-only path),
+// conflict-bearing ones naming other workers' transactions (the
+// SSI-mutex path), own-write rows (no SIREAD lock) and key-less
+// conflict-only rows — racing writers running CheckWrite over the same
+// targets, granularity promotion (low thresholds), and PageSplit churn.
+func TestScanBatchStress(t *testing.T) {
 	h := newHarness(t, Config{
 		Partitions:         8,
 		PromoteTupleToPage: 3,
@@ -155,6 +157,12 @@ func TestCheckReadBatchStress(t *testing.T) {
 	// committed-and-tracked, some cleaned up — all states
 	// flagConflictOutLocked must handle.
 	var recentXIDs [16]atomic.Uint64
+	conflict := func(rng *rand.Rand) []mvcc.TxID {
+		if xid := recentXIDs[rng.IntN(len(recentXIDs))].Load(); xid != 0 {
+			return []mvcc.TxID{mvcc.TxID(xid)}
+		}
+		return nil
+	}
 
 	var workerWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -167,31 +175,40 @@ func TestCheckReadBatchStress(t *testing.T) {
 				recentXIDs[rng.IntN(len(recentXIDs))].Store(uint64(x.XID))
 				failed := false
 				for b := 0; b < 3 && !failed; b++ {
-					items := make([]ReadItem, 0, 8)
+					// One page's rows: the keys to lock (dup-free, as the
+					// engine passes them) and the conflict-out sets seen.
+					page := int64(rng.IntN(6))
+					var keys []string
+					var conflictOut []mvcc.TxID
+					seen := map[string]bool{}
 					for j := 0; j < 8; j++ {
-						it := ReadItem{
-							Page: int64(rng.IntN(6)),
-							Key:  strconv.Itoa(rng.IntN(12)),
-						}
+						key := strconv.Itoa(rng.IntN(12))
 						switch rng.IntN(6) {
 						case 0:
 							// Conflict-bearing row.
-							if xid := recentXIDs[rng.IntN(len(recentXIDs))].Load(); xid != 0 {
-								it.ConflictOut = []mvcc.TxID{mvcc.TxID(xid)}
-							}
+							conflictOut = append(conflictOut, conflict(rng)...)
 						case 1:
-							// Row with conflicts but no visible
-							// version: no SIREAD lock to take.
-							it.Key = ""
-							if xid := recentXIDs[rng.IntN(len(recentXIDs))].Load(); xid != 0 {
-								it.ConflictOut = []mvcc.TxID{mvcc.TxID(xid)}
-							}
+							// Row with conflicts but no visible version: no
+							// SIREAD lock to take.
+							conflictOut = append(conflictOut, conflict(rng)...)
+							continue
 						case 2:
-							it.OwnWrite = true
+							// Own write: the transaction holds the write
+							// lock, so the scan skips the SIREAD lock.
+							continue
 						}
-						items = append(items, it)
+						if !seen[key] {
+							seen[key] = true
+							keys = append(keys, key)
+						}
 					}
-					if err := h.mgr.CheckReadBatch(x, "t", items); err != nil {
+					if len(keys) > 0 {
+						if _, err := h.mgr.AcquireTupleLockBatch(x, "t", page, keys); err != nil {
+							failed = true
+							break
+						}
+					}
+					if err := h.mgr.CheckScanConflicts(x, conflictOut); err != nil {
 						failed = true
 						break
 					}

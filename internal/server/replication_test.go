@@ -164,8 +164,7 @@ func TestReplicaServerServesReadOnly(t *testing.T) {
 }
 
 // TestReplicateWithoutWAL: a primary with no WAL refuses replication
-// with a typed status, and ReplicaSource surfaces it as a closed
-// subscription.
+// with a typed status, and ReplicaSource surfaces it as wal.ErrNoStream.
 func TestReplicateWithoutWAL(t *testing.T) {
 	db := pgssi.Open(pgssi.Config{})
 	defer db.Close()
@@ -193,15 +192,9 @@ func TestReplicateWithoutWAL(t *testing.T) {
 		t.Fatalf("replicate on WAL-less primary: %v, want StatusNoReplication", resp.Status)
 	}
 
-	ch, cancel := (&wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second}).Subscribe()
-	defer cancel()
-	select {
-	case _, ok := <-ch:
-		if ok {
-			t.Fatal("got a record from a WAL-less primary")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscription to WAL-less primary did not close")
+	src := &wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second}
+	if ch, _, err := src.SubscribeFrom(0); !errors.Is(err, wal.ErrNoStream) || ch != nil {
+		t.Fatalf("SubscribeFrom(0) on WAL-less primary = %v (channel %v), want wal.ErrNoStream", err, ch)
 	}
 }
 
@@ -221,8 +214,8 @@ func TestReplicaHaltsOnNoReplication(t *testing.T) {
 	if !errors.Is(rep.Err(), pgssi.ErrReplicaHalted) {
 		t.Fatalf("halt error = %v, want ErrReplicaHalted", rep.Err())
 	}
-	if src.PermanentErr() == nil {
-		t.Fatal("ReplicaSource recorded no permanent error for StatusNoReplication")
+	if !errors.Is(rep.Err(), wal.ErrNoStream) {
+		t.Fatalf("halt error = %v, want it to wrap wal.ErrNoStream", rep.Err())
 	}
 	if _, err := rep.BeginReadOnly(pgssi.ReplicaTxOptions{Serializable: true}); !errors.Is(err, pgssi.ErrReplicaHalted) {
 		t.Fatalf("begin on halted replica = %v, want ErrReplicaHalted", err)

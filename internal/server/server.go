@@ -356,7 +356,7 @@ func (s *Server) serveReplication(c *conn, afterSeq uint64) {
 	// checkpoint GC floor is refused with StatusSeqTruncated — the
 	// records are gone, and the replica must fetch a checkpoint instead
 	// of waiting for a gap that can never fill.
-	ch, cancel, err := wl.SubscribeFromChecked(mvcc.SeqNo(afterSeq))
+	ch, cancel, err := wl.SubscribeFrom(mvcc.SeqNo(afterSeq))
 	if err != nil {
 		st := pgssi.StatusInternal
 		if errors.Is(err, wal.ErrSeqTruncated) {

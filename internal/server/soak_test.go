@@ -333,8 +333,8 @@ func TestReplicationReseedAfterGC(t *testing.T) {
 
 	// A direct resume below the floor must be refused loudly.
 	direct := &wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second}
-	if _, _, err := direct.SubscribeFromChecked(mvcc.SeqNo(behind)); !errors.Is(err, wal.ErrSeqTruncated) {
-		t.Fatalf("SubscribeFromChecked below the floor = %v, want wal.ErrSeqTruncated", err)
+	if _, _, err := direct.SubscribeFrom(mvcc.SeqNo(behind)); !errors.Is(err, wal.ErrSeqTruncated) {
+		t.Fatalf("SubscribeFrom below the floor = %v, want wal.ErrSeqTruncated", err)
 	}
 
 	// Heal the network: the replica's next resume attempt sees the

@@ -257,7 +257,7 @@ func TestOneWritePerStreamedRecord(t *testing.T) {
 			}
 		}
 		src := &wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second}
-		ch, cancel, err := src.SubscribeFromChecked(0)
+		ch, cancel, err := src.SubscribeFrom(0)
 		if err != nil {
 			t.Fatal(err)
 		}

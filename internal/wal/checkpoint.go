@@ -382,7 +382,7 @@ func (l *DurableLog) CheckpointInfo() (CheckpointInfo, bool) {
 	return CheckpointInfo{Seq: mvcc.SeqNo(l.ckptSeq), Records: l.ckptRecords}, true
 }
 
-// ReplayCheckpoint implements CheckpointSource: it streams the newest
+// ReplayCheckpoint implements Source: it streams the newest
 // checkpoint's data records through fn. ErrNoCheckpoint if the log has
 // never checkpointed.
 func (l *DurableLog) ReplayCheckpoint(fn func(Record) error) (CheckpointInfo, error) {

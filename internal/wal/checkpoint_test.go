@@ -88,22 +88,14 @@ func TestCheckpointGCAndSuffixRecovery(t *testing.T) {
 		t.Fatalf("want exactly one .ckpt file, got %v", got)
 	}
 
-	// Below the floor: loud truncation error, and the unchecked variant
-	// degrades to a closed channel, never a silent gap.
-	if _, _, err := l.SubscribeFromChecked(mvcc.SeqNo(st.GCFloorSeq - 1)); !errors.Is(err, ErrSeqTruncated) {
-		t.Fatalf("SubscribeFromChecked below floor: %v, want ErrSeqTruncated", err)
+	// Below the floor: a loud truncation error and no channel, never a
+	// silent gap.
+	if ch, _, err := l.SubscribeFrom(mvcc.SeqNo(st.GCFloorSeq - 1)); !errors.Is(err, ErrSeqTruncated) || ch != nil {
+		t.Fatalf("SubscribeFrom below floor: %v (channel %v), want ErrSeqTruncated and no channel", err, ch)
 	}
-	ch, cancel := l.SubscribeFrom(mvcc.SeqNo(st.GCFloorSeq - 1))
-	if _, ok := <-ch; ok {
-		t.Fatal("unchecked SubscribeFrom below floor delivered a record")
-	}
-	cancel()
 
 	// At the checkpoint seq: the suffix arrives complete and in order.
-	ch, cancel, err = l.SubscribeFromChecked(ckptAt)
-	if err != nil {
-		t.Fatalf("SubscribeFromChecked at checkpoint seq: %v", err)
-	}
+	ch, cancel := subscribe(t, l, ckptAt)
 	next := uint64(ckptAt)
 	for next < total {
 		rec := <-ch

@@ -99,38 +99,23 @@ type Config struct {
 	FS FS
 }
 
-// Ticket is a committer's handle on the flush that will cover its
-// record. Wait blocks until that flush and its sync have completed. A
-// nil Ticket (FsyncOff, AppendNoWait) waits for nothing.
-type Ticket struct {
-	done chan struct{}
-	err  error
-}
-
-// Wait blocks until the record is durable per the log's fsync mode.
-func (t *Ticket) Wait() error {
-	if t == nil {
-		return nil
-	}
-	<-t.done
-	return t.err
-}
-
-func failedTicket(err error) *Ticket {
-	t := &Ticket{done: make(chan struct{}), err: err}
-	close(t.done)
-	return t
-}
-
-// Pending is a record encoded ahead of its commit-sequence assignment.
-// The engine prepares it outside all locks, then Enqueue patches the
-// final sequence number in and reserves the log position — the only work
-// done inside the engine's commit ordering critical section.
+// Pending is a record encoded ahead of its commit-sequence assignment,
+// and then the committer's handle on the flush that covers it. The
+// engine prepares it outside all locks, then Enqueue patches the final
+// sequence number in and reserves the log position — the only work done
+// inside the engine's commit ordering critical section — and the flush
+// queue holds it until its batch is on disk: its encoded frame (what the
+// flusher writes), its decoded form (what subscribers receive), and done,
+// closed when the batch's write and sync have completed — nil if nobody
+// waits for this record (FsyncOff, AppendNoWait). A barrier has no
+// frame: it writes nothing, but its done closes only after the batch
+// covering everything enqueued before it is on disk (SyncBarrier).
 type Pending struct {
-	frame  []byte
-	rec    Record
-	ticket *Ticket
-	err    error // set at PrepareRecord for records that must not be logged
+	frame    []byte
+	rec      Record
+	err      error         // set at PrepareRecord for records that must not be logged
+	done     chan struct{} // closed when the covering flush completed; nil: nothing to wait for
+	flushErr error         // that flush's error, or why Enqueue refused the record
 }
 
 // Err reports whether the record was rejected at PrepareRecord (e.g.
@@ -139,29 +124,20 @@ type Pending struct {
 // the commit should fail before it is published, not after.
 func (p *Pending) Err() error { return p.err }
 
-// Wait blocks until the enqueued record is durable (see Ticket.Wait).
-// It must only be called after Enqueue; a nil Pending (nothing was
-// logged) waits for nothing.
+// Wait blocks until the enqueued record is durable per the log's fsync
+// mode. It must only be called after Enqueue, by the goroutine that
+// called it; a nil Pending (nothing was logged) waits for nothing.
 func (p *Pending) Wait() error {
 	if p == nil {
 		return nil
 	}
-	return p.ticket.Wait()
+	if p.done != nil {
+		<-p.done
+	}
+	return p.flushErr
 }
 
-// queued is one record in the flush queue: its encoded frame (what the
-// flusher writes), its decoded form (what subscribers receive), and the
-// ticket to resolve when its batch is on disk — nil if nobody waits for
-// this record (FsyncOff, AppendNoWait). A barrier entry carries
-// no record: it writes nothing, but its ticket resolves only after the
-// batch covering everything enqueued before it is on disk
-// (SyncBarrier).
-type queued struct {
-	frame   []byte
-	rec     Record
-	ticket  *Ticket
-	barrier bool
-}
+func (p *Pending) barrier() bool { return p.frame == nil }
 
 // segMeta describes one segment file. size is the published length in
 // bytes (header included): everything at or below it has been fully
@@ -186,9 +162,9 @@ type DurableLog struct {
 
 	mu        sync.Mutex //ssi:lock level=10 name=wal.durable
 	segs      []segMeta  // all segments, published sizes
-	pending   []queued   // enqueued, not yet grabbed by the flusher
-	waiters   int        // entries of pending with a ticket: a batch syncs iff it has one
-	inflight  []queued   // grabbed by the flusher, not yet published
+	pending   []*Pending // enqueued, not yet grabbed by the flusher
+	waiters   int        // entries of pending with a done channel: a batch syncs iff it has one
+	inflight  []*Pending // grabbed by the flusher, not yet published
 	subs      []chan Record
 	closed    bool
 	flushErr  error // sticky: first write/sync failure poisons the log
@@ -237,9 +213,9 @@ type DurableLog struct {
 	curIndex   uint64
 	curSize    int64
 	curLastSeq uint64
-	filled     []segMeta // segments rotated away during the current batch
-	batch      Stats     // the current batch's share of the counters
-	spare      []queued  // the last batch's array, emptied: the next queue fills it
+	filled     []segMeta  // segments rotated away during the current batch
+	batch      Stats      // the current batch's share of the counters
+	spare      []*Pending // the last batch's array, emptied: the next queue fills it
 }
 
 // Stats is a snapshot of the log's counters. Appends/Fsyncs is the
@@ -642,7 +618,7 @@ func (l *DurableLog) enqueue(p *Pending, seq mvcc.SeqNo, wait bool) {
 		// reach the log — recovery could not read it back. The caller
 		// should have failed the commit on Pending.Err already; this is
 		// the backstop that keeps the log recoverable regardless.
-		p.ticket = failedTicket(p.err)
+		p.flushErr = p.err
 		return
 	}
 	patchSeq(p.frame, uint64(seq))
@@ -650,18 +626,18 @@ func (l *DurableLog) enqueue(p *Pending, seq mvcc.SeqNo, wait bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		p.ticket = failedTicket(ErrClosed)
+		p.flushErr = ErrClosed
 		return
 	}
 	if l.flushErr != nil {
-		p.ticket = failedTicket(l.flushErr)
+		p.flushErr = l.flushErr
 		return
 	}
 	if wait && l.cfg.Fsync != FsyncOff {
-		p.ticket = &Ticket{done: make(chan struct{})}
+		p.done = make(chan struct{})
 		l.waiters++
 	}
-	l.pending = append(l.pending, queued{frame: p.frame, rec: p.rec, ticket: p.ticket})
+	l.pending = append(l.pending, p)
 	l.stats.Appends++
 	l.fanoutLocked(p.rec)
 	if l.dueLocked() {
@@ -670,12 +646,12 @@ func (l *DurableLog) enqueue(p *Pending, seq mvcc.SeqNo, wait bool) {
 }
 
 // Append encodes and enqueues a record whose sequence number is already
-// known (schema records). The returned ticket resolves when the record
-// is durable; nil in FsyncOff mode.
-func (l *DurableLog) Append(rec Record) *Ticket {
+// known (schema records). The returned Pending's Wait returns when the
+// record is durable (at once in FsyncOff mode).
+func (l *DurableLog) Append(rec Record) *Pending {
 	p := l.PrepareRecord(rec)
 	l.Enqueue(p, rec.Seq)
-	return p.ticket
+	return p
 }
 
 // AppendNoWait is Append for a record nobody will wait for (safe-snapshot
@@ -691,7 +667,8 @@ func (l *DurableLog) AppendNoWait(rec Record) {
 // or died without cancelling) is disconnected — its channel closed — so
 // the committer holding the publication critical section is never
 // stalled by one (the replica treats a closed stream as "re-subscribe
-// and catch up"). l.mu orders the closes against Subscribe and cancel.
+// and catch up"). l.mu orders the closes against SubscribeFrom and
+// cancel.
 func (l *DurableLog) fanoutLocked(r Record) {
 	live := l.subs[:0]
 	for _, ch := range l.subs {
@@ -708,35 +685,14 @@ func (l *DurableLog) fanoutLocked(r Record) {
 	l.subs = live
 }
 
-// Subscribe returns a channel that replays every record in the log (from
-// disk, plus any not yet flushed) and then streams new ones. Cancel
-// detaches and closes the channel; a subscriber that falls more than the
-// fan-out buffer behind is disconnected (see fanoutLocked).
-func (l *DurableLog) Subscribe() (<-chan Record, func()) {
-	return l.SubscribeFrom(0)
-}
-
-// SubscribeFrom is Subscribe resuming from a commit-sequence position:
-// only records passing the Stream.SubscribeFrom filter are delivered,
-// both from the disk/in-memory backlog and from the live stream. A
-// position below the GC floor cannot be resumed — the records are
-// gone; the channel is returned already closed (loud, never a silent
-// gap). Use SubscribeFromChecked to distinguish that from a closed log.
-func (l *DurableLog) SubscribeFrom(after mvcc.SeqNo) (<-chan Record, func()) {
-	ch, cancel, err := l.SubscribeFromChecked(after)
-	if err != nil {
-		closed := make(chan Record)
-		close(closed)
-		return closed, func() {}
-	}
-	return ch, cancel
-}
-
-// SubscribeFromChecked implements CheckedStream: SubscribeFrom that
-// reports ErrSeqTruncated when the resume position falls below the GC
-// floor, so the consumer can re-seed from a checkpoint instead of
-// mistaking truncation for a transient disconnect.
-func (l *DurableLog) SubscribeFromChecked(after mvcc.SeqNo) (<-chan Record, func(), error) {
+// SubscribeFrom implements Source: the channel replays the log's records
+// past the resume position (from disk, plus any not yet flushed) and
+// then streams new ones through the same filter. Cancel detaches and
+// closes the channel; a subscriber that falls more than the fan-out
+// buffer behind is disconnected (see fanoutLocked). A position below the
+// GC floor cannot be resumed — the records are gone — and is refused
+// with ErrSeqTruncated, never answered with a silent gap.
+func (l *DurableLog) SubscribeFrom(after mvcc.SeqNo) (<-chan Record, func(), error) {
 	ch := make(chan Record, subscriberBuffer)
 	l.mu.Lock()
 	if uint64(after) < l.floorSeq {
@@ -747,12 +703,12 @@ func (l *DurableLog) SubscribeFromChecked(after mvcc.SeqNo) (<-chan Record, func
 	segs := append([]segMeta(nil), l.segs...)
 	mem := make([]Record, 0, len(l.inflight)+len(l.pending))
 	for _, q := range l.inflight {
-		if !q.barrier && deliverFrom(q.rec, after) {
+		if !q.barrier() && deliverFrom(q.rec, after) {
 			mem = append(mem, q.rec)
 		}
 	}
 	for _, q := range l.pending {
-		if !q.barrier && deliverFrom(q.rec, after) {
+		if !q.barrier() && deliverFrom(q.rec, after) {
 			mem = append(mem, q.rec)
 		}
 	}
@@ -816,12 +772,12 @@ func (l *DurableLog) SyncBarrier() error {
 		l.mu.Unlock()
 		return err
 	}
-	t := &Ticket{done: make(chan struct{})}
-	l.pending = append(l.pending, queued{barrier: true, ticket: t})
+	p := &Pending{done: make(chan struct{})}
+	l.pending = append(l.pending, p)
 	l.waiters++
 	l.ring()
 	l.mu.Unlock()
-	return t.Wait()
+	return p.Wait()
 }
 
 // PoisonErr reports the sticky flush error once the log is poisoned

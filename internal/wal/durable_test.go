@@ -348,8 +348,8 @@ func TestFsyncOffNoSyncsUntilClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 10; i++ {
-		if tk := l.Append(commitRec(uint64(i), fmt.Sprintf("k%d", i), "v")); tk != nil {
-			t.Fatal("FsyncOff returned a ticket")
+		if p := l.Append(commitRec(uint64(i), fmt.Sprintf("k%d", i), "v")); p.done != nil {
+			t.Fatal("FsyncOff Append waits for a flush")
 		}
 	}
 	// Close flushes and syncs even in off mode, so a clean shutdown is
@@ -420,7 +420,7 @@ func TestDurableAppenderNeverBlockedByDeadSubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	ch, cancel := l.Subscribe()
+	ch, cancel := subscribe(t, l, 0)
 	defer cancel()
 	_ = ch // dead subscriber: never drained
 	done := make(chan struct{})
@@ -442,7 +442,7 @@ func TestDurableAppenderNeverBlockedByDeadSubscriber(t *testing.T) {
 // subscriber died without cancelling).
 func TestLogAppenderNeverBlockedByDeadSubscriber(t *testing.T) {
 	l := NewLog()
-	ch, cancel := l.Subscribe()
+	ch, cancel := subscribe(t, l, 0)
 	defer cancel()
 	_ = ch // dead subscriber: never drained
 	done := make(chan struct{})
@@ -468,7 +468,7 @@ func TestDurableSubscribeBacklogThenLive(t *testing.T) {
 	defer l.Close()
 	mustAppend(t, l, commitRec(1, "a", "1"))
 	mustAppend(t, l, commitRec(2, "b", "2"))
-	ch, cancel := l.Subscribe()
+	ch, cancel := subscribe(t, l, 0)
 	defer cancel()
 	got := func() Record {
 		select {
@@ -635,7 +635,7 @@ func TestOversizeRecordRejectedBeforeLogging(t *testing.T) {
 	}
 }
 
-// TestSubscribeExactlyOnce races Subscribe against the group-commit
+// TestSubscribeExactlyOnce races SubscribeFrom against the group-commit
 // flusher: a subscription's backlog snapshot (published segment regions
 // + inflight batch + pending queue) plus its live stream must deliver
 // every record exactly once, whatever instant the snapshot is taken —
@@ -655,7 +655,7 @@ func TestSubscribeExactlyOnce(t *testing.T) {
 		}
 	}()
 	for it := 0; it < 40; it++ {
-		ch, cancel := l.Subscribe()
+		ch, cancel := subscribe(t, l, 0)
 		seen := make(map[mvcc.SeqNo]bool, n)
 		for r := range ch {
 			if seen[r.Seq] {

@@ -54,7 +54,7 @@ func (l *DurableLog) dueLocked() bool {
 // flusher is the single group-commit flusher, alive from OpenDir to
 // Close: it parks on wake until the queue is due (dueLocked), and then
 // takes the whole queue as one batch, writes it, syncs it if somebody
-// waits, and resolves the batch's tickets. Committers that enqueue while
+// waits, and releases the batch's waiters. Committers that enqueue while
 // a batch is being synced pile up for the next one — that pile-up is
 // the group commit.
 func (l *DurableLog) flusher() {
@@ -152,7 +152,7 @@ func (l *DurableLog) flush() {
 	}
 
 	// Publish the batch's on-disk region and retire it from inflight in
-	// ONE critical section: a Subscribe snapshot must never see a record
+	// ONE critical section: a SubscribeFrom snapshot must never see a record
 	// both in a published segment region and in inflight (it would
 	// deliver the record twice).
 	l.mu.Lock()
@@ -168,10 +168,10 @@ func (l *DurableLog) flush() {
 	l.settleStatsLocked()
 	l.mu.Unlock()
 
-	for _, q := range batch {
-		if q.ticket != nil {
-			q.ticket.err = err
-			close(q.ticket.done)
+	for _, p := range batch {
+		if p.done != nil {
+			p.flushErr = err
+			close(p.done)
 		}
 	}
 	clear(batch)
@@ -202,15 +202,15 @@ func (l *DurableLog) settleStatsLocked() {
 // flusher with exclusive access to cur/curIndex/curSize. It does NOT
 // publish the new segment sizes: flush publishes them
 // (publishSizesLocked) in the same l.mu critical section that clears
-// l.inflight, so Subscribe's disk-plus-inflight-plus-pending snapshot
+// l.inflight, so SubscribeFrom's disk-plus-inflight-plus-pending snapshot
 // never double-counts a record.
-func (l *DurableLog) writeBatch(batch []queued, sync bool) error {
+func (l *DurableLog) writeBatch(batch []*Pending, sync bool) error {
 	l.filled = l.filled[:0]
 	l.batch.Batches++
 	for _, q := range batch {
-		if q.barrier {
-			// Barriers write nothing; their ticket resolves with the
-			// batch's sync like any other entry.
+		if q.barrier() {
+			// Barriers write nothing; their done closes with the batch's
+			// sync like any other entry's.
 			continue
 		}
 		if l.curSize+int64(len(q.frame)) > l.cfg.SegmentSize && l.curSize > segmentHeaderSize {

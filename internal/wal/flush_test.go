@@ -130,7 +130,7 @@ func TestMarkerOnlyBatchIsNotSynced(t *testing.T) {
 		t.Fatalf("a batch nobody waits for took %d syncs", got)
 	}
 
-	ch, cancel := l.Subscribe()
+	ch, cancel := subscribe(t, l, 0)
 	var got []Record
 	for len(got) < 2 {
 		select {

@@ -9,7 +9,7 @@ import (
 )
 
 // gatherSleep sleeps on the kernel's high-resolution timer. time.Sleep
-// cannot: once every committer is parked on its ticket the process is
+// cannot: once every committer is parked in Pending.Wait the process is
 // idle, an idle Go runtime waits for its next timer inside epoll_wait,
 // and epoll_wait takes its timeout in whole milliseconds — a 200 µs
 // sleep then lasts over a millisecond. Only the gather watchdog sleeps

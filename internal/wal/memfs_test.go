@@ -157,7 +157,7 @@ func TestFsyncOffFlushesEvery64Frames(t *testing.T) {
 	if b := l.Stats().Batches; b != 0 {
 		t.Fatalf("%d batches after %d enqueues, want 0", b, lazyFlushFrames-1)
 	}
-	ch, cancel := l.SubscribeFrom(0)
+	ch, cancel := subscribe(t, l, 0)
 	got := collect(t, ch, lazyFlushFrames-1)
 	cancel()
 	for i, r := range got {

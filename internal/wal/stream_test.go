@@ -8,6 +8,17 @@ import (
 	"pgssi/internal/mvcc"
 )
 
+// subscribe is SubscribeFrom for a test that expects the subscription
+// to be accepted.
+func subscribe(t *testing.T, l *DurableLog, after mvcc.SeqNo) (<-chan Record, func()) {
+	t.Helper()
+	ch, cancel, err := l.SubscribeFrom(after)
+	if err != nil {
+		t.Fatalf("SubscribeFrom(%d): %v", after, err)
+	}
+	return ch, cancel
+}
+
 // collect drains ch until it would block for longer than the grace
 // period, returning what was received.
 func collect(t *testing.T, ch <-chan Record, want int) []Record {
@@ -46,7 +57,7 @@ func TestLogSubscribeFromFiltersBacklog(t *testing.T) {
 	// Resuming after seq 2: commit 3 is new; the marker at seq 2 sits on
 	// the boundary and must be redelivered (it may postdate the
 	// subscriber's copy of commit 2), but commits 1 and 2 must not be.
-	ch, cancel := l.SubscribeFrom(2)
+	ch, cancel := subscribe(t, l, 2)
 	defer cancel()
 	got := collect(t, ch, 2)
 	if !got[0].SafeSnapshot || got[0].Seq != 2 {
@@ -69,7 +80,7 @@ func TestLogSubscribeFromZeroIsFullReplay(t *testing.T) {
 	l.Append(Record{Seq: 0, CreateTable: "t"})
 	l.Append(commitRec(1, "a", "1"))
 	l.Append(Record{Seq: 1, SafeSnapshot: true})
-	ch, cancel := l.SubscribeFrom(0)
+	ch, cancel := subscribe(t, l, 0)
 	defer cancel()
 	got := collect(t, ch, 3)
 	if got[0].CreateTable != "t" || got[1].Seq != 1 || !got[2].SafeSnapshot {
@@ -98,7 +109,7 @@ func TestDurableSubscribeFromSkipsAppliedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	ch, cancel := l2.SubscribeFrom(3)
+	ch, cancel := subscribe(t, l2, 3)
 	defer cancel()
 	got := collect(t, ch, 3)
 	want := []mvcc.SeqNo{4, 5, 5}
@@ -136,7 +147,7 @@ func TestDurableSubscribeFromExactlyOnceUnderAppends(t *testing.T) {
 			l.Append(commitRec(uint64(i), "k", "v"))
 		}
 	}()
-	ch, cancel := l.SubscribeFrom(20)
+	ch, cancel := subscribe(t, l, 20)
 	defer cancel()
 	<-done
 	got := collect(t, ch, n-20)

@@ -58,59 +58,48 @@ type Record struct {
 	CreateTable string
 }
 
-// Stream is the subscription surface shared by the DurableLog and
-// network sources (internal/wire's replication client): Subscribe
-// returns a channel that first replays every existing record and then
-// streams new ones, plus a cancel function that detaches the
-// subscription and closes the channel. SubscribeFrom resumes a
-// subscription from a commit-sequence position instead of the start:
-// it delivers commit records with Seq > after and marker/schema records
-// with Seq >= after. The asymmetry follows from how positions are
-// stamped — commit CSNs are unique, so a commit the subscriber already
-// applied is never redelivered, while markers and schema records carry
-// the sequence number of the last commit they follow and so may share
-// it; a marker at the resume boundary is redelivered rather than
+// Source is a log a consumer follows and re-seeds from: the DurableLog
+// in process, or internal/wire's ReplicaSource over TCP.
+//
+// SubscribeFrom returns a channel that first replays the log's existing
+// records after a commit-sequence position and then streams new ones,
+// plus a cancel function that detaches the subscription and closes the
+// channel. It delivers commit records with Seq > after and marker/schema
+// records with Seq >= after. The asymmetry follows from how positions
+// are stamped — commit CSNs are unique, so a commit the subscriber
+// already applied is never redelivered, while markers and schema records
+// carry the sequence number of the last commit they follow and so may
+// share it; a marker at the resume boundary is redelivered rather than
 // dropped (losing it could hide a safe point forever; reapplying it is
-// idempotent). SubscribeFrom(0) is equivalent to Subscribe.
-type Stream interface {
-	Subscribe() (<-chan Record, func())
-	SubscribeFrom(after mvcc.SeqNo) (<-chan Record, func())
-}
-
-// SourceErrorer is optionally implemented by Stream sources whose
-// subscriptions can fail permanently (a network source whose primary
-// refuses replication outright, say). A closed subscription channel
-// normally means "re-subscribe and catch up"; a consumer should first
-// check PermanentErr and stop retrying — and surface the error — when
-// it reports non-nil. In-process logs never fail permanently and do not
-// implement it.
-type SourceErrorer interface {
-	PermanentErr() error
+// idempotent). SubscribeFrom(0) replays the whole log. A closed channel
+// means "subscribe again and catch up". The error sorts a refused
+// subscription: ErrSeqTruncated (re-seed from the checkpoint),
+// ErrNoStream (stop: retrying is futile), anything else transient.
+//
+// ReplayCheckpoint streams the newest checkpoint's records (schema
+// records first, then row-image commit records, all stamped with the
+// checkpoint sequence) through fn and returns its info, or
+// ErrNoCheckpoint. After seeding, resume with SubscribeFrom(info.Seq).
+type Source interface {
+	SubscribeFrom(after mvcc.SeqNo) (<-chan Record, func(), error)
+	ReplayCheckpoint(fn func(Record) error) (CheckpointInfo, error)
 }
 
 // ErrSeqTruncated reports a SubscribeFrom position that falls below the
 // log's GC floor: the records needed to resume from there were
 // garbage-collected by a checkpoint. A consumer must re-seed from a
-// checkpoint (CheckpointSource) instead of resuming — the gap is real
+// checkpoint (ReplayCheckpoint) instead of resuming — the gap is real
 // and can never be filled by waiting or retrying.
 var ErrSeqTruncated = errors.New("wal: position truncated by checkpoint GC")
 
-// ErrNoCheckpoint reports that a CheckpointSource has no checkpoint to
-// replay (the log has never checkpointed, or the primary serves none).
-var ErrNoCheckpoint = errors.New("wal: no checkpoint")
+// ErrNoStream reports a source that has no log to follow (a primary
+// without a WAL, or a replica asked to cascade): no amount of retrying
+// changes that, so a consumer stops and surfaces it.
+var ErrNoStream = errors.New("wal: source serves no log stream")
 
-// CheckedStream is a Stream whose history can be truncated by
-// checkpoint GC. SubscribeFromChecked is SubscribeFrom that reports
-// ErrSeqTruncated instead of delivering a silent gap when `after` falls
-// below the GC floor. Sources that implement it (DurableLog, wire's
-// ReplicaSource) let a replica distinguish "resume" from "must re-seed
-// from a checkpoint"; plain SubscribeFrom on the same source closes the
-// stream immediately in that case (loud, but indistinguishable from a
-// transient drop).
-type CheckedStream interface {
-	Stream
-	SubscribeFromChecked(after mvcc.SeqNo) (<-chan Record, func(), error)
-}
+// ErrNoCheckpoint reports that a Source has no checkpoint to replay (the
+// log has never checkpointed, or the primary serves none).
+var ErrNoCheckpoint = errors.New("wal: no checkpoint")
 
 // CheckpointInfo describes one checkpoint: the safe-snapshot commit
 // sequence it captures and how many data records (schema + row images)
@@ -120,24 +109,8 @@ type CheckpointInfo struct {
 	Records int
 }
 
-// CheckpointSource is a source a consumer can seed a fresh database
-// from: ReplayCheckpoint streams the newest checkpoint's records
-// (schema records first, then row-image commit records, all stamped
-// with the checkpoint sequence) through fn and returns its info, or
-// ErrNoCheckpoint. After seeding, resume with SubscribeFrom(info.Seq).
-type CheckpointSource interface {
-	ReplayCheckpoint(fn func(Record) error) (CheckpointInfo, error)
-}
-
-// ReplicationSource is what a replica follows and re-seeds from: the
-// DurableLog in process, or internal/wire's ReplicaSource over TCP.
-type ReplicationSource interface {
-	CheckedStream
-	CheckpointSource
-}
-
 // deliverFrom reports whether rec belongs in a subscription resuming
-// after commit-sequence position `after` (see Stream.SubscribeFrom).
+// after commit-sequence position `after` (see Source.SubscribeFrom).
 func deliverFrom(rec Record, after mvcc.SeqNo) bool {
 	if rec.SafeSnapshot || rec.CreateTable != "" {
 		return rec.Seq >= after

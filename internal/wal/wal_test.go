@@ -13,7 +13,7 @@ func TestAppendAndRecords(t *testing.T) {
 	if n := l.Stats().Appends; n != 2 {
 		t.Fatalf("appends = %d", n)
 	}
-	ch, cancel := l.Subscribe()
+	ch, cancel := subscribe(t, l, 0)
 	defer cancel()
 	recs := collect(t, ch, 2)
 	if recs[1].SafeSnapshot != true || recs[0].Ops[0].Key != "a" {
@@ -25,7 +25,7 @@ func TestSubscribeReplaysBacklogThenStreams(t *testing.T) {
 	l := NewLog()
 	l.Append(Record{Seq: 1})
 	l.Append(Record{Seq: 2})
-	ch, cancel := l.Subscribe()
+	ch, cancel := subscribe(t, l, 0)
 	defer cancel()
 	if r := <-ch; r.Seq != 1 {
 		t.Fatalf("first = %+v", r)
@@ -46,7 +46,7 @@ func TestSubscribeReplaysBacklogThenStreams(t *testing.T) {
 
 func TestCancelDetaches(t *testing.T) {
 	l := NewLog()
-	ch, cancel := l.Subscribe()
+	ch, cancel := subscribe(t, l, 0)
 	cancel()
 	// Appends after cancel must not block even if nobody reads ch.
 	done := make(chan struct{})
@@ -66,8 +66,8 @@ func TestCancelDetaches(t *testing.T) {
 
 func TestMultipleSubscribersSeeSameStream(t *testing.T) {
 	l := NewLog()
-	a, cancelA := l.Subscribe()
-	b, cancelB := l.Subscribe()
+	a, cancelA := subscribe(t, l, 0)
+	b, cancelB := subscribe(t, l, 0)
 	defer cancelA()
 	defer cancelB()
 	go func() {

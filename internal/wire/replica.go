@@ -12,22 +12,22 @@ import (
 	"pgssi/internal/wal"
 )
 
-// ReplicaSource is a network-backed wal.Stream: each subscription dials
+// ReplicaSource is a network-backed wal.Source: each subscription dials
 // a pgssid master, issues OpReplicate with the resume position, and
 // decodes the resulting stream of record frames. It is the source a
 // replica-mode pgssid (or an in-process pgssi.NewReplica) attaches to.
 //
-// Transient failure handling is deliberately dumb: a dial, protocol, or
-// decode failure just closes the subscription channel (optionally noted
-// via Logf). The consumer (pgssi.Replica) treats a closed channel as
-// "re-subscribe from the applied position with backoff", so
-// reconnect-and-catch-up logic lives in exactly one place and a flaky
-// network looks the same as a slow subscriber being dropped by the
-// fan-out. The one exception is a primary that answers the handshake
-// with StatusNoReplication — it has no WAL stream and can never feed a
-// replica, so retrying is futile: that refusal is recorded and exposed
-// through PermanentErr (wal.SourceErrorer), which pgssi.Replica halts
-// on instead of retrying forever while looking healthy.
+// Failure handling is deliberately dumb: a dial, protocol, or decode
+// failure is returned, or — once streaming — just closes the
+// subscription channel (optionally noted via Logf). The consumer
+// (pgssi.Replica) treats both as "re-subscribe from the applied
+// position with backoff", so reconnect-and-catch-up logic lives in
+// exactly one place and a flaky network looks the same as a slow
+// subscriber being dropped by the fan-out. The handshake's refusals map
+// to the errors the consumer sorts on: a primary that has no WAL stream
+// (StatusNoReplication) can never feed a replica, and is reported as
+// wal.ErrNoStream, on which pgssi.Replica halts instead of retrying
+// forever while looking healthy.
 type ReplicaSource struct {
 	// Addr is the master's TCP address.
 	Addr string
@@ -40,9 +40,6 @@ type ReplicaSource struct {
 	// (transient and permanent alike), so an operator can see why a
 	// replica is not advancing.
 	Logf func(format string, args ...any)
-
-	mu      sync.Mutex //ssi:lock level=10 name=wire.replicaSource
-	permErr error
 }
 
 func (s *ReplicaSource) logf(format string, args ...any) {
@@ -51,45 +48,14 @@ func (s *ReplicaSource) logf(format string, args ...any) {
 	}
 }
 
-// PermanentErr implements wal.SourceErrorer: it reports the recorded
-// permanent refusal (the primary answered StatusNoReplication), or nil
-// if every failure so far has been transient.
-func (s *ReplicaSource) PermanentErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.permErr
-}
-
-var _ wal.SourceErrorer = (*ReplicaSource)(nil)
-
-// Subscribe implements wal.Stream (full replay).
-func (s *ReplicaSource) Subscribe() (<-chan wal.Record, func()) {
-	return s.SubscribeFrom(0)
-}
-
-// SubscribeFrom implements wal.Stream: it streams records after the
-// given commit sequence (per the Stream.SubscribeFrom filter contract,
-// which the master's log applies server-side). The cancel function
-// closes the connection, which ends the channel. Failures — including a
-// truncated resume position — just close the channel; use
-// SubscribeFromChecked to distinguish them.
-func (s *ReplicaSource) SubscribeFrom(after mvcc.SeqNo) (<-chan wal.Record, func()) {
-	ch, cancel, err := s.SubscribeFromChecked(after)
-	if err != nil {
-		out := make(chan wal.Record)
-		close(out)
-		return out, func() {}
-	}
-	return ch, cancel
-}
-
-// SubscribeFromChecked implements wal.CheckedStream: like SubscribeFrom,
-// but a handshake the primary answers with StatusSeqTruncated — the
-// resume position fell below its checkpoint GC floor — is reported as
-// wal.ErrSeqTruncated, so the consumer can re-seed from a checkpoint
+// SubscribeFrom implements wal.Source: it streams records after the
+// given commit sequence (the master's log applies the filter
+// server-side). The cancel function closes the connection, which ends
+// the channel. A handshake the primary answers with StatusSeqTruncated —
+// the resume position fell below its checkpoint GC floor — is reported
+// as wal.ErrSeqTruncated, so the consumer can re-seed from a checkpoint
 // (ReplayCheckpoint) instead of retrying a gap that can never fill.
-// Transient failures (dial, protocol) are returned as ordinary errors.
-func (s *ReplicaSource) SubscribeFromChecked(after mvcc.SeqNo) (<-chan wal.Record, func(), error) {
+func (s *ReplicaSource) SubscribeFrom(after mvcc.SeqNo) (<-chan wal.Record, func(), error) {
 	conn, br, err := s.handshake(&Request{Op: OpReplicate, AfterSeq: uint64(after)}, "replication subscribe")
 	if err != nil {
 		return nil, nil, err
@@ -129,14 +95,12 @@ func (s *ReplicaSource) SubscribeFromChecked(after mvcc.SeqNo) (<-chan wal.Recor
 	return out, cancel, nil
 }
 
-var _ wal.ReplicationSource = (*ReplicaSource)(nil)
-
 // handshake dials the primary and issues one stream-hijacking request
 // (OpReplicate or OpFetchCheckpoint), returning the connection with its
 // deadline cleared once the primary acknowledged StatusOK. Refusals map
 // to the sentinel errors the consumer branches on: StatusNoReplication
-// is recorded as the permanent error, StatusSeqTruncated becomes
-// wal.ErrSeqTruncated, StatusNotFound becomes wal.ErrNoCheckpoint.
+// becomes wal.ErrNoStream, StatusSeqTruncated wal.ErrSeqTruncated,
+// StatusNotFound wal.ErrNoCheckpoint.
 func (s *ReplicaSource) handshake(req *Request, what string) (net.Conn, *bufio.Reader, error) {
 	var d net.Dialer
 	d.Timeout = s.DialTimeout
@@ -166,14 +130,9 @@ func (s *ReplicaSource) handshake(req *Request, what string) (net.Conn, *bufio.R
 		switch {
 		case err == nil && resp.Status == pgssi.StatusNoReplication:
 			// The primary exists and answered: it has no WAL stream.
-			// No amount of retrying changes that — record the refusal
-			// so the consumer can halt instead of spinning.
-			perr := fmt.Errorf("wire: primary %s refused replication: it emits no WAL stream", s.Addr)
-			s.mu.Lock()
-			s.permErr = perr
-			s.mu.Unlock()
-			s.logf("%v", perr)
-			return nil, nil, perr
+			// No amount of retrying changes that.
+			s.logf("%s %s: primary refused replication: it emits no WAL stream", what, s.Addr)
+			return nil, nil, fmt.Errorf("wire: primary %s refused replication: %w", s.Addr, wal.ErrNoStream)
 		case err == nil && resp.Status == pgssi.StatusSeqTruncated:
 			s.logf("%s %s: resume position truncated by checkpoint GC", what, s.Addr)
 			return nil, nil, fmt.Errorf("wire: primary %s: %w", s.Addr, wal.ErrSeqTruncated)
@@ -189,7 +148,7 @@ func (s *ReplicaSource) handshake(req *Request, what string) (net.Conn, *bufio.R
 	return conn, br, nil
 }
 
-// ReplayCheckpoint implements wal.CheckpointSource over the network: it
+// ReplayCheckpoint implements wal.Source over the network: it
 // fetches the primary's newest checkpoint (OpFetchCheckpoint) and feeds
 // each record through fn. The stream is complete only when the
 // safe-snapshot terminator arrives (its sequence is the checkpoint

@@ -231,6 +231,7 @@ func (db *DB) WALStats() wal.Stats {
 }
 
 // DurableWAL returns the WAL — OpenDir's, or the one AttachWAL
-// installed — or nil if the DB has none. Replicas subscribe to it
-// directly (it implements wal.Stream).
+// installed — or nil if the DB has none. It is the one accessor:
+// replicas follow it directly (it implements wal.Source), and the
+// server's replication endpoints serve it.
 func (db *DB) DurableWAL() *wal.DurableLog { return db.log }

@@ -25,7 +25,7 @@ import (
 // the subscriber fell behind the fan-out buffer, the master restarted,
 // or the network dropped — the replica re-subscribes from its applied
 // commit-sequence position and catches up; records it already applied
-// are never applied twice (Stream.SubscribeFrom's contract, plus
+// are never applied twice (wal.Source.SubscribeFrom's contract, plus
 // boundary dedup here for the marker/schema records that share a
 // sequence number with the commit they follow).
 //
@@ -36,7 +36,7 @@ import (
 // "safe" snapshots from it would be silent corruption.
 type Replica struct {
 	db     *DB
-	src    wal.ReplicationSource
+	src    wal.Source
 	stopCh chan struct{}
 	done   chan struct{}
 
@@ -46,7 +46,7 @@ type Replica struct {
 	safeAt     int    // applied position of the last safe-snapshot marker
 	appliedSeq uint64 // commit sequence of the newest applied record
 	safeSeq    uint64 // commit sequence at the last safe-snapshot marker
-	err        error  // first fatal failure (apply error or permanent source refusal); the replica is halted once set
+	err        error  // first fatal failure (apply error, or a source without a log); the replica is halted once set
 	stopped    bool
 }
 
@@ -55,9 +55,9 @@ type Replica struct {
 var ErrNotSafePoint = errors.New("pgssi: replica is not at a safe snapshot point")
 
 // ErrReplicaHalted wraps the failure that halted the replica — the
-// first apply error, or a permanent refusal from the record source
-// (wal.SourceErrorer): the replica has stopped applying the stream and
-// refuses to serve until rebuilt.
+// first apply error, or a source that serves no log (wal.ErrNoStream):
+// the replica has stopped applying the stream and refuses to serve until
+// rebuilt.
 var ErrReplicaHalted = errors.New("pgssi: replica halted")
 
 // ReplicaTxOptions configure a replica read-only transaction.
@@ -78,7 +78,7 @@ type ReplicaTxOptions struct {
 // the source's history has been truncated by checkpoint GC
 // (wal.ErrSeqTruncated) the replica seeds itself from the source's
 // newest checkpoint instead and resumes from the checkpoint sequence.
-func NewReplica(log wal.ReplicationSource) *Replica {
+func NewReplica(log wal.Source) *Replica {
 	r := &Replica{
 		db:     Open(Config{}),
 		src:    log,
@@ -91,7 +91,7 @@ func NewReplica(log wal.ReplicationSource) *Replica {
 }
 
 // run drives the subscribe / apply / re-subscribe cycle until the
-// replica is closed or halts on an apply error. Each re-subscription
+// replica is closed or halts. Each re-subscription
 // resumes from the applied commit-sequence position, so a dropped
 // source (network partition, master restart, fan-out overflow) costs
 // only the records not yet applied.
@@ -108,53 +108,36 @@ func (r *Replica) run() {
 		before := r.applied
 		r.mu.Unlock()
 
-		ch, cancel, serr := r.src.SubscribeFromChecked(after)
-		if errors.Is(serr, wal.ErrSeqTruncated) {
+		ch, cancel, serr := r.src.SubscribeFrom(after)
+		switch {
+		case serr == nil:
+			alive := r.applyLoop(ch, attempt > 0)
+			cancel()
+			if !alive {
+				return
+			}
+		case errors.Is(serr, wal.ErrSeqTruncated):
 			// The source GC'd the records between our position and its
 			// checkpoint: the gap is real and waiting cannot fill it.
 			// Re-seed from the source's checkpoint and resume from the
 			// checkpoint sequence (also the fresh-replica bootstrap path
 			// against a primary whose early segments are long gone).
 			if rerr := r.reseed(); rerr != nil {
-				r.mu.Lock()
-				if r.err == nil {
-					r.err = fmt.Errorf("%w: re-seed after truncated resume: %v", ErrReplicaHalted, rerr)
-				}
-				r.cond.Broadcast()
-				r.mu.Unlock()
+				r.halt(fmt.Errorf("%w: re-seed after truncated resume: %v", ErrReplicaHalted, rerr))
 				return
 			}
 			backoff = time.Millisecond
 			continue
+		case errors.Is(serr, wal.ErrNoStream):
+			// The source has no log to follow (a primary without a WAL):
+			// halt with the error surfaced instead of retrying forever
+			// while looking healthy.
+			r.halt(fmt.Errorf("%w: source refused replication: %w", ErrReplicaHalted, serr))
+			return
 		}
-		if serr == nil {
-			alive := r.applyLoop(ch, attempt > 0)
-			cancel()
-			if !alive {
-				return
-			}
-		}
-		// serr != nil falls through to the permanent-error check and the
-		// backoff, exactly like a channel that closed immediately.
-
-		// A source that reports a permanent failure (e.g. wire's
-		// ReplicaSource after the primary refused replication outright)
-		// can never feed this replica: halt with the error surfaced
-		// instead of retrying forever while looking healthy.
-		if se, ok := r.src.(wal.SourceErrorer); ok {
-			if perr := se.PermanentErr(); perr != nil {
-				r.mu.Lock()
-				if r.err == nil {
-					r.err = fmt.Errorf("%w: source refused replication: %v", ErrReplicaHalted, perr)
-				}
-				r.cond.Broadcast()
-				r.mu.Unlock()
-				return
-			}
-		}
-
-		// The channel closed: the source is gone or dropped us. Back off
-		// (resetting whenever the last attempt made progress) and retry.
+		// Any other refusal is transient, like a channel that closed: the
+		// source is gone or dropped us. Back off (resetting whenever the
+		// last attempt made progress) and retry.
 		r.mu.Lock()
 		progressed := r.applied > before
 		r.mu.Unlock()
@@ -170,6 +153,17 @@ func (r *Replica) run() {
 			backoff *= 2
 		}
 	}
+}
+
+// halt records err as the replica's fatal failure, unless one is
+// already recorded, and wakes everyone waiting on it.
+func (r *Replica) halt(err error) {
+	r.mu.Lock()
+	if r.err == nil {
+		r.err = err
+	}
+	r.cond.Broadcast()
+	r.mu.Unlock()
 }
 
 // reseed rebuilds the replica's engine from the source's newest

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pgssi"
+	"pgssi/internal/mvcc"
 	"pgssi/internal/wal"
 )
 
@@ -51,6 +52,103 @@ func TestReplicaHaltsOnApplyError(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if n, _ := rep.AppliedRecords(); n != 0 {
 		t.Fatalf("halted replica kept applying (%d records)", n)
+	}
+}
+
+// scriptedSource is a wal.Source that refuses every subscription with
+// err while err is set, and otherwise serves log.
+type scriptedSource struct {
+	log   *wal.DurableLog
+	mu    sync.Mutex
+	err   error
+	calls int
+}
+
+func (s *scriptedSource) SubscribeFrom(after mvcc.SeqNo) (<-chan wal.Record, func(), error) {
+	s.mu.Lock()
+	s.calls++
+	err := s.err
+	s.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.log.SubscribeFrom(after)
+}
+
+func (s *scriptedSource) ReplayCheckpoint(fn func(wal.Record) error) (wal.CheckpointInfo, error) {
+	return s.log.ReplayCheckpoint(fn)
+}
+
+// serve ends the refusals.
+func (s *scriptedSource) serve() {
+	s.mu.Lock()
+	s.err = nil
+	s.mu.Unlock()
+}
+
+// subscriptions reports how many times SubscribeFrom was called.
+func (s *scriptedSource) subscriptions() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.calls
+}
+
+// waitUntil polls cond until it holds, failing the test after d.
+func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestReplicaHaltsOnNoStream: a source that refuses with (a wrap of)
+// wal.ErrNoStream can never feed the replica, so it halts at the first
+// refusal with the cause surfaced, instead of retrying forever.
+func TestReplicaHaltsOnNoStream(t *testing.T) {
+	src := &scriptedSource{log: wal.NewLog(), err: fmt.Errorf("scripted: %w", wal.ErrNoStream)}
+	defer src.log.Close()
+	rep := pgssi.NewReplica(src)
+	defer rep.Close()
+	waitUntil(t, 5*time.Second, "the replica to halt", func() bool { return rep.Err() != nil })
+	if err := rep.Err(); !errors.Is(err, pgssi.ErrReplicaHalted) || !errors.Is(err, wal.ErrNoStream) {
+		t.Fatalf("halt error = %v, want ErrReplicaHalted wrapping wal.ErrNoStream", err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if calls := src.subscriptions(); calls != 1 {
+		t.Fatalf("halted replica subscribed %d times, want 1", calls)
+	}
+}
+
+// TestReplicaRetriesTransientSubscribeErrors: any other refusal is
+// transient — after 20 of them the replica is still unhalted and still
+// retrying, and once the source serves again it catches up.
+func TestReplicaRetriesTransientSubscribeErrors(t *testing.T) {
+	db, walLog := attachedDB(t)
+	mustExec(t, db.RunTx(pgssi.TxOptions{Isolation: pgssi.Serializable}, func(tx *pgssi.Tx) error {
+		return tx.Put("kv", "a", []byte("1"))
+	}))
+	src := &scriptedSource{log: walLog, err: errors.New("scripted: connection refused")}
+	rep := pgssi.NewReplica(src)
+	defer rep.Close()
+	// The backoff doubles to a one-second cap, so 20 refusals take ~11 s.
+	waitUntil(t, 60*time.Second, "20 refused subscriptions", func() bool {
+		if err := rep.Err(); err != nil {
+			t.Fatalf("replica halted on a transient refusal: %v", err)
+		}
+		return src.subscriptions() >= 20
+	})
+	if err := rep.Err(); err != nil {
+		t.Fatalf("replica halted on a transient refusal: %v", err)
+	}
+	src.serve()
+	waitUntil(t, 10*time.Second, "the replica to catch up", func() bool { return rep.AppliedSeq() >= db.CurrentSeq() })
+	tx, err := rep.BeginReadOnly(pgssi.ReplicaTxOptions{Serializable: true, WaitSafe: true})
+	mustExec(t, err)
+	defer tx.Rollback()
+	if v, err := tx.Get("kv", "a"); err != nil || string(v) != "1" {
+		t.Fatalf("after catch-up, a = %q (%v), want 1", v, err)
 	}
 }
 

@@ -97,7 +97,10 @@ func hammerCommitsAndAborts(db *pgssi.DB) {
 func logRecords(t *testing.T, l *wal.DurableLog) []wal.Record {
 	t.Helper()
 	n := logLen(l)
-	ch, cancel := l.Subscribe()
+	ch, cancel, err := l.SubscribeFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer cancel()
 	recs := make([]wal.Record, 0, n)
 	timeout := time.After(10 * time.Second)
