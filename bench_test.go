@@ -241,6 +241,7 @@ func BenchmarkLockManager(b *testing.B) {
 			if err := si.Setup(db); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tx, err := db.Begin(pgssi.TxOptions{Isolation: lv.level})

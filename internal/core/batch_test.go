@@ -176,7 +176,7 @@ func TestBatchRegisteredReadsDetectWriteSkew(t *testing.T) {
 // TestPageSplitAppliesPageToRelPromotion pins the PR 5 bugfix: a
 // transaction accumulating page locks purely through index splits must
 // hit the §5.2.1 page→relation threshold exactly as if it had acquired
-// them organically. Before the fix, PageSplit incremented pagesOnRel as
+// them organically. Before the fix, PageSplit incremented the page count as
 // "bookkeeping only" and never applied the threshold, so split-heavy
 // transactions evaded relation promotion until their next organic
 // acquire — the capacity bound leaked.
@@ -185,7 +185,7 @@ func TestPageSplitAppliesPageToRelPromotion(t *testing.T) {
 	x := h.begin(false)
 	h.mgr.AcquirePageLock(x, "i", 1)
 	// Splits 1→2 and 2→3 propagate x's lock to each new right sibling;
-	// the second propagation pushes pagesOnRel to 3 > 2.
+	// the second propagation pushes the relation's page count to 3 > 2.
 	h.mgr.PageSplit("i", 1, 2)
 	if h.mgr.HoldsLock(x, RelationTarget("i")) {
 		t.Fatal("promoted too early: threshold is 2 pages")

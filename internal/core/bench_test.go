@@ -19,6 +19,7 @@ func BenchmarkLockAcquireParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("partitions=%d", parts), func(b *testing.B) {
 			mv := mvcc.NewManager()
 			mgr := NewManager(mv, Config{Partitions: parts})
+			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				x, _ := mgr.Begin(mv.Begin(), mv.TakeSnapshot, false, false)
@@ -47,6 +48,7 @@ func BenchmarkLockAcquireParallel(b *testing.B) {
 func BenchmarkLifecycleBeginCommitParallel(b *testing.B) {
 	mv := mvcc.NewManager()
 	mgr := NewManager(mv, Config{})
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {

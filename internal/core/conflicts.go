@@ -2,6 +2,7 @@ package core
 
 import (
 	"pgssi/internal/mvcc"
+	"pgssi/internal/trace"
 )
 
 // This file implements rw-antidependency flagging and dangerous-structure
@@ -416,23 +417,31 @@ func (m *Manager) doomLocked(victim, caller *Xact) error {
 // CheckWrite processes a write by x to the tuple key whose superseded
 // version lives on (rel, page) — PostgreSQL's
 // CheckForSerializableConflictIn. It searches for SIREAD locks held by
-// other transactions at relation, page, and tuple granularity, in that
-// order (coarsest to finest, §5.2.1), flagging holder → x
+// other transactions at tuple, page, and relation granularity, in that
+// order (finest to coarsest, §5.2.1), flagging holder → x
 // rw-antidependencies. Inserts pass page < 0 and check only the relation
 // level here; their phantom conflicts are found via index-page checks in
 // CheckIndexInsert.
+//
+// A write nobody else has read takes no global mutex: the targets are
+// first probed under their partition mutexes alone, as CheckRead's hot
+// path acquires, and only a probe that finds a holder other than x
+// takes m.mu and runs the full check (partition.go has the argument
+// that the mutex-free "nobody" is as good as one taken under m.mu).
 func (m *Manager) CheckWrite(x *Xact, rel string, page int64, key string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if x.doomed.Load() {
 		return ErrSerializationFailure
 	}
+	// Written without m.mu: x's own goroutine is the only writer, and
+	// every other reader looks only once x has committed or aborted
+	// (ReadOnly), which happens after this on x's goroutine.
 	x.wrote = true
 	// Check finest to coarsest (tuple, page, relation). Combined with
 	// promotion inserting the coarser lock before removing the finer
 	// ones, this guarantees a reader concurrently promoting its locks
 	// is seen at one granularity or another (see partition.go).
-	targets := make([]Target, 0, 3)
+	var buf [3]Target
+	targets := buf[:0]
 	if page >= 0 {
 		if key != "" {
 			targets = append(targets, TupleTarget(rel, page, key))
@@ -440,6 +449,17 @@ func (m *Manager) CheckWrite(x *Xact, rel string, page int64, key string) error 
 		targets = append(targets, PageTarget(rel, page))
 	}
 	targets = append(targets, RelationTarget(rel))
+	if !m.othersHoldAny(x, targets) {
+		if x.doomed.Load() {
+			return ErrSerializationFailure
+		}
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if x.doomed.Load() {
+		return ErrSerializationFailure
+	}
 	for _, t := range targets {
 		if err := m.checkTargetWriteLocked(x, t); err != nil {
 			return err
@@ -449,6 +469,27 @@ func (m *Manager) CheckWrite(x *Xact, rel string, page int64, key string) error 
 		return ErrSerializationFailure
 	}
 	return nil
+}
+
+// othersHoldAny reports whether a transaction other than x holds a
+// SIREAD lock on any of targets, probing them in order, each under its
+// partition mutex alone. It fires the trace seam's WriteProbe point
+// before each probe.
+func (m *Manager) othersHoldAny(x *Xact, targets []Target) bool {
+	for _, t := range targets {
+		if f := m.cfg.Trace; f != nil {
+			f(trace.Event{Point: trace.WriteProbe, XID: uint64(x.XID), Seq: uint64(t.Level), Table: t.Rel, Key: t.Key})
+		}
+		p, h := m.locate(t)
+		p.mu.Lock()
+		hs := p.locks.holders(h, t)
+		other := hs.hasOther(x)
+		p.mu.Unlock()
+		if other {
+			return true
+		}
+	}
+	return false
 }
 
 // CheckIndexInsert processes the insertion of an index entry on leaf page
@@ -474,7 +515,8 @@ func (m *Manager) CheckIndexInsert(x *Xact, idx string, page int64) error {
 	return nil
 }
 
-// checkTargetWriteLocked flags reader → x for every SIREAD holder of t.
+// checkTargetWriteLocked flags reader → x for every SIREAD holder of t:
+// CheckWrite's full check, run once its mutex-free probe found a holder.
 // Caller holds m.mu, which pins every holder's SIREAD locks (abort,
 // reclamation, and summarization all require m.mu, so no holder leaves
 // the table between the snapshot below and the flagging; a holder may
@@ -483,15 +525,11 @@ func (m *Manager) CheckIndexInsert(x *Xact, idx string, page int64) error {
 // partition mutex is held only while snapshotting the holder set, since
 // flagging can itself mutate the lock table via dooms.
 func (m *Manager) checkTargetWriteLocked(x *Xact, t Target) error {
-	p := m.partition(t)
+	p, h := m.locate(t)
 	p.mu.Lock()
-	holders := p.locks[t]
-	readers := make([]*Xact, 0, len(holders))
-	for r := range holders {
-		if r != x {
-			readers = append(readers, r)
-		}
-	}
+	hs := p.locks.holders(h, t)
+	var buf [4]*Xact
+	readers := hs.appendOthers(buf[:0], x)
 	p.mu.Unlock()
 	for _, r := range readers {
 		if r == m.oldCommitted {

@@ -177,8 +177,8 @@ type Config struct {
 	//     completed in between (including a doom of the committer) is
 	//     missed.
 	DisableLifecycleFencing bool
-	// Trace, if non-nil, receives the Begin and PreCommit events
-	// (internal/trace). Test-only; it must not call back into the
+	// Trace, if non-nil, receives the Begin, PreCommit and WriteProbe
+	// events (internal/trace). Test-only; it must not call back into the
 	// Manager.
 	Trace trace.Func
 }
@@ -301,13 +301,12 @@ type Xact struct {
 	// nests inside Manager.mu and outside the partition mutexes (see
 	// partition.go for the full ordering rule).
 	lockMu sync.Mutex //ssi:lock level=40 name=core.txnLocks
-	// locks is this transaction's SIREAD lock set.
-	locks map[Target]struct{}
-	// tuplesOnPage counts the tuple locks taken per (rel, page), for
-	// promotion; zero means x holds no tuple lock on the page.
-	tuplesOnPage map[Target]int
-	// pagesOnRel counts page locks per relation for promotion.
-	pagesOnRel map[string]int
+	// locks is this transaction's SIREAD lock set together with its
+	// promotion counters: the tuple locks acquired per (rel, page) —
+	// zero means x holds no tuple lock on the page — and the page
+	// locks acquired per relation (lockset.go). A point transaction's
+	// fits inside the Xact.
+	locks lockSet
 	// lockingDone bars further lock acquisition: set when the
 	// transaction finishes, is summarized, or moves onto a safe
 	// snapshot. Structural propagation (PageSplit) bypasses it, since
@@ -395,8 +394,12 @@ type Manager struct {
 
 	// oldCommitted is the dummy transaction that absorbs summarized
 	// transactions' SIREAD locks (§6.2). The per-target latest commit
-	// seq of absorbed holders lives in each partition's dummySeqs.
+	// seq of absorbed holders lives in each partition's dummySeqs;
+	// dummyTargets counts those entries over all partitions, so a
+	// reclaim pass skips the partition sweep when there are none.
+	// Guarded by mu, which every dummy-lock change holds.
 	oldCommitted *Xact
+	dummyTargets int
 	// summary maps a summarized committed transaction's xid to the
 	// commit sequence number of the earliest transaction it had a
 	// conflict out to (zero if none) — the "single 64-bit integer per
@@ -431,6 +434,7 @@ func NewManager(m *mvcc.Manager, cfg Config) *Manager {
 		summary:    make(map[mvcc.TxID]mvcc.SeqNo),
 	}
 	mgr.oldCommitted = &Xact{committed: true}
+	mgr.rec.byPart = make([][]removal, cfg.Partitions)
 	return mgr
 }
 
@@ -462,9 +466,7 @@ func (m *Manager) LockCount() int {
 	for i := range m.parts {
 		p := &m.parts[i]
 		p.mu.Lock()
-		for _, holders := range p.locks {
-			n += len(holders)
-		}
+		n += p.locks.len()
 		p.mu.Unlock()
 	}
 	return n

@@ -368,11 +368,10 @@ func (m *Manager) dropCommittedBatchLocked(cs []*Xact) {
 	if len(cs) == 0 {
 		return
 	}
-	var byPart map[uint64][]removal
 	for _, c := range cs {
-		byPart = m.collectLocksLocked(c, byPart)
+		m.collectLocksLocked(c)
 	}
-	m.flushRemovalsLocked(byPart)
+	m.flushRemovalsLocked()
 	for _, c := range cs {
 		m.dropEdgesLocked(c)
 		m.dropXact(c)
@@ -417,12 +416,13 @@ func (m *Manager) summarizeLocked(c *Xact) {
 	// see the target momentarily unheld.
 	c.lockMu.Lock()
 	c.lockingDone = true
-	for t := range c.locks {
-		m.insertDummyLockLocked(t, c.CommitSeq)
-		m.removeLockXLocked(c, t)
+	for _, e := range c.locks.ents {
+		if e.held {
+			m.insertDummyLockLocked(e.t, c.CommitSeq)
+			m.dropHolder(c, e.t)
+		}
 	}
-	c.tuplesOnPage = nil
-	c.pagesOnRel = nil
+	c.locks.reset()
 	c.lockMu.Unlock()
 
 	// Readers of c keep their recorded earliestOutConflictCommit;

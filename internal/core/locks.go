@@ -58,7 +58,7 @@ func (m *Manager) acquireXLocked(x *Xact, t Target) {
 	if m.coveredXLocked(x, t) {
 		return
 	}
-	if _, dup := x.locks[t]; dup {
+	if x.locks.holds(t) {
 		return
 	}
 	// Enforce the global capacity bound by consolidating this
@@ -74,21 +74,12 @@ func (m *Manager) acquireXLocked(x *Xact, t Target) {
 
 	switch t.Level {
 	case LevelTuple:
-		pk := PageTarget(t.Rel, t.Page)
-		if x.tuplesOnPage == nil {
-			x.tuplesOnPage = make(map[Target]int)
-		}
-		x.tuplesOnPage[pk]++
-		if x.tuplesOnPage[pk] > m.cfg.PromoteTupleToPage {
+		if int(x.locks.bump(PageTarget(t.Rel, t.Page), 1)) > m.cfg.PromoteTupleToPage {
 			m.tuplePromotions.Add(1)
 			m.promoteToPageXLocked(x, t.Rel, t.Page)
 		}
 	case LevelPage:
-		if x.pagesOnRel == nil {
-			x.pagesOnRel = make(map[string]int)
-		}
-		x.pagesOnRel[t.Rel]++
-		if x.pagesOnRel[t.Rel] > m.cfg.PromotePageToRel {
+		if int(x.locks.bump(RelationTarget(t.Rel), 1)) > m.cfg.PromotePageToRel {
 			m.pagePromotions.Add(1)
 			m.promoteToRelationXLocked(x, t.Rel)
 		}
@@ -101,15 +92,8 @@ func (m *Manager) coveredXLocked(x *Xact, t Target) bool {
 	if t.Level == LevelRelation {
 		return false
 	}
-	if _, ok := x.locks[RelationTarget(t.Rel)]; ok {
-		return true
-	}
-	if t.Level == LevelTuple {
-		if _, ok := x.locks[PageTarget(t.Rel, t.Page)]; ok {
-			return true
-		}
-	}
-	return false
+	return x.locks.holds(RelationTarget(t.Rel)) ||
+		t.Level == LevelTuple && x.locks.holds(PageTarget(t.Rel, t.Page))
 }
 
 // AcquireTupleLockBatch records SIREAD locks for x on a batch of tuples
@@ -121,17 +105,17 @@ func (m *Manager) coveredXLocked(x *Xact, t Target) bool {
 // The batch rule: a batch of more than PromoteTupleToPage keys is a page
 // lock, whatever x already holds on the page. That is what the per-key
 // path arrives at — every key either is already tuple-locked by x on
-// this page, and then counted in tuplesOnPage, or is inserted and
-// counted, so after the last of more than PromoteTupleToPage distinct
-// keys the count is over the threshold and the tuple locks are
-// consolidated — so len(keys) alone decides, and no Target is built and
-// no lock-set probe made per key for a batch that promotes. (The engine
-// passes duplicate-free key sets. A batch inflated by duplicates past
-// the threshold takes the page lock where the per-key path would not
-// yet: coarser, never less covered, and the gauge stays exact.) A scan
-// of a table loaded in key order meets whole pages (storage: a row keeps
-// its page), so its batches are this case and cost one map insert each.
-// A smaller batch runs the covered/dup checks against x's own lock set,
+// this page, and then counted in the page's tuple counter, or is
+// inserted and counted, so after the last of more than
+// PromoteTupleToPage distinct keys the count is over the threshold and
+// the tuple locks are consolidated — so len(keys) alone decides, and no
+// Target is built and no lock-set probe made per key for a batch that
+// promotes. (The engine passes duplicate-free key sets. A batch inflated
+// by duplicates past the threshold takes the page lock where the per-key
+// path would not yet: coarser, never less covered, and the gauge stays
+// exact.) A scan of a table loaded in key order meets whole pages
+// (storage: a row keeps its page), so its batches are this case and cost
+// one page-lock insert each. A smaller batch runs the covered/dup checks against x's own lock set,
 // crosses the threshold or not with what x holds already, and otherwise
 // inserts the survivors with each partition mutex taken at most once;
 // its working storage is x's and is reused.
@@ -168,11 +152,11 @@ func (m *Manager) acquireTupleBatchXLocked(x *Xact, rel string, page int64, keys
 	if x.lockingDone {
 		return false
 	}
-	if _, ok := x.locks[RelationTarget(rel)]; ok {
+	if x.locks.holds(RelationTarget(rel)) {
 		return true
 	}
 	pk := PageTarget(rel, page)
-	if _, ok := x.locks[pk]; ok {
+	if x.locks.holds(pk) {
 		return false
 	}
 	promotes := len(keys) > m.cfg.PromoteTupleToPage
@@ -181,7 +165,7 @@ func (m *Manager) acquireTupleBatchXLocked(x *Xact, rel string, page int64, keys
 		// Survivors: keys not already tuple-locked by x.
 		for _, k := range keys {
 			t := TupleTarget(rel, page, k)
-			if _, dup := x.locks[t]; !dup {
+			if !x.locks.holds(t) {
 				targets = append(targets, t)
 			}
 		}
@@ -189,7 +173,7 @@ func (m *Manager) acquireTupleBatchXLocked(x *Xact, rel string, page int64, keys
 		if len(targets) == 0 {
 			return false
 		}
-		promotes = x.tuplesOnPage[pk]+len(targets) > m.cfg.PromoteTupleToPage
+		promotes = int(x.locks.count(pk))+len(targets) > m.cfg.PromoteTupleToPage
 	}
 	// Global capacity bound, batch-wise: same trigger as the per-row
 	// path (gauge already at the bound), with the same tolerance for
@@ -206,8 +190,7 @@ func (m *Manager) acquireTupleBatchXLocked(x *Xact, rel string, page int64, keys
 	if promotes {
 		m.tuplePromotions.Add(1)
 		m.promoteToPageXLocked(x, rel, page)
-		_, relCovered = x.locks[RelationTarget(rel)]
-		return relCovered
+		return x.locks.holds(RelationTarget(rel))
 	}
 	// Insert the survivors partition by partition: each partition mutex
 	// is taken at most once, still one at a time (ordering rule
@@ -215,12 +198,9 @@ func (m *Manager) acquireTupleBatchXLocked(x *Xact, rel string, page int64, keys
 	const inserted = ^uint64(0)
 	parts := x.batchParts[:0]
 	for _, t := range targets {
-		parts = append(parts, m.partitionIndex(t))
+		parts = append(parts, targetHash(t)&m.partMask)
 	}
 	x.batchParts = parts
-	if x.locks == nil {
-		x.locks = make(map[Target]struct{}, len(targets))
-	}
 	// n counts actual holder-set insertions, not batch entries: a key
 	// duplicated within one batch hashes to the same target and must
 	// move the gauge once (the engine passes dup-free key sets, but the
@@ -237,28 +217,20 @@ func (m *Manager) acquireTupleBatchXLocked(x *Xact, rel string, page int64, keys
 				continue
 			}
 			parts[j] = inserted
-			t := targets[j]
-			holders := p.locks[t]
-			if holders == nil {
-				holders = make(map[*Xact]struct{})
-				p.locks[t] = holders
-			}
-			if _, dup := holders[x]; !dup {
-				holders[x] = struct{}{}
+			if p.locks.add(targetHash(targets[j]), targets[j], x) {
 				n++
 			}
 		}
 		p.mu.Unlock()
 	}
 	for _, t := range targets {
-		x.locks[t] = struct{}{}
+		x.locks.hold(t)
 	}
 	m.locksAcquired.Add(int64(n))
 	m.bumpLocksCurrent(int64(n))
-	if x.tuplesOnPage == nil {
-		x.tuplesOnPage = make(map[Target]int)
+	if n > 0 {
+		x.locks.bump(pk, int32(n))
 	}
-	x.tuplesOnPage[pk] += n
 	return false
 }
 
@@ -268,22 +240,13 @@ func (m *Manager) acquireTupleBatchXLocked(x *Xact, rel string, page int64, keys
 func (m *Manager) insertLockXLocked(x *Xact, t Target) bool {
 	// x.locks and the partition's holder set are kept in sync under
 	// x.lockMu, so the transaction's own set doubles as the dup check.
-	if _, ok := x.locks[t]; ok {
+	if !x.locks.hold(t) {
 		return false
 	}
-	p := m.partition(t)
+	p, h := m.locate(t)
 	p.mu.Lock()
-	holders := p.locks[t]
-	if holders == nil {
-		holders = make(map[*Xact]struct{})
-		p.locks[t] = holders
-	}
-	holders[x] = struct{}{}
+	p.locks.add(h, t, x)
 	p.mu.Unlock()
-	if x.locks == nil {
-		x.locks = make(map[Target]struct{})
-	}
-	x.locks[t] = struct{}{}
 	m.locksAcquired.Add(1)
 	m.bumpLocksCurrent(1)
 	return true
@@ -292,18 +255,17 @@ func (m *Manager) insertLockXLocked(x *Xact, t Target) bool {
 // removeLockXLocked removes (t, x) from the lock table and x's lock set.
 // Caller holds x.lockMu.
 func (m *Manager) removeLockXLocked(x *Xact, t Target) {
-	if _, ok := x.locks[t]; !ok {
-		return
+	if x.locks.unhold(t) {
+		m.dropHolder(x, t)
 	}
-	delete(x.locks, t)
-	p := m.partition(t)
+}
+
+// dropHolder removes x from t's holder set in the lock table, leaving
+// x's own lock set to the caller. Caller holds x.lockMu or m.mu.
+func (m *Manager) dropHolder(x *Xact, t Target) {
+	p, h := m.locate(t)
 	p.mu.Lock()
-	if holders, ok := p.locks[t]; ok {
-		delete(holders, x)
-		if len(holders) == 0 {
-			delete(p.locks, t)
-		}
-	}
+	p.locks.remove(h, t, x)
 	p.mu.Unlock()
 	m.locksCurrent.Add(-1)
 }
@@ -312,110 +274,123 @@ func (m *Manager) removeLockXLocked(x *Xact, t Target) {
 // single page lock. The page lock is inserted BEFORE the tuple locks are
 // removed so that a concurrent writer, which checks granularities finest
 // to coarsest, can never observe a window with no covering lock (see
-// partition.go). tuplesOnPage counts every tuple lock x acquired on the
-// page (it is not decremented when one is dropped; only a recovered
-// prepared transaction holds uncounted ones, and it acquires nothing),
-// so zero means there is none to remove and the walk over x's whole lock
-// set is skipped — the common case of a scan meeting a page for the first
-// time. Caller holds x.lockMu.
+// partition.go). The page's counter counts every tuple lock x acquired
+// on the page (it is not decremented when one is dropped; only a
+// recovered prepared transaction holds uncounted ones, and it acquires
+// nothing), so zero means there is none to remove and the walk over x's
+// whole lock set is skipped — the common case of a scan meeting a page
+// for the first time. Caller holds x.lockMu.
 func (m *Manager) promoteToPageXLocked(x *Xact, rel string, page int64) {
 	pk := PageTarget(rel, page)
 	m.insertLockXLocked(x, pk)
-	if x.tuplesOnPage[pk] > 0 {
-		for t := range x.locks {
-			if t.Level == LevelTuple && t.Rel == rel && t.Page == page {
-				m.removeLockXLocked(x, t)
+	if x.locks.count(pk) > 0 {
+		for i := range x.locks.ents {
+			e := &x.locks.ents[i]
+			if e.held && e.t.Level == LevelTuple && e.t.Page == page && e.t.Rel == rel {
+				e.held = false
+				m.dropHolder(x, e.t)
 			}
 		}
-		delete(x.tuplesOnPage, pk)
+		x.locks.clearCount(pk)
+		x.locks.compact()
 	}
-	if x.pagesOnRel == nil {
-		x.pagesOnRel = make(map[string]int)
-	}
-	x.pagesOnRel[rel]++
-	if x.pagesOnRel[rel] > m.cfg.PromotePageToRel {
+	if int(x.locks.bump(RelationTarget(rel), 1)) > m.cfg.PromotePageToRel {
 		m.promoteToRelationXLocked(x, rel)
 	}
 }
 
 // promoteToRelationXLocked replaces all of x's locks on rel with a single
 // relation lock, inserting the coarse lock before removing the fine ones
-// (same no-uncovered-window invariant as promoteToPageXLocked). Caller
-// holds x.lockMu.
+// (same no-uncovered-window invariant as promoteToPageXLocked), and
+// clears the relation's page counter and the tuple counter of every page
+// it held a tuple lock on. Caller holds x.lockMu.
 func (m *Manager) promoteToRelationXLocked(x *Xact, rel string) {
-	m.insertLockXLocked(x, RelationTarget(rel))
-	for t := range x.locks {
-		if t.Rel == rel && t.Level != LevelRelation {
-			m.removeLockXLocked(x, t)
-			if t.Level == LevelTuple {
-				delete(x.tuplesOnPage, PageTarget(t.Rel, t.Page))
+	rt := RelationTarget(rel)
+	m.insertLockXLocked(x, rt)
+	for i := range x.locks.ents {
+		e := &x.locks.ents[i]
+		if e.held && e.t.Level != LevelRelation && e.t.Rel == rel {
+			e.held = false
+			m.dropHolder(x, e.t)
+			if e.t.Level == LevelTuple {
+				x.locks.clearCount(PageTarget(rel, e.t.Page))
 			}
 		}
 	}
-	delete(x.pagesOnRel, rel)
+	x.locks.clearCount(rt)
+	x.locks.compact()
 }
 
 // removal is one (target, holder) pair queued for batched deletion from
-// the lock table, grouped by partition index (see flushRemovalsLocked).
+// the lock table (see flushRemovalsLocked).
 type removal struct {
 	t Target
+	h uint64 // t's hash
 	x *Xact
 }
 
 // collectLocksLocked freezes x's lock set — setting lockingDone and
 // clearing the per-transaction bookkeeping — and queues its (target, x)
-// pairs into byPart for a later flushRemovalsLocked, allocating the map
-// lazily (pass nil for the first transaction of a batch) and returning
-// it. Until the flush, the lock table transiently holds entries for a
-// transaction whose own set is empty; caller must hold m.mu across
-// collect+flush, which makes the desync unobservable (see the
-// batch-path rules in partition.go).
-func (m *Manager) collectLocksLocked(x *Xact, byPart map[uint64][]removal) map[uint64][]removal {
+// pairs, by partition, into m.rec.byPart for a later
+// flushRemovalsLocked. Until the flush, the lock table transiently
+// holds entries for a transaction whose own set is empty; caller must
+// hold m.mu across collect+flush, which makes the desync unobservable
+// to everything but CheckWrite's mutex-free probe, which only ever
+// answers "take m.mu and look again" for it (see the batch-path rules
+// in partition.go).
+func (m *Manager) collectLocksLocked(x *Xact) {
 	x.lockMu.Lock()
-	if len(x.locks) > 0 && byPart == nil {
-		byPart = make(map[uint64][]removal, 8)
-	}
 	x.lockingDone = true
-	for t := range x.locks {
-		i := m.partitionIndex(t)
-		byPart[i] = append(byPart[i], removal{t, x})
+	byPart := m.rec.byPart
+	for i := range x.locks.ents {
+		if e := &x.locks.ents[i]; e.held {
+			h := targetHash(e.t)
+			byPart[h&m.partMask] = append(byPart[h&m.partMask], removal{e.t, h, x})
+		}
 	}
-	x.locks = nil
-	x.tuplesOnPage = nil
-	x.pagesOnRel = nil
+	x.locks.reset()
 	x.batchTargets, x.batchParts = nil, nil
 	x.lockMu.Unlock()
-	return byPart
 }
 
 // flushRemovalsLocked deletes the queued (target, holder) pairs from
 // the lock table, taking each partition mutex exactly once for the
 // whole batch — the release-side mirror of AcquireTupleLockBatch's
-// insert grouping. Caller holds m.mu.
-func (m *Manager) flushRemovalsLocked(byPart map[uint64][]removal) {
-	for i, rs := range byPart {
+// insert grouping — and empties the queue for the next batch. Caller
+// holds m.mu.
+func (m *Manager) flushRemovalsLocked() {
+	for i, rs := range m.rec.byPart {
+		if len(rs) == 0 {
+			continue
+		}
 		p := &m.parts[i]
 		p.mu.Lock()
 		for _, r := range rs {
-			if holders, ok := p.locks[r.t]; ok {
-				if _, held := holders[r.x]; held {
-					delete(holders, r.x)
-					m.locksCurrent.Add(-1)
-					if len(holders) == 0 {
-						delete(p.locks, r.t)
-					}
-				}
+			if p.locks.remove(r.h, r.t, r.x) {
+				m.locksCurrent.Add(-1)
 			}
 		}
 		p.mu.Unlock()
+		// Keep the queue's storage for the next batch, holding no
+		// target or transaction alive, unless one outsized batch grew it.
+		clear(rs)
+		if cap(rs) > maxKeptRemovals {
+			rs = nil
+		}
+		m.rec.byPart[i] = rs[:0]
 	}
 }
+
+// maxKeptRemovals bounds the per-partition removal queue a flush keeps
+// for reuse.
+const maxKeptRemovals = 1024
 
 // releaseLocksLocked removes every SIREAD lock x holds and bars new
 // acquisitions, sweeping each lock-table partition at most once.
 // Caller holds m.mu; x.lockMu is taken here.
 func (m *Manager) releaseLocksLocked(x *Xact) {
-	m.flushRemovalsLocked(m.collectLocksLocked(x, nil))
+	m.collectLocksLocked(x)
+	m.flushRemovalsLocked()
 }
 
 // DropOwnTupleLock implements the optimization of §7.3: a transaction may
@@ -441,24 +416,16 @@ func (m *Manager) PageSplit(rel string, left, right int64) {
 	lt := PageTarget(rel, left)
 	rt := PageTarget(rel, right)
 
-	lp := m.partition(lt)
+	lp, lh := m.locate(lt)
 	lp.mu.Lock()
-	holders := make([]*Xact, 0, len(lp.locks[lt]))
-	for x := range lp.locks[lt] {
-		if x != m.oldCommitted {
-			holders = append(holders, x)
-		}
-	}
+	hs := lp.locks.holders(lh, lt)
+	holders := hs.appendOthers(make([]*Xact, 0, hs.len()), m.oldCommitted)
 	dummySeq, hasDummy := lp.dummySeqs[lt]
 	lp.mu.Unlock()
 
 	for _, x := range holders {
 		x.lockMu.Lock()
 		if !m.coveredXLocked(x, rt) && m.insertLockXLocked(x, rt) {
-			if x.pagesOnRel == nil {
-				x.pagesOnRel = make(map[string]int)
-			}
-			x.pagesOnRel[rel]++
 			// Apply the §5.2.1 capacity bound here too: a transaction
 			// accumulating page locks through index splits must hit the
 			// page→relation threshold exactly as if it had acquired
@@ -466,7 +433,7 @@ func (m *Manager) PageSplit(rel string, left, right int64) {
 			// (split-derived locks counted but never consolidated). The
 			// mu → lockMu → partition order permits the promotion from
 			// under m.mu.
-			if x.pagesOnRel[rel] > m.cfg.PromotePageToRel {
+			if int(x.locks.bump(RelationTarget(rel), 1)) > m.cfg.PromotePageToRel {
 				m.pagePromotions.Add(1)
 				m.promoteToRelationXLocked(x, rel)
 			}
@@ -490,14 +457,17 @@ func (m *Manager) PromoteRelationLocks(rel string) {
 	affected := make(map[*Xact]struct{})
 	dummySeq := mvcc.InvalidSeqNo
 	var dummyTargets []Target
+	var holders []*Xact
 	for i := range m.parts {
 		p := &m.parts[i]
 		p.mu.Lock()
-		for t, hs := range p.locks {
-			if t.Rel != rel || t.Level == LevelRelation {
+		for j := range p.locks.slots {
+			t, hs := p.locks.slots[j].t, &p.locks.slots[j].hs
+			if hs.empty() || t.Rel != rel || t.Level == LevelRelation {
 				continue
 			}
-			for x := range hs {
+			holders = hs.appendOthers(holders[:0], nil)
+			for _, x := range holders {
 				if x == m.oldCommitted {
 					if s := p.dummySeqs[t]; s > dummySeq {
 						dummySeq = s
@@ -530,6 +500,5 @@ func (m *Manager) PromoteRelationLocks(rel string) {
 func (m *Manager) HoldsLock(x *Xact, t Target) bool {
 	x.lockMu.Lock()
 	defer x.lockMu.Unlock()
-	_, ok := x.locks[t]
-	return ok
+	return x.locks.holds(t)
 }

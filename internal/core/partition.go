@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 
 	"pgssi/internal/mvcc"
@@ -12,6 +13,17 @@ import (
 // its own mutex, so lock acquisition and release — the hottest path in
 // the system, taken once per tuple read — do not serialize on the
 // global SSI mutex.
+//
+// Layout. Each lock is recorded twice, kept in sync under the holder's
+// Xact.lockMu: in the table, where a partition's open-addressing table
+// (holderTable, keyed by the target hash that picked the partition)
+// maps a target to its holder set (holderSet: the first holder inline, a
+// map only once a second holder arrives), and in the holder's own lock
+// set (lockSet, lockset.go: target → held mark plus the §5.2.1
+// promotion counters, its first entries inline in the Xact, linear
+// probing while small and a map index past that). Neither form
+// allocates for a point transaction's locks: the partition tables are
+// long-lived and grow only to the table's peak.
 //
 // Lock ordering (deadlock freedom and correctness rule):
 //
@@ -28,8 +40,9 @@ import (
 //     flagging, dangerous-structure traversal, the pre-commit check of
 //     edge-bearing transactions, read-only safety registration and
 //     resolution, the summary table, and reclamation/summarization of
-//     committed state. (Begin and conflict-free commits do NOT take
-//     it; see levels 2a–2c.)
+//     committed state. (Begin, conflict-free commits and writes nobody
+//     else read do NOT take it; see levels 2a–2c and the write probe
+//     below.)
 //  2a. xactShard.mu — one shard of the active-transaction registry
 //     (registry.go). Begin takes only this; mu-holders take shards one
 //     at a time for lookups and scans.
@@ -103,6 +116,43 @@ import (
 //     already gone, the coarser one was inserted before the writer
 //     reached that coarser level.
 //
+// The mutex-free write probe. CheckWrite first probes its tuple, page
+// and relation targets, finest first, under each partition mutex alone
+// (no Manager.mu), and takes Manager.mu for the full check only when a
+// probe finds a holder other than the writer. A "nobody" answer is as
+// good as one taken under Manager.mu, because every way a holder can
+// leave a target is one of these:
+//
+//   - Released outright: Abort (an aborted reader's edges are void,
+//     §5.3), markSafeLocked (a reader on a safe snapshot is in no
+//     dangerous structure, §4.2), the reclaimer's drop and dummy expiry
+//     (the horizon passed the holder's commit, so nothing active is
+//     concurrent with it and no rw-antidependency to a present or future
+//     writer can exist), and the §6.1 sweep (reclaim.go: it strips only
+//     transactions retired before its recheck of the registry, so any
+//     writer concurrent with one of them either is seen active there
+//     and must be declared read-only, or probed before the sweep, or
+//     begins after it and is not concurrent). None of these needs the
+//     writer to wait for Manager.mu.
+//   - Moved: promotion (mutex-free, under the holder's lockMu),
+//     PromoteRelationLocks and summarization into the dummy transaction
+//     (both under Manager.mu) all insert the destination lock — the same
+//     target for summarization, a coarser one otherwise — before they
+//     remove the source. A writer that probes the source's target
+//     before the removal finds the source; one that probes it after
+//     finds the destination there (summarization) or, probing finest
+//     first, reaches the coarser destination later still, after its
+//     insert. So the probe sees the lock at one place or the other,
+//     exactly as for promotion above.
+//   - PageSplit only ever adds locks, on index pages.
+//
+// The writer holds its row's heap page latch exclusively across the
+// probe, so a reader of that row cannot register a new lock on it
+// meanwhile (the level-0 atomicity unit). The storage is pinned by
+// TestLockStorageMatchesReferenceModel, the argument by the root
+// package's TestDetectionWindowMutexFreeWriteProbe (a reader's
+// promotion and a summarization racing a parked writer's probe).
+//
 // Batch paths (PR 5). The page-grained scan read path batches SIREAD
 // acquisition (AcquireTupleLockBatch) and the reclaimer batches release
 // (flushRemovalsLocked); both follow the same outer-to-inner order with
@@ -127,10 +177,12 @@ import (
 //     two steps the lock table transiently contains holders whose own
 //     lock set is already empty. That desync is invisible: the entire
 //     pass holds Manager.mu, and every reader of another transaction's
-//     holder entries — CheckWrite's probes, PageSplit,
-//     PromoteRelationLocks, summarization — also requires Manager.mu,
-//     while mutex-free paths (acquire, DropOwnTupleLock) touch only
-//     their own transaction's entries.
+//     holder entries that acts on them — CheckWrite's full check,
+//     PageSplit, PromoteRelationLocks, summarization — also requires
+//     Manager.mu, while mutex-free paths (acquire, DropOwnTupleLock)
+//     touch only their own transaction's entries. CheckWrite's
+//     mutex-free probe may see such a holder; all it does with one is
+//     take Manager.mu and look again, after the flush.
 //
 // Finished-transaction insert audit (PR 5): insertLockXLocked has no
 // lockingDone guard, and PageSplit / PromoteRelationLocks call it for
@@ -156,25 +208,236 @@ import (
 type lockPartition struct {
 	mu sync.Mutex //ssi:lock level=50 name=core.partition
 	// locks maps target → holders, for targets hashing to this shard.
-	locks map[Target]map[*Xact]struct{}
+	// A target is present iff its holder set is non-empty.
+	locks holderTable
 	// dummySeqs records, per target held by the summarized dummy
 	// transaction, the latest commit sequence number of any absorbed
 	// holder, for cleanup (§6.2).
 	dummySeqs map[Target]mvcc.SeqNo
 }
 
+// holderSet is the set of transactions holding a SIREAD lock on one
+// target. Its first holder is kept inline, so the common target — read
+// by one transaction at a time — costs its slot in the partition's table
+// and nothing else; a map is made only when a second holder arrives, and
+// is kept (empty or not) for as long as the target is locked, so a hot
+// target does not remake it as holders come and go. first is nil only in
+// an empty set, and more never contains first.
+type holderSet struct {
+	first *Xact
+	more  map[*Xact]struct{}
+}
+
+// add inserts x, reporting false if x already held the target.
+func (h *holderSet) add(x *Xact) bool {
+	if h.first == nil {
+		h.first = x
+		return true
+	}
+	if h.first == x {
+		return false
+	}
+	if _, dup := h.more[x]; dup {
+		return false
+	}
+	if h.more == nil {
+		h.more = make(map[*Xact]struct{})
+	}
+	h.more[x] = struct{}{}
+	return true
+}
+
+// remove deletes x, reporting whether it was a holder. Removing the
+// inline holder moves a spilled one inline.
+func (h *holderSet) remove(x *Xact) bool {
+	if h.first != x {
+		if _, ok := h.more[x]; !ok {
+			return false
+		}
+		delete(h.more, x)
+		return true
+	}
+	h.first = nil
+	for y := range h.more {
+		h.first = y
+		delete(h.more, y)
+		break
+	}
+	return true
+}
+
+// empty reports whether no transaction holds the target.
+func (h *holderSet) empty() bool { return h.first == nil }
+
+// len returns the number of holders.
+func (h *holderSet) len() int {
+	if h.first == nil {
+		return 0
+	}
+	return 1 + len(h.more)
+}
+
+// hasOther reports whether a transaction other than x holds the target.
+func (h *holderSet) hasOther(x *Xact) bool {
+	return h.first != nil && (h.first != x || len(h.more) > 0)
+}
+
+// appendOthers appends every holder but skip to dst.
+func (h *holderSet) appendOthers(dst []*Xact, skip *Xact) []*Xact {
+	if h.first != nil && h.first != skip {
+		dst = append(dst, h.first)
+	}
+	for y := range h.more {
+		if y != skip {
+			dst = append(dst, y)
+		}
+	}
+	return dst
+}
+
+// holderTable is one partition's target → holder-set table: open
+// addressing with linear probing over a power-of-two array of slots,
+// keyed by the target's hash — the one that chose the partition, so a
+// lock operation hashes its target once — and kept at most 3/4 full.
+// Deletion shifts the following run back instead of leaving a
+// tombstone, so lock churn, which inserts and deletes targets
+// continuously, never lengthens a probe. The table grows and never
+// shrinks, as a Go map does. Guarded by the partition mutex.
+type holderTable struct {
+	slots []holderSlot
+	used  int
+	shift uint8 // 64 - log2(len(slots))
+}
+
+// holderSlot is one slot of a holderTable; it is free iff its holder set
+// is empty.
+type holderSlot struct {
+	h  uint64
+	t  Target
+	hs holderSet
+}
+
+// minHolderSlots is a holderTable's first size.
+const minHolderSlots = 16
+
+// home is the slot a target with hash h probes first: the top bits of
+// h times 2^64/φ. The partition was picked with h's low bits, and FNV's
+// high bits barely depend on a key's last bytes, so neither is used
+// directly.
+func (tb *holderTable) home(h uint64) int {
+	return int((h * 0x9E3779B97F4A7C15) >> tb.shift)
+}
+
+// find returns the slot holding t, which hashes to h, or -1.
+func (tb *holderTable) find(h uint64, t *Target) int {
+	if tb.used == 0 {
+		return -1
+	}
+	mask := len(tb.slots) - 1
+	for i := tb.home(h); ; i = (i + 1) & mask {
+		s := &tb.slots[i]
+		if s.hs.empty() {
+			return -1
+		}
+		if s.h == h && sameTarget(&s.t, t) {
+			return i
+		}
+	}
+}
+
+// holders returns t's holder set (empty if t is not locked). The set's
+// spilled map is shared with the table: read it under the partition
+// mutex only.
+func (tb *holderTable) holders(h uint64, t Target) holderSet {
+	if i := tb.find(h, &t); i >= 0 {
+		return tb.slots[i].hs
+	}
+	return holderSet{}
+}
+
+// add inserts (t, x), reporting whether x was not yet a holder.
+func (tb *holderTable) add(h uint64, t Target, x *Xact) bool {
+	if 4*(tb.used+1) > 3*len(tb.slots) {
+		tb.grow()
+	}
+	mask := len(tb.slots) - 1
+	for i := tb.home(h); ; i = (i + 1) & mask {
+		s := &tb.slots[i]
+		if s.hs.empty() {
+			*s = holderSlot{h: h, t: t, hs: holderSet{first: x}}
+			tb.used++
+			return true
+		}
+		if s.h == h && sameTarget(&s.t, &t) {
+			return s.hs.add(x)
+		}
+	}
+}
+
+// remove deletes (t, x), reporting whether x was a holder; a target left
+// without holders leaves the table.
+func (tb *holderTable) remove(h uint64, t Target, x *Xact) bool {
+	i := tb.find(h, &t)
+	if i < 0 || !tb.slots[i].hs.remove(x) {
+		return false
+	}
+	if !tb.slots[i].hs.empty() {
+		return true
+	}
+	// Backward-shift deletion: walk the run after the hole and move
+	// back every entry whose home is not between the hole and its slot,
+	// so every entry stays reachable from its home without a tombstone.
+	mask := len(tb.slots) - 1
+	for j := (i + 1) & mask; !tb.slots[j].hs.empty(); j = (j + 1) & mask {
+		if (j-tb.home(tb.slots[j].h))&mask >= (j-i)&mask {
+			tb.slots[i] = tb.slots[j]
+			i = j
+		}
+	}
+	tb.slots[i] = holderSlot{}
+	tb.used--
+	return true
+}
+
+// grow doubles the table (or makes its first slots) and re-inserts
+// every entry.
+func (tb *holderTable) grow() {
+	old := tb.slots
+	tb.slots = make([]holderSlot, max(2*len(old), minHolderSlots))
+	tb.shift = uint8(64 - bits.TrailingZeros(uint(len(tb.slots))))
+	mask := len(tb.slots) - 1
+	for k := range old {
+		if s := &old[k]; !s.hs.empty() {
+			i := tb.home(s.h)
+			for !tb.slots[i].hs.empty() {
+				i = (i + 1) & mask
+			}
+			tb.slots[i] = *s
+		}
+	}
+}
+
+// len returns the number of (target, holder) pairs in the table.
+func (tb *holderTable) len() int {
+	n := 0
+	for i := range tb.slots {
+		n += tb.slots[i].hs.len()
+	}
+	return n
+}
+
 func newLockPartitions(n int) []lockPartition {
 	parts := make([]lockPartition, n)
 	for i := range parts {
-		parts[i].locks = make(map[Target]map[*Xact]struct{})
 		parts[i].dummySeqs = make(map[Target]mvcc.SeqNo)
 	}
 	return parts
 }
 
-// partitionIndex returns the index of the shard responsible for t, by
-// FNV-1a hash of the full target tag (relation, level, page, key).
-func (m *Manager) partitionIndex(t Target) uint64 {
+// targetHash is the FNV-1a hash of the full target tag (relation,
+// level, page, key): its low bits pick the partition, its high bits the
+// slot in the partition's table.
+func targetHash(t Target) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -192,12 +455,13 @@ func (m *Manager) partitionIndex(t Target) uint64 {
 		h ^= uint64(t.Key[i])
 		h *= prime64
 	}
-	return h & m.partMask
+	return h
 }
 
-// partition returns the shard responsible for t.
-func (m *Manager) partition(t Target) *lockPartition {
-	return &m.parts[m.partitionIndex(t)]
+// locate returns the shard responsible for t and t's hash.
+func (m *Manager) locate(t Target) (*lockPartition, uint64) {
+	h := targetHash(t)
+	return &m.parts[h&m.partMask], h
 }
 
 // bumpLocksCurrent adjusts the live-lock gauge and maintains the peak.
@@ -220,19 +484,16 @@ func (m *Manager) bumpLocksCurrent(delta int64) {
 // (dummy locks are only created by lifecycle and structural operations,
 // which all serialize through the SSI mutex).
 func (m *Manager) insertDummyLockLocked(t Target, seq mvcc.SeqNo) {
-	p := m.partition(t)
+	p, h := m.locate(t)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	holders := p.locks[t]
-	if holders == nil {
-		holders = make(map[*Xact]struct{})
-		p.locks[t] = holders
-	}
-	if _, ok := holders[m.oldCommitted]; !ok {
-		holders[m.oldCommitted] = struct{}{}
+	if p.locks.add(h, t, m.oldCommitted) {
 		m.bumpLocksCurrent(1)
 	}
-	if seq > p.dummySeqs[t] {
+	if old, ok := p.dummySeqs[t]; seq > old {
+		if !ok {
+			m.dummyTargets++
+		}
 		p.dummySeqs[t] = seq
 	}
 }
@@ -240,7 +501,7 @@ func (m *Manager) insertDummyLockLocked(t Target, seq mvcc.SeqNo) {
 // removeDummyLockLocked removes the dummy transaction's lock on t.
 // Caller holds m.mu.
 func (m *Manager) removeDummyLockLocked(t Target) {
-	p := m.partition(t)
+	p, _ := m.locate(t)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	m.removeDummyPartLocked(p, t)
@@ -253,20 +514,20 @@ func (m *Manager) removeDummyPartLocked(p *lockPartition, t Target) {
 		return
 	}
 	delete(p.dummySeqs, t)
-	if holders, ok := p.locks[t]; ok {
-		if _, held := holders[m.oldCommitted]; held {
-			delete(holders, m.oldCommitted)
-			m.locksCurrent.Add(-1)
-		}
-		if len(holders) == 0 {
-			delete(p.locks, t)
-		}
+	m.dummyTargets--
+	if p.locks.remove(targetHash(t), t, m.oldCommitted) {
+		m.locksCurrent.Add(-1)
 	}
 }
 
 // expireDummyLocksLocked drops every dummy lock whose absorbed holders
-// all committed at or before minSeq (§6.1). Caller holds m.mu.
+// all committed at or before minSeq (§6.1). With no dummy lock anywhere
+// — the state unless summarization has run — it visits no partition.
+// Caller holds m.mu.
 func (m *Manager) expireDummyLocksLocked(minSeq mvcc.SeqNo) {
+	if m.dummyTargets == 0 {
+		return
+	}
 	for i := range m.parts {
 		p := &m.parts[i]
 		p.mu.Lock()

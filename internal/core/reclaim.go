@@ -58,6 +58,16 @@ type reclaimer struct {
 	passMu sync.Mutex //ssi:lock level=10 name=core.reclaimPass
 	// outside counts FinishedOutside calls.
 	outside atomic.Uint64
+
+	// The scratch below is reused pass after pass, so a pass that frees
+	// little also allocates nothing. victims holds the transactions one
+	// pass pops from the retire queue or sweeps; guarded by passMu.
+	// byPart queues the (target, holder) pairs of a batched lock
+	// release per partition (collectLocksLocked); guarded by
+	// Manager.mu, under which every batched release — the reclaimer's,
+	// Abort's, a safe snapshot's — runs.
+	victims []*Xact
+	byPart  [][]removal
 }
 
 // FinishedOutside tells the reclaimer that a transaction the lock
@@ -166,57 +176,68 @@ func (m *Manager) reclaimGraphPass() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
+	// Pop the reclaimable prefix into the pass's scratch and close the
+	// gap in place: the queue keeps its array from pass to pass.
 	m.retireMu.Lock()
 	cut := 0
 	for cut < len(m.retired) && m.retired[cut].CommitSeq <= minSeq {
 		cut++
 	}
-	reclaim := m.retired[:cut:cut]
-	m.retired = append([]*Xact(nil), m.retired[cut:]...)
+	victims := append(m.rec.victims[:0], m.retired[:cut]...)
+	n := copy(m.retired, m.retired[cut:])
+	clear(m.retired[n:])
+	m.retired = m.retired[:n]
 	m.retireMu.Unlock()
 
-	m.dropCommittedBatchLocked(reclaim)
-	m.stats.CleanedXacts += int64(len(reclaim))
+	m.dropCommittedBatchLocked(victims)
+	m.stats.CleanedXacts += int64(len(victims))
 	m.expireDummyLocksLocked(minSeq)
 
-	// The all-read-only gate must be recomputed now that m.mu is held:
-	// the horizon scan above ran before it, and a read/write
-	// transaction could have begun AND committed (fast path, no m.mu)
-	// in between — retiring into the queue this sweep is about to
-	// strip while a transaction concurrent with it is still active.
-	// Rechecking under m.mu closes that: any read/write transaction
-	// active now flips allRO off, one that begins after this recheck
-	// has (by the bound protocol) a snapshot at or above every commit
-	// currently retired, and it cannot write before the sweep ends —
-	// CheckWrite needs m.mu.
-	_, allRO, nActive = m.epochHorizon()
+	// §6.1: with only read-only transactions active, no future write can
+	// conflict with a committed transaction's reads, and a committed
+	// transaction's conflict-in list can only matter if an active
+	// read/write transaction writes something it read — which cannot
+	// happen. The sweep stays valid until a read/write transaction
+	// begins or commits (roSweepValid is cleared there). The sweep only
+	// ever releases early, so a first scan that already saw a
+	// read/write transaction ends the pass here.
 	if nActive > 0 && allRO && !m.cfg.DisableReadOnlyOpt && !m.roSweepValid.Load() {
-		// §6.1: with only read-only transactions active, no future write
-		// can conflict with a committed transaction's reads, and a
-		// committed transaction's conflict-in list can only matter if an
-		// active read/write transaction writes something it read — which
-		// cannot happen. The sweep stays valid until a read/write
-		// transaction begins or commits (roSweepValid is cleared there).
+		// Which retired transactions the sweep may strip is fixed BEFORE
+		// the all-read-only gate is recomputed, and the recomputation
+		// runs under m.mu because the first scan ran before it. Then
+		// every transaction concurrent with a swept C that could write
+		// what C read is accounted for: one still active at the recheck
+		// is seen by it (and must be declared read-only, so it cannot
+		// write); one that finished before the recheck made its writes'
+		// probes while C's locks were in the table; and one that
+		// registers after the recheck visited its shard registered after
+		// C retired, so by the bound protocol its snapshot is at or
+		// above C's commit and it is not concurrent with C at all.
+		// Nothing here relies on writers waiting for m.mu — CheckWrite's
+		// probe does not take it.
 		m.retireMu.Lock()
-		swept := append([]*Xact(nil), m.retired...)
+		victims = append(victims[:0], m.retired...)
 		m.retireMu.Unlock()
-		var byPart map[uint64][]removal
-		for _, c := range swept {
-			byPart = m.collectLocksLocked(c, byPart)
-		}
-		m.flushRemovalsLocked(byPart)
-		for _, c := range swept {
-			for r := range c.inConflicts {
-				r.edgeMu.Lock()
-				delete(r.outConflicts, c)
-				r.edgeMu.Unlock()
+		if _, allRO, nActive = m.epochHorizon(); nActive > 0 && allRO {
+			for _, c := range victims {
+				m.collectLocksLocked(c)
 			}
-			c.edgeMu.Lock()
-			c.inConflicts = nil
-			c.edgeMu.Unlock()
+			m.flushRemovalsLocked()
+			for _, c := range victims {
+				for r := range c.inConflicts {
+					r.edgeMu.Lock()
+					delete(r.outConflicts, c)
+					r.edgeMu.Unlock()
+				}
+				c.edgeMu.Lock()
+				c.inConflicts = nil
+				c.edgeMu.Unlock()
+			}
+			m.roSweepValid.Store(true)
 		}
-		m.roSweepValid.Store(true)
 	}
+	clear(victims)
+	m.rec.victims = victims[:0]
 }
 
 // retire inserts a committed transaction into the retire queue, keeping

@@ -43,9 +43,11 @@ func (m *Manager) Prepare(x *Xact) (PreparedState, error) {
 	x.prepared = true
 	x.edgeMu.Unlock()
 	x.lockMu.Lock()
-	st := PreparedState{XID: x.XID, Locks: make([]Target, 0, len(x.locks))}
-	for t := range x.locks {
-		st.Locks = append(st.Locks, t)
+	st := PreparedState{XID: x.XID}
+	for _, e := range x.locks.ents {
+		if e.held {
+			st.Locks = append(st.Locks, e.t)
+		}
 	}
 	x.lockMu.Unlock()
 	return st, nil

@@ -280,6 +280,9 @@ type Manager struct {
 	// logShard) and ssilint machine-checks that order; the canonical
 	// table is in docs/invariants.md.
 	truncMu sync.Mutex //ssi:lock level=10 name=mvcc.trunc
+	// truncVictims is AutoTruncate's list of entries to delete, reused
+	// from pass to pass. Guarded by truncMu.
+	truncVictims []TxID
 
 	// beginMu fences Begin's xid-assignment→shard-registration window.
 	// Begin holds it SHARED across both steps, so Begins never block
@@ -728,6 +731,10 @@ func (m *Manager) TruncateLog(floor TxID) {
 // does linear work in bounded chunks.
 const autoTruncateScanCap = 1 << 16
 
+// maxKeptTruncVictims bounds the victim list AutoTruncate keeps for its
+// next pass.
+const maxKeptTruncVictims = 4096
+
 // AutoTruncate advances the commit-log truncation floor as far as
 // currently safe and applies it, returning the new floor. It is called
 // by the engine's epoch reclaimer on its background passes; it is safe
@@ -756,7 +763,7 @@ func (m *Manager) AutoTruncate() TxID {
 	}
 	start := TxID(m.logFloor.Load())
 	floor := start
-	var victims []TxID
+	victims := m.truncVictims[:0]
 scan:
 	for scanned := 0; floor < limit && scanned < autoTruncateScanCap; scanned++ {
 		// Field reads are safe unlocked here: every xid below limit is
@@ -794,6 +801,9 @@ scan:
 		sh.mu.Lock()
 		delete(sh.recs, xid)
 		sh.mu.Unlock()
+	}
+	if cap(victims) <= maxKeptTruncVictims {
+		m.truncVictims = victims[:0]
 	}
 	return floor
 }

@@ -1,6 +1,7 @@
 // Package trace is the engine's one instrumentation seam. The layers with
-// a window worth observing — internal/core's transaction lifecycle,
-// internal/mvcc's commit publication and internal/storage's read path —
+// a window worth observing — internal/core's transaction lifecycle and
+// write probe, internal/mvcc's commit publication and internal/storage's
+// read path —
 // each carry a single Func in their Config and call it at the Points
 // below. The seam is nil outside tests, and every call site checks for
 // nil before it builds an Event, so an unset seam costs a branch and
@@ -47,6 +48,13 @@ const (
 	// with DisableReadLatch it fires in the open detection window the
 	// latch exists to close. Table and Key name the row, XID the reader.
 	Read
+	// WriteProbe fires in internal/core before each level of a
+	// serializable write's mutex-free SIREAD probe (CheckWrite), finest
+	// first, with the row's page latch held exclusively and no core
+	// lock. XID is the writer; Table, Key and Seq name the target about
+	// to be probed: its relation, its key (tuple level only) and its
+	// granularity as a core.Level (2 tuple, 1 page, 0 relation).
+	WriteProbe
 )
 
 // Event is one traced occurrence. Fields its Point does not define are
