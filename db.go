@@ -178,10 +178,9 @@ const (
 // Open and OpenDir leave them zero; only tests set them (export_test.go).
 type testHooks struct {
 	// DisableLifecycleFencing reopens the transaction-lifecycle windows
-	// that the fine-grained Begin/Commit locking keeps closed: Begin's
-	// snapshot-ordering step, the read-only safety registration, and the
-	// pre-commit check's atomicity with the commit-sequence assignment
-	// (see internal/core).
+	// that the fine-grained Begin/Commit locking keeps closed: a
+	// read-only Begin's safety registration and the pre-commit check's
+	// atomicity with the commit-sequence assignment (see internal/core).
 	DisableLifecycleFencing bool
 	// DisableCSNSnapshots selects the legacy xmin/xmax/in-progress-set
 	// snapshot representation, the differential oracle the history fuzzer
@@ -585,17 +584,11 @@ func (db *DB) Close() error {
 // Vacuum removes dead tuple versions no longer visible to any possible
 // snapshot and drops aborted commit-log tombstones the sweep has
 // orphaned. It is the explicit full sweep; in normal running, chains are
-// kept short where they are written (see internal/storage).
-//
-// The horizon snapshot is pinned by a throwaway transaction for the
-// duration of the sweep: a standalone snapshot would otherwise race the
-// epoch reclaimer's commit-log truncation (internal/mvcc AutoTruncate),
-// which is only safe with respect to snapshots held by active
-// transactions.
+// kept short where they are written (see internal/storage). It cuts at
+// the engine's one horizon (mvcc.Manager.OldestSnapshot), so a version
+// an open transaction's snapshot still reads is kept.
 func (db *DB) Vacuum() int {
-	pin := db.mvcc.Begin()
-	defer db.mvcc.Abort(pin)
-	horizon := db.mvcc.TakeSnapshot()
+	horizon := db.mvcc.OldestSnapshot()
 	// Aborted xids below the oldest transaction active now cannot gain
 	// new heap references; after the sweep prunes every chain, their
 	// commit-log tombstones are unreachable and can be dropped.
@@ -613,6 +606,6 @@ func (db *DB) Vacuum() int {
 	db.mvcc.DropAbortedBelow(abortedFloor)
 	// Advance the commit-log truncation floor here too, past what the
 	// tombstones just dropped were holding back.
-	db.mvcc.AutoTruncate()
+	db.mvcc.AutoTruncate(horizon)
 	return removed
 }

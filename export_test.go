@@ -18,7 +18,8 @@ func OpenDirWithHooks(dir string, cfg Config, h Hooks) (*DB, error) { return ope
 // DescribeReadState renders what a transaction reading keys of table is
 // up against right now, for harnesses in package pgssi_test that catch a
 // reader seeing a state it should not: the commit sequence and the trim
-// horizon, every active transaction with its snapshot CSN, and every
+// horizon, every active transaction with the CSN it pins the horizon at
+// (its begin-time CSN, at or below its snapshot's), and every
 // version of each row (storage.Table.DescribeRow).
 func DescribeReadState(db *DB, table string, keys []string) string {
 	ti, err := db.table(table)
@@ -27,12 +28,8 @@ func DescribeReadState(db *DB, table string, keys []string) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "commit seq %d, trim horizon %d\n", db.mvcc.CurrentSeq(), db.mvcc.Horizon())
-	for _, xid := range db.mvcc.ActiveXIDs() {
-		if seq, ok := db.ssi.SnapshotSeq(xid); ok {
-			fmt.Fprintf(&b, "active xid %d: snapshot CSN %d\n", xid, seq)
-		} else {
-			fmt.Fprintf(&b, "active xid %d: not tracked by the SSI manager\n", xid)
-		}
+	for xid, seq := range db.mvcc.ActivePins() {
+		fmt.Fprintf(&b, "active xid %d: pins CSN %d\n", xid, seq)
 	}
 	for _, k := range keys {
 		fmt.Fprintf(&b, "  %s\n", ti.heap.DescribeRow(k, db.mvcc))

@@ -396,12 +396,18 @@ func TestWALEmitsSafeSnapshotMarkers(t *testing.T) {
 
 func TestVacuumShrinksVersionChains(t *testing.T) {
 	db := kvDB(t, pgssi.Config{})
+	// A reader open across the updates holds the horizon below all of
+	// them, so prune-on-write (driven by background reclaim passes)
+	// cannot trim the chain before Vacuum does.
+	reader, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
+	mustExec(t, err)
 	for i := 0; i < 20; i++ {
 		err := db.RunTx(pgssi.TxOptions{}, func(tx *pgssi.Tx) error {
 			return tx.Update("kv", "k1", []byte(fmt.Sprintf("%d", i)))
 		})
 		mustExec(t, err)
 	}
+	mustExec(t, reader.Rollback())
 	if removed := db.Vacuum(); removed < 19 {
 		t.Fatalf("vacuum removed %d versions, want >= 19", removed)
 	}
@@ -411,6 +417,32 @@ func TestVacuumShrinksVersionChains(t *testing.T) {
 		t.Fatalf("value after vacuum = %q", v)
 	}
 	check.Rollback()
+}
+
+// TestVacuumKeepsWhatAnOpenSnapshotReads: Vacuum cuts version chains at
+// the oldest snapshot an open transaction holds, not at a snapshot of
+// its own, so a reader that began before the updates still finds the
+// version its snapshot sees.
+func TestVacuumKeepsWhatAnOpenSnapshotReads(t *testing.T) {
+	for _, level := range []pgssi.IsolationLevel{pgssi.RepeatableRead, pgssi.Serializable} {
+		t.Run(level.String(), func(t *testing.T) {
+			db := kvDB(t, pgssi.Config{})
+			reader, err := db.Begin(pgssi.TxOptions{Isolation: level})
+			mustExec(t, err)
+			for i := 0; i < 5; i++ {
+				err := db.RunTx(pgssi.TxOptions{}, func(tx *pgssi.Tx) error {
+					return tx.Update("kv", "k1", []byte(fmt.Sprintf("%d", i)))
+				})
+				mustExec(t, err)
+			}
+			removed := db.Vacuum()
+			v, err := reader.Get("kv", "k1")
+			if err != nil || string(v) != "v" {
+				t.Fatalf("reader after Vacuum removed %d versions: got %q, %v; want \"v\"", removed, v, err)
+			}
+			mustExec(t, reader.Rollback())
+		})
+	}
 }
 
 func TestRunTxRetriesUntilCommit(t *testing.T) {

@@ -27,14 +27,13 @@
 //   - the SIREAD lock table is sharded into Config.Partitions hash
 //     partitions (partition.go), so per-read lock acquisition never
 //     takes a global mutex;
-//   - transaction lifecycle runs against a sharded active-transaction
-//     registry (registry.go): Begin registers with an atomic
-//     snapshot-ordering step and takes no global mutex, and a commit
-//     with no conflict edges or safety watchers commits under only its
-//     own per-transaction edge lock;
+//   - transaction lifecycle runs against a sharded transaction registry
+//     (registry.go): a read/write Begin registers without a global
+//     mutex, and a commit with no conflict edges or safety watchers
+//     commits under only its own per-transaction edge lock;
 //   - cleanup and summarization of committed transactions run in an
 //     epoch-based background reclaimer (reclaim.go), off the commit
-//     critical section;
+//     critical section, at internal/mvcc's one oldest-snapshot horizon;
 //   - Manager.mu remains only as the conflict-graph mutex: conflict
 //     flagging, dangerous-structure traversal, the pre-commit check of
 //     edge-bearing transactions, and read-only safety registration
@@ -46,7 +45,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -155,7 +153,7 @@ type Config struct {
 	DisableReadOnlyOpt bool
 	// Partitions is the number of hash partitions the SIREAD lock
 	// table is divided into, the analogue of PostgreSQL's
-	// NUM_PREDICATELOCK_PARTITIONS. It also sizes the active-transaction
+	// NUM_PREDICATELOCK_PARTITIONS. It also sizes the transaction
 	// registry shards. Rounded up to a power of two; defaults to 16.
 	// Set to 1 to reproduce the single-mutex table.
 	Partitions int
@@ -164,10 +162,6 @@ type Config struct {
 	// fine-grained Begin/Commit locking must keep closed. Test-only
 	// ablation; never set it in production. With it set:
 	//
-	//   - Begin takes its snapshot BEFORE registering in the active
-	//     registry (instead of publishing a snapshot bound first), so
-	//     the epoch reclaimer can prematurely drop committed state the
-	//     new transaction is concurrent with;
 	//   - a read-only Begin registers its safety watchers in a separate
 	//     critical section from its snapshot, so a read/write
 	//     transaction committing in between escapes the bookkeeping and
@@ -238,15 +232,9 @@ type Xact struct {
 	// SnapshotSeq is the commit-sequence counter value when the
 	// transaction took its snapshot. Transaction T committed before
 	// this snapshot iff T.CommitSeq <= SnapshotSeq. It is assigned
-	// during Begin and immutable afterwards; code that can observe a
-	// transaction mid-Begin (the epoch reclaimer) must use
-	// snapshotBound instead.
+	// during Begin and immutable afterwards; nothing reads another
+	// transaction's before its Begin has returned.
 	SnapshotSeq mvcc.SeqNo
-	// snapshotBound is a monotone lower bound on SnapshotSeq, published
-	// atomically before the transaction is registered and refined to
-	// the exact value once the snapshot is taken. It is the
-	// transaction's pinned reclamation epoch (registry.go).
-	snapshotBound atomic.Uint64
 	// CommitSeq is assigned at commit; zero while running. Written
 	// under edgeMu (markCommittedLocked).
 	CommitSeq mvcc.SeqNo
@@ -374,17 +362,18 @@ type Manager struct {
 	parts    []lockPartition
 	partMask uint64
 
-	// xshards is the sharded active-transaction registry (registry.go);
-	// xshardMask selects a shard from an xid. activeCount mirrors the
-	// total active-set size so lifecycle paths can detect quiescence
-	// without a shard scan.
-	xshards     []xactShard
-	xshardMask  uint64
-	activeCount atomic.Int64
+	// xshards is the sharded transaction registry (registry.go);
+	// xshardMask selects a shard from an xid.
+	xshards    []xactShard
+	xshardMask uint64
+	// rwActive counts the serializable transactions not declared
+	// read-only that have begun and not yet committed or aborted
+	// (prepared ones included): the §6.1 sweep runs only at zero.
+	rwActive atomic.Int64
 
 	// roSweepValid records that the §6.1 only-read-only-transactions
 	// sweep has already run and no read/write transaction has begun
-	// or committed since. Atomic: cleared by the unfenced Begin path.
+	// or committed since. Atomic: cleared by Begin without mu.
 	roSweepValid atomic.Bool
 
 	// retireMu guards retired, the queue of committed transactions
@@ -487,15 +476,14 @@ func (m *Manager) trace(p trace.Point, xid mvcc.TxID) {
 }
 
 // Begin registers a serializable transaction with the given xid. snapFn
-// is invoked to take the transaction's snapshot.
+// is invoked to take the transaction's snapshot. The caller has begun
+// xid in the MVCC layer already, which pins the reclaim horizon
+// (mvcc.Manager.OldestSnapshot) at or below the snapshot taken here.
 //
-// The common (read/write or undeclared) path takes no global mutex. Its
-// snapshot-ordering step makes registration atomic enough for the epoch
-// reclaimer: the transaction publishes a snapshot bound (the current
-// commit sequence) and registers in its registry shard BEFORE taking the
-// snapshot, so at every instant the reclaimer either sees the
-// transaction with a conservative epoch pin or can prove the snapshot
-// will be too new to observe anything reclaimed.
+// The common (read/write or undeclared) path takes no global mutex. It
+// registers the transaction — in the registry and in rwActive — BEFORE
+// taking the snapshot, which the read-only safety scan relies on (see
+// registerROWatchesLocked).
 //
 // Declared read-only transactions (with the §4 optimizations enabled)
 // take the fenced path under the conflict-graph mutex: the snapshot and
@@ -513,27 +501,10 @@ func (m *Manager) Begin(xid mvcc.TxID, snapFn func() *mvcc.Snapshot, readOnly, d
 	if readOnly && !m.cfg.DisableReadOnlyOpt {
 		return x, m.beginReadOnly(x, snapFn)
 	}
-
-	var snap *mvcc.Snapshot
-	if m.cfg.DisableLifecycleFencing {
-		// Ablation: the naive order — snapshot first, registration
-		// after. In the window between them the transaction pins no
-		// epoch, so the reclaimer can drop committed SIREAD locks and
-		// edges the new snapshot is still concurrent with (premature
-		// reclamation; see the lifecycle interleaving tests).
-		snap = snapFn()
-		m.trace(trace.Begin, xid)
-		x.SnapshotSeq = snap.SeqNo
-		x.snapshotBound.Store(uint64(snap.SeqNo))
-		m.registerXact(x)
-	} else {
-		x.snapshotBound.Store(uint64(m.mvcc.CurrentSeq()))
-		m.registerXact(x)
-		m.trace(trace.Begin, xid)
-		snap = snapFn()
-		x.SnapshotSeq = snap.SeqNo
-		x.snapshotBound.Store(uint64(snap.SeqNo))
-	}
+	m.registerXact(x)
+	m.trace(trace.Begin, xid)
+	snap := snapFn()
+	x.SnapshotSeq = snap.SeqNo
 	if !readOnly {
 		m.roSweepValid.Store(false)
 	} else {
@@ -551,15 +522,13 @@ func (m *Manager) beginReadOnly(x *Xact, snapFn func() *mvcc.Snapshot) *mvcc.Sna
 	if m.cfg.DisableLifecycleFencing {
 		// Ablation: snapshot and watcher registration in separate
 		// critical sections, with the Begin trace point in the reopened
-		// window. A read/write transaction committing in the window has
-		// left the active set by the time the scan below runs, and the
-		// ablated scan does not consult the retire queue — its fate
-		// escapes the safety bookkeeping entirely.
+		// window. A read/write transaction committing in the window is
+		// committed by the time the scan below runs, and the ablated
+		// scan passes over committed transactions — its fate escapes
+		// the safety bookkeeping entirely.
 		m.mu.Lock()
 		snap := snapFn()
 		x.SnapshotSeq = snap.SeqNo
-		x.snapshotBound.Store(uint64(snap.SeqNo))
-		m.registerXact(x)
 		m.mu.Unlock()
 		m.trace(trace.Begin, x.XID)
 		m.mu.Lock()
@@ -568,11 +537,8 @@ func (m *Manager) beginReadOnly(x *Xact, snapFn func() *mvcc.Snapshot) *mvcc.Sna
 		return snap
 	}
 	m.mu.Lock()
-	x.snapshotBound.Store(uint64(m.mvcc.CurrentSeq()))
-	m.registerXact(x)
 	snap := snapFn()
 	x.SnapshotSeq = snap.SeqNo
-	x.snapshotBound.Store(uint64(snap.SeqNo))
 	m.trace(trace.Begin, x.XID)
 	m.registerROWatchesLocked(x, true)
 	m.mu.Unlock()
@@ -581,59 +547,46 @@ func (m *Manager) beginReadOnly(x *Xact, snapFn func() *mvcc.Snapshot) *mvcc.Sna
 
 // registerROWatchesLocked records, for read-only transaction x, the set
 // of concurrent read/write transactions whose fates decide whether x's
-// snapshot is safe (§4.2). Caller holds m.mu.
+// snapshot is safe (§4.2). Caller holds m.mu and took x's snapshot under
+// it.
 //
-// Because conflict-free read/write transactions commit without m.mu,
-// "concurrent and uncommitted" cannot be read off the active set alone:
-// a transaction that committed after x's snapshot may already have left
-// it. Commits retire into the queue BEFORE deactivating (reclaim.go),
-// and reclamation and summarization require m.mu — so scanning the
-// active set and then the retire queue, all under m.mu, sees every
-// read/write transaction whose commit sequence postdates x's snapshot.
-// Candidates found already committed are evaluated inline with the same
-// rule finishCommitLocked applies when a watched transaction commits.
-// includeRetired is false only under the DisableLifecycleFencing
-// ablation, which deliberately skips the retire-queue scan.
-func (m *Manager) registerROWatchesLocked(x *Xact, includeRetired bool) {
-	cands := m.activeXacts()
-	if includeRetired {
-		// Only commits that postdate x's snapshot can decide its
-		// safety; the queue is sorted by CommitSeq, so scan just that
-		// suffix instead of up to MaxCommittedXacts entries.
-		m.retireMu.Lock()
-		i := sort.Search(len(m.retired), func(i int) bool {
-			return m.retired[i].CommitSeq > x.SnapshotSeq
-		})
-		cands = append(cands, m.retired[i:]...)
-		m.retireMu.Unlock()
+// One scan of the registry finds them all. A read/write T that can make
+// x unsafe took its snapshot before x's (S_T < S_x): with S_T >= S_x,
+// every transaction that committed before x's snapshot is visible to T,
+// so T has no rw-conflict out to one. T registered before it took its
+// snapshot, hence before x's, and a T that commits having written stays
+// registered until reclamation or summarization drops it — both under
+// m.mu, which x has held since its snapshot. So each such T is found:
+// active (watched), or committed since x's snapshot (judged inline with
+// the rule finishCommitLocked applies when a watched transaction
+// commits). What the registry does not hold cannot decide x's safety:
+// transactions declared read-only, aborted ones, and ones that committed
+// without writing (finishXact). Of the rest, those committed at or
+// before x's snapshot are skipped. includeCommitted is false only under
+// the DisableLifecycleFencing ablation, which deliberately skips
+// committed transactions.
+func (m *Manager) registerROWatchesLocked(x *Xact, includeCommitted bool) {
+	var cands []*Xact
+	for i := range m.xshards {
+		s := &m.xshards[i]
+		s.mu.Lock()
+		for _, c := range s.tracked {
+			cands = append(cands, c)
+		}
+		s.mu.Unlock()
 	}
-	seen := make(map[*Xact]struct{}, len(cands))
 	unsafe := false
 	for _, c := range cands {
-		if unsafe {
-			// Verdict already decided; registering more watchers would
-			// only be undone by markUnsafeLocked below.
-			break
-		}
-		if c == x || c.declaredRO {
-			continue
-		}
-		if _, dup := seen[c]; dup {
-			continue
-		}
-		seen[c] = struct{}{}
 		c.edgeMu.Lock()
 		switch {
 		case c.aborted:
 			// Fate known, irrelevant.
 		case c.committed:
-			// c committed between x's snapshot and this scan (or is
-			// awaiting reclamation from before — then CommitSeq <=
-			// SnapshotSeq filters it): apply the §4.2 rule directly.
-			if c.CommitSeq > x.SnapshotSeq && c.wrote &&
-				c.earliestOutConflictCommit != 0 && c.earliestOutConflictCommit <= x.SnapshotSeq {
-				unsafe = true
-			}
+			// c committed after x's snapshot (or before it — then
+			// CommitSeq <= SnapshotSeq filters it): apply the §4.2 rule
+			// directly.
+			unsafe = includeCommitted && c.CommitSeq > x.SnapshotSeq && c.wrote &&
+				c.earliestOutConflictCommit != 0 && c.earliestOutConflictCommit <= x.SnapshotSeq
 		default:
 			if x.possibleUnsafe == nil {
 				x.possibleUnsafe = make(map[*Xact]struct{})
@@ -645,10 +598,12 @@ func (m *Manager) registerROWatchesLocked(x *Xact, includeRetired bool) {
 			c.watchingROs[x] = struct{}{}
 		}
 		c.edgeMu.Unlock()
-	}
-	if unsafe {
-		m.markUnsafeLocked(x)
-		return
+		if unsafe {
+			// Verdict decided; the watchers registered so far are
+			// undone by markUnsafeLocked.
+			m.markUnsafeLocked(x)
+			return
+		}
 	}
 	if len(x.possibleUnsafe) == 0 {
 		m.markSafeLocked(x)

@@ -111,9 +111,8 @@ func (m *Manager) fastCommitEligibleLocked(x *Xact) bool {
 }
 
 // finishCommitFast completes a fast-path commit after the edge-lock
-// critical section: lock-set freeze, retire-queue insertion, and
-// registry deactivation. The retire-before-deactivate order matters —
-// see registerROWatchesLocked.
+// critical section: lock-set freeze, retire-queue insertion, and the
+// registry (finishXact).
 func (m *Manager) finishCommitFast(x *Xact) {
 	x.lockMu.Lock()
 	x.lockingDone = true
@@ -122,7 +121,7 @@ func (m *Manager) finishCommitFast(x *Xact) {
 		m.roSweepValid.Store(false)
 	}
 	n := m.retire(x)
-	m.deactivateXact(x)
+	m.finishXact(x)
 	m.afterCommit(n)
 }
 
@@ -280,11 +279,11 @@ func (m *Manager) finishCommitLocked(x *Xact, seq mvcc.SeqNo) int {
 	x.watchingROs = nil
 	x.edgeMu.Unlock()
 
-	// Retire for the epoch reclaimer; the transaction stays in the
-	// registry's tracked map (conflict lookups must still find it)
-	// until reclaimed or summarized.
+	// Retire for the epoch reclaimer; a transaction that wrote stays in
+	// the registry (conflict lookups and the read-only safety scan must
+	// still find it) until reclaimed or summarized.
 	n := m.retire(x)
-	m.deactivateXact(x)
+	m.finishXact(x)
 	return n
 }
 
@@ -301,7 +300,9 @@ func (m *Manager) Abort(x *Xact) {
 	x.aborted = true
 	x.prepared = false
 	x.edgeMu.Unlock()
-	m.dropXact(x)
+	if !x.committed {
+		m.finishXact(x)
+	}
 	m.releaseLocksLocked(x)
 	// §5.3: conflicts involving an aborted transaction can be removed.
 	for w := range x.outConflicts {

@@ -6,21 +6,16 @@ import (
 	"testing"
 	"time"
 
-	"pgssi/internal/mvcc"
 	"pgssi/internal/trace"
 )
 
-// Deterministic interleaving tests for Begin's snapshot-ordering step —
-// the epoch pin that keeps the background reclaimer from dropping
-// committed state a starting transaction is still concurrent with. The
-// trace seam's Begin point parks a transaction inside Begin; with fencing the
-// transaction is already registered with a conservative snapshot bound
-// when it parks, so a reclaim pass in the window must keep every
-// committed transaction it could be concurrent with. With
-// DisableLifecycleFencing the naive order (snapshot first, registration
-// last) is restored and the same schedule reclaims the committed
-// write-skew partner prematurely: both rw-antidependency edges are
-// lost, both transactions commit, and the cycle is admitted.
+// Deterministic interleaving tests for the reclaim horizon — the epoch
+// pin that keeps the background reclaimer from dropping committed state
+// a transaction is still concurrent with. The trace seam parks a
+// transaction inside Begin (Begin point) or a reclaim pass between its
+// horizon computation and its critical section (ReclaimScan point); in
+// both windows the pass must keep every committed transaction an active
+// or starting snapshot could be concurrent with.
 
 // beginPauser parks Begin of a chosen xid at the Begin trace point.
 type beginPauser struct {
@@ -40,17 +35,16 @@ func (p *beginPauser) trace(ev trace.Event) {
 	}
 }
 
-// driveBeginWindowReclaim runs the schedule common to both tests below:
+// driveBeginWindowReclaim runs this schedule:
 //
 //	C: read k1, write k2, commit        [entirely inside X's window]
 //	   … reclaim pass …                 [ditto]
 //	X: begin … [window] … read k2 (MVCC conflict-out names C), write k1
 //
-// X's snapshot predates C's commit on the ablated path (snapshot taken
-// before the park) and is taken under a registered bound on the fenced
-// path, so in both modes the interesting question is what the reclaim
-// pass inside the window did to C. Returns X, C, and whether C's SSI
-// state was still present after the in-window reclaim pass.
+// X's mvcc.Begin pinned the horizon before its SSI Begin parked, so the
+// interesting question is what the reclaim pass inside the window did to
+// C. Returns X, C, and whether C's SSI state was still present after the
+// in-window reclaim pass.
 func driveBeginWindowReclaim(t *testing.T, h *harness, p *beginPauser) (x, c *Xact, cSurvived bool) {
 	t.Helper()
 	xid := h.mv.Begin()
@@ -110,60 +104,73 @@ func TestLifecycleBeginEpochPinsReclaim(t *testing.T) {
 	}
 }
 
-func TestLifecycleBeginWindowPrematureReclaim(t *testing.T) {
-	p := newBeginPauser()
-	h := newHarness(t, Config{Trace: p.trace, DisableLifecycleFencing: true})
+// reclaimPauser parks the first reclaim pass that reaches the
+// ReclaimScan trace point once armed.
+type reclaimPauser struct {
+	armed    atomic.Bool
+	inWindow chan struct{}
+	release  chan struct{}
+}
+
+func (p *reclaimPauser) trace(ev trace.Event) {
+	if ev.Point == trace.ReclaimScan && p.armed.CompareAndSwap(true, false) {
+		close(p.inWindow)
+		<-p.release
+	}
+}
+
+// TestLifecycleReclaimPassStaleHorizon parks a reclaim pass after it has
+// computed its horizon on an idle system and runs a write skew while it
+// waits:
+//
+//	pass: horizon (nobody active) … [parked] ……………………… drop what is at or below it
+//	C:                  begin, read k1, write k2, commit
+//	W:                  begin,   read k2 ………………………………………… write k1, commit
+//
+// W → C is flagged when C writes k2. C → W needs C's SIREAD lock on k1
+// when W writes it, after the pass has resumed. A horizon that is not
+// bounded by the commit sequence current when it was computed lets the
+// pass drop C — committed after the horizon was computed, while W is
+// still concurrent with it — and W commits the cycle.
+func TestLifecycleReclaimPassStaleHorizon(t *testing.T) {
+	p := &reclaimPauser{inWindow: make(chan struct{}), release: make(chan struct{})}
+	h := newHarness(t, Config{Trace: p.trace})
 	seedKeys(t, h)
 
-	x, c, cSurvived := driveBeginWindowReclaim(t, h, p)
-	// The ablated Begin took its snapshot before parking and registered
-	// nothing: the reclaim pass saw no active snapshot and dropped C —
-	// premature reclamation, X's snapshot is still concurrent with C.
-	if cSurvived {
-		t.Fatal("ablated Begin still pinned the reclaim horizon; the window did not reopen")
-	}
-	if x.SnapshotSeq >= c.CommitSeq {
-		t.Fatalf("ablation lost the race shape: X's snapshot (%d) should predate C's commit (%d)", x.SnapshotSeq, c.CommitSeq)
-	}
-	// X completes the write-skew cycle: its read of k2 sees C's write
-	// as an MVCC conflict-out, and its write of k1 probes C's SIREAD
-	// lock. Both edges land in reclaimed state and are lost, so X
-	// commits — the anomaly C → X → C survives SERIALIZABLE.
-	if err := h.mgr.CheckRead(x, "t", 2, "k2", []mvcc.TxID{c.XID}, false); err != nil {
-		t.Fatalf("conflict-out against the reclaimed C should be silently dropped, got %v", err)
-	}
-	if err := h.write(x, "t", 1, "k1"); err != nil {
-		t.Fatalf("write check against C's reclaimed SIREAD lock should find nothing, got %v", err)
-	}
-	if err := h.commit(x); err != nil {
-		t.Fatalf("the ablation should let X commit and admit the write-skew cycle, got %v", err)
-	}
+	p.armed.Store(true)
+	passDone := make(chan struct{})
+	go func() {
+		defer close(passDone)
+		h.mgr.ReclaimNow()
+	}()
+	<-p.inWindow
 
-	// Control: the identical conflict pattern against a still-tracked
-	// committed transaction is caught (the edges, not the checker,
-	// were lost above).
-	h2 := newHarness(t, Config{})
-	seedKeys(t, h2)
-	x2 := h2.begin(false)
-	c2 := h2.begin(false)
-	if err := h2.read(c2, "t", 1, "k1"); err != nil {
+	c := h.begin(false)
+	w := h.begin(false)
+	if err := h.read(c, "t", 1, "k1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := h2.write(c2, "t", 2, "k2"); err != nil {
+	if err := h.read(w, "t", 2, "k2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := h2.commit(c2); err != nil {
+	if err := h.write(c, "t", 2, "k2"); err != nil {
 		t.Fatal(err)
 	}
-	err := h2.mgr.CheckRead(x2, "t", 2, "k2", []mvcc.TxID{c2.XID}, false)
+	if err := h.commit(c); err != nil {
+		t.Fatal(err)
+	}
+	close(p.release)
+	<-passDone
+
+	cKept := h.mgr.HoldsLock(c, TupleTarget("t", 1, "k1"))
+	err := h.write(w, "t", 1, "k1")
 	if err == nil {
-		err = h2.write(x2, "t", 1, "k1")
-	}
-	if err == nil {
-		err = h2.commit(x2)
+		err = h.commit(w)
+	} else {
+		h.abort(w)
 	}
 	if !errors.Is(err, ErrSerializationFailure) {
-		t.Fatalf("control: the same cycle with C tracked must abort X, got %v", err)
+		t.Fatalf("W closed the cycle C → W → C and got %v, want a serialization failure (C's SIREAD lock on k1 kept by the pass: %v)", err, cKept)
 	}
 }
 

@@ -43,9 +43,9 @@ import (
 //     committed state. (Begin, conflict-free commits and writes nobody
 //     else read do NOT take it; see levels 2a–2c and the write probe
 //     below.)
-//  2a. xactShard.mu — one shard of the active-transaction registry
-//     (registry.go). Begin takes only this; mu-holders take shards one
-//     at a time for lookups and scans.
+//  2a. xactShard.mu — one shard of the transaction registry
+//     (registry.go). A read/write Begin takes only this; mu-holders take
+//     shards one at a time for lookups and scans.
 //  2b. Xact.edgeMu — one transaction's edge lock, guarding its
 //     conflict-edge and safety-watch maps and its lifecycle flags
 //     against the commit fast path. A thread holding Manager.mu may
@@ -69,8 +69,7 @@ import (
 // acquires an outer lock while holding an inner one. The level-2 locks
 // are mutually unordered; a thread holds locks from at most one of 2a,
 // 2b, 2c at a time (the read-only safety scan collects candidates from
-// the shards and the retire queue first, releasing them, and only then
-// takes edge locks). The mvcc.Manager's locks (entered via snapFn /
+// the shards first, releasing them, and only then takes edge locks). The mvcc.Manager's locks (entered via snapFn /
 // commitFn callbacks and via fate lookups) are leaves that may be taken
 // from under mu or an edge lock: a commit-log shard RWMutex (one at a
 // time; CSN assignment and commit-log publication share one shard
@@ -83,25 +82,19 @@ import (
 // partition mutexes.
 //
 // Reclamation epochs: committed transactions are not cleaned up inside
-// commit any more. A transaction pins the epoch of its snapshot in the
-// registry before taking it (Begin's snapshot-ordering step); commits
-// retire into Manager.retired; and the background reclaimer drops a
-// retired transaction's SIREAD locks and edges only once every pinned
-// epoch has passed its commit sequence (reclaim.go). The lock table
-// consequences: a holder found in a partition may be committed (locks
-// outlive commit until the horizon passes, as §5.2 requires), and
-// dummy-lock expiry uses the same horizon.
-//
-// Snapshot-vs-reclaimer epoch rule for the MVCC commit log: the same
-// reclaimer pass also truncates the commit log (mvcc.AutoTruncate), but
-// against mvcc's OWN horizon — the minimum begin-time published CSN
-// over all active MVCC transactions at every isolation level, not this
-// package's registry horizon, which covers only serializable
-// transactions. A committed xid is truncated only once every present or
-// future snapshot resolves it visible; snapshots not pinned by an
-// active MVCC transaction (DB.Vacuum's horizon) must create one for the
-// duration of use. Aborted xids survive truncation as tombstones until
-// the heap is vacuumed clean of them (mvcc.DropAbortedBelow).
+// commit any more. A transaction pins the epoch of its snapshot from its
+// mvcc.Begin, before the SSI Begin takes the snapshot; commits retire
+// into Manager.retired; and the background reclaimer drops a retired
+// transaction's SIREAD locks and edges only once the horizon — the
+// minimum pinned epoch, mvcc.Manager.OldestSnapshot — has passed its
+// commit sequence (reclaim.go). The lock table consequences: a holder
+// found in a partition may be committed (locks outlive commit until the
+// horizon passes, as §5.2 requires), and dummy-lock expiry uses the same
+// horizon. So does the commit-log truncation the same pass runs
+// (mvcc.AutoTruncate): a committed xid is truncated only once every
+// present or future snapshot resolves it visible. Aborted xids survive
+// truncation as tombstones until the heap is vacuumed clean of them
+// (mvcc.DropAbortedBelow).
 //
 // Two invariants keep conflict detection correct without a global
 // lock-table mutex (§5.2.1 with concurrent granularity promotion):
@@ -129,10 +122,10 @@ import (
 //     (the horizon passed the holder's commit, so nothing active is
 //     concurrent with it and no rw-antidependency to a present or future
 //     writer can exist), and the §6.1 sweep (reclaim.go: it strips only
-//     transactions retired before its recheck of the registry, so any
-//     writer concurrent with one of them either is seen active there
-//     and must be declared read-only, or probed before the sweep, or
-//     begins after it and is not concurrent). None of these needs the
+//     transactions retired before its recheck of the count of active
+//     read/write transactions, so any writer concurrent with one of them
+//     either is counted there and stops the sweep, or probed before the
+//     sweep, or begins after it and is not concurrent). None of these needs the
 //     writer to wait for Manager.mu.
 //   - Moved: promotion (mutex-free, under the holder's lockMu),
 //     PromoteRelationLocks and summarization into the dummy transaction

@@ -3,6 +3,9 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"pgssi/internal/mvcc"
+	"pgssi/internal/trace"
 )
 
 // Epoch-based deferred reclamation of committed-transaction state.
@@ -14,14 +17,16 @@ import (
 // path. The scheme is a classic epoch reclaimer:
 //
 //   - the global epoch is the MVCC commit-sequence counter;
-//   - a transaction pins the epoch of its snapshot by publishing a
-//     snapshot bound into the registry before the snapshot is taken
-//     (registry.go);
+//   - a transaction pins the epoch of its snapshot from its mvcc.Begin,
+//     which records the counter before the SSI Begin takes the snapshot;
 //   - a committed transaction retires at epoch CommitSeq, entering the
 //     retire queue (Manager.retired, kept sorted by commit seq);
-//   - once the horizon — the minimum pinned epoch — passes a retired
-//     transaction's commit seq, no present or future snapshot can
-//     observe it and its SIREAD locks and graph edges are dropped.
+//   - once the horizon — mvcc.Manager.OldestSnapshot, the minimum pinned
+//     epoch, the same value that truncates the commit log and trims the
+//     heap — passes a retired transaction's commit seq, no present or
+//     future snapshot can observe it and its SIREAD locks and graph
+//     edges are dropped. This is PostgreSQL's keying of §6.1 cleanup to
+//     SxactGlobalXmin.
 //
 // The reclaimer goroutine is spawned lazily when a wake finds work and
 // exits as soon as the queue is drained, so an idle Manager holds no
@@ -75,10 +80,12 @@ type reclaimer struct {
 // aborted. Such a transaction retires nothing here, but it leaves a
 // commit-log entry that only a reclaim pass truncates
 // (mvcc.AutoTruncate), and a process that runs nothing but those would
-// never start one. Every reclaimBatch-th call wakes the reclaimer; the
-// caller waits for nothing.
+// never start one. It also holds the horizon while it runs, so, like a
+// serializable commit, one that leaves no transaction active wakes the
+// reclaimer, as does every reclaimBatch-th call; the caller waits for
+// nothing.
 func (m *Manager) FinishedOutside() {
-	if m.rec.outside.Add(1)%reclaimBatch == 0 {
+	if m.rec.outside.Add(1)%reclaimBatch == 0 || m.mvcc.ActiveCount() == 0 {
 		m.wakeReclaimer()
 	}
 }
@@ -150,28 +157,29 @@ func (m *Manager) ReclaimNow() {
 // reclaimPass drops every retired transaction no active snapshot can
 // observe, expires dummy locks on the same horizon, runs the §6.1
 // only-read-only-transactions sweep when it applies, and then advances
-// the MVCC commit-log truncation floor (the clog analogue of this
-// reclamation: internal/mvcc AutoTruncate computes its own horizon over
-// *all* MVCC transactions, not just serializable ones, so weaker-level
-// snapshots are safe too).
+// the MVCC commit-log truncation floor — all at one horizon, computed
+// once per pass by mvcc.Manager.OldestSnapshot over the transactions of
+// every isolation level.
 //
-// The horizon is computed before taking mu; it can only be stale in the
-// conservative direction (a transaction that commits or aborts during
-// the scan keeps its bound in the minimum, and one that registers after
-// the scan has a bound at or above the scan-time commit seq, so nothing
-// it can observe is below the stale horizon).
+// The horizon is computed before taking mu, and a pass may stall
+// between the two; a stale horizon is merely conservative. It never
+// exceeds the commit sequence current when OldestSnapshot returned it,
+// so a transaction that commits later — even one that began and
+// committed while the pass stalled — commits above it and stays
+// retired.
 func (m *Manager) reclaimPass() {
-	m.reclaimGraphPass()
+	horizon := m.mvcc.OldestSnapshot()
+	m.reclaimGraphPass(horizon)
 	// Outside every SSI lock: AutoTruncate takes only mvcc-internal
 	// (leaf) locks, but there is no reason to hold m.mu across it.
-	m.mvcc.AutoTruncate()
+	m.mvcc.AutoTruncate(horizon)
 }
 
-func (m *Manager) reclaimGraphPass() {
+func (m *Manager) reclaimGraphPass(horizon mvcc.SeqNo) {
 	m.rec.passMu.Lock()
 	defer m.rec.passMu.Unlock()
 
-	minSeq, allRO, nActive := m.epochHorizon()
+	m.trace(trace.ReclaimScan, mvcc.InvalidTxID)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -180,7 +188,7 @@ func (m *Manager) reclaimGraphPass() {
 	// gap in place: the queue keeps its array from pass to pass.
 	m.retireMu.Lock()
 	cut := 0
-	for cut < len(m.retired) && m.retired[cut].CommitSeq <= minSeq {
+	for cut < len(m.retired) && m.retired[cut].CommitSeq <= horizon {
 		cut++
 	}
 	victims := append(m.rec.victims[:0], m.retired[:cut]...)
@@ -191,34 +199,30 @@ func (m *Manager) reclaimGraphPass() {
 
 	m.dropCommittedBatchLocked(victims)
 	m.stats.CleanedXacts += int64(len(victims))
-	m.expireDummyLocksLocked(minSeq)
+	m.expireDummyLocksLocked(horizon)
 
 	// §6.1: with only read-only transactions active, no future write can
 	// conflict with a committed transaction's reads, and a committed
 	// transaction's conflict-in list can only matter if an active
 	// read/write transaction writes something it read — which cannot
 	// happen. The sweep stays valid until a read/write transaction
-	// begins or commits (roSweepValid is cleared there). The sweep only
-	// ever releases early, so a first scan that already saw a
-	// read/write transaction ends the pass here.
-	if nActive > 0 && allRO && !m.cfg.DisableReadOnlyOpt && !m.roSweepValid.Load() {
+	// begins or commits (roSweepValid is cleared there).
+	if m.rwActive.Load() == 0 && !m.cfg.DisableReadOnlyOpt && !m.roSweepValid.Load() {
 		// Which retired transactions the sweep may strip is fixed BEFORE
-		// the all-read-only gate is recomputed, and the recomputation
-		// runs under m.mu because the first scan ran before it. Then
-		// every transaction concurrent with a swept C that could write
-		// what C read is accounted for: one still active at the recheck
-		// is seen by it (and must be declared read-only, so it cannot
-		// write); one that finished before the recheck made its writes'
-		// probes while C's locks were in the table; and one that
-		// registers after the recheck visited its shard registered after
-		// C retired, so by the bound protocol its snapshot is at or
+		// rwActive is read again, here under m.mu. Then every
+		// transaction concurrent with a swept C that could write what C
+		// read is accounted for: one still counted at the recheck stops
+		// the sweep; one that finished before the recheck made its
+		// writes' probes while C's locks were in the table; and one
+		// counted after the recheck registered after C retired, and
+		// takes its snapshot after registering, so its snapshot is at or
 		// above C's commit and it is not concurrent with C at all.
 		// Nothing here relies on writers waiting for m.mu — CheckWrite's
 		// probe does not take it.
 		m.retireMu.Lock()
 		victims = append(victims[:0], m.retired...)
 		m.retireMu.Unlock()
-		if _, allRO, nActive = m.epochHorizon(); nActive > 0 && allRO {
+		if m.rwActive.Load() == 0 {
 			for _, c := range victims {
 				m.collectLocksLocked(c)
 			}
@@ -243,10 +247,7 @@ func (m *Manager) reclaimGraphPass() {
 // retire inserts a committed transaction into the retire queue, keeping
 // it sorted by commit sequence (commits arrive nearly in order, so the
 // insertion point is almost always the tail). It returns the queue
-// length so callers can apply pressure policies. Retirement happens
-// BEFORE the transaction leaves the registry's active set: at every
-// instant a serializable transaction is findable in the active set or
-// the retire queue (or both), which the read-only safety scan relies on.
+// length so callers can apply pressure policies.
 func (m *Manager) retire(x *Xact) int {
 	m.retireMu.Lock()
 	i := len(m.retired)
@@ -264,7 +265,7 @@ func (m *Manager) retire(x *Xact) int {
 // afterCommit runs a committed transaction's deferred lifecycle work,
 // outside every lock: retire-queue pressure handling and reclaimer
 // wake-ups. Besides the batch wake, a commit that leaves the system
-// quiescent (no active transaction) always wakes the reclaimer —
+// quiescent (no active MVCC transaction) always wakes the reclaimer —
 // otherwise a burst of fewer than reclaimBatch commits followed by
 // idleness would retain its transactions, SIREAD locks, and expired
 // dummy locks indefinitely.
@@ -273,7 +274,7 @@ func (m *Manager) afterCommit(retiredLen int) {
 		m.summarizeOnPressure()
 		return
 	}
-	if retiredLen%reclaimBatch == 0 || m.activeCount.Load() == 0 {
+	if retiredLen%reclaimBatch == 0 || m.mvcc.ActiveCount() == 0 {
 		m.wakeReclaimer()
 	}
 }
@@ -286,11 +287,9 @@ func (m *Manager) afterCommit(retiredLen int) {
 // within budget.
 func (m *Manager) summarizeOnPressure() {
 	m.reclaimPass()
-	// The victims are dequeued under m.mu (not just retireMu): the
-	// read-only safety scan relies on every committed transaction
-	// being findable in the active set, the retire queue, or the
-	// summary table while it holds m.mu, so a transaction must not sit
-	// dequeued-but-unsummarized outside that mutex.
+	// The victims are dequeued under m.mu (not just retireMu), so a
+	// transaction never sits dequeued-but-unsummarized outside that
+	// mutex, where the §6.1 sweep could miss it.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.retireMu.Lock()

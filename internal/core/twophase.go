@@ -100,7 +100,6 @@ func (m *Manager) RecoverPrepared(st PreparedState, snapshotSeq mvcc.SeqNo) *Xac
 	}
 	x.summaryConflictIn = true
 	x.earliestOutConflictCommit = 1
-	x.snapshotBound.Store(uint64(snapshotSeq))
 	m.registerXact(x)
 	x.lockMu.Lock()
 	for _, t := range st.Locks {

@@ -129,7 +129,7 @@ func TestAutoTruncateHorizon(t *testing.T) {
 	b := m.Begin()
 	m.Commit(b)
 
-	m.AutoTruncate()
+	m.AutoTruncate(m.OldestSnapshot())
 	if st, _ := m.Status(a); st != StatusCommitted {
 		t.Fatalf("a should remain committed, got %v", st)
 	}
@@ -151,7 +151,7 @@ func TestAutoTruncateHorizon(t *testing.T) {
 	// tombstone survives below the floor.
 	c := m.Begin()
 	m.Abort(pin)
-	m.AutoTruncate()
+	m.AutoTruncate(m.OldestSnapshot())
 	if m.lookup(b) != nil {
 		t.Fatal("b should be truncated once every active snapshot covers it")
 	}
@@ -172,12 +172,12 @@ func TestAutoTruncateStopsAtActiveXID(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.Commit(m.Begin())
 	}
-	m.AutoTruncate()
+	m.AutoTruncate(m.OldestSnapshot())
 	if got := TxID(m.logFloor.Load()); got != old {
 		t.Fatalf("floor = %d, want pinned at active xid %d", got, old)
 	}
 	m.Commit(old)
-	m.AutoTruncate()
+	m.AutoTruncate(m.OldestSnapshot())
 	if got, want := TxID(m.logFloor.Load()), m.NextXID(); got != want {
 		t.Fatalf("floor after drain = %d, want %d", got, want)
 	}

@@ -41,21 +41,32 @@
 // TakeSnapshot copies the whole active set (O(active)) under a global
 // reader/writer mutex that every Begin/Commit/Abort takes exclusively.
 //
+// # One horizon
+//
+// OldestSnapshot is the engine's only answer to "what is the oldest
+// snapshot any transaction holds or will take?": the minimum begin-time
+// CSN over the active transactions, at every isolation level, or the
+// current CSN when none is active. A commit at or below it is visible to
+// every present and future snapshot. Everything that reclaims old state
+// cuts there: the SSI reclaimer frees committed transactions (§6.1, the
+// way PostgreSQL keys its cleanup to SxactGlobalXmin), AutoTruncate drops
+// commit-log entries, the heap's write path trims version chains (via the
+// published Horizon), and the engine's Vacuum sweeps them.
+//
 // # Commit-log truncation
 //
-// The log is truncated in integration with the engine's epoch reclaimer
-// (internal/core/reclaim.go), which calls AutoTruncate on its background
-// passes; transactions at every isolation level wake it. A committed
-// entry may be dropped once (a) its xid is below
-// every active transaction's xid and (b) its commit CSN is at or below
-// every active transaction's begin-time published CSN — then every
-// present or future snapshot already includes it, and Status/Sees resolve
-// absent xids below the floor as "committed long ago". Aborted entries
-// are kept as tombstones (an aborted xid must never resolve committed
-// while a heap version stamped with it could still be read); the engine's
-// Vacuum drops them with DropAbortedBelow once the heap holds no trace of
-// them. Callers that take standalone snapshots must pin them with an
-// active transaction for the duration of use, as DB.Vacuum does.
+// AutoTruncate runs on the epoch reclaimer's background passes
+// (internal/core/reclaim.go); transactions at every isolation level wake
+// it. A committed entry may be dropped once (a) its xid is below every
+// active transaction's xid and (b) its commit CSN is at or below the
+// horizon — then every present or future snapshot already includes it,
+// and Status/Sees resolve absent xids below the floor as "committed long
+// ago". Aborted entries are kept as tombstones (an aborted xid must never
+// resolve committed while a heap version stamped with it could still be
+// read); the engine's Vacuum drops them with DropAbortedBelow once the
+// heap holds no trace of them. A snapshot taken outside a transaction is
+// not covered by the horizon: callers must hold it only while an active
+// transaction that began before it pins the horizon.
 package mvcc
 
 import (
@@ -221,7 +232,7 @@ func (s *Snapshot) ConcurrentWith(xid TxID) bool {
 
 // txRecord is a commit-log entry: one transaction's fate, its commit CSN
 // once assigned, the CSN-counter value observed when it began (the pin
-// the truncation horizon is computed from), and the done channel writers
+// OldestSnapshot is computed from), and the done channel writers
 // block on. Fields are guarded by the owning shard's mutex; done is
 // closed exactly once, after the commit is published (or on abort).
 type txRecord struct {
@@ -271,8 +282,8 @@ type Manager struct {
 	logFloor atomic.Uint64
 	// activeCount counts in-progress transactions.
 	activeCount atomic.Int64
-	// horizon is the highest truncation horizon an AutoTruncate pass has
-	// computed (see Horizon). Written under truncMu.
+	// horizon is the highest value OldestSnapshot has returned (see
+	// Horizon); it only rises.
 	horizon atomic.Uint64
 
 	// truncMu serializes TruncateLog/AutoTruncate passes. The three
@@ -364,10 +375,10 @@ func (m *Manager) Begin() TxID {
 	xid := TxID(m.lastXID.Add(1))
 	rec := &txRecord{
 		status: StatusInProgress,
-		// The begin-time CSN pins the truncation horizon: any snapshot
-		// this transaction takes reads the counter at or after this
-		// load, so commits at or below it are visible to every snapshot
-		// the transaction will ever hold.
+		// The begin-time CSN pins the horizon (OldestSnapshot): any
+		// snapshot this transaction takes reads the counter at or after
+		// this load, so commits at or below it are visible to every
+		// snapshot the transaction will ever hold.
 		beginSeq: SeqNo(m.assignedSeq.Load()),
 		done:     make(chan struct{}),
 	}
@@ -594,18 +605,19 @@ func (m *Manager) ActiveCount() int {
 	return int(m.activeCount.Load())
 }
 
-// ActiveXIDs returns the in-progress transaction IDs in unspecified order.
-func (m *Manager) ActiveXIDs() []TxID {
-	xids := make([]TxID, 0, m.activeCount.Load())
+// ActivePins returns each in-progress transaction's begin-time CSN, the
+// value it holds OldestSnapshot at (at or below its snapshot's CSN).
+func (m *Manager) ActivePins() map[TxID]SeqNo {
+	pins := make(map[TxID]SeqNo, m.activeCount.Load())
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.RLock()
 		for xid := range sh.active {
-			xids = append(xids, xid)
+			pins[xid] = sh.recs[xid].beginSeq
 		}
 		sh.mu.RUnlock()
 	}
-	return xids
+	return pins
 }
 
 // CurrentSeq returns the current value of the commit-sequence counter:
@@ -620,12 +632,7 @@ func (m *Manager) CurrentSeq() SeqNo {
 // would reuse recovered CSNs and corrupt snapshot visibility. Safe to
 // call concurrently with commits; the counter never moves backwards.
 func (m *Manager) AdvanceSeq(seq SeqNo) {
-	for {
-		cur := m.assignedSeq.Load()
-		if cur >= uint64(seq) || m.assignedSeq.CompareAndSwap(cur, uint64(seq)) {
-			return
-		}
-	}
+	raise(&m.assignedSeq, uint64(seq))
 }
 
 // NextXID returns the next transaction ID that will be assigned.
@@ -658,17 +665,19 @@ func (m *Manager) OldestActiveXID() TxID {
 	return oldest
 }
 
-// minActiveBeginSeq returns the minimum begin-time CSN over the active
-// transactions, or the current CSN if none is active.
-// Every snapshot any active transaction holds (or will take) has a CSN
-// at or above this value, so commits at or below it are visible to every
-// present and future snapshot — the truncation horizon.
-func (m *Manager) minActiveBeginSeq() SeqNo {
+// OldestSnapshot returns the horizon: the minimum begin-time CSN over the
+// active transactions, or the current CSN if none is active, raised to
+// the highest value an earlier call returned. Every snapshot any active
+// transaction holds (or will take) has a CSN at or above it, so a commit
+// at or below it is visible to every present and future snapshot. The
+// result is also published for Horizon. Safe to call concurrently with
+// everything else.
+func (m *Manager) OldestSnapshot() SeqNo {
 	// Read the fallback bound before the scan. Unlike OldestActiveXID,
 	// no begin fence is needed: a Begin this scan misses takes its
 	// snapshot after registering, hence after this load, so that
 	// snapshot's CSN is at or above the bound read here and covers
-	// everything the horizon admits for truncation.
+	// everything the horizon admits.
 	min := SeqNo(m.assignedSeq.Load())
 	for i := range m.shards {
 		sh := &m.shards[i]
@@ -680,16 +689,30 @@ func (m *Manager) minActiveBeginSeq() SeqNo {
 		}
 		sh.mu.RUnlock()
 	}
-	return min
+	// A Begin the scan caught between reading its begin-time CSN and
+	// taking its snapshot can make a later call compute less than an
+	// earlier one; the earlier value still holds (that snapshot will be
+	// taken after it), so the horizon never retreats.
+	return SeqNo(raise(&m.horizon, uint64(min)))
 }
 
-// Horizon returns the highest truncation horizon an AutoTruncate pass has
-// computed (InvalidSeqNo before the first pass): a commit whose CSN is at
-// or below it is visible to every snapshot an active transaction holds or
-// will ever take. A stale reading is merely conservative. The heap's write path trims version chains with
-// it (storage.Table), which is why it is published at all; like the
-// truncation floor it is only sound for snapshots pinned by an active
-// transaction.
+// raise lifts a to at least v and returns its value afterwards.
+func raise(a *atomic.Uint64, v uint64) uint64 {
+	for {
+		cur := a.Load()
+		if cur >= v {
+			return cur
+		}
+		if a.CompareAndSwap(cur, v) {
+			return v
+		}
+	}
+}
+
+// Horizon returns the highest horizon OldestSnapshot has returned
+// (InvalidSeqNo before the first call), without scanning. The heap's
+// write path trims version chains with it (storage.Table), which is why
+// it is published at all; a stale reading is merely conservative.
 func (m *Manager) Horizon() SeqNo {
 	return SeqNo(m.horizon.Load())
 }
@@ -697,8 +720,8 @@ func (m *Manager) Horizon() SeqNo {
 // TruncateLog discards committed commit-log entries for transactions with
 // xid < floor, which must all have committed or aborted and whose
 // commits must be visible to every present and future snapshot (in CSN
-// terms: commit CSN at or below every active transaction's begin-time
-// published CSN — AutoTruncate computes the largest such floor).
+// terms: commit CSN at or below OldestSnapshot — AutoTruncate computes
+// the largest such floor).
 // PostgreSQL similarly truncates pg_clog once no snapshot can reference
 // old xids. Entries for aborted transactions below the floor are kept as
 // tombstones — an aborted xid must never start resolving "committed"
@@ -736,12 +759,13 @@ const autoTruncateScanCap = 1 << 16
 const maxKeptTruncVictims = 4096
 
 // AutoTruncate advances the commit-log truncation floor as far as
-// currently safe and applies it, returning the new floor. It is called
-// by the engine's epoch reclaimer on its background passes; it is safe
-// to call concurrently with everything else.
+// horizon, a value OldestSnapshot returned, allows and applies it,
+// returning the new floor. It is called by the engine's epoch reclaimer
+// on its background passes; it is safe to call concurrently with
+// everything else.
 //
 // The floor stops at the oldest active xid, at any committed entry whose
-// CSN is above the truncation horizon (a small-xid transaction that
+// CSN is above horizon (a small-xid transaction that
 // committed late: some active snapshot may not include it yet), and
 // after autoTruncateScanCap entries. Absent xids (already truncated, or
 // dropped aborted tombstones) are skipped; aborted tombstones are left
@@ -749,18 +773,10 @@ const maxKeptTruncVictims = 4096
 // sweep, only the entries the scan just proved reclaimable are deleted,
 // so a background pass perturbs concurrent shard traffic as little as
 // possible.
-func (m *Manager) AutoTruncate() TxID {
+func (m *Manager) AutoTruncate(horizon SeqNo) TxID {
 	m.truncMu.Lock()
 	defer m.truncMu.Unlock()
 	limit := m.OldestActiveXID()
-	horizon := m.minActiveBeginSeq()
-	if uint64(horizon) > m.horizon.Load() {
-		// A Begin the scan caught between reading its begin-time CSN and
-		// taking its snapshot can make a later pass compute less than an
-		// earlier one; the earlier value still holds (that snapshot will
-		// be taken after it), so the published horizon never retreats.
-		m.horizon.Store(uint64(horizon))
-	}
 	start := TxID(m.logFloor.Load())
 	floor := start
 	victims := m.truncVictims[:0]

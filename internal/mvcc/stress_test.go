@@ -138,7 +138,7 @@ func TestSnapshotCommitTruncateStress(t *testing.T) {
 		go func() {
 			defer auxWG.Done()
 			for !stop.Load() {
-				m.AutoTruncate()
+				m.AutoTruncate(m.OldestSnapshot())
 			}
 		}()
 
@@ -151,7 +151,7 @@ func TestSnapshotCommitTruncateStress(t *testing.T) {
 		}
 		// Everything is finished: the floor can reach the frontier, and
 		// a final snapshot sees every committed xid.
-		m.AutoTruncate()
+		m.AutoTruncate(m.OldestSnapshot())
 		final := m.TakeSnapshot()
 		for _, e := range ring.sample(nil) {
 			if !m.Visible(e.xid, final) {

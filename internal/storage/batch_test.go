@@ -326,7 +326,7 @@ func TestScanConcurrentUpdates(t *testing.T) {
 					continue
 				}
 				h.mgr.Commit(w.xid)
-				h.mgr.AutoTruncate() // keep the trim horizon moving
+				h.mgr.AutoTruncate(h.mgr.OldestSnapshot()) // keep the trim horizon moving
 			}
 		}(uint64(wk + 1))
 	}
@@ -458,7 +458,7 @@ func TestScanRunsSurviveUpdates(t *testing.T) {
 				}
 			}
 			h.mgr.Commit(w.xid)
-			h.mgr.AutoTruncate()
+			h.mgr.AutoTruncate(h.mgr.OldestSnapshot())
 		}
 		r := h.begin()
 		calls, items := 0, 0

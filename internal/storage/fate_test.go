@@ -86,7 +86,7 @@ func TestFatesSurviveLogTruncation(t *testing.T) {
 	floor := h.mgr.NextXID()
 	h.mgr.Abort(old.xid) // the log cannot be truncated under an active xid...
 	h.mgr.Abort(late.xid)
-	h.mgr.AutoTruncate()
+	h.mgr.AutoTruncate(h.mgr.OldestSnapshot())
 	h.mgr.TruncateLog(floor)
 	h.mgr.DropAbortedBelow(floor)
 	if st, _ := h.mgr.Status(ab.xid); st != mvcc.StatusCommitted {
@@ -239,7 +239,7 @@ func TestTrimOnWriteRespectsPinnedSnapshot(t *testing.T) {
 	r := h.begin()
 	for i := 0; i < 1000; i++ {
 		h.commitUpdate(t, "a", fmt.Sprintf("u%d", i))
-		h.mgr.AutoTruncate() // what the reclaimer does: publish the horizon
+		h.mgr.AutoTruncate(h.mgr.OldestSnapshot()) // what the reclaimer does: publish the horizon
 		if i%100 == 0 {
 			if v, ok := h.get(r, "a"); !ok || v != "pinned" {
 				t.Fatalf("after %d updates the pinned reader sees %q %v", i+1, v, ok)
@@ -255,7 +255,7 @@ func TestTrimOnWriteRespectsPinnedSnapshot(t *testing.T) {
 		t.Fatalf("chain under a pinned reader: %d versions, oldest %q; want 1001 ending at the pinned one", len(c), c[len(c)-1].Value)
 	}
 	h.mgr.Abort(r.xid)
-	h.mgr.AutoTruncate()
+	h.mgr.AutoTruncate(h.mgr.OldestSnapshot())
 	h.commitUpdate(t, "a", "after")
 	if c := h.chain("a"); len(c) > 2 {
 		t.Fatalf("first update after the reader finished left %d versions, want <= 2", len(c))
@@ -277,7 +277,7 @@ func TestVacuumEmptiesDeadRowKeepsSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.mgr.Commit(d.xid)
-	if removed := h.tbl.Vacuum(h.mgr.TakeSnapshot(), h.mgr); removed != 1 {
+	if removed := h.tbl.Vacuum(h.mgr.OldestSnapshot(), h.mgr); removed != 1 {
 		t.Fatalf("vacuum removed %d versions, want 1", removed)
 	}
 	if c := h.chain("a"); len(c) != 0 || h.tbl.Len() != 1 {

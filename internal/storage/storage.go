@@ -35,8 +35,9 @@
 // (UndoSubxact), every write first drops aborted versions off the head
 // (which also covers a failed write that stamped a version but never
 // reached a write set), and modify cuts the chain below the newest
-// version every snapshot can see, using the horizon mvcc.AutoTruncate
-// publishes. Vacuum remains as the explicit full sweep.
+// version every snapshot can see, using the horizon mvcc.OldestSnapshot
+// publishes. Vacuum remains as the explicit full sweep, at the same
+// horizon.
 //
 // # Write locks, pages, latches
 //
@@ -302,14 +303,17 @@ func (r *Row) pruneAborted(mgr *mvcc.Manager) *Tuple {
 // future snapshot sees that version (or something newer), so nothing
 // older can be read again. The walk passes only versions newer than the
 // horizon, so it is as long as the row's recent history, not its whole
-// one. Caller holds the row lock.
-func trimBelow(v *Tuple, horizon mvcc.SeqNo, mgr *mvcc.Manager) {
+// one. It returns the versions it cut off, newest first (nil if none).
+// Caller holds the row lock.
+func trimBelow(v *Tuple, horizon mvcc.SeqNo, mgr *mvcc.Manager) *Tuple {
 	for ; v != nil && v.Older != nil; v = v.Older {
 		if st, seq := v.minStatus(mgr); st == mvcc.StatusCommitted && seq <= horizon {
+			cut := v.Older
 			v.Older = nil
-			return
+			return cut
 		}
 	}
+	return nil
 }
 
 // ReadResult is the outcome of a visibility-checked read.
@@ -972,12 +976,12 @@ func (t *Table) ForEach(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, 
 // has ever held, live or dead.
 func (t *Table) Len() int { return t.index.Len() }
 
-// Vacuum removes versions that can no longer be seen by any snapshot
-// whose visibility horizon is horizon: versions superseded by a
-// committed transaction below the horizon, and aborted detritus. It
+// Vacuum removes versions that can no longer be seen by any snapshot at
+// or above horizon (mvcc.Manager.OldestSnapshot): versions superseded by
+// one committed at or below the horizon, and aborted detritus. It
 // returns the number of versions removed. A row whose last version goes
 // keeps its (empty) slot in the index.
-func (t *Table) Vacuum(horizon *mvcc.Snapshot, mgr *mvcc.Manager) int {
+func (t *Table) Vacuum(horizon mvcc.SeqNo, mgr *mvcc.Manager) int {
 	removed := 0
 	t.index.Leaves("", "", nil, func(_ []string, rows []*Row) bool {
 		for _, row := range rows {
@@ -991,26 +995,18 @@ func (t *Table) Vacuum(horizon *mvcc.Snapshot, mgr *mvcc.Manager) int {
 }
 
 // vacuum is Vacuum for one row. Caller holds r.mu.
-func (r *Row) vacuum(horizon *mvcc.Snapshot, mgr *mvcc.Manager) (removed int) {
+func (r *Row) vacuum(horizon mvcc.SeqNo, mgr *mvcc.Manager) (removed int) {
 	head := r.pruneAborted(mgr)
 	if head == nil {
 		return 0
 	}
-	// Find the newest version visible to the horizon; all versions
-	// older than it are unreachable.
-	for cut := head; cut != nil; cut = cut.Older {
-		if st, seq := cut.minStatus(mgr); st == mvcc.StatusCommitted && horizon.SeesCommitted(cut.Xmin, seq) {
-			for v := cut.Older; v != nil; v = v.Older {
-				removed++
-			}
-			cut.Older = nil
-			break
-		}
+	for v := trimBelow(head, horizon, mgr); v != nil; v = v.Older {
+		removed++
 	}
 	// If the sole remaining version is a committed delete visible to
 	// everyone, the row is gone.
 	if head.Older == nil && head.Xmax != 0 {
-		if st, seq := head.maxStatus(mgr); st == mvcc.StatusCommitted && horizon.SeesCommitted(head.Xmax, seq) {
+		if st, seq := head.maxStatus(mgr); st == mvcc.StatusCommitted && seq <= horizon {
 			r.head = nil
 			removed++
 		}

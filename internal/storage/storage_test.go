@@ -330,8 +330,7 @@ func TestVacuumRemovesDeadVersions(t *testing.T) {
 		}
 		h.mgr.Commit(w.xid)
 	}
-	horizon := h.mgr.TakeSnapshot()
-	removed := h.tbl.Vacuum(horizon, h.mgr)
+	removed := h.tbl.Vacuum(h.mgr.OldestSnapshot(), h.mgr)
 	if removed < 9 {
 		t.Fatalf("vacuum removed %d versions, want >= 9", removed)
 	}

@@ -18,12 +18,12 @@ type Point uint8
 
 // Trace points.
 const (
-	// Begin fires in internal/core during a serializable Begin's
-	// snapshot-ordering step: after registration and before the snapshot
-	// is taken (for a fenced read-only Begin, between the snapshot and the
-	// safety-watcher registration, inside the critical section; with
-	// DisableLifecycleFencing, inside the reopened window). XID is the new
-	// transaction.
+	// Begin fires in internal/core during a serializable Begin: for a
+	// read/write Begin, after registration and before the snapshot is
+	// taken; for a fenced read-only Begin, between the snapshot and the
+	// safety-watcher registration, inside the critical section (with
+	// DisableLifecycleFencing, inside the reopened window between them).
+	// XID is the new transaction.
 	Begin Point = iota + 1
 	// PreCommit fires in internal/core between a serializable
 	// transaction's passing pre-commit check and its commit-sequence
@@ -55,6 +55,10 @@ const (
 	// to be probed: its relation, its key (tuple level only) and its
 	// granularity as a core.Level (2 tuple, 1 page, 0 relation).
 	WriteProbe
+	// ReclaimScan fires in internal/core during a reclaim pass, after the
+	// pass has computed its horizon and before it takes the conflict-graph
+	// mutex, with only the pass mutex held. XID is zero.
+	ReclaimScan
 )
 
 // Event is one traced occurrence. Fields its Point does not define are

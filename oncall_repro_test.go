@@ -40,10 +40,10 @@ var (
 // reads a group with nobody on call has seen a committed write skew, or
 // has lost a version its snapshot should see. When one does, the harness
 // lets it go on to its write (which makes its xid visible on the row it
-// wrote) and, before it commits, prints the engine's view: every active
-// transaction's snapshot CSN and, for the group's four rows, every
-// version's xmin and xmax with their fates. It reproduces; it does not
-// diagnose.
+// wrote) and, before it commits, prints the engine's view: the CSN
+// every active transaction pins the horizon at and, for the group's four
+// rows, every version's xmin and xmax with their fates. It reproduces;
+// it does not diagnose.
 func TestOnCallSkewRepro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reproduction harness: starts servers and drives them over TCP")
@@ -66,8 +66,8 @@ func TestOnCallSkewReproBites(t *testing.T) {
 	if len(dumps) == 0 {
 		t.Fatal("no transaction read a group with nobody on call under snapshot isolation")
 	}
-	// (Snapshot-isolation transactions are not the SSI manager's, so their
-	// snapshot CSN is not in this dump; serializable ones' is.)
+	// (The dump lists every active transaction's pinned CSN, at every
+	// isolation level.)
 	for _, want := range []string{"active xid", "xmin", "in-progress", "trim horizon"} {
 		if !strings.Contains(dumps[0], want) {
 			t.Fatalf("dump lacks %q:\n%s", want, dumps[0])
