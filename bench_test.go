@@ -12,10 +12,11 @@ import (
 
 // This file regenerates every figure and table of the paper's evaluation
 // (§8) as Go benchmarks. Each sub-benchmark is one point of a figure:
-// one (workload parameter, concurrency control) pair, reporting committed
-// transactions per second and the serialization failure percentage via
-// b.ReportMetric. EXPERIMENTS.md records a full run and compares the
-// shapes against the paper.
+// one (workload parameter, concurrency-control regime) pair, reporting
+// committed transactions per second and the serialization failure
+// percentage via b.ReportMetric. The pgload sibench, dbt2, rubis and
+// deferrable subcommands print the same sweeps as tables normalized to
+// SI (cmd/pgload).
 //
 // Durations are deliberately short so `go test -bench=.` completes in
 // minutes; set PGSSI_BENCH_MS (per-point milliseconds) for longer, less
@@ -31,17 +32,6 @@ func benchDuration() time.Duration {
 	return 400 * time.Millisecond
 }
 
-var benchLevels = []struct {
-	name  string
-	level pgssi.IsolationLevel
-	cfg   pgssi.Config
-}{
-	{"SI", pgssi.RepeatableRead, pgssi.Config{}},
-	{"SSI", pgssi.Serializable, pgssi.Config{}},
-	{"SSI-noROopt", pgssi.Serializable, pgssi.Config{DisableReadOnlyOpt: true}},
-	{"S2PL", pgssi.SerializableS2PL, pgssi.Config{}},
-}
-
 func reportResult(b *testing.B, res workload.Result) {
 	b.ReportMetric(res.Throughput, "txn/s")
 	b.ReportMetric(100*res.FailureRate, "fail%")
@@ -50,24 +40,29 @@ func reportResult(b *testing.B, res workload.Result) {
 	}
 }
 
+// benchRegime runs one point of a figure: setup's mix under regime rg
+// on a fresh database configured from base.
+func benchRegime(b *testing.B, base pgssi.Config, rg workload.Regime, setup func(*pgssi.DB) (*workload.Mix, error), opts workload.RunOptions) {
+	for i := 0; i < b.N; i++ {
+		res, err := workload.Sweep(base, []workload.Regime{rg}, setup, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reportResult(b, res[0])
+	}
+}
+
 // BenchmarkFigure4 is the SIBENCH sweep of §8.1: transaction throughput
-// vs table size for SI, SSI, SSI without the read-only optimizations,
-// and S2PL. Normalize each size's series to its SI point to recover the
-// figure's y-axis.
+// vs table size for each regime. Normalize each size's series to its SI
+// point to recover the figure's y-axis.
 func BenchmarkFigure4(b *testing.B) {
 	for _, rows := range []int{10, 100, 1000, 10000} {
-		for _, lv := range benchLevels {
-			b.Run(fmt.Sprintf("rows=%d/%s", rows, lv.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					si := workload.SIBench{Rows: rows}
-					res, err := si.Run(lv.cfg, workload.RunOptions{
-						Level: lv.level, Workers: 4, Duration: benchDuration(), Seed: 4,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					reportResult(b, res)
-				}
+		for _, rg := range workload.Regimes {
+			b.Run(fmt.Sprintf("rows=%d/%s", rows, rg.Name), func(b *testing.B) {
+				si := workload.SIBench{Rows: rows}
+				benchRegime(b, pgssi.Config{}, rg, func(db *pgssi.DB) (*workload.Mix, error) {
+					return si.Mix(), si.Setup(db)
+				}, workload.RunOptions{Workers: 4, Duration: benchDuration(), Seed: 4})
 			})
 		}
 	}
@@ -77,23 +72,12 @@ func BenchmarkFigure4(b *testing.B) {
 // under the given storage configuration.
 func benchmarkFigure5(b *testing.B, base pgssi.Config, warehouses, workers int) {
 	for _, ro := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0} {
-		for _, lv := range benchLevels {
-			cfg := base
-			cfg.DisableReadOnlyOpt = lv.cfg.DisableReadOnlyOpt
-			b.Run(fmt.Sprintf("ro=%.0f%%/%s", ro*100, lv.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					db := pgssi.Open(cfg)
+		for _, rg := range workload.Regimes {
+			b.Run(fmt.Sprintf("ro=%.0f%%/%s", ro*100, rg.Name), func(b *testing.B) {
+				benchRegime(b, base, rg, func(db *pgssi.DB) (*workload.Mix, error) {
 					w := workload.DefaultDBT2(warehouses)
-					if err := w.Setup(db); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					res := workload.RunClosedLoop(db, w.Mix(ro), workload.RunOptions{
-						Level: lv.level, Workers: workers, Duration: benchDuration(), Seed: 5,
-					})
-					reportResult(b, res)
-				}
+					return w.Mix(ro), w.Setup(db)
+				}, workload.RunOptions{Workers: workers, Duration: benchDuration(), Seed: 5})
 			})
 		}
 	}
@@ -116,24 +100,15 @@ func BenchmarkFigure5b(b *testing.B) {
 // BenchmarkFigure6 is the RUBiS bidding-mix table of §8.3: absolute
 // throughput and serialization failure rate for SI, SSI, and S2PL.
 func BenchmarkFigure6(b *testing.B) {
-	for _, lv := range benchLevels {
-		if lv.name == "SSI-noROopt" {
+	for _, rg := range workload.Regimes {
+		if rg.DisableReadOnlyOpt {
 			continue // Figure 6 has three rows
 		}
-		b.Run(lv.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				db := pgssi.Open(lv.cfg)
+		b.Run(rg.Name, func(b *testing.B) {
+			benchRegime(b, pgssi.Config{}, rg, func(db *pgssi.DB) (*workload.Mix, error) {
 				r := &workload.RUBiS{Users: 500, Items: 1000, Categories: 20}
-				if err := r.Setup(db); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				res := workload.RunClosedLoop(db, r.Mix(), workload.RunOptions{
-					Level: lv.level, Workers: 4, Duration: benchDuration(), Seed: 6,
-				})
-				reportResult(b, res)
-			}
+				return r.Mix(), r.Setup(db)
+			}, workload.RunOptions{Workers: 4, Duration: benchDuration(), Seed: 6})
 		})
 	}
 }
@@ -156,10 +131,10 @@ func BenchmarkDeferrable(b *testing.B) {
 		if bg.Errors > 0 {
 			b.Fatalf("%d hard errors", bg.Errors)
 		}
-		b.ReportMetric(float64(res.Median.Microseconds())/1000, "median-ms")
-		b.ReportMetric(float64(res.P90.Microseconds())/1000, "p90-ms")
-		b.ReportMetric(float64(res.Max.Microseconds())/1000, "max-ms")
-		b.ReportMetric(float64(len(res.Samples)), "samples")
+		b.ReportMetric(float64(res.Quantile(0.5).Microseconds())/1000, "median-ms")
+		b.ReportMetric(float64(res.Quantile(0.9).Microseconds())/1000, "p90-ms")
+		b.ReportMetric(float64(res.Max().Microseconds())/1000, "max-ms")
+		b.ReportMetric(float64(res.Count()), "samples")
 	}
 }
 
@@ -168,22 +143,23 @@ func BenchmarkDeferrable(b *testing.B) {
 // difference showing up as false-positive aborts.
 func BenchmarkAblationCommitOrdering(b *testing.B) {
 	for _, mode := range []struct {
-		name string
-		cfg  pgssi.Config
+		name  string
+		hooks pgssi.Hooks
 	}{
-		{"with-commit-ordering", pgssi.Config{}},
-		{"basic-SSI", pgssi.Config{DisableCommitOrderingOpt: true}},
+		{"with-commit-ordering", pgssi.Hooks{}},
+		{"basic-SSI", pgssi.Hooks{DisableCommitOrderingOpt: true}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				db := pgssi.OpenWithHooks(pgssi.Config{}, mode.hooks)
 				si := workload.SIBench{Rows: 50}
-				res, err := si.Run(mode.cfg, workload.RunOptions{
-					Level: pgssi.Serializable, Workers: 8, Duration: benchDuration(), Seed: 10,
-				})
-				if err != nil {
+				if err := si.Setup(db); err != nil {
 					b.Fatal(err)
 				}
-				reportResult(b, res)
+				reportResult(b, workload.RunClosedLoop(db, si.Mix(), workload.RunOptions{
+					Level: pgssi.Serializable, Workers: 8, Duration: benchDuration(), Seed: 10,
+				}))
+				db.Close()
 			}
 		})
 	}
@@ -348,14 +324,15 @@ func BenchmarkPartitionSweep(b *testing.B) {
 		for _, workers := range []int{4, 8} {
 			b.Run(fmt.Sprintf("partitions=%d/workers=%d", parts, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
+					db := pgssi.Open(pgssi.Config{Partitions: parts})
 					si := workload.SIBench{Rows: 1000}
-					res, err := si.Run(pgssi.Config{Partitions: parts}, workload.RunOptions{
-						Level: pgssi.Serializable, Workers: workers, Duration: benchDuration(), Seed: 12,
-					})
-					if err != nil {
+					if err := si.Setup(db); err != nil {
 						b.Fatal(err)
 					}
-					reportResult(b, res)
+					reportResult(b, workload.RunClosedLoop(db, si.Mix(), workload.RunOptions{
+						Level: pgssi.Serializable, Workers: workers, Duration: benchDuration(), Seed: 12,
+					}))
+					db.Close()
 				}
 			})
 		}

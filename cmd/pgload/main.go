@@ -1,21 +1,35 @@
-// Command pgload drives a pgssid server with open-loop load: arrivals
-// at a fixed or Poisson rate (not closed-loop workers, so queueing
-// collapse is visible instead of hidden), zipfian key skew over a large
-// keyspace, and HDR-style latency reporting (p50/p99/p999 measured from
-// each arrival's scheduled time, queueing delay included).
+// Command pgload drives pgssi load. Its first argument names the
+// subcommand:
 //
-// With -replicas it drives a replication fleet: writes go to the
-// primary, and a -readfrac share of arrivals are read-only
-// transactions routed by a lag-aware router (internal/router) to the
-// replica with a recent-enough safe snapshot — serializable reads on a
-// replica always begin deferrable, landing exactly on a safe snapshot,
-// with primary fallback when every replica is stale past -maxlag for
-// longer than -waitsafe.
+//   - kv drives a pgssid server with open-loop load: arrivals at a fixed
+//     or Poisson rate (not closed-loop workers, so queueing collapse is
+//     visible instead of hidden), zipfian key skew over a large keyspace,
+//     and HDR-style latency reporting (p50/p99/p999 measured from each
+//     arrival's scheduled time, queueing delay included). With -replicas
+//     it drives a replication fleet: writes go to the primary, and a
+//     -readfrac share of arrivals are read-only transactions routed by a
+//     lag-aware router (internal/router) to the replica with a
+//     recent-enough safe snapshot — serializable reads on a replica
+//     always begin deferrable, landing exactly on a safe snapshot, with
+//     primary fallback when every replica is stale past -maxlag for
+//     longer than -waitsafe.
+//   - sibench, dbt2 and rubis regenerate the paper's Figures 4, 5 and 6
+//     in process: each workload runs closed-loop under every
+//     concurrency-control regime (workload.Regimes) and is printed as
+//     one table of txn/s, throughput relative to SI, and failure %.
+//   - deferrable regenerates the §8.4 experiment: the latency for a
+//     SERIALIZABLE READ ONLY DEFERRABLE transaction to obtain a safe
+//     snapshot while a DBT-2++ workload runs.
 //
-// Example, against `pgssid -preload 1000000`:
+// Every subcommand exits 1 if any transaction failed with a
+// non-retryable error.
 //
-//	pgload -addr :6432 -rate 3000 -duration 30s -keys 1000000 -zipf 1.1
-//	pgload -addr :6432 -replicas :6433,:6434 -readfrac 0.9 -rate 3000
+// Examples, the first two against `pgssid -preload 1000000`:
+//
+//	pgload kv -addr :6432 -rate 3000 -duration 30s -keys 1000000 -zipf 1.1
+//	pgload kv -addr :6432 -replicas :6433,:6434 -readfrac 0.9 -rate 3000
+//	pgload sibench -sizes 10,100,1000 -duration 1s
+//	pgload dbt2 -config disk
 package main
 
 import (
@@ -33,33 +47,51 @@ import (
 	"pgssi/internal/workload"
 )
 
+var subcommands = map[string]func(args []string){
+	"kv":         kv,
+	"sibench":    sibench,
+	"dbt2":       dbt2,
+	"rubis":      rubis,
+	"deferrable": deferrable,
+}
+
 func main() {
-	var (
-		addr      = flag.String("addr", "127.0.0.1:6432", "server address")
-		replicas  = flag.String("replicas", "", "comma-separated replica addresses (enables lag-aware read routing)")
-		readFrac  = flag.Float64("readfrac", 0, "fraction of arrivals that are read-only transactions (routable to replicas)")
-		maxLag    = flag.Uint64("maxlag", 1000, "staleness bound: replicas lagging more commits than this receive no reads")
-		waitSafe  = flag.Duration("waitsafe", 100*time.Millisecond, "how long a read waits for an eligible replica before falling back to the primary")
-		rate      = flag.Float64("rate", 2000, "offered arrival rate (txn/s)")
-		duration  = flag.Duration("duration", 10*time.Second, "load duration")
-		arrival   = flag.String("arrival", "poisson", "arrival process: poisson or fixed")
-		conns     = flag.Int("conns", 16, "client connections per fleet member (transactions in flight share these)")
-		keys      = flag.Int("keys", 1_000_000, "keyspace size (must match the server's -preload)")
-		zipfS     = flag.Float64("zipf", 1.1, "zipfian skew exponent (<=1 = uniform)")
-		reads     = flag.Int("reads", 2, "gets per transaction")
-		writes    = flag.Int("writes", 1, "puts per read-write transaction")
-		valueSize = flag.Int("valuesize", 16, "written value size in bytes")
-		isolation = flag.String("iso", "serializable", "isolation: serializable, repeatableread, readcommitted, s2pl")
-		retries   = flag.Int("retries", 3, "serialization-failure retries per arrival")
-		pending   = flag.Int("maxpending", 4096, "max transactions in flight before arrivals are dropped")
-		seed      = flag.Uint64("seed", 1, "rng seed")
-		histPath  = flag.String("hist", "", "write the latency histogram to this file")
-		table     = flag.String("table", "kv", "target table")
-		wait      = flag.Duration("wait", 60*time.Second, "how long to retry the initial connection (server may still be preloading)")
-	)
-	flag.Parse()
 	log.SetPrefix("pgload: ")
 	log.SetFlags(0)
+	if len(os.Args) < 2 || subcommands[os.Args[1]] == nil {
+		fmt.Fprintln(os.Stderr, "usage: pgload kv|sibench|dbt2|rubis|deferrable [flags]")
+		os.Exit(2)
+	}
+	subcommands[os.Args[1]](os.Args[2:])
+}
+
+// kv is the open-loop TCP load generator.
+func kv(args []string) {
+	fs := flag.NewFlagSet("kv", flag.ExitOnError)
+	var (
+		addr      = fs.String("addr", "127.0.0.1:6432", "server address")
+		replicas  = fs.String("replicas", "", "comma-separated replica addresses (enables lag-aware read routing)")
+		readFrac  = fs.Float64("readfrac", 0, "fraction of arrivals that are read-only transactions (routable to replicas)")
+		maxLag    = fs.Uint64("maxlag", 1000, "staleness bound: replicas lagging more commits than this receive no reads")
+		waitSafe  = fs.Duration("waitsafe", 100*time.Millisecond, "how long a read waits for an eligible replica before falling back to the primary")
+		rate      = fs.Float64("rate", 2000, "offered arrival rate (txn/s)")
+		duration  = fs.Duration("duration", 10*time.Second, "load duration")
+		arrival   = fs.String("arrival", "poisson", "arrival process: poisson or fixed")
+		conns     = fs.Int("conns", 16, "client connections per fleet member (transactions in flight share these)")
+		keys      = fs.Int("keys", 1_000_000, "keyspace size (must match the server's -preload)")
+		zipfS     = fs.Float64("zipf", 1.1, "zipfian skew exponent (<=1 = uniform)")
+		reads     = fs.Int("reads", 2, "gets per transaction")
+		writes    = fs.Int("writes", 1, "puts per read-write transaction")
+		valueSize = fs.Int("valuesize", 16, "written value size in bytes")
+		isolation = fs.String("iso", "serializable", "isolation: serializable, repeatableread, readcommitted, s2pl")
+		retries   = fs.Int("retries", 3, "serialization-failure retries per arrival")
+		pending   = fs.Int("maxpending", 4096, "max transactions in flight before arrivals are dropped")
+		seed      = fs.Uint64("seed", 1, "rng seed")
+		histPath  = fs.String("hist", "", "write the latency histogram to this file")
+		table     = fs.String("table", "kv", "target table")
+		wait      = fs.Duration("wait", 60*time.Second, "how long to retry the initial connection (server may still be preloading)")
+	)
+	fs.Parse(args)
 
 	level, err := parseIsolation(*isolation)
 	if err != nil {

@@ -10,13 +10,13 @@ import (
 )
 
 // TestConfigIsDeploymentSurface keeps test-only seams off the public
-// Config: no callbacks, no On* hooks, no ablation other than the paper's
-// two (§3.3.1's commit ordering and §4's read-only optimizations, the
-// "no r/o opt" series of Figures 4 and 5), and no filesystem override.
-// Tests reach those through Hooks (export_test.go); every field left is
-// one a deployment, binary or workload sets.
+// Config: no callbacks, no On* hooks, no ablation other than the one the
+// paper's figures plot (§4's read-only optimizations, the "no r/o opt"
+// series of Figures 4 and 5), and no filesystem override. Tests reach
+// those through Hooks (export_test.go); every field left is one a
+// deployment, binary or workload sets.
 func TestConfigIsDeploymentSurface(t *testing.T) {
-	paperAblations := map[string]bool{"DisableCommitOrderingOpt": true, "DisableReadOnlyOpt": true}
+	paperAblations := map[string]bool{"DisableReadOnlyOpt": true}
 	fsType := reflect.TypeOf((*wal.FS)(nil)).Elem()
 	ct := reflect.TypeOf(pgssi.Config{})
 	for i := 0; i < ct.NumField(); i++ {

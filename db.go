@@ -134,9 +134,6 @@ type Config struct {
 	// reproduce a single-mutex lock table for comparison.
 	Partitions int
 
-	// DisableCommitOrderingOpt turns off the commit-ordering
-	// optimization of §3.3.1 (ablation: original SSI abort rule).
-	DisableCommitOrderingOpt bool
 	// DisableReadOnlyOpt turns off the §4 read-only optimizations
 	// (the "SSI no r/o opt" series in Figures 4 and 5).
 	DisableReadOnlyOpt bool
@@ -172,11 +169,15 @@ const (
 	FsyncOff    = wal.FsyncOff
 )
 
-// testHooks are the engine's test-only seams: the ablations that reopen
-// the windows its fences close, the trace function the interleaving
-// harnesses park transactions with, and a fault-injecting filesystem.
+// testHooks are the engine's test-only seams: the §3.3.1 ablation, the
+// ablations that reopen the windows its fences close, the trace function
+// the interleaving harnesses park transactions with, and a
+// fault-injecting filesystem.
 // Open and OpenDir leave them zero; only tests set them (export_test.go).
 type testHooks struct {
+	// DisableCommitOrderingOpt turns off the commit-ordering
+	// optimization of §3.3.1 (ablation: original SSI abort rule).
+	DisableCommitOrderingOpt bool
 	// DisableLifecycleFencing reopens the transaction-lifecycle windows
 	// that the fine-grained Begin/Commit locking keeps closed: a
 	// read-only Begin's safety registration and the pre-commit check's
@@ -311,7 +312,7 @@ func open(cfg Config, h testHooks) *DB {
 			PromoteTupleToPage:       cfg.PromoteTupleToPage,
 			PromotePageToRel:         cfg.PromotePageToRel,
 			Partitions:               cfg.Partitions,
-			DisableCommitOrderingOpt: cfg.DisableCommitOrderingOpt,
+			DisableCommitOrderingOpt: h.DisableCommitOrderingOpt,
 			DisableReadOnlyOpt:       cfg.DisableReadOnlyOpt,
 			DisableLifecycleFencing:  h.DisableLifecycleFencing,
 			Trace:                    h.Trace,

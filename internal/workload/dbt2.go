@@ -444,68 +444,3 @@ func (b *DBT2) Mix(roFraction float64) *Mix {
 		Add(roFraction/2, Job{Name: "order_status", ReadOnly: true, Fn: b.OrderStatus}).
 		Add(roFraction/2, Job{Name: "stock_level", ReadOnly: true, Fn: b.StockLevel})
 }
-
-// Figure5Row is one point of a Figure 5 sweep.
-type Figure5Row struct {
-	ROFraction float64
-	SI         float64 // absolute txn/s
-	SSI        float64 // relative to SI
-	SSINoRO    float64 // relative to SI (in-memory config only)
-	S2PL       float64 // relative to SI
-	SSIFailPct float64 // serialization failure % under SSI
-}
-
-// Figure5 sweeps the read-only fraction and measures each concurrency
-// control regime, returning normalized throughput per the figure. cfg
-// selects the storage configuration: zero for the in-memory run (5a), a
-// nonzero IODelay for the disk-bound run (5b). includeNoRO adds the
-// "SSI (no r/o opt)" series shown only in 5a.
-func (b *DBT2) Figure5(cfg pgssi.Config, fractions []float64, opts RunOptions, includeNoRO bool) ([]Figure5Row, error) {
-	var out []Figure5Row
-	for _, f := range fractions {
-		run := func(c pgssi.Config, level pgssi.IsolationLevel) (Result, error) {
-			db := pgssi.Open(c)
-			fresh := &DBT2{
-				Warehouses:    b.Warehouses,
-				Districts:     b.Districts,
-				Customers:     b.Customers,
-				Items:         b.Items,
-				InitialOrders: b.InitialOrders,
-			}
-			if err := fresh.Setup(db); err != nil {
-				return Result{}, err
-			}
-			return RunClosedLoop(db, fresh.Mix(f), withLevel(opts, level)), nil
-		}
-		si, err := run(cfg, pgssi.RepeatableRead)
-		if err != nil {
-			return nil, err
-		}
-		ssi, err := run(cfg, pgssi.Serializable)
-		if err != nil {
-			return nil, err
-		}
-		s2pl, err := run(cfg, pgssi.SerializableS2PL)
-		if err != nil {
-			return nil, err
-		}
-		row := Figure5Row{ROFraction: f, SI: si.Throughput, SSIFailPct: 100 * ssi.FailureRate}
-		if si.Throughput > 0 {
-			row.SSI = ssi.Throughput / si.Throughput
-			row.S2PL = s2pl.Throughput / si.Throughput
-		}
-		if includeNoRO {
-			noCfg := cfg
-			noCfg.DisableReadOnlyOpt = true
-			noRO, err := run(noCfg, pgssi.Serializable)
-			if err != nil {
-				return nil, err
-			}
-			if si.Throughput > 0 {
-				row.SSINoRO = noRO.Throughput / si.Throughput
-			}
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}

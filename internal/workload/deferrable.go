@@ -15,19 +15,11 @@ import (
 // the latency is of the order of a few transaction lifetimes and bounded,
 // not its absolute value.
 
-// DeferrableResult summarizes the latency distribution.
-type DeferrableResult struct {
-	Samples []time.Duration
-	Median  time.Duration
-	P90     time.Duration
-	Max     time.Duration
-}
-
 // MeasureDeferrable runs the given background mix for the configured
-// duration while sampling deferrable-transaction latency every interval.
-func MeasureDeferrable(db *pgssi.DB, mix *Mix, opts RunOptions, interval time.Duration, trivial func(tx *pgssi.Tx) error) (DeferrableResult, Result) {
-	var res DeferrableResult
-	var mu sync.Mutex
+// duration while sampling deferrable-transaction latency every interval,
+// and returns the latency histogram with the background run's result.
+func MeasureDeferrable(db *pgssi.DB, mix *Mix, opts RunOptions, interval time.Duration, trivial func(tx *pgssi.Tx) error) (*Histogram, Result) {
+	lat := NewHistogram()
 	stop := make(chan struct{})
 	var probeWG sync.WaitGroup
 	probeWG.Add(1)
@@ -53,21 +45,11 @@ func MeasureDeferrable(db *pgssi.DB, mix *Mix, opts RunOptions, interval time.Du
 				_ = trivial(tx)
 			}
 			_ = tx.Commit()
-			mu.Lock()
-			res.Samples = append(res.Samples, wait)
-			mu.Unlock()
+			lat.Record(wait)
 		}
 	}()
 	bg := RunClosedLoop(db, mix, opts)
 	close(stop)
 	probeWG.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(res.Samples) > 0 {
-		res.Median = Percentile(res.Samples, 50)
-		res.P90 = Percentile(res.Samples, 90)
-		res.Max = Percentile(res.Samples, 100)
-	}
-	return res, bg
+	return lat, bg
 }

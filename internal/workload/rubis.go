@@ -37,11 +37,6 @@ type RUBiS struct {
 	nextCmt  atomic.Int64
 }
 
-// DefaultRUBiS returns a laptop-scale configuration.
-func DefaultRUBiS() *RUBiS {
-	return &RUBiS{Users: 1000, Items: 2000, Categories: 20}
-}
-
 func uKey(u int64) string      { return fmt.Sprintf("%06d", u) }
 func itKey(i int64) string     { return fmt.Sprintf("%07d", i) }
 func bidKey(i, b int64) string { return fmt.Sprintf("%07d|%06d", i, b) }
@@ -218,27 +213,4 @@ func (r *RUBiS) Mix() *Mix {
 		Add(0.03, Job{Name: "register_item", Fn: r.RegisterItem}).
 		Add(0.02, Job{Name: "register_user", Fn: r.RegisterUser}).
 		Add(0.02, Job{Name: "leave_comment", Fn: r.LeaveComment})
-}
-
-// Figure6Row is one line of the Figure 6 table.
-type Figure6Row struct {
-	Level      pgssi.IsolationLevel
-	Throughput float64
-	FailurePct float64
-}
-
-// Figure6 measures the bidding mix under SI, SSI, and S2PL, reproducing
-// the paper's Figure 6 table (throughput and serialization failures).
-func Figure6(base *RUBiS, opts RunOptions) ([]Figure6Row, error) {
-	var out []Figure6Row
-	for _, level := range []pgssi.IsolationLevel{pgssi.RepeatableRead, pgssi.Serializable, pgssi.SerializableS2PL} {
-		db := pgssi.Open(pgssi.Config{})
-		r := &RUBiS{Users: base.Users, Items: base.Items, Categories: base.Categories}
-		if err := r.Setup(db); err != nil {
-			return nil, err
-		}
-		res := RunClosedLoop(db, r.Mix(), withLevel(opts, level))
-		out = append(out, Figure6Row{Level: level, Throughput: res.Throughput, FailurePct: 100 * res.FailureRate})
-	}
-	return out, nil
 }

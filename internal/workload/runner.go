@@ -2,15 +2,15 @@
 // the SIBENCH microbenchmark (§8.1), the DBT-2++ transaction-processing
 // benchmark (TPC-C plus Cahill's "credit check" transaction, §8.2), and
 // the RUBiS auction-site bidding mix (§8.3) — together with a closed-loop
-// measurement harness and the deferrable-transaction latency probe
-// (§8.4).
+// measurement harness, the sweep of one workload over the concurrency-
+// control regimes the paper's figures compare, and the
+// deferrable-transaction latency probe (§8.4).
 package workload
 
 import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,14 +222,42 @@ func RunClosedLoop(db *pgssi.DB, mix *Mix, opts RunOptions) Result {
 	return res
 }
 
-// Percentile returns the p-th percentile (0..100) of durations.
-func Percentile(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
+// Regime is one concurrency-control series of the paper's §8 figures:
+// an isolation level and the Config ablation it runs under.
+type Regime struct {
+	Name  string
+	Level pgssi.IsolationLevel
+	// DisableReadOnlyOpt sets Config.DisableReadOnlyOpt (the "SSI no
+	// r/o opt" series).
+	DisableReadOnlyOpt bool
+}
+
+// Regimes are the series of Figures 4–6, snapshot isolation — the 1.0x
+// baseline the figures normalize to — first.
+var Regimes = []Regime{
+	{Name: "SI", Level: pgssi.RepeatableRead},
+	{Name: "SSI", Level: pgssi.Serializable},
+	{Name: "SSI-noROopt", Level: pgssi.Serializable, DisableReadOnlyOpt: true},
+	{Name: "S2PL", Level: pgssi.SerializableS2PL},
+}
+
+// Sweep measures one workload under each regime: for each it opens a
+// fresh database with the regime's configuration, populates it with
+// setup, and runs the returned mix closed-loop at the regime's level.
+// It returns one Result per regime, in order.
+func Sweep(cfg pgssi.Config, regimes []Regime, setup func(*pgssi.DB) (*Mix, error), opts RunOptions) ([]Result, error) {
+	out := make([]Result, 0, len(regimes))
+	for _, r := range regimes {
+		cfg.DisableReadOnlyOpt = r.DisableReadOnlyOpt
+		db := pgssi.Open(cfg)
+		mix, err := setup(db)
+		if err != nil {
+			db.Close()
+			return nil, fmt.Errorf("%s: %w", r.Name, err)
+		}
+		opts.Level = r.Level
+		out = append(out, RunClosedLoop(db, mix, opts))
+		db.Close()
 	}
-	sorted := make([]time.Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p / 100 * float64(len(sorted)-1))
-	return sorted[idx]
+	return out, nil
 }

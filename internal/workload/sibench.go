@@ -85,78 +85,3 @@ func (b SIBench) query(tx *pgssi.Tx, _ *rand.Rand) error {
 	})
 	return err
 }
-
-// Run sets up a fresh database with cfg and measures the mix at the
-// given isolation level.
-func (b SIBench) Run(cfg pgssi.Config, opts RunOptions) (Result, error) {
-	db := pgssi.Open(cfg)
-	if err := b.Setup(db); err != nil {
-		return Result{}, err
-	}
-	return RunClosedLoop(db, b.Mix(), opts), nil
-}
-
-// SIBenchSeries holds normalized throughput for the Figure 4 series.
-type SIBenchSeries struct {
-	Rows    int
-	SI      float64 // absolute, txn/s (the 1.0x baseline)
-	SSI     float64 // relative to SI
-	SSINoRO float64 // relative to SI, read-only opts disabled
-	S2PL    float64 // relative to SI
-}
-
-// Figure4 runs the full SIBENCH sweep and returns one row per table size,
-// with SSI / SSI-no-r/o-opt / S2PL throughput normalized to SI — the
-// exact series of Figure 4.
-func Figure4(rows []int, opts RunOptions) ([]SIBenchSeries, error) {
-	return Figure4Cfg(rows, pgssi.Config{}, opts)
-}
-
-// Figure4Cfg is Figure4 with a base database configuration applied to
-// every series, used to sweep engine knobs (e.g. SIREAD lock-table
-// partitions) across the benchmark.
-func Figure4Cfg(rows []int, base pgssi.Config, opts RunOptions) ([]SIBenchSeries, error) {
-	return Figure4Scan(rows, 0, base, opts)
-}
-
-// Figure4Scan is Figure4Cfg with a bounded scan range: scanRows > 0
-// caps each query transaction's scan at that many keys (see
-// SIBench.ScanRows), which is how cmd/sibench's -scanrows flag makes
-// the scan-heavy mix reproducible at a chosen scan length.
-func Figure4Scan(rows []int, scanRows int, base pgssi.Config, opts RunOptions) ([]SIBenchSeries, error) {
-	var out []SIBenchSeries
-	for _, n := range rows {
-		b := SIBench{Rows: n, ScanRows: scanRows}
-		si, err := b.Run(base, withLevel(opts, pgssi.RepeatableRead))
-		if err != nil {
-			return nil, err
-		}
-		ssi, err := b.Run(base, withLevel(opts, pgssi.Serializable))
-		if err != nil {
-			return nil, err
-		}
-		noROCfg := base
-		noROCfg.DisableReadOnlyOpt = true
-		noRO, err := b.Run(noROCfg, withLevel(opts, pgssi.Serializable))
-		if err != nil {
-			return nil, err
-		}
-		s2pl, err := b.Run(base, withLevel(opts, pgssi.SerializableS2PL))
-		if err != nil {
-			return nil, err
-		}
-		row := SIBenchSeries{Rows: n, SI: si.Throughput}
-		if si.Throughput > 0 {
-			row.SSI = ssi.Throughput / si.Throughput
-			row.SSINoRO = noRO.Throughput / si.Throughput
-			row.S2PL = s2pl.Throughput / si.Throughput
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-func withLevel(opts RunOptions, level pgssi.IsolationLevel) RunOptions {
-	opts.Level = level
-	return opts
-}

@@ -12,6 +12,16 @@ func shortOpts(level pgssi.IsolationLevel) RunOptions {
 	return RunOptions{Level: level, Workers: 4, Duration: 300 * time.Millisecond, Seed: 42}
 }
 
+// runSIBench measures b's mix on a fresh database opened with cfg.
+func runSIBench(cfg pgssi.Config, b SIBench, opts RunOptions) (Result, error) {
+	db := pgssi.Open(cfg)
+	defer db.Close()
+	if err := b.Setup(db); err != nil {
+		return Result{}, err
+	}
+	return RunClosedLoop(db, b.Mix(), opts), nil
+}
+
 func TestMixWeightsAndPick(t *testing.T) {
 	m := NewMix().
 		Add(0.75, Job{Name: "a", ReadOnly: true}).
@@ -33,8 +43,7 @@ func TestSIBenchRunsCleanAtAllLevels(t *testing.T) {
 	for _, level := range []pgssi.IsolationLevel{
 		pgssi.RepeatableRead, pgssi.Serializable, pgssi.SerializableS2PL,
 	} {
-		b := SIBench{Rows: 50}
-		res, err := b.Run(pgssi.Config{}, shortOpts(level))
+		res, err := runSIBench(pgssi.Config{}, SIBench{Rows: 50}, shortOpts(level))
 		if err != nil {
 			t.Fatalf("%v: %v", level, err)
 		}
@@ -48,8 +57,7 @@ func TestSIBenchRunsCleanAtAllLevels(t *testing.T) {
 }
 
 func TestSIBenchNoROOptStillCorrect(t *testing.T) {
-	b := SIBench{Rows: 30}
-	res, err := b.Run(pgssi.Config{DisableReadOnlyOpt: true}, shortOpts(pgssi.Serializable))
+	res, err := runSIBench(pgssi.Config{DisableReadOnlyOpt: true}, SIBench{Rows: 30}, shortOpts(pgssi.Serializable))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,23 +214,21 @@ func TestDeferrableProbeUnderLoad(t *testing.T) {
 	if bg.Errors != 0 {
 		t.Fatalf("%d hard errors in background load", bg.Errors)
 	}
-	if len(res.Samples) == 0 {
+	if res.Count() == 0 {
 		t.Fatal("no deferrable samples collected")
 	}
-	if res.Max > 5*time.Second {
-		t.Fatalf("deferrable latency unreasonable: %v", res.Max)
+	if res.Max() > 5*time.Second {
+		t.Fatalf("deferrable latency unreasonable: %v", res.Max())
 	}
 }
 
 func TestIODelayConfigurationSlowsRuns(t *testing.T) {
-	fast := SIBench{Rows: 40}
-	fres, err := fast.Run(pgssi.Config{}, shortOpts(pgssi.RepeatableRead))
+	fres, err := runSIBench(pgssi.Config{}, SIBench{Rows: 40}, shortOpts(pgssi.RepeatableRead))
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := SIBench{Rows: 40}
-	sres, err := slow.Run(pgssi.Config{IODelay: 200 * time.Microsecond, CacheMissRatio: 0.5},
-		shortOpts(pgssi.RepeatableRead))
+	sres, err := runSIBench(pgssi.Config{IODelay: 200 * time.Microsecond, CacheMissRatio: 0.5},
+		SIBench{Rows: 40}, shortOpts(pgssi.RepeatableRead))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,16 +238,27 @@ func TestIODelayConfigurationSlowsRuns(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	ds := []time.Duration{5, 1, 3, 2, 4}
-	if p := Percentile(ds, 50); p != 3 {
-		t.Fatalf("median = %v, want 3", p)
+func TestSweepRunsEveryRegimeInOrder(t *testing.T) {
+	b := SIBench{Rows: 20}
+	res, err := Sweep(pgssi.Config{}, Regimes, func(db *pgssi.DB) (*Mix, error) {
+		return b.Mix(), b.Setup(db)
+	}, RunOptions{Workers: 2, Duration: 50 * time.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p := Percentile(ds, 100); p != 5 {
-		t.Fatalf("max = %v, want 5", p)
+	if len(res) != len(Regimes) {
+		t.Fatalf("%d results for %d regimes", len(res), len(Regimes))
 	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Fatalf("empty percentile = %v, want 0", p)
+	for i, r := range Regimes {
+		if res[i].Level != r.Level {
+			t.Errorf("result %d (%s) ran at %v, want %v", i, r.Name, res[i].Level, r.Level)
+		}
+		if res[i].Committed == 0 {
+			t.Errorf("%s: nothing committed", r.Name)
+		}
+		if res[i].Errors != 0 {
+			t.Errorf("%s: %d hard errors", r.Name, res[i].Errors)
+		}
 	}
 }
 

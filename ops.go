@@ -366,7 +366,7 @@ func (tx *Tx) Scan(table, lo, hi string, fn func(key string, value []byte) bool)
 	if tx.level == SerializableS2PL {
 		return s2plScan(tx, ti, ti.heap.Index(), ti.pkName, lo, hi, func(entryKey string, _ *storage.Row) string {
 			return entryKey
-		}, fn)
+		}, nil, fn)
 	}
 	tracking := tx.x != nil && !tx.x.Safe()
 	err = ti.heap.Scan(lo, hi, tx.snapshot(), tx.xid, tx.db.mvcc, tx.leafLocker(ti.pkName, tracking), tx.pageLocker(table, tracking),
@@ -418,7 +418,7 @@ func (tx *Tx) ScanIndex(table, idx, lo, hi string, fn func(key string, value []b
 	if tx.level == SerializableS2PL {
 		return s2plScan(tx, ti, si.tree, si.name, lo, hi, func(_, pk string) string {
 			return pk
-		}, tx.recheckWrap(ti, si, lo, hi, fn))
+		}, si.matches, fn)
 	}
 	tracking := tx.x != nil && !tx.x.Safe()
 	rd := ti.heap.NewReader(tx.snapshot(), tx.xid, tx.db.mvcc, tx.pageLocker(table, tracking))
@@ -453,10 +453,7 @@ func (tx *Tx) ScanIndex(table, idx, lo, hi string, fn func(key string, value []b
 			if v == nil {
 				continue
 			}
-			// Recheck: the visible version must still match the index
-			// key this entry was filed under.
-			ik, ok := si.fn(pk, v.Value)
-			if e := entries[h]; !ok || len(e) != len(ik)+1+len(pk) || e[:len(ik)] != ik {
+			if !si.matches(entries[h], pk, v.Value) {
 				continue
 			}
 			if !fn(pk, v.Value) {
@@ -468,16 +465,13 @@ func (tx *Tx) ScanIndex(table, idx, lo, hi string, fn func(key string, value []b
 	return mapStorageErr(err)
 }
 
-// recheckWrap adapts a user scan callback for the S2PL index-scan path,
-// applying the stale-entry recheck.
-func (tx *Tx) recheckWrap(ti *tableInfo, si *secondaryIndex, lo, hi string, fn func(key string, value []byte) bool) func(key string, value []byte) bool {
-	return func(pk string, value []byte) bool {
-		ik, ok := si.fn(pk, value)
-		if !ok || ik < lo || (hi != "" && ik >= hi) {
-			return true
-		}
-		return fn(pk, value)
-	}
+// matches is the stale-entry recheck: it reports whether entry, an
+// index entry naming row pk, is the one filed under the index key of the
+// row's visible version value. Index entries are retained for every row
+// version, so only the matching entry delivers the row.
+func (si *secondaryIndex) matches(entry, pk string, value []byte) bool {
+	ik, ok := si.fn(pk, value)
+	return ok && len(entry) == len(ik)+1+len(pk) && entry[:len(ik)] == ik
 }
 
 // SeqScan invokes fn for every visible row of table in unspecified order.

@@ -410,10 +410,7 @@ func TestReadPathsAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				return tx
-				// The S2PL index scan does not deduplicate stale index
-				// entries (it rechecks the range, not the entry), which
-				// predates this test; its primary-key paths are checked.
-			}, level != SerializableS2PL)
+			}, true)
 		}
 	}
 	levels("primary")

@@ -127,7 +127,11 @@ func (tx *Tx) s2plUpdate(ti *tableInfo, key string, value []byte, del bool) erro
 // tuple, then reads. pkOf converts an index entry (key, stored value)
 // into the primary key to fetch: the tree is the table's own (its
 // entries are the rows) or a secondary index (its entries name them).
-func s2plScan[V any](tx *Tx, ti *tableInfo, tree *btree.Tree[V], rel, lo, hi string, pkOf func(entryKey string, val V) string, fn func(key string, value []byte) bool) error {
+// A secondary index files a row under the key of every version it has
+// had, so several entries can name one row; matches (nil for the table's
+// own tree) keeps only the entry filed under the visible version's key,
+// so each row is delivered once.
+func s2plScan[V any](tx *Tx, ti *tableInfo, tree *btree.Tree[V], rel, lo, hi string, pkOf func(entryKey string, val V) string, matches func(entry, pk string, value []byte) bool, fn func(key string, value []byte) bool) error {
 	if err := tx.s2plAcquire(core.RelationTarget(ti.name), s2pl.ModeIS); err != nil {
 		return err
 	}
@@ -150,8 +154,11 @@ func s2plScan[V any](tx *Tx, ti *tableInfo, tree *btree.Tree[V], rel, lo, hi str
 		}
 	}
 	// Pages are stable now: collect entries and lock tuples.
-	var pks []string
+	var entries, pks []string
 	tree.Range(lo, hi, nil, func(k string, v V) bool {
+		if matches != nil {
+			entries = append(entries, k)
+		}
 		pks = append(pks, pkOf(k, v))
 		return true
 	})
@@ -161,9 +168,9 @@ func s2plScan[V any](tx *Tx, ti *tableInfo, tree *btree.Tree[V], rel, lo, hi str
 		}
 	}
 	snap := tx.db.mvcc.TakeSnapshot()
-	for _, pk := range pks {
+	for i, pk := range pks {
 		res := ti.heap.Get(pk, snap, tx.xid, tx.db.mvcc)
-		if res.Tuple == nil {
+		if res.Tuple == nil || matches != nil && !matches(entries[i], pk, res.Tuple.Value) {
 			continue
 		}
 		if !fn(pk, res.Tuple.Value) {

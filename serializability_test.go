@@ -158,19 +158,34 @@ func TestSerializableHistoriesAreAcyclic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized history check skipped in -short mode")
 	}
-	for trial := 0; trial < 8; trial++ {
-		txns := runRandomHistory(t, pgssi.Serializable, 8, 60, 6, 0.2, uint64(1000+trial))
-		g, err := graphcheck.Build(txns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cyc := g.Cycle(); cyc != nil {
-			t.Fatalf("trial %d: SERIALIZABLE admitted a non-serializable history; cycle %v over %d txns",
-				trial, cyc, len(txns))
-		}
-		if order := g.SerialOrder(); order == nil {
-			t.Fatalf("trial %d: acyclic graph must have a serial order", trial)
-		}
+	for _, tc := range []struct {
+		name                          string
+		workers, txnsPerWorker, nKeys int
+		scanFraction                  float64
+		trials                        int
+		seed                          uint64 // trial i runs at seed+i
+	}{
+		{"scans", 8, 60, 6, 0.2, 8, 1000},
+		// The defaults of the former command-line history checker:
+		// hotter keys, no scans, more trials.
+		{"hot-keys", 8, 50, 5, 0, 20, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for trial := 0; trial < tc.trials; trial++ {
+				txns := runRandomHistory(t, pgssi.Serializable, tc.workers, tc.txnsPerWorker, tc.nKeys, tc.scanFraction, tc.seed+uint64(trial))
+				g, err := graphcheck.Build(txns)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cyc := g.Cycle(); cyc != nil {
+					t.Fatalf("trial %d: SERIALIZABLE admitted a non-serializable history; cycle %v over %d txns",
+						trial, cyc, len(txns))
+				}
+				if order := g.SerialOrder(); order == nil {
+					t.Fatalf("trial %d: acyclic graph must have a serial order", trial)
+				}
+			}
+		})
 	}
 }
 
