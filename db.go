@@ -183,10 +183,6 @@ type testHooks struct {
 	// read-only Begin's safety registration and the pre-commit check's
 	// atomicity with the commit-sequence assignment (see internal/core).
 	DisableLifecycleFencing bool
-	// DisableCSNSnapshots selects the legacy xmin/xmax/in-progress-set
-	// snapshot representation, the differential oracle the history fuzzer
-	// runs against the CSN scheme (see internal/mvcc).
-	DisableCSNSnapshots bool
 	// DisableCSNFencing reopens the window between a commit's CSN
 	// assignment and its commit-log publication (see internal/mvcc).
 	DisableCSNFencing bool
@@ -298,9 +294,8 @@ func Open(cfg Config) *DB { return open(cfg, testHooks{}) }
 
 func open(cfg Config, h testHooks) *DB {
 	m := mvcc.New(mvcc.Config{
-		DisableCSNSnapshots: h.DisableCSNSnapshots,
-		DisableCSNFencing:   h.DisableCSNFencing,
-		Trace:               h.Trace,
+		DisableCSNFencing: h.DisableCSNFencing,
+		Trace:             h.Trace,
 	})
 	return &DB{
 		cfg:   cfg,

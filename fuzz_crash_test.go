@@ -63,7 +63,7 @@ func runCrashHistory(t *testing.T, seed uint64) {
 	ffs.DropSyncsAfter(crashRng.IntN(14))
 
 	var acked []ackedCommit
-	_, cyc := runFuzzHistoryOn(t, seed, pgssi.Serializable, db, &acked)
+	cyc := runFuzzHistoryOn(t, seed, pgssi.Serializable, db, &acked)
 	if cyc != nil {
 		t.Fatalf("seed %d: committed SSI execution has dependency cycle %v", seed, cyc)
 	}
@@ -141,7 +141,7 @@ func runCheckpointCrashHistory(t *testing.T, seed uint64) {
 		t.Fatalf("seed %d: create table: %v", seed, err)
 	}
 	var acked []ackedCommit
-	_, cyc := runFuzzHistoryOn(t, seed, pgssi.Serializable, db, &acked)
+	cyc := runFuzzHistoryOn(t, seed, pgssi.Serializable, db, &acked)
 	if cyc != nil {
 		t.Fatalf("seed %d: committed SSI execution has dependency cycle %v", seed, cyc)
 	}

@@ -60,25 +60,12 @@ var slowFuzz = flag.Bool("slow", false, "run the fuzzer with its long budget (ni
 
 var fuzzKeys = [4]string{"a", "b", "c", "d"}
 
-// TestFuzzSerializableHistories validates every seeded history under
-// BOTH snapshot representations — the default CSN scheme and the legacy
-// xmin/xmax/in-progress sets (Hooks.DisableCSNSnapshots) — asserting a
-// cycle-free committed execution for each and identical per-transaction
-// commit/abort verdicts between the two: any *systematic* verdict
-// divergence is a semantic difference between the snapshot
-// representations, exactly what the CSN migration must not introduce.
-//
-// Verdicts are not perfectly run-to-run deterministic even under one
-// representation: the epoch reclaimer's background passes (PR 3) race
-// the schedule, and on a few seeds whether a pass lands inside a
-// particular window decides whether a committed transaction's edges are
-// still present at a later pre-commit check (both outcomes are
-// serializable; the oracle accepts either). A mismatch between the two
-// representations is therefore only a failure if it is systematic: on
-// mismatch the comparison re-runs both representations and accepts the
-// seed iff either one reproduces the other's verdict vector, proving
-// the reachable-outcome sets intersect — timing variance reproduces
-// across representations, a semantic divergence never does.
+// TestFuzzSerializableHistories runs every seeded history at the
+// Serializable level and requires its committed execution to be free of
+// dependency cycles. Which transactions commit is not run-to-run
+// deterministic — the epoch reclaimer's background passes race the
+// schedule — but every outcome must be serializable, and graphcheck
+// checks each history directly.
 func TestFuzzSerializableHistories(t *testing.T) {
 	histories := 1000
 	if testing.Short() {
@@ -87,54 +74,11 @@ func TestFuzzSerializableHistories(t *testing.T) {
 	if *slowFuzz {
 		histories = 20000
 	}
-	run := func(seed int, h pgssi.Hooks, label string) []bool {
-		verdicts, cyc := runFuzzHistory(t, uint64(seed), pgssi.Serializable, h)
-		if cyc != nil {
-			t.Fatalf("seed %d (%s): committed SSI execution has dependency cycle %v", seed, label, cyc)
-		}
-		return verdicts
-	}
 	for seed := 1; seed <= histories; seed++ {
-		csn := pgssi.Hooks{}
-		legacy := pgssi.Hooks{DisableCSNSnapshots: true}
-		csnVerdicts := run(seed, csn, "csn")
-		legacyVerdicts := run(seed, legacy, "legacy")
-		if verdictsEqual(csnVerdicts, legacyVerdicts) {
-			continue
-		}
-		// Timing or semantics? The reachable-outcome sets of the two
-		// representations must intersect: it suffices that EITHER
-		// representation reproduces the other's vector — that exhibits
-		// one verdict vector reachable under both. (Requiring both
-		// directions is too strict: timing-sensitive seeds produce the
-		// same outcome vectors under both representations but with
-		// skewed probabilities, and a ~10%-minority outcome routinely
-		// evades a dozen retries.) A semantic divergence — an outcome
-		// vector reachable under exactly one representation — leaves
-		// the sets disjoint and fails both directions every retry.
-		const retries = 12
-		crossed := false
-		for r := 0; r < retries && !crossed; r++ {
-			crossed = verdictsEqual(run(seed, csn, "csn retry"), legacyVerdicts) ||
-				verdictsEqual(run(seed, legacy, "legacy retry"), csnVerdicts)
-		}
-		if !crossed {
-			t.Fatalf("seed %d: systematic verdict divergence between snapshot representations: csn=%v legacy=%v (neither reproduced the other in %d retries)",
-				seed, csnVerdicts, legacyVerdicts, retries)
+		if cyc := runFuzzHistory(t, uint64(seed), pgssi.Serializable); cyc != nil {
+			t.Fatalf("seed %d: committed SSI execution has dependency cycle %v", seed, cyc)
 		}
 	}
-}
-
-func verdictsEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestFuzzOracleDetectsSnapshotIsolationAnomalies is the oracle's
@@ -146,7 +90,7 @@ func TestFuzzOracleDetectsSnapshotIsolationAnomalies(t *testing.T) {
 	cycles := 0
 	const histories = 300
 	for seed := 1; seed <= histories; seed++ {
-		if _, cyc := runFuzzHistory(t, uint64(seed), pgssi.RepeatableRead, pgssi.Hooks{}); cyc != nil {
+		if cyc := runFuzzHistory(t, uint64(seed), pgssi.RepeatableRead); cyc != nil {
 			cycles++
 		}
 	}
@@ -187,13 +131,11 @@ type ackedCommit struct {
 }
 
 // runFuzzHistory executes one seeded history at the given isolation
-// level under the given engine configuration. It returns the committed
-// verdict of each scheduled transaction (indexed by transaction id - 1)
-// and any dependency cycle among the committed transactions (nil for a
-// serializable outcome).
-func runFuzzHistory(t *testing.T, seed uint64, level pgssi.IsolationLevel, h pgssi.Hooks) ([]bool, []uint64) {
+// level on a fresh database. It returns any dependency cycle among the
+// committed transactions (nil for a serializable outcome).
+func runFuzzHistory(t *testing.T, seed uint64, level pgssi.IsolationLevel) []uint64 {
 	t.Helper()
-	db := pgssi.OpenWithHooks(pgssi.Config{}, h)
+	db := pgssi.Open(pgssi.Config{})
 	if err := db.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +146,7 @@ func runFuzzHistory(t *testing.T, seed uint64, level pgssi.IsolationLevel, h pgs
 // with table "t" already created (the crash-recovery mode passes a
 // durable OpenDir database). When acked is non-nil, every committed
 // transaction's write set is appended in commit-acknowledgement order.
-func runFuzzHistoryOn(t *testing.T, seed uint64, level pgssi.IsolationLevel, db *pgssi.DB, acked *[]ackedCommit) ([]bool, []uint64) {
+func runFuzzHistoryOn(t *testing.T, seed uint64, level pgssi.IsolationLevel, db *pgssi.DB, acked *[]ackedCommit) []uint64 {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 0x5551))
 	init, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
@@ -313,9 +255,7 @@ func runFuzzHistoryOn(t *testing.T, seed uint64, level pgssi.IsolationLevel, db 
 	}
 
 	var committed []graphcheck.Txn
-	verdicts := make([]bool, ntxns)
-	for i, f := range txns {
-		verdicts[i] = f.committed
+	for _, f := range txns {
 		if f.committed {
 			committed = append(committed, graphcheck.Txn{ID: f.id, Ops: f.ops})
 		}
@@ -327,7 +267,7 @@ func runFuzzHistoryOn(t *testing.T, seed uint64, level pgssi.IsolationLevel, db 
 	if err != nil {
 		t.Fatalf("seed %d: malformed recorded history: %v", seed, err)
 	}
-	return verdicts, g.Cycle()
+	return g.Cycle()
 }
 
 // fuzzAbort rolls the transaction back and releases its write claims.

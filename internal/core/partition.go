@@ -74,8 +74,7 @@ import (
 // from under mu or an edge lock: a commit-log shard RWMutex (one at a
 // time; CSN assignment and commit-log publication share one shard
 // critical section, so a fate lookup can at worst block momentarily on
-// a mid-publication commit), the truncation mutex, and — legacy
-// snapshot mode only — the mvcc global mutex.
+// a mid-publication commit) and the truncation mutex.
 // Cross-partition operations (PageSplit, PromoteRelationLocks,
 // summarization, reclamation) serialize through Manager.mu and then
 // visit partitions one at a time, so they need no ordering among

@@ -292,15 +292,20 @@ func (m *Manager) summarizeOnPressure() {
 	// mutex, where the §6.1 sweep could miss it.
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// The queue is resliced past the victims rather than copied: the
+	// survivors stay where they are, and the next retire's append moves
+	// them only when the array is full, so a commit under a pinned
+	// horizon costs the same however many transactions are retained.
 	m.retireMu.Lock()
-	over := len(m.retired) - m.cfg.MaxCommittedXacts
-	var victims []*Xact
-	if over > 0 {
-		victims = m.retired[:over:over]
-		m.retired = append([]*Xact(nil), m.retired[over:]...)
-	}
+	over := max(len(m.retired)-m.cfg.MaxCommittedXacts, 0)
+	victims := m.retired[:over:over]
+	m.retired = m.retired[over:]
 	m.retireMu.Unlock()
 	for _, c := range victims {
 		m.summarizeLocked(c)
 	}
+	// The array still references the victims' slots until it is
+	// reallocated; clear them so the summarized transactions can be
+	// collected.
+	clear(victims)
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"pgssi/internal/trace"
 )
@@ -12,29 +11,17 @@ import (
 // Tests in this file cover the CSN snapshot scheme's edges: the
 // commit-publication window (fenced and ablated), Status below the
 // truncation floor, own-xid visibility, CSN monotonicity under
-// concurrency, done-channel wakeup ordering, AutoTruncate's horizon, and
-// the legacy path's shared-mode snapshot lock.
-
-// bothModes runs f against a CSN-mode and a legacy-mode manager; the
-// snapshot semantics the engine relies on must hold identically.
-func bothModes(t *testing.T, f func(t *testing.T, m *Manager)) {
-	t.Helper()
-	t.Run("csn", func(t *testing.T) { f(t, New(Config{})) })
-	t.Run("legacy", func(t *testing.T) { f(t, New(Config{DisableCSNSnapshots: true})) })
-}
+// concurrency, done-channel wakeup ordering and AutoTruncate's horizon.
+// A few tests keep a "csn" subtest, the name they ran under while a
+// second snapshot representation existed, so their results still compare
+// with archived runs.
 
 func TestOwnXIDNeverVisible(t *testing.T) {
-	bothModes(t, func(t *testing.T, m *Manager) {
+	t.Run("csn", func(t *testing.T) {
+		m := NewManager()
 		self := m.Begin()
-		snap := m.TakeSnapshot()
-		if snap.Sees(self) {
+		if m.TakeSnapshot().Sees(self) {
 			t.Fatal("snapshot must not see the caller's own in-progress xid")
-		}
-		if m.Visible(self, snap) {
-			t.Fatal("Visible must be false for the caller's own xid")
-		}
-		if !snap.ConcurrentWith(self) {
-			t.Fatal("own in-progress xid is concurrent with the snapshot")
 		}
 	})
 }
@@ -45,7 +32,8 @@ func TestOwnXIDNeverVisible(t *testing.T) {
 // resolve aborted, and DropAbortedBelow removes the tombstones once the
 // caller vouches the heap holds no reference.
 func TestStatusBelowFloorAfterTruncation(t *testing.T) {
-	bothModes(t, func(t *testing.T, m *Manager) {
+	t.Run("csn", func(t *testing.T) {
+		m := NewManager()
 		var committed, aborted []TxID
 		for i := 0; i < 6; i++ {
 			x := m.Begin()
@@ -79,12 +67,12 @@ func TestStatusBelowFloorAfterTruncation(t *testing.T) {
 		// aborted tombstones.
 		snap := m.TakeSnapshot()
 		for _, x := range committed {
-			if !m.Visible(x, snap) {
+			if !snap.Sees(x) {
 				t.Fatalf("truncated committed xid %d invisible to a fresh snapshot", x)
 			}
 		}
 		for _, x := range aborted {
-			if m.Visible(x, snap) {
+			if snap.Sees(x) {
 				t.Fatalf("aborted tombstone %d visible", x)
 			}
 		}
@@ -239,7 +227,8 @@ func TestCSNMonotonicUnderConcurrency(t *testing.T) {
 // taken at wakeup sees it, and Status resolves it committed with a CSN
 // at or below that snapshot's.
 func TestDoneClosesOnlyAfterCommitVisible(t *testing.T) {
-	bothModes(t, func(t *testing.T, m *Manager) {
+	t.Run("csn", func(t *testing.T) {
+		m := NewManager()
 		for i := 0; i < 200; i++ {
 			x := m.Begin()
 			done := m.Done(x)
@@ -292,9 +281,6 @@ func TestCSNPublicationWindowFenced(t *testing.T) {
 	if snap.Sees(x) {
 		t.Fatal("snapshot in the publication window must not see the unpublished commit")
 	}
-	if !snap.ConcurrentWith(x) {
-		t.Fatal("unpublished commit must still test concurrent")
-	}
 	close(release)
 	seq := <-committed
 
@@ -346,77 +332,4 @@ func TestCSNPublicationWindowTornWithoutFencing(t *testing.T) {
 	}
 	// With fencing this flip is impossible; the engine-level harness in
 	// the root package shows the resulting torn read on real rows.
-}
-
-// TestLegacySnapshotTakesSharedLock pins the satellite bugfix: the
-// legacy TakeSnapshot only reads, so it must hold the global mutex in
-// shared mode. The test parks one snapshotter inside the critical
-// section and requires a second snapshot to complete meanwhile — under
-// the old exclusive lock this deadlocks.
-func TestLegacySnapshotTakesSharedLock(t *testing.T) {
-	parked := make(chan struct{})
-	release := make(chan struct{})
-	var armed atomic.Bool
-	armed.Store(true)
-	m := New(Config{DisableCSNSnapshots: true, Trace: func(ev trace.Event) {
-		if ev.Point == trace.LegacySnapshot && armed.CompareAndSwap(true, false) {
-			close(parked)
-			<-release
-		}
-	}})
-	m.Begin()
-	go m.TakeSnapshot()
-	<-parked
-
-	second := make(chan *Snapshot, 1)
-	go func() { second <- m.TakeSnapshot() }()
-	select {
-	case snap := <-second:
-		if len(snap.InProgress) != 1 {
-			t.Fatalf("overlapping snapshot content wrong: %d in-progress, want 1", len(snap.InProgress))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("second legacy TakeSnapshot blocked behind a parked one: snapshot path holds the write lock")
-	}
-	close(release)
-}
-
-// TestLegacySnapshotStillExcludesRacingBegin: the shared-mode snapshot
-// must stay consistent with exclusive-mode Begin — no xid may appear
-// assigned-but-untracked to a snapshot.
-func TestLegacySnapshotConsistentUnderLoad(t *testing.T) {
-	m := New(Config{DisableCSNSnapshots: true})
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				x := m.Begin()
-				m.Commit(x)
-			}
-		}()
-	}
-	for i := 0; i < 2000; i++ {
-		snap := m.TakeSnapshot()
-		// Legacy invariant: every xid in [Xmin, Xmax) not in
-		// InProgress must have finished; a committed one must be
-		// visible.
-		for xid := snap.Xmin; xid < snap.Xmax; xid++ {
-			if _, inProg := snap.InProgress[xid]; inProg {
-				continue
-			}
-			if st, _ := m.Status(xid); st == StatusInProgress {
-				t.Fatalf("snapshot %d claims xid %d finished but it is in progress", i, xid)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

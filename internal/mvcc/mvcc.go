@@ -9,16 +9,15 @@
 // in which transactions committed, and safe-snapshot detection compares a
 // transaction's commit against another's snapshot time.
 //
-// # Snapshot representations
+// # Snapshots
 //
-// The default snapshot is CSN-based, the direction PostgreSQL's own
-// CSN-snapshot work takes to shrink ProcArrayLock: a snapshot is nothing
-// but the value of the commit-sequence counter at the instant it was
-// taken, and "xid is visible" means "xid's commit CSN is known and <= the
-// snapshot CSN" — a lookup in a sharded commit log. Taking a snapshot is
-// a single atomic load; Begin and Commit touch only one commit-log shard
-// plus a handful of atomics; no global mutex exists on any lifecycle
-// path.
+// A snapshot is CSN-based, the direction PostgreSQL's own CSN-snapshot
+// work takes to shrink ProcArrayLock: a snapshot is nothing but the
+// value of the commit-sequence counter at the instant it was taken, and
+// "xid is visible" means "xid's commit CSN is known and <= the snapshot
+// CSN" — a lookup in a sharded commit log. Taking a snapshot is a single
+// atomic load; Begin and Commit touch only one commit-log shard plus a
+// handful of atomics; no global mutex exists on any lifecycle path.
 //
 // Commit makes CSN assignment and commit-log publication one atomic step
 // for snapshotters by performing both inside the commit-log shard's
@@ -35,11 +34,6 @@
 // assignment→publication window; the trace seam's CSNPublish point
 // (internal/trace, Config.Trace) lets a test park a committer
 // deterministically at the window's location (degenerate when fenced).
-//
-// The legacy xmin/xmax/in-progress-set representation is kept behind
-// Config.DisableCSNSnapshots for ablation and A/B benchmarking: there,
-// TakeSnapshot copies the whole active set (O(active)) under a global
-// reader/writer mutex that every Begin/Commit/Abort takes exclusively.
 //
 // # One horizon
 //
@@ -118,23 +112,18 @@ func (s Status) String() string {
 }
 
 // Config tunes a Manager. The zero value is the production configuration:
-// CSN snapshots, fencing on, 64 commit-log shards.
+// fencing on, 64 commit-log shards.
 type Config struct {
-	// DisableCSNSnapshots selects the legacy xmin/xmax/in-progress-set
-	// snapshot representation: TakeSnapshot copies the active set under
-	// a global mutex that every lifecycle operation serializes on.
-	// Ablation / A-B benchmarking knob.
-	DisableCSNSnapshots bool
-	// DisableCSNFencing (test-only, CSN mode) moves a commit's CSN
-	// assignment out of the shard critical section that publishes the
-	// commit-log record, reopening the window between the two: a
-	// snapshot taken in the window carries a CSN covering the commit but
-	// can resolve it first as in-progress and later as committed — a
-	// torn snapshot. Never set it in production.
+	// DisableCSNFencing (test-only) moves a commit's CSN assignment out
+	// of the shard critical section that publishes the commit-log
+	// record, reopening the window between the two: a snapshot taken in
+	// the window carries a CSN covering the commit but can resolve it
+	// first as in-progress and later as committed — a torn snapshot.
+	// Never set it in production.
 	DisableCSNFencing bool
-	// Trace, if non-nil, receives the CSNPublish and LegacySnapshot
-	// events (internal/trace). Test-only; it must not call back into
-	// lifecycle methods of the same Manager.
+	// Trace, if non-nil, receives the CSNPublish events (internal/trace).
+	// Test-only; it must not call back into lifecycle methods of the
+	// same Manager.
 	Trace trace.Func
 }
 
@@ -142,92 +131,35 @@ type Config struct {
 // of two, so shard selection is a mask).
 const logPartitions = 64
 
-// Snapshot is a consistent view of the database. In the default CSN
-// representation it is just the published commit-sequence counter value
-// at the instant it was taken (SeqNo); visibility is resolved against the
-// Manager's commit log. In the legacy representation it carries, as in
-// pre-CSN PostgreSQL, the set of transactions whose effects are visible:
-// a transaction xid's effects are visible iff xid < Xmax, xid not in
-// InProgress, and xid committed. Under both representations,
-// transactions that commit after the snapshot was taken are never seen.
+// Snapshot is a consistent view of the database: the published
+// commit-sequence counter value at the instant it was taken. Visibility
+// is resolved against the Manager's commit log; transactions that commit
+// after the snapshot was taken are never seen.
 type Snapshot struct {
-	// Xmin is the lowest transaction ID that was active when the
-	// snapshot was taken (legacy representation only). Every committed
-	// xid < Xmin is visible without consulting InProgress.
-	Xmin TxID
-	// Xmax is the first transaction ID that was unassigned when the
-	// snapshot was taken (legacy representation only).
-	Xmax TxID
-	// InProgress holds the transactions with Xmin <= xid < Xmax that
-	// were still running when the snapshot was taken (legacy
-	// representation only; nil for CSN snapshots).
-	InProgress map[TxID]struct{}
 	// SeqNo is the value of the commit-sequence counter when the
 	// snapshot was taken. A transaction T committed before this
-	// snapshot iff T's commit SeqNo <= this value. For CSN snapshots
-	// this field alone IS the snapshot.
+	// snapshot iff T's commit SeqNo <= this value.
 	SeqNo SeqNo
-	// csn, when non-nil, marks this as a CSN snapshot and names the
-	// Manager whose commit log resolves visibility lookups.
-	csn *Manager
+	// m is the Manager whose commit log resolves visibility lookups.
+	m *Manager
 }
 
-// Sees reports whether xid is in the set of transactions visible to the
-// snapshot, assuming xid ultimately committed. Callers must additionally
-// verify with the Manager that xid committed (see Manager.Visible): for a
-// CSN snapshot, Sees of an uncommitted xid is always false, but for a
-// legacy snapshot an aborted xid that finished before the snapshot still
-// tests true here.
+// Sees reports whether xid committed before the snapshot was taken: its
+// commit is known and its CSN is at or below the snapshot's. An
+// in-progress or aborted xid, the caller's own included, is never seen.
 func (s *Snapshot) Sees(xid TxID) bool {
-	if s.csn != nil {
-		seq, known := s.csn.commitCSN(xid)
-		return known && seq <= s.SeqNo
-	}
-	if xid >= s.Xmax {
-		return false
-	}
-	if xid < s.Xmin {
-		return true
-	}
-	_, active := s.InProgress[xid]
-	return !active
+	st, seq := s.m.Status(xid)
+	return st == StatusCommitted && s.SeesCommitted(seq)
 }
 
 // SeesCommitted reports whether a transaction already known committed,
 // with commit sequence number seq (InvalidSeqNo when unknown because the
 // entry was truncated below the log floor — then the commit predates
 // every live snapshot), is visible to the snapshot. It is the fast path
-// for callers that just resolved xid's fate via Manager.Status: a CSN
-// snapshot answers from seq alone instead of paying a second commit-log
-// lookup for the same xid.
-func (s *Snapshot) SeesCommitted(xid TxID, seq SeqNo) bool {
-	if s.csn != nil {
-		return seq == InvalidSeqNo || seq <= s.SeqNo
-	}
-	return s.Sees(xid)
-}
-
-// ConcurrentWith reports whether xid was in flight when the snapshot was
-// taken — i.e. the snapshot does not include it even if it later
-// committed. This is the "concurrent transaction" test used throughout
-// the SSI layer: rw-antidependencies occur only between concurrent
-// transactions (Corollary 2 of the paper). For a CSN snapshot the rule
-// is exactly "commit CSN unknown or greater than the snapshot CSN"; note
-// that an *aborted* xid therefore always tests concurrent under CSN
-// (its commit CSN never becomes known), while legacy snapshots report an
-// xid that aborted before the snapshot as not concurrent. The SSI layer
-// only applies this test to in-progress or committed writers, where the
-// two representations agree.
-func (s *Snapshot) ConcurrentWith(xid TxID) bool {
-	if s.csn != nil {
-		seq, known := s.csn.commitCSN(xid)
-		return !known || seq > s.SeqNo
-	}
-	if xid >= s.Xmax {
-		return true
-	}
-	_, active := s.InProgress[xid]
-	return active
+// for callers that just resolved the fate via Manager.Status: it answers
+// from seq alone instead of paying a second commit-log lookup.
+func (s *Snapshot) SeesCommitted(seq SeqNo) bool {
+	return seq == InvalidSeqNo || seq <= s.SeqNo
 }
 
 // txRecord is a commit-log entry: one transaction's fate, its commit CSN
@@ -261,9 +193,9 @@ type logShard struct {
 // blocks on a transaction's xid lock.
 //
 // Lock levels (all leaves with respect to the engine's locks, see
-// internal/core/partition.go): mu (legacy mode only) > one logShard.mu;
-// truncMu serializes truncations and orders before shard mutexes. CSN
-// mode never takes mu.
+// internal/core/partition.go): truncMu serializes truncations and orders
+// before beginMu, which orders before one logShard.mu. No global mutex
+// exists on any lifecycle path.
 type Manager struct {
 	cfg       Config
 	shards    []logShard
@@ -286,10 +218,10 @@ type Manager struct {
 	// Horizon); it only rises.
 	horizon atomic.Uint64
 
-	// truncMu serializes TruncateLog/AutoTruncate passes. The three
-	// mutexes below are level-ordered (trunc < begin < global <
-	// logShard) and ssilint machine-checks that order; the canonical
-	// table is in docs/invariants.md.
+	// truncMu serializes TruncateLog/AutoTruncate passes. The mutexes
+	// are level-ordered (trunc < begin < logShard) and ssilint
+	// machine-checks that order; the canonical table is in
+	// docs/invariants.md.
 	truncMu sync.Mutex //ssi:lock level=10 name=mvcc.trunc
 	// truncVictims is AutoTruncate's list of entries to delete, reused
 	// from pass to pass. Guarded by truncMu.
@@ -304,12 +236,6 @@ type Manager struct {
 	// scan while holding an xid below the bound, and truncation floors
 	// derived from the scan could pass an active transaction).
 	beginMu sync.RWMutex //ssi:lock level=20 name=mvcc.begin
-
-	// mu is the legacy-mode global snapshot mutex: with
-	// DisableCSNSnapshots, Begin/Commit/Abort hold it exclusively and
-	// TakeSnapshot holds it shared (it only reads — see the RLock note
-	// on TakeSnapshot). Unused in CSN mode.
-	mu sync.RWMutex //ssi:lock level=30 name=mvcc.global
 }
 
 // New returns a Manager with the given configuration. The first assigned
@@ -354,23 +280,9 @@ func (m *Manager) lookup(xid TxID) *txRecord {
 	return rec
 }
 
-// commitCSN returns xid's commit CSN and whether it is known committed.
-// Absent entries below the truncation floor are committed with an
-// unknown (but necessarily snapshot-visible) CSN, reported as
-// InvalidSeqNo — Status owns that resolution, including the
-// re-read-floor-after-miss dance against concurrent truncation.
-func (m *Manager) commitCSN(xid TxID) (SeqNo, bool) {
-	st, seq := m.Status(xid)
-	return seq, st == StatusCommitted
-}
-
-// Begin assigns a new transaction ID and marks it in progress. In CSN
-// mode it touches one commit-log shard and two atomics; no global mutex.
+// Begin assigns a new transaction ID and marks it in progress. It
+// touches one commit-log shard and two atomics; no global mutex.
 func (m *Manager) Begin() TxID {
-	if m.cfg.DisableCSNSnapshots {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
 	m.beginMu.RLock()
 	xid := TxID(m.lastXID.Add(1))
 	rec := &txRecord{
@@ -395,40 +307,10 @@ func (m *Manager) Begin() TxID {
 // TakeSnapshot returns a snapshot of the transactions visible right now.
 // The snapshot excludes all in-progress transactions, including the
 // caller's own xid if it has one; storage-level visibility checks treat a
-// transaction's own writes specially.
-//
-// In CSN mode this is a single atomic load of the CSN counter.
-// In legacy mode it copies the active set under the global mutex in
-// SHARED mode: the copy only reads, and every mutation of the active set
-// or the counters holds the mutex exclusively, so concurrent snapshots
-// may overlap each other (they previously serialized on the write lock
-// for no reason).
+// transaction's own writes specially. It is a single atomic load of the
+// CSN counter.
 func (m *Manager) TakeSnapshot() *Snapshot {
-	if !m.cfg.DisableCSNSnapshots {
-		return &Snapshot{SeqNo: SeqNo(m.assignedSeq.Load()), csn: m}
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	m.trace(trace.LegacySnapshot, InvalidTxID, InvalidSeqNo)
-	next := TxID(m.lastXID.Load()) + 1
-	snap := &Snapshot{
-		Xmin:       next,
-		Xmax:       next,
-		InProgress: make(map[TxID]struct{}, m.activeCount.Load()),
-		SeqNo:      SeqNo(m.assignedSeq.Load()),
-	}
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for xid := range sh.active {
-			if xid < snap.Xmin {
-				snap.Xmin = xid
-			}
-			snap.InProgress[xid] = struct{}{}
-		}
-		sh.mu.RUnlock()
-	}
-	return snap
+	return &Snapshot{SeqNo: SeqNo(m.assignedSeq.Load()), m: m}
 }
 
 // finishableLocked returns xid's record if it can be committed or
@@ -458,7 +340,7 @@ func (m *Manager) beginFinish(sh *logShard, xid TxID, op string) *txRecord {
 // Commit marks xid committed, assigns it the next commit sequence number,
 // and wakes any waiters. It returns the assigned sequence number.
 //
-// CSN-mode ordering: inside the commit-log shard's single critical
+// Ordering: inside the commit-log shard's single critical
 // section, validate the record, increment the CSN counter, AND publish
 // (xid → CSN, committed); then close the done channel. That atomicity is
 // what makes a snapshot all-or-nothing: a snapshot whose CSN covers this
@@ -469,18 +351,7 @@ func (m *Manager) beginFinish(sh *logShard, xid TxID, op string) *txRecord {
 // with the CSNPublish trace point in the reopened window.
 func (m *Manager) Commit(xid TxID) SeqNo {
 	sh := m.shard(xid)
-	switch {
-	case m.cfg.DisableCSNSnapshots:
-		// Deferred so the double-finish panic in finishableLocked does
-		// not leak the global mutex to a recovering caller.
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		sh.mu.Lock()
-		rec := finishableLocked(sh, xid, "Commit")
-		seq := m.publishCommitLocked(sh, rec, xid, InvalidSeqNo)
-		m.finishCommit(rec)
-		return seq
-	case m.cfg.DisableCSNFencing:
+	if m.cfg.DisableCSNFencing {
 		// Ablation: CSN assigned outside the publication critical
 		// section; a snapshot taken in between covers the commit but
 		// cannot resolve it yet — the torn-snapshot window.
@@ -491,14 +362,13 @@ func (m *Manager) Commit(xid TxID) SeqNo {
 		m.publishCommitLocked(sh, rec, xid, seq)
 		m.finishCommit(rec)
 		return seq
-	default:
-		m.trace(trace.CSNPublish, xid, InvalidSeqNo)
-		sh.mu.Lock()
-		rec := finishableLocked(sh, xid, "Commit")
-		seq := m.publishCommitLocked(sh, rec, xid, InvalidSeqNo)
-		m.finishCommit(rec)
-		return seq
 	}
+	m.trace(trace.CSNPublish, xid, InvalidSeqNo)
+	sh.mu.Lock()
+	rec := finishableLocked(sh, xid, "Commit")
+	seq := m.publishCommitLocked(sh, rec, xid, InvalidSeqNo)
+	m.finishCommit(rec)
+	return seq
 }
 
 // publishCommitLocked writes the committed fate (assigning the CSN
@@ -515,7 +385,7 @@ func (m *Manager) publishCommitLocked(sh *logShard, rec *txRecord, xid TxID, seq
 	return seq
 }
 
-// finishCommit is the shared post-publication tail of every Commit path.
+// finishCommit is the shared post-publication tail of both Commit paths.
 func (m *Manager) finishCommit(rec *txRecord) {
 	m.activeCount.Add(-1)
 	close(rec.done)
@@ -524,10 +394,6 @@ func (m *Manager) finishCommit(rec *txRecord) {
 // Abort marks xid aborted and wakes any waiters.
 func (m *Manager) Abort(xid TxID) {
 	sh := m.shard(xid)
-	if m.cfg.DisableCSNSnapshots {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
 	sh.mu.Lock()
 	rec := finishableLocked(sh, xid, "Abort")
 	rec.status = StatusAborted
@@ -575,15 +441,6 @@ func (m *Manager) CommitSeq(xid TxID) SeqNo {
 		return InvalidSeqNo
 	}
 	return seq
-}
-
-// Visible reports whether the effects of xid are visible to snap: xid is
-// in the snapshot's visible set and xid committed. A transaction's own
-// xid is never Visible (it is in progress while it runs); the storage
-// layer handles own-writes before consulting the snapshot.
-func (m *Manager) Visible(xid TxID, snap *Snapshot) bool {
-	st, seq := m.Status(xid)
-	return st == StatusCommitted && snap.SeesCommitted(xid, seq)
 }
 
 // Done returns a channel that is closed when xid commits or aborts.
@@ -733,7 +590,7 @@ func (m *Manager) TruncateLog(floor TxID) {
 	if floor <= TxID(m.logFloor.Load()) {
 		return
 	}
-	// Raise the floor before deleting: a concurrent Status/commitCSN
+	// Raise the floor before deleting: a concurrent Status
 	// that misses a just-deleted record re-reads the floor and resolves
 	// it committed.
 	m.logFloor.Store(uint64(floor))
@@ -808,7 +665,7 @@ scan:
 	if floor == start {
 		return start
 	}
-	// Raise the floor before deleting: a concurrent Status/commitCSN
+	// Raise the floor before deleting: a concurrent Status
 	// that misses a just-deleted record re-reads the floor and resolves
 	// it committed.
 	m.logFloor.Store(uint64(floor))

@@ -231,7 +231,7 @@ func (r *Row) visible(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, co
 			note(conflicts, v.Xmin)
 			continue
 		case mvcc.StatusCommitted:
-			if !snap.SeesCommitted(v.Xmin, seq) {
+			if !snap.SeesCommitted(seq) {
 				// Committed after our snapshot: concurrent.
 				note(conflicts, v.Xmin)
 				continue
@@ -254,7 +254,7 @@ func (r *Row) visible(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, co
 			note(conflicts, v.Xmax)
 			return v
 		case mvcc.StatusCommitted:
-			if snap.SeesCommitted(v.Xmax, xseq) {
+			if snap.SeesCommitted(xseq) {
 				// Deleted before our snapshot: row is gone.
 				return nil
 			}
@@ -754,7 +754,7 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 			row.mu.Unlock()
 			return WriteResult{}, ErrDuplicateKey
 		}
-		if head.Xmax == 0 && st == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmin, seq) {
+		if head.Xmax == 0 && st == mvcc.StatusCommitted && !snap.SeesCommitted(seq) {
 			// A concurrent transaction inserted the key and
 			// committed: unique violation even though we cannot
 			// see the row.
@@ -857,11 +857,11 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 			// transaction owns the newest version, this is a
 			// first-updater-wins conflict; otherwise the row is
 			// simply absent.
-			if head.Xmin != xid && st == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmin, seq) {
+			if head.Xmin != xid && st == mvcc.StatusCommitted && !snap.SeesCommitted(seq) {
 				return fail(ErrWriteConflict)
 			}
 			if head.Xmax != 0 && head.Xmax != xid {
-				if xst, xseq := head.maxStatus(mgr); xst == mvcc.StatusCommitted && !snap.SeesCommitted(head.Xmax, xseq) {
+				if xst, xseq := head.maxStatus(mgr); xst == mvcc.StatusCommitted && !snap.SeesCommitted(xseq) {
 					return fail(ErrWriteConflict)
 				}
 			}

@@ -31,16 +31,11 @@ const (
 	// DisableLifecycleFencing). XID is the committer.
 	PreCommit
 	// CSNPublish fires in internal/mvcc at a commit's CSN
-	// assignment→publication window, with no Manager lock held (CSN
-	// snapshots only). Fenced, the window is degenerate: the event fires
+	// assignment→publication window, with no Manager lock held. Fenced, the window is degenerate: the event fires
 	// immediately before the atomic assignment+publication step and Seq is
 	// 0. With DisableCSNFencing it fires inside the reopened window and Seq
 	// is the assigned CSN.
 	CSNPublish
-	// LegacySnapshot fires in internal/mvcc inside the legacy
-	// TakeSnapshot's critical section, which holds the global mutex in
-	// shared mode (DisableCSNSnapshots only).
-	LegacySnapshot
 	// Read fires in internal/storage on every heap read of a key, after
 	// the MVCC visibility check and before the caller's callback (where
 	// the SIREAD lock is inserted). A latched read fires it with the page
