@@ -85,10 +85,16 @@ func (n *node[V]) leaf() bool { return n.children == nil }
 // storage layer's locks: no row lock or page latch is ever taken while
 // it is held (onPage callbacks take internal/core locks only).
 type Tree[V any] struct {
-	mu       sync.RWMutex //ssi:lock level=10 name=btree.tree
-	root     *node[V]
-	nextPage PageID
-	size     int
+	mu   sync.RWMutex //ssi:lock level=10 name=btree.tree
+	root *node[V]
+	// rightmost is the last leaf of the chain, guarded by mu like the
+	// rest of the tree. A key above its last key belongs on it, so
+	// Lookup answers such a key and Insert/GetOrInsert append it there
+	// without a descent while the leaf has room: an ascending load pays
+	// an append per row, as on nbtree's rightmost-leaf fastpath.
+	rightmost *node[V]
+	nextPage  PageID
+	size      int
 }
 
 // New returns an empty tree with string payloads (secondary indexes).
@@ -98,6 +104,7 @@ func New() *Tree[string] { return NewOf[string]() }
 func NewOf[V any]() *Tree[V] {
 	t := &Tree[V]{nextPage: 1}
 	t.root = &node[V]{page: t.allocPage()}
+	t.rightmost = t.root
 	return t
 }
 
@@ -124,6 +131,23 @@ func (t *Tree[V]) descend(key string) *node[V] {
 	return n
 }
 
+// leafFor is descend with the right-edge shortcut: a key above the
+// rightmost leaf's last key is past every separator on the tree's right
+// spine, so a descent would end on that leaf too. (The rightmost leaf is
+// empty only in an empty tree, where it is the root.) Caller holds the
+// tree lock.
+func (t *Tree[V]) leafFor(key string) *node[V] {
+	if r := t.rightmost; r.above(key) {
+		return r
+	}
+	return t.descend(key)
+}
+
+// above reports whether key sorts after every key of leaf n.
+func (n *node[V]) above(key string) bool {
+	return len(n.keys) == 0 || key > n.keys[len(n.keys)-1]
+}
+
 // Lookup returns the value stored under key and the leaf page that holds
 // (or would hold) the key. The page is returned even on a miss so the
 // caller can SIREAD-lock the gap and detect phantom inserts.
@@ -137,7 +161,7 @@ func (t *Tree[V]) descend(key string) *node[V] {
 func (t *Tree[V]) Lookup(key string, onPage func(PageID)) (val V, ok bool, page PageID) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.descend(key)
+	n := t.leafFor(key)
 	if onPage != nil {
 		onPage(n.page)
 	}
@@ -172,6 +196,19 @@ func (t *Tree[V]) GetOrInsert(key string, mk func() V) (got V, page PageID, adde
 func (t *Tree[V]) put(key string, val V, mk func() V) (got V, page PageID, added bool, splits []Split) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if r := t.rightmost; r.above(key) && len(r.keys) < degree {
+		// The append a descent would make, without the descent: the key
+		// goes last on the rightmost leaf, which has room, so nothing
+		// splits. A full leaf takes the descent below, the one path
+		// that splits.
+		if mk != nil {
+			val = mk()
+		}
+		r.keys = append(r.keys, key)
+		r.vals = append(r.vals, val)
+		t.size++
+		return val, r.page, true, nil
+	}
 	got, page, added, splits = t.insert(t.root, key, val, mk)
 	if len(t.root.keys) > degree {
 		// Split the root: the old root becomes the left child.
@@ -253,6 +290,9 @@ func (t *Tree[V]) splitNode(n *node[V]) (string, *node[V], *Split) {
 		right.vals = append(right.vals, n.vals[mid:]...)
 		n.keys = n.keys[:mid:mid]
 		n.vals = n.vals[:mid:mid]
+		if n == t.rightmost {
+			t.rightmost = right
+		}
 		right.next = n.next
 		n.next = right
 		return right.keys[0], right, &Split{Left: n.page, Right: right.page}
@@ -358,12 +398,33 @@ func childIndex(keys []string, key string) int {
 }
 
 // CheckInvariants verifies ordering, fanout, and leaf-chain consistency,
-// returning a description of the first violation found, or "". It exists
-// for the property-based tests.
+// including that the cached rightmost leaf is the last leaf of the chain
+// and of the tree's right spine, returning a description of the first
+// violation found, or "". It exists for the property-based tests.
 func (t *Tree[V]) CheckInvariants() string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return checkNode(t.root, "", "")
+	if msg := checkNode(t.root, "", ""); msg != "" {
+		return msg
+	}
+	first, spine := t.root, t.root
+	for !first.leaf() {
+		first, spine = first.children[0], spine.children[len(spine.children)-1]
+	}
+	last := first
+	for last.next != nil {
+		if last.keys[len(last.keys)-1] >= last.next.keys[0] {
+			return "leaf chain out of order"
+		}
+		last = last.next
+	}
+	switch {
+	case last != spine:
+		return "leaf chain does not end at the right spine's leaf"
+	case t.rightmost != last:
+		return "cached rightmost leaf is not the last leaf"
+	}
+	return ""
 }
 
 func checkNode[V any](n *node[V], lo, hi string) string {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -401,5 +402,116 @@ func TestLeavesSurvivesSplitsBetweenBatches(t *testing.T) {
 	}
 	if msg := tr.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
+	}
+}
+
+// descendPage is the page a full root-to-leaf descent reaches for key,
+// the answer every shortcut must agree with.
+func descendPage[V any](tr *Tree[V], key string) PageID {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	return tr.descend(key).page
+}
+
+// Property: the right-edge fast paths return exactly the page a descent
+// would. A seeded mix of ascending runs (keys above the current
+// maximum, the bulk-load shape, which fill and split the rightmost
+// leaf), random inserts below it, GetOrInsert of keys already present,
+// overwriting Inserts, and Lookups (hits, misses in the middle, misses
+// past the maximum) runs across many splits; after every step the page
+// each call returned (and announced to onPage) is the descent's page for
+// its key, the payloads agree with a reference map, and CheckInvariants
+// (which checks that the cached rightmost leaf is the chain's last)
+// reports nothing.
+func TestAppendPathMatchesDescent(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 50))
+		tr := NewOf[int]()
+		ref := map[string]int{}
+		var keys []string
+		high := 0 // ascending keys are k<high>, above every key so far
+		key := func(i int) string { return fmt.Sprintf("k%07d", i) }
+		fail := func(step int, op, k string, format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d step %d %s(%s): %s", seed, step, op, k, fmt.Sprintf(format, args...))
+		}
+		for step := 0; step < 1200; step++ {
+			var op, k string
+			var page PageID
+			switch r := rng.IntN(10); {
+			case r < 4: // an ascending run
+				for n := 1 + rng.IntN(24); n > 0; n-- {
+					high += 1 + rng.IntN(3)
+					k = key(high)
+					got, p, added, _ := tr.GetOrInsert(k, func() int { return high })
+					if !added || got != high {
+						fail(step, "GetOrInsert", k, "appended key: got %d added=%v", got, added)
+					}
+					ref[k] = high
+					keys = append(keys, k)
+					if want := descendPage(tr, k); p != want {
+						fail(step, "GetOrInsert", k, "page %d, descent reaches %d", p, want)
+					}
+				}
+				op, page = "GetOrInsert", descendPage(tr, k)
+			case r < 6: // a random insert, usually below the maximum
+				op, k = "Insert", key(rng.IntN(high+10))
+				v := rng.IntN(1 << 20)
+				var added bool
+				page, added, _ = tr.Insert(k, v)
+				if _, had := ref[k]; added == had {
+					fail(step, op, k, "added=%v with key present=%v", added, had)
+				}
+				if _, had := ref[k]; !had {
+					keys = append(keys, k)
+				}
+				ref[k] = v
+				if k > key(high) {
+					high, _ = strconv.Atoi(k[1:])
+				}
+			case r < 8 && len(keys) > 0: // GetOrInsert of a present key
+				op, k = "GetOrInsert", keys[rng.IntN(len(keys))]
+				got, p, added, _ := tr.GetOrInsert(k, func() int { t.Fatal("constructor ran for a present key"); return 0 })
+				if added || got != ref[k] {
+					fail(step, op, k, "got %d added=%v, want %d", got, added, ref[k])
+				}
+				page = p
+			default: // a Lookup: hit, gap, or past the maximum
+				switch rng.IntN(3) {
+				case 0:
+					if len(keys) > 0 {
+						k = keys[rng.IntN(len(keys))]
+						break
+					}
+					fallthrough
+				case 1:
+					k = key(rng.IntN(high+1)) + "x"
+				default:
+					k = key(high + 1 + rng.IntN(5))
+				}
+				op = "Lookup"
+				var announced PageID
+				v, ok, p := tr.Lookup(k, func(p PageID) { announced = p })
+				if want, had := ref[k]; ok != had || v != want {
+					fail(step, op, k, "got %d,%v want %d,%v", v, ok, want, had)
+				}
+				if announced != p {
+					fail(step, op, k, "announced page %d, returned %d", announced, p)
+				}
+				page = p
+			}
+			if want := descendPage(tr, k); page != want {
+				fail(step, op, k, "page %d, descent reaches %d", page, want)
+			}
+			if msg := tr.CheckInvariants(); msg != "" {
+				fail(step, op, k, "invariant violated: %s", msg)
+			}
+		}
+		if tr.Len() != len(ref) {
+			t.Fatalf("seed %d: Len %d, reference holds %d", seed, tr.Len(), len(ref))
+		}
+		if tr.nextPage < 50 {
+			t.Fatalf("seed %d: only %d pages; the run should cross many splits", seed, tr.nextPage-1)
+		}
 	}
 }

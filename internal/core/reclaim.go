@@ -73,6 +73,10 @@ type reclaimer struct {
 	// Abort's, a safe snapshot's — runs.
 	victims []*Xact
 	byPart  [][]removal
+	// passHorizon is the highest horizon a reclaim pass has run at
+	// (written under passMu). summarizeOnPressure skips its pass while
+	// the horizon has not moved past it (see there).
+	passHorizon atomic.Uint64
 }
 
 // FinishedOutside tells the reclaimer that a transaction the lock
@@ -168,11 +172,22 @@ func (m *Manager) ReclaimNow() {
 // committed while the pass stalled — commits above it and stays
 // retired.
 func (m *Manager) reclaimPass() {
-	horizon := m.mvcc.OldestSnapshot()
+	m.reclaimAt(m.mvcc.OldestSnapshot())
+}
+
+// reclaimAt is reclaimPass at a horizon the caller computed.
+func (m *Manager) reclaimAt(horizon mvcc.SeqNo) {
 	m.reclaimGraphPass(horizon)
 	// Outside every SSI lock: AutoTruncate takes only mvcc-internal
 	// (leaf) locks, but there is no reason to hold m.mu across it.
 	m.mvcc.AutoTruncate(horizon)
+}
+
+// sweepWanted reports whether the §6.1 only-read-only-transactions
+// sweep applies and has not run since a read/write transaction last
+// began or committed.
+func (m *Manager) sweepWanted() bool {
+	return m.rwActive.Load() == 0 && !m.cfg.DisableReadOnlyOpt && !m.roSweepValid.Load()
 }
 
 func (m *Manager) reclaimGraphPass(horizon mvcc.SeqNo) {
@@ -200,6 +215,9 @@ func (m *Manager) reclaimGraphPass(horizon mvcc.SeqNo) {
 	m.dropCommittedBatchLocked(victims)
 	m.stats.CleanedXacts += int64(len(victims))
 	m.expireDummyLocksLocked(horizon)
+	if uint64(horizon) > m.rec.passHorizon.Load() {
+		m.rec.passHorizon.Store(uint64(horizon))
+	}
 
 	// §6.1: with only read-only transactions active, no future write can
 	// conflict with a committed transaction's reads, and a committed
@@ -207,7 +225,7 @@ func (m *Manager) reclaimGraphPass(horizon mvcc.SeqNo) {
 	// read/write transaction writes something it read — which cannot
 	// happen. The sweep stays valid until a read/write transaction
 	// begins or commits (roSweepValid is cleared there).
-	if m.rwActive.Load() == 0 && !m.cfg.DisableReadOnlyOpt && !m.roSweepValid.Load() {
+	if m.sweepWanted() {
 		// Which retired transactions the sweep may strip is fixed BEFORE
 		// rwActive is read again, here under m.mu. Then every
 		// transaction concurrent with a swept C that could write what C
@@ -285,8 +303,20 @@ func (m *Manager) afterCommit(retiredLen int) {
 // needlessly summarized), then folds the oldest retired transactions
 // into the dummy OldCommitted transaction until the queue is back
 // within budget.
+//
+// The reclaim pass is skipped when the horizon has not moved past the
+// last pass's and the §6.1 sweep does not apply, which is every commit
+// behind a pinned horizon. Such a pass would find nothing: the last one
+// popped every transaction that had retired at or below the horizon,
+// expired every dummy lock at or below it and truncated the commit log
+// there, and a transaction that commits later commits above it. (One
+// that took its commit sequence at or below the horizon but retired
+// after that pop stays queued until the horizon moves: a summarisation
+// of it is conservative, never unsound.)
 func (m *Manager) summarizeOnPressure() {
-	m.reclaimPass()
+	if h := m.mvcc.OldestSnapshot(); uint64(h) > m.rec.passHorizon.Load() || m.sweepWanted() {
+		m.reclaimAt(h)
+	}
 	// The victims are dequeued under m.mu (not just retireMu), so a
 	// transaction never sits dequeued-but-unsummarized outside that
 	// mutex, where the §6.1 sweep could miss it.

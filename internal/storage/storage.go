@@ -706,6 +706,11 @@ type WriteResult struct {
 	// predicate-lock propagation. Insert only.
 	IndexPage btree.PageID
 	Splits    []btree.Split
+	// Rewrite reports that the write superseded one of the writer's
+	// own: the row's head was a version it created or carried its xmax
+	// stamp. When false, this is the writer's first write of the key,
+	// or its first since a savepoint rollback undid the earlier ones.
+	Rewrite bool
 }
 
 // Insert creates the first live version of key, adding the key's slot to
@@ -774,9 +779,10 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 		// Row is dead for everyone relevant: safe to create anew.
 		break
 	}
+	rewrite := older != nil && (older.Xmin == xid || older.Xmax == xid)
 	row.head = &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Older: older}
 	row.mu.Unlock()
-	return WriteResult{Page: row.page, IndexPage: leaf, Splits: splits}, nil
+	return WriteResult{Page: row.page, IndexPage: leaf, Splits: splits, Rewrite: rewrite}, nil
 }
 
 // Update replaces the visible version of key with a new version holding
@@ -890,7 +896,10 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 			}
 		}
 		// We hold the tuple: stamp xmax and (for updates) put the new
-		// version on top, on the same page.
+		// version on top, on the same page. v is visible and the head,
+		// so xid has not deleted it: the write supersedes one of xid's
+		// own exactly when xid created v.
+		wr := WriteResult{Page: row.page, Rewrite: v.Xmin == xid}
 		v.setXmax(xid, subID)
 		if !del {
 			row.head = &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Older: v}
@@ -902,7 +911,6 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 			trimBelow(v, h, mgr)
 		}
 		row.mu.Unlock()
-		wr := WriteResult{Page: row.page}
 		var err error
 		if check != nil {
 			err = check(wr)

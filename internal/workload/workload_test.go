@@ -159,7 +159,7 @@ func TestDBT2SerializationFailureRateIsLow(t *testing.T) {
 	// always given it.
 	hot := run(2, pgssi.Serializable)
 	if hot.FailureRate > 0.10 {
-		t.Errorf("2 warehouses: serialization failure rate %.2f%% unexpectedly high", 100*hot.FailureRate)
+		t.Errorf("2 warehouses: serialization failure rate %.2f%% unexpectedly high: %s", 100*hot.FailureRate, hot.String())
 	}
 	// Same configuration, same seed, SSI switched off: what SSI adds
 	// there. Reported, not asserted: on 20 districts the mix has real

@@ -147,7 +147,7 @@ func (tx *Tx) Insert(table, key string, value []byte) error {
 	if err := tx.insertSecondaries(ti, key, value); err != nil {
 		return err
 	}
-	tx.recordWrite(table, key, value, false)
+	tx.recordWrite(table, key, value, false, wr.Rewrite)
 	return nil
 }
 
@@ -213,21 +213,22 @@ func (tx *Tx) Update(table, key string, value []byte) error {
 	}
 	snap := tx.snapshot()
 	check := tx.writeCheck(table, key)
-	_, serr := ti.heap.Update(key, value, tx.xid, tx.currentSubID(), snap, tx.db.mvcc, tx.db.wg, check)
+	wr, serr := ti.heap.Update(key, value, tx.xid, tx.currentSubID(), snap, tx.db.mvcc, tx.db.wg, check)
 	if serr != nil {
 		if tx.level == ReadCommitted {
 			// READ COMMITTED follows the update chain with a fresh
 			// snapshot rather than failing (EvalPlanQual).
 			return tx.readCommittedRetry(func() error {
-				if _, e := ti.heap.Update(key, value, tx.xid, tx.currentSubID(), tx.db.mvcc.TakeSnapshot(), tx.db.mvcc, tx.db.wg, check); e != nil {
+				wr, e := ti.heap.Update(key, value, tx.xid, tx.currentSubID(), tx.db.mvcc.TakeSnapshot(), tx.db.mvcc, tx.db.wg, check)
+				if e != nil {
 					return e
 				}
-				return tx.finishUpdate(ti, table, key, value)
+				return tx.finishUpdate(ti, table, key, value, wr.Rewrite)
 			}, serr)
 		}
 		return mapStorageErr(serr)
 	}
-	return tx.finishUpdate(ti, table, key, value)
+	return tx.finishUpdate(ti, table, key, value, wr.Rewrite)
 }
 
 // writeCheck returns the SSI write check a serializable transaction runs
@@ -255,11 +256,11 @@ func (tx *Tx) writeCheck(table, key string) func(storage.WriteResult) error {
 	}
 }
 
-func (tx *Tx) finishUpdate(ti *tableInfo, table, key string, value []byte) error {
+func (tx *Tx) finishUpdate(ti *tableInfo, table, key string, value []byte, rewrite bool) error {
 	if err := tx.insertSecondaries(ti, key, value); err != nil {
 		return err
 	}
-	tx.recordWrite(table, key, value, false)
+	tx.recordWrite(table, key, value, false, rewrite)
 	return nil
 }
 
@@ -291,10 +292,11 @@ func (tx *Tx) Delete(table, key string) error {
 		return tx.s2plUpdate(ti, key, nil, true)
 	}
 	snap := tx.snapshot()
-	if _, serr := ti.heap.Delete(key, tx.xid, tx.currentSubID(), snap, tx.db.mvcc, tx.db.wg, tx.writeCheck(table, key)); serr != nil {
+	wr, serr := ti.heap.Delete(key, tx.xid, tx.currentSubID(), snap, tx.db.mvcc, tx.db.wg, tx.writeCheck(table, key))
+	if serr != nil {
 		return mapStorageErr(serr)
 	}
-	tx.recordWrite(table, key, nil, true)
+	tx.recordWrite(table, key, nil, true, wr.Rewrite)
 	return nil
 }
 

@@ -98,13 +98,17 @@ func openDir(dir string, cfg Config, h testHooks) (*DB, error) {
 // path: a schema record creates its table (unless a redelivery finds it
 // there), and a commit record is applied as one snapshot-isolation
 // transaction, so a replayed prefix is exactly the state those
-// transactions produced. A commit record carries each key's final
-// version: a key both inserted and deleted in one transaction logs a
-// delete for a row never seen, so ErrNotFound is the one tolerable
-// outcome of a delete. createTables recreates a table a commit record
-// names but no schema record made (a log written before schema logging,
-// or a commit that raced CreateTable's record), so recovery loses no
-// row; a replica instead fails, and halts, on such a record.
+// transactions produced. A commit record carries each key the
+// transaction wrote once, with its final version, in the order of each
+// key's last write (buildWALRecord): a bulk load's ascending keys are
+// replayed ascending, and each Put of a new key — an Update miss, then
+// an Insert — lands on the index's right edge (internal/btree). A key
+// both inserted and deleted in one transaction logs a delete for a row
+// never seen, so ErrNotFound is the one tolerable outcome of a delete.
+// createTables recreates a table a commit record names but no schema
+// record made (a log written before schema logging, or a commit that
+// raced CreateTable's record), so recovery loses no row; a replica
+// instead fails, and halts, on such a record.
 func applyRecord(db *DB, rec wal.Record, createTables bool) error {
 	switch {
 	case rec.SafeSnapshot:
@@ -157,16 +161,22 @@ func (db *DB) walPrepare(tx *Tx) (*wal.Pending, error) {
 	return p, nil
 }
 
-// buildWALRecord assembles tx's commit record from its write set.
+// buildWALRecord assembles tx's commit record from its write log in one
+// pass: each written key's final version, once, in the order of each
+// key's last write. Only a transaction that superseded its own write
+// (tx.rewrote) has entries to skip.
 func (db *DB) buildWALRecord(tx *Tx) wal.Record {
 	rec := wal.Record{Xid: tx.xid, Ops: make([]wal.Op, 0, len(tx.writes))}
-	for wk, vs := range tx.writes {
-		last := vs[len(vs)-1]
+	for i := range tx.writes {
+		w := &tx.writes[i]
+		if tx.rewrote && tx.newest(w.table, w.key) != i {
+			continue
+		}
 		rec.Ops = append(rec.Ops, wal.Op{
-			Table:  wk.table,
-			Key:    wk.key,
-			Value:  last.value,
-			Delete: last.deleted,
+			Table:  w.table,
+			Key:    w.key,
+			Value:  w.value,
+			Delete: w.deleted,
 		})
 	}
 	return rec

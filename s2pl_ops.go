@@ -4,6 +4,7 @@ import (
 	"pgssi/internal/btree"
 	"pgssi/internal/core"
 	"pgssi/internal/s2pl"
+	"pgssi/internal/storage"
 )
 
 // Strict two-phase locking operation paths (§8's baseline). Reads take
@@ -91,7 +92,7 @@ func (tx *Tx) s2plInsert(ti *tableInfo, key string, value []byte) error {
 	if err := tx.insertSecondaries(ti, key, value); err != nil {
 		return err
 	}
-	tx.recordWrite(ti.name, key, value, false)
+	tx.recordWrite(ti.name, key, value, false, wr.Rewrite)
 	return nil
 }
 
@@ -103,11 +104,12 @@ func (tx *Tx) s2plUpdate(ti *tableInfo, key string, value []byte, del bool) erro
 		return err
 	}
 	snap := tx.db.mvcc.TakeSnapshot()
+	var wr storage.WriteResult
 	var err error
 	if del {
-		_, err = ti.heap.Delete(key, tx.xid, tx.currentSubID(), snap, tx.db.mvcc, tx.db.wg, nil)
+		wr, err = ti.heap.Delete(key, tx.xid, tx.currentSubID(), snap, tx.db.mvcc, tx.db.wg, nil)
 	} else {
-		_, err = ti.heap.Update(key, value, tx.xid, tx.currentSubID(), snap, tx.db.mvcc, tx.db.wg, nil)
+		wr, err = ti.heap.Update(key, value, tx.xid, tx.currentSubID(), snap, tx.db.mvcc, tx.db.wg, nil)
 	}
 	if err != nil {
 		return mapStorageErr(err)
@@ -117,7 +119,7 @@ func (tx *Tx) s2plUpdate(ti *tableInfo, key string, value []byte, del bool) erro
 			return err
 		}
 	}
-	tx.recordWrite(ti.name, key, value, del)
+	tx.recordWrite(ti.name, key, value, del, wr.Rewrite)
 	return nil
 }
 

@@ -47,10 +47,9 @@ func (tx *Tx) Prepare(gid string) error {
 			tx.rollbackLocked()
 			return serializationFailure("pre-prepare dangerous structure check")
 		}
-		tx.prepSt = st
+		tx.prepSt = &st
 	}
 	tx.prepared = true
-	tx.gid = gid
 	// Its commit is now the transaction manager's to time, not ours: no
 	// log flush should be held back for it.
 	tx.db.leaveWAL(tx)
@@ -147,7 +146,7 @@ func (db *DB) SimulateCrashRecovery() error {
 			continue
 		}
 		db.ssi.Abort(tx.x)
-		tx.x = db.ssi.RecoverPrepared(tx.prepSt, tx.snap.SeqNo)
+		tx.x = db.ssi.RecoverPrepared(*tx.prepSt, tx.snap.SeqNo)
 	}
 	return nil
 }

@@ -14,19 +14,34 @@ import (
 // two-phase-commit calls; transactions that fail any operation with a
 // serialization failure remain rollback-only and their Commit fails.
 type Tx struct {
-	db       *DB
-	xid      mvcc.TxID
-	level    IsolationLevel
-	readOnly bool
+	db    *DB
+	xid   mvcc.TxID
+	level IsolationLevel
 	// snap is the transaction snapshot; nil for ReadCommitted and
 	// SerializableS2PL, which use per-statement snapshots.
 	snap *mvcc.Snapshot
 	// x is the SSI bookkeeping, non-nil only for Serializable.
 	x *core.Xact
 
-	// writes tracks this transaction's write set, newest version last,
-	// for own-write detection, savepoint rollback, and WAL emission.
-	writes map[writeKey][]writeVersion
+	// writes is the write set as a log: one entry per successful
+	// Insert, Update or Delete, oldest first, for own-write detection
+	// (owns), savepoint rollback and abort (one walk each), and the
+	// commit record (one pass). A transaction that writes nothing
+	// allocates nothing for it. byKey indexes the log by key, to each
+	// key's newest entry: it is built the first time a key's newest
+	// entry is asked for (by owns, or by a commit record that must skip
+	// superseded entries) on a log longer than ownsScanMax — a shorter
+	// one is scanned backwards — kept up to date by recordWrite from
+	// then on, and dropped by a savepoint rollback that shortens the
+	// log.
+	writes []write
+	byKey  map[writeKey]int
+	// rewrote records that some write superseded the transaction's own
+	// earlier write of its key (storage.WriteResult.Rewrite): only then
+	// does the log hold a key twice, and only then does the commit
+	// record skip entries.
+	rewrote  bool
+	readOnly bool
 
 	// savepoints is the stack of active savepoints; subSeq issues
 	// subtransaction IDs (§7.3).
@@ -42,21 +57,29 @@ type Tx struct {
 	// safe-snapshot marker. Replica transactions have no SSI state (x is
 	// nil), so OnSafeSnapshot reports safety through this flag instead.
 	replicaSafe bool
-	gid         string
-	prepSt      core.PreparedState
+	// prepSt is the SSI state Prepare persisted (Serializable only); a
+	// pointer, as two-phase commit is rare. (The flags above share
+	// subSeq's word and rewrote shares readOnly's, which keeps Tx in a
+	// 128-byte allocation size class.)
+	prepSt *core.PreparedState
 	// walPend is the commit record on its way from walPrepare to
-	// publishCommit. (The flags above share subSeq's word, which keeps
-	// Tx in the allocation size class it had without this field.)
+	// publishCommit.
 	walPend *wal.Pending
+}
+
+// write is one entry of a transaction's write log: the version it left
+// for key (value, or a delete) and the subtransaction that wrote it.
+type write struct {
+	table, key string
+	subID      int32
+	deleted    bool
+	value      []byte
 }
 
 type writeKey struct{ table, key string }
 
-type writeVersion struct {
-	subID   int32
-	value   []byte
-	deleted bool
-}
+// ownsScanMax is the longest write log owns scans instead of indexing.
+const ownsScanMax = 16
 
 type savepoint struct {
 	name  string
@@ -89,7 +112,6 @@ func (db *DB) Begin(opts TxOptions) (*Tx, error) {
 		xid:      db.mvcc.Begin(),
 		level:    opts.Isolation,
 		readOnly: opts.ReadOnly,
-		writes:   make(map[writeKey][]writeVersion),
 	}
 	switch opts.Isolation {
 	case Serializable:
@@ -122,7 +144,6 @@ func (db *DB) beginDeferrable() (*Tx, error) {
 				readOnly: true,
 				snap:     snap,
 				x:        x,
-				writes:   make(map[writeKey][]writeVersion),
 			}, nil
 		}
 		db.ssi.Abort(x)
@@ -166,21 +187,53 @@ func (tx *Tx) inSubxact() bool { return len(tx.savepoints) > 0 }
 
 // owns reports whether the transaction holds a live own-write of key.
 func (tx *Tx) owns(table, key string) bool {
-	vs := tx.writes[writeKey{table, key}]
-	if len(vs) == 0 {
-		return false
-	}
-	return !vs[len(vs)-1].deleted
+	i := tx.newest(table, key)
+	return i >= 0 && !tx.writes[i].deleted
 }
 
-// recordWrite appends a write-set entry.
-func (tx *Tx) recordWrite(table, key string, value []byte, deleted bool) {
-	wk := writeKey{table, key}
-	tx.writes[wk] = append(tx.writes[wk], writeVersion{
+// newest returns the index of key's newest write-log entry, or -1. A log
+// of at most ownsScanMax entries without an index is scanned backwards;
+// a longer one is indexed first.
+func (tx *Tx) newest(table, key string) int {
+	if tx.byKey == nil {
+		if len(tx.writes) <= ownsScanMax {
+			for i := len(tx.writes) - 1; i >= 0; i-- {
+				if w := &tx.writes[i]; w.key == key && w.table == table {
+					return i
+				}
+			}
+			return -1
+		}
+		tx.indexWrites()
+	}
+	if i, ok := tx.byKey[writeKey{table, key}]; ok {
+		return i
+	}
+	return -1
+}
+
+// indexWrites builds byKey from the log.
+func (tx *Tx) indexWrites() {
+	tx.byKey = make(map[writeKey]int, len(tx.writes))
+	for i, w := range tx.writes {
+		tx.byKey[writeKey{w.table, w.key}] = i
+	}
+}
+
+// recordWrite appends a write-log entry; rewrite is the heap's
+// storage.WriteResult.Rewrite for the write.
+func (tx *Tx) recordWrite(table, key string, value []byte, deleted, rewrite bool) {
+	if tx.byKey != nil {
+		tx.byKey[writeKey{table, key}] = len(tx.writes)
+	}
+	tx.writes = append(tx.writes, write{
+		table:   table,
+		key:     key,
 		subID:   tx.currentSubID(),
-		value:   value,
 		deleted: deleted,
+		value:   value,
 	})
+	tx.rewrote = tx.rewrote || rewrite
 }
 
 // checkUsable validates the transaction state for a new statement.
@@ -263,9 +316,10 @@ func (tx *Tx) rollbackLocked() {
 	// failed write that stamped a row without reaching the write set is
 	// not covered here; readers see it as aborted and the row's next
 	// writer drops it.)
-	for wk := range tx.writes {
-		if ti, err := tx.db.table(wk.table); err == nil {
-			ti.heap.UndoSubxact(wk.key, tx.xid, 0)
+	for i := range tx.writes {
+		w := &tx.writes[i]
+		if ti, err := tx.db.table(w.table); err == nil {
+			ti.heap.UndoSubxact(w.key, tx.xid, 0)
 		}
 	}
 	tx.db.mvcc.Abort(tx.xid)
@@ -433,26 +487,21 @@ func (tx *Tx) RollbackToSavepoint(name string) error {
 		return fmt.Errorf("%w: %q", ErrNoSavepoint, name)
 	}
 	sp := tx.savepoints[idx]
-	for wk, vs := range tx.writes {
-		keep := vs[:0]
-		for _, v := range vs {
-			if v.subID < sp.subID {
-				keep = append(keep, v)
-			}
+	// One walk: undo what each entry of the scope left in the heap
+	// (UndoSubxact is idempotent, so a key written twice in the scope
+	// costs a second no-op call) and keep the entries from before it.
+	keep := tx.writes[:0]
+	for _, w := range tx.writes {
+		if w.subID < sp.subID {
+			keep = append(keep, w)
+		} else if ti, err := tx.db.table(w.table); err == nil {
+			ti.heap.UndoSubxact(w.key, tx.xid, sp.subID)
 		}
-		if len(keep) == len(vs) {
-			continue
-		}
-		ti, err := tx.db.table(wk.table)
-		if err != nil {
-			continue
-		}
-		ti.heap.UndoSubxact(wk.key, tx.xid, sp.subID)
-		if len(keep) == 0 {
-			delete(tx.writes, wk)
-		} else {
-			tx.writes[wk] = keep
-		}
+	}
+	if len(keep) < len(tx.writes) {
+		clear(tx.writes[len(keep):])
+		tx.writes = keep
+		tx.byKey = nil
 	}
 	tx.savepoints = tx.savepoints[:idx+1]
 	return nil
