@@ -1,7 +1,7 @@
 GO ?= go
 SSILINT := bin/ssilint
 
-.PHONY: all build test bench lint fmt clean
+.PHONY: all build test mutants bench lint fmt clean
 
 all: build
 
@@ -10,6 +10,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# mutants runs the mutation table (mutants_test.go): each entry is applied
+# to a copy of the module, and its tests must fail there.
+mutants:
+	$(GO) test -count=1 -run '^TestMutants$$' .
 
 # bench runs the repository's benchmark (BENCHMARK.json, bench/README.md):
 # one measured and one traced run per workload, results in bench/out/.

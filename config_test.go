@@ -2,10 +2,14 @@ package pgssi_test
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"pgssi"
+	"pgssi/internal/core"
+	"pgssi/internal/mvcc"
+	"pgssi/internal/storage"
 	"pgssi/internal/wal"
 )
 
@@ -32,6 +36,30 @@ func TestConfigIsDeploymentSurface(t *testing.T) {
 		}
 		if f.Type == fsType {
 			t.Errorf("Config.%s overrides the WAL filesystem", f.Name)
+		}
+	}
+}
+
+// TestFencesHaveNoSwitch keeps the engine's fences free of off switches:
+// the only Disable* fields of the test seam and of the layers' Configs
+// are the ablations the paper evaluates (§3.3.1's commit ordering, §4's
+// read-only optimizations). A fence is proved by its entry in the
+// mutation table (mutants_test.go), not by a field that turns it off.
+func TestFencesHaveNoSwitch(t *testing.T) {
+	for _, c := range []struct {
+		cfg       any
+		ablations []string
+	}{
+		{pgssi.Hooks{}, []string{"DisableCommitOrderingOpt"}},
+		{core.Config{}, []string{"DisableCommitOrderingOpt", "DisableReadOnlyOpt"}},
+		{mvcc.Config{}, nil},
+		{storage.Config{}, nil},
+	} {
+		ct := reflect.TypeOf(c.cfg)
+		for i := 0; i < ct.NumField(); i++ {
+			if f := ct.Field(i).Name; strings.HasPrefix(f, "Disable") && !slices.Contains(c.ablations, f) {
+				t.Errorf("%s.%s switches off something the paper does not ablate", ct, f)
+			}
 		}
 	}
 }

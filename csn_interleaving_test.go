@@ -18,17 +18,14 @@ import (
 // atomic step for snapshotters; the fence is that both happen inside the
 // commit-log shard's critical section, which every visibility lookup
 // serializes behind. The pauser (interleaving_test.go), armed on the
-// trace seam's CSNPublish point, parks a chosen committer at the window
-// (fenced: immediately before the atomic step; ablated: between
-// assignment and publication), so the tests can:
-//
-//   - prove the fence: a transaction snapshotting inside the window
-//     sees the in-flight commit fully or not at all — here, not at all,
-//     for both keys the committer wrote, before AND after publication;
-//   - reproduce the torn snapshot with the fence ablated
-//     (Hooks.DisableCSNFencing): the same reader observes k1 from
-//     before the commit and k2 from after it — a fractured read no
-//     serial order explains.
+// trace seam's CSNPublish point, parks a chosen committer immediately
+// before the atomic step, so the test can prove the fence: a transaction
+// snapshotting there sees the in-flight commit fully or not at all —
+// here, not at all, for both keys the committer wrote, before AND after
+// publication. The mutation table's "CSN assigned before publication"
+// entry (mutants_test.go) assigns the CSN before the park, and the same
+// reader then observes k1 from before the commit and k2 from after it —
+// a fractured read no serial order explains, which fails the test.
 //
 // Both transactions run at RepeatableRead: snapshot atomicity is an
 // MVCC-level contract, and at this level neither side takes SSI edge
@@ -37,12 +34,11 @@ import (
 // SIREAD tracking does not see.)
 
 // csnWindowDB builds a two-row database and returns it with the pauser
-// wired into h.
-func csnWindowDB(t *testing.T, h pgssi.Hooks) (*pgssi.DB, *pauser) {
+// that traces it.
+func csnWindowDB(t *testing.T) (*pgssi.DB, *pauser) {
 	t.Helper()
 	p := newPauser()
-	h.Trace = p.trace
-	db := pgssi.OpenWithHooks(pgssi.Config{}, h)
+	db := pgssi.OpenWithHooks(pgssi.Config{}, pgssi.Hooks{Trace: p.trace})
 	if err := db.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +90,7 @@ func mustGetString(t *testing.T, tx *pgssi.Tx, key string) string {
 // publishes changes nothing, because the snapshot's CSN predates the
 // commit's. A fresh snapshot then sees both new values.
 func TestCSNWindowFencedAllOrNothing(t *testing.T) {
-	db, p := csnWindowDB(t, pgssi.Hooks{})
+	db, p := csnWindowDB(t)
 	done := parkCommitInWindow(t, db, p)
 
 	r, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
@@ -123,42 +119,6 @@ func TestCSNWindowFencedAllOrNothing(t *testing.T) {
 		t.Fatalf("post-commit snapshot = {%q, %q}, want both new", g1, g2)
 	}
 	mustExec(t, r2.Commit())
-}
-
-// TestCSNWindowTornReadWithFencingDisabled is the ablation: with
-// DisableCSNFencing, the CSN is assigned outside the publication
-// critical section, so a reader snapshotting inside the window carries
-// a CSN that covers the in-flight commit before the commit log can
-// resolve it. Reading k1
-// before publication and k2 after yields old1/new2 from one snapshot —
-// the fractured read the fence forbids. The same schedule with the
-// fence (the test above) reads old1/old2.
-func TestCSNWindowTornReadWithFencingDisabled(t *testing.T) {
-	db, p := csnWindowDB(t, pgssi.Hooks{DisableCSNFencing: true})
-	done := parkCommitInWindow(t, db, p)
-
-	r, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Before publication the commit log still says in-progress: the
-	// writer's versions are skipped.
-	if got := mustGetString(t, r, "k1"); got != "old1" {
-		t.Fatalf("in-window read of k1 = %q, want old1", got)
-	}
-	close(p.release)
-	<-done
-	// After publication the same snapshot's CSN covers the commit: the
-	// lookup now resolves it visible. Torn.
-	got2 := mustGetString(t, r, "k2")
-	if got2 != "new2" {
-		t.Fatalf("ablation lost the race shape: k2 = %q, want new2 (torn read)", got2)
-	}
-	// And k1, re-read, flips too — the snapshot is not a snapshot.
-	if got1 := mustGetString(t, r, "k1"); got1 != "new1" {
-		t.Fatalf("re-read of k1 = %q, want new1 under the ablation", got1)
-	}
-	mustExec(t, r.Commit())
 }
 
 // TestCommitLogBoundedWithoutSerializable: a process that never runs a

@@ -170,26 +170,14 @@ const (
 )
 
 // testHooks are the engine's test-only seams: the §3.3.1 ablation, the
-// ablations that reopen the windows its fences close, the trace function
-// the interleaving harnesses park transactions with, and a
-// fault-injecting filesystem.
+// trace function the interleaving harnesses park transactions with, and
+// a fault-injecting filesystem. The engine's fences have no switch: the
+// mutation table (mutants_test.go) reopens each in a copy of the source.
 // Open and OpenDir leave them zero; only tests set them (export_test.go).
 type testHooks struct {
 	// DisableCommitOrderingOpt turns off the commit-ordering
 	// optimization of §3.3.1 (ablation: original SSI abort rule).
 	DisableCommitOrderingOpt bool
-	// DisableLifecycleFencing reopens the transaction-lifecycle windows
-	// that the fine-grained Begin/Commit locking keeps closed: a
-	// read-only Begin's safety registration and the pre-commit check's
-	// atomicity with the commit-sequence assignment (see internal/core).
-	DisableLifecycleFencing bool
-	// DisableCSNFencing reopens the window between a commit's CSN
-	// assignment and its commit-log publication (see internal/mvcc).
-	DisableCSNFencing bool
-	// DisableReadLatch disables the per-page read latch, reopening the
-	// detection window between a read's MVCC visibility check and its
-	// SIREAD-lock insertion (see internal/storage).
-	DisableReadLatch bool
 	// Trace receives the interleaving events of core, mvcc and storage
 	// (internal/trace).
 	Trace trace.Func
@@ -293,10 +281,7 @@ type ckptResult struct {
 func Open(cfg Config) *DB { return open(cfg, testHooks{}) }
 
 func open(cfg Config, h testHooks) *DB {
-	m := mvcc.New(mvcc.Config{
-		DisableCSNFencing: h.DisableCSNFencing,
-		Trace:             h.Trace,
-	})
+	m := mvcc.New(mvcc.Config{Trace: h.Trace})
 	return &DB{
 		cfg:   cfg,
 		hooks: h,
@@ -309,7 +294,6 @@ func open(cfg Config, h testHooks) *DB {
 			Partitions:               cfg.Partitions,
 			DisableCommitOrderingOpt: h.DisableCommitOrderingOpt,
 			DisableReadOnlyOpt:       cfg.DisableReadOnlyOpt,
-			DisableLifecycleFencing:  h.DisableLifecycleFencing,
 			Trace:                    h.Trace,
 		}),
 		s2pl:     s2pl.NewManager(),
@@ -333,10 +317,9 @@ func (db *DB) CreateTable(name string) error {
 	db.tables[name] = &tableInfo{
 		name: name,
 		heap: storage.NewTable(name, storage.Config{
-			IODelay:          db.cfg.IODelay,
-			CacheMissRatio:   db.cfg.CacheMissRatio,
-			DisableReadLatch: db.hooks.DisableReadLatch,
-			Trace:            db.hooks.Trace,
+			IODelay:        db.cfg.IODelay,
+			CacheMissRatio: db.cfg.CacheMissRatio,
+			Trace:          db.hooks.Trace,
 		}),
 		pkName: "i." + name + ".pk",
 		second: make(map[string]*secondaryIndex),

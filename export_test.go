@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// Hooks are the engine's test-only seams (testHooks in db.go): the fence
-// ablations, the trace function and the WAL filesystem override.
+// Hooks are the engine's test-only seams (testHooks in db.go): the §3.3.1
+// ablation, the trace function and the WAL filesystem override.
 type Hooks = testHooks
 
 // OpenWithHooks is Open with test-only seams set.

@@ -17,21 +17,23 @@ import (
 // separate steps; the per-page read latch (internal/storage/latch.go)
 // makes the pair atomic with respect to writers of the same page. The
 // trace seam's Read point fires exactly between the two steps, and a
-// pauser armed on it parks a chosen reader there, so the tests can:
-//
-//   - reproduce the missed rw-antidependency on the unlatched code path
-//     (Hooks.DisableReadLatch): a writer slips its CheckWrite probe
-//     into the window, both transactions commit, and write skew is
-//     admitted under SERIALIZABLE — the §2.1.1 silent corruption;
-//   - prove the latch closes it: the same interleaving cannot be
-//     scheduled (the writer blocks on the latch until the reader's
-//     SIREAD lock is registered), and exactly one transaction aborts
-//     with a serialization failure.
+// pauser armed on it parks a chosen reader there, so the tests prove the
+// latch closes the window: the canonical write-skew interleaving cannot
+// be scheduled (the writer blocks on the latch until the reader's SIREAD
+// lock is registered), and exactly one transaction aborts with a
+// serialization failure. Without the latch a writer would slip its
+// CheckWrite probe into the window, both transactions would commit, and
+// write skew would survive SERIALIZABLE — the §2.1.1 silent corruption.
+// The mutation table (mutants_test.go) removes the latch from each read
+// path and from the write path in turn, and requires these tests to fail.
 //
 // The absent-key/gap case has no such window — the index leaf gap lock
-// is taken under the btree tree lock before the heap read — and the
-// tests document that by asserting detection with the latch both on and
-// off.
+// is taken under the btree tree lock before the heap read, which holds
+// no page latch at all.
+//
+// Subtests named latch-disabled=false or fencing-disabled=false keep the
+// names they had when each fence could be switched off, so test IDs and
+// archived results still compare.
 
 // pauser is the one harness every interleaving test in this package
 // parks a transaction with. It is a trace function (Hooks.Trace) that,
@@ -82,12 +84,13 @@ func ofXID(xid uint64) func(trace.Event) bool {
 	return func(ev trace.Event) bool { return ev.XID == xid }
 }
 
-// windowDB builds a two-row database whose rows land on distinct heap
-// pages (64 filler rows push k2 onto the next page), so the latch held
-// by a paused reader of k1 does not incidentally block reads of k2.
-func windowDB(t *testing.T, h pgssi.Hooks) *pgssi.DB {
+// windowDB builds a two-row database, traced by p, whose rows land on
+// distinct heap pages (64 filler rows push k2 onto the next page), so the
+// latch held by a paused reader of k1 does not incidentally block reads
+// of k2.
+func windowDB(t *testing.T, p *pauser) *pgssi.DB {
 	t.Helper()
-	db := pgssi.OpenWithHooks(pgssi.Config{}, h)
+	db := pgssi.OpenWithHooks(pgssi.Config{}, pgssi.Hooks{Trace: p.trace})
 	if err := db.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +135,9 @@ func readKey(tx *pgssi.Tx, key string, viaScan bool) ([]byte, error) {
 //	T1: read k1 … [window] …            … write k2, commit
 //	T2:            read k2, write k1, commit
 //
-// With the latch disabled T2 commits entirely inside T1's window; with
-// it enabled T2 blocks on the page latch until T1's SIREAD lock is in
-// the table. Returns the first error of each transaction.
-func driveWindowWriteSkew(t *testing.T, db *pgssi.DB, p *pauser, disableLatch, viaScan bool) (err1, err2 error) {
+// T2 blocks on the page latch until T1's SIREAD lock is in the table.
+// Returns the first error of each transaction.
+func driveWindowWriteSkew(t *testing.T, db *pgssi.DB, p *pauser, viaScan bool) (err1, err2 error) {
 	t.Helper()
 	t1, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
 	mustExec(t, err)
@@ -156,8 +158,7 @@ func driveWindowWriteSkew(t *testing.T, db *pgssi.DB, p *pauser, disableLatch, v
 				return err
 			}
 			// Keep the canonical order: T1 resumes its writes only
-			// after T2 is done (in the unlatched run T2 is already
-			// done when the pause lifts).
+			// after T2 is done.
 			<-t2finished
 			if err := t1.Update("t", "k2", []byte("off")); err != nil {
 				t1.Rollback()
@@ -185,21 +186,13 @@ func driveWindowWriteSkew(t *testing.T, db *pgssi.DB, p *pauser, disableLatch, v
 
 	<-p.inWindow
 	close(t2start)
-	if disableLatch {
-		// The open window: the writer must be able to run to commit
-		// while the reader is paused between its visibility check and
-		// its SIREAD insertion.
-		<-t2finished
-	} else {
-		// The latch excludes the writer for as long as the reader
-		// holds the page. (A false pass here would need T2 to finish;
-		// a slow scheduler can only make the select take the safe
-		// timeout arm.)
-		select {
-		case <-t2finished:
-			t.Fatal("writer committed while reader held the page latch")
-		case <-time.After(50 * time.Millisecond):
-		}
+	// The latch excludes the writer for as long as the reader holds the
+	// page. (A false pass here would need T2 to finish; a slow scheduler
+	// can only make the select take the safe timeout arm.)
+	select {
+	case <-t2finished:
+		t.Fatal("writer committed while reader held the page latch")
+	case <-time.After(50 * time.Millisecond):
 	}
 	close(p.release)
 	<-t1finished
@@ -229,30 +222,16 @@ func onCount(t *testing.T, db *pgssi.DB) int {
 func TestDetectionWindowWriteSkew(t *testing.T) {
 	// The Scan case runs through the streaming scan read path:
 	// visibility and SIREAD registration for a whole heap page happen
-	// under one shared latch, registration before the latch drops. It
-	// must preserve the PR 2 atomicity exactly: with the latch ablated
-	// the same missed antidependency reappears through the batched code,
-	// and with it enabled the writer provably blocks until the batch's
-	// registration is in the table.
+	// under one shared latch, registration before the latch drops, so
+	// the writer provably blocks until the batch's registration is in
+	// the table.
 	for _, via := range []struct {
 		name    string
 		viaScan bool
 	}{{"Get", false}, {"Scan", true}} {
 		t.Run(via.name, func(t *testing.T) {
-			t.Run("latch-disabled-misses-antidependency", func(t *testing.T) {
-				// The regression PR 2 fixed, reproduced: with the
-				// latch ablated, T2's CheckWrite runs in T1's window,
-				// sees neither T1's SIREAD lock nor a conflicting
-				// version, and the rw-antidependency T1 → T2 is lost.
-				// Both transactions commit and the write-skew anomaly
-				// survives SERIALIZABLE.
-				err1, err2 := runWindowWriteSkewCheck(t, true, via.viaScan)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("expected the unlatched engine to miss the conflict and commit both: err1=%v err2=%v", err1, err2)
-				}
-			})
 			t.Run("latch-enabled-detects", func(t *testing.T) {
-				err1, err2 := runWindowWriteSkewCheck(t, false, via.viaScan)
+				err1, err2 := runWindowWriteSkewCheck(t, via.viaScan)
 				if (err1 == nil) == (err2 == nil) {
 					t.Fatalf("exactly one transaction should fail: err1=%v err2=%v", err1, err2)
 				}
@@ -271,11 +250,11 @@ func TestDetectionWindowWriteSkew(t *testing.T) {
 // runWindowWriteSkewCheck runs the interleaving and verifies the final
 // state matches the commit outcome: the invariant "at least one of k1,
 // k2 is on" is broken exactly when both transactions committed.
-func runWindowWriteSkewCheck(t *testing.T, disableLatch, viaScan bool) (err1, err2 error) {
+func runWindowWriteSkewCheck(t *testing.T, viaScan bool) (err1, err2 error) {
 	t.Helper()
 	p := newPauser()
-	db := windowDB(t, pgssi.Hooks{DisableReadLatch: disableLatch, Trace: p.trace})
-	err1, err2 = driveWindowWriteSkew(t, db, p, disableLatch, viaScan)
+	db := windowDB(t, p)
+	err1, err2 = driveWindowWriteSkew(t, db, p, viaScan)
 	aborted := 0
 	for _, e := range []error{err1, err2} {
 		if e != nil {
@@ -294,58 +273,56 @@ func runWindowWriteSkewCheck(t *testing.T, disableLatch, viaScan bool) (err1, er
 // TestDetectionWindowWriterFirst is the opposite commit order: the
 // writer's update and commit land entirely before the reader's
 // visibility check, so the conflict is inferred from MVCC data (§5.2's
-// "if the write happens first" case) and detection cannot depend on the
-// latch. Exactly one transaction must abort with the latch on or off.
+// "if the write happens first" case) and detection does not depend on
+// the latch. Exactly one transaction must abort.
 func TestDetectionWindowWriterFirst(t *testing.T) {
 	for _, via := range []struct {
 		name    string
 		viaScan bool
 	}{{"Get", false}, {"Scan", true}} {
-		for _, disable := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/latch-disabled=%v", via.name, disable), func(t *testing.T) {
-				db := windowDB(t, pgssi.Hooks{DisableReadLatch: disable})
-				t1, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
-				mustExec(t, err)
-				t2, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
-				mustExec(t, err)
+		t.Run(via.name+"/latch-disabled=false", func(t *testing.T) {
+			db := windowDB(t, newPauser())
+			t1, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+			mustExec(t, err)
+			t2, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+			mustExec(t, err)
 
-				// T2 runs to completion first (T1's snapshot already
-				// taken, so the transactions are concurrent).
-				var err2 error
-				if _, err := readKey(t2, "k2", via.viaScan); err != nil {
-					t.Fatal(err)
-				}
-				if err := t2.Update("t", "k1", []byte("off")); err != nil {
-					err2 = err
-					t2.Rollback()
-				} else {
-					err2 = t2.Commit()
-				}
-				mustExec(t, err2)
+			// T2 runs to completion first (T1's snapshot already
+			// taken, so the transactions are concurrent).
+			var err2 error
+			if _, err := readKey(t2, "k2", via.viaScan); err != nil {
+				t.Fatal(err)
+			}
+			if err := t2.Update("t", "k1", []byte("off")); err != nil {
+				err2 = err
+				t2.Rollback()
+			} else {
+				err2 = t2.Commit()
+			}
+			mustExec(t, err2)
 
-				// T1's read of k1 now sees T2's committed, invisible
-				// version: conflict out via MVCC.
-				var err1 error
-				if _, err := readKey(t1, "k1", via.viaScan); err != nil {
-					err1 = err
-					t1.Rollback()
-				} else if err := t1.Update("t", "k2", []byte("off")); err != nil {
-					err1 = err
-					t1.Rollback()
-				} else {
-					err1 = t1.Commit()
-				}
-				if err1 == nil {
-					t.Fatal("T1 must abort: T2 → T1 → T2 is a cycle with T2 committed")
-				}
-				if !pgssi.IsSerializationFailure(err1) {
-					t.Fatalf("expected serialization failure, got %v", err1)
-				}
-				if n := onCount(t, db); n != 1 {
-					t.Fatalf("invariant broken: %d rows on, want 1", n)
-				}
-			})
-		}
+			// T1's read of k1 now sees T2's committed, invisible
+			// version: conflict out via MVCC.
+			var err1 error
+			if _, err := readKey(t1, "k1", via.viaScan); err != nil {
+				err1 = err
+				t1.Rollback()
+			} else if err := t1.Update("t", "k2", []byte("off")); err != nil {
+				err1 = err
+				t1.Rollback()
+			} else {
+				err1 = t1.Commit()
+			}
+			if err1 == nil {
+				t.Fatal("T1 must abort: T2 → T1 → T2 is a cycle with T2 committed")
+			}
+			if !pgssi.IsSerializationFailure(err1) {
+				t.Fatalf("expected serialization failure, got %v", err1)
+			}
+			if n := onCount(t, db); n != 1 {
+				t.Fatalf("invariant broken: %d rows on, want 1", n)
+			}
+		})
 	}
 }
 
@@ -353,71 +330,69 @@ func TestDetectionWindowWriterFirst(t *testing.T) {
 // transactions each probe a missing key and insert the other's key. The
 // gap path has no detection window — the index leaf gap lock is taken
 // under the btree tree lock before the heap read — so the antidependency
-// cycle is caught with the latch disabled as well, with the reader
-// paused in the same hook window. The paused reader holds no page latch
-// (there is no visible version), so the writer completes in both modes.
+// cycle is caught with the reader paused in the same hook window, where
+// it holds no page latch (there is no visible version) and the writer
+// runs to completion.
 func TestDetectionWindowGapInsert(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("latch-disabled=%v", disable), func(t *testing.T) {
-			p := newPauser()
-			db := windowDB(t, pgssi.Hooks{DisableReadLatch: disable, Trace: p.trace})
-			t1, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
-			mustExec(t, err)
-			t2, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
-			mustExec(t, err)
+	t.Run("latch-disabled=false", func(t *testing.T) {
+		p := newPauser()
+		db := windowDB(t, p)
+		t1, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+		mustExec(t, err)
+		t2, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+		mustExec(t, err)
 
-			p.arm(trace.Read, ofKey("g1"))
-			t1finished := make(chan struct{})
-			t2finished := make(chan struct{})
-			var err1, err2 error
-			go func() {
-				defer close(t1finished)
-				err1 = func() error {
-					if _, err := t1.Get("t", "g1"); !errors.Is(err, pgssi.ErrNotFound) {
-						return fmt.Errorf("gap probe: got %v, want ErrNotFound", err)
-					}
-					<-t2finished
-					if err := t1.Insert("t", "g2", []byte("v")); err != nil {
-						t1.Rollback()
-						return err
-					}
-					return t1.Commit()
-				}()
+		p.arm(trace.Read, ofKey("g1"))
+		t1finished := make(chan struct{})
+		t2finished := make(chan struct{})
+		var err1, err2 error
+		go func() {
+			defer close(t1finished)
+			err1 = func() error {
+				if _, err := t1.Get("t", "g1"); !errors.Is(err, pgssi.ErrNotFound) {
+					return fmt.Errorf("gap probe: got %v, want ErrNotFound", err)
+				}
+				<-t2finished
+				if err := t1.Insert("t", "g2", []byte("v")); err != nil {
+					t1.Rollback()
+					return err
+				}
+				return t1.Commit()
 			}()
+		}()
 
-			<-p.inWindow
-			// T2 commits entirely while T1 is paused after its gap
-			// probe: the index gap lock T1 took before the pause is
-			// what T2's CheckIndexInsert must find.
-			go func() {
-				defer close(t2finished)
-				err2 = func() error {
-					if _, err := t2.Get("t", "g2"); !errors.Is(err, pgssi.ErrNotFound) {
-						return fmt.Errorf("gap probe: got %v, want ErrNotFound", err)
-					}
-					if err := t2.Insert("t", "g1", []byte("v")); err != nil {
-						t2.Rollback()
-						return err
-					}
-					return t2.Commit()
-				}()
+		<-p.inWindow
+		// T2 commits entirely while T1 is paused after its gap
+		// probe: the index gap lock T1 took before the pause is
+		// what T2's CheckIndexInsert must find.
+		go func() {
+			defer close(t2finished)
+			err2 = func() error {
+				if _, err := t2.Get("t", "g2"); !errors.Is(err, pgssi.ErrNotFound) {
+					return fmt.Errorf("gap probe: got %v, want ErrNotFound", err)
+				}
+				if err := t2.Insert("t", "g1", []byte("v")); err != nil {
+					t2.Rollback()
+					return err
+				}
+				return t2.Commit()
 			}()
-			<-t2finished
-			close(p.release)
-			<-t1finished
+		}()
+		<-t2finished
+		close(p.release)
+		<-t1finished
 
-			if (err1 == nil) == (err2 == nil) {
-				t.Fatalf("exactly one transaction should fail: err1=%v err2=%v", err1, err2)
-			}
-			failed := err1
-			if failed == nil {
-				failed = err2
-			}
-			if !pgssi.IsSerializationFailure(failed) {
-				t.Fatalf("failure should be a serialization failure, got %v", failed)
-			}
-		})
-	}
+		if (err1 == nil) == (err2 == nil) {
+			t.Fatalf("exactly one transaction should fail: err1=%v err2=%v", err1, err2)
+		}
+		failed := err1
+		if failed == nil {
+			failed = err2
+		}
+		if !pgssi.IsSerializationFailure(failed) {
+			t.Fatalf("failure should be a serialization failure, got %v", failed)
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -427,12 +402,12 @@ func TestDetectionWindowGapInsert(t *testing.T) {
 // through a sharded registry with a snapshot-ordering step, conflict-free
 // commits run under only their own edge lock, and cleanup moved to an
 // epoch reclaimer. Each narrowed critical section is falsifiable the same
-// way the PR 2 read latch is: the pauser parks a transaction inside the
-// window at the trace seam's Begin or PreCommit point, and
-// Hooks.DisableLifecycleFencing reopens it. With fencing enabled the
-// tests prove the racing transaction provably blocks and the anomaly
-// cannot be scheduled; with it disabled the same schedule admits a
-// concrete serializability violation.
+// way the read latch is: the pauser parks a transaction inside the
+// window at the trace seam's Begin or PreCommit point, and the tests
+// prove the racing transaction blocks and the anomaly cannot be
+// scheduled. The mutation table's "Commit unfenced" and "read-only Begin
+// unfenced" entries (mutants_test.go) split each critical section at its
+// trace point and require these tests to fail.
 
 // TestLifecyclePreCommitWindowWriteSkew drives write skew against the
 // pre-commit window: T1 passes its pre-commit serialization check and is
@@ -446,21 +421,12 @@ func TestDetectionWindowGapInsert(t *testing.T) {
 // With fencing, the check and the assignment are one critical section
 // (T1 holds its edge lock across the window, since it is conflict-free
 // at check time), so T2's conflict flagging provably blocks until T1 is
-// committed and exactly one transaction fails. With the fencing
-// disabled, T1 commits despite the doom and the write-skew anomaly
-// survives SERIALIZABLE.
+// committed and exactly one transaction fails. Split, T1 would commit
+// despite the doom and the write-skew anomaly would survive
+// SERIALIZABLE.
 func TestLifecyclePreCommitWindowWriteSkew(t *testing.T) {
-	t.Run("fencing-disabled-misses-doom", func(t *testing.T) {
-		err1, err2, on := runLifecyclePreCommitWindow(t, true)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("expected the unfenced engine to commit both: err1=%v err2=%v", err1, err2)
-		}
-		if on != 0 {
-			t.Fatalf("write skew admitted but invariant intact: %d rows on, want 0", on)
-		}
-	})
 	t.Run("fencing-blocks-and-detects", func(t *testing.T) {
-		err1, err2, on := runLifecyclePreCommitWindow(t, false)
+		err1, err2, on := runLifecyclePreCommitWindow(t)
 		if (err1 == nil) == (err2 == nil) {
 			t.Fatalf("exactly one transaction should fail: err1=%v err2=%v", err1, err2)
 		}
@@ -477,10 +443,10 @@ func TestLifecyclePreCommitWindowWriteSkew(t *testing.T) {
 	})
 }
 
-func runLifecyclePreCommitWindow(t *testing.T, disableFencing bool) (err1, err2 error, on int) {
+func runLifecyclePreCommitWindow(t *testing.T) (err1, err2 error, on int) {
 	t.Helper()
 	p := newPauser()
-	db := windowDB(t, pgssi.Hooks{DisableLifecycleFencing: disableFencing, Trace: p.trace})
+	db := windowDB(t, p)
 	t1, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
 	mustExec(t, err)
 	t2, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
@@ -516,19 +482,13 @@ func runLifecyclePreCommitWindow(t *testing.T, disableFencing bool) (err1, err2 
 		}()
 	}()
 
-	if disableFencing {
-		// The reopened window: T2 must be able to run to commit while
-		// T1 sits between its passed check and its commit.
-		<-t2done
-	} else {
-		// T1 holds its commit critical section across the window; T2's
-		// first conflict against T1 (its read of k2 sees T1's
-		// uncommitted version) must block on it.
-		select {
-		case <-t2done:
-			t.Fatal("T2 finished while T1 held its commit critical section")
-		case <-time.After(50 * time.Millisecond):
-		}
+	// T1 holds its commit critical section across the window; T2's first
+	// conflict against T1 (its read of k2 sees T1's uncommitted version)
+	// must block on it.
+	select {
+	case <-t2done:
+		t.Fatal("T2 finished while T1 held its commit critical section")
+	case <-time.After(50 * time.Millisecond):
 	}
 	close(p.release)
 	<-t1done
@@ -547,110 +507,85 @@ func runLifecyclePreCommitWindow(t *testing.T, disableFencing bool) (err1, err2 
 //	X:  read k1 … write k2 …                  … commit (out-conflict C1)
 //	RO:              snapshot [window] register-watchers, read k1, k2
 //
-// With fencing, Begin holds the snapshot and the watcher scan in one
-// critical section: X's commit provably blocks until RO is watching it,
-// the verdict resolves to unsafe, and RO's subsequent read of k2 — a
-// dangerous structure RO → X → T3 with T3 committed before RO's
-// snapshot — correctly aborts RO. With the fencing disabled, X's commit
-// escapes the bookkeeping, RO is wrongly marked safe (it drops SSI
-// tracking entirely), and it silently observes the impossible state
-// {k1 from T3, k2 pre-X}: RO must follow T3 (it saw T3's write),
-// precede X (it missed X's write), yet X precedes T3 in every serial
-// order (X read k1 before T3 changed it) — a cycle.
+// Begin holds the snapshot and the watcher scan in one critical
+// section: X's commit provably blocks until RO is watching it, the
+// verdict resolves to unsafe, and RO's subsequent read of k2 — a
+// dangerous structure RO → X → T3 with T3 committed before RO's snapshot
+// — correctly aborts RO. Were RO wrongly marked safe (it would drop SSI
+// tracking entirely), it would silently observe the impossible state
+// {k1 from T3, k2 pre-X}: RO must follow T3 (it saw T3's write), precede
+// X (it missed X's write), yet X precedes T3 in every serial order (X
+// read k1 before T3 changed it) — a cycle.
 func TestLifecycleReadOnlyBeginWindow(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("fencing-disabled=%v", disable), func(t *testing.T) {
-			p := newPauser()
-			db := windowDB(t, pgssi.Hooks{DisableLifecycleFencing: disable, Trace: p.trace})
-			x, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
-			mustExec(t, err)
-			t3, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
-			mustExec(t, err)
+	t.Run("fencing-disabled=false", func(t *testing.T) {
+		p := newPauser()
+		db := windowDB(t, p)
+		x, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+		mustExec(t, err)
+		t3, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+		mustExec(t, err)
 
-			// X reads k1, then T3 overwrites it and commits: X → T3.
-			if _, err := x.Get("t", "k1"); err != nil {
-				t.Fatal(err)
-			}
-			if err := t3.Update("t", "k1", []byte("t3")); err != nil {
-				t.Fatal(err)
-			}
-			mustExec(t, t3.Commit())
-			// X writes, so its commit matters for snapshot safety.
-			if err := x.Update("t", "k2", []byte("x")); err != nil {
-				t.Fatal(err)
-			}
+		// X reads k1, then T3 overwrites it and commits: X → T3.
+		if _, err := x.Get("t", "k1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := t3.Update("t", "k1", []byte("t3")); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, t3.Commit())
+		// X writes, so its commit matters for snapshot safety.
+		if err := x.Update("t", "k2", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
 
-			// RO begins and parks in the lifecycle window.
-			p.arm(trace.Begin, nil)
-			var ro *pgssi.Tx
-			roBegun := make(chan struct{})
-			go func() {
-				defer close(roBegun)
-				var err error
-				ro, err = db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable, ReadOnly: true})
-				if err != nil {
-					t.Error(err)
-				}
-			}()
-			<-p.inWindow
+		// RO begins and parks in the lifecycle window.
+		p.arm(trace.Begin, nil)
+		var ro *pgssi.Tx
+		roBegun := make(chan struct{})
+		go func() {
+			defer close(roBegun)
+			var err error
+			ro, err = db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable, ReadOnly: true})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+		<-p.inWindow
 
-			// X commits inside RO's begin window.
-			xdone := make(chan struct{})
-			var xerr error
-			go func() {
-				defer close(xdone)
-				xerr = x.Commit()
-			}()
-			if disable {
-				// The reopened window: X's commit completes while RO is
-				// between its snapshot and its watcher registration.
-				<-xdone
-			} else {
-				// RO's fenced Begin holds the critical section; X's
-				// commit must block on it.
-				select {
-				case <-xdone:
-					t.Fatal("X committed while RO held its begin critical section")
-				case <-time.After(50 * time.Millisecond):
-				}
-			}
-			close(p.release)
-			<-roBegun
-			<-xdone
-			mustExec(t, xerr)
+		// X commits inside RO's begin window: RO's Begin holds the
+		// critical section, so X's commit must block on it.
+		xdone := make(chan struct{})
+		var xerr error
+		go func() {
+			defer close(xdone)
+			xerr = x.Commit()
+		}()
+		select {
+		case <-xdone:
+			t.Fatal("X committed while RO held its begin critical section")
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(p.release)
+		<-roBegun
+		<-xdone
+		mustExec(t, xerr)
 
-			v1, err1 := ro.Get("t", "k1")
-			if disable {
-				// Missed verdict: RO believes its snapshot is safe and
-				// observes the impossible state.
-				if !ro.OnSafeSnapshot() {
-					t.Fatal("unfenced begin should wrongly mark the snapshot safe")
-				}
-				mustExec(t, err1)
-				v2, err2 := ro.Get("t", "k2")
-				mustExec(t, err2)
-				if string(v1) != "t3" || string(v2) != "on" {
-					t.Fatalf("expected the anomalous pair {k1=t3, k2=on}, got {k1=%s, k2=%s}", v1, v2)
-				}
-				mustExec(t, ro.Commit())
-				return
-			}
-			// Fenced: the verdict is unsafe, RO keeps full SSI tracking,
-			// and the dangerous structure RO → X → T3 aborts RO when it
-			// tries to read around X's write.
-			if ro.OnSafeSnapshot() {
-				t.Fatal("fenced begin must resolve the snapshot unsafe")
-			}
-			mustExec(t, err1)
-			_, err2 := ro.Get("t", "k2")
-			if err2 == nil {
-				ro.Rollback()
-				t.Fatal("RO's read of k2 must abort: RO → X → T3 with T3 committed before RO's snapshot")
-			}
-			if !pgssi.IsSerializationFailure(err2) {
-				t.Fatalf("expected serialization failure, got %v", err2)
-			}
+		_, err1 := ro.Get("t", "k1")
+		// The verdict is unsafe, RO keeps full SSI tracking, and the
+		// dangerous structure RO → X → T3 aborts RO when it tries to read
+		// around X's write.
+		if ro.OnSafeSnapshot() {
+			t.Fatal("fenced begin must resolve the snapshot unsafe")
+		}
+		mustExec(t, err1)
+		_, err2 := ro.Get("t", "k2")
+		if err2 == nil {
 			ro.Rollback()
-		})
-	}
+			t.Fatal("RO's read of k2 must abort: RO → X → T3 with T3 committed before RO's snapshot")
+		}
+		if !pgssi.IsSerializationFailure(err2) {
+			t.Fatalf("expected serialization failure, got %v", err2)
+		}
+		ro.Rollback()
+	})
 }

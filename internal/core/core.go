@@ -158,19 +158,6 @@ type Config struct {
 	// Set to 1 to reproduce the single-mutex table.
 	Partitions int
 
-	// DisableLifecycleFencing reopens the lifecycle windows that the
-	// fine-grained Begin/Commit locking must keep closed. Test-only
-	// ablation; never set it in production. With it set:
-	//
-	//   - a read-only Begin registers its safety watchers in a separate
-	//     critical section from its snapshot, so a read/write
-	//     transaction committing in between escapes the bookkeeping and
-	//     the safe-snapshot verdict can be wrong;
-	//   - Commit assigns the commit sequence in a separate critical
-	//     section from the pre-commit check, so a dangerous structure
-	//     completed in between (including a doom of the committer) is
-	//     missed.
-	DisableLifecycleFencing bool
 	// Trace, if non-nil, receives the Begin, PreCommit and WriteProbe
 	// events (internal/trace). Test-only; it must not call back into the
 	// Manager.
@@ -515,32 +502,16 @@ func (m *Manager) Begin(xid mvcc.TxID, snapFn func() *mvcc.Snapshot, readOnly, d
 	return x, snap
 }
 
-// beginReadOnly is the fenced Begin path for declared read-only
-// transactions with the §4 optimizations enabled.
+// beginReadOnly is the Begin path for declared read-only transactions
+// with the §4 optimizations enabled: the snapshot and the safety-watcher
+// registration are one m.mu critical section (§4.2).
 func (m *Manager) beginReadOnly(x *Xact, snapFn func() *mvcc.Snapshot) *mvcc.Snapshot {
 	x.safeCh = make(chan struct{})
-	if m.cfg.DisableLifecycleFencing {
-		// Ablation: snapshot and watcher registration in separate
-		// critical sections, with the Begin trace point in the reopened
-		// window. A read/write transaction committing in the window is
-		// committed by the time the scan below runs, and the ablated
-		// scan passes over committed transactions — its fate escapes
-		// the safety bookkeeping entirely.
-		m.mu.Lock()
-		snap := snapFn()
-		x.SnapshotSeq = snap.SeqNo
-		m.mu.Unlock()
-		m.trace(trace.Begin, x.XID)
-		m.mu.Lock()
-		m.registerROWatchesLocked(x, false)
-		m.mu.Unlock()
-		return snap
-	}
 	m.mu.Lock()
 	snap := snapFn()
 	x.SnapshotSeq = snap.SeqNo
 	m.trace(trace.Begin, x.XID)
-	m.registerROWatchesLocked(x, true)
+	m.registerROWatchesLocked(x)
 	m.mu.Unlock()
 	return snap
 }
@@ -562,10 +533,11 @@ func (m *Manager) beginReadOnly(x *Xact, snapFn func() *mvcc.Snapshot) *mvcc.Sna
 // commits). What the registry does not hold cannot decide x's safety:
 // transactions declared read-only, aborted ones, and ones that committed
 // without writing (finishXact). Of the rest, those committed at or
-// before x's snapshot are skipped. includeCommitted is false only under
-// the DisableLifecycleFencing ablation, which deliberately skips
-// committed transactions.
-func (m *Manager) registerROWatchesLocked(x *Xact, includeCommitted bool) {
+// before x's snapshot are skipped. The argument needs the snapshot and
+// this scan in one m.mu critical section (beginReadOnly): the mutation
+// table's "read-only Begin unfenced" entry (mutants_test.go) splits them,
+// and TestLifecycleReadOnlyBeginWindow catches it.
+func (m *Manager) registerROWatchesLocked(x *Xact) {
 	var cands []*Xact
 	for i := range m.xshards {
 		s := &m.xshards[i]
@@ -585,7 +557,7 @@ func (m *Manager) registerROWatchesLocked(x *Xact, includeCommitted bool) {
 			// c committed after x's snapshot (or before it — then
 			// CommitSeq <= SnapshotSeq filters it): apply the §4.2 rule
 			// directly.
-			unsafe = includeCommitted && c.CommitSeq > x.SnapshotSeq && c.wrote &&
+			unsafe = c.CommitSeq > x.SnapshotSeq && c.wrote &&
 				c.earliestOutConflictCommit != 0 && c.earliestOutConflictCommit <= x.SnapshotSeq
 		default:
 			if x.possibleUnsafe == nil {

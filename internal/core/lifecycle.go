@@ -36,10 +36,6 @@ import (
 // Cleanup and summarization are NOT part of either critical section any
 // more; they are deferred to the epoch reclaimer (reclaim.go).
 func (m *Manager) Commit(x *Xact, commitFn func() mvcc.SeqNo) error {
-	if m.cfg.DisableLifecycleFencing {
-		return m.commitUnfenced(x, commitFn)
-	}
-
 	x.edgeMu.Lock()
 	if m.fastCommitEligibleLocked(x) {
 		m.trace(trace.PreCommit, x.XID)
@@ -57,35 +53,6 @@ func (m *Manager) Commit(x *Xact, commitFn func() mvcc.SeqNo) error {
 		return err
 	}
 	m.trace(trace.PreCommit, x.XID)
-	seq := commitFn()
-	n := m.finishCommitLocked(x, seq)
-	m.mu.Unlock()
-	m.afterCommit(n)
-	return nil
-}
-
-// commitUnfenced is the DisableLifecycleFencing ablation of Commit: the
-// pre-commit check and the commit-sequence assignment run in separate
-// critical sections, with the PreCommit trace point in the reopened window
-// and no re-check afterwards. A dangerous structure completed in the
-// window — including one that dooms this transaction — is missed, and
-// the transaction commits anyway. The second half still takes the
-// proper locks (the ablation reopens the logical window, it does not
-// introduce data races).
-func (m *Manager) commitUnfenced(x *Xact, commitFn func() mvcc.SeqNo) error {
-	x.edgeMu.Lock()
-	fast := m.fastCommitEligibleLocked(x)
-	x.edgeMu.Unlock()
-	if !fast {
-		m.mu.Lock()
-		err := m.preCommitCheckLocked(x)
-		m.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	m.trace(trace.PreCommit, x.XID)
-	m.mu.Lock()
 	seq := commitFn()
 	n := m.finishCommitLocked(x, seq)
 	m.mu.Unlock()

@@ -9,7 +9,7 @@ import (
 )
 
 // Tests in this file cover the CSN snapshot scheme's edges: the
-// commit-publication window (fenced and ablated), Status below the
+// commit-publication window, Status below the
 // truncation floor, own-xid visibility, CSN monotonicity under
 // concurrency, done-channel wakeup ordering and AutoTruncate's horizon.
 // A few tests keep a "csn" subtest, the name they ran under while a
@@ -256,11 +256,14 @@ func TestDoneClosesOnlyAfterCommitVisible(t *testing.T) {
 	})
 }
 
-// TestCSNPublicationWindowFenced parks a committer between CSN
-// assignment and commit-log publication and proves the fence: a snapshot
-// taken inside the window excludes the commit entirely — before AND
-// after publication — while a snapshot taken after the commit completes
-// includes it.
+// TestCSNPublicationWindowFenced parks a committer at the CSNPublish
+// point, just before its CSN assignment and commit-log publication, and
+// proves the fence: a snapshot taken there excludes the commit entirely —
+// before AND after publication — while a snapshot taken after the commit
+// completes includes it. The mutation table's "CSN assigned before
+// publication" entry (mutants_test.go) parks the committer between the
+// two instead, and the same snapshot then resolves the commit first
+// in-progress, then committed.
 func TestCSNPublicationWindowFenced(t *testing.T) {
 	inWindow := make(chan struct{})
 	release := make(chan struct{})
@@ -295,41 +298,4 @@ func TestCSNPublicationWindowFenced(t *testing.T) {
 	if after := m.TakeSnapshot(); !after.Sees(x) {
 		t.Fatal("post-commit snapshot must see the commit")
 	}
-}
-
-// TestCSNPublicationWindowTornWithoutFencing is the ablation: with
-// DisableCSNFencing, snapshots read the assignment counter, and a
-// snapshot taken in the window first resolves the commit in-progress,
-// then — same snapshot — committed. That torn behaviour is exactly what
-// the fence exists to forbid.
-func TestCSNPublicationWindowTornWithoutFencing(t *testing.T) {
-	inWindow := make(chan struct{})
-	release := make(chan struct{})
-	var armed atomic.Bool
-	m := New(Config{DisableCSNFencing: true, Trace: func(ev trace.Event) {
-		if ev.Point == trace.CSNPublish && armed.CompareAndSwap(true, false) {
-			close(inWindow)
-			<-release
-		}
-	}})
-	x := m.Begin()
-	armed.Store(true)
-	committed := make(chan SeqNo, 1)
-	go func() { committed <- m.Commit(x) }()
-
-	<-inWindow
-	snap := m.TakeSnapshot()
-	if snap.Sees(x) {
-		t.Fatal("commit log not yet published: lookup cannot resolve the commit")
-	}
-	close(release)
-	seq := <-committed
-	if snap.SeqNo < seq {
-		t.Fatalf("ablated snapshot read the assignment counter: CSN %d should cover the in-window commit %d", snap.SeqNo, seq)
-	}
-	if !snap.Sees(x) {
-		t.Fatal("ablation lost the race shape: the same snapshot should now resolve the commit visible")
-	}
-	// With fencing this flip is impossible; the engine-level harness in
-	// the root package shows the resulting torn read on real rows.
 }

@@ -29,11 +29,11 @@
 // which takes the shard's read lock — serializes behind the publication
 // and resolves the commit. A reader can at worst block momentarily on the
 // shard of a mid-publication commit; it can never observe the
-// assigned-but-unpublished state. Config.DisableCSNFencing (test-only)
-// moves the CSN increment out of the critical section, reopening the
-// assignment→publication window; the trace seam's CSNPublish point
-// (internal/trace, Config.Trace) lets a test park a committer
-// deterministically at the window's location (degenerate when fenced).
+// assigned-but-unpublished state. The trace seam's CSNPublish point
+// (internal/trace, Config.Trace) lets a test park a committer just before
+// that step; the mutation table's "CSN assigned before publication" entry
+// (mutants_test.go) moves the increment out of the critical section, and
+// the harnesses parked there catch the torn snapshot that follows.
 //
 // # One horizon
 //
@@ -111,16 +111,8 @@ func (s Status) String() string {
 	}
 }
 
-// Config tunes a Manager. The zero value is the production configuration:
-// fencing on, 64 commit-log shards.
+// Config tunes a Manager. The zero value is the production configuration.
 type Config struct {
-	// DisableCSNFencing (test-only) moves a commit's CSN assignment out
-	// of the shard critical section that publishes the commit-log
-	// record, reopening the window between the two: a snapshot taken in
-	// the window carries a CSN covering the commit but can resolve it
-	// first as in-progress and later as committed — a torn snapshot.
-	// Never set it in production.
-	DisableCSNFencing bool
 	// Trace, if non-nil, receives the CSNPublish events (internal/trace).
 	// Test-only; it must not call back into lifecycle methods of the
 	// same Manager.
@@ -171,10 +163,6 @@ type txRecord struct {
 	status    Status
 	commitSeq SeqNo
 	beginSeq  SeqNo
-	// finishing marks a record whose Commit is in flight under the
-	// DisableCSNFencing ablation (CSN assigned but not yet published);
-	// it makes a double-finish a clean panic instead of a lost update.
-	finishing bool
 	done      chan struct{}
 }
 
@@ -265,9 +253,9 @@ func (m *Manager) shard(xid TxID) *logShard {
 }
 
 // trace fires the trace seam, if one is set.
-func (m *Manager) trace(p trace.Point, xid TxID, seq SeqNo) {
+func (m *Manager) trace(p trace.Point, xid TxID) {
 	if f := m.cfg.Trace; f != nil {
-		f(trace.Event{Point: p, XID: uint64(xid), Seq: uint64(seq)})
+		f(trace.Event{Point: p, XID: uint64(xid)})
 	}
 }
 
@@ -318,22 +306,10 @@ func (m *Manager) TakeSnapshot() *Snapshot {
 // holds the shard's mutex.
 func finishableLocked(sh *logShard, xid TxID, op string) *txRecord {
 	rec := sh.recs[xid]
-	if rec == nil || rec.status != StatusInProgress || rec.finishing {
+	if rec == nil || rec.status != StatusInProgress {
 		sh.mu.Unlock()
 		panic(fmt.Sprintf("mvcc: %s of non-active transaction %d", op, xid))
 	}
-	return rec
-}
-
-// beginFinish claims xid's record for a finish whose CSN assignment
-// happens outside the shard critical section (the DisableCSNFencing
-// ablation), so a concurrent double-finish is a clean panic instead of a
-// lost update.
-func (m *Manager) beginFinish(sh *logShard, xid TxID, op string) *txRecord {
-	sh.mu.Lock()
-	rec := finishableLocked(sh, xid, op)
-	rec.finishing = true
-	sh.mu.Unlock()
 	return rec
 }
 
@@ -346,49 +322,20 @@ func (m *Manager) beginFinish(sh *logShard, xid TxID, op string) *txRecord {
 // what makes a snapshot all-or-nothing: a snapshot whose CSN covers this
 // commit observed the counter increment, so its commit-log lookup —
 // behind the shard's read lock — cannot run before the record write in
-// the same critical section (see the package comment). Under
-// DisableCSNFencing the increment happens before the critical section,
-// with the CSNPublish trace point in the reopened window.
+// the same critical section (see the package comment).
 func (m *Manager) Commit(xid TxID) SeqNo {
 	sh := m.shard(xid)
-	if m.cfg.DisableCSNFencing {
-		// Ablation: CSN assigned outside the publication critical
-		// section; a snapshot taken in between covers the commit but
-		// cannot resolve it yet — the torn-snapshot window.
-		rec := m.beginFinish(sh, xid, "Commit")
-		seq := SeqNo(m.assignedSeq.Add(1))
-		m.trace(trace.CSNPublish, xid, seq)
-		sh.mu.Lock()
-		m.publishCommitLocked(sh, rec, xid, seq)
-		m.finishCommit(rec)
-		return seq
-	}
-	m.trace(trace.CSNPublish, xid, InvalidSeqNo)
+	m.trace(trace.CSNPublish, xid)
 	sh.mu.Lock()
 	rec := finishableLocked(sh, xid, "Commit")
-	seq := m.publishCommitLocked(sh, rec, xid, InvalidSeqNo)
-	m.finishCommit(rec)
-	return seq
-}
-
-// publishCommitLocked writes the committed fate (assigning the CSN
-// unless the caller pre-assigned one — the DisableCSNFencing ablation)
-// and releases the shard mutex the caller holds.
-func (m *Manager) publishCommitLocked(sh *logShard, rec *txRecord, xid TxID, seq SeqNo) SeqNo {
-	if seq == InvalidSeqNo {
-		seq = SeqNo(m.assignedSeq.Add(1))
-	}
+	seq := SeqNo(m.assignedSeq.Add(1))
 	rec.status = StatusCommitted
 	rec.commitSeq = seq
 	delete(sh.active, xid)
 	sh.mu.Unlock()
-	return seq
-}
-
-// finishCommit is the shared post-publication tail of both Commit paths.
-func (m *Manager) finishCommit(rec *txRecord) {
 	m.activeCount.Add(-1)
 	close(rec.done)
+	return seq
 }
 
 // Abort marks xid aborted and wakes any waiters.

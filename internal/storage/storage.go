@@ -341,11 +341,6 @@ type Config struct {
 	// CacheMissRatio is the probability in [0,1] that a page access
 	// pays IODelay. Zero means every access is a hit.
 	CacheMissRatio float64
-	// DisableReadLatch disables the per-page read latch, reopening the
-	// window between the MVCC visibility check and SIREAD-lock
-	// insertion. Test-only ablation: the interleaving harness uses it
-	// to demonstrate the missed-antidependency race the latch closes.
-	DisableReadLatch bool
 	// Trace, if non-nil, receives the Read event (internal/trace).
 	// Test-only.
 	Trace trace.Func
@@ -453,7 +448,7 @@ func (t *Table) Read(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.
 	row, _, _ := t.index.Lookup(key, onLeaf)
 	var res ReadResult
 	if row != nil {
-		if latched && !t.cfg.DisableReadLatch {
+		if latched {
 			latch := t.latches.latch(row.page)
 			latch.RLock()
 			defer latch.RUnlock()
@@ -624,11 +619,8 @@ func (rd *Reader) readTracked(keys []string, rows []*Row, final bool) error {
 		}
 		page := rd.rows[i].page
 		t.simulateIO()
-		var latch *sync.RWMutex
-		if !t.cfg.DisableReadLatch {
-			latch = t.latches.latch(page)
-			latch.RLock()
-		}
+		latch := t.latches.latch(page)
+		latch.RLock()
 		items := rd.items[:0]
 		for ; i < cut && rd.rows[i] != nil && rd.rows[i].page == page; i++ {
 			v := rd.visible(rd.rows[i])
@@ -643,9 +635,7 @@ func (rd *Reader) readTracked(keys []string, rows []*Row, final bool) error {
 		if len(items) > 0 {
 			err = rd.onPage(page, items)
 		}
-		if latch != nil {
-			latch.RUnlock()
-		}
+		latch.RUnlock()
 		if err != nil {
 			return err
 		}
@@ -821,15 +811,10 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 	// so no reader of this page can put its visibility check between the
 	// stamp and the SIREAD probe. It is dropped with the row lock on every
 	// exit and before every wait.
-	var latch *sync.RWMutex
-	if !t.cfg.DisableReadLatch {
-		latch = t.latches.latch(row.page)
-	}
+	latch := t.latches.latch(row.page)
 	unlock := func() {
 		row.mu.Unlock()
-		if latch != nil {
-			latch.Unlock()
-		}
+		latch.Unlock()
 	}
 	fail := func(err error) (WriteResult, error) {
 		unlock()
@@ -840,9 +825,7 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 		return t.waitFor(xid, holder, mgr, wg)
 	}
 	for {
-		if latch != nil {
-			latch.Lock()
-		}
+		latch.Lock()
 		row.mu.Lock()
 		head := row.pruneAborted(mgr)
 		if head == nil {
@@ -915,9 +898,7 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 		if check != nil {
 			err = check(wr)
 		}
-		if latch != nil {
-			latch.Unlock()
-		}
+		latch.Unlock()
 		return wr, err
 	}
 }

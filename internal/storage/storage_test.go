@@ -481,29 +481,6 @@ func TestReadLatchExcludesWriter(t *testing.T) {
 	<-writerDone
 }
 
-// TestReadLatchDisabledAdmitsWriter is the ablation: with
-// DisableReadLatch a writer runs to completion inside the reader's
-// callback window — the exact schedule of the missed-antidependency
-// race the engine-level interleaving tests reproduce end to end.
-func TestReadLatchDisabledAdmitsWriter(t *testing.T) {
-	h := &harness{t: t, mgr: mvcc.NewManager(), tbl: NewTable("t", Config{DisableReadLatch: true}), wg: waitgraph.New()}
-	w := h.begin()
-	if err := h.insert(w, "a", "1"); err != nil {
-		t.Fatal(err)
-	}
-	h.mgr.Commit(w.xid)
-
-	r := h.begin()
-	err := h.tbl.Read("a", r.snap, r.xid, h.mgr, nil, true, func(res ReadResult) error {
-		// Single-threaded: the writer completes inside the window.
-		u := h.begin()
-		return h.update(u, "a", "2")
-	})
-	if err != nil {
-		t.Fatalf("unlatched writer should slip into the window, got %v", err)
-	}
-}
-
 // TestWriteCheckRunsUnderLatch verifies the write side: the check
 // callback observes the already-stamped version, runs before Update
 // returns, and excludes readers of the page until it finishes.

@@ -20,28 +20,34 @@ type Point uint8
 const (
 	// Begin fires in internal/core during a serializable Begin: for a
 	// read/write Begin, after registration and before the snapshot is
-	// taken; for a fenced read-only Begin, between the snapshot and the
-	// safety-watcher registration, inside the critical section (with
-	// DisableLifecycleFencing, inside the reopened window between them).
-	// XID is the new transaction.
+	// taken; for a read-only Begin, between the snapshot and the
+	// safety-watcher registration, inside the one critical section that
+	// holds both. The mutation entry "read-only Begin unfenced"
+	// (mutants_test.go) splits that section here. XID is the new
+	// transaction.
 	Begin Point = iota + 1
 	// PreCommit fires in internal/core between a serializable
 	// transaction's passing pre-commit check and its commit-sequence
-	// assignment, inside the commit critical section (outside it with
-	// DisableLifecycleFencing). XID is the committer.
+	// assignment, inside the commit critical section that holds both.
+	// The mutation entry "Commit unfenced" runs the check and the
+	// assignment in two critical sections with this point between them.
+	// XID is the committer.
 	PreCommit
-	// CSNPublish fires in internal/mvcc at a commit's CSN
-	// assignment→publication window, with no Manager lock held. Fenced, the window is degenerate: the event fires
-	// immediately before the atomic assignment+publication step and Seq is
-	// 0. With DisableCSNFencing it fires inside the reopened window and Seq
-	// is the assigned CSN.
+	// CSNPublish fires in internal/mvcc immediately before a commit's
+	// CSN assignment and commit-log publication, which are one step under
+	// the commit-log shard's mutex; no Manager lock is held. XID is the
+	// committer and Seq is 0. The mutation entry "CSN assigned before
+	// publication" assigns the CSN first and fires this point between the
+	// assignment and the publication.
 	CSNPublish
 	// Read fires in internal/storage on every heap read of a key, after
 	// the MVCC visibility check and before the caller's callback (where
 	// the SIREAD lock is inserted). A latched read fires it with the page
-	// latch held, so a reader parked there excludes writers to the page;
-	// with DisableReadLatch it fires in the open detection window the
-	// latch exists to close. Table and Key name the row, XID the reader.
+	// latch held, so a reader parked there excludes writers to the page.
+	// The mutation entries "Table.Read unlatched", "batch read
+	// unlatched" and "write unlatched" each drop one side of the latch,
+	// which opens the detection window here. Table and Key name the row,
+	// XID the reader.
 	Read
 	// WriteProbe fires in internal/core before each level of a
 	// serializable write's mutex-free SIREAD probe (CheckWrite), finest
