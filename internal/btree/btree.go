@@ -7,20 +7,19 @@
 // new right sibling, mirroring PredicateLockPageSplit.
 //
 // The payload is what makes the tree the engine's only index over a
-// table's rows: a table's primary tree is a Tree[*storage.Row], whose
-// leaf entry IS the row (the stable slot holding the version chain), so
-// a point read is one descent and a range scan never leaves the leaves.
-// Secondary indexes are Tree[string] (New), mapping an index entry to the
-// primary key it names.
+// table's rows: a table's primary tree is a Tree[storage.TID], whose leaf
+// entry names the row's slot on its heap page, so a point read is one
+// descent and a range scan never leaves the leaves. Secondary indexes are
+// Tree[string] (New), mapping an index entry to the primary key it names.
 //
 // Keys are unique. Non-unique secondary indexes are built by suffixing
 // the primary key onto the index key, the standard composite-key trick.
 // Entries are never removed and leaves never merged: a dead row keeps
-// its slot (visibility filters it), which is what lets a *Row outlive the
+// its slot (visibility filters it), which is what lets a TID outlive the
 // tree lock and a leaf walk resume from a next pointer.
 //
 // For the absent-key/gap case the tree lock itself plays the role the
-// per-page read latch (internal/storage/latch.go) plays for heap
+// heap page latch (internal/storage/latch.go) plays for heap
 // tuples: Lookup, Range and Leaves invoke their onPage callback — where
 // the engine takes the leaf-page SIREAD gap lock — while the tree lock
 // is held, and before the rows are read, so an insert (which runs its
@@ -82,8 +81,8 @@ func (n *node[V]) leaf() bool { return n.children == nil }
 // single RWMutex guards the whole tree; PostgreSQL's per-page latching
 // is unnecessary here because the interesting concurrency control
 // happens a level up. The tree lock is a leaf with respect to the
-// storage layer's locks: no row lock or page latch is ever taken while
-// it is held (onPage callbacks take internal/core locks only).
+// storage layer's locks: no page latch is ever taken while it is held
+// (onPage callbacks take internal/core locks only).
 type Tree[V any] struct {
 	mu   sync.RWMutex //ssi:lock level=10 name=btree.tree
 	root *node[V]
@@ -181,19 +180,21 @@ func (t *Tree[V]) Insert(key string, val V) (page PageID, added bool, splits []S
 	return page, added, splits
 }
 
-// GetOrInsert returns the value stored under key, storing mk() first if
-// the key is absent — the find-or-create a table uses for a key's row
-// slot, whose identity must never change once handed out. mk is called
-// (under the tree lock) only when the key is absent. The other results
-// are Insert's.
-func (t *Tree[V]) GetOrInsert(key string, mk func() V) (got V, page PageID, added bool, splits []Split) {
+// GetOrInsert returns the value stored under key, storing what mk(key)
+// returns first if the key is absent — the find-or-create a table uses
+// for a key's row slot, whose identity must never change once handed
+// out. mk is called (under the tree lock) only when the key is absent; it
+// returns the value and the key to store, a string equal to key (a table
+// stores a copy kept on the row's heap page). The other results are
+// Insert's.
+func (t *Tree[V]) GetOrInsert(key string, mk func(key string) (string, V)) (got V, page PageID, added bool, splits []Split) {
 	var zero V
 	return t.put(key, zero, mk)
 }
 
 // put stores val under key, replacing what is there (mk nil), or finds
-// key's value, storing mk() if there is none (mk non-nil).
-func (t *Tree[V]) put(key string, val V, mk func() V) (got V, page PageID, added bool, splits []Split) {
+// key's value, storing mk's if there is none (mk non-nil).
+func (t *Tree[V]) put(key string, val V, mk func(string) (string, V)) (got V, page PageID, added bool, splits []Split) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if r := t.rightmost; r.above(key) && len(r.keys) < degree {
@@ -202,7 +203,7 @@ func (t *Tree[V]) put(key string, val V, mk func() V) (got V, page PageID, added
 		// splits. A full leaf takes the descent below, the one path
 		// that splits.
 		if mk != nil {
-			val = mk()
+			key, val = mk(key)
 		}
 		r.keys = append(r.keys, key)
 		r.vals = append(r.vals, val)
@@ -237,7 +238,7 @@ func (n *node[V]) holds(key string) bool {
 	return i < len(n.keys) && n.keys[i] == key
 }
 
-func (t *Tree[V]) insert(n *node[V], key string, val V, mk func() V) (V, PageID, bool, []Split) {
+func (t *Tree[V]) insert(n *node[V], key string, val V, mk func(string) (string, V)) (V, PageID, bool, []Split) {
 	if n.leaf() {
 		i := sort.SearchStrings(n.keys, key)
 		if i < len(n.keys) && n.keys[i] == key {
@@ -247,7 +248,7 @@ func (t *Tree[V]) insert(n *node[V], key string, val V, mk func() V) (V, PageID,
 			return n.vals[i], n.page, false, nil
 		}
 		if mk != nil {
-			val = mk()
+			key, val = mk(key)
 		}
 		n.keys = append(n.keys, "")
 		copy(n.keys[i+1:], n.keys[i:])
@@ -359,6 +360,9 @@ func (t *Tree[V]) Leaves(lo, hi string, onPage func(PageID), fn func(keys []stri
 	vals := make([]V, 0, MaxLeaf)
 	t.mu.RLock()
 	n := t.descend(lo)
+	// Only the first leaf holds keys below lo: every later one lies past
+	// a separator above lo, and a key is only ever placed by descent.
+	i := sort.SearchStrings(n.keys, lo)
 	for {
 		keys, vals = keys[:0], vals[:0]
 		last := false
@@ -366,14 +370,15 @@ func (t *Tree[V]) Leaves(lo, hi string, onPage func(PageID), fn func(keys []stri
 			if onPage != nil {
 				onPage(n.page)
 			}
-			i := sort.SearchStrings(n.keys, lo)
+			// Only the leaf whose last key reaches hi ends the range.
 			j := len(n.keys)
-			if hi != "" {
+			if hi != "" && j > 0 && n.keys[j-1] >= hi {
 				j = i + sort.SearchStrings(n.keys[i:], hi)
 				last = j < len(n.keys)
 			}
 			keys = append(keys, n.keys[i:j]...)
 			vals = append(vals, n.vals[i:j]...)
+			i = 0
 			n = n.next
 			if n == nil {
 				last = true

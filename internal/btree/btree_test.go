@@ -249,7 +249,7 @@ func TestQuickRangeMatchesReference(t *testing.T) {
 }
 
 // Property: a typed payload keeps its identity. The table's primary tree
-// hands out pointers as row slots, so whatever GetOrInsert returned for a
+// hands out TIDs as row slots, so whatever GetOrInsert returned for a
 // key must be what Lookup, Range and Leaves return for it ever after,
 // across any number of leaf and root splits, and a second GetOrInsert
 // must not replace it.
@@ -264,7 +264,7 @@ func TestQuickPayloadIdentityAcrossSplits(t *testing.T) {
 		for i := 0; i < n; i++ {
 			k := fmt.Sprintf("%05d", rng.IntN(4000))
 			made := 0
-			got, page, added, sp := tr.GetOrInsert(k, func() *slot { made++; return &slot{key: k} })
+			got, page, added, sp := tr.GetOrInsert(k, func(k string) (string, *slot) { made++; return k, &slot{key: k} })
 			if (made == 1) != added {
 				// The constructor runs exactly when the key is new.
 				return false
@@ -312,7 +312,7 @@ func TestQuickLeavesMatchesRange(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 11))
 	for i := 0; i < 5000; i++ {
 		k := fmt.Sprintf("%05d", rng.IntN(20000))
-		tr.GetOrInsert(k, func() *slot { return &slot{key: k} })
+		tr.GetOrInsert(k, func(k string) (string, *slot) { return k, &slot{key: k} })
 	}
 	f := func(a, b uint16, unbounded bool) bool {
 		lo := fmt.Sprintf("%05d", int(a)%20000)
@@ -348,6 +348,71 @@ func TestQuickLeavesMatchesRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLeavesMatchesRangeAcrossSplits grows a tree by seeded rounds of
+// ascending runs and random inserts, so its leaves split again and again,
+// and after each round compares Leaves' concatenated batches and
+// announced pages with Range's for random bounds. Half the bounds are
+// taken from the leaves themselves — a leaf's first key, its last key, or
+// just past its last — because those are where Leaves stops searching: it
+// searches lo in the first leaf only and hi only in the leaf whose last
+// key reaches it.
+func TestLeavesMatchesRangeAcrossSplits(t *testing.T) {
+	rng := rand.New(rand.NewPCG(53, 1))
+	tr := New()
+	high := 0
+	bound := func() string {
+		if rng.IntN(2) == 0 {
+			return fmt.Sprintf("%06d", rng.IntN(high+100))
+		}
+		tr.mu.RLock()
+		defer tr.mu.RUnlock()
+		n := tr.descend(fmt.Sprintf("%06d", rng.IntN(high+1)))
+		switch rng.IntN(3) {
+		case 0:
+			return n.keys[0]
+		case 1:
+			return n.keys[len(n.keys)-1]
+		}
+		return n.keys[len(n.keys)-1] + "0"
+	}
+	for round := 0; round < 40; round++ {
+		for n := 50 + rng.IntN(200); n > 0; n-- {
+			if rng.IntN(3) == 0 {
+				tr.Insert(fmt.Sprintf("%06d", rng.IntN(high+1)), "")
+			} else {
+				high += 1 + rng.IntN(4)
+				tr.Insert(fmt.Sprintf("%06d", high), "")
+			}
+		}
+		for q := 0; q < 50; q++ {
+			lo, hi := bound(), bound()
+			switch rng.IntN(4) {
+			case 0:
+				hi = ""
+			case 1:
+				lo = ""
+			}
+			var want, got []string
+			var wantPages, gotPages []PageID
+			tr.Range(lo, hi, func(p PageID) { wantPages = append(wantPages, p) }, func(k, _ string) bool {
+				want = append(want, k)
+				return true
+			})
+			tr.Leaves(lo, hi, func(p PageID) { gotPages = append(gotPages, p) }, func(keys, _ []string) bool {
+				got = append(got, keys...)
+				return true
+			})
+			if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(gotPages) != fmt.Sprint(wantPages) {
+				t.Fatalf("round %d, [%q, %q): Leaves gave %d keys over pages %v, Range %d keys over pages %v",
+					round, lo, hi, len(got), gotPages, len(want), wantPages)
+			}
+		}
+	}
+	if msg := tr.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
 	}
 }
 
@@ -443,7 +508,7 @@ func TestAppendPathMatchesDescent(t *testing.T) {
 				for n := 1 + rng.IntN(24); n > 0; n-- {
 					high += 1 + rng.IntN(3)
 					k = key(high)
-					got, p, added, _ := tr.GetOrInsert(k, func() int { return high })
+					got, p, added, _ := tr.GetOrInsert(k, func(k string) (string, int) { return k, high })
 					if !added || got != high {
 						fail(step, "GetOrInsert", k, "appended key: got %d added=%v", got, added)
 					}
@@ -471,7 +536,7 @@ func TestAppendPathMatchesDescent(t *testing.T) {
 				}
 			case r < 8 && len(keys) > 0: // GetOrInsert of a present key
 				op, k = "GetOrInsert", keys[rng.IntN(len(keys))]
-				got, p, added, _ := tr.GetOrInsert(k, func() int { t.Fatal("constructor ran for a present key"); return 0 })
+				got, p, added, _ := tr.GetOrInsert(k, func(k string) (string, int) { t.Fatal("constructor ran for a present key"); return k, 0 })
 				if added || got != ref[k] {
 					fail(step, op, k, "got %d added=%v, want %d", got, added, ref[k])
 				}

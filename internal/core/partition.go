@@ -27,10 +27,9 @@ import (
 //
 // Lock ordering (deadlock freedom and correctness rule):
 //
-//  0. Storage-layer locks (internal/storage): a per-page read latch
-//     and a row lock (storage/latch.go has their order). The engine's
-//     read and write paths enter this package while holding a page
-//     latch (never a row lock) — the
+//  0. Storage-layer locks (internal/storage): the heap page latch
+//     (storage/latch.go). The engine's read and write paths enter this
+//     package while holding a page latch — the
 //     latch is what makes a read's {visibility check, SIREAD insert}
 //     and a write's {xmax stamp, CheckWrite probe} atomic units — so
 //     every lock below nests strictly inside the storage locks. No

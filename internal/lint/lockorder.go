@@ -22,11 +22,9 @@ import (
 // justified //ssi:ignore.
 //
 // TryLock/TryRLock acquisitions are exempt from the order check: a try
-// cannot block, so it cannot deadlock — the storage read path relies on
-// exactly that, try-acquiring a page latch (which blocking acquirers
-// take BEFORE a row lock) while holding a row lock. A
-// successful try still enters the held set on the guarded branch, so
-// everything acquired under it is checked against it.
+// cannot block, so it cannot deadlock. A successful try still enters the
+// held set on the guarded branch, so everything acquired under it is
+// checked against it.
 //
 // Unannotated mutexes are invisible to the analyzer: the annotations in
 // internal/core, internal/mvcc, internal/storage, internal/wal, and the

@@ -38,16 +38,16 @@ func batchKeys(t *testing.T, h *harness, n int) []string {
 
 // scanAll runs a whole-table scan for r, tracked (with onPage) or not,
 // and returns the visible rows in delivery order.
-func scanAll(t *testing.T, h *harness, r *txn, onPage func(page int64, items []BatchItem) error) (keys, vals []string) {
+func scanAll(t *testing.T, h *harness, r *txn, onPage func(page int64, items []string) error) (keys, vals []string) {
 	t.Helper()
 	err := h.tbl.Scan("", "", r.snap, r.xid, h.mgr, nil, onPage, func(lf *Leaf) (bool, error) {
-		if len(lf.Keys) != len(lf.Vis) {
-			t.Errorf("leaf has %d keys but %d results", len(lf.Keys), len(lf.Vis))
+		if len(lf.Keys) != len(lf.Vals) {
+			t.Errorf("leaf has %d keys but %d results", len(lf.Keys), len(lf.Vals))
 		}
-		for i, v := range lf.Vis {
+		for i, v := range lf.Vals {
 			if v != nil {
 				keys = append(keys, lf.Keys[i])
-				vals = append(vals, string(v.Value))
+				vals = append(vals, string(v))
 			}
 		}
 		return true, nil
@@ -74,18 +74,18 @@ func TestScanParityWithGet(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := h.begin()
-			var onPage func(int64, []BatchItem) error
+			var onPage func(int64, []string) error
 			onPaged := map[string]bool{}
 			if tracked {
-				onPage = func(page int64, items []BatchItem) error {
-					for _, it := range items {
-						if h.pageOf(it.Key) != page {
-							t.Errorf("item %q delivered under page %d but lives on page %d", it.Key, page, h.pageOf(it.Key))
+				onPage = func(page int64, items []string) error {
+					for _, k := range items {
+						if h.pageOf(k) != page {
+							t.Errorf("item %q delivered under page %d but lives on page %d", k, page, h.pageOf(k))
 						}
-						if onPaged[it.Key] {
-							t.Errorf("key %q registered twice", it.Key)
+						if onPaged[k] {
+							t.Errorf("key %q registered twice", k)
 						}
-						onPaged[it.Key] = true
+						onPaged[k] = true
 					}
 					return nil
 				}
@@ -137,7 +137,7 @@ func TestScanRegistersEachPageOnce(t *testing.T) {
 		}
 		delivered := 0
 		err := h.tbl.Scan(rng[0], rng[1], r.snap, r.xid, h.mgr, nil,
-			func(page int64, its []BatchItem) error {
+			func(page int64, its []string) error {
 				if got[page] != 0 {
 					t.Errorf("range %q: heap page %d registered twice", rng, page)
 				}
@@ -145,10 +145,10 @@ func TestScanRegistersEachPageOnce(t *testing.T) {
 				return nil
 			},
 			func(lf *Leaf) (bool, error) {
-				for i, v := range lf.Vis {
-					if v == nil || v.Key != lf.Keys[i] {
+				for i, v := range lf.Vals {
+					if v == nil || string(v) != "v"+lf.Keys[i] {
 						t.Errorf("range %q: delivered %q unresolved", rng, lf.Keys[i])
-					} else if got[h.pageOf(v.Key)] == 0 {
+					} else if got[h.pageOf(lf.Keys[i])] == 0 {
 						t.Errorf("range %q: %q delivered before its page was registered", rng, lf.Keys[i])
 					}
 				}
@@ -202,9 +202,9 @@ func TestScanHeldRowsAreBounded(t *testing.T) {
 	registered := map[string]bool{}
 	var got []string
 	err := h.tbl.Scan("", "", r.snap, r.xid, h.mgr, nil,
-		func(page int64, its []BatchItem) error {
-			for _, it := range its {
-				registered[it.Key] = true
+		func(page int64, its []string) error {
+			for _, k := range its {
+				registered[k] = true
 			}
 			return nil
 		},
@@ -212,7 +212,7 @@ func TestScanHeldRowsAreBounded(t *testing.T) {
 			if len(lf.Keys) > 2*btree.MaxLeaf {
 				t.Errorf("delivery of %d rows", len(lf.Keys))
 			}
-			for i, v := range lf.Vis {
+			for i, v := range lf.Vals {
 				if v != nil {
 					if !registered[lf.Keys[i]] {
 						t.Errorf("%q delivered unregistered", lf.Keys[i])
@@ -272,7 +272,7 @@ func TestScanLatchExcludesWriter(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		scanAll(t, h, r, func(page int64, items []BatchItem) error {
+		scanAll(t, h, r, func(page int64, items []string) error {
 			inBatch <- page
 			<-release
 			return nil
@@ -332,10 +332,10 @@ func TestScanConcurrentUpdates(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		r := h.begin()
-		got, _ := scanAll(t, h, r, func(page int64, items []BatchItem) error {
-			for _, it := range items {
-				if h.pageOf(it.Key) != page {
-					t.Errorf("latched item %q on page %d delivered under page %d", it.Key, h.pageOf(it.Key), page)
+		got, _ := scanAll(t, h, r, func(page int64, items []string) error {
+			for _, k := range items {
+				if h.pageOf(k) != page {
+					t.Errorf("latched item %q on page %d delivered under page %d", k, h.pageOf(k), page)
 				}
 			}
 			return nil
@@ -386,7 +386,7 @@ func TestScanHookRunsUnderLatch(t *testing.T) {
 	go func() {
 		defer close(done)
 		err := tbl.Scan("", "", rsnap, r, mgr, nil,
-			func(int64, []BatchItem) error { return nil },
+			func(int64, []string) error { return nil },
 			func(*Leaf) (bool, error) { return true, nil })
 		if err != nil {
 			t.Error(err)
@@ -420,7 +420,7 @@ func TestReadKeysResolvesByLookup(t *testing.T) {
 	keys := batchKeys(t, h, 10)
 	r := h.begin()
 	registered := 0
-	rd := h.tbl.NewReader(r.snap, r.xid, h.mgr, func(_ int64, items []BatchItem) error {
+	rd := h.tbl.NewReader(r.snap, r.xid, h.mgr, func(_ int64, items []string) error {
 		registered += len(items)
 		return nil
 	})
@@ -428,8 +428,8 @@ func TestReadKeysResolvesByLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lf.Vis[0] == nil || string(lf.Vis[0].Value) != "v"+keys[3] || lf.Vis[1] != nil || lf.Vis[2] == nil || lf.Vis[2].Key != keys[8] {
-		t.Fatalf("ReadKeys results wrong: %+v", lf.Vis)
+	if string(lf.Vals[0]) != "v"+keys[3] || lf.Vals[1] != nil || string(lf.Vals[2]) != "v"+keys[8] {
+		t.Fatalf("ReadKeys results wrong: %+v", lf.Vals)
 	}
 	if registered != 2 {
 		t.Fatalf("registered %d rows, want the 2 visible ones", registered)
@@ -463,7 +463,7 @@ func TestScanRunsSurviveUpdates(t *testing.T) {
 		r := h.begin()
 		calls, items := 0, 0
 		err := h.tbl.Scan(keys[50], keys[50+rows], r.snap, r.xid, h.mgr, nil,
-			func(_ int64, its []BatchItem) error {
+			func(_ int64, its []string) error {
 				calls++
 				items += len(its)
 				return nil

@@ -12,17 +12,24 @@ import (
 // places chains are tidied now that readers no longer do it: rollback,
 // the next write, and modify's trim below the published horizon.
 
-// chain returns key's version chain, newest first.
-func (h *harness) chain(key string) []*Tuple {
-	row, _, _ := h.tbl.index.Lookup(key, nil)
-	if row == nil {
+// version is a copy of one version of a row, as chain reads it.
+type version struct {
+	header
+	Value []byte
+}
+
+// chain returns copies of key's version chain, newest first.
+func (h *harness) chain(key string) []version {
+	tid, _, _ := h.tbl.index.Lookup(key, nil)
+	if tid == 0 {
 		return nil
 	}
-	row.mu.Lock()
-	defer row.mu.Unlock()
-	var vs []*Tuple
-	for v := row.head; v != nil; v = v.Older {
-		vs = append(vs, v)
+	pg := h.tbl.page(tid)
+	pg.latch.RLock()
+	defer pg.latch.RUnlock()
+	var vs []version
+	for i := pg.line[tid.slot()]; i != none; i = pg.hdrs[i].older {
+		vs = append(vs, version{header: pg.hdrs[i], Value: pg.value(i)})
 	}
 	return vs
 }
@@ -137,16 +144,16 @@ func TestFateNeverOutlivesUndo(t *testing.T) {
 	if _, err := h.tbl.Delete("a", s2.xid, 1, s2.snap, h.mgr, h.wg, nil); err != nil {
 		t.Fatal(err)
 	}
-	if v := h.chain("a")[0]; v.Xmax != s2.xid || v.maxFate != fateUnknown {
-		t.Fatalf("restamp kept a stale fate: xmax=%d fate=%d", v.Xmax, v.maxFate)
+	if v := h.chain("a")[0]; v.xmax != s2.xid || v.maxFate != fateUnknown {
+		t.Fatalf("restamp kept a stale fate: xmax=%d fate=%d", v.xmax, v.maxFate)
 	}
 	if _, ok := h.get(s2, "a"); ok {
 		t.Fatal("own delete must hide the row")
 	}
 	// Savepoint rollback: stamp cleared, fate cleared, row back.
 	h.tbl.UndoSubxact("a", s2.xid, 1)
-	if v := h.chain("a")[0]; v.Xmax != 0 || v.maxFate != fateUnknown {
-		t.Fatalf("undo left xmax=%d fate=%d", v.Xmax, v.maxFate)
+	if v := h.chain("a")[0]; v.xmax != 0 || v.maxFate != fateUnknown {
+		t.Fatalf("undo left xmax=%d fate=%d", v.xmax, v.maxFate)
 	}
 	if v, ok := h.get(s2, "a"); !ok || v != "base" {
 		t.Fatalf("after savepoint rollback the row reads %q %v, want base", v, ok)
@@ -212,7 +219,7 @@ func TestRollbackAndFailedWriteReadAsNotDeleted(t *testing.T) {
 				t.Fatalf("row reads %q %v, want base", v, ok)
 			}
 			n := 0
-			h.tbl.ForEach(r.snap, r.xid, h.mgr, func(tu *Tuple) bool { n++; return string(tu.Value) == "base" })
+			h.tbl.ForEach(r.snap, r.xid, h.mgr, func(_ string, v []byte) bool { n++; return string(v) == "base" })
 			if n != 1 {
 				t.Fatalf("scan sees %d rows, want 1", n)
 			}

@@ -3,31 +3,49 @@
 // versions; each version carries the transaction ID that created it
 // (xmin) and, once deleted or superseded, the transaction that did so
 // (xmax). Updates never modify a version in place: they stamp the old
-// version's xmax and prepend a new version, exactly the model §5.1 of the
+// version's xmax and push a new version, exactly the model §5.1 of the
 // paper describes.
+//
+// # Pages and TIDs
+//
+// Rows live on heap pages (page.go) of TuplesPerPage row slots each, laid
+// out the way PostgreSQL lays out a heap page: a line pointer per slot
+// names the slot's newest version; the versions' headers — xmin, xmax,
+// sub-ids, cached fates, the older version's index, the value's offset —
+// sit in one pointer-free array; the values sit in an append-only arena.
+// A row is addressed by its TID, the (page, slot) pair packed into a
+// uint64. Slots are made in order, one per key the table first hears of,
+// and never freed, so a TID is stable for the row's life and a row never
+// leaves its page: every version of it is placed where the version it
+// supersedes lives — what PostgreSQL's heap-only-tuple updates and page
+// pruning achieve for rows whose indexed columns do not change. The
+// model's deviation from PostgreSQL is stated: a page has no byte budget,
+// so an update never has to move a row for want of room; a page whose
+// headers or arena are full is compacted into fresh, larger ones instead
+// (page.compact), and the old arena is never written again, so a value a
+// reader captured stays intact.
 //
 // # One index
 //
-// A table owns its primary B+-tree (internal/btree), and the tree's leaf
-// entry for a key is the row itself: a Row, the stable slot that holds
-// the head of the key's version chain and the mutex guarding it. There is
-// no second, hashed index. A point read is one descent (Lookup, which
-// also hands the engine the leaf page to gap-lock); a range scan walks
-// the leaves and finds the rows in them. Slots are created by the first
-// insert of a key and never move or go away, so a *Row copied out of a
-// leaf stays valid after the tree lock is dropped.
+// A table owns its primary B+-tree (internal/btree), and the tree maps a
+// key to its row's TID. The key itself is kept once, in its page's key
+// block, which the leaf's key string aliases. There is no second, hashed
+// index. A point read is one descent (Lookup, which also hands the engine
+// the leaf page to gap-lock); a range scan walks the leaves and reads the
+// rows they name a page at a time, so it reads each page's headers and
+// values in place.
 //
 // # Settled visibility
 //
 // A version caches the resolved fate of its xmin and its xmax — committed
 // with its CSN, or aborted — the way PostgreSQL sets hint bits: the first
 // reader that finds the transaction finished writes the answer on the
-// version (under the row lock), and every later read of a settled row
-// makes no commit-log lookup at all. A cached fate is at least as good as
-// the log's answer for as long as the version exists: commit-log
-// truncation only forgets CSNs the cache still has, and dropping an
-// aborted tombstone cannot turn a cached "aborted" into "committed".
-// Whatever overwrites or clears an xmax resets its cached fate with it.
+// version, and every later read of a settled row makes no commit-log
+// lookup at all. A cached fate is at least as good as the log's answer
+// for as long as the version exists: commit-log truncation only forgets
+// CSNs the cache still has, and dropping an aborted tombstone cannot turn
+// a cached "aborted" into "committed". Whatever overwrites or clears an
+// xmax resets its cached fate with it.
 //
 // Readers never repair a chain. An aborted head is skipped, an aborted
 // xmax is read as "not deleted", and that is all. Chains are tidied where
@@ -37,43 +55,36 @@
 // reached a write set), and modify cuts the chain below the newest
 // version every snapshot can see, using the horizon mvcc.OldestSnapshot
 // publishes. Vacuum remains as the explicit full sweep, at the same
-// horizon.
+// horizon. What a cut or an unlink leaves unreachable is dropped when
+// its page is next compacted.
 //
-// # Write locks, pages, latches
+// # Write locks and the page latch
 //
 // Tuple-level write locks are represented by an in-progress xmax, reusing
 // the tuple header the way PostgreSQL does; a writer that finds an
 // in-progress xmax blocks until that transaction finishes, then applies
 // snapshot isolation's first-updater-wins rule.
 //
-// A row lives on one heap page for life: the page is a property of the
-// row's slot, assigned when the slot is created (the key's first insert)
-// and never changed, and every version of the row is placed where the
-// version it supersedes lives — what PostgreSQL's heap-only-tuple updates
-// and page pruning achieve for rows whose indexed columns do not change.
-// The model's deviation from PostgreSQL is stated: a simulated page has no
-// byte budget, so an update never has to move a row for want of room, and
-// trimBelow's prune-on-write is the page pruning that would make the room.
-// The SSI lock manager in internal/core takes SIREAD locks at tuple, page
-// and relation granularity and promotes between them; because the page
-// never changes, the tuple target (relation, page, key) names the row
-// across all its versions.
-//
-// Each table additionally carries a sharded per-page read latch table
-// (latch.go), the stand-in for PostgreSQL's buffer content lock in the
-// SSI protocol, and latch(row.page) is the one latch for every version of
-// the row: Table.Read and a tracked Table.Scan run their caller's
-// callback — which inserts the SIREAD locks — under the shared latch of
-// the row's page, and Table.Update / Table.Delete decide, stamp xmax and
-// run their caller's write check under the same latch, exclusively. That
-// makes the MVCC visibility check atomic with SIREAD registration
-// relative to writers of the row, closing the detection window in which
-// a writer's lock-table probe could run between a reader's visibility
-// check and its lock insertion and miss the rw-antidependency entirely
-// (§5.2 of the paper; the latch protocol and lock ordering are documented
-// in latch.go). The trace seam's Read point (internal/trace, Config.Trace)
-// fires inside that window, which is where the interleaving harnesses park
-// a reader.
+// Each page carries a latch (latch.go), the stand-in for PostgreSQL's
+// buffer content lock. It is the only lock on a page's headers: every
+// reader takes it shared, once per run of rows on the page, and every
+// header mutation — Insert, Update, Delete, UndoSubxact, Vacuum, and the
+// pruning and compaction they do — runs under it exclusively. It also
+// plays the latch's part in the SSI protocol: Table.Read and a tracked
+// Table.Scan run their caller's callback — which inserts the SIREAD
+// locks — under the shared latch, and Table.Update / Table.Delete decide,
+// stamp xmax and run their caller's write check under the same latch,
+// exclusively. The SSI lock manager in internal/core takes SIREAD locks
+// at tuple, page and relation granularity; because a row never leaves its
+// page, the tuple target (relation, page, key) names the row across all
+// its versions. That makes the MVCC visibility check atomic with SIREAD
+// registration relative to writers of the row, closing the detection
+// window in which a writer's lock-table probe could run between a
+// reader's visibility check and its lock insertion and miss the
+// rw-antidependency entirely (§5.2 of the paper; the latch protocol and
+// lock ordering are documented in latch.go). The trace seam's Read point
+// (internal/trace, Config.Trace) fires inside that window, which is where
+// the interleaving harnesses park a reader.
 package storage
 
 import (
@@ -81,7 +92,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -107,219 +117,18 @@ var (
 	ErrDeadlock = waitgraph.ErrDeadlock
 )
 
-// TuplesPerPage is the number of tuple versions placed on one simulated
-// heap page. It only affects lock granularity, not correctness.
+// TuplesPerPage is the number of row slots on one heap page. It only
+// affects lock granularity, not correctness.
 const TuplesPerPage = 64
-
-// fate is the cached outcome of a version's xmin or xmax transaction.
-// The zero value means "not resolved yet" (the transaction was still in
-// progress the last time anybody looked, or nobody has looked).
-type fate uint64
-
-const (
-	fateUnknown fate = iota
-	fateAborted
-	// fateCommitted + CSN: committed with that commit sequence number;
-	// fateCommitted alone (CSN InvalidSeqNo) is a commit the log had
-	// already truncated when it was resolved, i.e. one every snapshot
-	// sees.
-	fateCommitted
-)
-
-// String renders a cached fate for DescribeRow.
-func (f fate) String() string {
-	switch {
-	case f == fateUnknown:
-		return "unresolved"
-	case f == fateAborted:
-		return "aborted"
-	}
-	return fmt.Sprintf("committed@%d", uint64(f-fateCommitted))
-}
-
-// resolve returns xid's status and commit CSN from the cache, consulting
-// the commit log (and filling the cache) only while it is unresolved.
-// Caller holds the lock of the row the version belongs to.
-func (f *fate) resolve(xid mvcc.TxID, mgr *mvcc.Manager) (mvcc.Status, mvcc.SeqNo) {
-	switch c := *f; {
-	case c >= fateCommitted:
-		return mvcc.StatusCommitted, mvcc.SeqNo(c - fateCommitted)
-	case c == fateAborted:
-		return mvcc.StatusAborted, mvcc.InvalidSeqNo
-	}
-	st, seq := mgr.Status(xid)
-	switch st {
-	case mvcc.StatusCommitted:
-		*f = fateCommitted + fate(seq)
-	case mvcc.StatusAborted:
-		*f = fateAborted
-	case mvcc.StatusInProgress:
-	}
-	return st, seq
-}
-
-// Tuple is one version of a row. Fields mirror the PostgreSQL tuple
-// header bits that matter for visibility and SSI. Key and Value never
-// change after the version is linked and may be read without the row
-// lock; everything else belongs to the row lock.
-type Tuple struct {
-	Key   string
-	Value []byte
-	// Xmin is the transaction that created this version.
-	Xmin mvcc.TxID
-	// Xmax is the transaction that deleted or superseded this version;
-	// zero while the version is live. An in-progress xmax doubles as
-	// the tuple write lock.
-	Xmax mvcc.TxID
-	// SubMin and SubMax are the subtransaction IDs within Xmin / Xmax
-	// that performed the write, for savepoint rollback (§7.3).
-	SubMin, SubMax int32
-	// Older points to the previous version of the row, or nil.
-	Older *Tuple
-	// minFate and maxFate cache the fates of Xmin and Xmax (see fate).
-	minFate, maxFate fate
-}
-
-func (v *Tuple) minStatus(mgr *mvcc.Manager) (mvcc.Status, mvcc.SeqNo) {
-	return v.minFate.resolve(v.Xmin, mgr)
-}
-
-func (v *Tuple) maxStatus(mgr *mvcc.Manager) (mvcc.Status, mvcc.SeqNo) {
-	return v.maxFate.resolve(v.Xmax, mgr)
-}
-
-// setXmax stamps (or, with xid zero, clears) the version's xmax. The
-// cached fate described the previous stamp, so it goes with it.
-func (v *Tuple) setXmax(xid mvcc.TxID, subID int32) {
-	v.Xmax, v.SubMax, v.maxFate = xid, subID, fateUnknown
-}
-
-// Row is a key's slot in the table's primary index: the B+-tree leaf
-// entry for the key, holding the head of its version chain (newest
-// first; nil while the key has no version) and the lock that guards the
-// chain and the mutable fields of its versions. page is the heap page the
-// row — every version of it — lives on; it is set when the slot is made
-// and never written again, so it is read without the lock.
-type Row struct {
-	mu   sync.Mutex //ssi:lock level=20 name=storage.row
-	head *Tuple
-	page int64
-}
-
-// visible walks the chain newest-first and applies PostgreSQL's
-// visibility rules, returning the version snap sees (nil if none) and
-// appending to *conflicts, if non-nil, the concurrent transactions whose
-// writes to this row were invisible (see ReadResult.ConflictOut). Caller
-// holds r.mu.
-func (r *Row) visible(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, conflicts *[]mvcc.TxID) *Tuple {
-	for v := r.head; v != nil; v = v.Older {
-		if v.Xmin == self {
-			// Own write: visible unless we deleted it ourselves.
-			if v.Xmax == self {
-				return nil
-			}
-			return v
-		}
-		st, seq := v.minStatus(mgr)
-		switch st {
-		case mvcc.StatusAborted:
-			continue
-		case mvcc.StatusInProgress:
-			// Created by a concurrent, still-running transaction:
-			// invisible, and an rw conflict out for serializable
-			// readers (the reader must precede the writer).
-			note(conflicts, v.Xmin)
-			continue
-		case mvcc.StatusCommitted:
-			if !snap.SeesCommitted(seq) {
-				// Committed after our snapshot: concurrent.
-				note(conflicts, v.Xmin)
-				continue
-			}
-		}
-		// v was created by a transaction visible to the snapshot.
-		// Check its deletion status.
-		if v.Xmax == 0 {
-			return v
-		}
-		if v.Xmax == self {
-			// Deleted by ourselves.
-			return nil
-		}
-		xst, xseq := v.maxStatus(mgr)
-		switch xst {
-		case mvcc.StatusAborted:
-			return v
-		case mvcc.StatusInProgress:
-			note(conflicts, v.Xmax)
-			return v
-		case mvcc.StatusCommitted:
-			if snap.SeesCommitted(xseq) {
-				// Deleted before our snapshot: row is gone.
-				return nil
-			}
-			// Deleted by a concurrent transaction that committed
-			// after our snapshot: still visible to us, and an rw
-			// conflict out.
-			note(conflicts, v.Xmax)
-			return v
-		}
-	}
-	return nil
-}
-
-// note appends xid to a conflict-out list, if the reader keeps one.
-func note(conflicts *[]mvcc.TxID, xid mvcc.TxID) {
-	if conflicts != nil {
-		*conflicts = append(*conflicts, xid)
-	}
-}
-
-// pruneAborted drops leading versions created by aborted transactions,
-// clears an aborted xmax stamp on the surviving head, and returns that
-// head. Only the write paths (Insert, modify, Vacuum) call it — no
-// aborted version is ever buried under a newer one, because every write
-// prunes before it pushes; readers just skip what they find. Caller
-// holds r.mu.
-func (r *Row) pruneAborted(mgr *mvcc.Manager) *Tuple {
-	head := r.head
-	for head != nil {
-		if st, _ := head.minStatus(mgr); st != mvcc.StatusAborted {
-			break
-		}
-		head = head.Older
-	}
-	r.head = head
-	if head != nil && head.Xmax != 0 {
-		if st, _ := head.maxStatus(mgr); st == mvcc.StatusAborted {
-			head.setXmax(0, 0)
-		}
-	}
-	return head
-}
-
-// trimBelow cuts the chain under the newest version, at or below v,
-// whose creator committed at or before horizon: every present and
-// future snapshot sees that version (or something newer), so nothing
-// older can be read again. The walk passes only versions newer than the
-// horizon, so it is as long as the row's recent history, not its whole
-// one. It returns the versions it cut off, newest first (nil if none).
-// Caller holds the row lock.
-func trimBelow(v *Tuple, horizon mvcc.SeqNo, mgr *mvcc.Manager) *Tuple {
-	for ; v != nil && v.Older != nil; v = v.Older {
-		if st, seq := v.minStatus(mgr); st == mvcc.StatusCommitted && seq <= horizon {
-			cut := v.Older
-			v.Older = nil
-			return cut
-		}
-	}
-	return nil
-}
 
 // ReadResult is the outcome of a visibility-checked read.
 type ReadResult struct {
-	// Tuple is the version visible to the snapshot, or nil if none.
-	Tuple *Tuple
+	// Tuple is the value of the version visible to the snapshot, or nil
+	// if none is (a visible empty value is empty, not nil). It was
+	// captured under the page latch and aliases the page's arena, which
+	// is never written where a value already lies: it may be kept, and
+	// must not be modified.
+	Tuple []byte
 	// Page is the heap page the row lives on (every version of it);
 	// meaningful when Tuple is non-nil.
 	Page int64
@@ -349,19 +158,20 @@ type Config struct {
 // Table is a heap of versioned rows keyed by string, reached through
 // the primary B+-tree it owns: the tree orders the keys, its leaf pages
 // are what index-range SIREAD locks name, and its leaf entries are the
-// rows.
+// rows' TIDs.
 type Table struct {
 	name  string
 	cfg   Config
-	index *btree.Tree[*Row]
-	// latches is the per-page read latch table (latch.go).
-	latches *latchTable
-	// pageSeq allocates heap page slots, one per row slot created;
-	// page = seq / TuplesPerPage.
-	pageSeq atomic.Int64
-	// newRow makes the slot for a key the index has not held before, on
-	// the next free heap page slot.
-	newRow func() *Row
+	index *btree.Tree[TID]
+	// pages is the page directory, indexed by page number. It only grows,
+	// when a slot is made on a page past its end; a reader that holds a
+	// TID finds the TID's page in whatever directory it loads.
+	pages atomic.Pointer[[]*page]
+	// lastTID is the TID of the newest slot. It and the directory's
+	// growth are guarded by the index's tree lock: slots are only made
+	// inside GetOrInsert, through mkSlot.
+	lastTID TID
+	mkSlot  func(key string) (string, TID)
 	// stats
 	ioAccesses atomic.Int64
 	ioMisses   atomic.Int64
@@ -369,17 +179,34 @@ type Table struct {
 
 // NewTable creates an empty heap named name.
 func NewTable(name string, cfg Config) *Table {
-	t := &Table{name: name, cfg: cfg, index: btree.NewOf[*Row](), latches: newLatchTable()}
-	t.newRow = func() *Row { return &Row{page: t.pageSeq.Add(1) / TuplesPerPage} }
+	t := &Table{name: name, cfg: cfg, index: btree.NewOf[TID]()}
+	t.pages.Store(&[]*page{newPage()})
+	t.mkSlot = t.newSlot
 	return t
 }
+
+// newSlot makes the slot for a key the index has not held before, on
+// the next free slot of the last page (or of a new one), and stores the
+// key in that page's key block. Caller holds the tree lock.
+func (t *Table) newSlot(key string) (string, TID) {
+	t.lastTID++
+	tid := t.lastTID
+	if tid.Page() == int64(len(*t.pages.Load())) {
+		pages := append(*t.pages.Load(), newPage())
+		t.pages.Store(&pages)
+	}
+	return t.page(tid).addKey(key, tid.slot()), tid
+}
+
+// page returns the page tid is on. tid must name a row.
+func (t *Table) page(tid TID) *page { return (*t.pages.Load())[tid.Page()] }
 
 // Name returns the table's name.
 func (t *Table) Name() string { return t.name }
 
 // Index returns the table's primary B+-tree, for callers that lock its
 // leaf pages without reading through them (the S2PL paths).
-func (t *Table) Index() *btree.Tree[*Row] { return t.index }
+func (t *Table) Index() *btree.Tree[TID] { return t.index }
 
 // simulateIO charges one page access against the simulated device.
 func (t *Table) simulateIO() {
@@ -405,14 +232,14 @@ func (t *Table) traceRead(self mvcc.TxID, key string) {
 	}
 }
 
-// Get returns the version of key visible to snap, along with the MVCC
+// Get returns the value of key visible to snap, along with the MVCC
 // conflict-out set described on ReadResult. self is the reading
 // transaction's xid (InvalidTxID for transactions that have not written).
-// Get never takes a page latch: it serves readers that register no
-// SIREAD lock (read committed, repeatable read, S2PL, safe snapshots),
-// for whom MVCC visibility alone is the contract. Serializable readers
-// must use Read with latched=true so their SIREAD registration happens
-// under the page latch.
+// Get holds the page latch only while it reads the row: it serves readers
+// that register no SIREAD lock (read committed, repeatable read, S2PL,
+// safe snapshots), for whom MVCC visibility alone is the contract.
+// Serializable readers must use Read with latched=true so their SIREAD
+// registration happens under the page latch.
 func (t *Table) Get(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager) ReadResult {
 	var out ReadResult
 	t.Read(key, snap, self, mgr, nil, false, func(res ReadResult) error {
@@ -423,59 +250,53 @@ func (t *Table) Get(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.M
 }
 
 // Read performs a visibility-checked read of key and invokes fn with the
-// result — if latched is true, while holding the read latch (shared
-// mode) of the row's heap page. It makes exactly one index descent:
-// onLeaf, if non-nil, is invoked under the tree lock with the leaf page
-// that holds (or would hold) key, which is where a serializable caller
-// takes its SIREAD gap lock (btree.Lookup explains why there), and the row
-// the descent arrives at is the one read. A key the index has never held
-// has no page and so no latch: the phantom protection for absent keys is
-// that gap lock, taken before the row is looked at. fn is where a
-// serializable caller inserts its tuple SIREAD lock: doing so under the
-// latch makes the visibility check and the lock insertion one atomic step
-// relative to Update/Delete, which stamp xmax and probe the SIREAD table
-// under the same latch, exclusively. Read returns fn's error.
+// result — if latched is true, while holding the latch of the row's heap
+// page in shared mode. It makes exactly one index descent: onLeaf, if
+// non-nil, is invoked under the tree lock with the leaf page that holds
+// (or would hold) key, which is where a serializable caller takes its
+// SIREAD gap lock (btree.Lookup explains why there), and the row the
+// descent arrives at is the one read. A key the index has never held has
+// no page and so no latch: the phantom protection for absent keys is that
+// gap lock, taken before the row is looked at. fn is where a serializable
+// caller inserts its tuple SIREAD lock: doing so under the latch makes the
+// visibility check and the lock insertion one atomic step relative to
+// Update/Delete, which stamp xmax and probe the SIREAD table under the
+// same latch, exclusively. Read returns fn's error.
 //
 // Callers that register nothing in fn (non-serializable reads) pass
-// latched=false and skip the latch entirely — they cannot lose an
-// rw-antidependency because they never carry one.
+// latched=false, and the latch is released before fn runs — they cannot
+// lose an rw-antidependency because they never carry one.
 //
 // fn must not call back into this table (the latch is not reentrant) and
 // must not block on other transactions; lock-manager work (mutex-only)
 // is fine per the ordering rules in latch.go.
 func (t *Table) Read(key string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, onLeaf func(btree.PageID), latched bool, fn func(ReadResult) error) error {
 	t.simulateIO()
-	row, _, _ := t.index.Lookup(key, onLeaf)
+	tid, _, _ := t.index.Lookup(key, onLeaf)
 	var res ReadResult
-	if row != nil {
+	if tid != 0 {
+		pg := t.page(tid)
+		latch := &pg.latch
+		latch.RLock()
+		res.Page = tid.Page()
+		res.Tuple = pg.read(tid.slot(), snap, self, mgr, &res.ConflictOut)
 		if latched {
-			latch := t.latches.latch(row.page)
-			latch.RLock()
 			defer latch.RUnlock()
+		} else {
+			latch.RUnlock()
 		}
-		res.Page = row.page
-		row.mu.Lock()
-		res.Tuple = row.visible(snap, self, mgr, &res.ConflictOut)
-		row.mu.Unlock()
 	}
 	t.traceRead(self, key)
 	return fn(res)
 }
 
-// BatchItem is one visible row within a heap-page group a tracked scan
-// hands to its onPage callback.
-type BatchItem struct {
-	Key   string
-	Tuple *Tuple
-}
-
-// Leaf is one batch of a scan's results: keys in order, with the version
-// of each that the snapshot sees. The scan reuses it for the next batch;
-// the Tuples themselves may be kept.
+// Leaf is one batch of a scan's results: keys in order, with the value of
+// each that the snapshot sees. The scan reuses it for the next batch; the
+// values themselves may be kept (see ReadResult.Tuple).
 type Leaf struct {
 	Keys []string
-	// Vis parallels Keys: the visible version, or nil.
-	Vis []*Tuple
+	// Vals parallels Keys: the visible version's value, or nil.
+	Vals [][]byte
 	// ConflictOut is the union of the conflict-out sets (see
 	// ReadResult.ConflictOut) of the rows resolved for this batch.
 	ConflictOut []mvcc.TxID
@@ -487,46 +308,49 @@ type Leaf struct {
 // batch and are reused, so a batch costs no allocation after the first
 // few, and no commit-log lookup once its rows' fates are settled.
 //
-// With an onPage callback (a tracked, i.e. SIREAD-registering, scan) the
-// rows are taken in runs of consecutive rows that share a heap page — a
-// row's page never changes, so the runs are known before any row is
-// looked at. Per run the page's read latch is taken in shared mode, each
-// row is resolved once under it, and onPage is invoked with the run's
-// visible rows before the latch is released: exactly one {visibility
-// check, SIREAD registration} critical section per run, never spanning
-// pages, which is what lets the caller register a run's locks in one
-// core.AcquireTupleLockBatch call with the PR 2 invariant intact. Rows
-// with no visible version are not passed to onPage (their protection is
-// the index gap lock). Batch boundaries are the index's, not the heap's,
-// so a scan (Table.Scan) holds the run a batch ends on over to the next
-// batch, unresolved: a run is registered in one onPage call wherever the
-// leaves divide it. Without onPage nothing is latched and nothing held
-// over: such readers register nothing, so they have nothing to lose to
-// the window the latch closes.
+// The rows are taken in runs of consecutive rows that share a heap page
+// — a row's page never changes, so the runs are known from the TIDs
+// before any row is looked at. Per run the page's latch is taken in
+// shared mode, each row is resolved once under it and its value captured,
+// and the latch is released: one latch round trip per run, and the run's
+// headers and values read where they lie.
+//
+// With an onPage callback (a tracked, i.e. SIREAD-registering, scan)
+// onPage is invoked with the keys of the run's visible rows before the
+// latch is released: exactly one {visibility check, SIREAD registration}
+// critical section per run, never spanning pages, which is what lets the
+// caller register a run's locks in one core.AcquireTupleLockBatch call
+// with the PR 2 invariant intact. Rows with no visible version are not
+// passed to onPage (their protection is the index gap lock). Batch
+// boundaries are the index's, not the heap's, so a scan (Table.Scan)
+// holds the run a batch ends on over to the next batch, unresolved: a run
+// is registered in one onPage call wherever the leaves divide it. Without
+// onPage nothing is held over: such readers register nothing, so they
+// have nothing to lose to the window the latch closes.
 type Reader struct {
 	t      *Table
 	snap   *mvcc.Snapshot
 	self   mvcc.TxID
 	mgr    *mvcc.Manager
-	onPage func(page int64, items []BatchItem) error
+	onPage func(page int64, keys []string) error
 	leaf   Leaf
-	look   []*Row // ReadKeys' lookups
-	items  []BatchItem
+	look   []TID    // ReadKeys' lookups
+	run    []string // the keys of a tracked run's visible rows
 	// Tracked scans: the rows in hand — the run held over first, then
-	// the batch — as keys, rows and vis in parallel (keys and vis are
-	// handed out through leaf); the first cut of them were delivered by
-	// the last call.
+	// the batch — as keys, TIDs and values in parallel (keys and values
+	// are handed out through leaf); the first cut of them were delivered
+	// by the last call.
 	keys []string
-	rows []*Row
-	vis  []*Tuple
+	tids []TID
+	vals [][]byte
 	cut  int
 }
 
 // NewReader returns a Reader for one scan at snap by transaction self.
-func (t *Table) NewReader(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, onPage func(page int64, items []BatchItem) error) *Reader {
+func (t *Table) NewReader(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, onPage func(page int64, keys []string) error) *Reader {
 	rd := &Reader{t: t, snap: snap, self: self, mgr: mgr, onPage: onPage}
 	if onPage == nil {
-		rd.leaf.Vis = make([]*Tuple, 0, btree.MaxLeaf)
+		rd.leaf.Vals = make([][]byte, 0, btree.MaxLeaf)
 	}
 	// A tracked scan's buffers are sized by its first batch: the many
 	// short scans of a transactional mix pay for the rows they read.
@@ -541,47 +365,72 @@ func (t *Table) NewReader(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager
 func (rd *Reader) ReadKeys(keys []string) (*Leaf, error) {
 	rd.look = rd.look[:0]
 	for _, k := range keys {
-		row, _, _ := rd.t.index.Lookup(k, nil)
-		rd.look = append(rd.look, row)
+		tid, _, _ := rd.t.index.Lookup(k, nil)
+		rd.look = append(rd.look, tid)
 	}
 	return rd.read(keys, rd.look, true)
 }
 
-// read resolves one batch. rows parallels keys; a nil row is a key the
+// read resolves one batch. tids parallels keys; a zero TID is a key the
 // index has never held. final says no batch follows, so a tracked scan
 // holds nothing over.
-func (rd *Reader) read(keys []string, rows []*Row, final bool) (*Leaf, error) {
+func (rd *Reader) read(keys []string, tids []TID, final bool) (*Leaf, error) {
 	lf := &rd.leaf
 	lf.ConflictOut = lf.ConflictOut[:0]
 	if rd.onPage != nil {
-		return lf, rd.readTracked(keys, rows, final)
+		return lf, rd.readTracked(keys, tids, final)
 	}
 	lf.Keys = keys
-	lf.Vis = lf.Vis[:len(keys)]
-	clear(lf.Vis)
+	lf.Vals = lf.Vals[:len(keys)]
 	t := rd.t
-	page := int64(-1)
-	for i, row := range rows {
-		if row != nil {
-			lf.Vis[i] = rd.visible(row)
-			// Consecutive keys usually share heap pages: IO is charged per
-			// page run, not per row.
-			if lf.Vis[i] != nil && row.page != page {
-				page = row.page
-				t.simulateIO()
-			}
+	for i := 0; i < len(tids); {
+		j := runEnd(tids, i, len(tids))
+		if tids[i] == 0 {
+			lf.Vals[i] = nil
+		} else if rd.resolve(tids, lf.Vals, i, j) {
+			// IO is charged per page run that has a visible row.
+			t.simulateIO()
 		}
-		t.traceRead(rd.self, keys[i])
+		for ; i < j; i++ {
+			t.traceRead(rd.self, keys[i])
+		}
 	}
 	return lf, nil
 }
 
-// visible resolves one row, adding its conflict-out set to the batch's.
-func (rd *Reader) visible(row *Row) *Tuple {
-	row.mu.Lock()
-	v := row.visible(rd.snap, rd.self, rd.mgr, &rd.leaf.ConflictOut)
-	row.mu.Unlock()
-	return v
+// runEnd returns where the run that starts at tids[i] ends, at most at
+// n: after the last of the consecutive rows on tids[i]'s page, or right
+// after tids[i] if it names no row.
+func runEnd(tids []TID, i, n int) int {
+	j := i + 1
+	if tids[i] != 0 {
+		for j < n && tids[j] != 0 && tids[j].Page() == tids[i].Page() {
+			j++
+		}
+	}
+	return j
+}
+
+// resolve reads the run tids[i:j] under its page's shared latch into
+// vals[i:j] and reports whether any row of it is visible.
+func (rd *Reader) resolve(tids []TID, vals [][]byte, i, j int) bool {
+	pg := rd.t.page(tids[i])
+	pg.latch.RLock()
+	seen := rd.visible(pg, tids, vals, i, j)
+	pg.latch.RUnlock()
+	return seen
+}
+
+// visible reads the run tids[i:j] of page pg into vals[i:j], adding the
+// rows' conflict-out sets to the batch's, and reports whether any row of
+// it is visible. Caller holds pg's latch.
+func (rd *Reader) visible(pg *page, tids []TID, vals [][]byte, i, j int) bool {
+	seen := false
+	for k := i; k < j; k++ {
+		vals[k] = pg.read(tids[k].slot(), rd.snap, rd.self, rd.mgr, &rd.leaf.ConflictOut)
+		seen = seen || vals[k] != nil
+	}
+	return seen
 }
 
 // readTracked is read for a tracked scan. The rows in hand are the run
@@ -591,58 +440,63 @@ func (rd *Reader) visible(row *Row) *Tuple {
 // gets no pass yet: the next batch may continue it, and a run is to be
 // registered once. It stays in hand, unresolved — at most a page's
 // TuplesPerPage slots.
-//
-// Lock order is latch before row, blocking on both (latch.go): no row
-// lock is held while a latch is awaited.
-func (rd *Reader) readTracked(keys []string, rows []*Row, final bool) error {
+func (rd *Reader) readTracked(keys []string, tids []TID, final bool) error {
 	t := rd.t
 	// What the last call handed out goes; what it held over moves up.
 	n := copy(rd.keys, rd.keys[rd.cut:])
-	copy(rd.rows, rd.rows[rd.cut:])
+	copy(rd.tids, rd.tids[rd.cut:])
 	rd.keys = append(rd.keys[:n], keys...)
-	rd.rows = append(rd.rows[:n], rows...)
-	n = len(rd.rows)
+	rd.tids = append(rd.tids[:n], tids...)
+	n = len(rd.tids)
 	cut := n
 	if !final {
-		// Only ReadKeys, which is always final, has nil rows.
-		for cut > 0 && rd.rows[cut-1].page == rd.rows[n-1].page {
+		// Only ReadKeys, which is always final, has zero TIDs.
+		for cut > 0 && rd.tids[cut-1].Page() == rd.tids[n-1].Page() {
 			cut--
 		}
 	}
-	rd.vis = slices.Grow(rd.vis[:0], cut)[:cut]
+	rd.vals = slices.Grow(rd.vals[:0], cut)[:cut]
 	for i := 0; i < cut; {
-		if rd.rows[i] == nil {
-			rd.vis[i] = nil
+		j := runEnd(rd.tids, i, cut)
+		if rd.tids[i] == 0 {
+			rd.vals[i] = nil
 			t.traceRead(rd.self, rd.keys[i])
-			i++
+			i = j
 			continue
 		}
-		page := rd.rows[i].page
+		pg := t.page(rd.tids[i])
 		t.simulateIO()
-		latch := t.latches.latch(page)
+		latch := &pg.latch
 		latch.RLock()
-		items := rd.items[:0]
-		for ; i < cut && rd.rows[i] != nil && rd.rows[i].page == page; i++ {
-			v := rd.visible(rd.rows[i])
-			rd.vis[i] = v
-			t.traceRead(rd.self, rd.keys[i])
-			if v != nil {
-				items = append(items, BatchItem{Key: rd.keys[i], Tuple: v})
-			}
-		}
-		rd.items = items
-		var err error
-		if len(items) > 0 {
-			err = rd.onPage(page, items)
-		}
+		rd.visible(pg, rd.tids, rd.vals, i, j)
+		err := rd.register(rd.tids[i].Page(), i, j)
 		latch.RUnlock()
 		if err != nil {
 			return err
 		}
+		i = j
 	}
 	rd.cut = cut
-	rd.leaf.Keys, rd.leaf.Vis = rd.keys[:cut], rd.vis[:cut]
+	rd.leaf.Keys, rd.leaf.Vals = rd.keys[:cut], rd.vals[:cut]
 	return nil
+}
+
+// register fires the Read point for the rows of the resolved run
+// [i, j) of page and hands the keys of its visible rows to onPage.
+// Caller holds the page's latch, shared.
+func (rd *Reader) register(page int64, i, j int) error {
+	run := rd.run[:0]
+	for k := i; k < j; k++ {
+		rd.t.traceRead(rd.self, rd.keys[k])
+		if rd.vals[k] != nil {
+			run = append(run, rd.keys[k])
+		}
+	}
+	rd.run = run
+	if len(run) == 0 {
+		return nil
+	}
+	return rd.onPage(page, run)
 }
 
 // Scan reads the rows with lo <= key < hi (hi == "" means unbounded) in
@@ -660,20 +514,20 @@ func (rd *Reader) readTracked(keys []string, rows []*Row, final bool) error {
 // it holds over — what deliver receives is then the batch shifted to end
 // where a run ends, and one more, final delivery hands out the rest.
 // Scan returns the first error of onPage or deliver.
-func (t *Table) Scan(lo, hi string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, onLeaf func(btree.PageID), onPage func(page int64, items []BatchItem) error, deliver func(*Leaf) (more bool, err error)) error {
+func (t *Table) Scan(lo, hi string, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, onLeaf func(btree.PageID), onPage func(page int64, keys []string) error, deliver func(*Leaf) (more bool, err error)) error {
 	rd := t.NewReader(snap, self, mgr, onPage)
 	more := true
 	var err error
-	step := func(keys []string, rows []*Row, final bool) bool {
+	step := func(keys []string, tids []TID, final bool) bool {
 		var lf *Leaf
-		if lf, err = rd.read(keys, rows, final); err == nil {
+		if lf, err = rd.read(keys, tids, final); err == nil {
 			more, err = deliver(lf)
 		}
 		more = more && err == nil
 		return more
 	}
-	t.index.Leaves(lo, hi, onLeaf, func(keys []string, rows []*Row) bool {
-		return step(keys, rows, false)
+	t.index.Leaves(lo, hi, onLeaf, func(keys []string, tids []TID) bool {
+		return step(keys, tids, false)
 	})
 	if more && onPage != nil {
 		step(nil, nil, true)
@@ -717,49 +571,52 @@ type WriteResult struct {
 // out.
 func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, snap *mvcc.Snapshot, mgr *mvcc.Manager, wg *waitgraph.Graph) (WriteResult, error) {
 	t.simulateIO()
-	row, leaf, _, splits := t.index.GetOrInsert(key, t.newRow)
-	// The loop leaves with the row locked and older set to the dead
-	// chain the new version goes on top of (nil for a fresh key).
-	var older *Tuple
+	tid, leaf, _, splits := t.index.GetOrInsert(key, t.mkSlot)
+	pg, slot := t.page(tid), tid.slot()
+	// The loop leaves with the page latched exclusively and older set to
+	// the dead chain the new version goes on top of (none for a fresh
+	// key).
+	latch := &pg.latch
+	var older int32
 	for {
-		row.mu.Lock()
-		older = row.pruneAborted(mgr)
-		if older == nil {
+		latch.Lock()
+		older = pg.pruneAborted(slot, mgr)
+		if older == none {
 			break
 		}
 		// Some version chain exists. Determine whether the newest
 		// version is live for us or for a concurrent transaction.
-		head := older
-		if head.Xmin == xid && head.Xmax == xid {
+		head := &pg.hdrs[older]
+		if head.xmin == xid && head.xmax == xid {
 			// We deleted our own version earlier; re-inserting is
 			// allowed and creates a fresh version.
 			break
 		}
-		st, seq := head.minStatus(mgr)
-		if st == mvcc.StatusInProgress && head.Xmin != xid {
-			holder := head.Xmin
-			row.mu.Unlock()
+		st, seq := head.minFate.resolve(head.xmin, mgr)
+		if st == mvcc.StatusInProgress && head.xmin != xid {
+			holder := head.xmin
+			latch.Unlock()
 			if err := t.waitFor(xid, holder, mgr, wg); err != nil {
 				return WriteResult{}, err
 			}
 			continue
 		}
 		// Creator committed (or is us). Is the row currently deleted?
-		if row.visible(snap, xid, mgr, nil) != nil {
-			row.mu.Unlock()
+		if pg.visible(slot, snap, xid, mgr, nil) != none {
+			latch.Unlock()
 			return WriteResult{}, ErrDuplicateKey
 		}
-		if head.Xmax == 0 && st == mvcc.StatusCommitted && !snap.SeesCommitted(seq) {
+		if head.xmax == 0 && st == mvcc.StatusCommitted && !snap.SeesCommitted(seq) {
 			// A concurrent transaction inserted the key and
 			// committed: unique violation even though we cannot
 			// see the row.
-			row.mu.Unlock()
+			latch.Unlock()
 			return WriteResult{}, ErrDuplicateKey
 		}
-		if head.Xmax != 0 && head.Xmax != xid {
-			if xst, _ := head.maxStatus(mgr); xst == mvcc.StatusInProgress {
-				holder := head.Xmax
-				row.mu.Unlock()
+		if head.xmax != 0 && head.xmax != xid {
+			if xst, _ := head.maxFate.resolve(head.xmax, mgr); xst == mvcc.StatusInProgress {
+				holder := head.xmax
+				latch.Unlock()
 				if err := t.waitFor(xid, holder, mgr, wg); err != nil {
 					return WriteResult{}, err
 				}
@@ -769,10 +626,10 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 		// Row is dead for everyone relevant: safe to create anew.
 		break
 	}
-	rewrite := older != nil && (older.Xmin == xid || older.Xmax == xid)
-	row.head = &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Older: older}
-	row.mu.Unlock()
-	return WriteResult{Page: row.page, IndexPage: leaf, Splits: splits, Rewrite: rewrite}, nil
+	rewrite := older != none && (pg.hdrs[older].xmin == xid || pg.hdrs[older].xmax == xid)
+	pg.push(slot, header{xmin: xid, subMin: subID}, value)
+	latch.Unlock()
+	return WriteResult{Page: tid.Page(), IndexPage: leaf, Splits: splits, Rewrite: rewrite}, nil
 }
 
 // Update replaces the visible version of key with a new version holding
@@ -801,72 +658,69 @@ func (t *Table) Delete(key string, xid mvcc.TxID, subID int32, snap *mvcc.Snapsh
 
 func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID int32, snap *mvcc.Snapshot, mgr *mvcc.Manager, wg *waitgraph.Graph, check func(WriteResult) error) (WriteResult, error) {
 	t.simulateIO()
-	row, _, _ := t.index.Lookup(key, nil)
-	if row == nil {
+	tid, _, _ := t.index.Lookup(key, nil)
+	if tid == 0 {
 		return WriteResult{}, ErrNotFound
 	}
-	// The row's page latch is taken exclusively (readers share it) before
-	// the row lock — the blocking order, latch.go — and held from the
-	// write decision through the stamp to the end of the caller's check,
-	// so no reader of this page can put its visibility check between the
-	// stamp and the SIREAD probe. It is dropped with the row lock on every
-	// exit and before every wait.
-	latch := t.latches.latch(row.page)
-	unlock := func() {
-		row.mu.Unlock()
-		latch.Unlock()
-	}
+	pg, slot := t.page(tid), tid.slot()
+	// The row's page latch is taken exclusively (readers share it) and
+	// held from the write decision through the stamp to the end of the
+	// caller's check, so no reader of this page can put its visibility
+	// check between the stamp and the SIREAD probe. It is dropped on
+	// every exit and before every wait.
+	latch := &pg.latch
 	fail := func(err error) (WriteResult, error) {
-		unlock()
+		latch.Unlock()
 		return WriteResult{}, err
 	}
 	wait := func(holder mvcc.TxID) error {
-		unlock()
+		latch.Unlock()
 		return t.waitFor(xid, holder, mgr, wg)
 	}
 	for {
 		latch.Lock()
-		row.mu.Lock()
-		head := row.pruneAborted(mgr)
-		if head == nil {
+		hi := pg.pruneAborted(slot, mgr)
+		if hi == none {
 			return fail(ErrNotFound)
 		}
+		head := &pg.hdrs[hi]
 		// If the newest version belongs to an in-progress concurrent
 		// transaction, that transaction holds the tuple write lock.
-		st, seq := head.minStatus(mgr)
-		if head.Xmin != xid && st == mvcc.StatusInProgress {
-			if err := wait(head.Xmin); err != nil {
+		st, seq := head.minFate.resolve(head.xmin, mgr)
+		if head.xmin != xid && st == mvcc.StatusInProgress {
+			if err := wait(head.xmin); err != nil {
 				return WriteResult{}, err
 			}
 			continue
 		}
-		v := row.visible(snap, xid, mgr, nil)
-		if v == nil {
+		vi := pg.visible(slot, snap, xid, mgr, nil)
+		if vi == none {
 			// Nothing visible. If a concurrent committed
 			// transaction owns the newest version, this is a
 			// first-updater-wins conflict; otherwise the row is
 			// simply absent.
-			if head.Xmin != xid && st == mvcc.StatusCommitted && !snap.SeesCommitted(seq) {
+			if head.xmin != xid && st == mvcc.StatusCommitted && !snap.SeesCommitted(seq) {
 				return fail(ErrWriteConflict)
 			}
-			if head.Xmax != 0 && head.Xmax != xid {
-				if xst, xseq := head.maxStatus(mgr); xst == mvcc.StatusCommitted && !snap.SeesCommitted(xseq) {
+			if head.xmax != 0 && head.xmax != xid {
+				if xst, xseq := head.maxFate.resolve(head.xmax, mgr); xst == mvcc.StatusCommitted && !snap.SeesCommitted(xseq) {
 					return fail(ErrWriteConflict)
 				}
 			}
 			return fail(ErrNotFound)
 		}
-		if v != head {
+		if vi != hi {
 			// A newer version exists that we cannot see: it was
 			// created by a concurrent transaction. Its creator is
 			// committed (in-progress creators were handled above),
 			// so first-updater-wins rejects us.
 			return fail(ErrWriteConflict)
 		}
-		if v.Xmax != 0 && v.Xmax != xid {
-			switch xst, _ := v.maxStatus(mgr); xst {
+		v := head
+		if v.xmax != 0 && v.xmax != xid {
+			switch xst, _ := v.maxFate.resolve(v.xmax, mgr); xst {
 			case mvcc.StatusInProgress:
-				if err := wait(v.Xmax); err != nil {
+				if err := wait(v.xmax); err != nil {
 					return WriteResult{}, err
 				}
 				continue
@@ -882,18 +736,17 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 		// version on top, on the same page. v is visible and the head,
 		// so xid has not deleted it: the write supersedes one of xid's
 		// own exactly when xid created v.
-		wr := WriteResult{Page: row.page, Rewrite: v.Xmin == xid}
+		wr := WriteResult{Page: tid.Page(), Rewrite: v.xmin == xid}
 		v.setXmax(xid, subID)
-		if !del {
-			row.head = &Tuple{Key: key, Value: value, Xmin: xid, SubMin: subID, Older: v}
-		}
 		// Pruning on write: the superseded version is the newest one any
 		// snapshot can still need, so whatever lies below the newest
 		// all-visible version at or under it goes now.
 		if h := mgr.Horizon(); h != mvcc.InvalidSeqNo {
-			trimBelow(v, h, mgr)
+			pg.trimBelow(vi, h, mgr)
 		}
-		row.mu.Unlock()
+		if !del {
+			pg.push(slot, header{xmin: xid, subMin: subID}, value)
+		}
 		var err error
 		if check != nil {
 			err = check(wr)
@@ -924,22 +777,23 @@ func (t *Table) waitFor(xid, holder mvcc.TxID, mgr *mvcc.Manager, wg *waitgraph.
 // readers to step over. It is a no-op for keys the (sub)transaction did
 // not touch.
 func (t *Table) UndoSubxact(key string, xid mvcc.TxID, subID int32) {
-	row, _, _ := t.index.Lookup(key, nil)
-	if row == nil {
+	tid, _, _ := t.index.Lookup(key, nil)
+	if tid == 0 {
 		return
 	}
-	row.mu.Lock()
-	defer row.mu.Unlock()
-	head := row.head
+	pg, slot := t.page(tid), tid.slot()
+	pg.latch.Lock()
+	defer pg.latch.Unlock()
 	// Unlink versions created by (xid, >=subID) from the head of the
 	// chain. Only our own uncommitted versions can sit above committed
 	// ones, so scanning from the head suffices.
-	for head != nil && head.Xmin == xid && head.SubMin >= subID {
-		head = head.Older
+	head := pg.line[slot]
+	for head != none && pg.hdrs[head].xmin == xid && pg.hdrs[head].subMin >= subID {
+		head = pg.hdrs[head].older
 	}
-	row.head = head
-	if head != nil && head.Xmax == xid && head.SubMax >= subID {
-		head.setXmax(0, 0)
+	pg.line[slot] = head
+	if head != none && pg.hdrs[head].xmax == xid && pg.hdrs[head].subMax >= subID {
+		pg.hdrs[head].setXmax(0, 0)
 	}
 }
 
@@ -947,12 +801,12 @@ func (t *Table) UndoSubxact(key string, xid mvcc.TxID, subID int32) {
 // returns the union of conflict-out transactions observed. Full-table
 // (sequential) scans go through this path; it is Scan without the
 // callbacks a tracked index scan needs.
-func (t *Table) ForEach(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, fn func(tu *Tuple) bool) []mvcc.TxID {
+func (t *Table) ForEach(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, fn func(key string, value []byte) bool) []mvcc.TxID {
 	var conflicts []mvcc.TxID
 	t.Scan("", "", snap, self, mgr, nil, nil, func(lf *Leaf) (bool, error) {
 		conflicts = append(conflicts, lf.ConflictOut...)
-		for _, v := range lf.Vis {
-			if v != nil && !fn(v) {
+		for i, v := range lf.Vals {
+			if v != nil && !fn(lf.Keys[i], v) {
 				return false, nil
 			}
 		}
@@ -969,34 +823,34 @@ func (t *Table) Len() int { return t.index.Len() }
 // or above horizon (mvcc.Manager.OldestSnapshot): versions superseded by
 // one committed at or below the horizon, and aborted detritus. It
 // returns the number of versions removed. A row whose last version goes
-// keeps its (empty) slot in the index.
+// keeps its (empty) slot in the index. It walks the heap a page at a
+// time, each under its latch held exclusively.
 func (t *Table) Vacuum(horizon mvcc.SeqNo, mgr *mvcc.Manager) int {
 	removed := 0
-	t.index.Leaves("", "", nil, func(_ []string, rows []*Row) bool {
-		for _, row := range rows {
-			row.mu.Lock()
-			removed += row.vacuum(horizon, mgr)
-			row.mu.Unlock()
+	for _, pg := range *t.pages.Load() {
+		pg.latch.Lock()
+		for slot := range pg.line {
+			removed += pg.vacuum(slot, horizon, mgr)
 		}
-		return true
-	})
+		pg.latch.Unlock()
+	}
 	return removed
 }
 
-// vacuum is Vacuum for one row. Caller holds r.mu.
-func (r *Row) vacuum(horizon mvcc.SeqNo, mgr *mvcc.Manager) (removed int) {
-	head := r.pruneAborted(mgr)
-	if head == nil {
+// vacuum is Vacuum for one row. Caller holds the latch exclusively.
+func (p *page) vacuum(slot int, horizon mvcc.SeqNo, mgr *mvcc.Manager) (removed int) {
+	head := p.pruneAborted(slot, mgr)
+	if head == none {
 		return 0
 	}
-	for v := trimBelow(head, horizon, mgr); v != nil; v = v.Older {
+	for i := p.trimBelow(head, horizon, mgr); i != none; i = p.hdrs[i].older {
 		removed++
 	}
 	// If the sole remaining version is a committed delete visible to
 	// everyone, the row is gone.
-	if head.Older == nil && head.Xmax != 0 {
-		if st, seq := head.maxStatus(mgr); st == mvcc.StatusCommitted && seq <= horizon {
-			r.head = nil
+	if v := &p.hdrs[head]; v.older == none && v.xmax != 0 {
+		if st, seq := v.maxFate.resolve(v.xmax, mgr); st == mvcc.StatusCommitted && seq <= horizon {
+			p.line[slot] = none
 			removed++
 		}
 	}
@@ -1008,8 +862,8 @@ func (r *Row) vacuum(horizon mvcc.SeqNo, mgr *mvcc.Manager) (removed int) {
 // log's answer now, side by side — a harness that caught a reader seeing
 // what it should not prints this. It fills no cache.
 func (t *Table) DescribeRow(key string, mgr *mvcc.Manager) string {
-	row, _, _ := t.index.Lookup(key, nil)
-	if row == nil {
+	tid, _, _ := t.index.Lookup(key, nil)
+	if tid == 0 {
 		return fmt.Sprintf("%s: no slot", key)
 	}
 	stamp := func(xid mvcc.TxID, cached fate) string {
@@ -1019,11 +873,13 @@ func (t *Table) DescribeRow(key string, mgr *mvcc.Manager) string {
 		st, seq := mgr.Status(xid)
 		return fmt.Sprintf("%d(log %v@%d, cached %v)", xid, st, seq, cached)
 	}
-	row.mu.Lock()
-	defer row.mu.Unlock()
-	out := fmt.Sprintf("%s (page %d):", key, row.page)
-	for v := row.head; v != nil; v = v.Older {
-		out += fmt.Sprintf("\n    %x xmin %s xmax %s", v.Value, stamp(v.Xmin, v.minFate), stamp(v.Xmax, v.maxFate))
+	pg := t.page(tid)
+	pg.latch.RLock()
+	defer pg.latch.RUnlock()
+	out := fmt.Sprintf("%s (page %d):", key, tid.Page())
+	for i := pg.line[tid.slot()]; i != none; i = pg.hdrs[i].older {
+		v := &pg.hdrs[i]
+		out += fmt.Sprintf("\n    %x xmin %s xmax %s", pg.value(i), stamp(v.xmin, v.minFate.load()), stamp(v.xmax, v.maxFate.load()))
 	}
 	return out
 }

@@ -46,8 +46,8 @@ func (h *harness) update(tx *txn, key, val string) error {
 // pageOf returns the heap page key's row lives on (the key must have a
 // slot).
 func (h *harness) pageOf(key string) int64 {
-	row, _, _ := h.tbl.index.Lookup(key, nil)
-	return row.page
+	tid, _, _ := h.tbl.index.Lookup(key, nil)
+	return tid.Page()
 }
 
 func (h *harness) get(tx *txn, key string) (string, bool) {
@@ -55,7 +55,7 @@ func (h *harness) get(tx *txn, key string) (string, bool) {
 	if res.Tuple == nil {
 		return "", false
 	}
-	return string(res.Tuple.Value), true
+	return string(res.Tuple), true
 }
 
 func TestInsertVisibleAfterCommitOnly(t *testing.T) {
@@ -101,7 +101,7 @@ func TestConflictOutReportsConcurrentWriter(t *testing.T) {
 	h.mgr.Commit(w.xid)
 
 	res := h.tbl.Get("a", r.snap, r.xid, h.mgr)
-	if res.Tuple == nil || string(res.Tuple.Value) != "1" {
+	if res.Tuple == nil || string(res.Tuple) != "1" {
 		t.Fatalf("reader must still see old version, got %v", res.Tuple)
 	}
 	found := false
@@ -311,7 +311,7 @@ func TestForEachVisibility(t *testing.T) {
 	_ = h.insert(w, "uncommitted", "v")
 	r := h.begin()
 	n := 0
-	h.tbl.ForEach(r.snap, r.xid, h.mgr, func(tu *Tuple) bool { n++; return true })
+	h.tbl.ForEach(r.snap, r.xid, h.mgr, func(string, []byte) bool { n++; return true })
 	if n != 20 {
 		t.Fatalf("visible rows = %d, want 20", n)
 	}

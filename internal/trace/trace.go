@@ -1,7 +1,7 @@
 // Package trace is the engine's one instrumentation seam. The layers with
 // a window worth observing — internal/core's transaction lifecycle and
-// write probe, internal/mvcc's commit publication and internal/storage's
-// read path —
+// write probe, internal/mvcc's commit publication, internal/storage's
+// read path and the root package's commit-record enqueue —
 // each carry a single Func in their Config and call it at the Points
 // below. The seam is nil outside tests, and every call site checks for
 // nil before it builds an Event, so an unset seam costs a branch and
@@ -60,6 +60,14 @@ const (
 	// pass has computed its horizon and before it takes the conflict-graph
 	// mutex, with only the pass mutex held. XID is zero.
 	ReclaimScan
+	// WALEnqueue fires in the root package's publishCommit immediately
+	// before a commit's record is enqueued on the log, inside the
+	// DB.walMu section that published the commit's CSN: commit records
+	// are enqueued in CSN order because both happen in that section. The
+	// mutation entry "commit enqueued after walMu is dropped" moves this
+	// point and the enqueue out of it. XID is the committer and Seq its
+	// CSN.
+	WALEnqueue
 )
 
 // Event is one traced occurrence. Fields its Point does not define are

@@ -17,7 +17,7 @@ import (
 // (mutation analysis, DeMillo, Lipton & Sayward). TestMutants applies
 // each entry to a copy of the module and requires the named tests to
 // fail there. This is how the engine's fences are proved without a
-// switch in the engine: the first six entries reopen, one at a time, the
+// switch in the engine: the first seven entries reopen, one at a time, the
 // atomicity windows that the interleaving harnesses park a transaction
 // in, and a harness that no longer notices its window gone fails here.
 // The rest pin tests that were once proved by a hand-made mutation.
@@ -113,11 +113,13 @@ var mutants = []mutant{
 	{
 		name: "Table.Read unlatched",
 		file: "internal/storage/storage.go",
-		old: `			latch := t.latches.latch(row.page)
-			latch.RLock()
+		old: `		if latched {
+			defer latch.RUnlock()
+		} else {
+			latch.RUnlock()
+		}
 `,
-		new: `			latch := new(sync.RWMutex)
-			latch.RLock()
+		new: `		latch.RUnlock()
 `,
 		pkg: ".",
 		run: "^TestDetectionWindowWriteSkew$/^Get$",
@@ -125,22 +127,79 @@ var mutants = []mutant{
 	{
 		name: "batch read unlatched",
 		file: "internal/storage/storage.go",
-		old:  `		latch := t.latches.latch(page)`,
-		new:  `		latch := new(sync.RWMutex)`,
-		pkg:  ".",
-		run:  "^TestDetectionWindowWriteSkew$/^Scan$",
+		old: `		err := rd.register(rd.tids[i].Page(), i, j)
+		latch.RUnlock()
+`,
+		new: `		latch.RUnlock()
+		err := rd.register(rd.tids[i].Page(), i, j)
+`,
+		pkg: ".",
+		run: "^TestDetectionWindowWriteSkew$/^Scan$",
 	},
 	{
 		name: "write unlatched",
 		file: "internal/storage/storage.go",
-		old: `	latch := t.latches.latch(row.page)
-	unlock := func() {
+		old: `	latch := &pg.latch
+	fail := func(err error) (WriteResult, error) {
 `,
-		new: `	latch := new(sync.RWMutex)
-	unlock := func() {
+		new: `	latch := &newPage().latch
+	fail := func(err error) (WriteResult, error) {
 `,
 		pkg: ".",
 		run: "^TestDetectionWindowWriteSkew$",
+	},
+
+	{
+		name: "commit enqueued after walMu is dropped",
+		file: "tx.go",
+		old: `	if f := db.hooks.Trace; f != nil {
+		f(trace.Event{Point: trace.WALEnqueue, XID: uint64(tx.xid), Seq: uint64(seq)})
+	}
+	db.log.Enqueue(tx.walPend, seq)
+	db.maybeEmitMarkerLocked()
+	return seq
+`,
+		new: `	db.maybeEmitMarkerLocked()
+	db.walMu.Unlock()
+	if f := db.hooks.Trace; f != nil {
+		f(trace.Event{Point: trace.WALEnqueue, XID: uint64(tx.xid), Seq: uint64(seq)})
+	}
+	db.log.Enqueue(tx.walPend, seq)
+	db.walMu.Lock()
+	return seq
+`,
+		pkg: ".",
+		run: "^TestWALEnqueueFollowsCSN$",
+	},
+
+	// --- The heap page. ---
+	{
+		name: "Insert changes headers unlatched",
+		file: "internal/storage/storage.go",
+		old: `	latch := &pg.latch
+	var older int32
+`,
+		new: `	latch := &newPage().latch
+	var older int32
+`,
+		pkg: "./internal/storage",
+		run: "^TestInsertWaitsForPageLatch$",
+	},
+	{
+		name: "compaction writes into the live arena",
+		file: "internal/storage/page.go",
+		old:  `arena := make([]byte, 0, bytes+bytes/2+need)`,
+		new:  `arena := p.arena[:0]`,
+		pkg:  "./internal/storage",
+		run:  "^TestValueSurvivesCompaction$",
+	},
+	{
+		name: "prune frees a version the horizon still needs",
+		file: "internal/storage/page.go",
+		old:  `st == mvcc.StatusCommitted && seq <= horizon {`,
+		new:  `st == mvcc.StatusCommitted && seq <= horizon+1 {`,
+		pkg:  "./internal/storage",
+		run:  "^TestHeapMatchesModel$",
 	},
 
 	// --- Snapshot visibility and commit-log truncation. ---
@@ -196,15 +255,15 @@ var mutants = []mutant{
 	{
 		name: "Update and Delete never report Rewrite",
 		file: "internal/storage/storage.go",
-		old:  `wr := WriteResult{Page: row.page, Rewrite: v.Xmin == xid}`,
-		new:  `wr := WriteResult{Page: row.page}`,
+		old:  `wr := WriteResult{Page: tid.Page(), Rewrite: v.xmin == xid}`,
+		new:  `wr := WriteResult{Page: tid.Page()}`,
 		pkg:  ".",
 		run:  "^TestOwnsMatchesReference$",
 	},
 	{
 		name: "Insert never reports Rewrite",
 		file: "internal/storage/storage.go",
-		old:  `rewrite := older != nil && (older.Xmin == xid || older.Xmax == xid)`,
+		old:  `rewrite := older != none && (pg.hdrs[older].xmin == xid || pg.hdrs[older].xmax == xid)`,
 		new:  `rewrite := false`,
 		pkg:  ".",
 		run:  "^TestWriteSetCommitRecordAndReplay$",

@@ -10,23 +10,20 @@ import (
 	"pgssi/internal/storage"
 )
 
-// storageTuple aliases the heap tuple type for callback signatures.
-type storageTuple = storage.Tuple
-
 // This file implements the data operations. Each operation has two
 // concurrency-control paths: the MVCC path (ReadCommitted /
 // RepeatableRead / Serializable, where Serializable adds the SSI hooks of
 // §5.2) and the strict two-phase locking path (§8's baseline).
 //
 // There is one index per table: the heap (storage.Table) owns the
-// primary B+-tree and the tree's leaf entry is the row, so every read —
+// primary B+-tree and the tree's leaf entry is the row's TID, so every read —
 // point or range — reaches its rows through the same descent that finds
 // the leaf page to SIREAD-lock, and a settled row's visibility is
 // answered from the fates cached on its versions, without a commit-log
 // lookup (internal/storage has the details).
 //
 // Serializable reads and writes run their SSI lock-manager steps inside
-// the storage layer's per-page read latch (storage/latch.go): reads
+// the storage layer's heap page latch (storage/latch.go): reads
 // insert their SIREAD locks in the storage read callbacks, writes probe
 // the SIREAD table in the Update/Delete check callback. Holding the
 // latch across {visibility check, SIREAD insertion} on the read side and
@@ -99,7 +96,7 @@ func (tx *Tx) Get(table, key string) ([]byte, error) {
 		}
 		if res.Tuple != nil {
 			found = true
-			value = res.Tuple.Value
+			value = res.Tuple
 		}
 		return nil
 	})
@@ -323,19 +320,19 @@ func (tx *Tx) leafLocker(rel string, tracking bool) func(btree.PageID) {
 // at any moment, §4.2), the remaining runs register nothing: the lock set
 // only ever coarsens and a safe snapshot stays safe, so either answer
 // holds for the rest of the scan. nil when the scan is not tracked.
-func (tx *Tx) pageLocker(table string, tracking bool) func(page int64, items []storage.BatchItem) error {
+func (tx *Tx) pageLocker(table string, tracking bool) func(page int64, keys []string) error {
 	if !tracking {
 		return nil
 	}
 	var lockKeys []string
 	done := false // relation-covered, or safe
-	return func(page int64, items []storage.BatchItem) error {
+	return func(page int64, keys []string) error {
 		if done = done || tx.x.Safe(); done {
 			return nil
 		}
-		lockKeys = slices.Grow(lockKeys[:0], len(items))
-		for i := range items {
-			if k := items[i].Key; !tx.owns(table, k) {
+		lockKeys = slices.Grow(lockKeys[:0], len(keys))
+		for _, k := range keys {
+			if !tx.owns(table, k) {
 				lockKeys = append(lockKeys, k)
 			}
 		}
@@ -366,7 +363,7 @@ func (tx *Tx) Scan(table, lo, hi string, fn func(key string, value []byte) bool)
 		return err
 	}
 	if tx.level == SerializableS2PL {
-		return s2plScan(tx, ti, ti.heap.Index(), ti.pkName, lo, hi, func(entryKey string, _ *storage.Row) string {
+		return s2plScan(tx, ti, ti.heap.Index(), ti.pkName, lo, hi, func(entryKey string, _ storage.TID) string {
 			return entryKey
 		}, nil, fn)
 	}
@@ -379,8 +376,8 @@ func (tx *Tx) Scan(table, lo, hi string, fn func(key string, value []byte) bool)
 			if err := tx.flagScanConflicts(lf); err != nil {
 				return false, err
 			}
-			for i, v := range lf.Vis {
-				if v != nil && !fn(lf.Keys[i], v.Value) {
+			for i, v := range lf.Vals {
+				if v != nil && !fn(lf.Keys[i], v) {
 					return false, nil
 				}
 			}
@@ -451,14 +448,14 @@ func (tx *Tx) ScanIndex(table, idx, lo, hi string, fn func(key string, value []b
 			return false
 		}
 		for h, pk := range hitPKs {
-			v := lf.Vis[at[h]]
+			v := lf.Vals[at[h]]
 			if v == nil {
 				continue
 			}
-			if !si.matches(entries[h], pk, v.Value) {
+			if !si.matches(entries[h], pk, v) {
 				continue
 			}
-			if !fn(pk, v.Value) {
+			if !fn(pk, v) {
 				return false
 			}
 		}
@@ -492,18 +489,14 @@ func (tx *Tx) SeqScan(table string, fn func(key string, value []byte) bool) erro
 			return mapStorageErr(err)
 		}
 		snap := tx.db.mvcc.TakeSnapshot()
-		ti.heap.ForEach(snap, tx.xid, tx.db.mvcc, func(tu *storageTuple) bool {
-			return fn(tu.Key, tu.Value)
-		})
+		ti.heap.ForEach(snap, tx.xid, tx.db.mvcc, fn)
 		return nil
 	}
 	snap := tx.snapshot()
 	if tx.x != nil && !tx.x.Safe() {
 		tx.db.ssi.AcquireRelationLock(tx.x, table)
 	}
-	conflicts := ti.heap.ForEach(snap, tx.xid, tx.db.mvcc, func(tu *storageTuple) bool {
-		return fn(tu.Key, tu.Value)
-	})
+	conflicts := ti.heap.ForEach(snap, tx.xid, tx.db.mvcc, fn)
 	if tx.x != nil {
 		if err := tx.db.ssi.CheckScanConflicts(tx.x, conflicts); err != nil {
 			return mapStorageErr(err)

@@ -52,7 +52,7 @@ func (tx *Tx) s2plGet(ti *tableInfo, key string) ([]byte, error) {
 	if res.Tuple == nil {
 		return nil, ErrNotFound
 	}
-	return res.Tuple.Value, nil
+	return res.Tuple, nil
 }
 
 // s2plLockLeaf locks the index leaf page that holds (or would hold) key,
@@ -128,7 +128,8 @@ func (tx *Tx) s2plUpdate(ti *tableInfo, key string, value []byte, del bool) erro
 // observed can change until they are locked), then locks each matching
 // tuple, then reads. pkOf converts an index entry (key, stored value)
 // into the primary key to fetch: the tree is the table's own (its
-// entries are the rows) or a secondary index (its entries name them).
+// entries are the rows' TIDs) or a secondary index (its entries name
+// rows by primary key).
 // A secondary index files a row under the key of every version it has
 // had, so several entries can name one row; matches (nil for the table's
 // own tree) keeps only the entry filed under the visible version's key,
@@ -172,10 +173,10 @@ func s2plScan[V any](tx *Tx, ti *tableInfo, tree *btree.Tree[V], rel, lo, hi str
 	snap := tx.db.mvcc.TakeSnapshot()
 	for i, pk := range pks {
 		res := ti.heap.Get(pk, snap, tx.xid, tx.db.mvcc)
-		if res.Tuple == nil || matches != nil && !matches(entries[i], pk, res.Tuple.Value) {
+		if res.Tuple == nil || matches != nil && !matches(entries[i], pk, res.Tuple) {
 			continue
 		}
-		if !fn(pk, res.Tuple.Value) {
+		if !fn(pk, res.Tuple) {
 			break
 		}
 	}

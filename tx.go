@@ -5,6 +5,7 @@ import (
 
 	"pgssi/internal/core"
 	"pgssi/internal/mvcc"
+	"pgssi/internal/trace"
 	"pgssi/internal/wal"
 )
 
@@ -376,6 +377,9 @@ func (db *DB) publishCommit(tx *Tx) mvcc.SeqNo {
 	if tx.joiner {
 		tx.joiner = false
 		db.walJoiners.Add(-1)
+	}
+	if f := db.hooks.Trace; f != nil {
+		f(trace.Event{Point: trace.WALEnqueue, XID: uint64(tx.xid), Seq: uint64(seq)})
 	}
 	db.log.Enqueue(tx.walPend, seq)
 	db.maybeEmitMarkerLocked()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pgssi"
+	"pgssi/internal/trace"
 	"pgssi/internal/wal"
 )
 
@@ -221,5 +222,51 @@ func TestReplicaMarkerDoesNotAdvanceResume(t *testing.T) {
 	defer tx.Rollback()
 	if !tx.OnSafeSnapshot() {
 		t.Fatal("marker ahead of the last commit record should still be a safe snapshot")
+	}
+}
+
+// TestWALEnqueueFollowsCSN is the deterministic test of publishCommit's
+// rule that a commit's record is enqueued inside the DB.walMu section
+// that published its CSN. Committer A is parked at the WALEnqueue point,
+// after its CSN is published and before its enqueue, while committer B
+// commits: B cannot publish until A leaves the section, so the log must
+// hold A's record before B's, in CSN order.
+func TestWALEnqueueFollowsCSN(t *testing.T) {
+	p := newPauser()
+	db := pgssi.OpenWithHooks(pgssi.Config{}, pgssi.Hooks{Trace: p.trace})
+	defer db.Close()
+	walLog := wal.NewLog()
+	mustExec(t, db.AttachWAL(walLog))
+	mustExec(t, db.CreateTable("kv"))
+	a, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.ReadCommitted})
+	mustExec(t, err)
+	b, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.ReadCommitted})
+	mustExec(t, err)
+	mustExec(t, a.Put("kv", "a", []byte("1")))
+	mustExec(t, b.Put("kv", "b", []byte("1")))
+
+	p.arm(trace.WALEnqueue, ofXID(a.ID()))
+	aDone, bDone := make(chan error, 1), make(chan error, 1)
+	go func() { aDone <- a.Commit() }()
+	<-p.inWindow
+	go func() { bDone <- b.Commit() }()
+	select {
+	case err := <-bDone:
+		t.Fatalf("B committed (err %v) while A was parked between its CSN and its enqueue", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(p.release)
+	mustExec(t, <-aDone)
+	mustExec(t, <-bDone)
+	mustExec(t, walLog.SyncBarrier())
+
+	var order []string
+	for _, rec := range logRecords(t, walLog) {
+		for _, op := range rec.Ops {
+			order = append(order, op.Key)
+		}
+	}
+	if fmt.Sprint(order) != "[a b]" {
+		t.Fatalf("log holds the commits' writes in the order %v, want [a b]", order)
 	}
 }
