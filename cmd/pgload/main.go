@@ -5,14 +5,10 @@
 //     or Poisson rate (not closed-loop workers, so queueing collapse is
 //     visible instead of hidden), zipfian key skew over a large keyspace,
 //     and HDR-style latency reporting (p50/p99/p999 measured from each
-//     arrival's scheduled time, queueing delay included). With -replicas
-//     it drives a replication fleet: writes go to the primary, and a
-//     -readfrac share of arrivals are read-only transactions routed by a
-//     lag-aware router (internal/router) to the replica with a
-//     recent-enough safe snapshot — serializable reads on a replica
-//     always begin deferrable, landing exactly on a safe snapshot, with
-//     primary fallback when every replica is stale past -maxlag for
-//     longer than -waitsafe.
+//     arrival's scheduled time, queueing delay included). It runs one
+//     transaction shape over one pool of -conns connections; -writes 0
+//     makes every transaction read-only, which is how to drive a
+//     replica-mode pgssid.
 //   - sibench, dbt2 and rubis regenerate the paper's Figures 4, 5 and 6
 //     in process: each workload runs closed-loop under every
 //     concurrency-control regime (workload.Regimes) and is printed as
@@ -24,10 +20,9 @@
 // Every subcommand exits 1 if any transaction failed with a
 // non-retryable error.
 //
-// Examples, the first two against `pgssid -preload 1000000`:
+// Examples, the first against `pgssid -preload 1000000`:
 //
 //	pgload kv -addr :6432 -rate 3000 -duration 30s -keys 1000000 -zipf 1.1
-//	pgload kv -addr :6432 -replicas :6433,:6434 -readfrac 0.9 -rate 3000
 //	pgload sibench -sizes 10,100,1000 -duration 1s
 //	pgload dbt2 -config disk
 package main
@@ -38,11 +33,9 @@ import (
 	"log"
 	"math/rand/v2"
 	"os"
-	"strings"
 	"time"
 
 	"pgssi"
-	"pgssi/internal/router"
 	"pgssi/internal/wire"
 	"pgssi/internal/workload"
 )
@@ -70,18 +63,14 @@ func kv(args []string) {
 	fs := flag.NewFlagSet("kv", flag.ExitOnError)
 	var (
 		addr      = fs.String("addr", "127.0.0.1:6432", "server address")
-		replicas  = fs.String("replicas", "", "comma-separated replica addresses (enables lag-aware read routing)")
-		readFrac  = fs.Float64("readfrac", 0, "fraction of arrivals that are read-only transactions (routable to replicas)")
-		maxLag    = fs.Uint64("maxlag", 1000, "staleness bound: replicas lagging more commits than this receive no reads")
-		waitSafe  = fs.Duration("waitsafe", 100*time.Millisecond, "how long a read waits for an eligible replica before falling back to the primary")
 		rate      = fs.Float64("rate", 2000, "offered arrival rate (txn/s)")
 		duration  = fs.Duration("duration", 10*time.Second, "load duration")
 		arrival   = fs.String("arrival", "poisson", "arrival process: poisson or fixed")
-		conns     = fs.Int("conns", 16, "client connections per fleet member (transactions in flight share these)")
+		conns     = fs.Int("conns", 16, "client connections (transactions in flight share these)")
 		keys      = fs.Int("keys", 1_000_000, "keyspace size (must match the server's -preload)")
 		zipfS     = fs.Float64("zipf", 1.1, "zipfian skew exponent (<=1 = uniform)")
 		reads     = fs.Int("reads", 2, "gets per transaction")
-		writes    = fs.Int("writes", 1, "puts per read-write transaction")
+		writes    = fs.Int("writes", 1, "puts per transaction (0 = read-only transactions)")
 		valueSize = fs.Int("valuesize", 16, "written value size in bytes")
 		isolation = fs.String("iso", "serializable", "isolation: serializable, repeatableread, readcommitted, s2pl")
 		retries   = fs.Int("retries", 3, "serialization-failure retries per arrival")
@@ -105,51 +94,11 @@ func kv(args []string) {
 	default:
 		log.Fatalf("unknown arrival process %q", *arrival)
 	}
-	var replAddrs []string
-	for _, a := range strings.Split(*replicas, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			replAddrs = append(replAddrs, a)
-		}
-	}
-	if len(replAddrs) > 0 && *readFrac <= 0 {
-		log.Printf("note: -replicas without -readfrac > 0 sends no reads to the replicas")
-	}
 
-	deadline := time.Now().Add(*wait)
-	// Per-slot connection pools: slot i owns one connection to every
-	// fleet member, so a transaction's handles stay on the connection
-	// that began it regardless of where the router sends it.
-	clients := dialPool(*addr, *conns, deadline)
+	clients := dialPool(*addr, *conns, *wait)
 	defer closePool(clients)
-	repClients := make([][]*wire.Client, len(replAddrs))
-	for r, a := range replAddrs {
-		repClients[r] = dialPool(a, *conns, deadline)
-		defer closePool(repClients[r])
-	}
 
-	// The router polls fleet positions over dedicated connections.
-	var rt *router.Router
-	if len(replAddrs) > 0 {
-		statusFunc := func(a string) router.StatusFunc {
-			c := dialPool(a, 1, deadline)[0]
-			return func() (uint64, uint64, bool) {
-				applied, safe, st := c.ReplicaStatus()
-				return applied, safe, st.OK()
-			}
-		}
-		members := make([]router.Member, len(replAddrs))
-		for r, a := range replAddrs {
-			members[r] = router.Member{Name: a, Status: statusFunc(a)}
-		}
-		rt = router.New(
-			router.Member{Name: *addr, Status: statusFunc(*addr)},
-			members,
-			router.Config{MaxLag: *maxLag, WaitSafe: *waitSafe, PollInterval: 10 * time.Millisecond},
-		)
-		defer rt.Close()
-	}
-
-	writeJob := workload.KVJob{
+	job := workload.KVJob{
 		Table:     *table,
 		Keys:      *keys,
 		ZipfS:     *zipfS,
@@ -158,32 +107,20 @@ func kv(args []string) {
 		ValueSize: *valueSize,
 		Isolation: level,
 	}
-	readJob := writeJob
-	readJob.Writes = 0
-	replicaReadJob := readJob
-	replicaReadJob.Deferrable = true // land on a safe snapshot, never fail between markers
-
-	// One transaction body per (slot, member, kind); an arrival checks a
-	// slot out for its whole transaction (waiting for one counts toward
-	// its latency, as queueing should).
-	txnWrite := make([]func(*rand.Rand) error, *conns)
-	txnRead := make([]func(*rand.Rand) error, *conns)
-	txnReplica := make([][]func(*rand.Rand) error, *conns)
-	for i := 0; i < *conns; i++ {
-		txnWrite[i] = writeJob.Txn(clients[i])
-		txnRead[i] = readJob.Txn(clients[i])
-		txnReplica[i] = make([]func(*rand.Rand) error, len(replAddrs))
-		for r := range replAddrs {
-			txnReplica[i][r] = replicaReadJob.Txn(repClients[r][i])
-		}
+	// One transaction body per connection; an arrival checks a
+	// connection out for its whole transaction (waiting for one counts
+	// toward its latency, as queueing should).
+	txns := make([]func(*rand.Rand) error, *conns)
+	for i := range txns {
+		txns[i] = job.Txn(clients[i])
 	}
 	pool := make(chan int, *conns)
 	for i := 0; i < *conns; i++ {
 		pool <- i
 	}
 
-	log.Printf("driving %s (+%d replicas): rate=%.0f/s %s arrivals, %s, keys=%d zipf=%.2f, %d reads + %d writes per txn, readfrac=%.2f, iso=%s, %d conns/member",
-		*addr, len(replAddrs), *rate, arr, *duration, *keys, *zipfS, *reads, *writes, *readFrac, level, *conns)
+	log.Printf("driving %s: rate=%.0f/s %s arrivals, %s, keys=%d zipf=%.2f, %d reads + %d writes per txn, iso=%s, %d conns",
+		*addr, *rate, arr, *duration, *keys, *zipfS, *reads, *writes, level, *conns)
 	res := workload.RunOpenLoop(workload.OpenLoopOptions{
 		Rate:       *rate,
 		Duration:   *duration,
@@ -194,28 +131,10 @@ func kv(args []string) {
 	}, func(rng *rand.Rand) error {
 		i := <-pool
 		defer func() { pool <- i }()
-		if *readFrac <= 0 || rng.Float64() >= *readFrac {
-			return txnWrite[i](rng)
-		}
-		if rt != nil {
-			if r := rt.Pick(true); r >= 0 {
-				err := txnReplica[i][r](rng)
-				if err == nil {
-					return nil
-				}
-				// The replica refused or failed mid-read (halted, draining,
-				// connection lost): serve this arrival from the primary
-				// rather than failing it.
-			}
-		}
-		return txnRead[i](rng)
+		return txns[i](rng)
 	})
 
 	fmt.Println(res)
-	if rt != nil {
-		st := rt.Stats()
-		fmt.Printf("routing: replica=%d primary=%d fallbacks=%d\n", st.ReplicaBegins, st.PrimaryBegins, st.Fallbacks)
-	}
 	for _, c := range clients {
 		if err := c.Err(); err != nil {
 			log.Printf("connection error: %v", err)
@@ -240,9 +159,10 @@ func kv(args []string) {
 	}
 }
 
-// dialPool dials n connections to addr, retrying each until deadline
+// dialPool dials n connections to addr, retrying each for up to wait
 // (the server may still be preloading or catching up).
-func dialPool(addr string, n int, deadline time.Time) []*wire.Client {
+func dialPool(addr string, n int, wait time.Duration) []*wire.Client {
+	deadline := time.Now().Add(wait)
 	clients := make([]*wire.Client, n)
 	for i := range clients {
 		for {

@@ -15,7 +15,7 @@
 //
 //	pgssid -addr :6432 -tables kv -preload 1000000
 //	pgssid -addr :6433 -replicate-from 127.0.0.1:6432
-//	pgload kv -addr :6432 -replicas 127.0.0.1:6433 -readfrac 0.9 -rate 3000
+//	pgload kv -addr :6433 -writes 0 -iso repeatableread -rate 3000
 package main
 
 import (

@@ -440,8 +440,8 @@ func (db *DB) tableNames() []string {
 }
 
 // CurrentSeq returns the newest assigned commit sequence number: the
-// primary's position in its own history, against which a router
-// measures replica lag.
+// primary's position in its own history, against which a replica's
+// lag is measured.
 func (db *DB) CurrentSeq() uint64 { return uint64(db.mvcc.CurrentSeq()) }
 
 // Retry-loop defaults for RunTx (see TxOptions.MaxAttempts and

@@ -36,3 +36,10 @@ func DescribeReadState(db *DB, table string, keys []string) string {
 	}
 	return b.String()
 }
+
+// SessionTx returns the transaction behind a session's handle, or nil if
+// the handle names none.
+func SessionTx(s *Session, h Handle) *Tx {
+	tx, _ := s.lookup(h)
+	return tx
+}

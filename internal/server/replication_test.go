@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -160,6 +161,90 @@ func TestReplicaServerServesReadOnly(t *testing.T) {
 	applied, safe, st := c.ReplicaStatus()
 	if !st.OK() || applied == 0 || applied != safe {
 		t.Fatalf("replica status = %d/%d, %v", applied, safe, st)
+	}
+}
+
+// TestReplicaStatusPositions reads positions over the wire with
+// wire.Client.ReplicaStatus while the primary writes: a replica-mode
+// server never reports a safe position past its applied one, and its
+// applied position converges to the primary's CurrentSeq once the
+// writes stop; the primary answers with its own position in both
+// fields. (A halted replica's answer is TestReplicaHaltReportedOverWire.)
+// The primary here commits only writes: a read-only commit consumes a
+// sequence number without a log record, so the marker that follows it
+// can run ahead of every applied commit.
+func TestReplicaStatusPositions(t *testing.T) {
+	db := attachedDB(t, "kv")
+	srv, dial := startServer(t, db, Config{})
+	defer srv.Shutdown()
+	primary := dial()
+	defer primary.Close()
+
+	rep := pgssi.NewReplica(&wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second})
+	defer rep.Close()
+	rsrv := NewReplicaServer(rep, Config{Logf: t.Logf})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rsrv.Serve(l)
+	defer rsrv.Shutdown()
+	c, err := wire.Dial(l.Addr().String(), wire.DialOptions{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const commits = 300
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < commits; i++ {
+			if err := db.RunTx(pgssi.TxOptions{Isolation: pgssi.Serializable}, func(tx *pgssi.Tx) error {
+				return tx.Put("kv", fmt.Sprintf("k%d", i%10), []byte{byte(i)})
+			}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	var last uint64
+	check := func() uint64 {
+		applied, safe, st := c.ReplicaStatus()
+		if !st.OK() {
+			t.Fatalf("replica status: %v", st)
+		}
+		if safe > applied {
+			t.Fatalf("replica status: safe %d past applied %d", safe, applied)
+		}
+		if applied < last {
+			t.Fatalf("replica status: applied went back from %d to %d", last, applied)
+		}
+		last = applied
+		return applied
+	}
+	for writing := true; writing; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+			check()
+		}
+	}
+
+	want := db.CurrentSeq()
+	if want != commits {
+		t.Fatalf("primary at seq %d after %d commits", want, commits)
+	}
+	waitFor(t, 5*time.Second, func() bool { return check() == want }, "replica status to reach the primary's position")
+	if _, safe, _ := c.ReplicaStatus(); safe != want {
+		t.Fatalf("quiescent replica: safe %d, want %d", safe, want)
+	}
+	if applied, safe, st := primary.ReplicaStatus(); !st.OK() || applied != want || safe != want {
+		t.Fatalf("primary status = %d/%d, %v; want its own position %d in both", applied, safe, st, want)
 	}
 }
 

@@ -175,7 +175,7 @@ func New(db *pgssi.DB, cfg Config) *Server {
 // front-end. Sessions come from Replica.NewSession, and OpReplicaStatus
 // reports the replica's applied/safe positions (with
 // StatusReplicaHalted once the apply loop has halted on an error — a
-// router must stop sending traffic here, not serve stale data).
+// client must stop sending traffic here, not read stale data).
 func NewReplicaServer(rep *pgssi.Replica, cfg Config) *Server {
 	return &Server{
 		rep:          rep,
@@ -505,11 +505,15 @@ func (s *Server) execute(sess *pgssi.Session, req *wire.Request) wire.Response {
 		return wire.Response{Status: pgssi.StatusOK}
 	case wire.OpReplicaStatus:
 		if s.rep != nil {
+			// Safe is read before applied: both only grow, so a commit
+			// and its marker applied between the two reads cannot put
+			// safe past applied in the answer.
+			safe := s.rep.SafeSeq()
 			resp := wire.Response{
 				Status:     pgssi.StatusOK,
 				HasSeqs:    true,
 				AppliedSeq: s.rep.AppliedSeq(),
-				SafeSeq:    s.rep.SafeSeq(),
+				SafeSeq:    safe,
 			}
 			if s.rep.Err() != nil {
 				resp.Status = pgssi.StatusReplicaHalted

@@ -27,9 +27,11 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	iofs "io/fs"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -183,14 +185,10 @@ func scanCheckpoint(fs FS, path string, seq uint64) (nrecs int, complete bool) {
 }
 
 // readCheckpointRecords streams a validated checkpoint's data records
-// (not the footer) through fn. Unlike scanCheckpoint this treats damage
-// as an error: callers only read checkpoints recovery has validated.
-func readCheckpointRecords(fs FS, path string, seq uint64, fn func(Record) error) (int, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
+// (not the footer) from f, the open file at path, through fn. Unlike
+// scanCheckpoint this treats damage as an error: callers only read
+// checkpoints recovery has validated.
+func readCheckpointRecords(f File, path string, seq uint64, fn func(Record) error) (int, error) {
 	if err := readCkptHeader(f, seq); err != nil {
 		return 0, err
 	}
@@ -389,12 +387,29 @@ func (l *DurableLog) ReplayCheckpoint(fn func(Record) error) (CheckpointInfo, er
 	l.mu.Lock()
 	path, seq := l.ckptPath, l.ckptSeq
 	l.mu.Unlock()
-	if path == "" {
-		return CheckpointInfo{}, ErrNoCheckpoint
+	for {
+		if path == "" {
+			return CheckpointInfo{}, ErrNoCheckpoint
+		}
+		f, err := l.fs.Open(path)
+		if err == nil {
+			n, err := readCheckpointRecords(f, path, seq, fn)
+			f.Close()
+			if err != nil {
+				return CheckpointInfo{}, err
+			}
+			return CheckpointInfo{Seq: mvcc.SeqNo(seq), Records: n}, nil
+		}
+		// The file is opened outside l.mu, so a concurrent WriteCheckpoint
+		// may have installed a newer checkpoint and removed this one
+		// since path was read. It moves ckptPath before the removal:
+		// replay the newer checkpoint instead.
+		l.mu.Lock()
+		stale := l.ckptPath != path
+		path, seq = l.ckptPath, l.ckptSeq
+		l.mu.Unlock()
+		if !stale || !errors.Is(err, iofs.ErrNotExist) {
+			return CheckpointInfo{}, err
+		}
 	}
-	n, err := readCheckpointRecords(l.fs, path, seq, fn)
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	return CheckpointInfo{Seq: mvcc.SeqNo(seq), Records: n}, nil
 }

@@ -181,6 +181,64 @@ func TestCheckpointRejectsBadSequences(t *testing.T) {
 	}
 }
 
+// supersedeOnOpenFS runs hook once, at the first Open of a checkpoint
+// file and before it: inside ReplayCheckpoint, that is between its read
+// of the newest checkpoint's path and its open of the file. Only the
+// caller's goroutine opens checkpoint files, so hook needs no lock.
+type supersedeOnOpenFS struct {
+	FS
+	hook func()
+}
+
+func (f *supersedeOnOpenFS) Open(name string) (File, error) {
+	if strings.HasSuffix(name, ".ckpt") && f.hook != nil {
+		hook := f.hook
+		f.hook = nil
+		hook()
+	}
+	return f.FS.Open(name)
+}
+
+// TestReplayCheckpointSupersededBeforeOpen: a checkpoint written while
+// ReplayCheckpoint is between choosing a checkpoint and opening it
+// removes the chosen file. The replay must stream the newer checkpoint,
+// not fail with the removed file's not-exist error (which halted a
+// re-seeding replica for good).
+func TestReplayCheckpointSupersededBeforeOpen(t *testing.T) {
+	fsys := &supersedeOnOpenFS{FS: NewMemFS()}
+	l, err := OpenDir("/wal", Config{Fsync: FsyncAlways, SegmentSize: 256, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	mustAppend(t, l, Record{CreateTable: "t"})
+	for i := 1; i <= 20; i++ {
+		mustAppend(t, l, commitRec(uint64(i), fmt.Sprintf("k%03d", i), "v"))
+		if i%10 == 0 {
+			mustAppend(t, l, Record{Seq: mvcc.SeqNo(i), SafeSnapshot: true})
+		}
+	}
+	if _, err := l.WriteCheckpoint(10, ckptFill(10)); err != nil {
+		t.Fatal(err)
+	}
+	fsys.hook = func() {
+		if _, err := l.WriteCheckpoint(20, ckptFill(20)); err != nil {
+			t.Errorf("superseding WriteCheckpoint: %v", err)
+		}
+	}
+	n := 0
+	info, err := l.ReplayCheckpoint(func(Record) error { n++; return nil })
+	if fsys.hook != nil {
+		t.Fatal("the superseding checkpoint never ran: ReplayCheckpoint opened no checkpoint file")
+	}
+	if err != nil {
+		t.Fatalf("ReplayCheckpoint across a superseding checkpoint: %v", err)
+	}
+	if info.Seq != 20 || info.Records != 21 || n != 21 {
+		t.Fatalf("replayed %+v (%d records streamed), want the newer checkpoint: seq 20, 21 records", info, n)
+	}
+}
+
 // TestCheckpointFillErrorLeavesLogUsable: a failed fill must not leave a
 // torn .ckpt behind or disturb the log.
 func TestCheckpointFillErrorLeavesLogUsable(t *testing.T) {

@@ -26,7 +26,7 @@ import (
 // the failure and the handle is dead — a Rollback of it returns
 // StatusOK, a Commit the failure, and any other call StatusTxDone.
 // Everything else is one request, one answer, as in pgssi.Session:
-// read-only Begins (whose refusals a router branches on), Put on a
+// read-only Begins (whose refusals a client branches on), Put on a
 // read-only handle, and every other operation.
 //
 // A Client multiplexes nothing: one burst of requests is in flight at a
@@ -377,7 +377,8 @@ func (c *Client) Ping() pgssi.Status {
 // ReplicaStatus reports the server's replication position: the applied
 // and safe-snapshot commit sequence numbers. A primary reports its
 // current commit sequence for both (it is trivially "caught up" with
-// itself), so lag-aware routers can poll every fleet member uniformly.
+// itself), so a monitor can read a replica's lag as the primary's
+// position minus the replica's.
 func (c *Client) ReplicaStatus() (applied, safe uint64, st pgssi.Status) {
 	resp := c.roundTrip(&Request{Op: OpReplicaStatus})
 	return resp.AppliedSeq, resp.SafeSeq, resp.Status

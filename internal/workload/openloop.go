@@ -228,11 +228,6 @@ type KVJob struct {
 	// ValueSize is the written value's length in bytes.
 	ValueSize int
 	Isolation pgssi.IsolationLevel
-	// Deferrable begins the transaction deferrable. Meaningful for
-	// read-only serializable jobs aimed at a replica: the begin waits
-	// for a safe snapshot instead of failing when the replica is
-	// between markers.
-	Deferrable bool
 }
 
 // Txn returns an open-loop transaction body running the job over sess.
@@ -245,7 +240,7 @@ func (j KVJob) Txn(sess Session) func(rng *rand.Rand) error {
 	}
 	return func(rng *rand.Rand) error {
 		chooser := j.chooser(rng)
-		h, st := sess.Begin(j.Isolation, j.Writes == 0, j.Deferrable)
+		h, st := sess.Begin(j.Isolation, j.Writes == 0, false)
 		if !st.OK() {
 			return st.Err()
 		}

@@ -279,6 +279,14 @@ var mutants = []mutant{
 		run:  "^TestFsyncOffFlushesEvery64Frames$",
 	},
 	{
+		name: "checkpoint replay does not follow a superseding checkpoint",
+		file: "internal/wal/checkpoint.go",
+		old:  `if !stale || !errors.Is(err, iofs.ErrNotExist) {`,
+		new:  `if true || !stale || !errors.Is(err, iofs.ErrNotExist) {`,
+		pkg:  "./internal/wal",
+		run:  "^TestReplayCheckpointSupersededBeforeOpen$",
+	},
+	{
 		name: "server answers each request of a burst alone",
 		file: "internal/server/server.go",
 		old:  `if wire.FrameBuffered(c.br) && len(c.out) < maxHeldAnswers {`,

@@ -376,8 +376,8 @@ func (r *Replica) AppliedRecords() (int, error) {
 }
 
 // AppliedSeq returns the commit sequence number of the newest applied
-// record: the replica's durable position in the master's history, and
-// the router's lag signal. Unlike the applied-record count it is
+// record: the replica's durable position in the master's history, from
+// which its lag is read. Unlike the applied-record count it is
 // comparable across reconnects and master restarts.
 func (r *Replica) AppliedSeq() uint64 {
 	r.mu.Lock()

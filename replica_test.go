@@ -211,6 +211,13 @@ func TestAbortCompletesSafeSnapshot(t *testing.T) {
 	if rep.SafeSeq() >= rep.AppliedSeq() {
 		t.Fatalf("expected replica past its safe point (applied %d, safe %d)", rep.AppliedSeq(), rep.SafeSeq())
 	}
+	// A replica session refuses a non-deferrable serializable begin
+	// here instead of serving it off the unsafe position.
+	sess := rep.NewSession()
+	defer sess.Close()
+	if _, st := sess.Begin(pgssi.Serializable, true, false); st != pgssi.StatusNotSafe {
+		t.Fatalf("non-deferrable session begin between markers: %v, want %v", st, pgssi.StatusNotSafe)
+	}
 
 	begun := make(chan error, 1)
 	go func() {
@@ -282,6 +289,75 @@ func TestReplicaWaitSafeUnderWorkload(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestReplicaSessionServesOnlySafeSnapshots begins serializable
+// read-only transactions through sessions on two replicas of one log,
+// as a replica-mode server does, while the master writes. A deferrable
+// begin must land on a safe snapshot; a non-deferrable one must land on
+// one or be refused with StatusNotSafe. No begin may serve a read off a
+// position that is not safe.
+func TestReplicaSessionServesOnlySafeSnapshots(t *testing.T) {
+	db, walLog := attachedDB(t)
+	var sessions []*pgssi.Session
+	for r := 0; r < 2; r++ {
+		rep := pgssi.NewReplica(walLog)
+		defer rep.Close()
+		sess := rep.NewSession()
+		defer sess.Close()
+		sessions = append(sessions, sess)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				db.RunTx(pgssi.TxOptions{Isolation: pgssi.Serializable}, func(tx *pgssi.Tx) error {
+					return tx.Put("kv", fmt.Sprintf("w%d", w), []byte{byte(i)})
+				})
+			}
+		}(w)
+	}
+
+	served, refused := 0, 0
+	for i := 0; i < 50; i++ {
+		for r, sess := range sessions {
+			for _, deferrable := range []bool{true, false} {
+				h, st := sess.Begin(pgssi.Serializable, true, deferrable)
+				if st == pgssi.StatusNotSafe && !deferrable {
+					refused++
+					continue
+				}
+				if !st.OK() {
+					t.Fatalf("replica %d begin %d (deferrable %v): %v", r, i, deferrable, st)
+				}
+				if !pgssi.SessionTx(sess, h).OnSafeSnapshot() {
+					t.Fatalf("replica %d begin %d (deferrable %v): serializable replica read not on a safe snapshot", r, i, deferrable)
+				}
+				if _, st := sess.Get(h, "kv", "w0"); !st.OK() && st != pgssi.StatusNotFound {
+					t.Fatalf("replica %d begin %d get: %v", r, i, st)
+				}
+				if st := sess.Commit(h); !st.OK() {
+					t.Fatalf("replica %d begin %d commit: %v", r, i, st)
+				}
+				served++
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if served == 0 {
+		t.Fatal("no serializable reads were served by the replica sessions")
+	}
+	t.Logf("%d begins served, %d non-deferrable begins refused between markers", served, refused)
 }
 
 // TestReplicaSessionRefusesWrites pins the replica session contract
