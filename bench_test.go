@@ -33,8 +33,8 @@ func benchDuration() time.Duration {
 }
 
 func reportResult(b *testing.B, res workload.Result) {
-	b.ReportMetric(res.Throughput, "txn/s")
-	b.ReportMetric(100*res.FailureRate, "fail%")
+	b.ReportMetric(res.Throughput(), "txn/s")
+	b.ReportMetric(100*res.AttemptFailureRate(), "fail%")
 	if res.Errors > 0 {
 		b.Fatalf("%d hard errors", res.Errors)
 	}
@@ -42,7 +42,7 @@ func reportResult(b *testing.B, res workload.Result) {
 
 // benchRegime runs one point of a figure: setup's mix under regime rg
 // on a fresh database configured from base.
-func benchRegime(b *testing.B, base pgssi.Config, rg workload.Regime, setup func(*pgssi.DB) (*workload.Mix, error), opts workload.RunOptions) {
+func benchRegime(b *testing.B, base pgssi.Config, rg workload.Regime, setup func(*pgssi.DB) (*workload.Mix, error), opts workload.Options) {
 	for i := 0; i < b.N; i++ {
 		res, err := workload.Sweep(base, []workload.Regime{rg}, setup, opts)
 		if err != nil {
@@ -62,7 +62,7 @@ func BenchmarkFigure4(b *testing.B) {
 				si := workload.SIBench{Rows: rows}
 				benchRegime(b, pgssi.Config{}, rg, func(db *pgssi.DB) (*workload.Mix, error) {
 					return si.Mix(), si.Setup(db)
-				}, workload.RunOptions{Workers: 4, Duration: benchDuration(), Seed: 4})
+				}, workload.Options{Workers: 4, Duration: benchDuration(), Seed: 4})
 			})
 		}
 	}
@@ -77,7 +77,7 @@ func benchmarkFigure5(b *testing.B, base pgssi.Config, warehouses, workers int) 
 				benchRegime(b, base, rg, func(db *pgssi.DB) (*workload.Mix, error) {
 					w := workload.DefaultDBT2(warehouses)
 					return w.Mix(ro), w.Setup(db)
-				}, workload.RunOptions{Workers: workers, Duration: benchDuration(), Seed: 5})
+				}, workload.Options{Workers: workers, Duration: benchDuration(), Seed: 5})
 			})
 		}
 	}
@@ -108,7 +108,7 @@ func BenchmarkFigure6(b *testing.B) {
 			benchRegime(b, pgssi.Config{}, rg, func(db *pgssi.DB) (*workload.Mix, error) {
 				r := &workload.RUBiS{Users: 500, Items: 1000, Categories: 20}
 				return r.Mix(), r.Setup(db)
-			}, workload.RunOptions{Workers: 4, Duration: benchDuration(), Seed: 6})
+			}, workload.Options{Workers: 4, Duration: benchDuration(), Seed: 6})
 		})
 	}
 }
@@ -125,7 +125,7 @@ func BenchmarkDeferrable(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		res, bg := workload.MeasureDeferrable(db, w.Mix(0.08), workload.RunOptions{
+		res, bg := workload.MeasureDeferrable(db, w.Mix(0.08), workload.Options{
 			Level: pgssi.Serializable, Workers: 8, Duration: 4 * benchDuration(), Seed: 8,
 		}, 20*time.Millisecond, nil)
 		if bg.Errors > 0 {
@@ -156,7 +156,7 @@ func BenchmarkAblationCommitOrdering(b *testing.B) {
 				if err := si.Setup(db); err != nil {
 					b.Fatal(err)
 				}
-				reportResult(b, workload.RunClosedLoop(db, si.Mix(), workload.RunOptions{
+				reportResult(b, workload.Run(si.Mix(), workload.InProcess(db), workload.Options{
 					Level: pgssi.Serializable, Workers: 8, Duration: benchDuration(), Seed: 10,
 				}))
 				db.Close()
@@ -190,7 +190,7 @@ func BenchmarkAblationSummarization(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				res := workload.RunClosedLoop(db, si.Mix(), workload.RunOptions{
+				res := workload.Run(si.Mix(), workload.InProcess(db), workload.Options{
 					Level: pgssi.Serializable, Workers: 4, Duration: benchDuration(), Seed: 11,
 				})
 				b.StopTimer()
@@ -329,7 +329,7 @@ func BenchmarkPartitionSweep(b *testing.B) {
 					if err := si.Setup(db); err != nil {
 						b.Fatal(err)
 					}
-					reportResult(b, workload.RunClosedLoop(db, si.Mix(), workload.RunOptions{
+					reportResult(b, workload.Run(si.Mix(), workload.InProcess(db), workload.Options{
 						Level: pgssi.Serializable, Workers: workers, Duration: benchDuration(), Seed: 12,
 					}))
 					db.Close()
@@ -608,7 +608,7 @@ func BenchmarkLifecycleParallel(b *testing.B) {
 	b.Run("mix-ro=10%", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			db := pgssi.Open(pgssi.Config{})
-			res := workload.RunClosedLoop(db, workload.LifecycleMix(0.1), workload.RunOptions{
+			res := workload.Run(workload.LifecycleMix(0.1), workload.InProcess(db), workload.Options{
 				Level: pgssi.Serializable, Workers: 4, Duration: benchDuration(), Seed: 13,
 			})
 			reportResult(b, res)

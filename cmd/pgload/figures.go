@@ -35,12 +35,8 @@ func sibench(args []string) {
 		b := workload.SIBench{Rows: n, ScanRows: *scanRows}
 		res, err := workload.Sweep(pgssi.Config{Partitions: *partitions}, workload.Regimes, func(db *pgssi.DB) (*workload.Mix, error) {
 			return b.Mix(), b.Setup(db)
-		}, workload.RunOptions{Workers: *workers, Duration: *dur, Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("Figure 4 — SIBENCH, %d rows (%d workers)\n", n, *workers)
-		report(workload.Regimes, res)
+		}, workload.Options{Workers: *workers, Duration: *dur, Seed: 1})
+		report(fmt.Sprintf("Figure 4 — SIBENCH, %d rows (%d workers)", n, *workers), workload.Regimes, res, err)
 	}
 }
 
@@ -78,12 +74,8 @@ func dbt2(args []string) {
 		res, err := workload.Sweep(cfg, regimes, func(db *pgssi.DB) (*workload.Mix, error) {
 			b := workload.DefaultDBT2(wh)
 			return b.Mix(f), b.Setup(db)
-		}, workload.RunOptions{Workers: wk, Duration: *dur, Seed: 2})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("Figure %s — DBT-2++, %.0f%% read-only (%d warehouses, %d workers)\n", figure, f*100, wh, wk)
-		report(regimes, res)
+		}, workload.Options{Workers: wk, Duration: *dur, Seed: 2})
+		report(fmt.Sprintf("Figure %s — DBT-2++, %.0f%% read-only (%d warehouses, %d workers)", figure, f*100, wh, wk), regimes, res, err)
 	}
 }
 
@@ -102,12 +94,8 @@ func rubis(args []string) {
 	res, err := workload.Sweep(pgssi.Config{}, regimes, func(db *pgssi.DB) (*workload.Mix, error) {
 		r := &workload.RUBiS{Users: *users, Items: *items, Categories: *cats}
 		return r.Mix(), r.Setup(db)
-	}, workload.RunOptions{Workers: *workers, Duration: *dur, Seed: 3})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("Figure 6 — RUBiS bidding mix (85% read-only)")
-	report(regimes, res)
+	}, workload.Options{Workers: *workers, Duration: *dur, Seed: 3})
+	report("Figure 6 — RUBiS bidding mix (85% read-only)", regimes, res, err)
 }
 
 // deferrable regenerates the §8.4 experiment: the latency for a
@@ -128,12 +116,11 @@ func deferrable(args []string) {
 		log.Fatal(err)
 	}
 	ssi := workload.Regime{Name: "SSI", Level: pgssi.Serializable}
-	lat, bg := workload.MeasureDeferrable(db, b.Mix(0.08), workload.RunOptions{
+	lat, bg := workload.MeasureDeferrable(db, b.Mix(0.08), workload.Options{
 		Level: ssi.Level, Workers: *workers, Duration: *dur, Seed: 4,
 	}, *interval, nil)
 
-	fmt.Printf("§8.4 — DBT-2++ background (%d warehouses, %d workers)\n", *warehouses, *workers)
-	report([]workload.Regime{ssi}, []workload.Result{bg})
+	report(fmt.Sprintf("§8.4 — DBT-2++ background (%d warehouses, %d workers)", *warehouses, *workers), []workload.Regime{ssi}, []workload.Result{bg}, nil)
 	fmt.Printf("deferrable safe-snapshot latency over %d samples:\n", lat.Count())
 	fmt.Printf("  median %v   p90 %v   max %v\n", lat.Quantile(0.5), lat.Quantile(0.9), lat.Max())
 	fmt.Println("(paper §8.4: median 1.98 s, p90 6 s, max 20 s against a much")
@@ -153,15 +140,20 @@ func withoutNoRO(regimes []workload.Regime) []workload.Regime {
 	return out
 }
 
-// report prints one sweep as the figure table — per regime, committed
-// txn/s, throughput relative to the SI regime ("-" without one), and the
-// share of attempts that failed with a serialization error — and fails
-// the command if any run hit a non-retryable error.
-func report(regimes []workload.Regime, res []workload.Result) {
+// report prints one sweep as the figure table titled title — per regime,
+// committed txn/s, throughput relative to the SI regime ("-" without
+// one), and the share of attempts that failed with a serialization
+// error — and fails the command if the sweep failed (err) or any run hit
+// a non-retryable error.
+func report(title string, regimes []workload.Regime, res []workload.Result, err error) {
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(title)
 	var si float64
 	for i, r := range regimes {
 		if r.Level == pgssi.RepeatableRead {
-			si = res[i].Throughput
+			si = res[i].Throughput()
 		}
 	}
 	var errs int64
@@ -169,9 +161,9 @@ func report(regimes []workload.Regime, res []workload.Result) {
 	for i, r := range res {
 		rel := "-"
 		if si > 0 {
-			rel = fmt.Sprintf("%.2fx", r.Throughput/si)
+			rel = fmt.Sprintf("%.2fx", r.Throughput()/si)
 		}
-		fmt.Printf("  %-12s %10.0f %7s %8.3f%%\n", regimes[i].Name, r.Throughput, rel, 100*r.FailureRate)
+		fmt.Printf("  %-12s %10.0f %7s %8.3f%%\n", regimes[i].Name, r.Throughput(), rel, 100*r.AttemptFailureRate())
 		errs += r.Errors
 	}
 	if errs > 0 {

@@ -1,5 +1,6 @@
-// Command pgload drives pgssi load. Its first argument names the
-// subcommand:
+// Command pgload drives pgssi load through workload.Run, the one load
+// driver: the same attempt loop retries and counts every transaction in
+// every subcommand. Its first argument names the subcommand:
 //
 //   - kv drives a pgssid server with open-loop load: arrivals at a fixed
 //     or Poisson rate (not closed-loop workers, so queueing collapse is
@@ -8,11 +9,13 @@
 //     arrival's scheduled time, queueing delay included). It runs one
 //     transaction shape over one pool of -conns connections; -writes 0
 //     makes every transaction read-only, which is how to drive a
-//     replica-mode pgssid.
+//     replica-mode pgssid. Its fail% is per arrival: failed and dropped
+//     arrivals over those offered.
 //   - sibench, dbt2 and rubis regenerate the paper's Figures 4, 5 and 6
 //     in process: each workload runs closed-loop under every
 //     concurrency-control regime (workload.Regimes) and is printed as
-//     one table of txn/s, throughput relative to SI, and failure %.
+//     one table of txn/s, throughput relative to SI, and failure % per
+//     attempt (aborted attempts over committed plus aborted).
 //   - deferrable regenerates the §8.4 experiment: the latency for a
 //     SERIALIZABLE READ ONLY DEFERRABLE transaction to obtain a safe
 //     snapshot while a DBT-2++ workload runs.
@@ -86,17 +89,17 @@ func kv(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	arr := workload.ArrivalPoisson
-	switch *arrival {
-	case "poisson":
-	case "fixed":
-		arr = workload.ArrivalFixed
-	default:
+	arr, ok := map[string]workload.Arrival{"poisson": workload.ArrivalPoisson, "fixed": workload.ArrivalFixed}[*arrival]
+	if !ok {
 		log.Fatalf("unknown arrival process %q", *arrival)
 	}
 
 	clients := dialPool(*addr, *conns, *wait)
-	defer closePool(clients)
+	defer func() {
+		for _, c := range clients {
+			c.Close()
+		}
+	}()
 
 	job := workload.KVJob{
 		Table:     *table,
@@ -105,33 +108,29 @@ func kv(args []string) {
 		Reads:     *reads,
 		Writes:    *writes,
 		ValueSize: *valueSize,
-		Isolation: level,
 	}
-	// One transaction body per connection; an arrival checks a
-	// connection out for its whole transaction (waiting for one counts
-	// toward its latency, as queueing should).
-	txns := make([]func(*rand.Rand) error, *conns)
-	for i := range txns {
-		txns[i] = job.Txn(clients[i])
-	}
-	pool := make(chan int, *conns)
-	for i := 0; i < *conns; i++ {
-		pool <- i
+	// One Attempt per connection; an attempt checks a connection out for
+	// its whole transaction (waiting for one counts toward its latency,
+	// as queueing should).
+	pool := make(chan workload.Attempt, *conns)
+	for _, c := range clients {
+		pool <- job.Attempt(c)
 	}
 
 	log.Printf("driving %s: rate=%.0f/s %s arrivals, %s, keys=%d zipf=%.2f, %d reads + %d writes per txn, iso=%s, %d conns",
 		*addr, *rate, arr, *duration, *keys, *zipfS, *reads, *writes, level, *conns)
-	res := workload.RunOpenLoop(workload.OpenLoopOptions{
-		Rate:       *rate,
-		Duration:   *duration,
+	res := workload.Run(job.Mix(), func(j *workload.Job, level pgssi.IsolationLevel, rng *rand.Rand) error {
+		attempt := <-pool
+		defer func() { pool <- attempt }()
+		return attempt(j, level, rng)
+	}, workload.Options{
+		Level:      level,
 		Arrival:    arr,
+		Rate:       *rate,
 		MaxPending: *pending,
+		Duration:   *duration,
 		MaxRetries: *retries,
 		Seed:       *seed,
-	}, func(rng *rand.Rand) error {
-		i := <-pool
-		defer func() { pool <- i }()
-		return txns[i](rng)
 	})
 
 	fmt.Println(res)
@@ -181,13 +180,6 @@ func dialPool(addr string, n int, wait time.Duration) []*wire.Client {
 		}
 	}
 	return clients
-}
-
-// closePool closes every connection in a pool.
-func closePool(clients []*wire.Client) {
-	for _, c := range clients {
-		c.Close()
-	}
 }
 
 func parseIsolation(s string) (pgssi.IsolationLevel, error) {

@@ -97,13 +97,6 @@ type TxOptions struct {
 	// until a safe snapshot is available (§4.3); the transaction then
 	// runs entirely free of SSI overhead and cannot abort.
 	Deferrable bool
-	// MaxAttempts bounds RunTx's serialization-failure retry loop
-	// (0 = DefaultMaxAttempts). Ignored by Begin.
-	MaxAttempts int
-	// RetryBackoff is the base of RunTx's jittered exponential backoff
-	// between retries (0 = DefaultRetryBackoff, negative = no backoff).
-	// Ignored by Begin.
-	RetryBackoff time.Duration
 }
 
 // Config configures a DB. The zero value is a sensible in-memory
@@ -393,12 +386,6 @@ func (ti *tableInfo) secondaries() []*secondaryIndex {
 // SSIStats returns the SSI manager's counters.
 func (db *DB) SSIStats() core.Stats { return db.ssi.Stats() }
 
-// S2PLStats returns the heavyweight lock manager's counters.
-func (db *DB) S2PLStats() s2pl.Stats { return db.s2pl.Stats() }
-
-// ActiveTransactions returns the number of in-progress transactions.
-func (db *DB) ActiveTransactions() int { return db.mvcc.ActiveCount() }
-
 // CommitLogSize returns the number of entries currently retained in the
 // MVCC commit log (observability: bounded by the epoch reclaimer's
 // background truncation and, for non-serializable workloads, by Vacuum).
@@ -444,19 +431,16 @@ func (db *DB) tableNames() []string {
 // lag is measured.
 func (db *DB) CurrentSeq() uint64 { return uint64(db.mvcc.CurrentSeq()) }
 
-// Retry-loop defaults for RunTx (see TxOptions.MaxAttempts and
-// TxOptions.RetryBackoff).
+// RunTx's retry loop.
 const (
-	// DefaultMaxAttempts is the RunTx retry bound when
-	// TxOptions.MaxAttempts is zero. Generous — under SSI's safe-retry
-	// rules an immediate retry usually succeeds — but finite, so a
-	// pathological conflict cycle surfaces as ErrRetriesExhausted
-	// instead of spinning unbounded.
-	DefaultMaxAttempts = 64
-	// DefaultRetryBackoff is the base of the jittered exponential
-	// backoff between retries when TxOptions.RetryBackoff is zero.
-	DefaultRetryBackoff = 50 * time.Microsecond
-	// maxRetryBackoff caps the exponential backoff.
+	// runTxAttempts bounds the attempts of one RunTx. Generous — under
+	// SSI's safe-retry rules an immediate retry usually succeeds — but
+	// finite, so a pathological conflict cycle surfaces as
+	// ErrRetriesExhausted instead of spinning unbounded.
+	runTxAttempts = 64
+	// runTxBackoff is the base of the jittered exponential backoff
+	// between attempts, and maxRetryBackoff its cap.
+	runTxBackoff    = 50 * time.Microsecond
 	maxRetryBackoff = 10 * time.Millisecond
 )
 
@@ -466,56 +450,35 @@ const (
 // multiple times; it must not keep side effects across attempts. Any
 // other error rolls back and is returned.
 //
-// The retry loop is bounded (TxOptions.MaxAttempts, default
-// DefaultMaxAttempts) with jittered exponential backoff between
-// attempts (TxOptions.RetryBackoff); on exhaustion it returns an error
-// matching both ErrRetriesExhausted and ErrSerialization. Use
-// RunTxAttempts to additionally observe how many attempts were made.
+// The retry loop is bounded (runTxAttempts, 64) with jittered
+// exponential backoff between attempts (50 µs doubling to 10 ms); on
+// exhaustion it returns an error matching both ErrRetriesExhausted and
+// ErrSerialization.
 func (db *DB) RunTx(opts TxOptions, fn func(tx *Tx) error) error {
-	_, err := db.RunTxAttempts(opts, fn)
-	return err
-}
-
-// RunTxAttempts is RunTx, additionally reporting the number of attempts
-// made (≥ 1 unless Begin itself failed).
-func (db *DB) RunTxAttempts(opts TxOptions, fn func(tx *Tx) error) (attempts int, err error) {
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = DefaultMaxAttempts
-	}
-	backoff := opts.RetryBackoff
-	if backoff == 0 {
-		backoff = DefaultRetryBackoff
-	}
-	for attempts = 1; ; attempts++ {
-		tx, berr := db.Begin(opts)
-		if berr != nil {
-			return attempts - 1, berr
+	for attempts := 1; ; attempts++ {
+		tx, err := db.Begin(opts)
+		if err != nil {
+			return err
 		}
 		err = fn(tx)
 		if err == nil {
 			err = tx.Commit()
 			if err == nil {
-				return attempts, nil
+				return nil
 			}
 		} else {
 			tx.Rollback()
 		}
 		if !IsSerializationFailure(err) {
-			return attempts, err
+			return err
 		}
-		if attempts >= maxAttempts {
-			return attempts, &retriesExhaustedError{attempts: attempts, last: err}
+		if attempts >= runTxAttempts {
+			return &retriesExhaustedError{attempts: attempts, last: err}
 		}
-		if backoff > 0 {
-			// Exponential backoff with ±50% jitter, capped: spreads a
-			// conflicting herd apart without parking anyone for long.
-			d := backoff << uint(min(attempts-1, 20))
-			if d > maxRetryBackoff {
-				d = maxRetryBackoff
-			}
-			time.Sleep(d/2 + rand.N(d))
-		}
+		// Exponential backoff with ±50% jitter, capped: spreads a
+		// conflicting herd apart without parking anyone for long.
+		d := min(runTxBackoff<<uint(min(attempts-1, 20)), maxRetryBackoff)
+		time.Sleep(d/2 + rand.N(d))
 	}
 }
 

@@ -313,10 +313,6 @@ func (x *Xact) ReadOnly() bool {
 	return x.declaredRO || ((x.committed || x.aborted) && !x.wrote)
 }
 
-// Doomed reports whether the transaction has been chosen as an abort
-// victim. Exposed for tests.
-func (x *Xact) Doomed() bool { return x.doomed.Load() }
-
 // Safe reports whether the transaction is running on a safe snapshot.
 func (x *Xact) Safe() bool { return x.safe.Load() }
 

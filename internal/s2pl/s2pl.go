@@ -120,13 +120,6 @@ type entry struct {
 	holders map[mvcc.TxID]Mode
 }
 
-// Stats are cumulative lock-manager counters.
-type Stats struct {
-	Acquired  int64
-	Waits     int64
-	Deadlocks int64
-}
-
 // Manager is the heavyweight lock manager. A single mutex plus a single
 // broadcast condition variable serialize the lock table; waiters re-check
 // after every release.
@@ -136,7 +129,6 @@ type Manager struct {
 	locks map[core.Target]*entry
 	held  map[mvcc.TxID]map[core.Target]Mode
 	wg    *waitgraph.Graph
-	stats Stats
 }
 
 // NewManager returns an empty lock manager.
@@ -182,12 +174,9 @@ func (m *Manager) Acquire(xid mvcc.TxID, target core.Target, mode Mode) error {
 				m.held[xid] = hm
 			}
 			hm[target] = want
-			m.stats.Acquired++
 			return nil
 		}
-		m.stats.Waits++
 		if err := m.wg.Wait(xid, blockers...); err != nil {
-			m.stats.Deadlocks++
 			m.wg.Done(xid)
 			return err
 		}
@@ -243,13 +232,6 @@ func (m *Manager) HeldMode(xid mvcc.TxID, target core.Target) Mode {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.held[xid][target]
-}
-
-// Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
 }
 
 // LockCount returns the number of (target, holder) pairs currently held.

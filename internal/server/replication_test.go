@@ -248,6 +248,63 @@ func TestReplicaStatusPositions(t *testing.T) {
 	}
 }
 
+// TestReplicaStatusPositionAfterReadOnlyCommits: read-only commits use
+// up sequence numbers on the primary without a commit record, so a
+// caught-up replica's applied position stays at the last write while
+// its safe position follows the markers. max(applied, safe) is the
+// replica's position, and at quiescence it equals the primary's.
+func TestReplicaStatusPositionAfterReadOnlyCommits(t *testing.T) {
+	db := attachedDB(t, "kv")
+	srv, _ := startServer(t, db, Config{})
+	defer srv.Shutdown()
+
+	rep := pgssi.NewReplica(&wire.ReplicaSource{Addr: srv.addr, DialTimeout: 5 * time.Second})
+	defer rep.Close()
+	rsrv := NewReplicaServer(rep, Config{Logf: t.Logf})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rsrv.Serve(l)
+	defer rsrv.Shutdown()
+	c, err := wire.Dial(l.Addr().String(), wire.DialOptions{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if err := db.RunTx(pgssi.TxOptions{Isolation: pgssi.Serializable}, func(tx *pgssi.Tx) error {
+		return tx.Put("kv", "k", []byte("v"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := db.RunTx(pgssi.TxOptions{Isolation: pgssi.Serializable, ReadOnly: true}, func(tx *pgssi.Tx) error {
+			_, err := tx.Get("kv", "k")
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := db.CurrentSeq()
+	if want != 5 {
+		t.Fatalf("primary at seq %d after 5 commits", want)
+	}
+	var applied, safe uint64
+	waitFor(t, 5*time.Second, func() bool {
+		var st pgssi.Status
+		applied, safe, st = c.ReplicaStatus()
+		if !st.OK() {
+			t.Fatalf("replica status: %v", st)
+		}
+		return max(applied, safe) == want
+	}, "replica position max(applied, safe) to reach the primary's")
+	// The one commit record is seq 1; the markers carry the rest.
+	if applied != 1 || safe != want {
+		t.Fatalf("quiescent replica: applied %d, safe %d; want 1 and %d", applied, safe, want)
+	}
+}
+
 // TestReplicateWithoutWAL: a primary with no WAL refuses replication
 // with a typed status, and ReplicaSource surfaces it as wal.ErrNoStream.
 func TestReplicateWithoutWAL(t *testing.T) {

@@ -172,9 +172,6 @@ type Table struct {
 	// inside GetOrInsert, through mkSlot.
 	lastTID TID
 	mkSlot  func(key string) (string, TID)
-	// stats
-	ioAccesses atomic.Int64
-	ioMisses   atomic.Int64
 }
 
 // NewTable creates an empty heap named name.
@@ -213,16 +210,9 @@ func (t *Table) simulateIO() {
 	if t.cfg.IODelay <= 0 {
 		return
 	}
-	t.ioAccesses.Add(1)
 	if t.cfg.CacheMissRatio > 0 && rand.Float64() < t.cfg.CacheMissRatio {
-		t.ioMisses.Add(1)
 		time.Sleep(t.cfg.IODelay)
 	}
-}
-
-// IOStats reports simulated page accesses and misses.
-func (t *Table) IOStats() (accesses, misses int64) {
-	return t.ioAccesses.Load(), t.ioMisses.Load()
 }
 
 // traceRead fires the trace seam's Read point, if one is set.

@@ -119,73 +119,68 @@ func (b *DBT2) Setup(db *pgssi.DB) error {
 	}
 	rng := rand.New(rand.NewPCG(99, 1))
 
+	load := pgssi.TxOptions{Isolation: pgssi.RepeatableRead}
+
 	// Items.
-	tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
-	if err != nil {
-		return err
-	}
-	for i := 1; i <= b.Items; i++ {
-		rec := fmt.Sprintf("price=%d;name=item%05d", 100+rng.IntN(9900), i)
-		if err := tx.Insert("item", iKey(i), []byte(rec)); err != nil {
-			tx.Rollback()
-			return err
+	if err := db.RunTx(load, func(tx *pgssi.Tx) error {
+		for i := 1; i <= b.Items; i++ {
+			rec := fmt.Sprintf("price=%d;name=item%05d", 100+rng.IntN(9900), i)
+			if err := tx.Insert("item", iKey(i), []byte(rec)); err != nil {
+				return err
+			}
 		}
-	}
-	if err := tx.Commit(); err != nil {
+		return nil
+	}); err != nil {
 		return err
 	}
 
 	// Per warehouse: warehouse, stock, districts, customers, orders.
 	for w := 1; w <= b.Warehouses; w++ {
-		tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
-		if err != nil {
+		if err := db.RunTx(load, func(tx *pgssi.Tx) error { return b.loadWarehouse(tx, rng, w) }); err != nil {
 			return err
 		}
-		rec := fmt.Sprintf("tax=%d;name=wh%04d", rng.IntN(20), w)
-		if err := tx.Insert("warehouse", wKey(w), []byte(rec)); err != nil {
-			tx.Rollback()
+	}
+	return nil
+}
+
+// loadWarehouse inserts warehouse w's rows: the warehouse, its stock,
+// and its districts with their customers and initial orders.
+func (b *DBT2) loadWarehouse(tx *pgssi.Tx, rng *rand.Rand, w int) error {
+	rec := fmt.Sprintf("tax=%d;name=wh%04d", rng.IntN(20), w)
+	if err := tx.Insert("warehouse", wKey(w), []byte(rec)); err != nil {
+		return err
+	}
+	for i := 1; i <= b.Items; i++ {
+		srec := fmt.Sprintf("qty=%d", 10+rng.IntN(90))
+		if err := tx.Insert("stock", sKey(w, i), []byte(srec)); err != nil {
 			return err
 		}
-		for i := 1; i <= b.Items; i++ {
-			srec := fmt.Sprintf("qty=%d", 10+rng.IntN(90))
-			if err := tx.Insert("stock", sKey(w, i), []byte(srec)); err != nil {
-				tx.Rollback()
+	}
+	for d := 1; d <= b.Districts; d++ {
+		drec := fmt.Sprintf("next=%d;tax=%d", b.InitialOrders+1, rng.IntN(20))
+		if err := tx.Insert("district", dKey(w, d), []byte(drec)); err != nil {
+			return err
+		}
+		for c := 1; c <= b.Customers; c++ {
+			crec := fmt.Sprintf("bal=%d;credit=GC;name=cust%04d", -1000+rng.IntN(2000), c)
+			if err := tx.Insert("customer", cKey(w, d, c), []byte(crec)); err != nil {
 				return err
 			}
 		}
-		for d := 1; d <= b.Districts; d++ {
-			drec := fmt.Sprintf("next=%d;tax=%d", b.InitialOrders+1, rng.IntN(20))
-			if err := tx.Insert("district", dKey(w, d), []byte(drec)); err != nil {
-				tx.Rollback()
+		for o := 1; o <= b.InitialOrders; o++ {
+			c := 1 + rng.IntN(b.Customers)
+			cnt := 5 + rng.IntN(11)
+			orec := fmt.Sprintf("c=%04d;cnt=%d;carrier=0", c, cnt)
+			if err := tx.Insert("orders", oKey(w, d, o), []byte(orec)); err != nil {
 				return err
 			}
-			for c := 1; c <= b.Customers; c++ {
-				crec := fmt.Sprintf("bal=%d;credit=GC;name=cust%04d", -1000+rng.IntN(2000), c)
-				if err := tx.Insert("customer", cKey(w, d, c), []byte(crec)); err != nil {
-					tx.Rollback()
+			for l := 1; l <= cnt; l++ {
+				item := 1 + rng.IntN(b.Items)
+				olrec := fmt.Sprintf("i=%05d;qty=%d;amt=%d", item, 1+rng.IntN(10), 100+rng.IntN(9900))
+				if err := tx.Insert("order_line", olKey(w, d, o, l), []byte(olrec)); err != nil {
 					return err
 				}
 			}
-			for o := 1; o <= b.InitialOrders; o++ {
-				c := 1 + rng.IntN(b.Customers)
-				cnt := 5 + rng.IntN(11)
-				orec := fmt.Sprintf("c=%04d;cnt=%d;carrier=0", c, cnt)
-				if err := tx.Insert("orders", oKey(w, d, o), []byte(orec)); err != nil {
-					tx.Rollback()
-					return err
-				}
-				for l := 1; l <= cnt; l++ {
-					item := 1 + rng.IntN(b.Items)
-					olrec := fmt.Sprintf("i=%05d;qty=%d;amt=%d", item, 1+rng.IntN(10), 100+rng.IntN(9900))
-					if err := tx.Insert("order_line", olKey(w, d, o, l), []byte(olrec)); err != nil {
-						tx.Rollback()
-						return err
-					}
-				}
-			}
-		}
-		if err := tx.Commit(); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -355,10 +350,7 @@ func (b *DBT2) StockLevel(tx *pgssi.Tx, rng *rand.Rand) error {
 		return err
 	}
 	next := fieldInt(string(drec), "next")
-	lo := next - 20
-	if lo < 1 {
-		lo = 1
-	}
+	lo := max(next-20, 1)
 	items := map[int]bool{}
 	loKey := fmt.Sprintf("%04d|%02d|%07d", w, d, lo)
 	hiKey := fmt.Sprintf("%04d|%02d|%07d", w, d, next)

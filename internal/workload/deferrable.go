@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"sync"
 	"time"
 
 	"pgssi"
@@ -15,41 +14,29 @@ import (
 // the latency is of the order of a few transaction lifetimes and bounded,
 // not its absolute value.
 
-// MeasureDeferrable runs the given background mix for the configured
-// duration while sampling deferrable-transaction latency every interval,
+// MeasureDeferrable runs the given background mix in process as opts
+// describe while sampling deferrable-transaction latency every interval,
 // and returns the latency histogram with the background run's result.
-func MeasureDeferrable(db *pgssi.DB, mix *Mix, opts RunOptions, interval time.Duration, trivial func(tx *pgssi.Tx) error) (*Histogram, Result) {
+func MeasureDeferrable(db *pgssi.DB, mix *Mix, opts Options, interval time.Duration, trivial func(tx *pgssi.Tx) error) (*Histogram, Result) {
 	lat := NewHistogram()
-	stop := make(chan struct{})
-	var probeWG sync.WaitGroup
-	probeWG.Add(1)
-	go func() {
-		defer probeWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(interval):
-			}
-			start := time.Now()
-			tx, err := db.Begin(pgssi.TxOptions{
-				Isolation:  pgssi.Serializable,
-				ReadOnly:   true,
-				Deferrable: true,
-			})
-			wait := time.Since(start)
-			if err != nil {
-				continue
-			}
-			if trivial != nil {
-				_ = trivial(tx)
-			}
-			_ = tx.Commit()
-			lat.Record(wait)
+	done := make(chan Result)
+	go func() { done <- Run(mix, InProcess(db), opts) }()
+	for {
+		select {
+		case bg := <-done:
+			return lat, bg
+		case <-time.After(interval):
 		}
-	}()
-	bg := RunClosedLoop(db, mix, opts)
-	close(stop)
-	probeWG.Wait()
-	return lat, bg
+		start := time.Now()
+		tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable, ReadOnly: true, Deferrable: true})
+		wait := time.Since(start)
+		if err != nil {
+			continue
+		}
+		if trivial != nil {
+			_ = trivial(tx)
+		}
+		_ = tx.Commit()
+		lat.Record(wait)
+	}
 }

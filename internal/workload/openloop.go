@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/bits"
@@ -13,21 +14,52 @@ import (
 	"pgssi"
 )
 
-// This file implements the open-loop measurement harness. The
-// closed-loop Runner (runner.go) has each worker issue its next
-// transaction only after the previous one finishes, so when the engine
-// slows down the offered load politely slows down with it — queueing
-// collapse is structurally invisible and latency percentiles are
-// meaningless. Real traffic does not wait: arrivals follow their own
-// process (here Poisson or fixed-rate), latency is measured from the
-// scheduled arrival time (queueing delay included), and overload shows
-// up exactly where it should — in p99/p999 and, past saturation, in
-// dropped arrivals.
+// The open loop, the key-value job and the latency histogram. A closed
+// loop's offered load slows down with the engine, so queueing collapse
+// stays invisible and its latency percentiles mean little. Open-loop
+// arrivals follow their own process and are timed from their scheduled
+// start, so overload shows up in p99/p999 and, past saturation, in
+// dropped arrivals (Schroeder et al., "Open Versus Closed"). Each
+// arrival still runs through the driver's one attempt loop, transact.
 
-// Session is the handle-based transactional surface the open-loop
-// driver and the standard key-value transaction body run against. It is
-// the method set shared by pgssi.Session (in process) and wire.Client
-// (over TCP) — the session layer is what makes the harness
+// openLoop starts a logical transaction at each arrival until the window
+// closes, each on its own goroutine, and drops an arrival that finds
+// MaxPending transactions in flight.
+func (d *driver) openLoop(start time.Time) {
+	arrivals := rand.New(rand.NewPCG(d.opts.Seed, 0x9e3779b97f4a7c15))
+	mean := float64(time.Second) / d.opts.Rate
+	var pending atomic.Int64
+	var wg sync.WaitGroup
+	next := start
+	for seq := uint64(1); ; seq++ {
+		gap := mean
+		if d.opts.Arrival == ArrivalPoisson {
+			gap = arrivals.ExpFloat64() * mean
+		}
+		if next = next.Add(time.Duration(gap)); next.After(d.deadline) {
+			break
+		}
+		time.Sleep(time.Until(next))
+		d.offered.Add(1)
+		if pending.Load() >= int64(d.opts.MaxPending) {
+			d.dropped.Add(1)
+			continue
+		}
+		pending.Add(1)
+		wg.Add(1)
+		go func(scheduled time.Time, seq uint64) {
+			defer wg.Done()
+			defer pending.Add(-1)
+			rng := rand.New(rand.NewPCG(d.opts.Seed+1, seq))
+			d.transact(d.mix.pick(rng), rng, scheduled)
+		}(next, seq)
+	}
+	wg.Wait()
+}
+
+// Session is the handle-based transactional surface KVJob runs against.
+// It is the method set shared by pgssi.Session (in process) and
+// wire.Client (over TCP) — the session layer is what makes the job
 // transport-agnostic.
 type Session interface {
 	Begin(level pgssi.IsolationLevel, readOnly, deferrable bool) (pgssi.Handle, pgssi.Status)
@@ -37,185 +69,12 @@ type Session interface {
 	Rollback(h pgssi.Handle) pgssi.Status
 }
 
-// Arrival selects the inter-arrival process of an open-loop run.
-type Arrival int
-
-// Arrival processes.
-const (
-	// ArrivalPoisson draws exponential inter-arrival gaps (a Poisson
-	// process at the configured rate) — the standard open-system model.
-	ArrivalPoisson Arrival = iota
-	// ArrivalFixed spaces arrivals deterministically at 1/rate.
-	ArrivalFixed
-)
-
-// String implements fmt.Stringer.
-func (a Arrival) String() string {
-	if a == ArrivalFixed {
-		return "fixed"
-	}
-	return "poisson"
-}
-
-// OpenLoopOptions configure RunOpenLoop.
-type OpenLoopOptions struct {
-	// Rate is the offered arrival rate in transactions per second.
-	Rate float64
-	// Duration is how long arrivals are generated.
-	Duration time.Duration
-	// Arrival selects the inter-arrival process.
-	Arrival Arrival
-	// MaxPending caps transactions in flight (dispatched, not yet
-	// finished). An arrival past the cap is dropped and counted — the
-	// queueing-collapse signal — instead of accumulating goroutines
-	// without bound. 0 defaults to 4096.
-	MaxPending int
-	// MaxRetries is how many times one arrival's transaction is retried
-	// on serialization failure before it counts as failed. Retries are
-	// part of the arrival's latency. 0 means no retries.
-	MaxRetries int
-	// Seed makes the run reproducible (arrival times and per-arrival
-	// rngs derive from it).
-	Seed uint64
-}
-
-// OpenLoopResult is the outcome of an open-loop run.
-type OpenLoopResult struct {
-	Options  OpenLoopOptions
-	Elapsed  time.Duration
-	Offered  int64 // arrivals generated
-	Complete int64 // transactions that committed
-	Failed   int64 // arrivals whose transaction never committed
-	Dropped  int64 // arrivals shed at MaxPending
-	Retries  int64 // serialization-failure retries across all arrivals
-	Errors   int64 // non-retryable errors (subset of Failed)
-	// Hist is the commit latency histogram (scheduled arrival →
-	// completion, so queueing delay counts).
-	Hist *Histogram
-}
-
-// Throughput returns committed transactions per second of elapsed time.
-func (r OpenLoopResult) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Complete) / r.Elapsed.Seconds()
-}
-
-// FailureRate returns (Failed+Dropped) / Offered.
-func (r OpenLoopResult) FailureRate() float64 {
-	if r.Offered == 0 {
-		return 0
-	}
-	return float64(r.Failed+r.Dropped) / float64(r.Offered)
-}
-
-// String renders the result compactly.
-func (r OpenLoopResult) String() string {
-	return fmt.Sprintf(
-		"open-loop %s rate=%.0f/s dur=%s: offered=%d completed=%d failed=%d dropped=%d retries=%d (fail%%=%.3f)\n"+
-			"  throughput=%.1f txn/s  latency p50=%s p99=%s p999=%s max=%s",
-		r.Options.Arrival, r.Options.Rate, r.Elapsed.Round(time.Millisecond),
-		r.Offered, r.Complete, r.Failed, r.Dropped, r.Retries, 100*r.FailureRate(),
-		r.Throughput(),
-		r.Hist.Quantile(0.50), r.Hist.Quantile(0.99), r.Hist.Quantile(0.999), r.Hist.Max())
-}
-
-// RunOpenLoop generates arrivals at the configured rate and runs txn for
-// each on its own goroutine. txn receives a per-arrival deterministic
-// rng; it should execute one complete transaction (begin..commit) and
-// report the outcome as an error (nil = committed, a value for which
-// pgssi.IsSerializationFailure is true = retryable; see Status.Err).
-func RunOpenLoop(opts OpenLoopOptions, txn func(rng *rand.Rand) error) OpenLoopResult {
-	if opts.Rate <= 0 {
-		opts.Rate = 1000
-	}
-	if opts.Duration <= 0 {
-		opts.Duration = time.Second
-	}
-	if opts.MaxPending <= 0 {
-		opts.MaxPending = 4096
-	}
-
-	res := OpenLoopResult{Options: opts, Hist: NewHistogram()}
-	var complete, failed, dropped, retries, hardErrors atomic.Int64
-	var pending atomic.Int64
-	var wg sync.WaitGroup
-
-	arrivalRng := rand.New(rand.NewPCG(opts.Seed, 0x9e3779b97f4a7c15))
-	gap := func() time.Duration {
-		mean := float64(time.Second) / opts.Rate
-		if opts.Arrival == ArrivalFixed {
-			return time.Duration(mean)
-		}
-		return time.Duration(arrivalRng.ExpFloat64() * mean)
-	}
-
-	start := time.Now()
-	deadline := start.Add(opts.Duration)
-	next := start
-	var offered int64
-	for {
-		next = next.Add(gap())
-		if next.After(deadline) {
-			break
-		}
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		offered++
-		if pending.Load() >= int64(opts.MaxPending) {
-			dropped.Add(1)
-			continue
-		}
-		pending.Add(1)
-		wg.Add(1)
-		scheduled := next
-		seq := offered
-		go func() {
-			defer wg.Done()
-			defer pending.Add(-1)
-			rng := rand.New(rand.NewPCG(opts.Seed+1, uint64(seq)))
-			var err error
-			for attempt := 0; ; attempt++ {
-				err = txn(rng)
-				if err == nil || !pgssi.IsSerializationFailure(err) || attempt >= opts.MaxRetries {
-					break
-				}
-				retries.Add(1)
-			}
-			switch {
-			case err == nil:
-				complete.Add(1)
-				res.Hist.Record(time.Since(scheduled))
-			case pgssi.IsSerializationFailure(err):
-				failed.Add(1)
-			default:
-				failed.Add(1)
-				hardErrors.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-
-	res.Elapsed = time.Since(start)
-	res.Offered = offered
-	res.Complete = complete.Load()
-	res.Failed = failed.Load()
-	res.Dropped = dropped.Load()
-	res.Retries = retries.Load()
-	res.Errors = hardErrors.Load()
-	return res
-}
-
-// ---- standard key-value transaction body -----------------------------
-
 // LoadKey formats the i-th preload key. cmd/pgssid's preloader and
 // cmd/pgload's key chooser must agree on this format.
 func LoadKey(i int) string { return fmt.Sprintf("k%08d", i) }
 
-// KVJob describes the standard open-loop key-value transaction: Reads
-// gets plus Writes puts against zipfian-skewed keys in one transaction.
+// KVJob describes the standard key-value transaction: Reads gets plus
+// Writes puts against zipfian-skewed keys in one transaction.
 type KVJob struct {
 	Table string
 	// Keys is the keyspace size (LoadKey(0) .. LoadKey(Keys-1)).
@@ -227,20 +86,25 @@ type KVJob struct {
 	Reads, Writes int
 	// ValueSize is the written value's length in bytes.
 	ValueSize int
-	Isolation pgssi.IsolationLevel
 }
 
-// Txn returns an open-loop transaction body running the job over sess.
-// The returned function is safe for concurrent calls iff sess is (both
-// pgssi.Session and a dedicated-per-call wire.Client qualify).
-func (j KVJob) Txn(sess Session) func(rng *rand.Rand) error {
+// Mix returns the one-job mix to Run the job from, READ ONLY when Writes
+// is 0. The job has no Fn: run it with Attempt.
+func (j KVJob) Mix() *Mix {
+	return NewMix().Add(1, Job{Name: "kv", ReadOnly: j.Writes == 0})
+}
+
+// Attempt returns the Attempt that runs the job over sess. It is safe
+// for concurrent calls iff sess is (both pgssi.Session and a
+// dedicated-per-call wire.Client qualify).
+func (j KVJob) Attempt(sess Session) Attempt {
 	value := make([]byte, max(j.ValueSize, 1))
 	for i := range value {
 		value[i] = 'v'
 	}
-	return func(rng *rand.Rand) error {
+	return func(job *Job, level pgssi.IsolationLevel, rng *rand.Rand) error {
 		chooser := j.chooser(rng)
-		h, st := sess.Begin(j.Isolation, j.Writes == 0, false)
+		h, st := sess.Begin(level, job.ReadOnly, false)
 		if !st.OK() {
 			return st.Err()
 		}
@@ -277,8 +141,6 @@ func (j KVJob) chooser(rng *rand.Rand) func() int {
 		return int((rank * 0x9e3779b97f4a7c15) % uint64(n))
 	}
 }
-
-// ---- latency histogram -----------------------------------------------
 
 // Histogram is an HDR-style log-linear latency histogram: 64 linear
 // sub-buckets per power-of-two decade of nanoseconds, i.e. ≤1.6%
@@ -370,41 +232,17 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.Max()
 }
 
-// Mean returns the mean of the recorded observations (bucket lower
-// bounds, so slightly pessimistic toward zero).
-func (h *Histogram) Mean() time.Duration {
-	total := h.total.Load()
-	if total == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < histBuckets; i++ {
-		if c := h.counts[i].Load(); c != 0 {
-			sum += float64(bucketLow(i)) * float64(c)
-		}
-	}
-	return time.Duration(sum / float64(total))
-}
-
 // WriteTo dumps the non-empty buckets as "lo_ns count" lines preceded
 // by a summary header — the archived-artifact format of the nightly
 // open-loop smoke.
 func (h *Histogram) WriteTo(w io.Writer) (int64, error) {
-	var written int64
-	n, err := fmt.Fprintf(w, "# count=%d max_ns=%d p50_ns=%d p99_ns=%d p999_ns=%d\n",
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "# count=%d max_ns=%d p50_ns=%d p99_ns=%d p999_ns=%d\n",
 		h.Count(), int64(h.Max()), int64(h.Quantile(0.5)), int64(h.Quantile(0.99)), int64(h.Quantile(0.999)))
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
 	for i := 0; i < histBuckets; i++ {
 		if c := h.counts[i].Load(); c != 0 {
-			n, err := fmt.Fprintf(w, "%d %d\n", int64(bucketLow(i)), c)
-			written += int64(n)
-			if err != nil {
-				return written, err
-			}
+			fmt.Fprintf(&b, "%d %d\n", int64(bucketLow(i)), c)
 		}
 	}
-	return written, nil
+	return b.WriteTo(w)
 }

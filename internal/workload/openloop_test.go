@@ -51,8 +51,8 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 || h.Mean() != 0 {
-		t.Fatalf("empty histogram: count=%d p50=%v max=%v mean=%v", h.Count(), h.Quantile(0.5), h.Max(), h.Mean())
+	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
+		t.Fatalf("empty histogram: count=%d p50=%v max=%v", h.Count(), h.Quantile(0.5), h.Max())
 	}
 }
 
@@ -121,58 +121,72 @@ func TestRunOpenLoopInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	job := KVJob{Table: "kv", Keys: keys, ZipfS: 1.1, Reads: 2, Writes: 1, ValueSize: 8, Isolation: pgssi.Serializable}
-	txn := job.Txn(db.NewSession())
-	res := RunOpenLoop(OpenLoopOptions{
+	job := KVJob{Table: "kv", Keys: keys, ZipfS: 1.1, Reads: 2, Writes: 1, ValueSize: 8}
+	res := Run(job.Mix(), job.Attempt(db.NewSession()), Options{
+		Level:      pgssi.Serializable,
+		Arrival:    ArrivalFixed,
 		Rate:       2000,
 		Duration:   300 * time.Millisecond,
-		Arrival:    ArrivalFixed,
 		MaxRetries: 3,
 		Seed:       1,
-	}, txn)
+	})
 
 	if res.Offered == 0 {
 		t.Fatal("no arrivals were offered")
 	}
-	if res.Complete+res.Failed+res.Dropped != res.Offered {
-		t.Fatalf("accounting mismatch: offered=%d complete=%d failed=%d dropped=%d",
-			res.Offered, res.Complete, res.Failed, res.Dropped)
+	if res.Committed+res.Failed+res.Dropped != res.Offered {
+		t.Fatalf("accounting mismatch: offered=%d committed=%d failed=%d dropped=%d",
+			res.Offered, res.Committed, res.Failed, res.Dropped)
 	}
 	if res.Errors != 0 {
 		t.Fatalf("%d non-retryable errors", res.Errors)
 	}
-	if res.Complete == 0 {
+	if res.Committed == 0 {
 		t.Fatal("nothing completed")
 	}
-	if got := int64(res.Hist.Count()); got != res.Complete {
-		t.Fatalf("histogram count %d != complete %d", got, res.Complete)
+	if got := int64(res.Hist.Count()); got != res.Committed {
+		t.Fatalf("histogram count %d != committed %d", got, res.Committed)
 	}
 	if res.Hist.Quantile(0.5) <= 0 {
 		t.Fatal("zero p50")
 	}
-	if res.Throughput() <= 0 || res.FailureRate() < 0 || res.FailureRate() > 1 {
-		t.Fatalf("throughput=%v failrate=%v", res.Throughput(), res.FailureRate())
+	if res.Throughput() <= 0 || res.ArrivalFailureRate() < 0 || res.ArrivalFailureRate() > 1 {
+		t.Fatalf("throughput=%v failrate=%v", res.Throughput(), res.ArrivalFailureRate())
 	}
 	if res.String() == "" {
 		t.Fatal("empty summary")
 	}
 }
 
+// attemptReturning is an Attempt that returns err without beginning
+// anything, after running wait if it is set.
+func attemptReturning(err error, wait func()) Attempt {
+	return func(*Job, pgssi.IsolationLevel, *rand.Rand) error {
+		if wait != nil {
+			wait()
+		}
+		return err
+	}
+}
+
+// oneJob is a mix of one job with no body, for attemptReturning.
+var oneJob = NewMix().Add(1, Job{Name: "one"})
+
 // TestRunOpenLoopPoisson: the Poisson arrival process offers a count in
 // the right ballpark of rate*duration.
 func TestRunOpenLoopPoisson(t *testing.T) {
-	res := RunOpenLoop(OpenLoopOptions{
+	res := Run(oneJob, attemptReturning(nil, nil), Options{
+		Arrival:  ArrivalPoisson,
 		Rate:     5000,
 		Duration: 200 * time.Millisecond,
-		Arrival:  ArrivalPoisson,
 		Seed:     42,
-	}, func(rng *rand.Rand) error { return nil })
+	})
 	want := 5000 * 0.2
 	if float64(res.Offered) < want/2 || float64(res.Offered) > want*2 {
 		t.Fatalf("offered %d arrivals, want ~%v", res.Offered, want)
 	}
-	if res.Complete != res.Offered {
-		t.Fatalf("complete=%d offered=%d", res.Complete, res.Offered)
+	if res.Committed != res.Offered {
+		t.Fatalf("committed=%d offered=%d", res.Committed, res.Offered)
 	}
 }
 
@@ -181,46 +195,44 @@ func TestRunOpenLoopPoisson(t *testing.T) {
 // queued invisibly.
 func TestRunOpenLoopDrops(t *testing.T) {
 	block := make(chan struct{})
-	// Unblock after the run window so RunOpenLoop's final wait for
+	// Unblock after the run window so Run's final wait for
 	// in-flight transactions can finish.
 	timer := time.AfterFunc(200*time.Millisecond, func() { close(block) })
 	defer timer.Stop()
-	res := RunOpenLoop(OpenLoopOptions{
-		Rate:       1000,
-		Duration:   150 * time.Millisecond,
+	res := Run(oneJob, attemptReturning(nil, func() { <-block }), Options{
 		Arrival:    ArrivalFixed,
+		Rate:       1000,
 		MaxPending: 1,
+		Duration:   150 * time.Millisecond,
 		Seed:       1,
-	}, func(rng *rand.Rand) error {
-		<-block
-		return nil
 	})
 	if res.Dropped == 0 {
-		t.Fatalf("expected drops under saturation: %+v", res)
+		t.Fatalf("expected drops under saturation: %v", res)
 	}
-	if res.Complete+res.Failed+res.Dropped != res.Offered {
-		t.Fatalf("accounting mismatch: %+v", res)
+	if res.Committed+res.Failed+res.Dropped != res.Offered {
+		t.Fatalf("accounting mismatch: %v", res)
 	}
 }
 
 // TestRunOpenLoopRetries: serialization failures are retried up to
 // MaxRetries, then counted as Failed (not Errors).
 func TestRunOpenLoopRetries(t *testing.T) {
-	res := RunOpenLoop(OpenLoopOptions{
+	res := Run(oneJob, attemptReturning(pgssi.ErrSerialization, nil), Options{
+		Arrival:    ArrivalFixed,
 		Rate:       500,
 		Duration:   100 * time.Millisecond,
-		Arrival:    ArrivalFixed,
 		MaxRetries: 2,
 		Seed:       1,
-	}, func(rng *rand.Rand) error { return pgssi.ErrSerialization })
+	})
 	if res.Failed != res.Offered-res.Dropped {
 		t.Fatalf("failed=%d offered=%d dropped=%d", res.Failed, res.Offered, res.Dropped)
 	}
 	if res.Errors != 0 {
-		t.Fatalf("serialization failures miscounted as errors: %+v", res)
+		t.Fatalf("serialization failures miscounted as errors: %v", res)
 	}
-	if res.Retries == 0 {
-		t.Fatal("no retries recorded")
+	// Each arrival made 1 + MaxRetries attempts.
+	if res.Aborted == 0 || res.Aborted != 3*res.Failed {
+		t.Fatalf("aborted=%d attempts for %d failed arrivals, want 3 each", res.Aborted, res.Failed)
 	}
 }
 

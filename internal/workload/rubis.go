@@ -63,27 +63,23 @@ func (r *RUBiS) Setup(db *pgssi.DB) error {
 		return err
 	}
 	rng := rand.New(rand.NewPCG(5, 5))
-	tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
-	if err != nil {
-		return err
-	}
-	for u := int64(1); u <= int64(r.Users); u++ {
-		rec := fmt.Sprintf("rating=%d;nbc=0", rng.IntN(100))
-		if err := tx.Insert("users", uKey(u), []byte(rec)); err != nil {
-			tx.Rollback()
-			return err
+	if err := db.RunTx(pgssi.TxOptions{Isolation: pgssi.RepeatableRead}, func(tx *pgssi.Tx) error {
+		for u := int64(1); u <= int64(r.Users); u++ {
+			rec := fmt.Sprintf("rating=%d;nbc=0", rng.IntN(100))
+			if err := tx.Insert("users", uKey(u), []byte(rec)); err != nil {
+				return err
+			}
 		}
-	}
-	for i := int64(1); i <= int64(r.Items); i++ {
-		cat := rng.IntN(r.Categories)
-		seller := 1 + rng.Int64N(int64(r.Users))
-		rec := fmt.Sprintf("cat=%03d;seller=%06d;price=%d;nb=0", cat, seller, 100+rng.IntN(900))
-		if err := tx.Insert("items", itKey(i), []byte(rec)); err != nil {
-			tx.Rollback()
-			return err
+		for i := int64(1); i <= int64(r.Items); i++ {
+			cat := rng.IntN(r.Categories)
+			seller := 1 + rng.Int64N(int64(r.Users))
+			rec := fmt.Sprintf("cat=%03d;seller=%06d;price=%d;nb=0", cat, seller, 100+rng.IntN(900))
+			if err := tx.Insert("items", itKey(i), []byte(rec)); err != nil {
+				return err
+			}
 		}
-	}
-	if err := tx.Commit(); err != nil {
+		return nil
+	}); err != nil {
 		return err
 	}
 	r.nextUser.Store(int64(r.Users))
@@ -92,19 +88,11 @@ func (r *RUBiS) Setup(db *pgssi.DB) error {
 }
 
 func (r *RUBiS) randItem(rng *rand.Rand) string {
-	n := r.nextItem.Load()
-	if n == 0 {
-		n = 1
-	}
-	return itKey(1 + rng.Int64N(n))
+	return itKey(1 + rng.Int64N(max(r.nextItem.Load(), 1)))
 }
 
 func (r *RUBiS) randUser(rng *rand.Rand) string {
-	n := r.nextUser.Load()
-	if n == 0 {
-		n = 1
-	}
-	return uKey(1 + rng.Int64N(n))
+	return uKey(1 + rng.Int64N(max(r.nextUser.Load(), 1)))
 }
 
 func catRange(cat int) (string, string) {

@@ -39,18 +39,15 @@ func (b SIBench) Setup(db *pgssi.DB) error {
 		return err
 	}
 	rng := rand.New(rand.NewPCG(11, 7))
-	tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
-	if err != nil {
-		return err
-	}
-	for i := 0; i < b.Rows; i++ {
-		v := strconv.Itoa(rng.IntN(1_000_000))
-		if err := tx.Insert(siTable, sibenchKey(i), []byte(v)); err != nil {
-			tx.Rollback()
-			return err
+	return db.RunTx(pgssi.TxOptions{Isolation: pgssi.RepeatableRead}, func(tx *pgssi.Tx) error {
+		for i := 0; i < b.Rows; i++ {
+			v := strconv.Itoa(rng.IntN(1_000_000))
+			if err := tx.Insert(siTable, sibenchKey(i), []byte(v)); err != nil {
+				return err
+			}
 		}
-	}
-	return tx.Commit()
+		return nil
+	})
 }
 
 // Mix returns the 50/50 update/query mix.

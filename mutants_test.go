@@ -20,7 +20,8 @@ import (
 // switch in the engine: the first seven entries reopen, one at a time, the
 // atomicity windows that the interleaving harnesses park a transaction
 // in, and a harness that no longer notices its window gone fails here.
-// The rest pin tests that were once proved by a hand-made mutation.
+// The rest pin tests that were once proved by a hand-made mutation, and
+// the load driver's abort accounting.
 //
 // A new fence lands with its entry instead of a switch (docs/invariants.md).
 
@@ -301,6 +302,18 @@ var mutants = []mutant{
 		new:  `if false {`,
 		pkg:  "./internal/server",
 		run:  "^(TestQueuedPutConflictRollsBack|TestQueuedFailureGoesToItsHandle)$",
+	},
+
+	// --- The load driver's accounting. ---
+	{
+		name: "load driver counts write conflicts as dangerous aborts",
+		file: "internal/workload/runner.go",
+		old: `		case errors.Is(err, pgssi.ErrWriteConflict):
+			d.writeConflicts.Add(1)
+`,
+		new: ``,
+		pkg: "./internal/workload",
+		run: "^TestRunAccounting$",
 	},
 
 	// --- Reclamation and the S2PL read path. ---

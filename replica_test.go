@@ -394,3 +394,83 @@ func TestReplicaSessionRefusesWrites(t *testing.T) {
 		t.Fatalf("commit: %v", st)
 	}
 }
+
+// TestSessionBeginRefusalStatuses pins the Status each refused
+// Session.Begin reports, primary and replica: a front-end forwards it
+// to the client unchanged, so a remapping is a protocol change.
+func TestSessionBeginRefusalStatuses(t *testing.T) {
+	closed := func(t *testing.T) *pgssi.Session {
+		db := pgssi.Open(pgssi.Config{})
+		db.Close()
+		return db.NewSession()
+	}
+	primary := func(t *testing.T) *pgssi.Session {
+		db := pgssi.Open(pgssi.Config{})
+		t.Cleanup(func() { db.Close() })
+		return db.NewSession()
+	}
+	poisoned := func(t *testing.T) *pgssi.Session {
+		ffs := wal.NewFaultFS()
+		db, err := pgssi.OpenDirWithHooks(t.TempDir(), pgssi.Config{FsyncMode: pgssi.FsyncAlways}, pgssi.Hooks{WALFS: ffs})
+		mustExec(t, err)
+		t.Cleanup(func() { db.Close() })
+		mustExec(t, db.CreateTable("t"))
+		ffs.FailSyncs(errors.New("disk on fire"))
+		if err := db.RunTx(pgssi.TxOptions{}, func(tx *pgssi.Tx) error { return tx.Put("t", "k", []byte("v")) }); err == nil {
+			t.Fatal("commit acknowledged over a failed fsync")
+		}
+		ffs.FailSyncs(nil)
+		return db.NewSession()
+	}
+	betweenMarkers := func(t *testing.T) *pgssi.Session {
+		// A commit while another transaction is open gets no marker, so
+		// the replica applies it with no safe point past it.
+		db, walLog := attachedDB(t)
+		rep := pgssi.NewReplica(walLog)
+		t.Cleanup(func() { rep.Close() })
+		open, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+		mustExec(t, err)
+		t.Cleanup(func() { open.Rollback() })
+		mustExec(t, db.RunTx(pgssi.TxOptions{Isolation: pgssi.Serializable}, func(tx *pgssi.Tx) error {
+			return tx.Put("kv", "k", []byte("v"))
+		}))
+		mustExec(t, rep.WaitApplied(2))
+		return rep.NewSession()
+	}
+	halted := func(t *testing.T) *pgssi.Session {
+		log := wal.NewLog()
+		rep := pgssi.NewReplica(log)
+		t.Cleanup(func() { rep.Close() })
+		// A commit against a table the replica does not have halts it.
+		log.Append(wal.Record{Seq: 1, Xid: 1, Ops: []wal.Op{{Table: "nope", Key: "k", Value: []byte("v")}}})
+		for deadline := time.Now().Add(5 * time.Second); rep.Err() == nil; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("replica did not halt")
+			}
+		}
+		return rep.NewSession()
+	}
+
+	for _, c := range []struct {
+		name                 string
+		session              func(*testing.T) *pgssi.Session
+		level                pgssi.IsolationLevel
+		readOnly, deferrable bool
+		want                 pgssi.Status
+	}{
+		{"closed DB", closed, pgssi.Serializable, false, false, pgssi.StatusShuttingDown},
+		{"deferrable read-write", primary, pgssi.Serializable, false, true, pgssi.StatusInvalidRequest},
+		{"deferrable repeatable read", primary, pgssi.RepeatableRead, true, true, pgssi.StatusInvalidRequest},
+		{"poisoned WAL", poisoned, pgssi.Serializable, false, false, pgssi.StatusDurabilityLost},
+		{"replica between markers", betweenMarkers, pgssi.Serializable, true, false, pgssi.StatusNotSafe},
+		{"halted replica", halted, pgssi.Serializable, true, false, pgssi.StatusReplicaHalted},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.session(t)
+			defer s.Close()
+			if _, st := s.Begin(c.level, c.readOnly, c.deferrable); st != c.want {
+				t.Fatalf("Begin = %v, want %v", st, c.want)
+			}
+		})
+	}
+}

@@ -199,7 +199,7 @@ type KV struct {
 // over DB/Tx whose operations report outcomes as Status codes instead of
 // Go errors. It is the surface a network front-end serves (cmd/pgssid
 // speaks exactly this API over TCP; internal/wire carries it) and is
-// equally usable in process — the open-loop workload driver
+// equally usable in process — the load driver's key-value job
 // (internal/workload) runs against either.
 //
 // A Session may hold any number of concurrent transactions, one per
@@ -251,25 +251,17 @@ func (s *Session) drop(h Handle) {
 // Handles are numbered by request: the k-th Begin a session is asked for
 // is handle k, and a refused Begin uses up its number too. A client that
 // issues its Begins one after another can therefore name a transaction
-// before the answer to its Begin arrives (wire.Client does).
+// before the answer to its Begin arrives (wire.Client does). A refusal
+// outside the sentinel set (a malformed request, such as DEFERRABLE
+// without SERIALIZABLE READ ONLY) is StatusInvalidRequest.
 func (s *Session) Begin(level IsolationLevel, readOnly, deferrable bool) (Handle, Status) {
 	tx, err := s.begin(TxOptions{Isolation: level, ReadOnly: readOnly, Deferrable: deferrable})
 	if err != nil {
 		s.SkipHandle()
-		switch {
-		case errors.Is(err, ErrClosed):
-			return 0, StatusShuttingDown
-		case errors.Is(err, ErrNotSafePoint):
-			return 0, StatusNotSafe
-		case errors.Is(err, ErrReplicaHalted):
-			return 0, StatusReplicaHalted
-		case errors.Is(err, ErrReadOnlyTx):
-			return 0, StatusReadOnlyTx
-		case errors.Is(err, ErrWALPoisoned):
-			return 0, StatusDurabilityLost
-		default:
-			return 0, StatusInvalidRequest
+		if st := StatusOf(err); st != StatusInternal {
+			return 0, st
 		}
+		return 0, StatusInvalidRequest
 	}
 	s.mu.Lock()
 	s.next++

@@ -275,17 +275,18 @@ func TestSessionConcurrent(t *testing.T) {
 }
 
 // TestRunTxAttemptsBounded: a transaction body that always fails with a
-// serialization error stops after MaxAttempts and surfaces both the
-// exhaustion sentinel and the retryability of the underlying cause.
+// serialization error stops after runTxAttempts (64) calls and surfaces
+// both the exhaustion sentinel and the retryability of the underlying
+// cause. The exhausted run sleeps through RunTx's backoff, ≈ 0.6 s.
 func TestRunTxAttemptsBounded(t *testing.T) {
 	db := newSessionDB(t, "kv")
 	calls := 0
-	attempts, err := db.RunTxAttempts(TxOptions{MaxAttempts: 3, RetryBackoff: 1}, func(tx *Tx) error {
+	err := db.RunTx(TxOptions{}, func(tx *Tx) error {
 		calls++
 		return ErrSerialization
 	})
-	if calls != 3 || attempts != 3 {
-		t.Fatalf("calls=%d attempts=%d, want 3", calls, attempts)
+	if calls != 64 {
+		t.Fatalf("calls=%d, want 64", calls)
 	}
 	if !errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
@@ -294,28 +295,28 @@ func TestRunTxAttemptsBounded(t *testing.T) {
 		t.Fatalf("exhausted error should still report as serialization failure: %v", err)
 	}
 
-	// Success on a later attempt reports the attempt count and no error.
+	// Success on a later attempt stops the loop and reports no error.
 	calls = 0
-	attempts, err = db.RunTxAttempts(TxOptions{MaxAttempts: 5, RetryBackoff: 1}, func(tx *Tx) error {
+	err = db.RunTx(TxOptions{}, func(tx *Tx) error {
 		calls++
 		if calls < 3 {
 			return ErrSerialization
 		}
 		return nil
 	})
-	if err != nil || attempts != 3 {
-		t.Fatalf("attempts=%d err=%v, want 3/nil", attempts, err)
+	if err != nil || calls != 3 {
+		t.Fatalf("calls=%d err=%v, want 3/nil", calls, err)
 	}
 
 	// Non-retryable errors do not consume extra attempts.
 	calls = 0
 	sentinel := errors.New("boom")
-	attempts, err = db.RunTxAttempts(TxOptions{MaxAttempts: 5}, func(tx *Tx) error {
+	err = db.RunTx(TxOptions{}, func(tx *Tx) error {
 		calls++
 		return sentinel
 	})
-	if calls != 1 || attempts != 1 || !errors.Is(err, sentinel) {
-		t.Fatalf("calls=%d attempts=%d err=%v", calls, attempts, err)
+	if calls != 1 || !errors.Is(err, sentinel) {
+		t.Fatalf("calls=%d err=%v", calls, err)
 	}
 }
 
