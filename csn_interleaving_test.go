@@ -191,9 +191,8 @@ func TestVacuumTruncatesCommitLogWithoutSerializable(t *testing.T) {
 		mustExec(t, tx.Commit())
 	}
 	db.Vacuum()
-	// Everything is finished: only Vacuum's own pin transaction (its
-	// record and aborted tombstone survive this pass — the pin was
-	// still active when the floor was computed) may remain.
+	// Everything is finished, so Vacuum's pass at the horizon may drop
+	// every entry; the bound leaves room for two.
 	if after := db.CommitLogSize(); after > 2 {
 		t.Fatalf("commit log holds %d entries after vacuum, want <= 2", after)
 	}

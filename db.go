@@ -524,17 +524,12 @@ func (db *DB) Close() error {
 }
 
 // Vacuum removes dead tuple versions no longer visible to any possible
-// snapshot and drops aborted commit-log tombstones the sweep has
-// orphaned. It is the explicit full sweep; in normal running, chains are
+// snapshot. It is the explicit full sweep; in normal running, chains are
 // kept short where they are written (see internal/storage). It cuts at
 // the engine's one horizon (mvcc.Manager.OldestSnapshot), so a version
 // an open transaction's snapshot still reads is kept.
 func (db *DB) Vacuum() int {
 	horizon := db.mvcc.OldestSnapshot()
-	// Aborted xids below the oldest transaction active now cannot gain
-	// new heap references; after the sweep prunes every chain, their
-	// commit-log tombstones are unreachable and can be dropped.
-	abortedFloor := db.mvcc.OldestActiveXID()
 	removed := 0
 	db.mu.RLock()
 	tables := make([]*tableInfo, 0, len(db.tables))
@@ -545,9 +540,6 @@ func (db *DB) Vacuum() int {
 	for _, ti := range tables {
 		removed += ti.heap.Vacuum(horizon, db.mvcc)
 	}
-	db.mvcc.DropAbortedBelow(abortedFloor)
-	// Advance the commit-log truncation floor here too, past what the
-	// tombstones just dropped were holding back.
 	db.mvcc.AutoTruncate(horizon)
 	return removed
 }

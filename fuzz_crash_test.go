@@ -108,7 +108,7 @@ func runCrashHistory(t *testing.T, seed uint64) {
 // honest disk (every acknowledged commit is truly durable), then the
 // disk starts lying partway into the checkpoint — after a seeded number
 // of fsyncs, landing the "power loss" before the checkpoint file is
-// durable, between it and the manifest, or during segment GC. Whatever
+// durable, between it and the log barrier, or during segment GC. Whatever
 // the stage, reopening must recover EXACTLY the full fold of the
 // acknowledged commits: a checkpoint may be lost wholesale (it was
 // never acknowledged), but it must never take a durable commit with it
@@ -148,9 +148,9 @@ func runCheckpointCrashHistory(t *testing.T, seed uint64) {
 
 	// Everything acknowledged so far is durable. Now the disk lies: the
 	// next 0..6 fsyncs succeed, every later one is silently dropped —
-	// WriteCheckpoint takes roughly that many (checkpoint file, its dir
-	// entry, the barrier, the manifest, the GC dir sync), so the crash
-	// point sweeps the whole checkpoint protocol across seeds.
+	// WriteCheckpoint takes fewer (checkpoint file, its dir entry, the
+	// barrier, the GC dir sync), so the crash point sweeps the whole
+	// checkpoint protocol across seeds, and some seeds crash after it.
 	crashRng := rand.New(rand.NewPCG(seed, 0x5eed))
 	ffs.DropSyncsAfter(crashRng.IntN(7))
 	if _, err := db.Checkpoint(); err != nil && db.CurrentSeq() > 0 {

@@ -90,9 +90,8 @@ import (
 // horizon passes, as §5.2 requires), and dummy-lock expiry uses the same
 // horizon. So does the commit-log truncation the same pass runs
 // (mvcc.AutoTruncate): a committed xid is truncated only once every
-// present or future snapshot resolves it visible. Aborted xids survive
-// truncation as tombstones until the heap is vacuumed clean of them
-// (mvcc.DropAbortedBelow).
+// present or future snapshot resolves it visible. An aborted xid never
+// waits for it: mvcc.Abort forgets it once its writes are undone.
 //
 // Two invariants keep conflict detection correct without a global
 // lock-table mutex (§5.2.1 with concurrent granularity promotion):

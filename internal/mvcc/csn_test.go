@@ -28,13 +28,12 @@ func TestOwnXIDNeverVisible(t *testing.T) {
 
 // TestStatusBelowFloorAfterTruncation pins the truncated-region
 // contract: absent committed entries resolve committed with an unknown
-// seq, aborted entries below the floor survive as tombstones and still
-// resolve aborted, and DropAbortedBelow removes the tombstones once the
-// caller vouches the heap holds no reference.
+// seq, and a fresh snapshot sees them. Aborted xids left no entry to
+// truncate: the log is empty once the floor passes them all.
 func TestStatusBelowFloorAfterTruncation(t *testing.T) {
 	t.Run("csn", func(t *testing.T) {
 		m := NewManager()
-		var committed, aborted []TxID
+		var committed []TxID
 		for i := 0; i < 6; i++ {
 			x := m.Begin()
 			if i%2 == 0 {
@@ -42,11 +41,11 @@ func TestStatusBelowFloorAfterTruncation(t *testing.T) {
 				committed = append(committed, x)
 			} else {
 				m.Abort(x)
-				aborted = append(aborted, x)
 			}
 		}
-		floor := m.NextXID()
-		m.TruncateLog(floor)
+		if floor := m.AutoTruncate(m.OldestSnapshot()); floor != m.NextXID() {
+			t.Fatalf("floor after truncation = %d, want %d", floor, m.NextXID())
+		}
 		for _, x := range committed {
 			if st, seq := m.Status(x); st != StatusCommitted || seq != InvalidSeqNo {
 				t.Fatalf("truncated committed xid %d: status %v seq %d, want committed/invalid", x, st, seq)
@@ -55,50 +54,58 @@ func TestStatusBelowFloorAfterTruncation(t *testing.T) {
 				t.Fatalf("truncated committed xid %d must stay committed", x)
 			}
 		}
-		for _, x := range aborted {
-			if st, _ := m.Status(x); st != StatusAborted {
-				t.Fatalf("aborted tombstone %d below floor: status %v, want aborted", x, st)
-			}
+		if m.LogSize() != 0 {
+			t.Fatalf("log size after truncation = %d, want 0", m.LogSize())
 		}
-		if got, want := m.LogSize(), len(aborted); got != want {
-			t.Fatalf("log size after truncation = %d, want %d tombstones", got, want)
-		}
-		// A current snapshot sees truncated committed xids, never the
-		// aborted tombstones.
 		snap := m.TakeSnapshot()
 		for _, x := range committed {
 			if !snap.Sees(x) {
 				t.Fatalf("truncated committed xid %d invisible to a fresh snapshot", x)
 			}
 		}
-		for _, x := range aborted {
-			if snap.Sees(x) {
-				t.Fatalf("aborted tombstone %d visible", x)
-			}
-		}
-		if n := m.DropAbortedBelow(floor); n != len(aborted) {
-			t.Fatalf("DropAbortedBelow removed %d, want %d", n, len(aborted))
-		}
-		if m.LogSize() != 0 {
-			t.Fatalf("log size after tombstone drop = %d, want 0", m.LogSize())
-		}
 	})
 }
 
-// TestTruncateLogIdempotentAndMonotone: lowering the floor is a no-op.
-func TestTruncateLogFloorMonotone(t *testing.T) {
+// TestAutoTruncateFloorMonotone: a pass at a lower horizon than an
+// earlier one leaves the floor and the log as they are.
+func TestAutoTruncateFloorMonotone(t *testing.T) {
 	m := NewManager()
 	for i := 0; i < 4; i++ {
 		m.Commit(m.Begin())
 	}
-	m.TruncateLog(4)
-	before := m.LogSize()
-	m.TruncateLog(2) // no-op: below current floor
-	if m.LogSize() != before {
-		t.Fatal("lowering the truncation floor must be a no-op")
+	floor := m.AutoTruncate(2) // commits 1 and 2 are at or below the horizon
+	if floor != 3 || m.LogSize() != 2 {
+		t.Fatalf("floor %d, log size %d; want 3 and 2", floor, m.LogSize())
+	}
+	if got := m.AutoTruncate(1); got != floor || m.LogSize() != 2 {
+		t.Fatalf("a lower horizon moved the floor to %d (log size %d)", got, m.LogSize())
 	}
 	if st, _ := m.Status(1); st != StatusCommitted {
 		t.Fatalf("status below floor = %v, want committed", st)
+	}
+}
+
+// TestAbortLeavesNoEntry: an abort is forgotten at once, with no
+// truncation pass and while an older open transaction holds the floor
+// down: the log holds only what is still running.
+func TestAbortLeavesNoEntry(t *testing.T) {
+	m := NewManager()
+	pin := m.Begin()
+	for i := 0; i < 1000; i++ {
+		x := m.Begin()
+		done := m.Done(x)
+		m.Abort(x)
+		<-done
+		if st, _ := m.Status(x); st != StatusAborted {
+			t.Fatalf("aborted xid %d above the floor reports %v", x, st)
+		}
+	}
+	if n := m.LogSize(); n != 1 {
+		t.Fatalf("after 1000 aborts under an open transaction the log holds %d entries, want 1", n)
+	}
+	m.Abort(pin)
+	if n := m.LogSize(); n != 0 {
+		t.Fatalf("log holds %d entries, want 0", n)
 	}
 }
 
@@ -135,16 +142,16 @@ func TestAutoTruncateHorizon(t *testing.T) {
 	}
 
 	// Once pin finishes and a fresh transaction (whose snapshot covers
-	// b) is the oldest active, b becomes truncatable; pin's aborted
-	// tombstone survives below the floor.
+	// b) is the oldest active, b becomes truncatable; pin, aborted, has
+	// no entry at all.
 	c := m.Begin()
 	m.Abort(pin)
 	m.AutoTruncate(m.OldestSnapshot())
 	if m.lookup(b) != nil {
 		t.Fatal("b should be truncated once every active snapshot covers it")
 	}
-	if st, _ := m.Status(pin); st != StatusAborted {
-		t.Fatalf("pin tombstone below floor reports %v, want aborted", st)
+	if m.lookup(pin) != nil {
+		t.Fatal("aborted pin kept a commit-log entry")
 	}
 	if st, _ := m.Status(b); st != StatusCommitted {
 		t.Fatalf("truncated b reports %v, want committed", st)

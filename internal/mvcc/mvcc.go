@@ -1,7 +1,7 @@
 // Package mvcc implements the multiversion concurrency control substrate
 // that PostgreSQL's SSI implementation builds on: transaction identifiers,
-// snapshots, a commit log recording the fate of every transaction, and
-// monotonically increasing commit sequence numbers (CSNs).
+// snapshots, a commit log recording running and committed transactions,
+// and monotonically increasing commit sequence numbers (CSNs).
 //
 // Commit sequence numbers are central to the SSI machinery in
 // internal/core: the commit-ordering optimization (§3.3.1 of the paper)
@@ -49,18 +49,21 @@
 //
 // # Commit-log truncation
 //
+// The log holds records of in-progress and committed transactions, the
+// latter until truncation drops them; an abort leaves none. Abort
+// deletes its transaction's record at once: the engine undoes every
+// write an aborting transaction made before it calls Abort, so no heap
+// version names an aborted xid and nothing asks about it afterwards
+// (an absent xid at or above the floor resolves aborted all the same).
 // AutoTruncate runs on the epoch reclaimer's background passes
 // (internal/core/reclaim.go); transactions at every isolation level wake
 // it. A committed entry may be dropped once (a) its xid is below every
 // active transaction's xid and (b) its commit CSN is at or below the
 // horizon — then every present or future snapshot already includes it,
 // and Status/Sees resolve absent xids below the floor as "committed long
-// ago". Aborted entries are kept as tombstones (an aborted xid must never
-// resolve committed while a heap version stamped with it could still be
-// read); the engine's Vacuum drops them with DropAbortedBelow once the
-// heap holds no trace of them. A snapshot taken outside a transaction is
-// not covered by the horizon: callers must hold it only while an active
-// transaction that began before it pins the horizon.
+// ago". A snapshot taken outside a transaction is not covered by the
+// horizon: callers must hold it only while an active transaction that
+// began before it pins the horizon.
 package mvcc
 
 import (
@@ -158,7 +161,8 @@ func (s *Snapshot) SeesCommitted(seq SeqNo) bool {
 // once assigned, the CSN-counter value observed when it began (the pin
 // OldestSnapshot is computed from), and the done channel writers
 // block on. Fields are guarded by the owning shard's mutex; done is
-// closed exactly once, after the commit is published (or on abort).
+// closed exactly once, after the commit is published (or on abort, when
+// the record is deleted).
 type txRecord struct {
 	status    Status
 	commitSeq SeqNo
@@ -197,8 +201,7 @@ type Manager struct {
 	// the log by the time the snapshot can look it up.
 	assignedSeq atomic.Uint64
 	// logFloor is the lowest xid that may still have a commit-log
-	// entry; absent entries below it are known committed (aborted
-	// entries below it survive as tombstones).
+	// entry; absent entries below it are known committed.
 	logFloor atomic.Uint64
 	// activeCount counts in-progress transactions.
 	activeCount atomic.Int64
@@ -206,8 +209,8 @@ type Manager struct {
 	// Horizon); it only rises.
 	horizon atomic.Uint64
 
-	// truncMu serializes TruncateLog/AutoTruncate passes. The mutexes
-	// are level-ordered (trunc < begin < logShard) and ssilint
+	// truncMu serializes AutoTruncate passes. The mutexes are
+	// level-ordered (trunc < begin < logShard) and ssilint
 	// machine-checks that order; the canonical table is in
 	// docs/invariants.md.
 	truncMu sync.Mutex //ssi:lock level=10 name=mvcc.trunc
@@ -338,23 +341,28 @@ func (m *Manager) Commit(xid TxID) SeqNo {
 	return seq
 }
 
-// Abort marks xid aborted and wakes any waiters.
+// Abort marks xid aborted, wakes any waiters and forgets xid: its
+// record is deleted, and a later Status resolves it as absent. The
+// caller must already have undone every write xid made, so that no heap
+// version names it (the engine's rollback does, in that order); a
+// waiter that fetched the done channel before the delete still holds it.
 func (m *Manager) Abort(xid TxID) {
 	sh := m.shard(xid)
 	sh.mu.Lock()
 	rec := finishableLocked(sh, xid, "Abort")
-	rec.status = StatusAborted
 	delete(sh.active, xid)
+	delete(sh.recs, xid)
 	sh.mu.Unlock()
 	m.activeCount.Add(-1)
 	close(rec.done)
 }
 
 // Status returns the recorded fate of xid and, if committed, its commit
-// sequence number. Transactions absent below the truncated region of the
-// log are reported committed with an unknown (zero) sequence number;
-// aborted transactions below it keep tombstone entries and still report
-// aborted (see TruncateLog).
+// sequence number. An absent xid below the truncation floor is reported
+// committed with an unknown (zero) sequence number, one at or above it
+// aborted. An aborted xid is absent from its Abort on, so once the floor
+// passes it, it too reads committed: callers ask only about xids a heap
+// version names, and by then none does (see Abort).
 func (m *Manager) Status(xid TxID) (Status, SeqNo) {
 	sh := m.shard(xid)
 	sh.mu.RLock()
@@ -521,38 +529,6 @@ func (m *Manager) Horizon() SeqNo {
 	return SeqNo(m.horizon.Load())
 }
 
-// TruncateLog discards committed commit-log entries for transactions with
-// xid < floor, which must all have committed or aborted and whose
-// commits must be visible to every present and future snapshot (in CSN
-// terms: commit CSN at or below OldestSnapshot — AutoTruncate computes
-// the largest such floor).
-// PostgreSQL similarly truncates pg_clog once no snapshot can reference
-// old xids. Entries for aborted transactions below the floor are kept as
-// tombstones — an aborted xid must never start resolving "committed"
-// while a heap version it stamped could still be read — and are removed
-// by DropAbortedBelow once the heap has been vacuumed clean of them.
-func (m *Manager) TruncateLog(floor TxID) {
-	m.truncMu.Lock()
-	defer m.truncMu.Unlock()
-	if floor <= TxID(m.logFloor.Load()) {
-		return
-	}
-	// Raise the floor before deleting: a concurrent Status
-	// that misses a just-deleted record re-reads the floor and resolves
-	// it committed.
-	m.logFloor.Store(uint64(floor))
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for xid, rec := range sh.recs {
-			if xid < floor && rec.status == StatusCommitted {
-				delete(sh.recs, xid)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // autoTruncateScanCap bounds how many xids one AutoTruncate pass
 // examines, so a reclaimer tick after a long truncation-free stretch
 // does linear work in bounded chunks.
@@ -572,11 +548,9 @@ const maxKeptTruncVictims = 4096
 // CSN is above horizon (a small-xid transaction that
 // committed late: some active snapshot may not include it yet), and
 // after autoTruncateScanCap entries. Absent xids (already truncated, or
-// dropped aborted tombstones) are skipped; aborted tombstones are left
-// in place below the advanced floor. Unlike TruncateLog's full-shard
-// sweep, only the entries the scan just proved reclaimable are deleted,
-// so a background pass perturbs concurrent shard traffic as little as
-// possible.
+// aborted) are skipped. Only the entries the scan just proved
+// reclaimable are deleted, so a background pass perturbs concurrent
+// shard traffic as little as possible.
 func (m *Manager) AutoTruncate(horizon SeqNo) TxID {
 	m.truncMu.Lock()
 	defer m.truncMu.Unlock()
@@ -598,8 +572,6 @@ scan:
 			case rec.status == StatusCommitted && rec.commitSeq <= horizon:
 				// Visible to every present and future snapshot.
 				victims = append(victims, floor)
-			case rec.status == StatusAborted:
-				// Tombstone: the floor passes it, the entry stays.
 			default:
 				// In-progress (cannot happen below the oldest active
 				// xid, but be conservative) or committed above the
@@ -626,31 +598,6 @@ scan:
 		m.truncVictims = victims[:0]
 	}
 	return floor
-}
-
-// DropAbortedBelow removes aborted tombstone entries with xid < floor.
-// The caller must guarantee that no heap tuple version stamped (xmin or
-// xmax) with an aborted xid below floor remains reachable — the engine's
-// Vacuum establishes this by pruning every chain while floor is at or
-// below the oldest xid active at the start of its sweep. After the drop,
-// such an xid resolves like any other absent xid (committed below the
-// truncation floor, aborted above), which no reader can observe anymore.
-func (m *Manager) DropAbortedBelow(floor TxID) int {
-	m.truncMu.Lock()
-	defer m.truncMu.Unlock()
-	dropped := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for xid, rec := range sh.recs {
-			if xid < floor && rec.status == StatusAborted {
-				delete(sh.recs, xid)
-				dropped++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return dropped
 }
 
 // LogSize returns the number of entries currently in the commit log.

@@ -119,7 +119,9 @@ func TestOldestActiveXID(t *testing.T) {
 	}
 }
 
-func TestTruncateLog(t *testing.T) {
+// TestAutoTruncateDropsCommitted: a pass whose horizon covers the first
+// five commits drops exactly their entries.
+func TestAutoTruncateDropsCommitted(t *testing.T) {
 	m := NewManager()
 	var xids []TxID
 	for i := 0; i < 10; i++ {
@@ -127,7 +129,7 @@ func TestTruncateLog(t *testing.T) {
 		m.Commit(x)
 		xids = append(xids, x)
 	}
-	m.TruncateLog(xids[5])
+	m.AutoTruncate(m.CommitSeq(xids[4]))
 	if m.LogSize() != 5 {
 		t.Fatalf("log size = %d, want 5", m.LogSize())
 	}
@@ -167,9 +169,10 @@ func TestConcurrentBeginCommit(t *testing.T) {
 // transactions take snapshots that they hold while others finish, and
 // truncates the commit log at the horizon between steps; after every
 // step each held snapshot, and one taken now, is checked against every
-// xid ever assigned. A snapshot is held only while the transaction that
-// took it is open, since only an open transaction pins the horizon (see
-// the package comment).
+// xid ever assigned, except aborted xids below the truncation floor:
+// nothing may ask about those (see Abort). A snapshot is held only while
+// the transaction that took it is open, since only an open transaction
+// pins the horizon (see the package comment).
 func TestQuickSnapshotVisibility(t *testing.T) {
 	type held struct {
 		owner TxID
@@ -180,6 +183,7 @@ func TestQuickSnapshotVisibility(t *testing.T) {
 		m := NewManager()
 		var xids, open []TxID
 		committedAt := map[TxID]int{}
+		aborted := map[TxID]bool{}
 		var snaps []held
 		pick := func(op uint8) int { return int(op/5) % len(open) }
 		finish := func(i int) TxID {
@@ -202,7 +206,9 @@ func TestQuickSnapshotVisibility(t *testing.T) {
 				}
 			case 2:
 				if len(open) > 0 {
-					m.Abort(finish(pick(op)))
+					x := finish(pick(op))
+					m.Abort(x)
+					aborted[x] = true
 				}
 			case 3:
 				if len(open) > 0 {
@@ -214,6 +220,9 @@ func TestQuickSnapshotVisibility(t *testing.T) {
 			now := held{snap: m.TakeSnapshot(), at: step + 1}
 			for _, h := range append(snaps, now) {
 				for _, x := range xids {
+					if aborted[x] && x < TxID(m.logFloor.Load()) {
+						continue
+					}
 					at, committed := committedAt[x]
 					if want := committed && at < h.at; h.snap.Sees(x) != want {
 						t.Logf("after step %d: snapshot taken at step %d sees xid %d = %v, want %v", step, h.at, x, !want, want)

@@ -209,7 +209,7 @@ func TestReplicaStatusPositions(t *testing.T) {
 		done <- nil
 	}()
 	var last uint64
-	check := func() uint64 {
+	check := func() (uint64, uint64) {
 		applied, safe, st := c.ReplicaStatus()
 		if !st.OK() {
 			t.Fatalf("replica status: %v", st)
@@ -221,7 +221,7 @@ func TestReplicaStatusPositions(t *testing.T) {
 			t.Fatalf("replica status: applied went back from %d to %d", last, applied)
 		}
 		last = applied
-		return applied
+		return applied, safe
 	}
 	for writing := true; writing; {
 		select {
@@ -239,7 +239,12 @@ func TestReplicaStatusPositions(t *testing.T) {
 	if want != commits {
 		t.Fatalf("primary at seq %d after %d commits", want, commits)
 	}
-	waitFor(t, 5*time.Second, func() bool { return check() == want }, "replica status to reach the primary's position")
+	// The marker that makes the last commit safe can trail its apply:
+	// wait for both positions before asserting on safe.
+	waitFor(t, 5*time.Second, func() bool {
+		applied, safe := check()
+		return applied == want && safe == want
+	}, "replica status to reach the primary's position")
 	if _, safe, _ := c.ReplicaStatus(); safe != want {
 		t.Fatalf("quiescent replica: safe %d, want %d", safe, want)
 	}

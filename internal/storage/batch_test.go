@@ -108,7 +108,7 @@ func TestScanParityWithGet(t *testing.T) {
 					t.Fatalf("visible row %q never passed through onPage", gotKeys[i])
 				}
 			}
-			h.mgr.Abort(u.xid)
+			h.rollback(u, "k9999")
 		})
 	}
 }

@@ -8,9 +8,10 @@ import (
 	"pgssi/internal/mvcc"
 )
 
-// Tests for settled visibility (fates cached on versions) and for the
-// places chains are tidied now that readers no longer do it: rollback,
-// the next write, and modify's trim below the published horizon.
+// Tests for settled visibility (fates cached on versions), for writes
+// that did not happen leaving nothing behind (rollback, savepoint
+// rollback, a failed check), and for modify's trim below the published
+// horizon.
 
 // version is a copy of one version of a row, as chain reads it.
 type version struct {
@@ -46,23 +47,13 @@ func (h *harness) commitUpdate(t *testing.T, key, val string) mvcc.TxID {
 
 // TestFatesSurviveLogTruncation: once a reader has settled a version, no
 // later state of the commit log changes what it reads — not truncation
-// of the committed entry (the CSN is still needed by an older snapshot's
-// comparison), not the dropping of an aborted tombstone (which, asked
-// afresh, would resolve "committed long ago").
+// of the committed entry, whose CSN an older snapshot's comparison still
+// needs.
 func TestFatesSurviveLogTruncation(t *testing.T) {
 	h := newHarness(t)
 	seed := h.begin()
 	_ = h.insert(seed, "a", "base")
-	_ = h.insert(seed, "b", "base")
 	h.mgr.Commit(seed.xid)
-
-	// An aborted update of b whose versions are never unlinked (no
-	// rollback pass, no later write): the stamped-and-abandoned case.
-	ab := h.begin()
-	if err := h.update(ab, "b", "aborted"); err != nil {
-		t.Fatal(err)
-	}
-	h.mgr.Abort(ab.xid)
 
 	old := h.begin() // pins a snapshot from before the next commit
 	h.commitUpdate(t, "a", "new")
@@ -75,29 +66,17 @@ func TestFatesSurviveLogTruncation(t *testing.T) {
 	if v, _ := h.get(old, "a"); v != "base" {
 		t.Fatalf("old reader sees a=%q, want base", v)
 	}
-	if v, ok := h.get(late, "b"); !ok || v != "base" {
-		t.Fatalf("aborted update must read as not-happened, got %q %v", v, ok)
-	}
 	for _, v := range h.chain("a") {
 		if v.minFate < fateCommitted {
 			t.Fatalf("version %q of a not settled after being read: fate %d", v.Value, v.minFate)
 		}
 	}
-	bs := h.chain("b")
-	if len(bs) != 2 || bs[0].minFate != fateAborted || bs[1].maxFate != fateAborted {
-		t.Fatalf("aborted head / aborted xmax of b not settled: %+v", bs)
-	}
 
-	// Now take the log away: everything below the next xid, committed
-	// entries and aborted tombstones alike.
-	floor := h.mgr.NextXID()
+	// Now take the log away: everything below the next xid.
 	h.mgr.Abort(old.xid) // the log cannot be truncated under an active xid...
 	h.mgr.Abort(late.xid)
-	h.mgr.AutoTruncate(h.mgr.OldestSnapshot())
-	h.mgr.TruncateLog(floor)
-	h.mgr.DropAbortedBelow(floor)
-	if st, _ := h.mgr.Status(ab.xid); st != mvcc.StatusCommitted {
-		t.Fatalf("precondition: the dropped aborted xid should now resolve committed from the log, got %v", st)
+	if floor := h.mgr.AutoTruncate(h.mgr.OldestSnapshot()); floor != h.mgr.NextXID() || h.mgr.LogSize() != 0 {
+		t.Fatalf("precondition: truncation left floor %d and %d entries", floor, h.mgr.LogSize())
 	}
 
 	// ...but the snapshots themselves are just CSNs: reading with them
@@ -108,76 +87,13 @@ func TestFatesSurviveLogTruncation(t *testing.T) {
 	if v, _ := h.get(late, "a"); v != "new" {
 		t.Fatalf("after truncation late snapshot sees a=%q, want new", v)
 	}
-	for _, r := range []*txn{old, late, h.begin()} {
-		if v, ok := h.get(r, "b"); !ok || v != "base" {
-			t.Fatalf("after the tombstone was dropped the aborted update of b became visible: %q %v", v, ok)
-		}
-	}
-}
-
-// TestFateNeverOutlivesUndo: clearing or overwriting an xmax resets its
-// cached fate, so a fate settled for one stamper is never read for the
-// next.
-func TestFateNeverOutlivesUndo(t *testing.T) {
-	h := newHarness(t)
-	seed := h.begin()
-	_ = h.insert(seed, "a", "base")
-	h.mgr.Commit(seed.xid)
-
-	// Stamper 1 aborts without unlinking; a reader settles "aborted".
-	s1 := h.begin()
-	if _, err := h.tbl.Delete("a", s1.xid, 0, s1.snap, h.mgr, h.wg, nil); err != nil {
-		t.Fatal(err)
-	}
-	h.mgr.Abort(s1.xid)
-	r := h.begin()
-	if _, ok := h.get(r, "a"); !ok {
-		t.Fatal("aborted delete must read as not deleted")
-	}
-	if v := h.chain("a")[0]; v.maxFate != fateAborted {
-		t.Fatalf("aborted xmax not settled: %d", v.maxFate)
-	}
-
-	// Stamper 2 deletes in a subtransaction: the write path clears the
-	// aborted stamp, stamps its own, and the fate must be unknown again.
-	s2 := h.begin()
-	if _, err := h.tbl.Delete("a", s2.xid, 1, s2.snap, h.mgr, h.wg, nil); err != nil {
-		t.Fatal(err)
-	}
-	if v := h.chain("a")[0]; v.xmax != s2.xid || v.maxFate != fateUnknown {
-		t.Fatalf("restamp kept a stale fate: xmax=%d fate=%d", v.xmax, v.maxFate)
-	}
-	if _, ok := h.get(s2, "a"); ok {
-		t.Fatal("own delete must hide the row")
-	}
-	// Savepoint rollback: stamp cleared, fate cleared, row back.
-	h.tbl.UndoSubxact("a", s2.xid, 1)
-	if v := h.chain("a")[0]; v.xmax != 0 || v.maxFate != fateUnknown {
-		t.Fatalf("undo left xmax=%d fate=%d", v.xmax, v.maxFate)
-	}
-	if v, ok := h.get(s2, "a"); !ok || v != "base" {
-		t.Fatalf("after savepoint rollback the row reads %q %v, want base", v, ok)
-	}
-
-	// Stamper 2 deletes again and commits; a reader settles "committed";
-	// nothing may read that as the fate of a later stamp either.
-	if _, err := h.tbl.Delete("a", s2.xid, 0, s2.snap, h.mgr, h.wg, nil); err != nil {
-		t.Fatal(err)
-	}
-	h.mgr.Commit(s2.xid)
-	if _, ok := h.get(h.begin(), "a"); ok {
-		t.Fatal("committed delete must hide the row from later snapshots")
-	}
-	if _, ok := h.get(r, "a"); !ok {
-		t.Fatal("committed delete must not hide the row from an earlier snapshot")
-	}
 }
 
 // TestRollbackAndFailedWriteReadAsNotDeleted: the three ways a delete or
 // update can fail to happen — full rollback (UndoSubxact from 0), a
 // savepoint rollback, and a write whose check failed after the stamp
-// (never undone, never in a write set) — all leave a row that reads as
-// live, and that the next writer can take.
+// (taken back by the write itself) — all leave the row as it was: one
+// version, unstamped, that reads as live and that the next writer takes.
 func TestRollbackAndFailedWriteReadAsNotDeleted(t *testing.T) {
 	for _, how := range []string{"rollback", "savepoint", "failed-check"} {
 		t.Run(how, func(t *testing.T) {
@@ -209,21 +125,18 @@ func TestRollbackAndFailedWriteReadAsNotDeleted(t *testing.T) {
 				if !errors.Is(err, boom) {
 					t.Fatal(err)
 				}
-				h.mgr.Abort(w.xid) // stamp and version stay behind
-				if n := len(h.chain("a")); n != 2 {
-					t.Fatalf("expected the abandoned version to still be linked, chain has %d", n)
-				}
+				h.mgr.Abort(w.xid) // nothing to undo: the write took itself back
+			}
+			if c := h.chain("a"); len(c) != 1 || c[0].xmax != 0 || string(c[0].Value) != "base" {
+				t.Fatalf("the write that did not happen left chain %v", c)
 			}
 			r := h.begin()
 			if v, ok := h.get(r, "a"); !ok || v != "base" {
 				t.Fatalf("row reads %q %v, want base", v, ok)
 			}
-			n := 0
-			h.tbl.ForEach(r.snap, r.xid, h.mgr, func(_ string, v []byte) bool { n++; return string(v) == "base" })
-			if n != 1 {
-				t.Fatalf("scan sees %d rows, want 1", n)
+			if keys, vals := scanAll(t, h, r, nil); len(keys) != 1 || vals[0] != "base" {
+				t.Fatalf("scan sees %v = %v, want a = base", keys, vals)
 			}
-			// The next writer takes the row and, being a write, tidies it.
 			h.commitUpdate(t, "a", "next")
 			if c := h.chain("a"); len(c) != 2 || string(c[0].Value) != "next" || string(c[1].Value) != "base" {
 				t.Fatalf("next write left chain %v", c)

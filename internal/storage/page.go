@@ -11,8 +11,8 @@ import (
 
 // This file holds the heap page: the line pointers, the version headers
 // and the value arena of TuplesPerPage row slots, and what is done to
-// them under the page's latch — visibility, pruning, trimming, pushing a
-// version and compacting.
+// them under the page's latch — visibility, trimming, pushing a version
+// and compacting.
 
 // TID names a row slot: the row's heap page and its slot on that page,
 // packed as page*TuplesPerPage + slot. TIDs are handed out in slot
@@ -40,7 +40,6 @@ type fate uint64
 
 const (
 	fateUnknown fate = iota
-	fateAborted
 	// fateCommitted + CSN: committed with that commit sequence number;
 	// fateCommitted alone (CSN InvalidSeqNo) is a commit the log had
 	// already truncated when it was resolved, i.e. one every snapshot
@@ -50,11 +49,8 @@ const (
 
 // String renders a cached fate for DescribeRow.
 func (f fate) String() string {
-	switch {
-	case f == fateUnknown:
+	if f == fateUnknown {
 		return "unresolved"
-	case f == fateAborted:
-		return "aborted"
 	}
 	return fmt.Sprintf("committed@%d", uint64(f-fateCommitted))
 }
@@ -68,21 +64,20 @@ func (f *fate) load() fate { return fate(atomic.LoadUint64((*uint64)(f))) }
 
 // resolve returns xid's status and commit CSN from the cache, consulting
 // the commit log (and filling the cache) only while it is unresolved.
-// Caller holds the page latch, in either mode.
+// The answer is committed or in progress: a transaction undoes its
+// writes before it aborts, so no version names an aborted one, and one
+// that does is a bug resolve will not read past. Caller holds the page
+// latch, in either mode.
 func (f *fate) resolve(xid mvcc.TxID, mgr *mvcc.Manager) (mvcc.Status, mvcc.SeqNo) {
-	switch c := f.load(); {
-	case c >= fateCommitted:
+	if c := f.load(); c >= fateCommitted {
 		return mvcc.StatusCommitted, mvcc.SeqNo(c - fateCommitted)
-	case c == fateAborted:
-		return mvcc.StatusAborted, mvcc.InvalidSeqNo
 	}
 	st, seq := mgr.Status(xid)
 	switch st {
 	case mvcc.StatusCommitted:
 		atomic.StoreUint64((*uint64)(f), uint64(fateCommitted)+uint64(seq))
 	case mvcc.StatusAborted:
-		atomic.StoreUint64((*uint64)(f), uint64(fateAborted))
-	case mvcc.StatusInProgress:
+		panic(fmt.Sprintf("storage: a version names transaction %d, which aborted without undoing it", xid))
 	}
 	return st, seq
 }
@@ -189,22 +184,13 @@ func (p *page) visible(slot int, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.
 			}
 			return i
 		}
-		st, seq := v.minFate.resolve(v.xmin, mgr)
-		switch st {
-		case mvcc.StatusAborted:
-			continue
-		case mvcc.StatusInProgress:
-			// Created by a concurrent, still-running transaction:
-			// invisible, and an rw conflict out for serializable
-			// readers (the reader must precede the writer).
+		if st, seq := v.minFate.resolve(v.xmin, mgr); st == mvcc.StatusInProgress || !snap.SeesCommitted(seq) {
+			// Created by a concurrent transaction, still running or
+			// committed after our snapshot: invisible, and an rw
+			// conflict out for serializable readers (the reader must
+			// precede the writer).
 			note(conflicts, v.xmin)
 			continue
-		case mvcc.StatusCommitted:
-			if !snap.SeesCommitted(seq) {
-				// Committed after our snapshot: concurrent.
-				note(conflicts, v.xmin)
-				continue
-			}
 		}
 		// v was created by a transaction visible to the snapshot.
 		// Check its deletion status.
@@ -215,24 +201,15 @@ func (p *page) visible(slot int, snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.
 			// Deleted by ourselves.
 			return none
 		}
-		xst, xseq := v.maxFate.resolve(v.xmax, mgr)
-		switch xst {
-		case mvcc.StatusAborted:
-			return i
-		case mvcc.StatusInProgress:
-			note(conflicts, v.xmax)
-			return i
-		case mvcc.StatusCommitted:
-			if snap.SeesCommitted(xseq) {
-				// Deleted before our snapshot: row is gone.
-				return none
-			}
-			// Deleted by a concurrent transaction that committed
-			// after our snapshot: still visible to us, and an rw
-			// conflict out.
-			note(conflicts, v.xmax)
-			return i
+		if xst, xseq := v.maxFate.resolve(v.xmax, mgr); xst == mvcc.StatusCommitted && snap.SeesCommitted(xseq) {
+			// Deleted before our snapshot: row is gone.
+			return none
 		}
+		// Deleted by a concurrent transaction, still running or
+		// committed after our snapshot: still visible to us, and an rw
+		// conflict out.
+		note(conflicts, v.xmax)
+		return i
 	}
 	return none
 }
@@ -251,29 +228,6 @@ func note(conflicts *[]mvcc.TxID, xid mvcc.TxID) {
 	if conflicts != nil {
 		*conflicts = append(*conflicts, xid)
 	}
-}
-
-// pruneAborted drops leading versions created by aborted transactions
-// off slot's chain, clears an aborted xmax stamp on the surviving head,
-// and returns that head. Only the write paths (Insert, modify, Vacuum)
-// call it — no aborted version is ever buried under a newer one, because
-// every write prunes before it pushes; readers just skip what they find.
-// Caller holds the latch exclusively.
-func (p *page) pruneAborted(slot int, mgr *mvcc.Manager) int32 {
-	head := p.line[slot]
-	for head != none {
-		if st, _ := p.hdrs[head].minFate.resolve(p.hdrs[head].xmin, mgr); st != mvcc.StatusAborted {
-			break
-		}
-		head = p.hdrs[head].older
-	}
-	p.line[slot] = head
-	if head != none && p.hdrs[head].xmax != 0 {
-		if st, _ := p.hdrs[head].maxFate.resolve(p.hdrs[head].xmax, mgr); st == mvcc.StatusAborted {
-			p.hdrs[head].setXmax(0, 0)
-		}
-	}
-	return head
 }
 
 // trimBelow cuts the chain under the newest version, at or below i,

@@ -37,26 +37,28 @@
 //
 // # Settled visibility
 //
-// A version caches the resolved fate of its xmin and its xmax — committed
-// with its CSN, or aborted — the way PostgreSQL sets hint bits: the first
-// reader that finds the transaction finished writes the answer on the
-// version, and every later read of a settled row makes no commit-log
-// lookup at all. A cached fate is at least as good as the log's answer
-// for as long as the version exists: commit-log truncation only forgets
-// CSNs the cache still has, and dropping an aborted tombstone cannot turn
-// a cached "aborted" into "committed". Whatever overwrites or clears an
-// xmax resets its cached fate with it.
+// A version caches the resolved fate of its xmin and its xmax — committed,
+// with its CSN — the way PostgreSQL sets hint bits: the first reader that
+// finds the transaction committed writes the answer on the version, and
+// every later read of a settled row makes no commit-log lookup at all. A
+// cached fate is at least as good as the log's answer for as long as the
+// version exists: commit-log truncation only forgets CSNs the cache still
+// has. Whatever overwrites or clears an xmax resets its cached fate with
+// it.
 //
-// Readers never repair a chain. An aborted head is skipped, an aborted
-// xmax is read as "not deleted", and that is all. Chains are tidied where
-// they are written: a rollback unlinks the versions its write set names
-// (UndoSubxact), every write first drops aborted versions off the head
-// (which also covers a failed write that stamped a version but never
-// reached a write set), and modify cuts the chain below the newest
+// No version ever names an aborted transaction, so there is no aborted
+// fate to cache and nothing for a reader or a writer to step over. A
+// write leaves nothing behind unless it succeeds: Update and Delete take
+// a failed check's stamp and version off again before they release the
+// latch, and the engine records every write that succeeded before it
+// does anything that can fail. A rollback unlinks the versions its write
+// set names (UndoSubxact) before the abort is published (mvcc.Abort),
+// which is what lets the commit log forget aborts at once. Chains are
+// trimmed where they are written: modify cuts the chain below the newest
 // version every snapshot can see, using the horizon mvcc.OldestSnapshot
 // publishes. Vacuum remains as the explicit full sweep, at the same
-// horizon. What a cut or an unlink leaves unreachable is dropped when
-// its page is next compacted.
+// horizon. What a cut or an unlink leaves unreachable is dropped when its
+// page is next compacted.
 //
 // # Write locks and the page latch
 //
@@ -570,7 +572,7 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 	var older int32
 	for {
 		latch.Lock()
-		older = pg.pruneAborted(slot, mgr)
+		older = pg.line[slot]
 		if older == none {
 			break
 		}
@@ -631,10 +633,9 @@ func (t *Table) Insert(key string, value []byte, xid mvcc.TxID, subID int32, sna
 // row's page latch is released; serializable callers put
 // their SIREAD-table probe (core.CheckWrite) there so the xmax stamp and
 // the probe are one atomic step relative to readers of the page (see
-// latch.go). A check error is returned as Update's error; the stamp is
-// not undone — the caller is expected to abort the transaction, after
-// which readers see the stamp and the new version as aborted and the
-// next write of the row drops them.
+// latch.go). A check error is returned as Update's error, and the write
+// is taken back under the same latch: the new version comes off and the
+// stamp is cleared, so an Update that fails has written nothing.
 func (t *Table) Update(key string, value []byte, xid mvcc.TxID, subID int32, snap *mvcc.Snapshot, mgr *mvcc.Manager, wg *waitgraph.Graph, check func(WriteResult) error) (WriteResult, error) {
 	return t.modify(key, value, false, xid, subID, snap, mgr, wg, check)
 }
@@ -669,7 +670,7 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 	}
 	for {
 		latch.Lock()
-		hi := pg.pruneAborted(slot, mgr)
+		hi := pg.line[slot]
 		if hi == none {
 			return fail(ErrNotFound)
 		}
@@ -708,19 +709,15 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 		}
 		v := head
 		if v.xmax != 0 && v.xmax != xid {
-			switch xst, _ := v.maxFate.resolve(v.xmax, mgr); xst {
-			case mvcc.StatusInProgress:
+			if xst, _ := v.maxFate.resolve(v.xmax, mgr); xst == mvcc.StatusInProgress {
 				if err := wait(v.xmax); err != nil {
 					return WriteResult{}, err
 				}
 				continue
-			case mvcc.StatusCommitted:
-				// Concurrent delete/update committed while we
-				// were deciding: conflict.
-				return fail(ErrWriteConflict)
-			case mvcc.StatusAborted:
-				v.setXmax(0, 0)
 			}
+			// Concurrent delete/update committed while we were
+			// deciding: conflict.
+			return fail(ErrWriteConflict)
 		}
 		// We hold the tuple: stamp xmax and (for updates) put the new
 		// version on top, on the same page. v is visible and the head,
@@ -737,12 +734,24 @@ func (t *Table) modify(key string, value []byte, del bool, xid mvcc.TxID, subID 
 		if !del {
 			pg.push(slot, header{xmin: xid, subMin: subID}, value)
 		}
-		var err error
 		if check != nil {
-			err = check(wr)
+			if err := check(wr); err != nil {
+				// Take the write back before any reader can see it: the
+				// new version comes off the chain and the stamp beneath
+				// it is cleared (the write found none there: any xmax
+				// was waited on or turned away above). push may have
+				// compacted, so the line pointer, not v, names both.
+				top := pg.line[slot]
+				if !del {
+					top = pg.hdrs[top].older
+					pg.line[slot] = top
+				}
+				pg.hdrs[top].setXmax(0, 0)
+				return fail(err)
+			}
 		}
 		latch.Unlock()
-		return wr, err
+		return wr, nil
 	}
 }
 
@@ -787,34 +796,16 @@ func (t *Table) UndoSubxact(key string, xid mvcc.TxID, subID int32) {
 	}
 }
 
-// ForEach invokes fn for every row visible to snap, in key order. It
-// returns the union of conflict-out transactions observed. Full-table
-// (sequential) scans go through this path; it is Scan without the
-// callbacks a tracked index scan needs.
-func (t *Table) ForEach(snap *mvcc.Snapshot, self mvcc.TxID, mgr *mvcc.Manager, fn func(key string, value []byte) bool) []mvcc.TxID {
-	var conflicts []mvcc.TxID
-	t.Scan("", "", snap, self, mgr, nil, nil, func(lf *Leaf) (bool, error) {
-		conflicts = append(conflicts, lf.ConflictOut...)
-		for i, v := range lf.Vals {
-			if v != nil && !fn(lf.Keys[i], v) {
-				return false, nil
-			}
-		}
-		return true, nil
-	})
-	return conflicts
-}
-
 // Len returns the number of row slots in the heap: every key the table
 // has ever held, live or dead.
 func (t *Table) Len() int { return t.index.Len() }
 
 // Vacuum removes versions that can no longer be seen by any snapshot at
 // or above horizon (mvcc.Manager.OldestSnapshot): versions superseded by
-// one committed at or below the horizon, and aborted detritus. It
-// returns the number of versions removed. A row whose last version goes
-// keeps its (empty) slot in the index. It walks the heap a page at a
-// time, each under its latch held exclusively.
+// one committed at or below the horizon. It returns the number of
+// versions removed. A row whose last version goes keeps its (empty) slot
+// in the index. It walks the heap a page at a time, each under its latch
+// held exclusively.
 func (t *Table) Vacuum(horizon mvcc.SeqNo, mgr *mvcc.Manager) int {
 	removed := 0
 	for _, pg := range *t.pages.Load() {
@@ -829,7 +820,7 @@ func (t *Table) Vacuum(horizon mvcc.SeqNo, mgr *mvcc.Manager) int {
 
 // vacuum is Vacuum for one row. Caller holds the latch exclusively.
 func (p *page) vacuum(slot int, horizon mvcc.SeqNo, mgr *mvcc.Manager) (removed int) {
-	head := p.pruneAborted(slot, mgr)
+	head := p.line[slot]
 	if head == none {
 		return 0
 	}

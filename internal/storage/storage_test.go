@@ -43,6 +43,15 @@ func (h *harness) update(tx *txn, key, val string) error {
 	return err
 }
 
+// rollback aborts tx the way the engine does: it undoes tx's writes of
+// keys first, so no version names tx once it has aborted.
+func (h *harness) rollback(tx *txn, keys ...string) {
+	for _, k := range keys {
+		h.tbl.UndoSubxact(k, tx.xid, 0)
+	}
+	h.mgr.Abort(tx.xid)
+}
+
 // pageOf returns the heap page key's row lives on (the key must have a
 // slot).
 func (h *harness) pageOf(key string) int64 {
@@ -170,7 +179,7 @@ func TestWriterProceedsAfterHolderAborts(t *testing.T) {
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- h.update(t2, "a", "t2") }()
-	h.mgr.Abort(t1.xid)
+	h.rollback(t1, "a")
 	if err := <-errCh; err != nil {
 		t.Fatalf("writer must proceed after holder aborts: %v", err)
 	}
@@ -198,27 +207,27 @@ func TestDeadlockDetectedOnTupleWaits(t *testing.T) {
 	}
 	// t1 waits for b (held by t2); t2 then waits for a (held by t1):
 	// one of them must observe the deadlock.
-	errs := make(chan error, 2)
+	type outcome struct {
+		tx  *txn
+		err error
+	}
+	results := make(chan outcome, 2)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); errs <- h.update(t1, "b", "y") }()
-	go func() { defer wg.Done(); errs <- h.update(t2, "a", "y") }()
-	// One waits forever unless the other is killed: simulate the
-	// engine aborting the deadlock victim.
-	var sawDeadlock bool
-	select {
-	case err := <-errs:
-		if errors.Is(err, ErrDeadlock) {
-			sawDeadlock = true
-		}
+	go func() { defer wg.Done(); results <- outcome{t1, h.update(t1, "b", "y")} }()
+	go func() { defer wg.Done(); results <- outcome{t2, h.update(t2, "a", "y")} }()
+	victim := <-results
+	if !errors.Is(victim.err, ErrDeadlock) {
+		t.Fatalf("expected a deadlock error from one waiter, got %v", victim.err)
 	}
-	if !sawDeadlock {
-		t.Fatal("expected a deadlock error from one waiter")
+	// The engine rolls the victim back, which lets the other waiter go on.
+	h.rollback(victim.tx, "a", "b")
+	survivor := <-results
+	if survivor.err != nil {
+		t.Fatalf("waiter after the victim's rollback: %v", survivor.err)
 	}
-	// Abort both so the remaining waiter wakes.
-	h.mgr.Abort(t1.xid)
-	h.mgr.Abort(t2.xid)
 	wg.Wait()
+	h.rollback(survivor.tx, "a", "b")
 }
 
 func TestDeleteAndReinsert(t *testing.T) {
@@ -298,24 +307,6 @@ func TestSubxactUndoRestoresPreviousState(t *testing.T) {
 	if err := h.update(o, "a", "other"); err != nil {
 		t.Fatalf("update after undo: %v", err)
 	}
-}
-
-func TestForEachVisibility(t *testing.T) {
-	h := newHarness(t)
-	seed := h.begin()
-	for i := 0; i < 20; i++ {
-		_ = h.insert(seed, fmt.Sprintf("k%02d", i), "v")
-	}
-	h.mgr.Commit(seed.xid)
-	w := h.begin()
-	_ = h.insert(w, "uncommitted", "v")
-	r := h.begin()
-	n := 0
-	h.tbl.ForEach(r.snap, r.xid, h.mgr, func(string, []byte) bool { n++; return true })
-	if n != 20 {
-		t.Fatalf("visible rows = %d, want 20", n)
-	}
-	h.mgr.Abort(w.xid)
 }
 
 func TestVacuumRemovesDeadVersions(t *testing.T) {
@@ -538,7 +529,7 @@ func TestWriteCheckRunsUnderLatch(t *testing.T) {
 }
 
 // TestWriteCheckErrorPropagates verifies a failing check surfaces as the
-// write's error while leaving the stamp for the caller's abort path.
+// write's error and takes the write back: no stamp, no new version.
 func TestWriteCheckErrorPropagates(t *testing.T) {
 	h := newHarness(t)
 	w := h.begin()
@@ -552,7 +543,9 @@ func TestWriteCheckErrorPropagates(t *testing.T) {
 	if _, err := h.tbl.Update("a", []byte("2"), u.xid, 0, u.snap, h.mgr, h.wg, func(WriteResult) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("check error not propagated: %v", err)
 	}
-	// Aborting the writer reclaims the stamp.
+	if c := h.chain("a"); len(c) != 1 || c[0].xmax != 0 {
+		t.Fatalf("failed write left %d versions, head xmax %d", len(c), c[0].xmax)
+	}
 	h.mgr.Abort(u.xid)
 	r := h.begin()
 	if v, ok := h.get(r, "a"); !ok || v != "1" {

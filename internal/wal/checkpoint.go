@@ -1,7 +1,7 @@
 // Checkpoints bound the log. WriteCheckpoint captures the engine's
-// state at a safe-snapshot marker into a checkpoint file, records it in
-// the CHECKPOINT manifest, and garbage-collects every segment whose
-// records all fall at or below the checkpoint sequence. Recovery then
+// state at a safe-snapshot marker into a checkpoint file and
+// garbage-collects every segment whose records all fall at or below the
+// checkpoint sequence. Recovery then
 // loads the checkpoint and replays only the post-checkpoint suffix of
 // the log (docs/wal.md, "Checkpoints and log truncation").
 //
@@ -16,20 +16,18 @@
 // record. There is no rename on the FS surface, so the footer plays the
 // role an atomic rename would.
 //
-// The CHECKPOINT manifest is one CRC frame whose body is the magic
-// "PGSSICKM", the checkpoint seq, and the GC floor seq. It is written
-// only after the checkpoint file AND the log through the checkpoint seq
-// are durable, and segments are removed only after the manifest is
-// durable — so a crash at any point leaves either the previous
-// checkpoint (with its segments intact) or the new one, never a state
-// that needs records the disk no longer holds.
+// Segments are removed only after the checkpoint file AND the log
+// through the checkpoint seq are durable, so a crash at any point leaves
+// either the previous checkpoint (with its segments intact) or the new
+// one, never a state that needs records the disk no longer holds. Open
+// picks the newest checkpoint whose footer is intact; nothing else
+// records which one is current.
 package wal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	iofs "io/fs"
 	"path/filepath"
@@ -40,13 +38,8 @@ import (
 )
 
 const (
-	ckptMagic     = "PGSSICKP"
-	manifestMagic = "PGSSICKM"
-	// ManifestName is the checkpoint manifest's file name.
-	ManifestName = "CHECKPOINT"
-
-	ckptHeaderSize   = 8 + 1 + 8 // magic + version + seq
-	manifestBodySize = 8 + 8 + 8 // magic + ckpt seq + floor seq
+	ckptMagic      = "PGSSICKP"
+	ckptHeaderSize = 8 + 1 + 8 // magic + version + seq
 )
 
 func ckptName(seq uint64) string { return fmt.Sprintf("%016d.ckpt", seq) }
@@ -88,60 +81,6 @@ func readCkptHeader(r io.Reader, wantSeq uint64) error {
 		return fmt.Errorf("%w: checkpoint header seq %d, file name says %d", ErrBadRecord, seq, wantSeq)
 	}
 	return nil
-}
-
-// encodeRawFrame frames an arbitrary body with the shared length +
-// version + CRC prefix (the manifest is a raw frame, not a record).
-func encodeRawFrame(body []byte) []byte {
-	frame := make([]byte, frameHeaderSize+len(body))
-	copy(frame[frameHeaderSize:], body)
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)+frameOverhead))
-	frame[4] = FormatVersion
-	binary.BigEndian.PutUint32(frame[5:9], crc32.ChecksumIEEE(body))
-	return frame
-}
-
-// writeManifest durably replaces the CHECKPOINT manifest. The caller
-// must already have made the checkpoint file and the log through
-// ckptSeq durable: once the manifest lands, recovery trusts the new
-// checkpoint.
-func writeManifest(fs FS, dir string, ckptSeq, floorSeq uint64) error {
-	body := make([]byte, manifestBodySize)
-	copy(body, manifestMagic)
-	binary.BigEndian.PutUint64(body[8:16], ckptSeq)
-	binary.BigEndian.PutUint64(body[16:24], floorSeq)
-	f, err := fs.Create(filepath.Join(dir, ManifestName))
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(encodeRawFrame(body))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	return fs.SyncDir(dir)
-}
-
-// readManifest reads the CHECKPOINT manifest. A missing, torn, or
-// otherwise undecodable manifest is not an error — it simply reports
-// no manifest, and recovery falls back to the newest complete
-// checkpoint file (damage is never an OpenDir failure).
-func readManifest(fs FS, dir string) (ckptSeq, floorSeq uint64, ok bool) {
-	f, err := fs.Open(filepath.Join(dir, ManifestName))
-	if err != nil {
-		return 0, 0, false
-	}
-	defer f.Close()
-	body, err := readFrame(f, nil)
-	if err != nil || len(body) != manifestBodySize || string(body[:8]) != manifestMagic {
-		return 0, 0, false
-	}
-	return binary.BigEndian.Uint64(body[8:16]), binary.BigEndian.Uint64(body[16:24]), true
 }
 
 // scanCheckpoint validates one checkpoint file: it is complete iff the
@@ -226,10 +165,9 @@ func readCheckpointRecords(f File, path string, seq uint64, fn func(Record) erro
 //
 // Durability ordering: the checkpoint file is written, fsynced, and its
 // directory entry made durable first; then SyncBarrier proves the log
-// itself is durable through seq (and not poisoned); then the GC set —
-// the longest prefix of sealed segments whose records all fall at or
-// below seq — is recorded in a durable manifest; and only then are
-// those segments removed. The in-memory GC floor is raised before the
+// itself is durable through seq (and not poisoned); only then is the GC
+// set — the longest prefix of sealed segments whose records all fall at
+// or below seq — removed. The in-memory GC floor is raised before the
 // files vanish, so no new subscription can start below the floor while
 // its segments disappear; a subscriber already reading a removed
 // segment gets a closed stream (loud), never a silent gap.
@@ -325,10 +263,6 @@ func (l *DurableLog) WriteCheckpoint(seq mvcc.SeqNo, fill func(emit func(Record)
 	}
 	oldCkpt := l.ckptPath
 	l.mu.Unlock()
-
-	if err := writeManifest(l.fs, l.dir, uint64(seq), floor); err != nil {
-		return info, err
-	}
 
 	// Raise the floor and drop the GC'd metas before touching the
 	// files: no new subscription can start below the floor while its

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -154,6 +155,50 @@ func TestCheckpointGCAndSuffixRecovery(t *testing.T) {
 	}
 	// Appending continues past the recovered history.
 	mustAppend(t, l2, commitRec(total+1, "after-reopen", "v"))
+}
+
+// TestOpenIgnoresLeftoverManifest: a data directory written by a version
+// that kept a CHECKPOINT manifest beside its checkpoints still opens,
+// recovers from its newest checkpoint, and checkpoints again.
+func TestOpenIgnoresLeftoverManifest(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenDir(dir, Config{Fsync: FsyncAlways, SegmentSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, l, Record{CreateTable: "t"})
+	for i := 1; i <= 10; i++ {
+		mustAppend(t, l, commitRec(uint64(i), fmt.Sprintf("k%03d", i), "value-payload"))
+	}
+	mustAppend(t, l, Record{Seq: 10, SafeSnapshot: true})
+	if _, err := l.WriteCheckpoint(10, ckptFill(10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The old manifest: one frame of magic, checkpoint seq and GC floor.
+	body := append([]byte("PGSSICKM"), 0, 0, 0, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 4)
+	if err := os.WriteFile(filepath.Join(dir, "CHECKPOINT"), body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := OpenDir(dir, Config{Fsync: FsyncAlways, SegmentSize: 256})
+	if err != nil {
+		t.Fatalf("open with a leftover manifest: %v", err)
+	}
+	defer l2.Close()
+	if ci, ok := l2.CheckpointInfo(); !ok || ci.Seq != 10 {
+		t.Fatalf("recovered checkpoint = %+v ok=%v, want seq 10", ci, ok)
+	}
+	if got := l2.RecoveredMaxSeq(); got != 10 {
+		t.Fatalf("RecoveredMaxSeq = %d, want 10", got)
+	}
+	mustAppend(t, l2, commitRec(11, "k011", "v"))
+	mustAppend(t, l2, Record{Seq: 11, SafeSnapshot: true})
+	if _, err := l2.WriteCheckpoint(11, ckptFill(11)); err != nil {
+		t.Fatalf("checkpoint after reopening: %v", err)
+	}
 }
 
 // TestCheckpointRejectsBadSequences pins the guard rails: no checkpoint

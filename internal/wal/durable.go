@@ -298,11 +298,8 @@ func OpenDir(dir string, cfg Config) (*DurableLog, error) {
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i].index < ckpts[j].index })
 
 	// Choose the newest COMPLETE checkpoint (torn ones are discarded
-	// like torn records, older ones are superseded); the manifest, when
-	// intact, just confirms the choice — the checkpoint file's own
-	// footer is the source of truth, because the manifest is only
-	// written after the file is durable and may itself be torn by a
-	// crash mid-GC.
+	// like torn records, older ones are superseded): the checkpoint
+	// file's own footer is the source of truth.
 	for i := len(ckpts) - 1; i >= 0; i-- {
 		c := ckpts[i]
 		path := filepath.Join(dir, c.name)
@@ -319,9 +316,7 @@ func OpenDir(dir string, cfg Config) (*DurableLog, error) {
 	// The GC floor after a restart is the checkpoint sequence itself:
 	// precise per-segment floors do not survive the process, and any
 	// resume at or below the checkpoint can be answered from the
-	// checkpoint anyway. (The manifest's floor field records what GC
-	// actually removed, for diagnostics; correctness never trusts a
-	// floor LOWER than what might be missing.)
+	// checkpoint anyway.
 	if l.ckptPath != "" {
 		l.floorSeq = l.ckptSeq
 		l.recoveredMaxSeq = l.ckptSeq

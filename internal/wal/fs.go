@@ -14,7 +14,7 @@ import (
 
 // File is the subset of *os.File the segment writer and readers need.
 // Segments are written in place (WriteAt into a zero-filled file);
-// checkpoint and manifest files are written front to back (Write).
+// checkpoint files are written front to back (Write).
 type File interface {
 	io.Reader
 	io.Writer

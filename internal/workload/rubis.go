@@ -39,7 +39,6 @@ type RUBiS struct {
 
 func uKey(u int64) string      { return fmt.Sprintf("%06d", u) }
 func itKey(i int64) string     { return fmt.Sprintf("%07d", i) }
-func bidKey(i, b int64) string { return fmt.Sprintf("%07d|%06d", i, b) }
 func cmtKey(u, m int64) string { return fmt.Sprintf("%06d|%06d", u, m) }
 
 // Tables returns the schema table names.

@@ -20,8 +20,9 @@ import (
 // switch in the engine: the first seven entries reopen, one at a time, the
 // atomicity windows that the interleaving harnesses park a transaction
 // in, and a harness that no longer notices its window gone fails here.
-// The rest pin tests that were once proved by a hand-made mutation, and
-// the load driver's abort accounting.
+// The rest pin tests that were once proved by a hand-made mutation, the
+// rollback invariant (no version names an aborted transaction), and the
+// load driver's abort accounting.
 //
 // A new fence lands with its entry instead of a switch (docs/invariants.md).
 
@@ -231,6 +232,74 @@ var mutants = []mutant{
 `,
 		pkg: "./internal/mvcc",
 		run: "^TestQuickSnapshotVisibility$",
+	},
+
+	// --- Rollback leaves nothing behind: no version names an aborted
+	// transaction, so the commit log forgets aborts. ---
+	{
+		name: "failed check keeps its stamp",
+		file: "internal/storage/storage.go",
+		old: `				top := pg.line[slot]
+				if !del {
+					top = pg.hdrs[top].older
+					pg.line[slot] = top
+				}
+				pg.hdrs[top].setXmax(0, 0)
+`,
+		new: "",
+		pkg: ".",
+		run: "^TestRollbackLeavesNoTrace$",
+	},
+	{
+		name: "Insert records after its checks",
+		file: "ops.go",
+		old: `	tx.recordWrite(table, key, value, false, wr.Rewrite)
+	for _, sp := range wr.Splits {
+		tx.db.ssi.PageSplit(ti.pkName, int64(sp.Left), int64(sp.Right))
+	}
+	if tx.x != nil {
+		// Heap inserts are checked at relation granularity (new
+		// tuples cannot carry tuple locks); phantom conflicts are
+		// caught by the index-page check.
+		if err := tx.db.ssi.CheckWrite(tx.x, table, -1, ""); err != nil {
+			return mapStorageErr(err)
+		}
+		if err := tx.db.ssi.CheckIndexInsert(tx.x, ti.pkName, int64(wr.IndexPage)); err != nil {
+			return mapStorageErr(err)
+		}
+	}
+	return tx.insertSecondaries(ti, key, value)
+`,
+		new: `	for _, sp := range wr.Splits {
+		tx.db.ssi.PageSplit(ti.pkName, int64(sp.Left), int64(sp.Right))
+	}
+	if tx.x != nil {
+		if err := tx.db.ssi.CheckWrite(tx.x, table, -1, ""); err != nil {
+			return mapStorageErr(err)
+		}
+		if err := tx.db.ssi.CheckIndexInsert(tx.x, ti.pkName, int64(wr.IndexPage)); err != nil {
+			return mapStorageErr(err)
+		}
+	}
+	if err := tx.insertSecondaries(ti, key, value); err != nil {
+		return err
+	}
+	tx.recordWrite(table, key, value, false, wr.Rewrite)
+	return nil
+`,
+		pkg: ".",
+		run: "^TestRollbackLeavesNoTrace$",
+	},
+	{
+		name: "Abort keeps its record",
+		file: "internal/mvcc/mvcc.go",
+		old: `	delete(sh.active, xid)
+	delete(sh.recs, xid)
+`,
+		new: `	delete(sh.active, xid)
+`,
+		pkg: "./internal/mvcc",
+		run: "^TestAbortLeavesNoEntry$",
 	},
 
 	// --- The B+-tree's right edge and the write log. ---

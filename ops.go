@@ -127,6 +127,9 @@ func (tx *Tx) Insert(table, key string, value []byte) error {
 	if err != nil {
 		return mapStorageErr(err)
 	}
+	// The version is in the heap: it enters the write log before anything
+	// below can fail, so a rollback finds it.
+	tx.recordWrite(table, key, value, false, wr.Rewrite)
 	for _, sp := range wr.Splits {
 		tx.db.ssi.PageSplit(ti.pkName, int64(sp.Left), int64(sp.Right))
 	}
@@ -141,11 +144,7 @@ func (tx *Tx) Insert(table, key string, value []byte) error {
 			return mapStorageErr(err)
 		}
 	}
-	if err := tx.insertSecondaries(ti, key, value); err != nil {
-		return err
-	}
-	tx.recordWrite(table, key, value, false, wr.Rewrite)
-	return nil
+	return tx.insertSecondaries(ti, key, value)
 }
 
 // insertSecondaries maintains secondary-index entries for (key, value).
@@ -254,11 +253,8 @@ func (tx *Tx) writeCheck(table, key string) func(storage.WriteResult) error {
 }
 
 func (tx *Tx) finishUpdate(ti *tableInfo, table, key string, value []byte, rewrite bool) error {
-	if err := tx.insertSecondaries(ti, key, value); err != nil {
-		return err
-	}
 	tx.recordWrite(table, key, value, false, rewrite)
-	return nil
+	return tx.insertSecondaries(ti, key, value)
 }
 
 // readCommittedRetry retries op with fresh snapshots a bounded number of
@@ -471,36 +467,4 @@ func (tx *Tx) ScanIndex(table, idx, lo, hi string, fn func(key string, value []b
 func (si *secondaryIndex) matches(entry, pk string, value []byte) bool {
 	ik, ok := si.fn(pk, value)
 	return ok && len(entry) == len(ik)+1+len(pk) && entry[:len(ik)] == ik
-}
-
-// SeqScan invokes fn for every visible row of table in unspecified order.
-// Under Serializable it takes a relation-granularity SIREAD lock; under
-// S2PL a shared relation lock.
-func (tx *Tx) SeqScan(table string, fn func(key string, value []byte) bool) error {
-	if err := tx.checkUsable(false); err != nil {
-		return err
-	}
-	ti, err := tx.db.table(table)
-	if err != nil {
-		return err
-	}
-	if tx.level == SerializableS2PL {
-		if err := tx.db.s2pl.Acquire(tx.xid, core.RelationTarget(table), s2pl.ModeS); err != nil {
-			return mapStorageErr(err)
-		}
-		snap := tx.db.mvcc.TakeSnapshot()
-		ti.heap.ForEach(snap, tx.xid, tx.db.mvcc, fn)
-		return nil
-	}
-	snap := tx.snapshot()
-	if tx.x != nil && !tx.x.Safe() {
-		tx.db.ssi.AcquireRelationLock(tx.x, table)
-	}
-	conflicts := ti.heap.ForEach(snap, tx.xid, tx.db.mvcc, fn)
-	if tx.x != nil {
-		if err := tx.db.ssi.CheckScanConflicts(tx.x, conflicts); err != nil {
-			return mapStorageErr(err)
-		}
-	}
-	return nil
 }

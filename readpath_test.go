@@ -1,7 +1,9 @@
 package pgssi
 
 import (
+	"errors"
 	"fmt"
+	"regexp"
 	"sort"
 	"testing"
 
@@ -12,8 +14,8 @@ import (
 // Tests for the one-index read path at engine level: streaming scans
 // stop where their callback stops (and lock no further), rollbacks of
 // every kind read back as "not written", a pinned snapshot survives the
-// write path's trimming under the real reclaimer, and the four ways of
-// reading a table (Get, Scan, ScanIndex, SeqScan) agree.
+// write path's trimming under the real reclaimer, and the three ways of
+// reading a table (Get, Scan, ScanIndex) agree.
 
 func loadRows(t *testing.T, db *DB, table string, n int) {
 	t.Helper()
@@ -125,9 +127,9 @@ func TestScanStillLocksTheGapItRead(t *testing.T) {
 
 // TestRollbacksReadBackAsNotWritten: after a savepoint rollback, a full
 // rollback, and a doomed writer whose write stamped the row but failed
-// its SSI check (so it never reached the write set a rollback walks),
-// every kind of reader sees the row as it was, and the next writer gets
-// it without waiting or conflict.
+// its SSI check (and so took itself back, reaching no write set), every
+// kind of reader sees the row as it was, and the next writer gets it
+// without waiting or conflict.
 func TestRollbacksReadBackAsNotWritten(t *testing.T) {
 	check := func(t *testing.T, db *DB, key, want string) {
 		t.Helper()
@@ -224,7 +226,7 @@ func TestRollbacksReadBackAsNotWritten(t *testing.T) {
 		// T0 reads z; T1 reads x; T2 overwrites x and commits (T1 → T2);
 		// T1 then writes z: the stamp lands, the SSI check finds T0's
 		// SIREAD lock, T1 is a pivot whose out-neighbour committed first,
-		// and the write fails after the fact.
+		// and the write fails after the fact and takes the stamp back.
 		t0, _ := db.Begin(TxOptions{})
 		if _, err := t0.Get("t", "z"); err != nil {
 			t.Fatal(err)
@@ -247,7 +249,7 @@ func TestRollbacksReadBackAsNotWritten(t *testing.T) {
 		if t1.owns("t", "z") || len(t1.writes) != 0 {
 			t.Fatal("failed write reached the write set")
 		}
-		// Still in progress: readers see an in-progress delete, i.e. the row.
+		// Still in progress, and the row is as it was.
 		if v, err := t0.Get("t", "z"); err != nil || string(v) != "base-z" {
 			t.Fatalf("reader during the doomed writer's life: %q %v", v, err)
 		}
@@ -255,6 +257,126 @@ func TestRollbacksReadBackAsNotWritten(t *testing.T) {
 		t0.Rollback()
 		check(t, db, "z", "base-z")
 	})
+}
+
+// TestRollbackLeavesNoTrace drives each write that can fail after it
+// reached the heap — Update and Delete failing CheckWrite, Insert failing
+// the primary index's CheckIndexInsert, and, with a secondary index,
+// Insert and Update failing the secondary's — then rolls the writer back
+// and audits every version of every row: each must name only committed
+// or active transactions, never the rolled-back one, since the commit
+// log forgets it at once. The failure is a real one: the writer W read x,
+// T2 overwrote x and committed (W → T2), and W's write meets a SIREAD
+// lock of T0's (T0 → W), which makes W a pivot whose out-neighbour
+// committed first.
+func TestRollbackLeavesNoTrace(t *testing.T) {
+	keys := []string{"x", "y", "z", "new"}
+	cases := []struct {
+		name    string
+		indexed bool
+		read    func(t0 *Tx) error // T0's read the write will run into
+		write   func(w *Tx) error
+	}{
+		{"update", false, func(t0 *Tx) error { _, err := t0.Get("t", "z"); return err },
+			func(w *Tx) error { return w.Update("t", "z", []byte("w")) }},
+		{"delete", false, func(t0 *Tx) error { _, err := t0.Get("t", "z"); return err },
+			func(w *Tx) error { return w.Delete("t", "z") }},
+		{"insert", false, func(t0 *Tx) error { _, err := t0.Get("t", "new"); return noRow(err) },
+			func(w *Tx) error { return w.Insert("t", "new", []byte("w")) }},
+		{"update-indexed", true, func(t0 *Tx) error { _, err := t0.Get("t", "z"); return err },
+			func(w *Tx) error { return w.Update("t", "z", []byte("w")) }},
+		{"delete-indexed", true, func(t0 *Tx) error { _, err := t0.Get("t", "z"); return err },
+			func(w *Tx) error { return w.Delete("t", "z") }},
+		{"insert-indexed", true, func(t0 *Tx) error { _, err := t0.Get("t", "new"); return noRow(err) },
+			func(w *Tx) error { return w.Insert("t", "new", []byte("w")) }},
+		{"insert-secondary", true, scanNewIndexKeys,
+			func(w *Tx) error { return w.Insert("t", "new", []byte("new-val")) }},
+		{"update-secondary", true, scanNewIndexKeys,
+			func(w *Tx) error { return w.Update("t", "y", []byte("new-val")) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := newSessionDB(t, "t")
+			if c.indexed {
+				if err := db.CreateIndex("t", "byval", func(_ string, v []byte) (string, bool) { return string(v), true }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			seed, _ := db.Begin(TxOptions{})
+			for _, k := range keys[:3] {
+				must(seed.Insert("t", k, []byte("base-"+k)))
+			}
+			must(seed.Commit())
+			t0, _ := db.Begin(TxOptions{})
+			must(c.read(t0))
+			w, _ := db.Begin(TxOptions{})
+			_, err := w.Get("t", "x")
+			must(err)
+			t2, _ := db.Begin(TxOptions{})
+			must(t2.Update("t", "x", []byte("t2")))
+			must(t2.Commit())
+			if err := c.write(w); !IsSerializationFailure(err) {
+				t.Fatalf("the pivot's write should fail its SSI check, got %v", err)
+			}
+			w.Rollback()
+			ti, _ := db.table("t")
+			for _, k := range keys {
+				row := ti.heap.DescribeRow(k, db.mvcc)
+				for _, m := range stampRE.FindAllStringSubmatch(row, -1) {
+					if m[1] == fmt.Sprint(w.xid) || m[2] == "aborted" {
+						t.Fatalf("after the rollback of %d a version names %s (log: %s):\n%s", w.xid, m[1], m[2], row)
+					}
+				}
+			}
+			t0.Rollback()
+			r, _ := db.Begin(TxOptions{})
+			defer r.Rollback()
+			for _, k := range keys {
+				want := map[string]string{"x": "t2", "y": "base-y", "z": "base-z"}[k]
+				if v, err := r.Get("t", k); string(v) != want || (err == nil) != (want != "") {
+					t.Fatalf("after the rollback %s reads %q, %v; want %q", k, v, err, want)
+				}
+			}
+		})
+	}
+	t.Run("log", func(t *testing.T) {
+		db := newSessionDB(t, "t")
+		for i := 0; i < 1000; i++ {
+			tx, _ := db.Begin(TxOptions{})
+			if err := tx.Put("t", fmt.Sprint(i%10), []byte("w")); err != nil {
+				t.Fatal(err)
+			}
+			tx.Rollback()
+		}
+		if n := db.CommitLogSize(); n > 0 {
+			t.Fatalf("1000 rollbacks left %d commit-log entries", n)
+		}
+	})
+}
+
+// stampRE matches a stamp in storage.Table.DescribeRow's rendering: the
+// xid and the commit log's status for it.
+var stampRE = regexp.MustCompile(`(\d+)\(log ([a-z-]+)@`)
+
+// noRow maps the expected absence of a row to success.
+func noRow(err error) error {
+	if errors.Is(err, ErrNotFound) {
+		return nil
+	}
+	return err
+}
+
+// scanNewIndexKeys scans the index keys from "n" to "o", where no row is
+// yet: it locks the secondary index's leaf a "new-…" entry goes to, and
+// no row.
+func scanNewIndexKeys(t0 *Tx) error {
+	return t0.ScanIndex("t", "byval", "n", "o", func(string, []byte) bool { return true })
 }
 
 // TestPinnedSnapshotSurvivesWriteTrimming: the real reclaimer publishes
@@ -303,7 +425,7 @@ func TestPinnedSnapshotSurvivesWriteTrimming(t *testing.T) {
 
 // TestReadPathsAgree drives inserts, updates, deletes, re-inserts and
 // rollbacks over enough keys to split leaves, then checks that Get,
-// Scan, ScanIndex and SeqScan return the same rows at every level that
+// Scan and ScanIndex return the same rows at every level that
 // reads through the MVCC path, on the primary and — through log
 // shipping — on a replica, and again after Vacuum.
 func TestReadPathsAgree(t *testing.T) {
@@ -384,8 +506,7 @@ func TestReadPathsAgree(t *testing.T) {
 			return rows
 		}
 		paths := map[string][]string{
-			"Scan":    collect(func(fn func(string, []byte) bool) error { return tx.Scan("t", "", "", fn) }, true),
-			"SeqScan": collect(func(fn func(string, []byte) bool) error { return tx.SeqScan("t", fn) }, false),
+			"Scan": collect(func(fn func(string, []byte) bool) error { return tx.Scan("t", "", "", fn) }, true),
 		}
 		if indexed {
 			paths["ScanIndex"] = collect(func(fn func(string, []byte) bool) error { return tx.ScanIndex("t", "byval", "", "", fn) }, false)

@@ -46,7 +46,7 @@ import (
 // segments, aggressive -checkpoint-every), so the SIGKILL also lands
 // inside checkpoint writes and segment GC; the recovered state must
 // honor the same contract from a checkpoint plus the log suffix, or
-// from the previous manifest when the kill tore the newest checkpoint.
+// from the previous checkpoint when the kill tore the newest one.
 var crashIters = flag.Int("crash-iters", 20, "kill-and-reopen crash harness iterations (nightly soak raises this)")
 
 const (
@@ -75,7 +75,7 @@ func crashChildMain() {
 	if os.Getenv(crashCkptEnv) == "1" {
 		// Checkpoint-heavy mode: tiny segments and an aggressive trigger,
 		// so the SIGKILL regularly lands mid-checkpoint or mid-GC and
-		// recovery must fall back to the previous manifest.
+		// recovery must fall back to the previous checkpoint.
 		cfg.WALSegmentSize = 8 << 10
 		cfg.CheckpointEvery = 16 << 10
 	}
@@ -164,7 +164,7 @@ func TestCrashKillAndReopen(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		// Odd iterations run the checkpoint-heavy child: the kill can land
 		// mid-checkpoint-write or mid-GC, and recovery must come up from
-		// the previous manifest with the same durability contract.
+		// the previous checkpoint with the same durability contract.
 		c, inflight := runCrashIteration(t, exe, i, rng, i%2 == 1)
 		totalCommits += c
 		totalKilledInFlight += inflight

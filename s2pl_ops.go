@@ -86,14 +86,11 @@ func (tx *Tx) s2plInsert(ti *tableInfo, key string, value []byte) error {
 	if err != nil {
 		return mapStorageErr(err)
 	}
+	tx.recordWrite(ti.name, key, value, false, wr.Rewrite)
 	for _, sp := range wr.Splits {
 		tx.db.s2pl.PageSplit(ti.pkName, core.PageTarget(ti.pkName, int64(sp.Left)), core.PageTarget(ti.pkName, int64(sp.Right)))
 	}
-	if err := tx.insertSecondaries(ti, key, value); err != nil {
-		return err
-	}
-	tx.recordWrite(ti.name, key, value, false, wr.Rewrite)
-	return nil
+	return tx.insertSecondaries(ti, key, value)
 }
 
 func (tx *Tx) s2plUpdate(ti *tableInfo, key string, value []byte, del bool) error {
@@ -114,13 +111,11 @@ func (tx *Tx) s2plUpdate(ti *tableInfo, key string, value []byte, del bool) erro
 	if err != nil {
 		return mapStorageErr(err)
 	}
-	if !del {
-		if err := tx.insertSecondaries(ti, key, value); err != nil {
-			return err
-		}
-	}
 	tx.recordWrite(ti.name, key, value, del, wr.Rewrite)
-	return nil
+	if del {
+		return nil
+	}
+	return tx.insertSecondaries(ti, key, value)
 }
 
 // s2plScan implements index-range scans under 2PL: it locks every leaf

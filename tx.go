@@ -311,12 +311,12 @@ func (tx *Tx) Rollback() error {
 }
 
 func (tx *Tx) rollbackLocked() {
-	// Unlink our versions and clear our stamps before the abort is
-	// published: the rows are clean by the time a blocked writer wakes,
-	// and no reader has to step over what this transaction left. (A
-	// failed write that stamped a row without reaching the write set is
-	// not covered here; readers see it as aborted and the row's next
-	// writer drops it.)
+	// Undo before Abort: every version this transaction made or stamped
+	// is in its write log (a write enters it before anything can fail,
+	// and a heap write whose check failed took itself back), so once the
+	// loop ends no version names tx.xid. mvcc.Abort forgets the xid on
+	// the strength of that: nothing may ask about it afterwards. A
+	// blocked writer wakes to a clean row.
 	for i := range tx.writes {
 		w := &tx.writes[i]
 		if ti, err := tx.db.table(w.table); err == nil {
