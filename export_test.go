@@ -37,6 +37,10 @@ func DescribeReadState(db *DB, table string, keys []string) string {
 	return b.String()
 }
 
+// TxSettled reports whether tx's Commit is certain to succeed (what
+// Session.Settled reports for a handle).
+func TxSettled(tx *Tx) bool { return tx.settled() }
+
 // SessionTx returns the transaction behind a session's handle, or nil if
 // the handle names none.
 func SessionTx(s *Session, h Handle) *Tx {

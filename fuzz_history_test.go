@@ -48,6 +48,10 @@ import (
 //     record exactly the versions observed, so the oracle validation
 //     is unaffected.
 //
+// Every plain Commit also checks the settled promise the wire protocol
+// relies on: a transaction the engine calls settled before its Commit
+// (read-only, and below Serializable or on a safe snapshot) commits.
+//
 // Values encode their writer so reads can name the version they saw:
 // transaction h writes strconv(h), the seed data is "0" (graphcheck's
 // initial version). Deletes are modelled as delete+reinsert inside the
@@ -219,6 +223,9 @@ func runFuzzHistoryOn(t *testing.T, seed uint64, level pgssi.IsolationLevel, db 
 				}
 				deferrable.ops = append(deferrable.ops, graphcheck.Op{Key: k, Saw: parseFuzzVersion(t, v)})
 			}
+			if !pgssi.TxSettled(tx) {
+				t.Errorf("seed %d: deferrable transaction not settled before its commit", seed)
+			}
 			if err := tx.Commit(); err != nil {
 				t.Errorf("seed %d: deferrable commit: %v", seed, err)
 				return
@@ -339,9 +346,13 @@ func fuzzFinish(t *testing.T, db *pgssi.DB, f *ftxn, rng *rand.Rand, activeWrite
 		}
 		return true
 	}
+	settled := pgssi.TxSettled(f.tx)
 	if err := f.tx.Commit(); err != nil {
 		if !pgssi.IsSerializationFailure(err) {
 			t.Fatalf("commit: %v", err)
+		}
+		if settled {
+			t.Fatalf("transaction %d was settled, and its commit failed: %v", f.id, err)
 		}
 		// Commit rolled the transaction back itself.
 		fuzzAbort(f, activeWriter, true)

@@ -316,6 +316,10 @@ func (x *Xact) ReadOnly() bool {
 // Safe reports whether the transaction is running on a safe snapshot.
 func (x *Xact) Safe() bool { return x.safe.Load() }
 
+// Doomed reports whether the transaction has been chosen for abort: its
+// next operation or its commit fails with ErrSerializationFailure.
+func (x *Xact) Doomed() bool { return x.doomed.Load() }
+
 // markCommittedLocked flips the transaction to committed with the given
 // sequence number. Caller holds x.edgeMu (the flags are read under edge
 // locks by conflict flaggers racing the commit fast path).

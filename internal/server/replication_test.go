@@ -460,7 +460,8 @@ func TestReplicaCatchesUpAcrossMasterRestart(t *testing.T) {
 
 // TestReplicaHaltReportedOverWire: a replica that halts on an apply
 // error reports StatusReplicaHalted from both Begin and ReplicaStatus —
-// it must never quietly serve stale snapshots.
+// it must never quietly serve stale snapshots. The client queues the
+// Begin, so its refusal arrives on the first read of the handle.
 func TestReplicaHaltReportedOverWire(t *testing.T) {
 	log := wal.NewLog()
 	rep := pgssi.NewReplica(log)
@@ -488,7 +489,14 @@ func TestReplicaHaltReportedOverWire(t *testing.T) {
 	if _, _, st := c.ReplicaStatus(); st != pgssi.StatusReplicaHalted {
 		t.Fatalf("status on halted replica: %v, want StatusReplicaHalted", st)
 	}
-	if _, st := c.Begin(pgssi.Serializable, true, false); st != pgssi.StatusReplicaHalted {
-		t.Fatalf("begin on halted replica: %v, want StatusReplicaHalted", st)
+	h, st := c.Begin(pgssi.Serializable, true, false)
+	if !st.OK() {
+		t.Fatalf("queued begin: %v", st)
+	}
+	if _, st := c.Scan(h, "kv", "", "", 0); st != pgssi.StatusReplicaHalted {
+		t.Fatalf("first read on a halted replica: %v, want StatusReplicaHalted", st)
+	}
+	if st := c.Rollback(h); !st.OK() {
+		t.Fatalf("rollback of the refused handle: %v, want ok", st)
 	}
 }

@@ -446,13 +446,16 @@ func (s *Server) serveCheckpoint(c *conn) {
 }
 
 // dispatch executes one decoded request against the connection's
-// session and appends the response body to out.
+// session and appends the response body to out. An ok answer to a
+// Begin, Get or Scan carries the settled flag when the handle's Commit
+// can no longer fail (pgssi.Session.Settled): the client may then send
+// that Commit without waiting for its answer.
 func (s *Server) dispatch(sess *pgssi.Session, req *wire.Request, out []byte) []byte {
 	if req.Op == wire.OpScan {
 		// Rows go from the engine's callback straight into the frame.
 		rows := wire.BeginRowsResponse(out)
 		st := sess.ScanEach(req.Handle, req.Table, req.Key, req.Hi, int(req.Limit), rows.AppendRow)
-		return rows.Finish(st)
+		return rows.Finish(st, st.OK() && sess.Settled(req.Handle))
 	}
 	resp := s.execute(sess, req)
 	return wire.AppendResponse(out, &resp)
@@ -470,10 +473,10 @@ func (s *Server) execute(sess *pgssi.Session, req *wire.Request) wire.Response {
 			return wire.Response{Status: pgssi.StatusShuttingDown}
 		}
 		h, st := sess.Begin(req.Isolation, req.Flags&wire.FlagReadOnly != 0, req.Flags&wire.FlagDeferrable != 0)
-		return wire.Response{Status: st, Handle: h}
+		return wire.Response{Status: st, Handle: h, Settled: st.OK() && sess.Settled(h)}
 	case wire.OpGet:
 		v, st := sess.Get(req.Handle, req.Table, req.Key)
-		return wire.Response{Status: st, Value: v, Found: st.OK()}
+		return wire.Response{Status: st, Value: v, Found: st.OK(), Settled: st.OK() && sess.Settled(req.Handle)}
 	case wire.OpPut:
 		st := sess.Put(req.Handle, req.Table, req.Key, req.Value)
 		if !st.OK() && req.AbortOnError {

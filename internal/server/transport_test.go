@@ -162,9 +162,12 @@ func checkpointedDB(t *testing.T, rows int) *pgssi.DB {
 // TestOneSyscallPerFrame is the transport rule for requests and
 // responses: every Write carries whole frames only; a request the client
 // waits for — a Ping, a Scan — costs one client Write and one server
-// Write; a read-write transaction of Begin, Get, Get, Put, Commit, whose
-// Begin and Put leave with the next request, costs three of each; and
-// the server needs at most one Read per burst of small requests.
+// Write; a read-only transaction of Begin, 3 Scans, Commit, whose Begin
+// leaves with the first Scan and whose settled Commit leaves alone and
+// unwaited, costs four of each; a read-write transaction of Begin, Get,
+// Get, Put, Commit, whose Begin and Put leave with the next request,
+// costs three of each; and the server needs at most one Read per burst
+// of small requests.
 func TestOneSyscallPerFrame(t *testing.T) {
 	db := scanTable(t, 1000)
 	l := listenCounting(t)
@@ -187,11 +190,16 @@ func TestOneSyscallPerFrame(t *testing.T) {
 		}
 	}
 	// phase runs f and checks the Writes it cost each side, and the frames
-	// they carried.
+	// they carried. An unwaited Commit may still be on its way when f
+	// returns, so the server's count is taken once it has sent every
+	// frame of the phase (or after ten seconds).
 	phase := func(name string, writes, frames int64, f func()) {
 		t.Helper()
 		cw, cf, sw, sf, sr := cc.writes.Load(), cc.frames.Load(), sc.writes.Load(), sc.frames.Load(), sc.reads.Load()
 		f()
+		for deadline := time.Now().Add(10 * time.Second); sc.frames.Load()-sf < frames && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 		if w, n := cc.writes.Load()-cw, cc.frames.Load()-cf; w != writes || n != frames {
 			t.Errorf("%s: client made %d writes of %d frames, want %d of %d", name, w, n, writes, frames)
 		}
@@ -210,7 +218,7 @@ func TestOneSyscallPerFrame(t *testing.T) {
 			ok(c.Ping())
 		}
 	})
-	phase("read-only Begin, 3 Scans, Commit", 5, 5, func() {
+	phase("read-only Begin, 3 Scans, Commit", 4, 5, func() {
 		h, st := c.Begin(pgssi.Serializable, true, false)
 		ok(st)
 		for i := 0; i < 3; i++ {

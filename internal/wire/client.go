@@ -15,19 +15,33 @@ import (
 // method set as pgssi.Session, so callers (the open-loop load driver in
 // particular) can run against either interchangeably.
 //
-// Two calls do not wait for their answer. Begin of a read-write
-// transaction returns the handle the server will give it — the k-th
-// Begin request on a connection is handle k, refused or not — and Put on
-// a handle so begun returns StatusOK at once. Both are queued and leave
-// in the same Write as the next request that does wait, whose call then
-// reads every queued answer before its own. A refused Begin, or a failed
-// Put (which the server follows with a rollback of the transaction), is
-// reported by the next call on that handle instead: that call returns
-// the failure and the handle is dead — a Rollback of it returns
-// StatusOK, a Commit the failure, and any other call StatusTxDone.
-// Everything else is one request, one answer, as in pgssi.Session:
-// read-only Begins (whose refusals a client branches on), Put on a
-// read-only handle, and every other operation.
+// Three calls do not wait for their answer. Begin returns the handle
+// the server will give it — the k-th Begin request on a connection is
+// handle k, refused or not — and Put on a read-write handle returns
+// StatusOK at once. Both are queued and leave in the same Write as the
+// next request that does wait, whose call then reads every queued answer
+// before its own. A refused Begin (not a safe snapshot, replica halted,
+// shutting down, ...), or a failed Put (which the server follows with a
+// rollback of the transaction), is reported by the next call on that
+// handle instead: that call returns the failure and the handle is dead —
+// a Rollback of it returns StatusOK, a Commit the failure, and any other
+// call StatusTxDone.
+//
+// The third is the Commit of a settled handle: a read-only transaction
+// whose last answer carried the server's promise that its Commit cannot
+// fail (Response.Settled; a safe snapshot, §4.2, or a level below
+// Serializable). Its frame is written at once, with anything queued, and
+// it returns StatusOK; the next call that waits reads its answer, and an
+// answer other than ok poisons the client, since the server broke its
+// promise. The frame leaves at once rather than with the next request so
+// that an idle client leaves no snapshot pinned on the server. Should
+// the connection be lost before the server reads it, the server rolls
+// the transaction back, which a read-only transaction cannot tell from a
+// commit.
+//
+// Everything else is one request, one answer, as in pgssi.Session: Put
+// on a read-only handle, the Commit of a handle not known to be settled,
+// and every other operation.
 //
 // A Client multiplexes nothing: one burst of requests is in flight at a
 // time, serialized by an internal mutex, and goroutines sharing a Client
@@ -43,26 +57,37 @@ type Client struct {
 	frame []byte // incoming frame body, reused
 	err   error
 
-	// queued lists the requests in out whose answers have not been read.
+	// queued lists the requests whose answers have not been read: those
+	// in out, behind the settled Commits already sent.
 	queued []pending
 	// begins counts the Begin requests sent or queued: the number of the
 	// next handle.
 	begins pgssi.Handle
-	// rw holds the read-write handles begun by this client and not yet
-	// committed or rolled back: StatusOK while the transaction is alive
-	// on the server as far as the client knows, otherwise the failure
-	// its next call reports.
-	rw map[pgssi.Handle]pgssi.Status
+	// txs holds the handles begun by this client and not yet committed or
+	// rolled back.
+	txs map[pgssi.Handle]txState
 
 	// deadline bounds each round trip (write + read); a zero Timeout
 	// means no deadline.
 	deadline CoarseDeadline
 }
 
-// pending is a queued request: a read-write Begin, or a Put on h.
+// txState is what the client knows of one of its open transactions.
+type txState struct {
+	// st is StatusOK while the transaction is alive on the server as far
+	// as the client knows, otherwise the failure its next call reports.
+	st       pgssi.Status
+	readOnly bool
+	// settled records that the last answer on the handle carried the
+	// settled flag: its Commit cannot fail and is not waited for.
+	settled bool
+}
+
+// pending is a request whose answer is still to be read: a Begin, a Put
+// on a read-write handle, or a settled Commit.
 type pending struct {
-	h     pgssi.Handle
-	begin bool
+	h  pgssi.Handle
+	op Op
 }
 
 // clientReadBuffer lets a scan response of a thousand small rows
@@ -95,7 +120,7 @@ func NewClient(conn net.Conn, opts DialOptions) *Client {
 	return &Client{
 		conn:     conn,
 		br:       bufio.NewReaderSize(conn, clientReadBuffer),
-		rw:       make(map[pgssi.Handle]pgssi.Status),
+		txs:      make(map[pgssi.Handle]txState),
 		deadline: CoarseDeadline{Timeout: opts.Timeout},
 	}
 }
@@ -143,21 +168,25 @@ func (c *Client) enqueue(req *Request, p pending) error {
 	return nil
 }
 
+// send writes out in one Write.
+func (c *Client) send() error {
+	if t, ok := c.deadline.Next(time.Now()); ok {
+		c.conn.SetDeadline(t)
+	}
+	_, err := c.conn.Write(c.out)
+	c.out = c.out[:0]
+	return err
+}
+
 // exchange sends the queued requests, and req unless it is nil, in one
-// Write; reads and settles the queued requests' answers; and returns
-// req's.
+// Write; reads and settles the answers still owed; and returns req's.
 func (c *Client) exchange(req *Request) (Response, error) {
 	if req != nil {
 		if err := c.appendFrame(req); err != nil {
 			return Response{}, err
 		}
 	}
-	if t, ok := c.deadline.Next(time.Now()); ok {
-		c.conn.SetDeadline(t)
-	}
-	_, err := c.conn.Write(c.out)
-	c.out = c.out[:0]
-	if err != nil {
+	if err := c.send(); err != nil {
 		return Response{}, err
 	}
 	queued := c.queued
@@ -187,16 +216,23 @@ func (c *Client) read() (Response, error) {
 	return DecodeResponse(body)
 }
 
-// settle records the answer to a queued request: the first failure on a
-// handle is the one its next call reports.
+// settle records the answer to a request that was not waited for: the
+// first failure on a handle is the one its next call reports.
 func (c *Client) settle(p pending, resp Response) error {
-	if p.begin {
+	if p.op == OpCommit {
+		if !resp.Status.OK() {
+			return fmt.Errorf("wire: settled Commit of handle %d answered %v", p.h, resp.Status)
+		}
+		return nil
+	}
+	if p.op == OpBegin {
 		if err := numbered(p.h, resp); err != nil {
 			return err
 		}
 	}
-	if st, ok := c.rw[p.h]; ok && st.OK() {
-		c.rw[p.h] = resp.Status
+	if t, ok := c.txs[p.h]; ok && t.st.OK() {
+		t.st, t.settled = resp.Status, resp.Settled
+		c.txs[p.h] = t
 	}
 	return nil
 }
@@ -214,18 +250,20 @@ func numbered(h pgssi.Handle, resp Response) error {
 // req's handle met, and retires the handle as pgssi.Session would after
 // that failure.
 func (c *Client) failed(req *Request) (pgssi.Status, bool) {
-	st, ok := c.rw[req.Handle]
-	if !ok || st.OK() {
+	t, ok := c.txs[req.Handle]
+	if !ok || t.st.OK() {
 		return 0, false
 	}
+	st := t.st
 	switch req.Op {
 	case OpRollback:
-		delete(c.rw, req.Handle)
+		delete(c.txs, req.Handle)
 		return pgssi.StatusOK, true
 	case OpCommit:
-		delete(c.rw, req.Handle)
+		delete(c.txs, req.Handle)
 	default:
-		c.rw[req.Handle] = pgssi.StatusTxDone
+		t.st = pgssi.StatusTxDone
+		c.txs[req.Handle] = t
 	}
 	return st, true
 }
@@ -256,13 +294,16 @@ func (c *Client) roundTripLocked(req *Request) Response {
 		return Response{Status: st}
 	}
 	if req.Op == OpCommit || req.Op == OpRollback {
-		delete(c.rw, req.Handle)
+		delete(c.txs, req.Handle)
+	} else if t, ok := c.txs[req.Handle]; ok {
+		t.settled = resp.Settled
+		c.txs[req.Handle] = t
 	}
 	return resp
 }
 
-// Begin starts a transaction on the server and returns its handle. A
-// read-write Begin is queued (see Client).
+// Begin starts a transaction on the server and returns its handle. It is
+// queued (see Client).
 func (c *Client) Begin(level pgssi.IsolationLevel, readOnly, deferrable bool) (pgssi.Handle, pgssi.Status) {
 	req := Request{Op: OpBegin, Isolation: level}
 	if readOnly {
@@ -278,17 +319,10 @@ func (c *Client) Begin(level pgssi.IsolationLevel, readOnly, deferrable bool) (p
 	}
 	c.begins++
 	h := c.begins
-	if readOnly {
-		resp := c.roundTripLocked(&req)
-		if err := numbered(h, resp); err != nil {
-			return 0, c.fail(err)
-		}
-		return resp.Handle, resp.Status
-	}
-	if err := c.enqueue(&req, pending{h: h, begin: true}); err != nil {
+	if err := c.enqueue(&req, pending{h: h, op: OpBegin}); err != nil {
 		return 0, c.fail(err)
 	}
-	c.rw[h] = pgssi.StatusOK
+	c.txs[h] = txState{readOnly: readOnly}
 	return h, pgssi.StatusOK
 }
 
@@ -304,11 +338,11 @@ func (c *Client) Put(h pgssi.Handle, table, key string, value []byte) pgssi.Stat
 	req := Request{Op: OpPut, Handle: h, Table: table, Key: key, Value: value}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if st, ok := c.rw[h]; !ok || !st.OK() || c.err != nil {
+	if t, ok := c.txs[h]; !ok || t.readOnly || !t.st.OK() || c.err != nil {
 		return c.roundTripLocked(&req).Status
 	}
 	req.AbortOnError = true
-	if err := c.enqueue(&req, pending{h: h}); err != nil {
+	if err := c.enqueue(&req, pending{h: h, op: OpPut}); err != nil {
 		return c.fail(err)
 	}
 	return pgssi.StatusOK
@@ -339,9 +373,24 @@ func (c *Client) Scan(h pgssi.Handle, table, lo, hi string, limit int) ([]pgssi.
 	return resp.Rows, resp.Status
 }
 
-// Commit finishes the transaction.
+// Commit finishes the transaction. The Commit of a settled handle is
+// sent at once and not waited for (see Client).
 func (c *Client) Commit(h pgssi.Handle) pgssi.Status {
-	return c.roundTrip(&Request{Op: OpCommit, Handle: h}).Status
+	req := Request{Op: OpCommit, Handle: h}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t, ok := c.txs[h]; !ok || !t.settled || !t.st.OK() || c.err != nil {
+		return c.roundTripLocked(&req).Status
+	}
+	delete(c.txs, h)
+	if err := c.appendFrame(&req); err != nil {
+		return c.fail(err)
+	}
+	if err := c.send(); err != nil {
+		return c.fail(err)
+	}
+	c.queued = append(c.queued, pending{h: h, op: OpCommit})
+	return pgssi.StatusOK
 }
 
 // Rollback aborts the transaction.

@@ -108,26 +108,28 @@ func TestReadFrameFragmented(t *testing.T) {
 
 // TestRowsResponseMatchesAppendResponse: rows appended one by one give
 // the bytes AppendResponse gives for the collected slice, after whatever
-// the buffer already held; a failed scan gives the empty row list the
-// server has always sent with an error status.
+// the buffer already held, settled flag included; a failed scan gives
+// the empty row list the server has always sent with an error status.
 func TestRowsResponseMatchesAppendResponse(t *testing.T) {
 	for _, n := range []int{0, 1, 1000} {
 		resp := manyRows(n)
-		prefix := BeginFrame(nil)
-		rr := BeginRowsResponse(prefix)
-		for _, kv := range resp.Rows {
-			rr.AppendRow(kv.Key, kv.Value)
-		}
-		got := rr.Finish(pgssi.StatusOK)
-		if want := AppendResponse(BeginFrame(nil), &resp); !bytes.Equal(got, want) {
-			t.Fatalf("%d rows: RowsResponse and AppendResponse disagree", n)
+		for _, settled := range []bool{false, true} {
+			rr := BeginRowsResponse(BeginFrame(nil))
+			for _, kv := range resp.Rows {
+				rr.AppendRow(kv.Key, kv.Value)
+			}
+			got := rr.Finish(pgssi.StatusOK, settled)
+			resp.Settled = settled
+			if want := AppendResponse(BeginFrame(nil), &resp); !bytes.Equal(got, want) {
+				t.Fatalf("%d rows, settled %v: RowsResponse and AppendResponse disagree", n, settled)
+			}
 		}
 
-		rr = BeginRowsResponse(nil)
+		rr := BeginRowsResponse(nil)
 		for _, kv := range resp.Rows {
 			rr.AppendRow(kv.Key, kv.Value)
 		}
-		got = rr.Finish(pgssi.StatusSerializationFailure)
+		got := rr.Finish(pgssi.StatusSerializationFailure, false)
 		want := AppendResponse(nil, &Response{Status: pgssi.StatusSerializationFailure, Rows: []pgssi.KV{}})
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%d rows, failed scan: got % x want % x", n, got, want)
@@ -145,7 +147,7 @@ func TestRowsFrameGolden(t *testing.T) {
 	rr.AppendRow("k1", []byte("v1"))
 	rr.AppendRow("", nil)
 	rr.AppendRow("key-three", []byte{0, 0xff})
-	frame := rr.Finish(pgssi.StatusOK)
+	frame := rr.Finish(pgssi.StatusOK, false)
 	if err := FinishFrame(frame); err != nil {
 		t.Fatal(err)
 	}

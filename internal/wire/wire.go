@@ -279,6 +279,10 @@ type Response struct {
 	Value  []byte
 	Found  bool // Get: distinguishes empty value from absent row
 	Rows   []pgssi.KV
+	// Settled, on an ok answer to Begin, Get or Scan, promises that the
+	// handle's Commit cannot fail (pgssi.Session.Settled), so a client
+	// need not wait for its answer.
+	Settled bool
 
 	// ReplicaStatus: the responder's applied and safe-snapshot commit
 	// sequence numbers (on a primary both report the current commit
@@ -486,6 +490,7 @@ const (
 	respHasRows   = 1 << 2
 	respFound     = 1 << 3
 	respHasSeqs   = 1 << 4
+	respSettled   = 1 << 5
 )
 
 // appendRow encodes one scan row; every encoder of rows goes through it.
@@ -519,6 +524,9 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 	if resp.HasSeqs {
 		flags |= respHasSeqs
 	}
+	if resp.Settled {
+		flags |= respSettled
+	}
 	e.u8(flags)
 	if flags&respHasHandle != 0 {
 		e.u64(uint64(resp.Handle))
@@ -542,7 +550,7 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 // RowsResponse encodes a Scan response body row by row, so a server can
 // append rows to the outgoing frame as the engine delivers them instead
 // of collecting a []pgssi.KV first. The bytes are those AppendResponse
-// produces for Response{Status: st, Rows: rows}.
+// produces for Response{Status: st, Rows: rows, Settled: settled}.
 type RowsResponse struct {
 	b     []byte
 	start int // offset of the body in b
@@ -562,16 +570,19 @@ func (r *RowsResponse) AppendRow(key string, value []byte) {
 	r.n++
 }
 
-// Finish completes the body with its status and returns the buffer. A
-// failed scan carries no rows: whatever was appended before the failure
-// is dropped.
-func (r *RowsResponse) Finish(st pgssi.Status) []byte {
+// Finish completes the body with its status and settled flag and returns
+// the buffer. A failed scan carries no rows: whatever was appended before
+// the failure is dropped.
+func (r *RowsResponse) Finish(st pgssi.Status, settled bool) []byte {
 	const rowsAt = 2 + 4 // status, flags, count
 	b := r.b
 	if !st.OK() {
 		b, r.n = b[:r.start+rowsAt], 0
 	}
 	b[r.start] = uint8(st)
+	if settled {
+		b[r.start+1] |= respSettled
+	}
 	binary.BigEndian.PutUint32(b[r.start+2:], r.n)
 	return b
 }
@@ -611,6 +622,7 @@ func DecodeResponse(body []byte) (Response, error) {
 		resp.SafeSeq = d.u64()
 	}
 	resp.Found = flags&respFound != 0
+	resp.Settled = flags&respSettled != 0
 	if err := d.done(); err != nil {
 		return Response{}, err
 	}

@@ -63,7 +63,9 @@ func sampleResponses() []Response {
 	return []Response{
 		{Status: pgssi.StatusOK},
 		{Status: pgssi.StatusOK, Handle: 42},
+		{Status: pgssi.StatusOK, Handle: 43, Settled: true},
 		{Status: pgssi.StatusOK, Value: []byte("hello"), Found: true},
+		{Status: pgssi.StatusOK, Value: []byte("hello"), Found: true, Settled: true},
 		{Status: pgssi.StatusNotFound},
 		{Status: pgssi.StatusSerializationFailure},
 		{Status: pgssi.StatusOK, Rows: []pgssi.KV{}},
@@ -92,7 +94,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resp %d: decode: %v", i, err)
 		}
-		if got.Status != resp.Status || got.Handle != resp.Handle || got.Found != resp.Found ||
+		if got.Status != resp.Status || got.Handle != resp.Handle || got.Found != resp.Found || got.Settled != resp.Settled ||
 			!bytes.Equal(got.Value, resp.Value) || len(got.Rows) != len(resp.Rows) {
 			t.Fatalf("resp %d mismatch:\n in: %+v\nout: %+v", i, resp, got)
 		}

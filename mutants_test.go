@@ -21,8 +21,9 @@ import (
 // atomicity windows that the interleaving harnesses park a transaction
 // in, and a harness that no longer notices its window gone fails here.
 // The rest pin tests that were once proved by a hand-made mutation, the
-// rollback invariant (no version names an aborted transaction), and the
-// load driver's abort accounting.
+// rollback invariant (no version names an aborted transaction), the
+// settled promise (a Commit the client does not wait for cannot fail),
+// and the load driver's abort accounting.
 //
 // A new fence lands with its entry instead of a switch (docs/invariants.md).
 
@@ -371,6 +372,29 @@ var mutants = []mutant{
 		new:  `if false {`,
 		pkg:  "./internal/server",
 		run:  "^(TestQueuedPutConflictRollsBack|TestQueuedFailureGoesToItsHandle)$",
+	},
+
+	// --- The settled promise: a Commit not waited for cannot fail. ---
+	{
+		name: "Settled ignores safety",
+		file: "tx.go",
+		old:  `return tx.OnSafeSnapshot() && !tx.x.Doomed()`,
+		new:  `return !tx.x.Doomed()`,
+		pkg:  "./internal/server",
+		run:  "^TestPreparedPivotFailsUnsafeReadOnlyCommit$",
+	},
+	{
+		name: "client drops the settled Commit's answer unchecked",
+		file: "internal/wire/client.go",
+		old: `		if !resp.Status.OK() {
+			return fmt.Errorf("wire: settled Commit of handle %d answered %v", p.h, resp.Status)
+		}
+		return nil
+`,
+		new: `		return nil
+`,
+		pkg: "./internal/wire",
+		run: "^TestSettledCommitFailurePoisons$",
 	},
 
 	// --- The load driver's accounting. ---

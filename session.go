@@ -356,6 +356,16 @@ func (s *Session) Scan(h Handle, table, lo, hi string, limit int) ([]KV, Status)
 	return rows, StatusOK
 }
 
+// Settled reports whether h names an open read-only transaction whose
+// Commit cannot fail: one below Serializable, or one on a safe snapshot
+// (§4.2) that was not doomed first. Once true it stays true until the
+// handle finishes, so a front-end may promise the outcome of Commit
+// before it is asked for (the wire protocol's settled flag).
+func (s *Session) Settled(h Handle) bool {
+	tx, st := s.lookup(h)
+	return st.OK() && tx.settled()
+}
+
 // Commit finishes the transaction and releases its handle. On
 // StatusSerializationFailure the transaction has been rolled back and
 // the handle released: retry with a fresh Begin.

@@ -166,6 +166,34 @@ func (tx *Tx) OnSafeSnapshot() bool {
 	return tx.replicaSafe || (tx.x != nil && tx.x.Safe())
 }
 
+// settled reports whether Commit is certain to succeed: the transaction
+// is read-only, open and not prepared, and either runs below
+// Serializable or is on a safe snapshot (§4.2) without having been
+// doomed. A read-only commit has no WAL record to fail, and the
+// pre-commit check passes a safe transaction that is not doomed. Safety
+// matters because an unsafe read-only transaction can still be doomed:
+// a prepared pivot that cannot abort hands its fate to an active T1
+// (§7.1).
+//
+// It is monotone until Commit: safety never reverts, and a transaction
+// on a safe snapshot has dropped its conflict edges and takes no new
+// ones (core.Manager.markSafeLocked), so nothing can doom it afterwards.
+// That is also why safety is read before the doom flag: a doom that
+// precedes safety is visible once safety is.
+func (tx *Tx) settled() bool {
+	if !tx.readOnly || tx.done || tx.prepared {
+		return false
+	}
+	switch tx.level {
+	case RepeatableRead, ReadCommitted:
+		return true
+	case Serializable:
+		return tx.OnSafeSnapshot() && !tx.x.Doomed()
+	default:
+		return false
+	}
+}
+
 // snapshot returns the snapshot for the next statement.
 func (tx *Tx) snapshot() *mvcc.Snapshot {
 	if tx.snap != nil {
