@@ -95,7 +95,7 @@ func TestTrackedScanAllocs(t *testing.T) {
 // inside it (a collection's mark workers can keep the reclaimer off the
 // CPU for long enough that runs a few hundred apart, which do share
 // leaves, overlap). Both levels run warm, so the lock table's and the
-// registry's maps have grown to their working size first.
+// commit log's maps have grown to their working size first.
 func TestSerializablePointTxnAllocs(t *testing.T) {
 	const rows = 20000
 	db := newSessionDB(t, "kv")

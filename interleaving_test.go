@@ -398,8 +398,8 @@ func TestDetectionWindowGapInsert(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Lifecycle interleaving harness (PR 3).
 //
-// The lifecycle refactor decomposed the global SSI mutex: Begin registers
-// through a sharded registry with a snapshot-ordering step, conflict-free
+// The lifecycle refactor decomposed the global SSI mutex: Begin attaches
+// to its sharded commit-log record with a snapshot-ordering step, conflict-free
 // commits run under only their own edge lock, and cleanup moved to an
 // epoch reclaimer. Each narrowed critical section is falsifiable the same
 // way the read latch is: the pauser parks a transaction inside the

@@ -41,7 +41,7 @@ func BenchmarkLockAcquireParallel(b *testing.B) {
 }
 
 // BenchmarkLifecycleBeginCommitParallel isolates the SSI lifecycle —
-// Begin against the sharded registry and the conflict-free commit fast
+// Begin against the sharded commit log and the conflict-free commit fast
 // path — with no engine, storage, or read overhead, the lifecycle
 // analogue of BenchmarkLockAcquireParallel. Transactions have no edges,
 // so commits should never touch the conflict-graph mutex.

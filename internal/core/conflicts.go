@@ -103,15 +103,15 @@ func (m *Manager) flagConflictOutLocked(x *Xact, writer mvcc.TxID) error {
 	if writer == x.XID {
 		return nil
 	}
-	if w, ok := m.lookupXact(writer); ok {
+	owner, wCommit := m.mvcc.Attached(writer)
+	switch w := owner.(type) {
+	case *Xact:
 		return m.onConflictDetectedLocked(x, w, x)
-	}
-	if outSeq, ok := m.summary[writer]; ok {
+	case summary:
 		// The writer was summarized (§6.2 second case): we know only
 		// its commit seq and the earliest commit among its
 		// out-conflicts.
-		wCommit := m.mvcc.CommitSeq(writer)
-		return m.conflictWithSummarizedWriterLocked(x, wCommit, outSeq)
+		return m.conflictWithSummarizedWriterLocked(x, wCommit, mvcc.SeqNo(w))
 	}
 	// Writer is not (or no longer) a tracked serializable transaction.
 	// If it was serializable it has been fully cleaned up, which only

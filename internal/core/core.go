@@ -16,8 +16,8 @@
 //   - safe-retry victim selection (§5.4);
 //   - safe snapshots and deferrable transactions (§4.2, §4.3);
 //   - bounded memory via aggressive cleanup of committed transactions and
-//     summarization into a dummy transaction plus an xid → earliest
-//     out-conflict commit table (§6);
+//     summarization into a dummy transaction plus, per summarized xid,
+//     its earliest out-conflict commit (§6);
 //   - two-phase commit support with conservative recovery (§7.1).
 //
 // Concurrency control is decomposed along the lines §8 of the paper
@@ -27,10 +27,11 @@
 //   - the SIREAD lock table is sharded into Config.Partitions hash
 //     partitions (partition.go), so per-read lock acquisition never
 //     takes a global mutex;
-//   - transaction lifecycle runs against a sharded transaction registry
-//     (registry.go): a read/write Begin registers without a global
-//     mutex, and a commit with no conflict edges or safety watchers
-//     commits under only its own per-transaction edge lock;
+//   - a transaction's SSI state hangs off its record in internal/mvcc's
+//     sharded commit log, the one table keyed by xid: a read/write Begin
+//     attaches it there without a global mutex, and a commit with no
+//     conflict edges or safety watchers commits under only its own
+//     per-transaction edge lock;
 //   - cleanup and summarization of committed transactions run in an
 //     epoch-based background reclaimer (reclaim.go), off the commit
 //     critical section, at internal/mvcc's one oldest-snapshot horizon;
@@ -153,8 +154,8 @@ type Config struct {
 	DisableReadOnlyOpt bool
 	// Partitions is the number of hash partitions the SIREAD lock
 	// table is divided into, the analogue of PostgreSQL's
-	// NUM_PREDICATELOCK_PARTITIONS. It also sizes the transaction
-	// registry shards. Rounded up to a power of two; defaults to 16.
+	// NUM_PREDICATELOCK_PARTITIONS. Rounded up to a power of two;
+	// defaults to 16.
 	// Set to 1 to reproduce the single-mutex table.
 	Partitions int
 
@@ -335,10 +336,11 @@ type Manager struct {
 	// mu is the conflict-graph mutex: it guards rw-antidependency
 	// flagging, dangerous-structure traversal, the pre-commit check of
 	// edge-bearing transactions, read-only safety registration and
-	// resolution, the summary table, and stats. Transaction lifecycle
-	// is NOT globally serialized here any more: Begin uses the sharded
-	// registry below, and conflict-free commits use only their own
-	// Xact.edgeMu. The SIREAD lock table lives in the hash partitions.
+	// resolution, and stats. Transaction lifecycle is NOT globally
+	// serialized here any more: Begin attaches its Xact to its
+	// commit-log record under that record's shard lock, and
+	// conflict-free commits use only their own Xact.edgeMu. The SIREAD
+	// lock table lives in the hash partitions.
 	mu   sync.Mutex //ssi:lock level=20 name=core.ssi
 	cfg  Config
 	mvcc *mvcc.Manager
@@ -349,10 +351,6 @@ type Manager struct {
 	parts    []lockPartition
 	partMask uint64
 
-	// xshards is the sharded transaction registry (registry.go);
-	// xshardMask selects a shard from an xid.
-	xshards    []xactShard
-	xshardMask uint64
 	// rwActive counts the serializable transactions not declared
 	// read-only that have begun and not yet committed or aborted
 	// (prepared ones included): the §6.1 sweep runs only at zero.
@@ -376,11 +374,6 @@ type Manager struct {
 	// Guarded by mu, which every dummy-lock change holds.
 	oldCommitted *Xact
 	dummyTargets int
-	// summary maps a summarized committed transaction's xid to the
-	// commit sequence number of the earliest transaction it had a
-	// conflict out to (zero if none) — the "single 64-bit integer per
-	// transaction" table of §6.2. Guarded by mu.
-	summary map[mvcc.TxID]mvcc.SeqNo
 
 	// rec is the background reclaimer's bookkeeping (reclaim.go).
 	rec reclaimer
@@ -401,13 +394,10 @@ type Manager struct {
 func NewManager(m *mvcc.Manager, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	mgr := &Manager{
-		cfg:        cfg,
-		mvcc:       m,
-		parts:      newLockPartitions(cfg.Partitions),
-		partMask:   uint64(cfg.Partitions - 1),
-		xshards:    newXactShards(cfg.Partitions),
-		xshardMask: uint64(cfg.Partitions - 1),
-		summary:    make(map[mvcc.TxID]mvcc.SeqNo),
+		cfg:      cfg,
+		mvcc:     m,
+		parts:    newLockPartitions(cfg.Partitions),
+		partMask: uint64(cfg.Partitions - 1),
 	}
 	mgr.oldCommitted = &Xact{committed: true}
 	mgr.rec.byPart = make([][]removal, cfg.Partitions)
@@ -448,11 +438,32 @@ func (m *Manager) LockCount() int {
 	return n
 }
 
-// SummaryTableSize returns the number of summarized-transaction entries.
+// TrackedXacts returns the number of transactions attached to
+// commit-log records: running read/write ones and committed ones the
+// retire queue still holds. Exposed for memory-bound tests; run
+// ReclaimNow first to get a post-quiescence count.
+func (m *Manager) TrackedXacts() int {
+	n, _ := m.countAttached()
+	return n
+}
+
+// SummaryTableSize returns the number of summarized transactions whose
+// commit-log records still hold their summary.
 func (m *Manager) SummaryTableSize() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.summary)
+	_, n := m.countAttached()
+	return n
+}
+
+func (m *Manager) countAttached() (xacts, summaries int) {
+	for _, o := range m.mvcc.Owners() {
+		switch o.(type) {
+		case *Xact:
+			xacts++
+		case summary:
+			summaries++
+		}
+	}
+	return xacts, summaries
 }
 
 // trace fires the trace seam at a lifecycle point, if one is set.
@@ -468,9 +479,9 @@ func (m *Manager) trace(p trace.Point, xid mvcc.TxID) {
 // (mvcc.Manager.OldestSnapshot) at or below the snapshot taken here.
 //
 // The common (read/write or undeclared) path takes no global mutex. It
-// registers the transaction — in the registry and in rwActive — BEFORE
-// taking the snapshot, which the read-only safety scan relies on (see
-// registerROWatchesLocked).
+// attaches the transaction to its commit-log record and counts it in
+// rwActive BEFORE taking the snapshot, which the read-only safety scan
+// relies on (see registerROWatchesLocked).
 //
 // Declared read-only transactions (with the §4 optimizations enabled)
 // take the fenced path under the conflict-graph mutex: the snapshot and
@@ -488,7 +499,7 @@ func (m *Manager) Begin(xid mvcc.TxID, snapFn func() *mvcc.Snapshot, readOnly, d
 	if readOnly && !m.cfg.DisableReadOnlyOpt {
 		return x, m.beginReadOnly(x, snapFn)
 	}
-	m.registerXact(x)
+	m.attachXact(x)
 	m.trace(trace.Begin, xid)
 	snap := snapFn()
 	x.SnapshotSeq = snap.SeqNo
@@ -521,45 +532,31 @@ func (m *Manager) beginReadOnly(x *Xact, snapFn func() *mvcc.Snapshot) *mvcc.Sna
 // snapshot is safe (§4.2). Caller holds m.mu and took x's snapshot under
 // it.
 //
-// One scan of the registry finds them all. A read/write T that can make
-// x unsafe took its snapshot before x's (S_T < S_x): with S_T >= S_x,
-// every transaction that committed before x's snapshot is visible to T,
-// so T has no rw-conflict out to one. T registered before it took its
-// snapshot, hence before x's, and a T that commits having written stays
-// registered until reclamation or summarization drops it — both under
-// m.mu, which x has held since its snapshot. So each such T is found:
-// active (watched), or committed since x's snapshot (judged inline with
-// the rule finishCommitLocked applies when a watched transaction
-// commits). What the registry does not hold cannot decide x's safety:
-// transactions declared read-only, aborted ones, and ones that committed
-// without writing (finishXact). Of the rest, those committed at or
-// before x's snapshot are skipped. The argument needs the snapshot and
-// this scan in one m.mu critical section (beginReadOnly): the mutation
-// table's "read-only Begin unfenced" entry (mutants_test.go) splits them,
-// and TestLifecycleReadOnlyBeginWindow catches it.
+// One walk of the commit log's active sets finds them all, and it never
+// visits a committed transaction the log retains. A read/write T that
+// can make x unsafe took its snapshot before x's (S_T < S_x): with
+// S_T >= S_x, every transaction that committed before x's snapshot is
+// visible to T, so T has no rw-conflict out to one. T attached itself to
+// its record before taking its snapshot, hence before x's; one that
+// has begun and not yet attached will take its snapshot after x's. If T
+// is still running when the walk reaches it, it is watched. If T
+// committed after x's snapshot, it committed on the edge-lock fast path:
+// every other commit takes m.mu, which x has held since its snapshot.
+// The fast path requires earliestOutConflictCommit == 0, and every write
+// of that field holds m.mu, so T committed with no committed conflict
+// out, and one it gains later commits after T, hence after x's
+// snapshot: T cannot make x unsafe, and the walk skips it, as it skips
+// aborted transactions. Transactions declared read-only attach nothing
+// and cannot decide x's safety. The argument needs the snapshot and this
+// walk in one m.mu critical section (beginReadOnly): the mutation
+// table's "read-only Begin unfenced" entry (mutants_test.go) splits
+// them, and TestLifecycleReadOnlyBeginWindow catches it.
 func (m *Manager) registerROWatchesLocked(x *Xact) {
-	var cands []*Xact
-	for i := range m.xshards {
-		s := &m.xshards[i]
-		s.mu.Lock()
-		for _, c := range s.tracked {
-			cands = append(cands, c)
-		}
-		s.mu.Unlock()
-	}
-	unsafe := false
-	for _, c := range cands {
+	var buf [16]any
+	for _, o := range m.mvcc.ActiveOwners(buf[:0]) {
+		c := o.(*Xact)
 		c.edgeMu.Lock()
-		switch {
-		case c.aborted:
-			// Fate known, irrelevant.
-		case c.committed:
-			// c committed after x's snapshot (or before it — then
-			// CommitSeq <= SnapshotSeq filters it): apply the §4.2 rule
-			// directly.
-			unsafe = c.CommitSeq > x.SnapshotSeq && c.wrote &&
-				c.earliestOutConflictCommit != 0 && c.earliestOutConflictCommit <= x.SnapshotSeq
-		default:
+		if !c.committed && !c.aborted {
 			if x.possibleUnsafe == nil {
 				x.possibleUnsafe = make(map[*Xact]struct{})
 			}
@@ -570,12 +567,6 @@ func (m *Manager) registerROWatchesLocked(x *Xact) {
 			c.watchingROs[x] = struct{}{}
 		}
 		c.edgeMu.Unlock()
-		if unsafe {
-			// Verdict decided; the watchers registered so far are
-			// undone by markUnsafeLocked.
-			m.markUnsafeLocked(x)
-			return
-		}
 	}
 	if len(x.possibleUnsafe) == 0 {
 		m.markSafeLocked(x)

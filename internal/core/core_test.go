@@ -477,6 +477,44 @@ func TestSummaryConflictOutViaMVCCLookup(t *testing.T) {
 	h.abort(pin)
 }
 
+// TestSummaryLeavesWithCommitLog: a summarized transaction's §6.2
+// integer lives in its commit-log record, so it is kept exactly while a
+// concurrent reader could ask for it and forgotten with the record. One
+// read/write transaction pins the horizon while 20 000 writers commit
+// past MaxCommittedXacts 64: every summarized one keeps its summary. Once
+// the pin is released, a reclaim pass truncates the whole log and the
+// summaries with it. (A summary map beside the log kept 19 936 entries
+// after the log had emptied.)
+func TestSummaryLeavesWithCommitLog(t *testing.T) {
+	const writers = 20000
+	h := newHarness(t, Config{MaxCommittedXacts: 64})
+	pin := h.begin(false)
+	for i := range writers {
+		w := h.begin(false)
+		if err := h.write(w, "t", int64(i), "k"); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.commit(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	summarized := h.mgr.Stats().Summarized
+	if summarized < writers-64 {
+		t.Fatalf("%d of %d writers summarized behind the pin, want at least %d", summarized, writers, writers-64)
+	}
+	if n := h.mgr.SummaryTableSize(); int64(n) != summarized {
+		t.Fatalf("%d summaries kept while the horizon is pinned, want %d (one per summarized writer)", n, summarized)
+	}
+	h.abort(pin)
+	h.mgr.ReclaimNow()
+	if n := h.mv.LogSize(); n != 0 {
+		t.Fatalf("commit log holds %d entries after the pin left and a reclaim pass, want 0", n)
+	}
+	if n := h.mgr.SummaryTableSize(); n != 0 {
+		t.Fatalf("%d summaries outlive the commit log, want 0", n)
+	}
+}
+
 func TestCleanupReleasesCommittedState(t *testing.T) {
 	h := newHarness(t, Config{})
 	x := h.begin(false)

@@ -9,6 +9,59 @@ import (
 // serialization-failure check (§5.4), commit processing with safe-snapshot
 // resolution (§4.2), and abort processing. Cleanup of committed
 // transactions (§6.1) and summarization (§6.2) live in reclaim.go.
+//
+// A transaction's SSI state lives in its internal/mvcc commit-log record,
+// the one table keyed by xid: a read/write Begin attaches its Xact there,
+// where conflict flagging turns the xid the storage layer stamped on a
+// version into its writer (flagConflictOutLocked) and the read-only
+// safety scan finds the running writers (registerROWatchesLocked).
+// The Xact stays attached while the transaction runs and, once it
+// commits, for as long as the retire queue holds it: until reclamation
+// detaches it or summarization replaces it with a summary. Commit-log
+// truncation forgets all of it at the horizon (mvcc.AutoTruncate), which
+// is sound: a record is truncated only once its commit is visible to
+// every present and future snapshot, so no reader can find that writer's
+// version invisible and ask about it. A transaction declared read-only
+// never writes and attaches nothing, and one that aborts detaches at
+// once: its versions are void (§5.3).
+
+// summary is what summarization (§6.2) leaves in a committed
+// transaction's commit-log record in place of its Xact: the commit
+// sequence number of the earliest transaction it had a conflict out to,
+// zero if none.
+type summary mvcc.SeqNo
+
+// attachXact attaches x to its commit-log record and counts it in
+// rwActive until it finishes (finishXact). Both are no-ops for a
+// transaction declared read-only, as is dropXact.
+func (m *Manager) attachXact(x *Xact) {
+	if x.declaredRO {
+		return
+	}
+	m.rwActive.Add(1)
+	m.mvcc.Attach(x.XID, x)
+}
+
+// finishXact uncounts x from rwActive once it has committed or aborted,
+// and detaches it if it aborted.
+func (m *Manager) finishXact(x *Xact) {
+	if x.declaredRO {
+		return
+	}
+	m.rwActive.Add(-1)
+	if x.aborted {
+		m.dropXact(x)
+	}
+}
+
+// dropXact detaches x from its commit-log record. A fast-path committer
+// can retire after a reclaim pass has truncated its record; then there
+// is nothing to detach.
+func (m *Manager) dropXact(x *Xact) {
+	if !x.declaredRO {
+		m.mvcc.Attach(x.XID, nil)
+	}
+}
 
 // Commit atomically performs the pre-commit serialization check and, if
 // it passes, commits the transaction: commitFn is invoked inside the
@@ -78,8 +131,8 @@ func (m *Manager) fastCommitEligibleLocked(x *Xact) bool {
 }
 
 // finishCommitFast completes a fast-path commit after the edge-lock
-// critical section: lock-set freeze, retire-queue insertion, and the
-// registry (finishXact).
+// critical section: lock-set freeze, retire-queue insertion, and
+// finishXact.
 func (m *Manager) finishCommitFast(x *Xact) {
 	x.lockMu.Lock()
 	x.lockingDone = true
@@ -246,9 +299,8 @@ func (m *Manager) finishCommitLocked(x *Xact, seq mvcc.SeqNo) int {
 	x.watchingROs = nil
 	x.edgeMu.Unlock()
 
-	// Retire for the epoch reclaimer; a transaction that wrote stays in
-	// the registry (conflict lookups and the read-only safety scan must
-	// still find it) until reclaimed or summarized.
+	// Retire for the epoch reclaimer; x stays attached (conflict lookups
+	// must still find a writer) until reclaimed or summarized.
 	n := m.retire(x)
 	m.finishXact(x)
 	return n
@@ -369,15 +421,15 @@ func (m *Manager) dropEdgesLocked(c *Xact) {
 // summarizeLocked consolidates a committed transaction (popped from the
 // retire queue by summarizeOnPressure) into the dummy OldCommitted
 // transaction (§6.2): its SIREAD locks move to the dummy (tagged with
-// its commit seq), its earliest out-conflict commit is recorded in the
-// summary table, and its graph edges are replaced by summary flags on
-// the survivors. Caller holds m.mu.
+// its commit seq), its earliest out-conflict commit replaces it in its
+// commit-log record, and its graph edges are replaced by summary flags
+// on the survivors. Caller holds m.mu.
 func (m *Manager) summarizeLocked(c *Xact) {
 	m.stats.Summarized++
 
-	// The summary table: xid → commit seq of the earliest transaction
-	// c had a conflict out to (zero if none).
-	m.summary[c.XID] = c.earliestOutConflictCommit
+	// A record truncated before c retired needs no summary: no active
+	// reader can find c's versions invisible.
+	m.mvcc.Attach(c.XID, summary(c.earliestOutConflictCommit))
 
 	// Reassign SIREAD locks to the dummy transaction, inserting the
 	// dummy's lock before removing c's so concurrent write checks never
@@ -412,7 +464,6 @@ func (m *Manager) summarizeLocked(c *Xact) {
 	c.outConflicts = nil
 	c.inConflicts = nil
 	c.edgeMu.Unlock()
-	m.dropXact(c)
 }
 
 // doomVictimLocked dooms victim, falling back per the safe-retry rules if

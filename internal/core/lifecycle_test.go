@@ -71,8 +71,9 @@ func driveBeginWindowReclaim(t *testing.T, h *harness, p *beginPauser) (x, c *Xa
 	// The reclaim pass races X's parked Begin.
 	h.mgr.ReclaimNow()
 	cSurvived = h.mgr.HoldsLock(c, TupleTarget("t", 1, "k1"))
-	if _, tracked := h.mgr.lookupXact(c.XID); tracked != cSurvived {
-		t.Fatalf("registry and lock table disagree about C: tracked=%v, lock held=%v", tracked, cSurvived)
+	owner, _ := h.mv.Attached(c.XID)
+	if tracked := owner == c; tracked != cSurvived {
+		t.Fatalf("commit log and lock table disagree about C: attached=%v, lock held=%v", tracked, cSurvived)
 	}
 
 	close(p.release)

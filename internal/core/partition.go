@@ -38,14 +38,10 @@ import (
 //  1. Manager.mu — the conflict-graph mutex: rw-antidependency
 //     flagging, dangerous-structure traversal, the pre-commit check of
 //     edge-bearing transactions, read-only safety registration and
-//     resolution, the summary table, and reclamation/summarization of
-//     committed state. (Begin, conflict-free commits and writes nobody
-//     else read do NOT take it; see levels 2a–2c and the write probe
-//     below.)
-//  2a. xactShard.mu — one shard of the transaction registry
-//     (registry.go). A read/write Begin takes only this; mu-holders take
-//     shards one at a time for lookups and scans.
-//  2b. Xact.edgeMu — one transaction's edge lock, guarding its
+//     resolution, and reclamation/summarization of committed state.
+//     (Begin, conflict-free commits and writes nobody else read do NOT
+//     take it; see levels 2a–2b and the write probe below.)
+//  2a. Xact.edgeMu — one transaction's edge lock, guarding its
 //     conflict-edge and safety-watch maps and its lifecycle flags
 //     against the commit fast path. A thread holding Manager.mu may
 //     hold several edge locks at once, in any order (mu serializes all
@@ -53,11 +49,11 @@ import (
 //     ONE — its own transaction's, on the conflict-free commit fast
 //     path. That single-lock discipline is what makes pair ordering
 //     unnecessary.
-//  2c. Manager.retireMu — the epoch reclaimer's retire queue
-//     (reclaim.go). Leaf with respect to 2a/2b: never held together
-//     with a shard or edge lock. (Whole reclaim passes additionally
-//     serialize on reclaimer.passMu, which sits ABOVE Manager.mu and
-//     is only ever taken with no other lock held.)
+//  2b. Manager.retireMu — the epoch reclaimer's retire queue
+//     (reclaim.go). Leaf with respect to 2a: never held together with
+//     an edge lock. (Whole reclaim passes additionally serialize on
+//     reclaimer.passMu, which sits ABOVE Manager.mu and is only ever
+//     taken with no other lock held.)
 //  3. Xact.lockMu — one transaction's own lock bookkeeping (its lock
 //     set and granularity-promotion counters).
 //  4. lockPartition.mu — one shard of the target → holders table and
@@ -66,14 +62,17 @@ import (
 // A thread may acquire these only outer-to-inner, holds at most one
 // Xact.lockMu and at most one partition mutex at a time, and never
 // acquires an outer lock while holding an inner one. The level-2 locks
-// are mutually unordered; a thread holds locks from at most one of 2a,
-// 2b, 2c at a time (the read-only safety scan collects candidates from
-// the shards first, releasing them, and only then takes edge locks). The mvcc.Manager's locks (entered via snapFn /
-// commitFn callbacks and via fate lookups) are leaves that may be taken
-// from under mu or an edge lock: a commit-log shard RWMutex (one at a
-// time; CSN assignment and commit-log publication share one shard
-// critical section, so a fate lookup can at worst block momentarily on
-// a mid-publication commit) and the truncation mutex.
+// are mutually unordered; a thread holds locks from at most one of 2a
+// and 2b at a time. The mvcc.Manager's locks (entered via snapFn /
+// commitFn callbacks, fate lookups, and the attach, lookup and scan of
+// each transaction's SSI state in its commit-log record) are leaves that
+// may be taken from under mu or an edge lock: a commit-log shard RWMutex
+// (one at a time; CSN assignment and commit-log publication share one
+// shard critical section, so a fate lookup can at worst block
+// momentarily on a mid-publication commit) and the truncation mutex. The
+// read-only safety scan collects the running transactions from the
+// commit-log shards first, releasing them, and only then takes edge
+// locks.
 // Cross-partition operations (PageSplit, PromoteRelationLocks,
 // summarization, reclamation) serialize through Manager.mu and then
 // visit partitions one at a time, so they need no ordering among

@@ -24,9 +24,12 @@ import (
 //   - once the horizon — mvcc.Manager.OldestSnapshot, the minimum pinned
 //     epoch, the same value that truncates the commit log and trims the
 //     heap — passes a retired transaction's commit seq, no present or
-//     future snapshot can observe it and its SIREAD locks and graph
-//     edges are dropped. This is PostgreSQL's keying of §6.1 cleanup to
-//     SxactGlobalXmin.
+//     future snapshot can observe it: its SIREAD locks and graph edges
+//     are dropped and it is detached from its commit-log record. The
+//     same pass truncates the commit log at that horizon
+//     (mvcc.AutoTruncate), and with it the summaries that transactions
+//     summarized earlier left in their records (§6.2). This is
+//     PostgreSQL's keying of §6.1 cleanup to SxactGlobalXmin.
 //
 // The reclaimer goroutine is spawned lazily when a wake finds work and
 // exits as soon as the queue is drained, so an idle Manager holds no
@@ -232,9 +235,9 @@ func (m *Manager) reclaimGraphPass(horizon mvcc.SeqNo) {
 		// read is accounted for: one still counted at the recheck stops
 		// the sweep; one that finished before the recheck made its
 		// writes' probes while C's locks were in the table; and one
-		// counted after the recheck registered after C retired, and
-		// takes its snapshot after registering, so its snapshot is at or
-		// above C's commit and it is not concurrent with C at all.
+		// counted after the recheck was counted by a Begin after C
+		// retired, and takes its snapshot after that, so its snapshot
+		// is at or above C's commit and it is not concurrent with C.
 		// Nothing here relies on writers waiting for m.mu — CheckWrite's
 		// probe does not take it.
 		m.retireMu.Lock()

@@ -100,7 +100,7 @@ func (m *Manager) RecoverPrepared(st PreparedState, snapshotSeq mvcc.SeqNo) *Xac
 	}
 	x.summaryConflictIn = true
 	x.earliestOutConflictCommit = 1
-	m.registerXact(x)
+	m.attachXact(x)
 	x.lockMu.Lock()
 	for _, t := range st.Locks {
 		m.insertLockXLocked(x, t)

@@ -45,7 +45,9 @@
 // cuts there: the SSI reclaimer frees committed transactions (§6.1, the
 // way PostgreSQL keys its cleanup to SxactGlobalXmin), AutoTruncate drops
 // commit-log entries, the heap's write path trims version chains (via the
-// published Horizon), and the engine's Vacuum sweeps them.
+// published Horizon), and the engine's Vacuum sweeps them. The SSI
+// layer's per-transaction state lives in the commit-log records (Attach),
+// its §6.2 summaries included, so truncation forgets it with the fate.
 //
 // # Commit-log truncation
 //
@@ -159,15 +161,16 @@ func (s *Snapshot) SeesCommitted(seq SeqNo) bool {
 
 // txRecord is a commit-log entry: one transaction's fate, its commit CSN
 // once assigned, the CSN-counter value observed when it began (the pin
-// OldestSnapshot is computed from), and the done channel writers
-// block on. Fields are guarded by the owning shard's mutex; done is
-// closed exactly once, after the commit is published (or on abort, when
-// the record is deleted).
+// OldestSnapshot is computed from), the done channel writers block on,
+// and what the layer above attached (Attach). Fields are guarded by the
+// owning shard's mutex; done is closed exactly once, after the commit is
+// published (or on abort, when the record is deleted).
 type txRecord struct {
 	status    Status
 	commitSeq SeqNo
 	beginSeq  SeqNo
 	done      chan struct{}
+	owner     any
 }
 
 // logShard is one shard of the commit log plus the active subset of its
@@ -176,6 +179,9 @@ type logShard struct {
 	mu     sync.RWMutex //ssi:lock level=40 name=mvcc.logShard
 	recs   map[TxID]*txRecord
 	active map[TxID]struct{}
+	// nactive is len(active), changed with it under mu and read without
+	// mu by ActiveOwners, which skips a shard it reads empty.
+	nactive atomic.Int32
 }
 
 // Manager assigns transaction IDs, takes snapshots, and records
@@ -289,6 +295,7 @@ func (m *Manager) Begin() TxID {
 	sh.mu.Lock()
 	sh.recs[xid] = rec
 	sh.active[xid] = struct{}{}
+	sh.nactive.Add(1)
 	sh.mu.Unlock()
 	m.beginMu.RUnlock()
 	m.activeCount.Add(1)
@@ -335,6 +342,7 @@ func (m *Manager) Commit(xid TxID) SeqNo {
 	rec.status = StatusCommitted
 	rec.commitSeq = seq
 	delete(sh.active, xid)
+	sh.nactive.Add(-1)
 	sh.mu.Unlock()
 	m.activeCount.Add(-1)
 	close(rec.done)
@@ -352,6 +360,7 @@ func (m *Manager) Abort(xid TxID) {
 	rec := finishableLocked(sh, xid, "Abort")
 	delete(sh.active, xid)
 	delete(sh.recs, xid)
+	sh.nactive.Add(-1)
 	sh.mu.Unlock()
 	m.activeCount.Add(-1)
 	close(rec.done)
@@ -388,14 +397,69 @@ func (m *Manager) IsCommitted(xid TxID) bool {
 	return st == StatusCommitted
 }
 
-// CommitSeq returns xid's commit sequence number, or InvalidSeqNo if xid
-// has not committed (or committed below the truncation floor).
-func (m *Manager) CommitSeq(xid TxID) SeqNo {
-	st, seq := m.Status(xid)
-	if st != StatusCommitted {
-		return InvalidSeqNo
+// Attach stores owner in xid's record for the layer above: the SSI layer
+// keeps each serializable transaction's state there, and mvcc never
+// looks inside it. A nil owner detaches. A record that Abort or
+// truncation already dropped stays dropped, and owner with it.
+func (m *Manager) Attach(xid TxID, owner any) {
+	sh := m.shard(xid)
+	sh.mu.Lock()
+	if rec := sh.recs[xid]; rec != nil {
+		rec.owner = owner
 	}
-	return seq
+	sh.mu.Unlock()
+}
+
+// Attached returns what Attach last stored in xid's record, with xid's
+// commit sequence number (InvalidSeqNo while it runs), in one lookup.
+// Both are zero once the record is gone.
+func (m *Manager) Attached(xid TxID) (any, SeqNo) {
+	sh := m.shard(xid)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if rec := sh.recs[xid]; rec != nil {
+		return rec.owner, rec.commitSeq
+	}
+	return nil, InvalidSeqNo
+}
+
+// ActiveOwners appends to buf the owner attached to each in-progress
+// transaction's record, and returns it. It visits only the active sets,
+// however many committed records the log retains, and skips a shard it
+// reads empty without locking it: a transaction it misses there had not
+// returned from Begin, so it attaches after the walk read that shard.
+func (m *Manager) ActiveOwners(buf []any) []any {
+	for i := range m.shards {
+		sh := &m.shards[i]
+		if sh.nactive.Load() == 0 {
+			continue
+		}
+		sh.mu.RLock()
+		for xid := range sh.active {
+			if o := sh.recs[xid].owner; o != nil {
+				buf = append(buf, o)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return buf
+}
+
+// Owners returns the owner attached to every record, committed ones
+// included.
+func (m *Manager) Owners() []any {
+	var buf []any
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.RLock()
+		for _, rec := range sh.recs {
+			if rec.owner != nil {
+				buf = append(buf, rec.owner)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return buf
 }
 
 // Done returns a channel that is closed when xid commits or aborts.

@@ -129,13 +129,45 @@ func TestAutoTruncateDropsCommitted(t *testing.T) {
 		m.Commit(x)
 		xids = append(xids, x)
 	}
-	m.AutoTruncate(m.CommitSeq(xids[4]))
+	_, seq := m.Status(xids[4])
+	m.AutoTruncate(seq)
 	if m.LogSize() != 5 {
 		t.Fatalf("log size = %d, want 5", m.LogSize())
 	}
 	// Truncated xids report committed.
 	if st, _ := m.Status(xids[0]); st != StatusCommitted {
 		t.Fatalf("truncated xid status = %v, want committed", st)
+	}
+}
+
+// TestAttachLeavesWithRecord: what the layer above attaches to a record
+// is found by one lookup, walked with the active set while the
+// transaction runs, kept after its commit and forgotten with the record,
+// at truncation or abort.
+func TestAttachLeavesWithRecord(t *testing.T) {
+	m := NewManager()
+	a, b, c := m.Begin(), m.Begin(), m.Begin()
+	m.Attach(a, "a")
+	m.Attach(b, "b")
+	if got := len(m.ActiveOwners(nil)); got != 2 {
+		t.Fatalf("%d active owners, want 2", got)
+	}
+	seq := m.Commit(a)
+	if o, s := m.Attached(a); o != "a" || s != seq {
+		t.Fatalf("Attached(a) = %v, %d after commit, want a, %d", o, s, seq)
+	}
+	if got := m.ActiveOwners(nil); len(got) != 1 || got[0] != "b" {
+		t.Fatalf("active owners %v after a committed, want [b]", got)
+	}
+	m.Abort(b)
+	m.Attach(b, "late") // dropped with the record
+	m.Commit(c)
+	if got := m.Owners(); len(got) != 1 || got[0] != "a" {
+		t.Fatalf("owners %v, want [a]", got)
+	}
+	m.AutoTruncate(m.OldestSnapshot())
+	if o, s := m.Attached(a); o != nil || s != InvalidSeqNo || len(m.Owners()) != 0 {
+		t.Fatalf("Attached(a) = %v, %d after truncation, want nothing", o, s)
 	}
 }
 

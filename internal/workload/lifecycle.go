@@ -17,7 +17,7 @@ import (
 
 // LifecycleMix returns a mix of empty transactions. roFraction of them
 // are declared READ ONLY, exercising the fenced begin path and the §4.2
-// safe-snapshot machinery; the rest take the unfenced registry path and
+// safe-snapshot machinery; the rest take the unfenced read/write path and
 // the conflict-free commit fast path.
 func LifecycleMix(roFraction float64) *Mix {
 	m := NewMix()

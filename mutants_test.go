@@ -22,8 +22,9 @@ import (
 // in, and a harness that no longer notices its window gone fails here.
 // The rest pin tests that were once proved by a hand-made mutation, the
 // rollback invariant (no version names an aborted transaction), the
-// settled promise (a Commit the client does not wait for cannot fail),
-// and the load driver's abort accounting.
+// read-only safety scan and the §6.2 summary, the settled promise (a
+// Commit the client does not wait for cannot fail), and the load
+// driver's abort accounting.
 //
 // A new fence lands with its entry instead of a switch (docs/invariants.md).
 
@@ -407,6 +408,24 @@ var mutants = []mutant{
 		new: ``,
 		pkg: "./internal/workload",
 		run: "^TestRunAccounting$",
+	},
+
+	// --- The SSI state in the commit-log record (§4.2, §6.2). ---
+	{
+		name: "read-only Begin watches no writer",
+		file: "internal/core/core.go",
+		old:  `if !c.committed && !c.aborted {`,
+		new:  `if false {`,
+		pkg:  "./internal/core",
+		run:  "^TestSafeSnapshotAfterConcurrentWritersFinish$",
+	},
+	{
+		name: "summarization forgets the earliest out-conflict",
+		file: "internal/core/lifecycle.go",
+		old:  `m.mvcc.Attach(c.XID, summary(c.earliestOutConflictCommit))`,
+		new:  `m.mvcc.Attach(c.XID, summary(0))`,
+		pkg:  "./internal/core",
+		run:  "^TestSummaryConflictOutViaMVCCLookup$",
 	},
 
 	// --- Reclamation and the S2PL read path. ---
