@@ -257,13 +257,26 @@ func TestReadOnlyOptimizationAvoidsFalsePositive(t *testing.T) {
 	// check alone would still spuriously abort; the read-only snapshot
 	// ordering rule (Theorem 3) clears it because T3 commits after
 	// T1's snapshot.
-	for _, disable := range []bool{false, true} {
-		db := pgssi.Open(pgssi.Config{DisableReadOnlyOpt: disable})
+	//
+	// With no read/write transaction running at its Begin, T1 is on a
+	// safe snapshot (§4.2) and takes no SIREAD locks, so nothing is
+	// flagged at all. In the writerOpen leg an unrelated read/write
+	// transaction spans T1's Begin, T1 must track its reads, and the
+	// structure forms: only Theorem 3 clears it.
+	for _, leg := range []struct{ disable, writerOpen bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		db := pgssi.Open(pgssi.Config{DisableReadOnlyOpt: leg.disable})
 		mustExec(t, db.CreateTable("control"))
 		mustExec(t, db.CreateTable("receipts"))
 		seed, _ := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
 		mustExec(t, seed.Insert("control", "batch", []byte("1")))
 		mustExec(t, seed.Commit())
+
+		var writer *pgssi.Tx
+		if leg.writerOpen {
+			var err error
+			writer, err = db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable})
+			mustExec(t, err)
+		}
 
 		// T1 (REPORT, declared read-only) takes its snapshot first
 		// and reads only receipts.
@@ -301,11 +314,14 @@ func TestReadOnlyOptimizationAvoidsFalsePositive(t *testing.T) {
 				t.Fatalf("unexpected error: %v", e)
 			}
 		}
-		if !disable && failures != 0 {
-			t.Fatalf("read-only optimization should avoid any abort, got %d failures", failures)
+		if writer != nil {
+			mustExec(t, writer.Commit())
 		}
-		if disable && failures == 0 {
-			t.Fatalf("without the read-only optimization this dangerous structure should abort")
+		if !leg.disable && failures != 0 {
+			t.Fatalf("%+v: read-only optimization should avoid any abort, got %d failures", leg, failures)
+		}
+		if leg.disable && failures == 0 {
+			t.Fatalf("%+v: without the read-only optimization this dangerous structure should abort", leg)
 		}
 	}
 }

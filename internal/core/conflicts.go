@@ -1,14 +1,43 @@
 package core
 
 import (
+	"math"
+
 	"pgssi/internal/mvcc"
 	"pgssi/internal/trace"
 )
 
-// This file implements rw-antidependency flagging and dangerous-structure
-// detection (§5.2, §5.3), including the commit-ordering optimization
-// (§3.3.1), the read-only snapshot ordering rule (Theorem 3), and the
-// safe-retry victim selection rules (§5.4).
+// This file implements rw-antidependency flagging (§5.2, §5.3) and the
+// one dangerous-structure rule every check applies. A structure
+// T1 → T2 → T3 of rw-antidependencies (T1 may be T3: a 2-cycle) forces
+// an abort only if T3 commits first: before T2 and before T1
+// (§3.3.1's commit ordering), and, when T1 is read-only, before T1 took
+// its snapshot (§4.1, Theorem 3). dangerousLocked applies that test to
+// one T1, and checkPivotLocked to every T1 of a pivot T2. The victim of
+// a dangerous structure (chooseVictimLocked) is the pivot, whose retry
+// no longer overlaps the committed T3 (§5.4); if the pivot has prepared
+// or committed, an abortable T1 other than T3, for which safe retry
+// cannot be guaranteed (§7.1); failing that, T3 itself if it has not
+// committed.
+//
+// The rule is applied where a structure can complete:
+//   - onConflictDetectedLocked, a new edge r → w: structure (a) has r as
+//     T1 and w as the pivot, structure (b) has r as the pivot and a
+//     committed or prepared w as T3;
+//   - conflictWithSummarizedWriterLocked, an edge to a summarized
+//     writer (§6.2), and checkTargetWriteLocked's summarized reader;
+//   - preCommitCheckLocked (lifecycle.go), with the committing
+//     transaction as T3 and as the pivot.
+//
+// basicSSICheckLocked and the pre-commit check's basic-SSI branch are
+// the ablation without commit ordering (Cahill's original rule), kept
+// as the reference the optimized rule is measured against.
+
+// notYetCommitted stands for the commit sequence number of a T3 that
+// has not committed yet: it is committing now or it has prepared. It
+// lies above every commit sequence number, so T3 commits after every
+// committed T1 and T2 and after every T1's snapshot.
+const notYetCommitted mvcc.SeqNo = math.MaxUint64
 
 // CheckRead processes a read by x. conflictOut is the MVCC-derived list
 // of concurrent writer transaction IDs supplied by the storage layer
@@ -131,18 +160,14 @@ func (m *Manager) conflictWithSummarizedWriterLocked(x *Xact, wCommit, outSeq mv
 	}
 	m.stats.ConflictsFlagged++
 	// Structure (a): x (T1) → W (T2, committed) → T3 committed at
-	// outSeq. Dangerous if T3 committed first.
-	if outSeq != 0 {
-		if m.dangerousLocked(x, wCommit, outSeq) {
-			// T2 committed: the only abortable party is x (rule 3).
-			return m.doomLocked(x, x)
+	// outSeq. W is summarized, so there is no pivot to doom.
+	if outSeq != 0 && m.dangerousLocked(x, wCommit, outSeq) {
+		if err := m.chooseVictimLocked(nil, x, nil, x); err != nil {
+			return err
 		}
 	}
 	// Structure (b): T1 ∈ x.inConflicts → x (T2) → W (T3, committed).
-	if err := m.checkPivotLocked(x, wCommit, x); err != nil {
-		return err
-	}
-	return nil
+	return m.checkPivotLocked(x, wCommit, nil, x)
 }
 
 // onConflictDetectedLocked records the edge r → w between two tracked
@@ -199,50 +224,22 @@ func (m *Manager) onConflictDetectedLocked(r, w, caller *Xact) error {
 	}
 
 	// Structure (a): r = T1, w = T2 (pivot), T3 = w's earliest
-	// committed out-conflict. Dangerous only if T3 committed first
-	// (before both r's and w's commits) and, when r is read-only, T3
-	// committed before r's snapshot (Theorem 3).
-	if s3 := w.earliestOutConflictCommit; s3 != 0 {
-		ok := true
-		if w.committed && s3 > w.CommitSeq {
-			ok = false // T2 committed before T3: not first
-		}
-		// Note the strict comparison: in a length-2 cycle T1 and T3
-		// are the same transaction (s3 == r.CommitSeq), and "T1
-		// committed before T3" must then be false.
-		if ok && r.committed && s3 > r.CommitSeq {
-			ok = false // T1 committed before T3
-		}
-		if ok && m.readOnlySafeLocked(r, s3) {
-			ok = false
-		}
-		if ok {
-			// Victim per §5.4: prefer the pivot T2; if it cannot
-			// be aborted, T1.
-			if !w.committed && !w.prepared {
-				return m.doomLocked(w, caller)
-			}
-			if !r.committed && !r.prepared {
-				return m.doomLocked(r, caller)
-			}
-			// Both unabortable with T3 committed first should be
-			// impossible at detection time (one of them is
-			// executing the operation that created the edge).
+	// committed out-conflict.
+	if s3 := w.earliestOutConflictCommit; s3 != 0 && m.dangerousLocked(r, w.CommitSeq, s3) {
+		if err := m.chooseVictimLocked(w, r, nil, caller); err != nil {
+			return err
 		}
 	}
 
 	// Structure (b): T1 ∈ r.inConflicts, r = T2 (pivot), w = T3. Only
 	// dangerous once T3 commits; if w is still active the pre-commit
-	// check on w will catch it. Prepared w is treated as
-	// committed-first conservatively (it can no longer abort).
-	if w.committed {
-		if err := m.checkPivotLocked(r, w.CommitSeq, caller); err != nil {
-			return err
-		}
-	} else if w.prepared {
-		if err := m.checkPivotPreparedT3Locked(r, caller); err != nil {
-			return err
-		}
+	// check on w will catch it. A prepared w will commit, and before
+	// the pivot and every T1 that has not committed.
+	switch {
+	case w.committed:
+		return m.checkPivotLocked(r, w.CommitSeq, w, caller)
+	case w.prepared:
+		return m.checkPivotLocked(r, notYetCommitted, w, caller)
 	}
 	return nil
 }
@@ -273,122 +270,94 @@ func (m *Manager) basicSSICheckLocked(r, w, caller *Xact) error {
 	return nil
 }
 
-// dangerousLocked applies the commit-ordering and read-only filters to a
-// candidate structure T1 = t1, T2 committed at t2Commit (0 if active),
-// T3 committed at s3. It reports whether the structure requires an abort.
+// dangerousLocked reports whether T1 = t1 leaves a structure
+// t1 → T2 → T3 dangerous, where T2 committed at t2Commit (0 while it
+// runs) and T3 at s3 (notYetCommitted if it has not committed).
+//
+//ssi:holds core.ssi
 func (m *Manager) dangerousLocked(t1 *Xact, t2Commit, s3 mvcc.SeqNo) bool {
 	if !m.cfg.DisableCommitOrderingOpt {
+		// §3.3.1: T3 must commit before T2 and before T1. Strict for
+		// T1: T1 may be the same transaction as T3 (2-cycles), in
+		// which case it did not commit "before" T3.
 		if t2Commit != 0 && s3 > t2Commit {
 			return false
 		}
-		// Strict: T1 may be the same transaction as T3 (2-cycles),
-		// in which case it did not commit "before" T3.
 		if t1.committed && s3 > t1.CommitSeq {
 			return false
 		}
 	}
-	return !m.readOnlySafeLocked(t1, s3)
-}
-
-// readOnlySafeLocked applies the read-only snapshot ordering rule of
-// §4.1: a dangerous structure whose T1 is read-only is a false positive
-// unless T3 committed before T1 took its snapshot.
-func (m *Manager) readOnlySafeLocked(t1 *Xact, t3Commit mvcc.SeqNo) bool {
-	if m.cfg.DisableReadOnlyOpt {
+	// Theorem 3: a read-only T1 is a false positive unless T3
+	// committed before T1 took its snapshot.
+	if !m.cfg.DisableReadOnlyOpt && t1.ReadOnly() && s3 > t1.SnapshotSeq {
 		return false
 	}
-	if !t1.ReadOnly() {
-		return false
-	}
-	return t3Commit > t1.SnapshotSeq
+	return true
 }
 
-// checkPivotLocked checks pivot = T2 against a newly committed (or
-// discovered-committed) T3 with commit seq s3, scanning T1 candidates in
-// pivot.inConflicts plus the summarized-conflict-in flag. If a dangerous
-// structure is confirmed, the pivot is doomed (safe-retry rule 2); caller
-// receives the error if it is the victim.
-func (m *Manager) checkPivotLocked(pivot *Xact, s3 mvcc.SeqNo, caller *Xact) error {
+// checkPivotLocked checks pivot = T2 against a T3 that committed at s3
+// (notYetCommitted if it is committing now or has prepared). t3 is T3
+// itself, nil if it was summarized. The structure is dangerous if a
+// summarized transaction had a conflict in to the pivot (T1's identity
+// is lost, so conservatively, §6.2) or some T1 in pivot.inConflicts
+// passes dangerousLocked; then chooseVictimLocked picks the victim.
+//
+//ssi:holds core.ssi
+func (m *Manager) checkPivotLocked(pivot *Xact, s3 mvcc.SeqNo, t3, caller *Xact) error {
 	if pivot.committed || pivot.aborted || pivot.doomed.Load() {
 		// A committed pivot with a dangerous structure is handled at
 		// its own pre-commit check or at detection time; nothing to
 		// do here.
 		return nil
 	}
-	danger := false
-	if pivot.summaryConflictIn {
-		// T1 identity lost: conservatively dangerous (§6.2).
-		danger = true
-	}
+	danger := pivot.summaryConflictIn
 	if !danger {
 		for t1 := range pivot.inConflicts {
-			if t1 == pivot {
-				continue
+			if m.dangerousLocked(t1, 0, s3) {
+				danger = true
+				break
 			}
-			if !m.cfg.DisableCommitOrderingOpt && t1.committed && t1.CommitSeq < s3 {
-				continue // T1 committed strictly before T3: safe
-			}
-			if m.readOnlySafeLocked(t1, s3) {
-				continue
-			}
-			danger = true
-			break
 		}
 	}
 	if !danger {
 		return nil
 	}
-	if !pivot.prepared {
+	return m.chooseVictimLocked(pivot, nil, t3, caller)
+}
+
+// chooseVictimLocked dooms the victim of a dangerous structure
+// t1 → pivot → t3 (§5.4, §7.1): the pivot if it can abort; else an
+// abortable T1 — t1 itself when the caller names it, otherwise any
+// transaction in pivot.inConflicts other than t3; else t3 if it can
+// abort. A nil argument is a transaction that was summarized or is not
+// named. caller receives ErrSerializationFailure if it is the victim.
+//
+//ssi:holds core.ssi
+func (m *Manager) chooseVictimLocked(pivot, t1, t3, caller *Xact) error {
+	switch {
+	case pivot.abortable():
 		return m.doomLocked(pivot, caller)
-	}
-	// The pivot has prepared and cannot abort (§7.1): abort an active
-	// T1 instead; safe retry cannot be guaranteed.
-	for t1 := range pivot.inConflicts {
-		if !t1.committed && !t1.prepared {
+	case t1 != nil:
+		if t1.abortable() {
 			return m.doomLocked(t1, caller)
 		}
+	case pivot != nil:
+		for c := range pivot.inConflicts {
+			if c != t3 && c.abortable() {
+				return m.doomLocked(c, caller)
+			}
+		}
+	}
+	if t3.abortable() {
+		return m.doomLocked(t3, caller)
 	}
 	return nil
 }
 
-// checkPivotPreparedT3Locked handles the case where T3 has prepared but
-// not yet committed. Since a prepared transaction is guaranteed to
-// commit, and the pivot and T1 candidates have not committed, T3 will be
-// the first to commit: treat the structure as dangerous now.
-func (m *Manager) checkPivotPreparedT3Locked(pivot *Xact, caller *Xact) error {
-	if pivot.committed || pivot.aborted || pivot.doomed.Load() {
-		return nil
-	}
-	danger := pivot.summaryConflictIn
-	if !danger {
-		for t1 := range pivot.inConflicts {
-			if t1 == pivot {
-				continue
-			}
-			if t1.committed {
-				continue // committed before T3's future commit
-			}
-			// A read-only T1 took its snapshot before T3's future
-			// commit, so Theorem 3 clears it.
-			if !m.cfg.DisableReadOnlyOpt && t1.ReadOnly() {
-				continue
-			}
-			danger = true
-			break
-		}
-	}
-	if !danger {
-		return nil
-	}
-	if !pivot.prepared {
-		return m.doomLocked(pivot, caller)
-	}
-	for t1 := range pivot.inConflicts {
-		if !t1.committed && !t1.prepared {
-			return m.doomLocked(t1, caller)
-		}
-	}
-	return nil
+// abortable reports whether x can still be chosen as a victim: it
+// exists, has not committed, and has not prepared (§7.1).
+func (x *Xact) abortable() bool {
+	return x != nil && !x.committed && !x.prepared
 }
 
 // doomLocked marks victim for abort. If the victim is the transaction
@@ -544,7 +513,7 @@ func (m *Manager) checkTargetWriteLocked(x *Xact, t Target) error {
 			// T_committed → x → T3 if x already has a committed
 			// out-conflict.
 			if s3 := x.earliestOutConflictCommit; s3 != 0 {
-				if err := m.checkPivotLocked(x, s3, x); err != nil {
+				if err := m.checkPivotLocked(x, s3, nil, x); err != nil {
 					return err
 				}
 			}

@@ -244,9 +244,6 @@ type Xact struct {
 	// it takes no SIREAD locks and cannot abort (§4.2). It is atomic
 	// so the engine's hot paths can check it without the SSI mutex.
 	safe atomic.Bool
-	// partiallyReleased is set when a read-only transaction became
-	// safe mid-run and dropped its locks and conflicts.
-	partiallyReleased bool
 
 	// edgeMu is the transaction's edge lock. It guards the maps and
 	// flags above and below against the conflict-free commit fast path,
@@ -594,7 +591,6 @@ func (m *Manager) markSafeLocked(x *Xact) {
 	}
 	x.edgeMu.Lock()
 	x.outConflicts = nil
-	x.partiallyReleased = true
 	x.edgeMu.Unlock()
 	if x.safeCh != nil {
 		close(x.safeCh)
@@ -608,7 +604,16 @@ func (m *Manager) markUnsafeLocked(x *Xact) {
 		return
 	}
 	x.unsafe = true
-	// Detach from remaining watched transactions.
+	m.unwatchLocked(x)
+	if x.safeCh != nil {
+		close(x.safeCh)
+	}
+}
+
+// unwatchLocked detaches read-only x from every read/write transaction
+// whose fate it was waiting on (§4.2). Caller holds m.mu but no edge
+// locks.
+func (m *Manager) unwatchLocked(x *Xact) {
 	for rw := range x.possibleUnsafe {
 		rw.edgeMu.Lock()
 		delete(rw.watchingROs, x)
@@ -617,9 +622,31 @@ func (m *Manager) markUnsafeLocked(x *Xact) {
 	x.edgeMu.Lock()
 	x.possibleUnsafe = nil
 	x.edgeMu.Unlock()
-	if x.safeCh != nil {
-		close(x.safeCh)
+}
+
+// releaseWatchersLocked tells every read-only transaction watching x
+// that x has finished (§4.2). unsafeAt is the commit sequence number
+// of the earliest transaction a committed, writing x had a conflict out
+// to (0 if none, or if x aborted or wrote nothing): a watcher whose
+// snapshot came after it is unsafe. A watcher that has no writer left
+// to wait on is otherwise safe. Caller holds m.mu but no edge locks.
+func (m *Manager) releaseWatchersLocked(x *Xact, unsafeAt mvcc.SeqNo) {
+	for ro := range x.watchingROs {
+		ro.edgeMu.Lock()
+		delete(ro.possibleUnsafe, x)
+		undecided := len(ro.possibleUnsafe) == 0 && !ro.unsafe && !ro.safe.Load()
+		ro.edgeMu.Unlock()
+		if unsafeAt != 0 && unsafeAt <= ro.SnapshotSeq {
+			m.markUnsafeLocked(ro)
+			continue
+		}
+		if undecided {
+			m.markSafeLocked(ro)
+		}
 	}
+	x.edgeMu.Lock()
+	x.watchingROs = nil
+	x.edgeMu.Unlock()
 }
 
 // SafeVerdict blocks until the safety of x's snapshot is decided and

@@ -138,7 +138,9 @@ func TestCommitOrderingAvoidsFalsePositive(t *testing.T) {
 	// Dangerous structure T1 → T2 → T3 where T1 commits before T3:
 	// with the commit-ordering optimization nobody aborts (the cycle
 	// cannot close); with it disabled, someone does.
-	run := func(disable bool) int {
+	// When T1 also writes, §4.1's "finished without writing" clause no
+	// longer clears it, and commit ordering alone must.
+	run := func(disable, t1Writes bool) int {
 		h := newHarness(t, Config{DisableCommitOrderingOpt: disable})
 		t1 := h.begin(false)
 		t2 := h.begin(false)
@@ -151,7 +153,10 @@ func TestCommitOrderingAvoidsFalsePositive(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		step(h.read(t1, "t", 1, "a"))  // T1 reads a
+		step(h.read(t1, "t", 1, "a")) // T1 reads a
+		if t1Writes {
+			step(h.write(t1, "t", 1, "c")) // T1 writes c, read by nobody
+		}
 		step(h.read(t2, "t", 1, "b"))  // T2 reads b
 		step(h.write(t2, "t", 1, "a")) // edge T1 → T2
 		step(h.write(t3, "t", 1, "b")) // edge T2 → T3
@@ -160,11 +165,13 @@ func TestCommitOrderingAvoidsFalsePositive(t *testing.T) {
 		step(h.commit(t2))             // pivot last
 		return failures
 	}
-	if n := run(false); n != 0 {
-		t.Fatalf("commit ordering should clear this structure, got %d failures", n)
-	}
-	if n := run(true); n == 0 {
-		t.Fatal("basic SSI should abort on this structure")
+	for _, t1Writes := range []bool{false, true} {
+		if n := run(false, t1Writes); n != 0 {
+			t.Fatalf("T1 writes %v: commit ordering should clear this structure, got %d failures", t1Writes, n)
+		}
+		if n := run(true, t1Writes); n == 0 {
+			t.Fatalf("T1 writes %v: basic SSI should abort on this structure", t1Writes)
+		}
 	}
 }
 
@@ -512,6 +519,35 @@ func TestSummaryLeavesWithCommitLog(t *testing.T) {
 	}
 	if n := h.mgr.SummaryTableSize(); n != 0 {
 		t.Fatalf("%d summaries outlive the commit log, want 0", n)
+	}
+}
+
+func TestSummarizedReadOnlyLeavesItsWriters(t *testing.T) {
+	// A read-only transaction that commits while a writer it watches
+	// (§4.2) still runs is retained like any committed transaction.
+	// Once summarized (§6.2) it must leave the writer's watch set, or
+	// one long writer holds every reader that ran beside it.
+	const readers, budget = 5000, 64
+	h := newHarness(t, Config{MaxCommittedXacts: budget})
+	w := h.begin(false)
+	for i := range readers {
+		ro := h.begin(true)
+		if err := h.read(ro, "t", int64(i), "k"); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.commit(ro); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.mgr.ReclaimNow()
+	w.edgeMu.Lock()
+	watching := len(w.watchingROs)
+	w.edgeMu.Unlock()
+	if watching > budget+4 {
+		t.Fatalf("the running writer is watched by %d committed readers, want at most %d (MaxCommittedXacts %d retained, the rest summarized)", watching, budget+4, budget)
+	}
+	if err := h.commit(w); err != nil {
+		t.Fatal(err)
 	}
 }
 

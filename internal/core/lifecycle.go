@@ -157,68 +157,11 @@ func (m *Manager) preCommitCheckLocked(x *Xact) error {
 		return nil
 	}
 
-	// Case 1: x is T3 for some pivot P with P → x. If P has not
-	// committed, x would be the first of the structure to commit;
-	// abort P now unless a T1 committed before x clears it.
+	// Case 1: x is T3 for every pivot P with P → x. x has not
+	// committed, so it would be the first of the structure to commit.
 	for pivot := range x.inConflicts {
-		if pivot.committed || pivot.aborted || pivot.doomed.Load() {
-			continue
-		}
-		danger := pivot.summaryConflictIn
-		if !danger {
-			for t1 := range pivot.inConflicts {
-				if t1 == x {
-					// Two-transaction cycle x → P → x
-					// (write skew): always dangerous.
-					danger = true
-					break
-				}
-				if !m.cfg.DisableCommitOrderingOpt && t1.committed {
-					// T1 committed before T3 (= x, still
-					// committing): structure cleared.
-					continue
-				}
-				if !m.cfg.DisableReadOnlyOpt && t1.ReadOnly() && !t1.committed {
-					// Active read-only T1 took its snapshot
-					// before x commits, so T3 cannot have
-					// committed before T1's snapshot.
-					continue
-				}
-				if !m.cfg.DisableReadOnlyOpt && t1.ReadOnly() && t1.committed {
-					// Committed read-only T1: dangerous only
-					// if x committed before its snapshot —
-					// impossible, x is committing now.
-					continue
-				}
-				danger = true
-				break
-			}
-		}
-		if !danger {
-			continue
-		}
-		if !pivot.prepared {
-			// Doom the pivot (safe-retry rule 2): when retried it
-			// will not be concurrent with the committed x.
-			if err := m.doomVictimLocked(pivot, x); err != nil {
-				return err
-			}
-			continue
-		}
-		// Pivot prepared (§7.1): cannot abort it. Abort an active T1
-		// if any, else abort x itself.
-		aborted := false
-		for t1 := range pivot.inConflicts {
-			if t1 != x && !t1.committed && !t1.prepared {
-				if err := m.doomVictimLocked(t1, x); err != nil {
-					return err
-				}
-				aborted = true
-				break
-			}
-		}
-		if !aborted {
-			return m.doomVictimLocked(x, x)
+		if err := m.checkPivotLocked(pivot, notYetCommitted, x, x); err != nil {
+			return err
 		}
 	}
 
@@ -226,13 +169,13 @@ func (m *Manager) preCommitCheckLocked(x *Xact) error {
 	// prepared) conflict out.
 	if len(x.inConflicts) > 0 || x.summaryConflictIn {
 		if s3 := x.earliestOutConflictCommit; s3 != 0 {
-			if err := m.checkPivotLocked(x, s3, x); err != nil {
+			if err := m.checkPivotLocked(x, s3, nil, x); err != nil {
 				return err
 			}
 		}
 		for t3 := range x.outConflicts {
 			if t3.prepared && !t3.committed {
-				if err := m.checkPivotPreparedT3Locked(x, x); err != nil {
+				if err := m.checkPivotLocked(x, notYetCommitted, t3, x); err != nil {
 					return err
 				}
 				break
@@ -240,7 +183,7 @@ func (m *Manager) preCommitCheckLocked(x *Xact) error {
 		}
 		if m.cfg.DisableCommitOrderingOpt && len(x.outConflicts) > 0 {
 			// Basic SSI: both flags set is enough to abort.
-			return m.doomVictimLocked(x, x)
+			return m.doomLocked(x, x)
 		}
 	}
 
@@ -280,24 +223,11 @@ func (m *Manager) finishCommitLocked(x *Xact, seq mvcc.SeqNo) int {
 
 	// Resolve read-only snapshot safety (§4.2): x's fate is now known
 	// to every read-only transaction that was watching it.
-	for ro := range x.watchingROs {
-		ro.edgeMu.Lock()
-		delete(ro.possibleUnsafe, x)
-		undecided := len(ro.possibleUnsafe) == 0 && !ro.unsafe && !ro.safe.Load()
-		ro.edgeMu.Unlock()
-		if x.wrote && x.earliestOutConflictCommit != 0 && x.earliestOutConflictCommit <= ro.SnapshotSeq {
-			// x committed with an rw-conflict out to a transaction
-			// that committed before ro's snapshot: unsafe.
-			m.markUnsafeLocked(ro)
-			continue
-		}
-		if undecided {
-			m.markSafeLocked(ro)
-		}
+	var unsafeAt mvcc.SeqNo
+	if x.wrote {
+		unsafeAt = x.earliestOutConflictCommit
 	}
-	x.edgeMu.Lock()
-	x.watchingROs = nil
-	x.edgeMu.Unlock()
+	m.releaseWatchersLocked(x, unsafeAt)
 
 	// Retire for the epoch reclaimer; x stays attached (conflict lookups
 	// must still find a writer) until reclaimed or summarized.
@@ -324,41 +254,10 @@ func (m *Manager) Abort(x *Xact) {
 	}
 	m.releaseLocksLocked(x)
 	// §5.3: conflicts involving an aborted transaction can be removed.
-	for w := range x.outConflicts {
-		w.edgeMu.Lock()
-		delete(w.inConflicts, x)
-		w.edgeMu.Unlock()
-	}
-	for r := range x.inConflicts {
-		r.edgeMu.Lock()
-		delete(r.outConflicts, x)
-		r.edgeMu.Unlock()
-	}
-	x.edgeMu.Lock()
-	x.outConflicts = nil
-	x.inConflicts = nil
-	x.edgeMu.Unlock()
+	m.dropEdgesLocked(x)
 	// Detach safe-snapshot bookkeeping.
-	for rw := range x.possibleUnsafe {
-		rw.edgeMu.Lock()
-		delete(rw.watchingROs, x)
-		rw.edgeMu.Unlock()
-	}
-	x.edgeMu.Lock()
-	x.possibleUnsafe = nil
-	x.edgeMu.Unlock()
-	for ro := range x.watchingROs {
-		ro.edgeMu.Lock()
-		delete(ro.possibleUnsafe, x)
-		undecided := len(ro.possibleUnsafe) == 0 && !ro.unsafe && !ro.safe.Load()
-		ro.edgeMu.Unlock()
-		if undecided {
-			m.markSafeLocked(ro)
-		}
-	}
-	x.edgeMu.Lock()
-	x.watchingROs = nil
-	x.edgeMu.Unlock()
+	m.unwatchLocked(x)
+	m.releaseWatchersLocked(x, 0)
 	if !x.unsafe && !x.safe.Load() {
 		// Unblock any deferrable waiter; verdict is moot.
 		x.unsafe = true
@@ -431,6 +330,12 @@ func (m *Manager) summarizeLocked(c *Xact) {
 	// reader can find c's versions invisible.
 	m.mvcc.Attach(c.XID, summary(c.earliestOutConflictCommit))
 
+	// A read-only c still watching running writers leaves them: its
+	// locks move to the dummy below, so a verdict on its snapshot
+	// could only count a stat, and each writer would otherwise hold c
+	// until it finished.
+	m.unwatchLocked(c)
+
 	// Reassign SIREAD locks to the dummy transaction, inserting the
 	// dummy's lock before removing c's so concurrent write checks never
 	// see the target momentarily unheld.
@@ -464,17 +369,4 @@ func (m *Manager) summarizeLocked(c *Xact) {
 	c.outConflicts = nil
 	c.inConflicts = nil
 	c.edgeMu.Unlock()
-}
-
-// doomVictimLocked dooms victim, falling back per the safe-retry rules if
-// the victim cannot be aborted. caller receives ErrSerializationFailure
-// when it is the chosen victim.
-func (m *Manager) doomVictimLocked(victim, caller *Xact) error {
-	if victim.committed || victim.prepared {
-		if caller != victim && !caller.committed && !caller.prepared {
-			return m.doomLocked(caller, caller)
-		}
-		return nil
-	}
-	return m.doomLocked(victim, caller)
 }

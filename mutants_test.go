@@ -23,8 +23,11 @@ import (
 // The rest pin tests that were once proved by a hand-made mutation, the
 // rollback invariant (no version names an aborted transaction), the
 // read-only safety scan and the §6.2 summary, the settled promise (a
-// Commit the client does not wait for cannot fail), and the load
-// driver's abort accounting.
+// Commit the client does not wait for cannot fail), the load driver's
+// abort accounting, and the dangerous-structure rule: commit ordering
+// (§3.3.1), Theorem 3 and the prepared-pivot exception to the victim
+// choice (§7.1), each broken alone in the one place it is written
+// (internal/core/conflicts.go) and each caught by a deterministic test.
 //
 // A new fence lands with its entry instead of a switch (docs/invariants.md).
 
@@ -444,6 +447,35 @@ var mutants = []mutant{
 		new:  `}, nil, fn)`,
 		pkg:  ".",
 		run:  "^TestReadPathsAgree$",
+	},
+
+	// --- The dangerous-structure rule (§3.3.1, §4.1, §5.4, §7.1). ---
+	{
+		name: "Theorem 3 dropped",
+		file: "internal/core/conflicts.go",
+		old:  `if !m.cfg.DisableReadOnlyOpt && t1.ReadOnly() && s3 > t1.SnapshotSeq {`,
+		new:  `if false {`,
+		pkg:  ".",
+		run:  "^TestReadOnlyOptimizationAvoidsFalsePositive$",
+	},
+	{
+		name: "commit order ignored for T1",
+		file: "internal/core/conflicts.go",
+		old: `		if t1.committed && s3 > t1.CommitSeq {
+			return false
+		}
+`,
+		new: ``,
+		pkg: "./internal/core",
+		run: "^TestCommitOrderingAvoidsFalsePositive$",
+	},
+	{
+		name: "prepared pivot chosen as victim",
+		file: "internal/core/conflicts.go",
+		old:  `case pivot.abortable():`,
+		new:  `case pivot != nil && !pivot.committed:`,
+		pkg:  "./internal/core",
+		run:  "^TestPreparedTransactionCannotBeVictim$",
 	},
 }
 
