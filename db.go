@@ -163,10 +163,11 @@ const (
 )
 
 // testHooks are the engine's test-only seams: the §3.3.1 ablation, the
-// trace function the interleaving harnesses park transactions with, and
-// a fault-injecting filesystem. The engine's fences have no switch: the
-// mutation table (mutants_test.go) reopens each in a copy of the source.
-// Open and OpenDir leave them zero; only tests set them (export_test.go).
+// trace function the interleaving harnesses park transactions with, a
+// fault-injecting filesystem and an inline reclaimer. The engine's fences
+// have no switch: the mutation table (mutants_test.go) reopens each in a
+// copy of the source. Open and OpenDir leave them zero; only tests set
+// them (export_test.go).
 type testHooks struct {
 	// DisableCommitOrderingOpt turns off the commit-ordering
 	// optimization of §3.3.1 (ablation: original SSI abort rule).
@@ -177,6 +178,10 @@ type testHooks struct {
 	// WALFS overrides the durable WAL's filesystem; nil means the OS
 	// filesystem.
 	WALFS wal.FS
+	// ReclaimInline runs the SSI layer's reclaim passes on the goroutine
+	// that asks for one (core.Config.ReclaimInline), so that a history
+	// run on one goroutine replays exactly.
+	ReclaimInline bool
 }
 
 // IndexKeyFunc derives a secondary-index key from a row; ok=false skips
@@ -288,6 +293,7 @@ func open(cfg Config, h testHooks) *DB {
 			DisableCommitOrderingOpt: h.DisableCommitOrderingOpt,
 			DisableReadOnlyOpt:       cfg.DisableReadOnlyOpt,
 			Trace:                    h.Trace,
+			ReclaimInline:            h.ReclaimInline,
 		}),
 		s2pl:     s2pl.NewManager(),
 		wg:       waitgraph.New(),

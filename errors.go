@@ -56,6 +56,10 @@ var (
 	// failure, so IsSerializationFailure still reports true — the
 	// caller may apply its own, slower retry policy.
 	ErrRetriesExhausted = errors.New("pgssi: transaction retries exhausted")
+	// ErrNoSafeSnapshots reports a DEFERRABLE Begin on a database whose
+	// Config.DisableReadOnlyOpt turns safe snapshots off: no snapshot
+	// could ever be proven safe, so the wait would never end.
+	ErrNoSafeSnapshots = errors.New("pgssi: DEFERRABLE needs safe snapshots, which DisableReadOnlyOpt turns off")
 	// ErrWALPoisoned reports that the durable WAL has taken a sticky
 	// flush failure: no commit can be made durable until the directory
 	// is reopened, so Begin refuses new transactions with this error

@@ -6,7 +6,8 @@ import (
 )
 
 // Hooks are the engine's test-only seams (testHooks in db.go): the §3.3.1
-// ablation, the trace function and the WAL filesystem override.
+// ablation, the trace function, the WAL filesystem override and the
+// inline reclaimer.
 type Hooks = testHooks
 
 // OpenWithHooks is Open with test-only seams set.

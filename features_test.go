@@ -314,6 +314,30 @@ func TestDeferrableRequiresReadOnlySerializable(t *testing.T) {
 	}
 }
 
+// TestDeferrableWithoutSafeSnapshots: with the read-only optimizations
+// off no snapshot is ever proven safe, so a DEFERRABLE Begin must fail
+// at once, not wait for a safe snapshot that cannot come.
+func TestDeferrableWithoutSafeSnapshots(t *testing.T) {
+	db := kvDB(t, pgssi.Config{DisableReadOnlyOpt: true})
+	defer db.Close()
+	done := make(chan error, 1)
+	go func() {
+		tx, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.Serializable, ReadOnly: true, Deferrable: true})
+		if err == nil {
+			tx.Rollback()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, pgssi.ErrNoSafeSnapshots) {
+			t.Fatalf("DEFERRABLE Begin with DisableReadOnlyOpt: %v, want ErrNoSafeSnapshots", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("DEFERRABLE Begin with DisableReadOnlyOpt did not return")
+	}
+}
+
 func TestMemoryBoundUnderLongRunningReader(t *testing.T) {
 	// §6: a long-running transaction must not let SSI state grow
 	// without bound; the lock table stays within its budget and old

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"strconv"
+	"strings"
 	"testing"
 
 	"pgssi"
@@ -104,6 +105,36 @@ func TestFuzzOracleDetectsSnapshotIsolationAnomalies(t *testing.T) {
 	t.Logf("oracle found cycles in %d/%d snapshot-isolation histories", cycles, histories)
 }
 
+// TestFuzzHistoriesReplay: with the reclaimer run inline, a seeded
+// history is a function of its seed — which transactions commit, and
+// what each one read. The seeds are ones whose verdicts once followed Go's
+// map order (a prepared pivot with no abortable T1, in the pre-commit
+// check and in the victim choice), so two replays disagreed.
+func TestFuzzHistoriesReplay(t *testing.T) {
+	for _, seed := range []uint64{280, 5502, 5830} {
+		var first string
+		for run := 0; run < 8; run++ {
+			db := pgssi.OpenWithHooks(pgssi.Config{}, pgssi.Hooks{ReclaimInline: true})
+			mustExec(t, db.CreateTable("t"))
+			txns, deferrable := playFuzzHistory(t, seed, pgssi.Serializable, db, nil)
+			var b strings.Builder
+			for _, f := range txns {
+				fmt.Fprintf(&b, "T%d committed=%v ops=%v\n", f.id, f.committed, f.ops)
+			}
+			if deferrable != nil {
+				// What it read depends on when its safe snapshot came.
+				fmt.Fprintf(&b, "deferrable committed=%v\n", deferrable.committed)
+			}
+			mustExec(t, db.Close())
+			if run == 0 {
+				first = b.String()
+			} else if got := b.String(); got != first {
+				t.Fatalf("seed %d: replay %d differs from the first:\n%s\nfirst:\n%s", seed, run, got, first)
+			}
+		}
+	}
+}
+
 // fop is one generated operation.
 type fop struct {
 	kind int // 0 = Get, 1 = Scan, 2 = Put, 3 = Delete(+reinsert)
@@ -152,6 +183,28 @@ func runFuzzHistory(t *testing.T, seed uint64, level pgssi.IsolationLevel) []uin
 // transaction's write set is appended in commit-acknowledgement order.
 func runFuzzHistoryOn(t *testing.T, seed uint64, level pgssi.IsolationLevel, db *pgssi.DB, acked *[]ackedCommit) []uint64 {
 	t.Helper()
+	txns, deferrable := playFuzzHistory(t, seed, level, db, acked)
+	var committed []graphcheck.Txn
+	for _, f := range txns {
+		if f.committed {
+			committed = append(committed, graphcheck.Txn{ID: f.id, Ops: f.ops})
+		}
+	}
+	if deferrable != nil && deferrable.committed {
+		committed = append(committed, graphcheck.Txn{ID: deferrable.id, Ops: deferrable.ops})
+	}
+	g, err := graphcheck.Build(committed)
+	if err != nil {
+		t.Fatalf("seed %d: malformed recorded history: %v", seed, err)
+	}
+	return g.Cycle()
+}
+
+// playFuzzHistory runs the seeded history against db and returns its
+// scheduled transactions and its deferrable one (nil if the seed has
+// none), each finished, with what it read and wrote.
+func playFuzzHistory(t *testing.T, seed uint64, level pgssi.IsolationLevel, db *pgssi.DB, acked *[]ackedCommit) (txns []*ftxn, deferrable *ftxn) {
+	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 0x5551))
 	init, err := db.Begin(pgssi.TxOptions{Isolation: pgssi.RepeatableRead})
 	if err != nil {
@@ -170,7 +223,7 @@ func runFuzzHistoryOn(t *testing.T, seed uint64, level pgssi.IsolationLevel, db 
 	}
 
 	ntxns := 3 + rng.IntN(3)
-	txns := make([]*ftxn, ntxns)
+	txns = make([]*ftxn, ntxns)
 	for i := range txns {
 		nops := 2 + rng.IntN(4)
 		prog := make([]fop, nops)
@@ -198,7 +251,6 @@ func runFuzzHistoryOn(t *testing.T, seed uint64, level pgssi.IsolationLevel, db 
 	// On some seeds, one deferrable read-only transaction runs on a
 	// background goroutine: its Begin blocks until a safe snapshot is
 	// available, which resolves as the scheduled transactions finish.
-	var deferrable *ftxn
 	var deferrableDone chan struct{}
 	if level == pgssi.Serializable && rng.IntN(3) == 0 {
 		deferrable = &ftxn{id: uint64(ntxns + 1), wrote: make(map[string]bool)}
@@ -260,21 +312,7 @@ func runFuzzHistoryOn(t *testing.T, seed uint64, level pgssi.IsolationLevel, db 
 	if deferrable != nil {
 		<-deferrableDone
 	}
-
-	var committed []graphcheck.Txn
-	for _, f := range txns {
-		if f.committed {
-			committed = append(committed, graphcheck.Txn{ID: f.id, Ops: f.ops})
-		}
-	}
-	if deferrable != nil && deferrable.committed {
-		committed = append(committed, graphcheck.Txn{ID: deferrable.id, Ops: deferrable.ops})
-	}
-	g, err := graphcheck.Build(committed)
-	if err != nil {
-		t.Fatalf("seed %d: malformed recorded history: %v", seed, err)
-	}
-	return g.Cycle()
+	return txns, deferrable
 }
 
 // fuzzAbort rolls the transaction back and releases its write claims.

@@ -18,6 +18,24 @@
 // its slot (visibility filters it), which is what lets a TID outlive the
 // tree lock and a leaf walk resume from a next pointer.
 //
+// A leaf keeps its keys inline, as nbtree does on an index page, with no
+// pointer per key: their bytes lie end to end, in key order, in the
+// leaf's arena, and each entry holds where its key starts next to its
+// payload (the key ends where the next one starts). For a table's tree
+// the arena and the entries hold no pointer at all, so the collector
+// marks a leaf's three objects and scans none of its keys. The arena is
+// also the key's one home: the heap stores no copy. Range and Leaves
+// hand keys out as strings that view the arena, under one rule —
+// a byte of an arena, once written, is never written again. An insert
+// that ends the leaf appends past the arena's length, where no view can
+// reach; a middle insert copies the leaf's keys into a fresh arena with
+// the new key in place; a split leaves the left half its arena cut to its
+// own bytes (kb[:o:o], so its next append moves it elsewhere) and gives
+// the right half a fresh one. So a view stays valid, and unchanged, for
+// as long as anyone holds it, and keeps its arena alive that long. The
+// separators of internal nodes are kept as strings; one that a leaf split
+// made is a view into the new right leaf's arena.
+//
 // For the absent-key/gap case the tree lock itself plays the role the
 // heap page latch (internal/storage/latch.go) plays for heap
 // tuples: Lookup, Range and Leaves invoke their onPage callback — where
@@ -37,8 +55,10 @@
 package btree
 
 import (
+	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // degree is the maximum number of keys per node; nodes split when they
@@ -59,23 +79,90 @@ type Split struct {
 	Left, Right PageID
 }
 
+// entry is a leaf entry: where its key starts in the leaf's arena, and
+// its payload.
+type entry[V any] struct {
+	off uint32
+	val V
+}
+
 type node[V any] struct {
-	// keys are the separator keys (internal) or entry keys (leaf).
-	keys []string
+	// seps are an internal node's separator keys; nil in a leaf.
+	seps []string
 	// children is nil for leaves.
 	children []*node[V]
-	// vals parallels keys in leaves.
-	vals []V
-	// page is the leaf page ID; zero for internal nodes.
-	page PageID
+	// kb is a leaf's key arena: its keys' bytes end to end in key order.
+	// A byte of it is never written twice (see the package comment).
+	kb []byte
+	// ents are a leaf's entries, in key order.
+	ents []entry[V]
 	// next links leaves left-to-right. Leaves are never merged or
 	// freed, and a split only moves entries to a new right sibling, so
 	// a next pointer read under the lock stays a valid resume point
 	// after the lock is dropped (see Leaves).
 	next *node[V]
+	// page is the leaf page ID; zero for internal nodes.
+	page PageID
 }
 
 func (n *node[V]) leaf() bool { return n.children == nil }
+
+// width is the number of keys n holds: entries in a leaf, separators in
+// an internal node.
+func (n *node[V]) width() int {
+	if n.leaf() {
+		return len(n.ents)
+	}
+	return len(n.seps)
+}
+
+// key returns leaf n's i'th key, as a view into its arena.
+func (n *node[V]) key(i int) string {
+	lo, hi := n.ents[i].off, uint32(len(n.kb))
+	if i+1 < len(n.ents) {
+		hi = n.ents[i+1].off
+	}
+	if lo == hi {
+		return ""
+	}
+	return unsafe.String(&n.kb[lo], hi-lo)
+}
+
+// search returns the first position at or after from whose key is not
+// below key in leaf n, len(n.ents) if there is none.
+func (n *node[V]) search(from int, key string) int {
+	lo, hi := from, len(n.ents)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if n.key(m) < key {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// add puts key → val at position i of leaf n. A key that goes last is
+// appended past the arena's length; any other gets a fresh arena, with
+// the keys from i on moved up to make room, so no byte a view may cover
+// is written. Caller holds the tree lock exclusively.
+func (n *node[V]) add(i int, key string, val V) {
+	off := uint32(len(n.kb))
+	if i < len(n.ents) {
+		off = n.ents[i].off
+		kb := make([]byte, 0, len(n.kb)+len(key))
+		kb = append(kb, n.kb[:off]...)
+		kb = append(kb, key...)
+		n.kb = append(kb, n.kb[off:]...)
+		for j := i; j < len(n.ents); j++ {
+			n.ents[j].off += uint32(len(key))
+		}
+	} else {
+		n.kb = append(n.kb, key...)
+	}
+	n.ents = slices.Insert(n.ents, i, entry[V]{off: off, val: val})
+}
 
 // Tree is a concurrency-safe B+-tree whose leaf entries carry a V. A
 // single RWMutex guards the whole tree; PostgreSQL's per-page latching
@@ -125,7 +212,7 @@ func (t *Tree[V]) Len() int {
 func (t *Tree[V]) descend(key string) *node[V] {
 	n := t.root
 	for !n.leaf() {
-		n = n.children[childIndex(n.keys, key)]
+		n = n.children[childIndex(n.seps, key)]
 	}
 	return n
 }
@@ -144,7 +231,7 @@ func (t *Tree[V]) leafFor(key string) *node[V] {
 
 // above reports whether key sorts after every key of leaf n.
 func (n *node[V]) above(key string) bool {
-	return len(n.keys) == 0 || key > n.keys[len(n.keys)-1]
+	return len(n.ents) == 0 || key > n.key(len(n.ents)-1)
 }
 
 // Lookup returns the value stored under key and the leaf page that holds
@@ -164,8 +251,8 @@ func (t *Tree[V]) Lookup(key string, onPage func(PageID)) (val V, ok bool, page 
 	if onPage != nil {
 		onPage(n.page)
 	}
-	if i := sort.SearchStrings(n.keys, key); i < len(n.keys) && n.keys[i] == key {
-		return n.vals[i], true, n.page
+	if i := n.search(0, key); i < len(n.ents) && n.key(i) == key {
+		return n.ents[i].val, true, n.page
 	}
 	return val, false, n.page
 }
@@ -180,43 +267,40 @@ func (t *Tree[V]) Insert(key string, val V) (page PageID, added bool, splits []S
 	return page, added, splits
 }
 
-// GetOrInsert returns the value stored under key, storing what mk(key)
+// GetOrInsert returns the value stored under key, storing what mk()
 // returns first if the key is absent — the find-or-create a table uses
 // for a key's row slot, whose identity must never change once handed
-// out. mk is called (under the tree lock) only when the key is absent; it
-// returns the value and the key to store, a string equal to key (a table
-// stores a copy kept on the row's heap page). The other results are
-// Insert's.
-func (t *Tree[V]) GetOrInsert(key string, mk func(key string) (string, V)) (got V, page PageID, added bool, splits []Split) {
+// out. mk is called (under the tree lock) only when the key is absent.
+// The other results are Insert's.
+func (t *Tree[V]) GetOrInsert(key string, mk func() V) (got V, page PageID, added bool, splits []Split) {
 	var zero V
 	return t.put(key, zero, mk)
 }
 
 // put stores val under key, replacing what is there (mk nil), or finds
 // key's value, storing mk's if there is none (mk non-nil).
-func (t *Tree[V]) put(key string, val V, mk func(string) (string, V)) (got V, page PageID, added bool, splits []Split) {
+func (t *Tree[V]) put(key string, val V, mk func() V) (got V, page PageID, added bool, splits []Split) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if r := t.rightmost; r.above(key) && len(r.keys) < degree {
+	if r := t.rightmost; r.above(key) && len(r.ents) < degree {
 		// The append a descent would make, without the descent: the key
 		// goes last on the rightmost leaf, which has room, so nothing
 		// splits. A full leaf takes the descent below, the one path
 		// that splits.
 		if mk != nil {
-			key, val = mk(key)
+			val = mk()
 		}
-		r.keys = append(r.keys, key)
-		r.vals = append(r.vals, val)
+		r.add(len(r.ents), key, val)
 		t.size++
 		return val, r.page, true, nil
 	}
 	got, page, added, splits = t.insert(t.root, key, val, mk)
-	if len(t.root.keys) > degree {
+	if t.root.width() > degree {
 		// Split the root: the old root becomes the left child.
 		old := t.root
 		mid, right, sp := t.splitNode(old)
 		t.root = &node[V]{
-			keys:     []string{mid},
+			seps:     []string{mid},
 			children: []*node[V]{old, right},
 		}
 		if sp != nil {
@@ -234,41 +318,32 @@ func (t *Tree[V]) put(key string, val V, mk func(string) (string, V)) (got V, pa
 
 // holds reports whether leaf n contains key.
 func (n *node[V]) holds(key string) bool {
-	i := sort.SearchStrings(n.keys, key)
-	return i < len(n.keys) && n.keys[i] == key
+	i := n.search(0, key)
+	return i < len(n.ents) && n.key(i) == key
 }
 
-func (t *Tree[V]) insert(n *node[V], key string, val V, mk func(string) (string, V)) (V, PageID, bool, []Split) {
+func (t *Tree[V]) insert(n *node[V], key string, val V, mk func() V) (V, PageID, bool, []Split) {
 	if n.leaf() {
-		i := sort.SearchStrings(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
+		i := n.search(0, key)
+		if i < len(n.ents) && n.key(i) == key {
 			if mk == nil {
-				n.vals[i] = val
+				n.ents[i].val = val
 			}
-			return n.vals[i], n.page, false, nil
+			return n.ents[i].val, n.page, false, nil
 		}
 		if mk != nil {
-			key, val = mk(key)
+			val = mk()
 		}
-		n.keys = append(n.keys, "")
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.vals = append(n.vals, val)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = val
+		n.add(i, key, val)
 		return val, n.page, true, nil
 	}
-	ci := childIndex(n.keys, key)
+	ci := childIndex(n.seps, key)
 	child := n.children[ci]
 	got, page, added, splits := t.insert(child, key, val, mk)
-	if len(child.keys) > degree {
+	if child.width() > degree {
 		mid, right, sp := t.splitNode(child)
-		n.keys = append(n.keys, "")
-		copy(n.keys[ci+1:], n.keys[ci:])
-		n.keys[ci] = mid
-		n.children = append(n.children, nil)
-		copy(n.children[ci+2:], n.children[ci+1:])
-		n.children[ci+1] = right
+		n.seps = slices.Insert(n.seps, ci, mid)
+		n.children = slices.Insert(n.children, ci+1, right)
 		if sp != nil {
 			splits = append(splits, *sp)
 			// The entry may have landed on the new right page.
@@ -283,25 +358,39 @@ func (t *Tree[V]) insert(n *node[V], key string, val V, mk func(string) (string,
 // splitNode splits an over-full node in half, returning the separator
 // key, the new right sibling, and (for leaves) the split record.
 func (t *Tree[V]) splitNode(n *node[V]) (string, *node[V], *Split) {
-	mid := len(n.keys) / 2
 	right := &node[V]{}
 	if n.leaf() {
-		right.page = t.allocPage()
-		right.keys = append(right.keys, n.keys[mid:]...)
-		right.vals = append(right.vals, n.vals[mid:]...)
-		n.keys = n.keys[:mid:mid]
-		n.vals = n.vals[:mid:mid]
+		mid := len(n.ents) / 2
+		o := n.ents[mid].off
+		moved := n.ents[mid:]
+		// The right half gets a fresh arena and entries. A new rightmost
+		// leaf is where an ascending load goes on appending, so it gets
+		// room for a full leaf of keys as long as these.
+		kcap, ecap := len(n.kb)-int(o), len(moved)
 		if n == t.rightmost {
+			kcap, ecap = kcap*(degree+1)/len(moved), degree+1
 			t.rightmost = right
 		}
+		right.page = t.allocPage()
+		right.kb = append(make([]byte, 0, kcap), n.kb[o:]...)
+		right.ents = make([]entry[V], len(moved), ecap)
+		for j, e := range moved {
+			right.ents[j] = entry[V]{off: e.off - o, val: e.val}
+		}
+		// The left half keeps its bytes where they are, the arena cut
+		// short so that no later append of its own writes over the
+		// moved keys, which views may still cover.
+		n.kb = n.kb[:o:o]
+		n.ents = slices.Clone(n.ents[:mid])
 		right.next = n.next
 		n.next = right
-		return right.keys[0], right, &Split{Left: n.page, Right: right.page}
+		return right.key(0), right, &Split{Left: n.page, Right: right.page}
 	}
-	sep := n.keys[mid]
-	right.keys = append(right.keys, n.keys[mid+1:]...)
+	mid := len(n.seps) / 2
+	sep := n.seps[mid]
+	right.seps = append(right.seps, n.seps[mid+1:]...)
 	right.children = append(right.children, n.children[mid+1:]...)
-	n.keys = n.keys[:mid:mid]
+	n.seps = n.seps[:mid:mid]
 	n.children = n.children[: mid+1 : mid+1]
 	return sep, right, nil
 }
@@ -325,11 +414,12 @@ func (t *Tree[V]) Range(lo, hi string, onPage func(PageID), fn func(key string, 
 		if onPage != nil {
 			onPage(n.page)
 		}
-		for i := sort.SearchStrings(n.keys, lo); i < len(n.keys); i++ {
-			if hi != "" && n.keys[i] >= hi {
+		for i := n.search(0, lo); i < len(n.ents); i++ {
+			k := n.key(i)
+			if hi != "" && k >= hi {
 				return
 			}
-			if !fn(n.keys[i], n.vals[i]) {
+			if !fn(k, n.ents[i].val) {
 				return
 			}
 		}
@@ -346,7 +436,8 @@ func (t *Tree[V]) Range(lo, hi string, onPage func(PageID), fn func(key string, 
 // loading leaves leaves half full, and two of those make a batch the
 // size of a heap page. fn returning false ends the walk at that batch:
 // later leaves are neither read nor passed to onPage. The slices are
-// reused for the next batch; fn must not keep them.
+// reused for the next batch; fn must not keep them, but may keep the keys
+// in them, which view their leaves' arenas (see the package comment).
 //
 // Entries inserted while the lock is down may be missed. That is sound
 // for the snapshot readers this serves: such an entry's writer is
@@ -362,7 +453,7 @@ func (t *Tree[V]) Leaves(lo, hi string, onPage func(PageID), fn func(keys []stri
 	n := t.descend(lo)
 	// Only the first leaf holds keys below lo: every later one lies past
 	// a separator above lo, and a key is only ever placed by descent.
-	i := sort.SearchStrings(n.keys, lo)
+	i := n.search(0, lo)
 	for {
 		keys, vals = keys[:0], vals[:0]
 		last := false
@@ -371,19 +462,21 @@ func (t *Tree[V]) Leaves(lo, hi string, onPage func(PageID), fn func(keys []stri
 				onPage(n.page)
 			}
 			// Only the leaf whose last key reaches hi ends the range.
-			j := len(n.keys)
-			if hi != "" && j > 0 && n.keys[j-1] >= hi {
-				j = i + sort.SearchStrings(n.keys[i:], hi)
-				last = j < len(n.keys)
+			j := len(n.ents)
+			if hi != "" && j > 0 && n.key(j-1) >= hi {
+				j = n.search(i, hi)
+				last = j < len(n.ents)
 			}
-			keys = append(keys, n.keys[i:j]...)
-			vals = append(vals, n.vals[i:j]...)
+			for ; i < j; i++ {
+				keys = append(keys, n.key(i))
+				vals = append(vals, n.ents[i].val)
+			}
 			i = 0
 			n = n.next
 			if n == nil {
 				last = true
 			}
-			if last || len(keys)+len(n.keys) > MaxLeaf {
+			if last || len(keys)+len(n.ents) > MaxLeaf {
 				break
 			}
 		}
@@ -418,7 +511,7 @@ func (t *Tree[V]) CheckInvariants() string {
 	}
 	last := first
 	for last.next != nil {
-		if last.keys[len(last.keys)-1] >= last.next.keys[0] {
+		if last.key(len(last.ents)-1) >= last.next.key(0) {
 			return "leaf chain out of order"
 		}
 		last = last.next
@@ -433,15 +526,25 @@ func (t *Tree[V]) CheckInvariants() string {
 }
 
 func checkNode[V any](n *node[V], lo, hi string) string {
-	if len(n.keys) > degree {
+	if n.width() > degree {
 		return "node exceeds degree"
 	}
-	for i := 1; i < len(n.keys); i++ {
-		if n.keys[i-1] >= n.keys[i] {
+	keys := n.seps
+	if n.leaf() {
+		keys = make([]string, len(n.ents))
+		for i, e := range n.ents {
+			if e.off > uint32(len(n.kb)) || i > 0 && e.off < n.ents[i-1].off {
+				return "leaf key offsets out of order or past the arena"
+			}
+			keys[i] = n.key(i)
+		}
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
 			return "keys out of order"
 		}
 	}
-	for _, k := range n.keys {
+	for _, k := range keys {
 		if lo != "" && k < lo {
 			return "key below subtree lower bound"
 		}
@@ -450,24 +553,21 @@ func checkNode[V any](n *node[V], lo, hi string) string {
 		}
 	}
 	if n.leaf() {
-		if len(n.keys) != len(n.vals) {
-			return "leaf keys/vals length mismatch"
-		}
 		if n.page == 0 {
 			return "leaf missing page id"
 		}
 		return ""
 	}
-	if len(n.children) != len(n.keys)+1 {
+	if len(n.children) != len(n.seps)+1 {
 		return "internal fanout mismatch"
 	}
 	for i, c := range n.children {
 		clo, chi := lo, hi
 		if i > 0 {
-			clo = n.keys[i-1]
+			clo = n.seps[i-1]
 		}
-		if i < len(n.keys) {
-			chi = n.keys[i]
+		if i < len(n.seps) {
+			chi = n.seps[i]
 		}
 		if msg := checkNode(c, clo, chi); msg != "" {
 			return msg

@@ -3,10 +3,15 @@ package btree
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sort"
 	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEmptyTree(t *testing.T) {
@@ -264,7 +269,7 @@ func TestQuickPayloadIdentityAcrossSplits(t *testing.T) {
 		for i := 0; i < n; i++ {
 			k := fmt.Sprintf("%05d", rng.IntN(4000))
 			made := 0
-			got, page, added, sp := tr.GetOrInsert(k, func(k string) (string, *slot) { made++; return k, &slot{key: k} })
+			got, page, added, sp := tr.GetOrInsert(k, func() *slot { made++; return &slot{key: k} })
 			if (made == 1) != added {
 				// The constructor runs exactly when the key is new.
 				return false
@@ -312,7 +317,7 @@ func TestQuickLeavesMatchesRange(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 11))
 	for i := 0; i < 5000; i++ {
 		k := fmt.Sprintf("%05d", rng.IntN(20000))
-		tr.GetOrInsert(k, func(k string) (string, *slot) { return k, &slot{key: k} })
+		tr.GetOrInsert(k, func() *slot { return &slot{key: k} })
 	}
 	f := func(a, b uint16, unbounded bool) bool {
 		lo := fmt.Sprintf("%05d", int(a)%20000)
@@ -372,11 +377,11 @@ func TestLeavesMatchesRangeAcrossSplits(t *testing.T) {
 		n := tr.descend(fmt.Sprintf("%06d", rng.IntN(high+1)))
 		switch rng.IntN(3) {
 		case 0:
-			return n.keys[0]
+			return n.key(0)
 		case 1:
-			return n.keys[len(n.keys)-1]
+			return n.key(len(n.ents) - 1)
 		}
-		return n.keys[len(n.keys)-1] + "0"
+		return n.key(len(n.ents)-1) + "0"
 	}
 	for round := 0; round < 40; round++ {
 		for n := 50 + rng.IntN(200); n > 0; n-- {
@@ -508,7 +513,7 @@ func TestAppendPathMatchesDescent(t *testing.T) {
 				for n := 1 + rng.IntN(24); n > 0; n-- {
 					high += 1 + rng.IntN(3)
 					k = key(high)
-					got, p, added, _ := tr.GetOrInsert(k, func(k string) (string, int) { return k, high })
+					got, p, added, _ := tr.GetOrInsert(k, func() int { return high })
 					if !added || got != high {
 						fail(step, "GetOrInsert", k, "appended key: got %d added=%v", got, added)
 					}
@@ -536,7 +541,7 @@ func TestAppendPathMatchesDescent(t *testing.T) {
 				}
 			case r < 8 && len(keys) > 0: // GetOrInsert of a present key
 				op, k = "GetOrInsert", keys[rng.IntN(len(keys))]
-				got, p, added, _ := tr.GetOrInsert(k, func(k string) (string, int) { t.Fatal("constructor ran for a present key"); return k, 0 })
+				got, p, added, _ := tr.GetOrInsert(k, func() int { t.Fatal("constructor ran for a present key"); return 0 })
 				if added || got != ref[k] {
 					fail(step, op, k, "got %d added=%v, want %d", got, added, ref[k])
 				}
@@ -579,4 +584,149 @@ func TestAppendPathMatchesDescent(t *testing.T) {
 			t.Fatalf("seed %d: only %d pages; the run should cross many splits", seed, tr.nextPage-1)
 		}
 	}
+}
+
+// height is the number of levels from the root to the leaves.
+func height[V any](tr *Tree[V]) int {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	h := 1
+	for n := tr.root; !n.leaf(); n = n.children[0] {
+		h++
+	}
+	return h
+}
+
+// TestIndexKeysSurviveInserts: a key that Range or Leaves hands out is a
+// view of its leaf's arena, and must read the same for as long as it is
+// held, whatever is inserted after it — a key in the middle of a leaf
+// whose arena has room left (the new rightmost leaf of an ascending load
+// has), leaf splits, root splits. A held key also still finds its entry
+// through Lookup.
+func TestIndexKeysSurviveInserts(t *testing.T) {
+	tr := NewOf[int]()
+	key := func(i int) string { return fmt.Sprintf("k%07d", i) }
+	type held struct{ view, copy string }
+	var kept []held
+	take := func() {
+		tr.Range("", "", nil, func(k string, _ int) bool {
+			kept = append(kept, held{k, strings.Clone(k)})
+			return true
+		})
+		tr.Leaves("", "", nil, func(keys []string, _ []int) bool {
+			for _, k := range keys {
+				kept = append(kept, held{k, strings.Clone(k)})
+			}
+			return true
+		})
+	}
+	check := func(phase string) {
+		t.Helper()
+		for _, h := range kept {
+			if h.view != h.copy {
+				t.Fatalf("%s: a held key reads %q, was %q", phase, h.view, h.copy)
+			}
+			if _, ok, _ := tr.Lookup(h.view, nil); !ok {
+				t.Fatalf("%s: held key %q no longer found", phase, h.view)
+			}
+		}
+		if msg := tr.CheckInvariants(); msg != "" {
+			t.Fatalf("%s: %s", phase, msg)
+		}
+	}
+
+	// An ascending load, which leaves the rightmost leaf room to grow.
+	const loaded = 300
+	for i := 0; i < loaded; i++ {
+		tr.Insert(key(i*10), i)
+	}
+	take()
+	// Middle inserts into that leaf, until it splits.
+	for i := loaded - 1; i >= loaded-40; i-- {
+		tr.Insert(key(i*10+5), i)
+		check("middle insert into the rightmost leaf")
+	}
+	take()
+	// Random inserts, across leaf splits and two root splits.
+	rng := rand.New(rand.NewPCG(61, 1))
+	for i := 1; i <= 6000; i++ {
+		tr.Insert(key(rng.IntN(1000000)), i)
+		if i%1000 == 0 {
+			check("random inserts")
+			take()
+		}
+	}
+	check("the end")
+	if h := height(tr); h < 3 {
+		t.Fatalf("tree is %d levels high; the root should have split twice", h)
+	}
+}
+
+// TestLeavesConcurrentWithMiddleInserts walks the whole tree with Leaves
+// on two goroutines, each of which holds every key of its walk and then,
+// with the tree lock down, reads them byte by byte, while inserts land
+// between existing keys. The race detector is the check: a middle insert
+// that wrote into an arena in place would race with those reads. (The
+// detector does not instrument reads of a string's bytes, which are
+// immutable to Go; wellFormed reads them through a byte slice.)
+func TestLeavesConcurrentWithMiddleInserts(t *testing.T) {
+	tr := NewOf[int]()
+	key := func(i int) string { return fmt.Sprintf("k%07d", i) }
+	for i := 0; i < 1000; i++ {
+		tr.Insert(key(i*100), i)
+	}
+	var stop atomic.Bool
+	var walks atomic.Int64
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held []string
+			for !stop.Load() {
+				held = held[:0]
+				tr.Leaves("", "", nil, func(keys []string, _ []int) bool {
+					held = append(held, keys...)
+					return true
+				})
+				walks.Add(1)
+				for _, k := range held {
+					if !wellFormed(k) {
+						t.Errorf("walk delivered %q", k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for walks.Load() < 2 {
+		runtime.Gosched()
+	}
+	rng := rand.New(rand.NewPCG(61, 2))
+	for i := 0; i < 1500; i++ {
+		tr.Insert(key(rng.IntN(100000)), -1)
+		if i%16 == 0 {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if msg := tr.CheckInvariants(); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// wellFormed reports whether k is a "k%07d" key, reading its bytes
+// where the race detector sees the reads.
+func wellFormed(k string) bool {
+	b := unsafe.Slice(unsafe.StringData(k), len(k))
+	if len(b) != 8 || b[0] != 'k' {
+		return false
+	}
+	for _, c := range b[1:] {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"pgssi/internal/mvcc"
 	"pgssi/internal/trace"
@@ -327,10 +329,10 @@ func (m *Manager) checkPivotLocked(pivot *Xact, s3 mvcc.SeqNo, t3, caller *Xact)
 
 // chooseVictimLocked dooms the victim of a dangerous structure
 // t1 → pivot → t3 (§5.4, §7.1): the pivot if it can abort; else an
-// abortable T1 — t1 itself when the caller names it, otherwise any
-// transaction in pivot.inConflicts other than t3; else t3 if it can
-// abort. A nil argument is a transaction that was summarized or is not
-// named. caller receives ErrSerializationFailure if it is the victim.
+// abortable T1 — t1 itself when the caller names it, otherwise the one
+// of pivot.inConflicts, other than t3, with the lowest xid; else t3 if it
+// can abort. A nil argument is a transaction that was summarized or is
+// not named. caller receives ErrSerializationFailure if it is the victim.
 //
 //ssi:holds core.ssi
 func (m *Manager) chooseVictimLocked(pivot, t1, t3, caller *Xact) error {
@@ -342,16 +344,35 @@ func (m *Manager) chooseVictimLocked(pivot, t1, t3, caller *Xact) error {
 			return m.doomLocked(t1, caller)
 		}
 	case pivot != nil:
+		// The first in xid order, so that the victim does not depend
+		// on map order.
+		var first *Xact
 		for c := range pivot.inConflicts {
-			if c != t3 && c.abortable() {
-				return m.doomLocked(c, caller)
+			if c != t3 && c.abortable() && (first == nil || c.XID < first.XID) {
+				first = c
 			}
+		}
+		if first != nil {
+			return m.doomLocked(first, caller)
 		}
 	}
 	if t3.abortable() {
 		return m.doomLocked(t3, caller)
 	}
 	return nil
+}
+
+// inXIDOrder returns the transactions of set in xid order, in scratch
+// storage the next call reuses: the caller clears it when done, so that
+// it keeps no transaction alive. Caller holds m.mu.
+func (m *Manager) inXIDOrder(set map[*Xact]struct{}) []*Xact {
+	s := m.byXID[:0]
+	for x := range set {
+		s = append(s, x)
+	}
+	slices.SortFunc(s, func(a, b *Xact) int { return cmp.Compare(a.XID, b.XID) })
+	m.byXID = s
+	return s
 }
 
 // abortable reports whether x can still be chosen as a victim: it

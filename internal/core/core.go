@@ -163,6 +163,11 @@ type Config struct {
 	// events (internal/trace). Test-only; it must not call back into the
 	// Manager.
 	Trace trace.Func
+	// ReclaimInline runs each reclaim pass a wake-up asks for on the
+	// waking goroutine, before the call that woke it returns, instead of
+	// on the background reclaimer: with it a single-goroutine history
+	// runs the same way every time. Test-only.
+	ReclaimInline bool
 }
 
 func (c Config) withDefaults() Config {
@@ -374,6 +379,10 @@ type Manager struct {
 
 	// rec is the background reclaimer's bookkeeping (reclaim.go).
 	rec reclaimer
+
+	// byXID is inXIDOrder's scratch, reused call after call; guarded by
+	// mu.
+	byXID []*Xact
 
 	// stats holds the counters maintained under mu; the lock-path
 	// counters below are atomics because the lock path does not take

@@ -159,7 +159,12 @@ func (m *Manager) preCommitCheckLocked(x *Xact) error {
 
 	// Case 1: x is T3 for every pivot P with P → x. x has not
 	// committed, so it would be the first of the structure to commit.
-	for pivot := range x.inConflicts {
+	// The pivots are taken in xid order: x may doom itself and stop
+	// part-way, and which pivots were doomed by then must not depend on
+	// map order.
+	pivots := m.inXIDOrder(x.inConflicts)
+	defer clear(pivots)
+	for _, pivot := range pivots {
 		if err := m.checkPivotLocked(pivot, notYetCommitted, x, x); err != nil {
 			return err
 		}

@@ -98,12 +98,18 @@ func (m *Manager) FinishedOutside() {
 }
 
 // wakeReclaimer requests a background pass, spawning the goroutine if
-// none is running. After Close it is a no-op.
+// none is running (with Config.ReclaimInline, it runs the pass itself).
+// After Close it is a no-op.
 func (m *Manager) wakeReclaimer() {
 	r := &m.rec
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
+		return
+	}
+	if m.cfg.ReclaimInline {
+		r.mu.Unlock()
+		m.reclaimPass()
 		return
 	}
 	r.pending = true

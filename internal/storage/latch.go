@@ -11,9 +11,10 @@ package storage
 // alone. A reader copies out under it what it needs — a value is captured
 // as a slice of the arena — and, once it is released, holds no index or
 // pointer into the headers: a compaction may move them. The old arena is
-// never written again, so captured values stay intact. The one thing on a
-// page the latch does not guard is the key block, which is written when a
-// slot is made, under the index's tree lock, and never changed after.
+// never written again, so captured values stay intact. Keys are not on
+// the page at all: a row's key lives in the arena of its primary index
+// leaf, written under the index's tree lock and never written again
+// (internal/btree), so a key a reader holds needs no latch either.
 //
 // And it closes SSI's detection window (§4.1, §5.2 of the paper):
 // PostgreSQL holds the buffer page lock across the MVCC visibility check

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"pgssi/internal/mvcc"
 )
@@ -113,25 +112,25 @@ func (v *header) setXmax(xid mvcc.TxID, subID int32) {
 }
 
 // page is a heap page: TuplesPerPage row slots and every version of
-// their rows. Every field but keys belongs to the latch: shared to read,
-// exclusive to change. Readers copy out what they need under it — a
-// value is captured as a slice of the arena — and keep no index or
-// pointer into the headers once it is released.
+// their rows. It keeps no keys: a row's key lives in the arena of its
+// primary index leaf (internal/btree). Every field belongs to the latch:
+// shared to read, exclusive to change.
+// Readers copy out what they need under it — a value is captured as a
+// slice of the arena — and keep no index or pointer into the headers
+// once it is released. The two slices come first because the collector
+// scans an object only up to its last pointer: the latch and the line
+// pointers after them are never scanned.
 type page struct {
-	latch sync.RWMutex //ssi:lock level=10 name=storage.pageLatch
-	// line maps a row slot to the index of its newest version in hdrs,
-	// or none while the row has no version (or no slot yet).
-	line [TuplesPerPage]int32
 	// hdrs are the versions of the page's rows, oldest pushed first.
 	hdrs []header
 	// arena holds the versions' values, in the order of hdrs. It is only
 	// appended to: compact copies the live values into a fresh arena and
 	// leaves the old one, still read through captured slices, as it was.
 	arena []byte
-	// keys is the key block: each slot's key, appended when the slot is
-	// made, which the index's leaf entry aliases. It is written under the
-	// index's tree lock, which makes every slot, and never changed after.
-	keys []byte
+	latch sync.RWMutex //ssi:lock level=10 name=storage.pageLatch
+	// line maps a row slot to the index of its newest version in hdrs,
+	// or none while the row has no version (or no slot yet).
+	line [TuplesPerPage]int32
 }
 
 func newPage() *page {
@@ -140,22 +139,6 @@ func newPage() *page {
 		p.line[i] = none
 	}
 	return p
-}
-
-// addKey stores key in the key block for the page's slot and returns it
-// as a string aliasing the block. A block is sized for the slots left on
-// the page at the length of the key that opens it, so a page of equally
-// long keys has one. Caller holds the index's tree lock.
-func (p *page) addKey(key string, slot int) string {
-	if len(key) == 0 {
-		return ""
-	}
-	if cap(p.keys)-len(p.keys) < len(key) {
-		p.keys = make([]byte, 0, len(key)*(TuplesPerPage-slot))
-	}
-	off := len(p.keys)
-	p.keys = append(p.keys, key...)
-	return unsafe.String(&p.keys[off], len(key))
 }
 
 // value returns version i's value, as a slice of the arena whose capacity
@@ -256,7 +239,7 @@ func (p *page) trimBelow(i int32, horizon mvcc.SeqNo, mgr *mvcc.Manager) int32 {
 func (p *page) push(slot int, v header, value []byte) {
 	if p.arena == nil {
 		// The first version sizes the arena for a page of values as long
-		// as its own, as addKey sizes a key block.
+		// as its own.
 		p.arena = make([]byte, 0, min(len(value)*TuplesPerPage, maxFirstArena))
 	}
 	if len(p.hdrs) == cap(p.hdrs) || cap(p.arena)-len(p.arena) < len(value) {

@@ -28,10 +28,10 @@
 // # One index
 //
 // A table owns its primary B+-tree (internal/btree), and the tree maps a
-// key to its row's TID. The key itself is kept once, in its page's key
-// block, which the leaf's key string aliases. There is no second, hashed
-// index. A point read is one descent (Lookup, which also hands the engine
-// the leaf page to gap-lock); a range scan walks the leaves and reads the
+// key to its row's TID. The key itself is kept once, in the leaf's key
+// arena; the heap page keeps none. There is no second, hashed index. A
+// point read is one descent (Lookup, which also hands the engine the
+// leaf page to gap-lock); a range scan walks the leaves and reads the
 // rows they name a page at a time, so it reads each page's headers and
 // values in place.
 //
@@ -173,7 +173,7 @@ type Table struct {
 	// growth are guarded by the index's tree lock: slots are only made
 	// inside GetOrInsert, through mkSlot.
 	lastTID TID
-	mkSlot  func(key string) (string, TID)
+	mkSlot  func() TID
 }
 
 // NewTable creates an empty heap named name.
@@ -185,16 +185,16 @@ func NewTable(name string, cfg Config) *Table {
 }
 
 // newSlot makes the slot for a key the index has not held before, on
-// the next free slot of the last page (or of a new one), and stores the
-// key in that page's key block. Caller holds the tree lock.
-func (t *Table) newSlot(key string) (string, TID) {
+// the next free slot of the last page (or of a new one). The key itself
+// lives in the index leaf's arena. Caller holds the tree lock.
+func (t *Table) newSlot() TID {
 	t.lastTID++
 	tid := t.lastTID
 	if tid.Page() == int64(len(*t.pages.Load())) {
 		pages := append(*t.pages.Load(), newPage())
 		t.pages.Store(&pages)
 	}
-	return t.page(tid).addKey(key, tid.slot()), tid
+	return tid
 }
 
 // page returns the page tid is on. tid must name a row.

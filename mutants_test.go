@@ -27,7 +27,8 @@ import (
 // abort accounting, and the dangerous-structure rule: commit ordering
 // (§3.3.1), Theorem 3 and the prepared-pivot exception to the victim
 // choice (§7.1), each broken alone in the one place it is written
-// (internal/core/conflicts.go) and each caught by a deterministic test.
+// (internal/core/conflicts.go) and each caught by a deterministic test,
+// and the B+-tree's rule that a key handed out is never rewritten.
 //
 // A new fence lands with its entry instead of a switch (docs/invariants.md).
 
@@ -311,9 +312,7 @@ var mutants = []mutant{
 	{
 		name: "rightmost not moved on a split",
 		file: "internal/btree/btree.go",
-		old: `		if n == t.rightmost {
-			t.rightmost = right
-		}
+		old: `			t.rightmost = right
 `,
 		new: "",
 		pkg: "./internal/btree",
@@ -322,10 +321,27 @@ var mutants = []mutant{
 	{
 		name: "append fills a leaf past degree",
 		file: "internal/btree/btree.go",
-		old:  `if r := t.rightmost; r.above(key) && len(r.keys) < degree {`,
+		old:  `if r := t.rightmost; r.above(key) && len(r.ents) < degree {`,
 		new:  `if r := t.rightmost; r.above(key) {`,
 		pkg:  "./internal/btree",
 		run:  "^TestAppendPathMatchesDescent$",
+	},
+	{
+		// A key handed out views its leaf's arena; shifting the arena's
+		// bytes to make room changes the keys readers hold.
+		name: "leaf key arena rewritten in place on a middle insert",
+		file: "internal/btree/btree.go",
+		old: `		kb := make([]byte, 0, len(n.kb)+len(key))
+		kb = append(kb, n.kb[:off]...)
+		kb = append(kb, key...)
+		n.kb = append(kb, n.kb[off:]...)
+`,
+		new: `		n.kb = append(n.kb, key...)
+		copy(n.kb[off+uint32(len(key)):], n.kb[off:])
+		copy(n.kb[off:], key)
+`,
+		pkg: "./internal/btree",
+		run: "^TestIndexKeysSurviveInserts$",
 	},
 	{
 		name: "Update and Delete never report Rewrite",

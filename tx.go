@@ -106,6 +106,9 @@ func (db *DB) Begin(opts TxOptions) (*Tx, error) {
 		if !opts.ReadOnly || opts.Isolation != Serializable {
 			return nil, fmt.Errorf("pgssi: DEFERRABLE requires a SERIALIZABLE READ ONLY transaction")
 		}
+		if db.cfg.DisableReadOnlyOpt {
+			return nil, ErrNoSafeSnapshots
+		}
 		return db.beginDeferrable()
 	}
 	tx := &Tx{
